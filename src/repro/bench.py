@@ -5,10 +5,8 @@ and the serving runtime.
 (synthesis -> mapping -> perf -> bounds -> P&R) via the service layer,
 records per-stage wall-clock seconds (including the P&R-internal
 place/route split), stage-cache behaviour (a second, warm compile of every
-request), solution-quality metrics (routed wirelength, critical path), and
-an interleaved serial-vs-parallel P&R engine reference (the same-machine
-ratio behind the ``--check-regression`` parallel-speedup floor), and emits
-the result as a ``BENCH_pnr.json`` report.
+request) and solution-quality metrics (routed wirelength, critical path),
+and emits the result as a ``BENCH_pnr.json`` report.
 
 ``run_serve_bench`` (``repro bench --serve``) measures the end-to-end
 *serving* path on a repeated-model batch workload: the
@@ -65,8 +63,6 @@ from .core.dedup import DEDUP_STORE_ENV
 from .core.shared_cache import SHARED_CACHE_ENV
 from .errors import InvalidRequestError
 from .models.zoo import BENCHMARK_MODELS, MODEL_BUILDERS
-from .pnr.options import PnROptions
-from .pnr.pnr import PlaceAndRoute
 from .seeding import derive_seed
 from .service import CompileRequest, FPSAClient, JobManager, ServingRuntime
 
@@ -92,15 +88,6 @@ BENCH_SCHEMA_VERSION = 1
 
 #: report file at the repository root; the committed copy is the baseline.
 DEFAULT_REPORT_PATH = "BENCH_pnr.json"
-
-#: netlists with at least this many function blocks feed the
-#: parallel-engine speedup gate; smaller ones are dispatch-bound (Python
-#: per-batch overhead dominates their place+route), so their ratio is a
-#: statement about interpreter overhead rather than the parallel engine.
-#: A *size* bar — unlike a wall-time bar — makes the qualifying set
-#: deterministic: machine-load noise can stretch a small netlist's serial
-#: seconds past any time threshold, but never changes its block count.
-PNR_SPEEDUP_MIN_BLOCKS = 100
 
 #: models benchmarked by default: the slice of the zoo whose P&R runs in
 #: seconds.  The big ImageNet models are reachable via --models: their
@@ -196,22 +183,9 @@ class BenchEntry:
     #: routed-solution quality: equal-or-better is the bar optimizations
     #: must clear.
     quality: dict[str, float] = field(default_factory=dict)
-    #: worker threads the parallel P&R engine ran with (``None`` = the
-    #: engine default; absent from reports written before the engine).
+    #: worker threads P&R ran with (``None`` = the engine default; absent
+    #: from older reports).
     pnr_jobs: int | None = None
-    #: in-run engine-ratio reference: best-of-2 place+route seconds of the
-    #: serial reference engine and of the parallel engine on this entry's
-    #: netlist(s), measured interleaved on the same machine so the ratio
-    #: needs no cross-machine allowance.  ``None`` in pre-engine reports.
-    serial_place_route_seconds: float | None = None
-    parallel_place_route_seconds: float | None = None
-
-    @property
-    def engine_speedup(self) -> float | None:
-        """Serial-over-parallel place+route ratio (``None`` if unmeasured)."""
-        if not self.serial_place_route_seconds or not self.parallel_place_route_seconds:
-            return None
-        return self.serial_place_route_seconds / self.parallel_place_route_seconds
 
     @property
     def pnr_seconds(self) -> float:
@@ -242,20 +216,10 @@ class BenchEntry:
             cache_misses=int(data.get("cache_misses", 0)),
             warm_cache_hits=int(data.get("warm_cache_hits", 0)),
             quality=dict(data.get("quality") or {}),
-            # engine-ratio fields arrived with the parallel engine: reports
-            # written before it simply lack them, which must keep parsing
+            # older reports lack the field, and may carry keys this class
+            # no longer has: keys are read by name, the rest is ignored
             pnr_jobs=(
                 int(data["pnr_jobs"]) if data.get("pnr_jobs") is not None else None
-            ),
-            serial_place_route_seconds=(
-                float(data["serial_place_route_seconds"])
-                if data.get("serial_place_route_seconds") is not None
-                else None
-            ),
-            parallel_place_route_seconds=(
-                float(data["parallel_place_route_seconds"])
-                if data.get("parallel_place_route_seconds") is not None
-                else None
             ),
         )
 
@@ -342,55 +306,6 @@ class BenchReport:
             return cls.from_dict(json.load(handle))
 
 
-def _place_route_seconds(netlist, channel_width: int, seed: int, options) -> float:
-    """Place+route wall-time of one netlist under the given engine options
-    (the rrgraph-build and timing-analysis stages are excluded: both are
-    engine-independent)."""
-    result = PlaceAndRoute(
-        channel_width=channel_width, seed=seed, options=options
-    ).run(netlist)
-    return result.stage_seconds["place"] + result.stage_seconds["route"]
-
-
-def _measure_engine_ratio(
-    netlists,
-    channel_width: int,
-    seed: int,
-    pnr_jobs: int | None,
-    samples: int = 3,
-) -> tuple[float, float] | tuple[None, None]:
-    """Best-of-``samples`` place+route seconds of the serial reference
-    engine and the parallel engine over ``netlists`` (summed per side).
-
-    Only netlists with at least :data:`PNR_SPEEDUP_MIN_BLOCKS` function
-    blocks are measured; ``(None, None)`` when none qualify.  The two
-    engines are sampled *interleaved* (parallel, serial, parallel,
-    serial) so a machine load spike lands on both sides instead of
-    poisoning one, and each side takes its per-netlist minimum — the
-    standard defence against one-sided noise for same-machine ratios.
-    """
-    qualifying = [n for n in netlists if len(n.blocks) >= PNR_SPEEDUP_MIN_BLOCKS]
-    if not qualifying:
-        return None, None
-    parallel_options = PnROptions(jobs=pnr_jobs)
-    serial_options = PnROptions(engine="serial")
-    serial_total = 0.0
-    parallel_total = 0.0
-    for netlist in qualifying:
-        parallel_samples: list[float] = []
-        serial_samples: list[float] = []
-        for _ in range(max(1, samples)):
-            parallel_samples.append(
-                _place_route_seconds(netlist, channel_width, seed, parallel_options)
-            )
-            serial_samples.append(
-                _place_route_seconds(netlist, channel_width, seed, serial_options)
-            )
-        parallel_total += min(parallel_samples)
-        serial_total += min(serial_samples)
-    return serial_total, parallel_total
-
-
 def _bench_one(
     model: str,
     duplication_degree: int,
@@ -400,8 +315,7 @@ def _bench_one(
     pnr_jobs: int | None = None,
 ) -> BenchEntry:
     """Benchmark one configuration: a cold and a warm compile through a
-    private stage cache, plus the interleaved serial-vs-parallel engine
-    reference on the compiled netlist(s)."""
+    private stage cache."""
     client = FPSAClient(cache=StageCache())
     request = CompileRequest(
         model=model,
@@ -454,25 +368,6 @@ def _bench_one(
             quality["total_wirelength"] = wirelength
         if critical:
             quality["critical_path_ns"] = critical
-    # the engine-speedup reference re-runs place+route on the *already
-    # compiled* netlist(s), so both engines see the identical input and the
-    # derived seed the compile itself used
-    live = cold.result
-    netlists = []
-    if live is not None:
-        if live.mapping is not None:
-            netlists = [live.mapping.netlist]
-        else:
-            netlists = [
-                shard.mapping.netlist
-                for shard in live.shard_results or ()
-                if shard.mapping is not None
-            ]
-    serial_reference = parallel_reference = None
-    if netlists:
-        serial_reference, parallel_reference = _measure_engine_ratio(
-            netlists, channel_width, derive_seed(seed, "pnr"), pnr_jobs
-        )
     return BenchEntry(
         model=model,
         duplication_degree=duplication_degree,
@@ -489,8 +384,6 @@ def _bench_one(
         warm_cache_hits=warm_timings.cache_hits,
         quality=quality,
         pnr_jobs=pnr_jobs,
-        serial_place_route_seconds=serial_reference,
-        parallel_place_route_seconds=parallel_reference,
     )
 
 
@@ -513,11 +406,7 @@ def run_bench(
 
     Every model is compiled twice through a private stage cache: cold
     (every pass runs, timed per stage) and warm (the identical request
-    again, recording how much of the pipeline the cache absorbs).  Each
-    entry additionally records the interleaved best-of-2 place+route
-    seconds of the serial reference engine and the parallel engine
-    (``pnr_jobs`` workers) on the compiled netlist(s) — the same-machine
-    ratio behind the ``--check-regression`` parallel-speedup floor.
+    again, recording how much of the pipeline the cache absorbs).
 
     ``partition_chips`` additionally benchmarks the *largest* resolved
     model at those chip counts through the partitioned flow, so the
@@ -1196,7 +1085,6 @@ def compare_reports(
     time_threshold: float = 2.5,
     quality_tolerance: float = 0.10,
     serve_min_speedup: float = 3.0,
-    pnr_min_speedup: float = 3.0,
     dedup_min_speedup: float = 1.3,
     dedup_min_hit_rate: float = 0.5,
     chaos_min_availability: float = 1.0,
@@ -1207,16 +1095,6 @@ def compare_reports(
     than ``time_threshold``x (generous by default: benchmarks run on
     heterogeneous machines) or when a quality metric (total wirelength,
     critical path) worsens by more than ``quality_tolerance`` relative.
-
-    The parallel P&R engine regresses when its aggregate place+route
-    speedup over the in-run serial reference falls below
-    ``pnr_min_speedup``.  Like the serve speedup it is a same-machine
-    ratio (both engines measured interleaved in the same run), so it needs
-    no machine-noise allowance; the aggregate only covers entries with a
-    measured reference, i.e. netlists of at least
-    :data:`PNR_SPEEDUP_MIN_BLOCKS` blocks (the gate is skipped when no
-    entry qualifies — e.g. a small-models-only run — and for pre-engine
-    reports that lack the reference fields).
 
     A serve section regresses when the runtime-vs-baseline speedup falls
     below ``serve_min_speedup`` (the speedup is a same-machine ratio, so
@@ -1245,28 +1123,6 @@ def compare_reports(
     if quality_tolerance < 0:
         raise InvalidRequestError("quality_tolerance must be >= 0")
     regressions: list[str] = []
-    qualifying = [
-        e
-        for e in current.entries
-        if e.serial_place_route_seconds is not None
-        and e.parallel_place_route_seconds is not None
-    ]
-    if qualifying and pnr_min_speedup > 0:
-        serial_total = sum(e.serial_place_route_seconds for e in qualifying)
-        parallel_total = sum(e.parallel_place_route_seconds for e in qualifying)
-        if parallel_total > 0:
-            speedup = serial_total / parallel_total
-            if speedup < pnr_min_speedup:
-                labels = ", ".join(
-                    f"{e.model}@{e.num_chips}c" if e.num_chips > 1 else e.model
-                    for e in qualifying
-                )
-                regressions.append(
-                    f"pnr: parallel-engine place+route speedup {speedup:.2f}x "
-                    f"is below the {pnr_min_speedup:.1f}x floor "
-                    f"(serial {serial_total:.3f}s vs parallel "
-                    f"{parallel_total:.3f}s over {labels})"
-                )
     serve = current.serve
     if serve is not None:
         speedup = float(serve.get("speedup", 0.0))
@@ -1363,13 +1219,11 @@ def format_table(report: BenchReport) -> str:
     header = (
         f"{'model':<14} {'dup':>4} {'chips':>5} {'blocks':>7} {'pnr s':>8} "
         f"{'place s':>8} {'route s':>8} {'total s':>8} {'warm s':>8} "
-        f"{'wirelen':>8} {'crit ns':>8} {'cut':>5} {'eng x':>6}"
+        f"{'wirelen':>8} {'crit ns':>8} {'cut':>5}"
     )
     lines = [header, "-" * len(header)]
     for e in report.entries:
         n_blocks = sum(e.blocks.values())
-        speedup = e.engine_speedup
-        engine = f"{speedup:>6.2f}" if speedup is not None else f"{'-':>6}"
         lines.append(
             f"{e.model:<14} {e.duplication_degree:>4} {e.num_chips:>5} {n_blocks:>7} "
             f"{e.pnr_seconds:>8.3f} "
@@ -1378,7 +1232,7 @@ def format_table(report: BenchReport) -> str:
             f"{e.total_seconds:>8.3f} {e.warm_seconds:>8.3f} "
             f"{e.quality.get('total_wirelength', 0.0):>8.0f} "
             f"{e.quality.get('critical_path_ns', 0.0):>8.2f} "
-            f"{e.quality.get('cut_size', 0.0):>5.0f} {engine}"
+            f"{e.quality.get('cut_size', 0.0):>5.0f}"
         )
     lines.append(
         f"{'TOTAL':<14} {'':>4} {'':>5} {'':>7} {report.total_pnr_seconds:>8.3f}"
@@ -1415,15 +1269,8 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--pnr-jobs", type=int, default=None, metavar="N",
-        help="worker threads for the parallel P&R engine (default: the "
-        "engine default; results are bit-identical for any value)",
-    )
-    parser.add_argument(
-        "--pnr-min-speedup", type=float, default=3.0, metavar="X",
-        help="--check-regression fails when the parallel engine's aggregate "
-        "place+route speedup over the in-run serial reference falls below "
-        "this floor (measured on netlists of >= "
-        f"{PNR_SPEEDUP_MIN_BLOCKS} blocks; default: 3.0)",
+        help="worker threads for P&R (default: the engine default; "
+        "results are bit-identical for any value)",
     )
     parser.add_argument(
         "--partition-chips", default="2,4", metavar="LIST",
@@ -1733,7 +1580,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             time_threshold=args.threshold,
             quality_tolerance=args.quality_tolerance,
             serve_min_speedup=getattr(args, "serve_min_speedup", 3.0),
-            pnr_min_speedup=getattr(args, "pnr_min_speedup", 3.0),
             dedup_min_speedup=getattr(args, "dedup_min_speedup", 1.3),
             dedup_min_hit_rate=getattr(args, "dedup_min_hit_rate", 0.5),
             chaos_min_availability=getattr(args, "chaos_min_availability", 1.0),

@@ -11,8 +11,7 @@ repeated runs       same seed => bit-identical ``ResultSummary``
 warm cache          cache-hit artifacts == freshly computed ones
 shared cache        pickle round-trip through the cross-process tier is
                     lossless (cold fill and warm reload both match)
-``pnr_jobs`` 1 / N  the parallel P&R engine is jobs-invariant
-jit on / off        numba kernels (or their fallback) are bit-identical
+``pnr_jobs`` 1 / N  the P&R engine is jobs-invariant
 ``num_chips=1``     the 1-chip partition is the identity (modulo the
                     ``partition`` summary section it adds)
 ``num_chips=auto``  deterministic; succeeds whenever the classic flow
@@ -34,7 +33,6 @@ its twin is as much a finding as a diverging summary.
 
 from __future__ import annotations
 
-import os
 import tempfile
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
@@ -45,7 +43,6 @@ from ..core.compiler import FPSACompiler
 from ..core.dedup import SubgraphStore
 from ..core.shared_cache import SharedStageCache
 from ..errors import FPSAError, VerificationError
-from ..pnr.options import JIT_ENV_VAR
 from ..service.schemas import ErrorPayload, ResultSummary
 from .generate import PNR_PE_LIMIT, ModelSpec, build_graph, estimate_pes
 
@@ -161,7 +158,6 @@ def compile_spec(
     cache: StageCache | None = None,
     run_pnr: bool = False,
     pnr_jobs: int | None = None,
-    jit: bool | None = None,
     num_chips: int | str | None = None,
     dedup_store: SubgraphStore | None = None,
 ) -> Outcome:
@@ -172,9 +168,6 @@ def compile_spec(
     :func:`repro.service.client.serve_request`) become error outcomes so
     the oracle can compare failure identities across configurations.
     """
-    jit_before = os.environ.get(JIT_ENV_VAR)
-    if jit is not None:
-        os.environ[JIT_ENV_VAR] = "1" if jit else "0"
     try:
         graph = build_graph(spec)
         compiler = FPSACompiler(
@@ -203,12 +196,6 @@ def compile_spec(
             status="error",
             error=_error_identity(ErrorPayload.from_exception(exc)),
         )
-    finally:
-        if jit is not None:
-            if jit_before is None:
-                os.environ.pop(JIT_ENV_VAR, None)
-            else:
-                os.environ[JIT_ENV_VAR] = jit_before
     # second oracle: the standalone IR verifiers over the final artifacts
     # (the in-pipeline interposition already ran; this re-checks the
     # artifacts exactly as a cache/store boundary would)
@@ -324,8 +311,6 @@ def check_spec(
         expect_same(
             pnr_base, run(f"pnr-jobs-{pnr_jobs}", run_pnr=True, pnr_jobs=pnr_jobs)
         )
-        expect_same(pnr_base, run("pnr-jit", run_pnr=True, jit=True))
-        expect_same(pnr_base, run("pnr-nojit", run_pnr=True, jit=False))
     if "dedup" in groups:
         store = SubgraphStore()
         expect_same(base, run("dedup-cold", dedup_store=store))

@@ -2,7 +2,7 @@
 
 from .fabric import FabricGrid, Site
 from .passes import PnRPass
-from .placement import Placement, SimulatedAnnealingPlacer
+from .placement import Placement
 from .pnr import PlaceAndRoute, PnRResult
 from .routing import PathFinderRouter, RoutedNet, RoutingError, RoutingResult
 from .rrgraph import RoutingResourceGraph, RRNode
@@ -14,7 +14,6 @@ __all__ = [
     "RRNode",
     "RoutingResourceGraph",
     "Placement",
-    "SimulatedAnnealingPlacer",
     "RoutedNet",
     "RoutingResult",
     "RoutingError",

@@ -1,12 +1,9 @@
-"""Execution options of the parallel P&R engine.
+"""Execution options of the P&R engine.
 
-:class:`PnROptions` separates *what* the P&R flow computes (engine,
-annealing schedule, tempering replicas, router search margin — all of
-which shape the artifact and therefore belong in cache keys) from *how*
-it executes (``jobs``, ``jit`` — pure execution knobs that must never
-change the artifact).  The engine is built so that any ``jobs`` value and
-either ``jit`` setting produce bit-identical placements and routings for
-the same seed; only wall-clock timers may differ.
+:class:`PnROptions` holds *how* the P&R flow executes, never *what* it
+computes: ``jobs`` is the only knob, and any value produces bit-identical
+placements and routings for the same seed — only wall-clock timers may
+differ.  That is why it is absent from every cache key.
 """
 
 from __future__ import annotations
@@ -16,74 +13,24 @@ from dataclasses import dataclass
 
 from ..errors import InvalidRequestError
 
-__all__ = ["PnROptions", "jit_requested"]
-
-#: environment flag that turns on the numba-compiled inner kernels.  The
-#: flag is advisory: when numba is not importable the engine silently
-#: falls back to the pure numpy/python kernels (same results, no new
-#: dependency).
-JIT_ENV_VAR = "REPRO_PNR_JIT"
-
-_ENGINES = ("parallel", "serial")
-
-
-def jit_requested() -> bool:
-    """Whether the ``REPRO_PNR_JIT`` environment flag asks for jit kernels."""
-    value = os.environ.get(JIT_ENV_VAR, "").strip().lower()
-    return value not in ("", "0", "false", "no", "off")
+__all__ = ["PnROptions"]
 
 
 @dataclass(frozen=True)
 class PnROptions:
-    """Knobs of the parallel P&R engine.
-
-    ``jobs`` and ``jit`` are execution knobs: they control how many
-    worker threads evaluate region batches / congestion domains and
-    whether numba-compiled kernels run the inner loops, but never what
-    gets computed.  Everything else influences the artifact.
-    """
+    """The execution knob of the P&R engine."""
 
     #: worker threads for region-batch evaluation and congestion-domain
     #: routing.  ``None`` means 1 (serial execution, identical results);
     #: larger values are clamped to the machine's CPU count — results are
     #: bit-identical for any value, so oversubscribing cores is pure loss.
     jobs: int | None = None
-    #: ``"parallel"`` — the batched region-parallel annealer + domain
-    #: router; ``"serial"`` — the classic single-move annealer and
-    #: whole-netlist PathFinder loop kept as the reference engine.
-    engine: str = "parallel"
-    #: use numba-compiled kernels when available.  ``None`` defers to the
-    #: ``REPRO_PNR_JIT`` environment flag.
-    jit: bool | None = None
-    #: proposed moves per movable block per temperature.
-    moves_per_block: int = 10
-    #: parallel-tempering replicas (1 = plain annealing).  Replicas run
-    #: the same batched schedule at a ladder of temperatures and swap
-    #: states deterministically every round; the best final replica wins.
-    tempering: int = 1
-    #: router search-window margin: each net's A* is confined to its
-    #: terminal bounding box expanded by this many blocks, which is also
-    #: the overlap slack of the congestion-domain partitioner.
-    bb_margin: int = 3
 
     def __post_init__(self) -> None:
         if self.jobs is not None and self.jobs < 1:
             raise InvalidRequestError("pnr jobs must be >= 1")
-        if self.engine not in _ENGINES:
-            raise InvalidRequestError(
-                f"unknown pnr engine {self.engine!r}; expected one of {_ENGINES}"
-            )
-        if self.moves_per_block <= 0:
-            raise InvalidRequestError("moves_per_block must be positive")
-        if self.tempering < 1:
-            raise InvalidRequestError("tempering replica count must be >= 1")
-        if self.bb_margin < 1:
-            raise InvalidRequestError("bb_margin must be >= 1")
 
     def effective_jobs(self) -> int:
         if self.jobs is None:
             return 1
         return max(1, min(self.jobs, os.cpu_count() or 1))
-
-    def jit_enabled(self) -> bool:
-        return jit_requested() if self.jit is None else self.jit

@@ -5,17 +5,18 @@ site, minimising the total half-perimeter wirelength (HPWL) of the nets —
 the same objective and algorithm family as the VPR/mrVPR tool the paper
 uses.  I/O blocks are constrained to the peripheral I/O sites.
 
-The hot loop runs over a :class:`PlacementCostModel`: block coordinates
-live in numpy arrays, net membership is a CSR-style index structure, the
-full wirelength is one vectorized ``reduceat`` sweep, and each proposed
-move re-evaluates only the nets touching the moved blocks (delta-cost
-evaluation) instead of recomputing the whole objective.
+:class:`ParallelAnnealingPlacer` is the one annealer: block coordinates
+live in numpy arrays, net membership in padded index arrays, and every
+temperature round evaluates whole batches of mutually independent moves
+with vectorized delta-cost kernels instead of recomputing the objective.
+:class:`PlacementCostModel` is not on that path: it is the independent
+one-move-at-a-time HPWL model the tests replay the annealer's moves
+through.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -30,7 +31,6 @@ from .options import PnROptions
 __all__ = [
     "Placement",
     "PlacementCostModel",
-    "SimulatedAnnealingPlacer",
     "RegionGrid",
     "PlacementStats",
     "ParallelAnnealingPlacer",
@@ -39,6 +39,9 @@ __all__ = [
 #: nets with at least this many member blocks track their bounding box
 #: incrementally (boundary values + counts) instead of rescanning members.
 _BBOX_TRACK_THRESHOLD = 12
+
+#: proposed moves per movable block per temperature.
+_MOVES_PER_BLOCK = 10
 
 
 def _axis_move(old: int, new: int, mn: int, cmn: int, mx: int, cmx: int):
@@ -92,6 +95,11 @@ class Placement:
 
 class PlacementCostModel:
     """HPWL objective with vectorized full sweeps and incremental moves.
+
+    The reference implementation of the objective, kept on purpose with
+    no production caller: the tests replay the batched annealer's merged
+    move sequence through it one move at a time and check its deltas
+    against its own full recompute.
 
     Block coordinates live in flat arrays indexed by a dense block id and
     each net's member blocks are a precomputed id list.  :meth:`full_cost`
@@ -329,137 +337,6 @@ class PlacementCostModel:
         }
 
 
-class SimulatedAnnealingPlacer:
-    """Classic VPR-style simulated-annealing placement."""
-
-    def __init__(
-        self,
-        moves_per_block: int = 10,
-        cooling: float = 0.9,
-        initial_acceptance: float = 0.5,
-        min_temperature: float = 1e-3,
-        seed: int = 0,
-    ):
-        if not 0.0 < cooling < 1.0:
-            raise InvalidRequestError("cooling must lie in (0, 1)")
-        if moves_per_block <= 0:
-            raise InvalidRequestError("moves_per_block must be positive")
-        self.moves_per_block = moves_per_block
-        self.cooling = cooling
-        self.initial_acceptance = initial_acceptance
-        self.min_temperature = min_temperature
-        self.seed = seed
-
-    # ---------------------------------------------------------------- setup
-    @staticmethod
-    def _initial_placement(
-        netlist: FunctionBlockNetlist, fabric: FabricGrid, rng: random.Random
-    ) -> Placement:
-        placement = Placement(fabric)
-        core_blocks = [b.name for b in netlist.blocks.values() if b.type != BlockType.IO]
-        io_blocks = [b.name for b in netlist.blocks.values() if b.type == BlockType.IO]
-
-        sites = [s.position for s in fabric.sites()]
-        if len(core_blocks) > len(sites):
-            raise CapacityError(
-                f"netlist has {len(core_blocks)} blocks but the fabric only has "
-                f"{len(sites)} sites",
-                details={"blocks": len(core_blocks), "sites": len(sites)},
-            )
-        rng.shuffle(sites)
-        for block, site in zip(core_blocks, sites, strict=False):
-            placement.positions[block] = site
-
-        io_sites = [s.position for s in fabric.io_sites()]
-        if len(io_blocks) > len(io_sites):
-            raise CapacityError(
-                "not enough I/O sites for the netlist's I/O blocks",
-                details={"io_blocks": len(io_blocks), "io_sites": len(io_sites)},
-            )
-        rng.shuffle(io_sites)
-        for block, site in zip(io_blocks, io_sites, strict=False):
-            placement.positions[block] = site
-        return placement
-
-    @staticmethod
-    def _nets_by_block(netlist: FunctionBlockNetlist) -> dict[str, list[int]]:
-        mapping: dict[str, list[int]] = {}
-        for index, net in enumerate(netlist.nets):
-            for block in sorted({net.driver, *net.sinks}):
-                mapping.setdefault(block, []).append(index)
-        return mapping
-
-    # ----------------------------------------------------------------- run
-    def place(self, netlist: FunctionBlockNetlist, fabric: FabricGrid | None = None) -> Placement:
-        """Place the netlist; returns the final placement."""
-        rng = random.Random(self.seed)
-        fabric = fabric if fabric is not None else FabricGrid.for_netlist(netlist)
-        placement = self._initial_placement(netlist, fabric, rng)
-        nets = netlist.nets
-        if not nets:
-            return placement
-
-        nets_by_block = self._nets_by_block(netlist)
-        movable = [
-            b.name for b in netlist.blocks.values()
-            if b.type != BlockType.IO and nets_by_block.get(b.name)
-        ]
-        if not movable:
-            return placement
-
-        occupied = {pos: name for name, pos in placement.positions.items()}
-        core_sites = [s.position for s in fabric.sites()]
-        free_sites = [pos for pos in core_sites if pos not in occupied]
-        model = PlacementCostModel(netlist, placement.positions)
-        cost = model.total
-
-        # initial temperature: proportional to the typical move cost
-        temperature = max(1.0, cost / max(len(nets), 1)) / max(
-            self.initial_acceptance, 1e-6
-        )
-        moves_per_round = max(10, self.moves_per_block * len(movable))
-
-        while temperature > self.min_temperature and cost > 0:
-            accepted = 0
-            for _ in range(moves_per_round):
-                block = rng.choice(movable)
-                use_free = free_sites and rng.random() < 0.3
-                if use_free:
-                    target_pos = rng.choice(free_sites)
-                    swap_block = None
-                else:
-                    target_pos = rng.choice(core_sites)
-                    swap_block = occupied.get(target_pos)
-                    if swap_block == block:
-                        continue
-                    if swap_block is not None and netlist.blocks[swap_block].type == BlockType.IO:
-                        continue
-                b = model.block_index[block]
-                old_pos = (model.xs[b], model.ys[b])
-
-                delta = model.propose(block, target_pos, swap_block)
-                if delta <= 0 or rng.random() < math.exp(-delta / temperature):
-                    model.commit()
-                    cost += delta
-                    occupied.pop(old_pos, None)
-                    occupied[target_pos] = block
-                    if swap_block is not None:
-                        occupied[old_pos] = swap_block
-                    else:
-                        if target_pos in free_sites:
-                            free_sites.remove(target_pos)
-                        free_sites.append(old_pos)
-                    accepted += 1
-                else:
-                    model.reject()
-
-            temperature *= self.cooling
-            if accepted == 0:
-                break
-        placement.positions.update(model.positions())
-        return placement
-
-
 # --------------------------------------------------------------------------
 # region-parallel batched annealing
 # --------------------------------------------------------------------------
@@ -519,7 +396,6 @@ class PlacementStats:
     temperatures: list[tuple[float, int, int]] = field(default_factory=list)
     moves_proposed: int = 0
     moves_accepted: int = 0
-    replicas: int = 1
     final_cost: int = 0
     #: seconds spent inside the batched delta-cost evaluation
     place_delta_seconds: float = 0.0
@@ -536,7 +412,7 @@ class _NetGeometry:
     and incident net ids per block are flattened once into rectangular
     padded arrays (padding ``-1``), so a whole batch of delta costs is a
     handful of gathers and masked reductions instead of per-move Python
-    loops.  Shared by every replica; immutable.
+    loops.  Immutable.
     """
 
     def __init__(self, netlist: FunctionBlockNetlist):
@@ -587,7 +463,8 @@ class _NetGeometry:
     def net_costs(self, coords: np.ndarray) -> np.ndarray:
         """Per-net HPWL from scratch, one vectorized sweep.
 
-        ``coords`` is the replica's ``(2, blocks)`` coordinate array.
+        ``coords`` is the annealing state's ``(2, blocks)`` coordinate
+        array.
         """
         if self.n_nets == 0:
             return np.zeros(0, dtype=np.int64)
@@ -613,8 +490,8 @@ class _NetGeometry:
         return (hi[0] - lo[0]) + (hi[1] - lo[1])
 
 
-class _ReplicaState:
-    """Mutable annealing state of one replica."""
+class _AnnealState:
+    """Mutable annealing state: coordinates, occupancy, per-net costs."""
 
     __slots__ = (
         "rng", "coords", "xs", "ys", "occ", "net_costs", "total",
@@ -693,10 +570,9 @@ class ParallelAnnealingPlacer:
     :class:`PlacementCostModel` reaches the identical placement.
 
     ``jobs`` only splits the delta evaluation of one batch across worker
-    threads (grouped by region) and, in tempering mode, runs replicas
-    concurrently; every random draw comes from per-replica generators
-    that never see the jobs value, so results are bit-identical for any
-    ``jobs``.
+    threads (grouped by region); every random draw comes from one
+    generator that never sees the jobs value, so results are
+    bit-identical for any ``jobs``.
     """
 
     #: exit temperature factor (VPR): stop when T < this * cost / nets.
@@ -719,14 +595,13 @@ class ParallelAnnealingPlacer:
     def _batch(
         self,
         geometry: _NetGeometry,
-        state: _ReplicaState,
+        state: _AnnealState,
         fabric: FabricGrid,
         region_of_site: np.ndarray,
         temperature: float,
         rlim: int,
         batch: int,
         pool: ThreadPoolExecutor | None,
-        use_jit: bool,
         collect_moves: bool = False,
     ) -> tuple[int, int, int, float, list[tuple[int, int, int, int]]]:
         """One batch: propose, arbitrate, evaluate survivors, apply.
@@ -828,40 +703,30 @@ class ParallelAnnealingPlacer:
 
         t_delta = time.perf_counter()
         new_cost = np.empty(pair_net.size, dtype=np.int64)
-        if use_jit:
-            from .kernels import batch_delta_kernel
-
-            delta = np.zeros(survivors.size, dtype=np.int64)
-            batch_delta_kernel(
-                pair_mv, pair_net, geometry.members_pad, xs, ys,
-                sb, ss, stx, sty, sox, soy,
-                state.net_costs, new_cost, delta,
+        pair_region = region[survivors][pair_mv]
+        if pool is not None and survivors.size >= 2:
+            groups = [
+                np.flatnonzero(pair_region == r)
+                for r in np.unique(pair_region)
+            ]
+            list(
+                pool.map(
+                    lambda idx: self._eval_pairs(
+                        geometry, state, pair_mv, pair_net,
+                        sb, ss, stx, sty, sox, soy, new_cost, idx,
+                    ),
+                    groups,
+                )
             )
         else:
-            pair_region = region[survivors][pair_mv]
-            if pool is not None and survivors.size >= 2:
-                groups = [
-                    np.flatnonzero(pair_region == r)
-                    for r in np.unique(pair_region)
-                ]
-                list(
-                    pool.map(
-                        lambda idx: self._eval_pairs(
-                            geometry, state, pair_mv, pair_net,
-                            sb, ss, stx, sty, sox, soy, new_cost, idx,
-                        ),
-                        groups,
-                    )
-                )
-            else:
-                self._eval_pairs(
-                    geometry, state, pair_mv, pair_net,
-                    sb, ss, stx, sty, sox, soy, new_cost, None,
-                )
-            pair_delta = new_cost - state.net_costs[pair_net]
-            delta = np.bincount(
-                pair_mv, weights=pair_delta, minlength=survivors.size
-            ).astype(np.int64)
+            self._eval_pairs(
+                geometry, state, pair_mv, pair_net,
+                sb, ss, stx, sty, sox, soy, new_cost, None,
+            )
+        pair_delta = new_cost - state.net_costs[pair_net]
+        delta = np.bincount(
+            pair_mv, weights=pair_delta, minlength=survivors.size
+        ).astype(np.int64)
         delta_seconds = time.perf_counter() - t_delta
 
         # ------------------------------------------------------------ metropolis
@@ -914,7 +779,7 @@ class ParallelAnnealingPlacer:
     @staticmethod
     def _eval_pairs(
         geometry: _NetGeometry,
-        state: _ReplicaState,
+        state: _AnnealState,
         pair_mv: np.ndarray,
         pair_net: np.ndarray,
         sb: np.ndarray,
@@ -989,24 +854,18 @@ class ParallelAnnealingPlacer:
 
         Populates :attr:`last_stats` with the run's observability data.
         """
-        options = self.options
         fabric = fabric if fabric is not None else FabricGrid.for_netlist(netlist)
         geometry = _NetGeometry(netlist)
-        stats = PlacementStats(replicas=options.tempering)
+        stats = PlacementStats()
         self.last_stats = stats
 
-        n_replicas = options.tempering
-        children = np.random.SeedSequence(self.seed).spawn(n_replicas + 1)
-        states = [
-            _ReplicaState(geometry, fabric, np.random.default_rng(children[k]))
-            for k in range(n_replicas)
-        ]
-        swap_rng = np.random.default_rng(children[n_replicas])
+        rng = np.random.default_rng(np.random.SeedSequence(self.seed).spawn(1)[0])
+        state = _AnnealState(geometry, fabric, rng)
 
         placement = Placement(fabric)
         if geometry.n_nets == 0 or geometry.movable.size == 0:
-            self._export(geometry, states[0], placement)
-            stats.final_cost = states[0].total
+            self._export(geometry, state, placement)
+            stats.final_cost = state.total
             return placement
 
         region = RegionGrid.for_fabric(fabric.width, fabric.height)
@@ -1018,7 +877,7 @@ class ParallelAnnealingPlacer:
             dtype=np.int64,
         )
         # one temperature round spends the classic budget of
-        # moves_per_block * movable proposals, split into several batches
+        # _MOVES_PER_BLOCK * movable proposals, split into several batches
         # so later batches within a round see the earlier batches' moves.
         # Small netlists cool slower through the mid phase: each of their
         # batches yields only a handful of conflict-free moves, so they
@@ -1028,105 +887,68 @@ class ParallelAnnealingPlacer:
         mid_cooling = 0.96 if geometry.movable.size < 64 else 0.95
         batch = max(
             16,
-            -(-options.moves_per_block * int(geometry.movable.size)
-              // batches_per_round),
+            -(-_MOVES_PER_BLOCK * int(geometry.movable.size) // batches_per_round),
         )
         max_dim = max(fabric.width, fabric.height)
-        use_jit = options.jit_enabled()
-        if use_jit:
-            from .kernels import HAVE_NUMBA
 
-            use_jit = HAVE_NUMBA  # soft-fail to the numpy path
-
-        jobs = options.effective_jobs()
+        jobs = self.options.effective_jobs()
         pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
         try:
-            base = max(1.0, states[0].total / max(geometry.n_nets, 1))
-            t0 = base / max(self.initial_acceptance, 1e-6)
-            # replica 0 is the coldest rung; higher rungs run hotter
-            temps = [t0 * (2.0**k) for k in range(n_replicas)]
-            rlims = [float(max_dim)] * n_replicas
+            base = max(1.0, state.total / max(geometry.n_nets, 1))
+            temperature = base / max(self.initial_acceptance, 1e-6)
+            rlim = float(max_dim)
             zero_rounds = 0
 
-            for round_index in range(self._MAX_ROUNDS):
-                def run_one(k: int) -> tuple[int, int, int, float]:
-                    evaluated = accepted = nonzero = 0
-                    delta_seconds = 0.0
-                    for _ in range(batches_per_round):
-                        ev, acc, nz, dt, _ = self._batch(
-                            geometry, states[k], fabric, region_of_site,
-                            temps[k], max(1, int(round(rlims[k]))), batch,
-                            pool if n_replicas == 1 else None, use_jit,
-                        )
-                        evaluated += ev
-                        accepted += acc
-                        nonzero += nz
-                        delta_seconds += dt
-                    return evaluated, accepted, nonzero, delta_seconds
+            for _ in range(self._MAX_ROUNDS):
+                evaluated = accepted = nonzero = 0
+                for _ in range(batches_per_round):
+                    ev, acc, nz, dt, _ = self._batch(
+                        geometry, state, fabric, region_of_site,
+                        temperature, max(1, int(round(rlim))), batch, pool,
+                    )
+                    evaluated += ev
+                    accepted += acc
+                    nonzero += nz
+                    stats.place_delta_seconds += dt
 
-                if pool is not None and n_replicas > 1:
-                    results = list(pool.map(run_one, range(n_replicas)))
-                else:
-                    results = [run_one(k) for k in range(n_replicas)]
-
-                proposed = batch * batches_per_round * n_replicas
-                accepted = sum(r[1] for r in results)
-                nonzero = sum(r[2] for r in results)
-                stats.temperatures.append((temps[0], proposed, accepted))
+                proposed = batch * batches_per_round
+                stats.temperatures.append((temperature, proposed, accepted))
                 stats.moves_proposed += proposed
                 stats.moves_accepted += accepted
-                stats.place_delta_seconds += sum(r[3] for r in results)
 
-                for k in range(n_replicas):
-                    # acceptance over the *evaluated* independent survivors:
-                    # conflict-losers never reached the Metropolis test and
-                    # must not read as rejections to the schedule
-                    alpha = results[k][1] / max(results[k][0], 1)
-                    temps[k] = self._cool(temps[k], alpha, mid_cooling)
-                    rlims[k] = min(
-                        float(max_dim), max(1.0, rlims[k] * (0.56 + alpha))
-                    )
-
-                if n_replicas > 1:
-                    # deterministic replica-exchange sweep over alternating
-                    # adjacent pairs; the swap rng stream never depends on
-                    # the jobs count
-                    for k in range(round_index % 2, n_replicas - 1, 2):
-                        d = (states[k].total - states[k + 1].total) * (
-                            1.0 / temps[k] - 1.0 / temps[k + 1]
-                        )
-                        r = swap_rng.random()
-                        if d >= 0 or r < math.exp(max(d, -700.0)):
-                            states[k], states[k + 1] = states[k + 1], states[k]
+                # acceptance over the *evaluated* independent survivors:
+                # conflict-losers never reached the Metropolis test and
+                # must not read as rejections to the schedule
+                alpha = accepted / max(evaluated, 1)
+                temperature = self._cool(temperature, alpha, mid_cooling)
+                rlim = min(float(max_dim), max(1.0, rlim * (0.56 + alpha)))
 
                 # a round whose accepted moves were all zero-delta shuffles
                 # cannot have improved the cost: after a few of those in a
                 # row the anneal is frozen, whatever the temperature says
                 zero_rounds = zero_rounds + 1 if nonzero == 0 else 0
-                cold = min(state.total for state in states)
                 if (
-                    cold == 0
+                    state.total == 0
                     or zero_rounds >= self._FROZEN_ROUNDS
-                    or temps[0]
-                    < self._EXIT_FACTOR * max(cold, 1) / max(geometry.n_nets, 1)
+                    or temperature
+                    < self._EXIT_FACTOR * max(state.total, 1) / max(geometry.n_nets, 1)
                 ):
                     break
         finally:
             if pool is not None:
                 pool.shutdown(wait=True)
 
-        best = min(range(n_replicas), key=lambda k: (states[k].total, k))
-        self._refine(geometry, states[best], fabric, stats)
+        self._refine(geometry, state, fabric, stats)
 
-        stats.final_cost = states[best].total
-        self._export(geometry, states[best], placement)
+        stats.final_cost = state.total
+        self._export(geometry, state, placement)
         return placement
 
     # ------------------------------------------------------------- refinement
     def _refine(
         self,
         geometry: _NetGeometry,
-        state: _ReplicaState,
+        state: _AnnealState,
         fabric: FabricGrid,
         stats: PlacementStats,
         radius: int = 2,
@@ -1232,7 +1054,7 @@ class ParallelAnnealingPlacer:
 
     @staticmethod
     def _export(
-        geometry: _NetGeometry, state: _ReplicaState, placement: Placement
+        geometry: _NetGeometry, state: _AnnealState, placement: Placement
     ) -> None:
         for i, name in enumerate(geometry.block_names):
             placement.positions[name] = (int(state.xs[i]), int(state.ys[i]))

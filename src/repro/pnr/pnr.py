@@ -6,13 +6,10 @@ plays in the paper's toolchain: it consumes the function-block netlist
 emitted by the mapper and reports wirelength, channel occupancy and the
 communication critical path that feeds the performance model.
 
-The engine is selected by :class:`~repro.pnr.options.PnROptions`:
-``"parallel"`` (default) runs the batched region-parallel annealer and the
-window-confined domain router; ``"serial"`` keeps the classic single-move
-annealer and whole-netlist PathFinder loop as the reference engine the
-bench harness baselines against.  Either engine is deterministic for a
-fixed seed, and the parallel engine is bit-identical for any ``jobs``/
-``jit`` setting.
+There is one engine: the batched region-parallel annealer followed by the
+window-confined domain router.  It is deterministic for a fixed seed and
+bit-identical for any :class:`~repro.pnr.options.PnROptions` ``jobs``
+value.
 """
 
 from __future__ import annotations
@@ -24,12 +21,7 @@ from ..arch.params import FPSAConfig
 from ..mapper.netlist import FunctionBlockNetlist
 from .fabric import FabricGrid
 from .options import PnROptions
-from .placement import (
-    ParallelAnnealingPlacer,
-    Placement,
-    PlacementStats,
-    SimulatedAnnealingPlacer,
-)
+from .placement import ParallelAnnealingPlacer, Placement, PlacementStats
 from .routing import PathFinderRouter, RoutingResult
 from .rrgraph import RoutingResourceGraph
 from .timing import TimingReport, analyze_timing
@@ -51,8 +43,7 @@ class PnRResult:
     #: timing) plus the ``place_delta`` / ``route_expand`` kernel
     #: sub-timers
     stage_seconds: dict[str, float] = field(default_factory=dict)
-    #: annealing observability of the parallel placer (``None`` for the
-    #: classic serial placer)
+    #: annealing observability of the placer
     placement_stats: PlacementStats | None = None
 
     @property
@@ -90,7 +81,7 @@ class PnRResult:
                 f"  placer: {stats.rounds} temperature rounds, "
                 f"{stats.moves_proposed} proposed / "
                 f"{stats.moves_accepted} accepted moves, "
-                f"{stats.replicas} replica(s), final cost {stats.final_cost}"
+                f"final cost {stats.final_cost}"
             )
             rows = list(enumerate(stats.temperatures))
             if len(rows) > max_temperature_rows:
@@ -106,8 +97,6 @@ class PnRResult:
                 lines.append(
                     f"  {index:>7} {temperature:>12.3f} {proposed:>9} {accepted:>9}"
                 )
-        else:
-            lines.append("  placer: serial reference engine (no batched stats)")
         routing = self.routing
         lines.append(
             f"  router: {routing.iterations} negotiation iteration(s), "
@@ -135,7 +124,6 @@ class PlaceAndRoute:
         self,
         config: FPSAConfig | None = None,
         channel_width: int | None = None,
-        placer: SimulatedAnnealingPlacer | ParallelAnnealingPlacer | None = None,
         max_route_iterations: int = 30,
         seed: int = 0,
         options: PnROptions | None = None,
@@ -144,12 +132,7 @@ class PlaceAndRoute:
         self.channel_width = channel_width
         self.max_route_iterations = max_route_iterations
         self.options = options if options is not None else PnROptions()
-        if placer is not None:
-            self.placer = placer
-        elif self.options.engine == "serial":
-            self.placer = SimulatedAnnealingPlacer(seed=seed)
-        else:
-            self.placer = ParallelAnnealingPlacer(options=self.options, seed=seed)
+        self.placer = ParallelAnnealingPlacer(options=self.options, seed=seed)
 
     def run(self, netlist: FunctionBlockNetlist) -> PnRResult:
         """Place and route ``netlist``; raises RoutingError when the fabric's
@@ -173,16 +156,15 @@ class PlaceAndRoute:
         timing = analyze_timing(routing, self.config.routing)
         t4 = time.perf_counter()
 
-        placement_stats = getattr(self.placer, "last_stats", None)
+        placement_stats = self.placer.last_stats
         stage_seconds = {
             "place": t1 - t0,
             "rrgraph": t2 - t1,
             "route": t3 - t2,
             "timing": t4 - t3,
             "route_expand": routing.expand_seconds,
+            "place_delta": placement_stats.place_delta_seconds,
         }
-        if placement_stats is not None:
-            stage_seconds["place_delta"] = placement_stats.place_delta_seconds
         return PnRResult(
             model=netlist.model,
             fabric=fabric,

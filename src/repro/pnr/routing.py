@@ -10,8 +10,8 @@ Three structural optimizations keep the negotiation loop fast without
 changing its semantics where it matters:
 
 * **window-confined search** — each net's A* only expands nodes inside its
-  terminal bounding box grown by ``PnROptions.bb_margin`` blocks, so a
-  short net never floods the fabric;
+  terminal bounding box grown by ``_BB_MARGIN`` blocks, so a short net
+  never floods the fabric;
 * **congestion domains** — nets whose search windows overlap are grouped
   (union-find) into one domain; domains are node-disjoint by construction
   and therefore share no congestion state, so each runs its own
@@ -24,13 +24,9 @@ changing its semantics where it matters:
 
 The search runs over the graph's :class:`~repro.pnr.rrgraph.CompiledRRGraph`
 — integer node ids, flat adjacency lists, and per-worker cost/visited
-arrays reset by version stamps instead of reallocation.  The weighted A*
+lists reset by version stamps instead of reallocation.  The weighted A*
 heuristic (VPR's ``astar_fac``) steers the wavefront at the sink; heap
 ties break on node id, making routing deterministic across processes.
-When numba is available and jit kernels are enabled, the expansion loop
-runs as :func:`repro.pnr.kernels.astar_route_kernel`, which performs the
-same arithmetic in the same order and is bit-identical to the native
-search.
 """
 
 from __future__ import annotations
@@ -53,6 +49,20 @@ __all__ = ["RoutedNet", "RoutingResult", "PathFinderRouter", "RoutingError"]
 
 #: cost of re-entering a node already on the net's own routed tree.
 _TREE_REUSE_COST = 0.01
+
+#: search-window margin: each net's A* is confined to its terminal
+#: bounding box expanded by this many blocks, which is also the overlap
+#: slack of the congestion-domain partitioner.
+_BB_MARGIN = 3
+
+#: weight on the distance-to-sink heuristic.  1.0 is plain (admissible)
+#: A*; weighting trades a bounded amount of per-path optimality for
+#: strongly goal-directed searches — with dozens of equivalent parallel
+#: tracks per channel, an unweighted search expands the tie plateau
+#: across every track, while the weighted one dives straight at the sink
+#: (VPR's astar_fac).  1.6 cuts expansions ~25% against the classic 1.2
+#: at equal routed quality on the bench zoo.
+_ASTAR_FACTOR = 1.6
 
 
 class RoutingError(PnRError):
@@ -125,24 +135,17 @@ class _SearchState:
     """Per-worker search scratch, reset by version stamps.
 
     Every worker thread owns one instance, so concurrent domain searches
-    never share ``dist``/``prev``/``seen``/``on_tree`` labels.  In jit
-    mode the labels are numpy arrays (the kernel mutates them in place);
-    the native search uses plain lists, which CPython indexes faster.
+    never share ``dist``/``prev``/``seen``/``on_tree`` labels.  The labels
+    are plain lists, which CPython indexes faster than numpy arrays.
     """
 
     __slots__ = ("dist", "prev", "seen", "on_tree", "stamp")
 
-    def __init__(self, n_nodes: int, use_numpy: bool):
-        if use_numpy:
-            self.dist = np.zeros(n_nodes, dtype=np.float64)
-            self.prev = np.full(n_nodes, -1, dtype=np.int64)
-            self.seen = np.zeros(n_nodes, dtype=np.int64)
-            self.on_tree = np.zeros(n_nodes, dtype=np.int64)
-        else:
-            self.dist = [0.0] * n_nodes
-            self.prev = [-1] * n_nodes
-            self.seen = [0] * n_nodes
-            self.on_tree = [0] * n_nodes
+    def __init__(self, n_nodes: int):
+        self.dist = [0.0] * n_nodes
+        self.prev = [-1] * n_nodes
+        self.seen = [0] * n_nodes
+        self.on_tree = [0] * n_nodes
         self.stamp = 0
 
 
@@ -155,27 +158,18 @@ class PathFinderRouter:
         max_iterations: int = 30,
         present_cost_factor: float = 0.5,
         history_cost_factor: float = 0.4,
-        astar_factor: float | None = None,
+        astar_factor: float = _ASTAR_FACTOR,
         options: PnROptions | None = None,
     ):
+        if max_iterations < 1:
+            raise InvalidRequestError("max_iterations must be >= 1")
+        if astar_factor < 1.0:
+            raise InvalidRequestError("astar_factor must be >= 1.0")
         self.graph = graph
         self.max_iterations = max_iterations
         self.present_cost_factor = present_cost_factor
         self.history_cost_factor = history_cost_factor
         self.options = options if options is not None else PnROptions()
-        #: weight on the distance-to-sink heuristic.  1.0 is plain
-        #: (admissible) A*; weighting trades a bounded amount of per-path
-        #: optimality for strongly goal-directed searches — with dozens of
-        #: equivalent parallel tracks per channel, an unweighted search
-        #: expands the tie plateau across every track, while the weighted
-        #: one dives straight at the sink (VPR's astar_fac).  The serial
-        #: reference engine keeps the classic 1.2; the parallel engine
-        #: defaults to 1.6, which cuts expansions ~25% at equal routed
-        #: quality on the bench zoo.
-        if astar_factor is None:
-            astar_factor = 1.2 if self.options.engine == "serial" else 1.6
-        if astar_factor < 1.0:
-            raise InvalidRequestError("astar_factor must be >= 1.0")
         self.astar_factor = astar_factor
 
     # ----------------------------------------------------------- preparation
@@ -258,7 +252,6 @@ class PathFinderRouter:
         """Route every net of the netlist; raises on illegal final routing."""
         compiled = self.graph.compiled()
         n_nodes = len(compiled)
-        options = self.options
 
         nets = [net for net in netlist.nets if net.sinks]
         terminals = self._net_terminals(nets, placement)
@@ -266,36 +259,16 @@ class PathFinderRouter:
         if not terminals:
             return result
 
-        serial = options.engine == "serial"
-        if serial:
-            # reference mode: whole-fabric searches, one domain, full
-            # rip-up — the classic PathFinder loop the bench baselines
-            big = 1 << 30
-            windows = [(-big, big, -big, big)] * len(terminals)
-            domains = [list(range(len(terminals)))]
-        else:
-            windows = self._windows(terminals, placement, options.bb_margin)
-            domains = self._domains(windows)
+        windows = self._windows(terminals, placement, _BB_MARGIN)
+        domains = self._domains(windows)
         result.domains = len(domains)
-
-        use_jit = options.jit_enabled()
-        if use_jit:
-            from .kernels import HAVE_NUMBA
-
-            use_jit = HAVE_NUMBA  # soft-fail to the native search
 
         # congestion state, shared across domains: every domain touches
         # only its own (disjoint) node set, so concurrent writes never
         # collide and the outcome is independent of the domain schedule
         occupancy = np.zeros(n_nodes, dtype=np.int64)
-        if use_jit:
-            history = np.zeros(n_nodes, dtype=np.float64)
-            node_cost = compiled.base.copy()
-            base = compiled.base
-        else:
-            history = [0.0] * n_nodes
-            node_cost = list(compiled.base_cost)
-            base = compiled.base_cost
+        history = [0.0] * n_nodes
+        node_cost = list(compiled.base_cost)
 
         # per-net routed state, filled in by the domain loops
         trees: list[list[int] | None] = [None] * len(terminals)
@@ -304,11 +277,11 @@ class PathFinderRouter:
 
         route_domain = lambda dom, state: self._route_domain(  # noqa: E731
             dom, terminals, windows, compiled, state,
-            occupancy, history, node_cost, base,
-            trees, paths, wires, use_jit, full_ripup=serial,
+            occupancy, history, node_cost,
+            trees, paths, wires,
         )
 
-        jobs = options.effective_jobs()
+        jobs = self.options.effective_jobs()
         if jobs > 1 and len(domains) > 1:
             local = threading.local()
 
@@ -316,13 +289,13 @@ class PathFinderRouter:
                 state = getattr(local, "state", None)
                 if state is None:
                     # threading.local: per-thread scratch, not shared state
-                    state = local.state = _SearchState(n_nodes, use_jit)  # repro-lint: disable=CONC001
+                    state = local.state = _SearchState(n_nodes)  # repro-lint: disable=CONC001
                 return route_domain(dom, state)
 
             with ThreadPoolExecutor(max_workers=jobs) as pool:
                 outcomes = list(pool.map(run, domains))
         else:
-            state = _SearchState(n_nodes, use_jit)
+            state = _SearchState(n_nodes)
             outcomes = [route_domain(dom, state) for dom in domains]
 
         result.iterations = max(o[0] for o in outcomes)
@@ -352,14 +325,11 @@ class PathFinderRouter:
         compiled,
         state: _SearchState,
         occupancy: np.ndarray,
-        history,
-        node_cost,
-        base,
+        history: list[float],
+        node_cost: list[float],
         trees: list,
         paths: list,
         wires: list[list[int]],
-        use_jit: bool,
-        full_ripup: bool = False,
     ) -> tuple[int, int, int, float]:
         """Negotiation loop of one congestion domain.
 
@@ -368,6 +338,7 @@ class PathFinderRouter:
         shared per-net/per-node state.
         """
         is_wire = compiled.is_wire
+        base = compiled.base_cost
         expansions = 0
         rerouted = 0
         expand_seconds = 0.0
@@ -387,13 +358,10 @@ class PathFinderRouter:
                             * (1.0 + present * occupancy[u])
                             * (1.0 + history[u])
                         )
-                if full_ripup:
-                    targets = list(dom)
-                else:
-                    targets = [
-                        i for i in dom
-                        if any(occupancy[u] > 1 for u in wires[i])
-                    ]
+                targets = [
+                    i for i in dom
+                    if any(occupancy[u] > 1 for u in wires[i])
+                ]
                 rerouted += len(targets)
                 for i in targets:
                     for u in wires[i]:
@@ -407,7 +375,7 @@ class PathFinderRouter:
             for i in targets:
                 t0 = time.perf_counter()
                 tree, sink_paths, expanded = self._route_net(
-                    terminals[i], windows[i], compiled, state, node_cost, use_jit
+                    terminals[i], windows[i], compiled, state, node_cost
                 )
                 expand_seconds += time.perf_counter() - t0
                 expansions += expanded
@@ -445,8 +413,7 @@ class PathFinderRouter:
         window: tuple[int, int, int, int],
         compiled,
         state: _SearchState,
-        node_cost,
-        use_jit: bool,
+        node_cost: list[float],
     ) -> tuple[list[int], dict[tuple[int, int], list[int]], int]:
         """Route one net as a tree; returns (tree, sink paths, expansions)."""
         net, source, sinks = terminal
@@ -463,28 +430,15 @@ class PathFinderRouter:
                 sink_paths[pos] = [sink]
                 continue
             state.stamp = net_stamp = state.stamp + 1
-            if use_jit:
-                from .kernels import astar_route_kernel
-
-                found, expanded = astar_route_kernel(
-                    compiled.indptr, compiled.indices, node_cost,
-                    compiled.xa, compiled.ya,
-                    state.dist, prev, state.seen, on_tree,
-                    np.array(tree, dtype=np.int64), net_stamp, sink,
-                    window[0], window[1], window[2], window[3],
-                    self.astar_factor, _TREE_REUSE_COST,
-                )
-            else:
-                found, expanded = self._search(
-                    compiled, state, node_cost, tree, net_stamp, sink, window
-                )
+            found, expanded = self._search(
+                compiled, state, node_cost, tree, net_stamp, sink, window
+            )
             expansions += expanded
             if not found:
                 node = compiled.nodes[sink]
                 raise RoutingError(
                     f"no path to sink pin at ({node.x}, {node.y}) inside the "
-                    f"net's search window; increase the channel width or "
-                    f"the pnr bb_margin"
+                    f"net's search window; increase the channel width"
                 )
             path = [sink]
             u = sink
@@ -503,7 +457,7 @@ class PathFinderRouter:
         self,
         compiled,
         state: _SearchState,
-        node_cost,
+        node_cost: list[float],
         tree: list[int],
         net_stamp: int,
         sink: int,
@@ -511,9 +465,8 @@ class PathFinderRouter:
     ) -> tuple[bool, int]:
         """Window-confined weighted A* from the net's tree to one sink.
 
-        Native twin of :func:`repro.pnr.kernels.astar_route_kernel`: the
-        same arithmetic in the same order, over the same ``(f, g, id)``
-        heap keys, so both produce bit-identical predecessor labels.
+        Heap keys are ``(f, g, id)``: unique, so the expansion order — and
+        with it every predecessor label — is deterministic.
         """
         neighbors = compiled.neighbors
         node_x = compiled.x

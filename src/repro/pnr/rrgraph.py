@@ -58,16 +58,11 @@ class CompiledRRGraph:
     reproducible across processes — unlike iteration over sets of
     :class:`RRNode`, whose order depends on randomized string hashing.
 
-    Adjacency is held twice: ``neighbors`` (list of lists, fastest for the
-    native heapq search) and the CSR pair ``indptr``/``indices`` (flat
-    int64 arrays for the optional numba kernel).  ``xa``/``ya``/``base``
-    are array twins of the coordinate/cost lists for the same reason.
+    Adjacency (``neighbors``) and the per-node attributes are plain
+    Python lists, which the heapq search indexes faster than arrays.
     """
 
-    __slots__ = (
-        "nodes", "ids", "neighbors", "is_wire", "base_cost", "x", "y",
-        "xa", "ya", "base", "indptr", "indices",
-    )
+    __slots__ = ("nodes", "ids", "neighbors", "is_wire", "base_cost", "x", "y")
 
     def __init__(self, adjacency: dict[RRNode, list[RRNode]]):
         self.nodes: list[RRNode] = list(adjacency)
@@ -79,24 +74,13 @@ class CompiledRRGraph:
         self._finalize()
 
     def _finalize(self) -> None:
-        """Derive the per-node attribute lists and flat CSR arrays."""
+        """Derive the per-node attribute lists."""
         self.is_wire: list[bool] = [node.is_wire for node in self.nodes]
         self.base_cost: list[float] = [
             1.0 if node.is_wire else 0.5 for node in self.nodes
         ]
         self.x: list[int] = [node.x for node in self.nodes]
         self.y: list[int] = [node.y for node in self.nodes]
-        self.xa = np.array(self.x, dtype=np.int64)
-        self.ya = np.array(self.y, dtype=np.int64)
-        self.base = np.array(self.base_cost, dtype=np.float64)
-        counts = np.fromiter(
-            (len(adj) for adj in self.neighbors), dtype=np.int64,
-            count=len(self.neighbors),
-        )
-        self.indptr = np.zeros(len(self.neighbors) + 1, dtype=np.int64)
-        np.cumsum(counts, out=self.indptr[1:])
-        flat = [v for adj in self.neighbors for v in adj]
-        self.indices = np.array(flat, dtype=np.int64)
 
     @classmethod
     def from_geometry(

@@ -562,7 +562,7 @@ class ResultSummary:
             }
             stats = result.pnr.placement_stats
             if stats is not None:
-                # annealing observability (parallel engine only)
+                # annealing observability
                 pnr["place_rounds"] = float(stats.rounds)
                 pnr["place_moves_proposed"] = float(stats.moves_proposed)
                 pnr["place_moves_accepted"] = float(stats.moves_accepted)

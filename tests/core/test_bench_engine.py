@@ -1,70 +1,14 @@
-"""The parallel-P&R engine speedup gate of the benchmark harness."""
+"""Bench reports written with the retired P&R engine-ratio fields still load."""
 
 from __future__ import annotations
 
-from repro.bench import (
-    PNR_SPEEDUP_MIN_BLOCKS,
-    BenchEntry,
-    BenchReport,
-    _measure_engine_ratio,
-    compare_reports,
-    run_bench,
-)
-
-
-def _entry(serial=None, parallel=None, model="M", chips=1) -> BenchEntry:
-    return BenchEntry(
-        model=model,
-        duplication_degree=1,
-        channel_width=16,
-        seed=0,
-        num_chips=chips,
-        serial_place_route_seconds=serial,
-        parallel_place_route_seconds=parallel,
-    )
-
-
-class TestEngineSpeedupGate:
-    def test_below_floor_is_a_regression(self):
-        current = BenchReport(entries=[_entry(serial=4.0, parallel=2.0)])
-        regressions = compare_reports(current, BenchReport(), pnr_min_speedup=3.0)
-        assert any("parallel-engine" in r and "2.00x" in r for r in regressions)
-
-    def test_at_or_above_floor_is_clean(self):
-        current = BenchReport(entries=[_entry(serial=6.0, parallel=2.0)])
-        assert compare_reports(current, BenchReport(), pnr_min_speedup=3.0) == []
-
-    def test_aggregated_over_measured_entries(self):
-        # 4x and 2.5x entries aggregate by total seconds, not by averaging
-        current = BenchReport(
-            entries=[
-                _entry(serial=8.0, parallel=2.0, model="big"),
-                _entry(serial=2.5, parallel=1.0, model="mid", chips=2),
-            ]
-        )
-        # (8.0 + 2.5) / (2.0 + 1.0) = 3.5 -> clean at the 3.0 floor
-        assert compare_reports(current, BenchReport(), pnr_min_speedup=3.0) == []
-        regressions = compare_reports(current, BenchReport(), pnr_min_speedup=4.0)
-        assert any("3.50x" in r for r in regressions)
-
-    def test_gate_skipped_without_measurements(self):
-        # pre-engine reports (and small-models-only runs) lack the
-        # reference fields entirely: the gate must not fire
-        current = BenchReport(entries=[_entry()])
-        assert compare_reports(current, BenchReport(), pnr_min_speedup=100.0) == []
-
-    def test_gate_reads_current_run_only(self):
-        # the speedup is a same-run ratio: a slow baseline must not mask it
-        baseline = BenchReport(entries=[_entry(serial=100.0, parallel=1.0)])
-        current = BenchReport(entries=[_entry(serial=2.0, parallel=2.0)])
-        regressions = compare_reports(current, baseline, pnr_min_speedup=3.0)
-        assert any("parallel-engine" in r for r in regressions)
+from repro.bench import BenchEntry, BenchReport, compare_reports
 
 
 class TestReportCompatibility:
     def test_pre_engine_payload_parses(self):
-        # a report written before the parallel engine has no pnr_jobs /
-        # engine-reference fields; it must load with None defaults
+        # a report written before ``pnr_jobs`` existed lacks the field; it
+        # must load with the None default
         old = {
             "model": "LeNet",
             "duplication_degree": 1,
@@ -75,16 +19,21 @@ class TestReportCompatibility:
         }
         entry = BenchEntry.from_dict(old)
         assert entry.pnr_jobs is None
-        assert entry.serial_place_route_seconds is None
-        assert entry.parallel_place_route_seconds is None
-        assert entry.engine_speedup is None
 
-    def test_engine_fields_round_trip(self):
-        entry = _entry(serial=3.0, parallel=1.0)
-        again = BenchEntry.from_dict(entry.to_dict())
-        assert again.serial_place_route_seconds == 3.0
-        assert again.parallel_place_route_seconds == 1.0
-        assert again.engine_speedup == 3.0
+    def test_engine_reference_keys_are_ignored(self):
+        # reports written while the serial reference engine existed carry
+        # its two timing keys: they must load, and a 1.0x "speedup" in them
+        # must not trip --check-regression now that the floor is gone
+        entry = BenchEntry(
+            model="M", duplication_degree=1, channel_width=16, seed=0
+        ).to_dict()
+        entry["serial_place_route_seconds"] = 2.0
+        entry["parallel_place_route_seconds"] = 2.0
+        payload = BenchReport().to_dict()
+        payload["entries"] = [entry]
+        report = BenchReport.from_dict(payload)
+        assert "serial_place_route_seconds" not in report.entries[0].to_dict()
+        assert compare_reports(report, report) == []
 
     def test_pnr_jobs_round_trips_through_report(self):
         entry = BenchEntry(
@@ -92,25 +41,3 @@ class TestReportCompatibility:
         )
         report = BenchReport.from_dict(BenchReport(entries=[entry]).to_dict())
         assert report.entries[0].pnr_jobs == 4
-
-
-class TestEngineReferenceMeasurement:
-    def test_small_netlists_are_not_measured(self):
-        # the bench zoo's MLP netlist is far below the size bar: the
-        # entry's reference fields stay None and the gate skips it
-        report = run_bench(
-            models=["MLP-500-100"], channel_width=16, partition_chips=()
-        )
-        (entry,) = report.entries
-        assert sum(entry.blocks.values()) < PNR_SPEEDUP_MIN_BLOCKS
-        assert entry.serial_place_route_seconds is None
-        assert entry.parallel_place_route_seconds is None
-
-    def test_measure_ratio_size_bar(self):
-        class FakeNetlist:
-            def __init__(self, n):
-                self.blocks = {f"b{i}": None for i in range(n)}
-
-        assert _measure_engine_ratio(
-            [FakeNetlist(PNR_SPEEDUP_MIN_BLOCKS - 1)], 16, 0, None
-        ) == (None, None)

@@ -1,13 +1,13 @@
-"""Differential and property tests of the parallel P&R engine.
+"""Differential and property tests of the P&R engine.
 
-The engine's contract is *bit-identity across execution knobs*: any
-``jobs`` value and either ``jit`` setting must produce the identical
-placement and routing for the same seed.  The differential tests pin that
-contract on real zoo netlists; the property tests pin the structural
-invariants it rests on — the region grid tiles the fabric disjointly, the
-batched annealer's merged move sequence replays serially to the same
-state, congestion domains never share routing-resource nodes, and the
-geometry-compiled RR graph equals the dict-built one node for node.
+The engine's contract is *bit-identity across its execution knob*: any
+``jobs`` value must produce the identical placement and routing for the
+same seed.  The differential tests pin that contract on real zoo
+netlists; the property tests pin the structural invariants it rests on —
+the region grid tiles the fabric disjointly, the batched annealer's
+merged move sequence replays serially to the same state, congestion
+domains never share routing-resource nodes, and the geometry-compiled RR
+graph equals the dict-built one node for node.
 """
 
 from __future__ import annotations
@@ -22,15 +22,14 @@ from hypothesis import strategies as st
 from repro.mapper.mapper import SpatialTemporalMapper
 from repro.mapper.netlist import Block, BlockType, FunctionBlockNetlist, Net
 from repro.models.zoo import build_model
-from repro.pnr import kernels
 from repro.pnr.fabric import FabricGrid
 from repro.pnr.options import PnROptions
 from repro.pnr.placement import (
     ParallelAnnealingPlacer,
     PlacementCostModel,
     RegionGrid,
+    _AnnealState,
     _NetGeometry,
-    _ReplicaState,
 )
 from repro.pnr.pnr import PlaceAndRoute
 from repro.pnr.routing import PathFinderRouter
@@ -90,46 +89,22 @@ class TestJobsInvariance:
         threaded = run_pnr(netlist, jobs=4)
         assert_identical(serial, threaded)
 
-    def test_jit_path_bit_identical(self, case, zoo_netlists, monkeypatch):
-        """The kernel code path (numba-compiled where available, plain
-        Python otherwise) must match the native numpy/heapq path.  Forcing
-        ``HAVE_NUMBA`` exercises the kernel branch even without numba —
-        the kernels are written to run unjitted."""
-        netlist = zoo_netlists[case]
-        native = run_pnr(netlist, jit=False)
-        monkeypatch.setattr(kernels, "HAVE_NUMBA", True)
-        jitted = run_pnr(netlist, jit=True)
-        assert_identical(native, jitted)
-
 
 class TestEngineSelection:
-    def test_jit_env_flag_parsing(self, monkeypatch):
-        for value, expected in (
-            ("", False), ("0", False), ("off", False), ("no", False),
-            ("1", True), ("true", True), ("anything", True),
-        ):
-            monkeypatch.setenv("REPRO_PNR_JIT", value)
-            assert PnROptions().jit_enabled() is expected
-
     def test_effective_jobs_clamps_to_cpu_count(self, monkeypatch):
         monkeypatch.setattr("repro.pnr.options.os.cpu_count", lambda: 2)
         assert PnROptions(jobs=16).effective_jobs() == 2
         assert PnROptions(jobs=1).effective_jobs() == 1
         assert PnROptions().effective_jobs() == 1
 
-    def test_serial_engine_uses_classic_placer(self):
-        from repro.pnr.placement import SimulatedAnnealingPlacer
-
-        flow = PlaceAndRoute(options=PnROptions(engine="serial"))
-        assert isinstance(flow.placer, SimulatedAnnealingPlacer)
-        flow = PlaceAndRoute(options=PnROptions())
-        assert isinstance(flow.placer, ParallelAnnealingPlacer)
-
     def test_invalid_options_rejected(self):
         with pytest.raises(ValueError):
             PnROptions(jobs=0)
-        with pytest.raises(ValueError):
-            PnROptions(engine="turbo")
+
+    def test_removed_knobs_are_unknown_arguments(self):
+        for removed in ({"engine": "serial"}, {"jit": True}, {"tempering": 2}):
+            with pytest.raises(TypeError):
+                PnROptions(**removed)
 
 
 class TestJobsInvarianceOfKeys:
@@ -173,11 +148,19 @@ class TestJobsInvarianceOfKeys:
             return PnRPass().cache_key(ctx)
 
         assert key(None) == key(1) == key(8)
+        # recorded before the serial / jit / tempering paths were removed:
+        # removing them left every stage- and shared-cache entry valid
+        assert key(None) == (
+            "3fa8ef20df040cfcd523dbd6e7a8245608ff27a691a1b51a6bcb42ddaa1413d2"
+        )
 
     def test_request_fingerprint_jobs_invariant(self):
         from repro.service import CompileRequest
 
         base = CompileRequest(model="LeNet", run_pnr=True, seed=SEED)
+        assert base.fingerprint() == (
+            "8e4429be869e132f27564461efae0c10658a17bf79b2d928d10c346de1ff7c36"
+        )
         for jobs in (1, 4, 32):
             assert (
                 CompileRequest(
@@ -260,7 +243,7 @@ class TestMergedMovesReplaySerially:
         netlist = random_netlist(random.Random(seed), n_blocks, n_nets, max_fanout)
         fabric = FabricGrid.for_netlist(netlist)
         geometry = _NetGeometry(netlist)
-        state = _ReplicaState(geometry, fabric, np.random.default_rng(seed))
+        state = _AnnealState(geometry, fabric, np.random.default_rng(seed))
 
         model = PlacementCostModel(
             netlist,
@@ -282,7 +265,7 @@ class TestMergedMovesReplaySerially:
         for _ in range(n_batches):
             *_, moves = placer._batch(
                 geometry, state, fabric, region_of_site,
-                temperature, rlim, batch=32, pool=None, use_jit=False,
+                temperature, rlim, batch=32, pool=None,
                 collect_moves=True,
             )
             for block, tx, ty, swap in moves:
@@ -374,4 +357,3 @@ class TestCompiledGraphEquivalence:
         assert geometric.base_cost == dict_built.base_cost
         assert geometric.x == dict_built.x
         assert geometric.y == dict_built.y
-        assert np.array_equal(geometric.indptr, dict_built.indptr)

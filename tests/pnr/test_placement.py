@@ -1,10 +1,17 @@
 """Tests of the simulated-annealing placer."""
 
+import numpy as np
 import pytest
 
+from repro.errors import CapacityError
 from repro.mapper.netlist import Block, BlockType, FunctionBlockNetlist, Net
 from repro.pnr.fabric import FabricGrid
-from repro.pnr.placement import Placement, SimulatedAnnealingPlacer
+from repro.pnr.placement import (
+    ParallelAnnealingPlacer,
+    Placement,
+    _AnnealState,
+    _NetGeometry,
+)
 
 
 def chain_netlist(n_blocks: int) -> FunctionBlockNetlist:
@@ -30,10 +37,11 @@ class TestPlacement:
 
 
 class TestSimulatedAnnealingPlacer:
+    """``ParallelAnnealingPlacer`` — the one simulated-annealing placer."""
+
     def test_all_blocks_placed_on_distinct_sites(self):
         netlist = chain_netlist(12)
-        placer = SimulatedAnnealingPlacer(seed=0)
-        placement = placer.place(netlist)
+        placement = ParallelAnnealingPlacer(seed=0).place(netlist)
         positions = list(placement.positions.values())
         assert len(positions) == 12
         assert len(set(positions)) == 12
@@ -43,45 +51,47 @@ class TestSimulatedAnnealingPlacer:
         netlist.add_block(Block("__input__", BlockType.IO))
         netlist.add_net(Net("io", driver="__input__", sinks=("pe0",)))
         fabric = FabricGrid(4, 4)
-        placement = SimulatedAnnealingPlacer(seed=1).place(netlist, fabric)
-        x, y = placement.position("__input__")
-        assert not fabric.contains(x, y)
+        placement = ParallelAnnealingPlacer(seed=1).place(netlist, fabric)
+        io_sites = {site.position for site in fabric.io_sites()}
+        for name, position in placement.positions.items():
+            assert (position in io_sites) == (name == "__input__")
 
     def test_placement_improves_over_random(self):
-        """The annealer should end with a wirelength no worse than the
-        initial random placement (and usually much better)."""
-        import random
-
+        """The annealer ends below the wirelength of the random placement
+        it starts from (the state its own seed stream draws)."""
         netlist = chain_netlist(20)
         fabric = FabricGrid(6, 6)
-        placer = SimulatedAnnealingPlacer(seed=3, moves_per_block=20)
-        random_placement = placer._initial_placement(netlist, fabric, random.Random(3))
+        rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
+        initial = _AnnealState(_NetGeometry(netlist), fabric, rng).total
+        placer = ParallelAnnealingPlacer(seed=3)
         annealed = placer.place(netlist, fabric)
-        assert annealed.total_wirelength(netlist.nets) <= random_placement.total_wirelength(
-            netlist.nets
-        )
+        assert placer.last_stats.temperatures, "the schedule never ran"
+        assert annealed.total_wirelength(netlist.nets) == placer.last_stats.final_cost
+        assert placer.last_stats.final_cost < initial
 
     def test_chain_placement_is_compact(self):
         """A 9-block chain on a 3x3 fabric admits a wirelength-9 snake; the
         annealer should get reasonably close."""
         netlist = chain_netlist(9)
         fabric = FabricGrid(3, 3)
-        placement = SimulatedAnnealingPlacer(seed=5, moves_per_block=50).place(netlist, fabric)
+        placement = ParallelAnnealingPlacer(seed=5).place(netlist, fabric)
         assert placement.total_wirelength(netlist.nets) <= 14
 
     def test_too_many_blocks_rejected(self):
         netlist = chain_netlist(10)
-        with pytest.raises(ValueError):
-            SimulatedAnnealingPlacer().place(netlist, FabricGrid(3, 3))
+        with pytest.raises(CapacityError):
+            ParallelAnnealingPlacer().place(netlist, FabricGrid(3, 3))
+
+    def test_too_many_io_blocks_rejected(self):
+        # a 1x1 fabric has four peripheral I/O sites
+        netlist = chain_netlist(1)
+        for i in range(5):
+            netlist.add_block(Block(f"io{i}", BlockType.IO))
+        with pytest.raises(CapacityError):
+            ParallelAnnealingPlacer().place(netlist, FabricGrid(1, 1))
 
     def test_deterministic_given_seed(self):
         netlist = chain_netlist(10)
-        a = SimulatedAnnealingPlacer(seed=7).place(netlist, FabricGrid(4, 4))
-        b = SimulatedAnnealingPlacer(seed=7).place(netlist, FabricGrid(4, 4))
+        a = ParallelAnnealingPlacer(seed=7).place(netlist, FabricGrid(4, 4))
+        b = ParallelAnnealingPlacer(seed=7).place(netlist, FabricGrid(4, 4))
         assert a.positions == b.positions
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            SimulatedAnnealingPlacer(cooling=1.5)
-        with pytest.raises(ValueError):
-            SimulatedAnnealingPlacer(moves_per_block=0)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.mapper.netlist import Block, BlockType, FunctionBlockNetlist, Net
 from repro.pnr.fabric import FabricGrid
-from repro.pnr.placement import PlacementCostModel, SimulatedAnnealingPlacer
+from repro.pnr.placement import ParallelAnnealingPlacer, PlacementCostModel
 from repro.pnr.routing import PathFinderRouter
 from repro.pnr.rrgraph import RoutingResourceGraph
 
@@ -59,7 +59,7 @@ class TestPlacementInvariants:
         n_blocks, n_nets, max_fanout, seed = params
         netlist = random_netlist(random.Random(seed), n_blocks, n_nets, max_fanout)
         fabric = FabricGrid.for_netlist(netlist)
-        placement = SimulatedAnnealingPlacer(seed=seed).place(netlist, fabric)
+        placement = ParallelAnnealingPlacer(seed=seed).place(netlist, fabric)
 
         assert set(placement.positions) == set(netlist.blocks)
         sites = list(placement.positions.values())
@@ -135,7 +135,7 @@ class TestRoutingInvariants:
         n_blocks, n_nets, max_fanout, seed = params
         netlist = random_netlist(random.Random(seed), n_blocks, n_nets, max_fanout)
         fabric = FabricGrid.for_netlist(netlist)
-        placement = SimulatedAnnealingPlacer(seed=seed).place(netlist, fabric)
+        placement = ParallelAnnealingPlacer(seed=seed).place(netlist, fabric)
         graph = RoutingResourceGraph(fabric, channel_width=16)
         result = PathFinderRouter(graph).route(netlist, placement)
 

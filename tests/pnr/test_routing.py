@@ -3,9 +3,11 @@
 import pytest
 
 from repro.arch.params import RoutingParams
+from repro.errors import InvalidRequestError
 from repro.mapper.netlist import Block, BlockType, FunctionBlockNetlist, Net
 from repro.pnr.fabric import FabricGrid
 from repro.pnr.placement import Placement
+from repro.pnr.pnr import PlaceAndRoute
 from repro.pnr.routing import PathFinderRouter, RoutingError
 from repro.pnr.rrgraph import RoutingResourceGraph
 from repro.pnr.timing import analyze_timing
@@ -84,6 +86,16 @@ class TestPathFinderRouter:
         graph = RoutingResourceGraph(fabric, channel_width=1)
         with pytest.raises(RoutingError):
             PathFinderRouter(graph, max_iterations=5).route(netlist, placement)
+
+    def test_zero_iterations_rejected(self):
+        # used to fall through the negotiation loop into an UnboundLocalError
+        graph = RoutingResourceGraph(FabricGrid(2, 2), channel_width=2)
+        with pytest.raises(InvalidRequestError):
+            PathFinderRouter(graph, max_iterations=0)
+        with pytest.raises(InvalidRequestError):
+            PlaceAndRoute(max_route_iterations=0).run(
+                grid_netlist_and_placement(2, FabricGrid(2, 2))[0]
+            )
 
     def test_congestion_negotiation_resolves_conflicts(self):
         fabric = FabricGrid(2, 2)

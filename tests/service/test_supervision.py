@@ -3,6 +3,8 @@ deterministic retries, per-job deadlines and admission control."""
 
 from __future__ import annotations
 
+from concurrent.futures import Future
+
 import pytest
 
 from repro.bench import _summary_key
@@ -27,6 +29,27 @@ def _clean_fault_state(monkeypatch):
     clear_installed_plan()
     yield
     clear_installed_plan()
+
+
+class _ManualExecutor:
+    """An executor whose futures the test completes by hand (the pattern
+    of ``test_runtime.py``)."""
+
+    def __init__(self):
+        self.submitted = []
+
+    def submit(self, fn, *args, **kwargs):
+        future = Future()
+        future.set_running_or_notify_cancel()
+        self.submitted.append((fn, args, future))
+        return future
+
+    def complete_all(self):
+        for fn, args, future in self.submitted:
+            future.set_result(fn(*args))
+
+    def shutdown(self, wait=True):
+        pass
 
 
 def crash_plan(**match) -> str:
@@ -235,10 +258,12 @@ class TestDeadlines:
             assert jm.result(second).ok
 
     def test_expired_deadline_publishes_a_typed_error(self):
-        with JobManager(max_workers=1, use_processes=False, cache=False) as jm:
-            # the heavy compile saturates the single worker; the second
-            # job's tiny deadline expires while it is still queued
-            blocker = jm.submit("GoogLeNet")
+        # the pool's futures complete only when the test says so: both jobs
+        # stay in flight until the expiry has been observed, so the outcome
+        # does not depend on how fast a compile or the deadline timer runs
+        pool = _ManualExecutor()
+        with JobManager(pool=pool, cache=False) as jm:
+            blocker = jm.submit("LeNet")
             expired = jm.submit(
                 CompileRequest(model="MLP-500-100", deadline_s=0.01)
             )
@@ -248,6 +273,7 @@ class TestDeadlines:
             rebuilt = error_from_payload(response.error.to_dict())
             assert isinstance(rebuilt, DeadlineExceededError)
             assert isinstance(rebuilt, TimeoutError)
+            pool.complete_all()  # the late MLP result is dropped
             assert jm.result(blocker).ok
             assert jm.stats.deadline_expired == 1
 
