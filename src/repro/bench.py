@@ -306,25 +306,15 @@ class BenchReport:
             return cls.from_dict(json.load(handle))
 
 
-def _bench_one(
-    model: str,
-    duplication_degree: int,
-    channel_width: int,
-    seed: int,
-    num_chips: int = 1,
-    pnr_jobs: int | None = None,
-) -> BenchEntry:
-    """Benchmark one configuration: a cold and a warm compile through a
-    private stage cache."""
+def _bench_one(model: str, num_chips: int = 1, **knobs: Any) -> BenchEntry:
+    """Benchmark one configuration (``knobs`` are compile knobs): a cold
+    and a warm compile through a private stage cache."""
     client = FPSAClient(cache=StageCache())
     request = CompileRequest(
         model=model,
-        duplication_degree=duplication_degree,
         run_pnr=True,
-        pnr_channel_width=channel_width,
-        seed=seed,
         num_chips=num_chips if num_chips != 1 else None,
-        pnr_jobs=pnr_jobs,
+        **knobs,
     )
     cold = client.serve(request)
     cold.response.raise_for_status()
@@ -370,9 +360,9 @@ def _bench_one(
             quality["critical_path_ns"] = critical
     return BenchEntry(
         model=model,
-        duplication_degree=duplication_degree,
-        channel_width=channel_width,
-        seed=seed,
+        duplication_degree=request.duplication_degree,
+        channel_width=request.pnr_channel_width,
+        seed=request.seed,
         num_chips=num_chips,
         blocks=dict(summary.blocks or {}),
         stage_seconds=timings.seconds_by_stage(),
@@ -383,7 +373,7 @@ def _bench_one(
         cache_misses=timings.cache_misses,
         warm_cache_hits=warm_timings.cache_hits,
         quality=quality,
-        pnr_jobs=pnr_jobs,
+        pnr_jobs=request.pnr_jobs,
     )
 
 
@@ -414,14 +404,16 @@ def run_bench(
     """
     report = BenchReport(created_at=time.time())
     resolved = resolve_bench_models(models)
+    knobs = {
+        "duplication_degree": duplication_degree,
+        "pnr_channel_width": channel_width,
+        "seed": seed,
+        "pnr_jobs": pnr_jobs,
+    }
     for model in resolved:
         if progress is not None:
             progress(f"bench {model} (duplication {duplication_degree}) ...")
-        report.entries.append(
-            _bench_one(
-                model, duplication_degree, channel_width, seed, pnr_jobs=pnr_jobs
-            )
-        )
+        report.entries.append(_bench_one(model, **knobs))
     if partition_chips:
         largest = _largest_model(resolved)
         for chips in partition_chips:
@@ -432,16 +424,7 @@ def run_bench(
                     f"bench {largest} (duplication {duplication_degree}, "
                     f"{chips} chips) ..."
                 )
-            report.entries.append(
-                _bench_one(
-                    largest,
-                    duplication_degree,
-                    channel_width,
-                    seed,
-                    num_chips=chips,
-                    pnr_jobs=pnr_jobs,
-                )
-            )
+            report.entries.append(_bench_one(largest, num_chips=chips, **knobs))
     return report
 
 

@@ -20,7 +20,7 @@ synthesis and mapping entirely.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from ..arch.params import FPSAConfig
 from ..errors import InvalidRequestError
@@ -33,6 +33,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .dedup import SubgraphStore
 from .dedup import fold_dedup_stats
 from .pipeline import (
+    PUBLIC_KNOBS,
     CompileContext,
     CompileOptions,
     PassManager,
@@ -43,6 +44,8 @@ from .pipeline import (
 from .result import DeploymentResult
 
 __all__ = ["FPSACompiler"]
+
+_KNOB_NAMES = frozenset(f.name for f in PUBLIC_KNOBS)
 
 
 class FPSACompiler:
@@ -95,23 +98,10 @@ class FPSACompiler:
     def compile(
         self,
         graph: ComputationalGraph,
-        duplication_degree: int = 1,
-        pe_budget: int | None = None,
-        detailed_schedule: bool = False,
-        run_pnr: bool = False,
-        emit_bitstream: bool = False,
-        max_schedule_reuse: int | None = None,
-        pnr_channel_width: int | None = None,
-        pnr_seed: int = 0,
-        pnr_jobs: int | None = None,
-        seed: int | None = None,
-        num_chips: int | str | None = None,
-        shard_jobs: int | None = None,
+        *,
         passes: Sequence[str] | None = None,
         use_cache: bool = True,
-        verify: bool = False,
-        dedup: bool = False,
-        fault_plan: str | None = None,
+        **knobs: Any,
     ) -> DeploymentResult:
         """Compile a model and evaluate the resulting deployment.
 
@@ -119,53 +109,6 @@ class FPSACompiler:
         ----------
         graph:
             The model's computational graph (see :mod:`repro.models`).
-        duplication_degree:
-            Extra copies of the bottleneck weight groups (Section 5.2);
-            higher values trade area for throughput.
-        pe_budget:
-            When given, the largest duplication degree that fits the budget
-            is chosen instead of ``duplication_degree``.
-        detailed_schedule:
-            Run the instance-level Algorithm-1 scheduler and the cycle-level
-            pipeline simulator (small models only).
-        run_pnr:
-            Run simulated-annealing placement and PathFinder routing on the
-            function-block netlist (small/medium netlists only).
-        emit_bitstream:
-            Assemble the chip configuration (crossbar programming, routing
-            switches, control plane, buffer map) from the mapping and, when
-            available, the P&R result.
-        seed:
-            Master seed for every stochastic stage.  When set, each stage
-            (currently P&R placement) derives its own stream with
-            :func:`repro.seeding.derive_seed`, making repeated compiles of
-            the same inputs bit-identical; it takes precedence over the
-            stage-local ``pnr_seed``.
-        num_chips:
-            Multi-chip partitioned compilation (``None`` = classic
-            single-chip flow).  An integer shards the model across exactly
-            that many chips; ``"auto"`` picks the smallest chip count that
-            satisfies the per-chip capacity
-            (``config.interchip.max_pes_per_chip``), turning an over-sized
-            model's ``CapacityError`` into an automatic shard-it path.
-            The graph partitioner runs between synthesis and mapping, the
-            backend stages run once per shard (see ``shard_jobs``), and the
-            result carries the partition plan plus recombined end-to-end
-            performance under the inter-chip link model.  A 1-chip
-            partition is the identity: artifacts are bit-identical to the
-            unpartitioned pipeline under the same seed.  The detailed
-            schedule / cycle-level pipeline simulator is single-chip-only
-            analysis and does not run for multi-chip shards.
-        shard_jobs:
-            Worker processes for the per-shard backend compiles
-            (``None``/``1`` = sequential, sharing this compiler's stage
-            cache across the shards; ``> 1`` spreads shards over a process
-            pool with per-worker caches).
-        pnr_jobs:
-            Worker threads for the parallel P&R engine (``None``/``1`` =
-            serial execution).  A pure execution knob: any value yields
-            bit-identical placements and routings for the same seed, so it
-            participates in neither cache keys nor request fingerprints.
         passes:
             Explicit pass-name list to run instead of the default pipeline,
             e.g. ``("synthesis", "mapping")`` for a front-end-only compile.
@@ -174,32 +117,12 @@ class FPSACompiler:
             (the simulator needs the instance-level schedule).
         use_cache:
             Set ``False`` to bypass the stage cache for this compilation.
-        verify:
-            Run the IR verifiers (:mod:`repro.analysis.verify`) between
-            passes: every artifact is structurally checked right after it
-            lands on the context (freshly computed or cache-installed),
-            failing fast with a typed
-            :class:`~repro.errors.VerificationError` naming the stage, the
-            invariant and the offending ids.  Per-verifier wall-clock
-            appears as ``verify:<artifact>`` rows in the timings.
-            ``REPRO_VERIFY=1`` turns verification on globally.
-        dedup:
-            Consult the subgraph-level dedup store
-            (:mod:`repro.core.dedup`) during synthesis and mapping:
-            repeated structures — within one model or across models
-            sharing the store — are compiled once and the stored
-            fragments spliced back in.  Bit-identical to ``dedup=False``
-            by contract, so (like ``pnr_jobs``) it is a pure execution
-            knob that enters neither cache keys nor request
-            fingerprints.  Hit/miss counters land on the result's
-            ``cache_stats`` (``dedup_hits`` / ``dedup_misses``).
-        fault_plan:
-            Deterministic fault-injection plan (inline JSON or a file
-            path, see :mod:`repro.faults`), installed process-wide before
-            the pipeline runs so chaos tests can replay worker crashes,
-            hangs, transient IO errors and corrupt cache entries.  Faults
-            never change a successful artifact, so this is a pure
-            execution knob outside cache keys and request fingerprints.
+        knobs:
+            The public fields of
+            :class:`~repro.core.pipeline.CompileOptions` — the one table of
+            compile knobs, their defaults and legal values (printed in
+            ``ARCHITECTURE.md``, "Compile options").  An unknown name or an
+            illegal value raises :class:`~repro.errors.InvalidRequestError`.
 
         Notes
         -----
@@ -209,36 +132,28 @@ class FPSACompiler:
         compile with ``cache=False`` / ``use_cache=False`` before mutating
         them.
         """
+        unknown = sorted(set(knobs) - _KNOB_NAMES)
+        if unknown:
+            known = sorted(_KNOB_NAMES)
+            raise InvalidRequestError(
+                f"unknown compile option(s) {unknown}; known: {known} "
+                f"(plus 'passes' and 'use_cache')",
+                details={"unknown": unknown, "known": known},
+            )
         if passes is not None and "pipeline_sim" in passes:
-            detailed_schedule = True
-        if fault_plan:
+            knobs["detailed_schedule"] = True
+        options = CompileOptions(**knobs)
+        if options.fault_plan:
             from ..faults import install_plan
 
-            install_plan(fault_plan)
-        options = CompileOptions(
-            duplication_degree=duplication_degree,
-            pe_budget=pe_budget,
-            detailed_schedule=detailed_schedule,
-            run_pnr=run_pnr,
-            emit_bitstream=emit_bitstream,
-            max_schedule_reuse=max_schedule_reuse,
-            pnr_channel_width=pnr_channel_width,
-            pnr_seed=pnr_seed,
-            pnr_jobs=pnr_jobs,
-            seed=seed,
-            num_chips=num_chips,
-            shard_jobs=shard_jobs,
-            verify=verify,
-            dedup=dedup,
-            fault_plan=fault_plan,
-        )
+            install_plan(options.fault_plan)
         if options.partitioned:
             if passes is not None:
                 raise InvalidRequestError(
                     "an explicit pass list cannot be combined with num_chips; "
                     "partitioned compilation orchestrates the backend passes "
                     "per shard itself",
-                    details={"num_chips": repr(num_chips), "passes": list(passes)},
+                    details={"num_chips": repr(options.num_chips), "passes": list(passes)},
                 )
             return self._compile_partitioned(graph, options, use_cache)
         names = list(passes) if passes is not None else default_pass_names(options)

@@ -28,9 +28,12 @@ Custom passes subclass :class:`CompilePass` and register themselves with
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from dataclasses import Field, dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+
+from ..errors import InvalidRequestError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids layer imports
     from ..arch.params import FPSAConfig
@@ -40,6 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids layer imports
 
 __all__ = [
     "AUTO_CHIPS",
+    "KNOBS",
+    "PUBLIC_KNOBS",
     "CompileOptions",
     "CompileContext",
     "CompilePass",
@@ -87,99 +92,151 @@ class UnknownPassError(PassError):
     """A pass name does not appear in the registry."""
 
 
+# --------------------------------------------------------------------------
+# the compile-knob table
+# --------------------------------------------------------------------------
+# A check is ``(expects, ok)``: the phrase the error message uses and the
+# predicate a legal value satisfies.
+
+Check = tuple[str, Callable[[Any], bool]]
+
+
+def is_number(value: Any, kind: Any = (int, float)) -> bool:
+    # ``bool`` subclasses ``int``; ``True`` is never a legal number
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def integer(minimum: int) -> Check:
+    return f"an integer >= {minimum}", lambda v: is_number(v, int) and v >= minimum
+
+
+def or_none(check: Check) -> Check:
+    expects, ok = check
+    return f"None or {expects}", lambda v: v is None or ok(v)
+
+
+BOOLEAN: Check = ("a boolean", lambda v: isinstance(v, bool))
+COUNT = or_none(integer(1))
+
+
+def knob(check: Check, role: str, fingerprinted: bool | None = None, **default: Any):
+    """Declare one knob: a dataclass field (``default=`` or
+    ``default_factory=``) carrying its ``check``, its ``role`` —
+    ``semantic`` changes the artifact; ``execution`` must not;
+    ``internal`` is set by the partition backend, never by a caller;
+    ``serving`` shapes whether and when a result is served — and whether
+    the request fingerprint includes it (default: semantic knobs only)."""
+    if fingerprinted is None:
+        fingerprinted = role == "semantic"
+    return field(
+        metadata={"role": role, "fingerprinted": fingerprinted, "check": check},
+        **default,
+    )
+
+
+def check_knobs(obj: Any, knobs: Iterable[Field]) -> None:
+    """Raise ``InvalidRequestError`` for the first knob whose value on
+    ``obj`` fails its check."""
+    for f in knobs:
+        expects, ok = f.metadata["check"]
+        value = getattr(obj, f.name)
+        if not ok(value):
+            raise InvalidRequestError(
+                f"{f.name} must be {expects}, got {value!r}",
+                details={f.name: repr(value)},
+            )
+
+
 @dataclass(frozen=True)
 class CompileOptions:
-    """The compile request: everything that parameterises a compilation.
+    """Everything that parameterises a compilation, and the one declaration
+    of every compile knob: each field carries its role, fingerprint
+    membership and value check (see :func:`knob`; ``ARCHITECTURE.md``,
+    "Compile options", prints the table).
 
-    These are exactly the keyword arguments of
-    :meth:`repro.core.compiler.FPSACompiler.compile`; passes read them from
-    ``ctx.options`` instead of receiving long argument lists.
+    The non-``internal`` fields (:data:`PUBLIC_KNOBS`) are the keyword
+    arguments :meth:`repro.core.compiler.FPSACompiler.compile` accepts and
+    the knob fields :class:`~repro.service.schemas.CompileRequest` mirrors;
+    passes read them from ``ctx.options``.  A pass's ``cache_key`` is *not*
+    derived from roles: it keys on exactly the fields the pass reads.
     """
 
-    duplication_degree: int = 1
-    pe_budget: int | None = None
-    detailed_schedule: bool = False
-    run_pnr: bool = False
-    emit_bitstream: bool = False
-    max_schedule_reuse: int | None = None
-    pnr_channel_width: int | None = None
-    pnr_seed: int = 0
-    #: worker threads for the parallel P&R engine (``None``/``1`` serial
-    #: execution).  A pure execution knob: any value produces bit-identical
-    #: placements/routings for the same seed, so it never enters cache keys
-    #: or request fingerprints.
-    pnr_jobs: int | None = None
-    seed: int | None = None
+    #: extra copies of the bottleneck weight groups (Section 5.2): trades
+    #: area for throughput.
+    duplication_degree: int = knob(integer(1), "semantic", default=1)
+    #: when given, the largest duplication degree that fits this many PEs
+    #: is chosen instead of ``duplication_degree``.
+    pe_budget: int | None = knob(COUNT, "semantic", default=None)
+    #: run the instance-level Algorithm-1 scheduler and the cycle-level
+    #: pipeline simulator (small models only).
+    detailed_schedule: bool = knob(BOOLEAN, "semantic", default=False)
+    #: run placement and PathFinder routing (small/medium netlists only).
+    run_pnr: bool = knob(BOOLEAN, "semantic", default=False)
+    #: assemble the chip configuration from the mapping and, when
+    #: available, the P&R result.
+    emit_bitstream: bool = knob(BOOLEAN, "semantic", default=False)
+    #: cap on the per-group reuse the detailed schedule expands.
+    max_schedule_reuse: int | None = knob(COUNT, "semantic", default=None)
+    #: routing-channel width (``None`` = the architecture's default).
+    pnr_channel_width: int | None = knob(COUNT, "semantic", default=None)
+    #: stage-local placer seed; the master ``seed`` takes precedence.
+    pnr_seed: int = knob(integer(0), "semantic", default=0)
+    #: worker threads for the P&R engine (``None``/``1`` = serial): any
+    #: value yields bit-identical placements and routings for one seed.
+    pnr_jobs: int | None = knob(COUNT, "execution", default=None)
+    #: master seed every stochastic stage derives its stream from
+    #: (:func:`repro.seeding.derive_seed`): same inputs, same bits.
+    seed: int | None = knob(
+        or_none(("an integer", lambda v: is_number(v, int))), "semantic", default=None
+    )
     #: multi-chip partitioning: ``None`` is the classic single-chip flow
     #: (no capacity enforcement), an ``int >= 1`` partitions across exactly
     #: that many chips (enforcing ``config.interchip.max_pes_per_chip``),
-    #: and :data:`AUTO_CHIPS` picks the smallest chip count that fits.
-    num_chips: int | str | None = None
+    #: and :data:`AUTO_CHIPS` picks the smallest chip count that fits.  A
+    #: 1-chip partition is bit-identical to the unpartitioned pipeline.
+    num_chips: int | str | None = knob(
+        (
+            f"None, {AUTO_CHIPS!r} or an integer >= 1",
+            lambda v: v is None or v == AUTO_CHIPS or (is_number(v, int) and v >= 1),
+        ),
+        "semantic",
+        default=None,
+    )
     #: worker processes for the per-shard backend compiles (``None``/``1``
-    #: = sequential, sharing one stage cache across the shards; ``> 1``
-    #: spreads shards over a process pool).
-    shard_jobs: int | None = None
-    #: set by the partition backend on per-shard compiles: allocate every
-    #: shard against the whole model's pipeline pace instead of the shard's
-    #: local bottleneck (see :func:`repro.mapper.allocation.allocate`).
-    target_iterations: int | None = None
-    replication: int | None = None
+    #: = sequential, sharing one stage cache across the shards).  Changes
+    #: no artifact, but stays fingerprinted: stored run ids predate the
+    #: role split.
+    shard_jobs: int | None = knob(COUNT, "execution", fingerprinted=True, default=None)
+    #: allocate this shard against the whole model's pipeline pace instead
+    #: of its local bottleneck (see :func:`repro.mapper.allocation.allocate`).
+    target_iterations: int | None = knob(COUNT, "internal", default=None)
+    replication: int | None = knob(COUNT, "internal", default=None)
     #: useful-operation count the perf/bounds passes normalise against;
-    #: ``None`` reads ``ctx.graph.total_ops()`` (the partition backend sets
-    #: a shard's proportional share, since shards carry no graph).
-    useful_ops_per_sample: float | None = None
+    #: ``None`` reads ``ctx.graph.total_ops()`` (shards carry no graph).
+    useful_ops_per_sample: float | None = knob(
+        or_none(("a number", is_number)), "internal", default=None
+    )
     #: mapping-time capacity pre-flight: raise ``CapacityError`` when the
-    #: allocation exceeds this many PEs, before any netlist is built or
-    #: P&R annealing starts.  The partition backend pins each shard's
-    #: per-chip capacity here as a safety net against partitioner drift.
-    max_pes: int | None = None
+    #: allocation exceeds this many PEs, before any netlist is built (a
+    #: shard's per-chip capacity, as a safety net against partitioner drift).
+    max_pes: int | None = knob(COUNT, "internal", default=None)
     #: run the IR verifiers (:mod:`repro.analysis.verify`) between passes,
-    #: failing fast with a :class:`~repro.errors.VerificationError` on any
-    #: structural invariant violation.  A pure execution knob (it changes
-    #: no artifact), so it never enters cache keys or request fingerprints;
+    #: failing fast with a :class:`~repro.errors.VerificationError`;
     #: ``REPRO_VERIFY=1`` turns it on globally.
-    verify: bool = False
+    verify: bool = knob(BOOLEAN, "execution", default=False)
     #: consult the subgraph-level dedup store (:mod:`repro.core.dedup`)
-    #: during synthesis and mapping, compiling repeated structures once and
-    #: splicing the stored fragments back in.  Bit-identity with dedup-off
-    #: is a hard contract, making this a pure execution knob too: it never
-    #: enters cache keys or request fingerprints.
-    dedup: bool = False
+    #: during synthesis and mapping, splicing stored fragments back in;
+    #: bit-identity with dedup-off is a hard contract.
+    dedup: bool = knob(BOOLEAN, "execution", default=False)
     #: deterministic fault-injection plan (inline JSON or a file path, see
-    #: :mod:`repro.faults`), installed by the compiler before the pipeline
-    #: runs.  Faults never change a successful artifact, so this is a pure
-    #: execution knob: it never enters cache keys or request fingerprints.
-    fault_plan: str | None = None
+    #: :mod:`repro.faults`), installed process-wide before the pipeline
+    #: runs; faults never change a successful artifact.
+    fault_plan: str | None = knob(
+        or_none(("a string", lambda v: isinstance(v, str))), "execution", default=None
+    )
 
     def __post_init__(self) -> None:
-        from ..errors import InvalidRequestError
-
-        chips = self.num_chips
-        if chips is not None and chips != AUTO_CHIPS:
-            if not isinstance(chips, int) or isinstance(chips, bool) or chips < 1:
-                raise InvalidRequestError(
-                    f"num_chips must be None, {AUTO_CHIPS!r} or an integer >= 1, "
-                    f"got {chips!r}",
-                    details={"num_chips": repr(chips)},
-                )
-        if self.shard_jobs is not None and (
-            not isinstance(self.shard_jobs, int)
-            or isinstance(self.shard_jobs, bool)
-            or self.shard_jobs < 1
-        ):
-            raise InvalidRequestError(
-                f"shard_jobs must be an integer >= 1, got {self.shard_jobs!r}",
-                details={"shard_jobs": repr(self.shard_jobs)},
-            )
-        if self.pnr_jobs is not None and (
-            not isinstance(self.pnr_jobs, int)
-            or isinstance(self.pnr_jobs, bool)
-            or self.pnr_jobs < 1
-        ):
-            raise InvalidRequestError(
-                f"pnr_jobs must be an integer >= 1, got {self.pnr_jobs!r}",
-                details={"pnr_jobs": repr(self.pnr_jobs)},
-            )
+        check_knobs(self, KNOBS)
 
     @property
     def partitioned(self) -> bool:
@@ -194,6 +251,14 @@ class CompileOptions:
 
             return derive_seed(self.seed, "pnr")
         return self.pnr_seed
+
+
+#: the knob table, built once at import.
+KNOBS: tuple[Field, ...] = dataclasses.fields(CompileOptions)
+#: the knobs callers may set: ``compile()`` keywords and wire fields.
+PUBLIC_KNOBS: tuple[Field, ...] = tuple(
+    f for f in KNOBS if f.metadata["role"] != "internal"
+)
 
 
 @dataclass

@@ -20,6 +20,15 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
+from ..core.pipeline import (
+    BOOLEAN,
+    PUBLIC_KNOBS,
+    check_knobs,
+    integer,
+    is_number,
+    knob,
+    or_none,
+)
 from ..errors import (
     RETRIABLE_CODES,
     FPSAError,
@@ -91,19 +100,33 @@ def _load_json(payload: str | bytes, schema: str) -> dict[str, Any]:
     return data
 
 
+def _strings(values: Any) -> bool:
+    return all(isinstance(v, str) for v in values)
+
+
+# checks of the request-only fields (see ``repro.core.pipeline.knob``)
+_PASS_NAMES = or_none(
+    ("a list of pass names", lambda v: isinstance(v, (list, tuple)) and _strings(v))
+)
+_SECONDS = or_none(("a number > 0", lambda v: is_number(v) and v > 0))
+_OVERRIDES = or_none(
+    ("an object with string keys", lambda v: isinstance(v, dict) and _strings(v))
+)
+_TAGS = (
+    "an object of string values",
+    lambda v: isinstance(v, dict) and _strings(v) and _strings(v.values()),
+)
+
+
 @dataclass(frozen=True)
 class CompileRequest:
     """One compilation of one model-zoo entry, as wire data.
 
-    The fields mirror the keyword arguments of
-    :meth:`repro.core.compiler.FPSACompiler.compile`; ``seed`` is the
-    master seed every stochastic stage derives its stream from (see
-    :mod:`repro.seeding`), so repeated compiles of an identical request are
-    bit-identical; ``synthesis_options``
-    holds keyword overrides for
-    :meth:`repro.synthesizer.synthesizer.SynthesisOptions.from_pe` (e.g.
-    ``{"lower_pooling": false}``), and ``tags`` is free-form caller
-    metadata carried through responses and the artifact store untouched.
+    The knob fields mirror the public fields of
+    :class:`~repro.core.pipeline.CompileOptions` — the one table that
+    documents them, checks their values and says which enter
+    :meth:`fingerprint`; a test pins that the mirror equals the table.
+    The request-only fields are declared the same way, here.
     """
 
     model: str
@@ -115,45 +138,32 @@ class CompileRequest:
     max_schedule_reuse: int | None = None
     pnr_channel_width: int | None = None
     pnr_seed: int = 0
-    #: worker threads for the parallel P&R engine (``None``/1 serial).  An
-    #: execution knob: results are bit-identical for any value, so it is
-    #: excluded from :meth:`fingerprint` (like ``tags``).
     pnr_jobs: int | None = None
     seed: int | None = None
-    #: multi-chip partitioned compilation: ``None`` (single chip, classic
-    #: flow), an integer chip count, or ``"auto"`` for the smallest count
-    #: that fits the per-chip capacity.
     num_chips: int | str | None = None
-    #: worker processes for the per-shard backend (``None``/1 sequential).
     shard_jobs: int | None = None
-    passes: tuple[str, ...] | None = None
-    use_cache: bool = True
-    #: run the IR verifiers between passes (see ``--verify`` /
-    #: ``REPRO_VERIFY=1``).  An execution knob — it changes no artifact —
-    #: so it is excluded from :meth:`fingerprint` like ``pnr_jobs``.
+    #: explicit pass-name list (see :meth:`FPSACompiler.compile`).
+    passes: tuple[str, ...] | None = knob(_PASS_NAMES, "semantic", default=None)
+    #: ``False`` bypasses the stage cache.  Changes no artifact, but stays
+    #: fingerprinted: stored run ids predate the role split.
+    use_cache: bool = knob(BOOLEAN, "execution", fingerprinted=True, default=True)
     verify: bool = False
-    #: consult the subgraph-level dedup store (:mod:`repro.core.dedup`)
-    #: during synthesis and mapping.  Bit-identical to ``dedup=False`` by
-    #: contract, so it is a pure execution knob excluded from
-    #: :meth:`fingerprint` like ``pnr_jobs`` and ``verify``.
     dedup: bool = False
     #: serving deadline in seconds: the job layer publishes a typed
-    #: ``deadline_exceeded`` error if no result lands in time.  A pure
-    #: serving knob (the artifact is unchanged when the job does finish),
-    #: so it is excluded from :meth:`fingerprint`.
-    deadline_s: float | None = None
+    #: ``deadline_exceeded`` error if no result lands in time.
+    deadline_s: float | None = knob(_SECONDS, "serving", default=None)
     #: maximum transparent retries on *retriable* faults (worker death,
-    #: transient IO); ``None`` uses the job manager's default.  A serving
-    #: knob excluded from :meth:`fingerprint` — retried jobs are proven
-    #: bit-identical to first-try jobs.
-    max_retries: int | None = None
-    #: deterministic fault-injection plan (inline JSON or a file path, see
-    #: :mod:`repro.faults`) threaded through ``CompileOptions`` so every
-    #: injected fault is replayable.  Faults never change a *successful*
-    #: artifact, so this too stays out of :meth:`fingerprint`.
+    #: transient IO); ``None`` uses the job manager's default.  Retried
+    #: jobs are bit-identical to first-try jobs.
+    max_retries: int | None = knob(or_none(integer(0)), "serving", default=None)
     fault_plan: str | None = None
-    synthesis_options: dict[str, Any] | None = None
-    tags: dict[str, str] = field(default_factory=dict)
+    #: keyword overrides for
+    #: :meth:`repro.synthesizer.synthesizer.SynthesisOptions.from_pe`
+    #: (e.g. ``{"lower_pooling": false}``).
+    synthesis_options: dict[str, Any] | None = knob(_OVERRIDES, "semantic", default=None)
+    #: free-form caller metadata carried through responses and the
+    #: artifact store untouched.
+    tags: dict[str, str] = knob(_TAGS, "serving", default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
     def __post_init__(self):
@@ -163,89 +173,7 @@ class CompileRequest:
                 f"model must be a non-empty model-zoo name, got {self.model!r}",
                 details={"model": repr(self.model)},
             )
-        # type-check before comparing: a JSON string like "4" must become a
-        # typed error, not a raw TypeError from the < comparison
-        if not isinstance(self.duplication_degree, int) or self.duplication_degree < 1:
-            raise InvalidRequestError(
-                f"duplication_degree must be an integer >= 1, "
-                f"got {self.duplication_degree!r}",
-                details={"duplication_degree": repr(self.duplication_degree)},
-            )
-        if self.pe_budget is not None and (
-            not isinstance(self.pe_budget, int) or self.pe_budget < 1
-        ):
-            raise InvalidRequestError(
-                f"pe_budget must be an integer >= 1, got {self.pe_budget!r}",
-                details={"pe_budget": repr(self.pe_budget)},
-            )
-        if self.seed is not None and not isinstance(self.seed, int):
-            raise InvalidRequestError(
-                f"seed must be an integer or null, got {self.seed!r}",
-                details={"seed": repr(self.seed)},
-            )
-        if self.num_chips is not None and self.num_chips != "auto":
-            if (
-                not isinstance(self.num_chips, int)
-                or isinstance(self.num_chips, bool)
-                or self.num_chips < 1
-            ):
-                raise InvalidRequestError(
-                    f"num_chips must be null, 'auto' or an integer >= 1, "
-                    f"got {self.num_chips!r}",
-                    details={"num_chips": repr(self.num_chips)},
-                )
-        if self.shard_jobs is not None and (
-            not isinstance(self.shard_jobs, int)
-            or isinstance(self.shard_jobs, bool)
-            or self.shard_jobs < 1
-        ):
-            raise InvalidRequestError(
-                f"shard_jobs must be an integer >= 1, got {self.shard_jobs!r}",
-                details={"shard_jobs": repr(self.shard_jobs)},
-            )
-        if self.pnr_jobs is not None and (
-            not isinstance(self.pnr_jobs, int)
-            or isinstance(self.pnr_jobs, bool)
-            or self.pnr_jobs < 1
-        ):
-            raise InvalidRequestError(
-                f"pnr_jobs must be an integer >= 1, got {self.pnr_jobs!r}",
-                details={"pnr_jobs": repr(self.pnr_jobs)},
-            )
-        if not isinstance(self.verify, bool):
-            raise InvalidRequestError(
-                f"verify must be a boolean, got {self.verify!r}",
-                details={"verify": repr(self.verify)},
-            )
-        if not isinstance(self.dedup, bool):
-            raise InvalidRequestError(
-                f"dedup must be a boolean, got {self.dedup!r}",
-                details={"dedup": repr(self.dedup)},
-            )
-        if self.deadline_s is not None and (
-            not isinstance(self.deadline_s, (int, float))
-            or isinstance(self.deadline_s, bool)
-            or self.deadline_s <= 0
-        ):
-            raise InvalidRequestError(
-                f"deadline_s must be a number > 0, got {self.deadline_s!r}",
-                details={"deadline_s": repr(self.deadline_s)},
-            )
-        if self.max_retries is not None and (
-            not isinstance(self.max_retries, int)
-            or isinstance(self.max_retries, bool)
-            or self.max_retries < 0
-        ):
-            raise InvalidRequestError(
-                f"max_retries must be an integer >= 0, got {self.max_retries!r}",
-                details={"max_retries": repr(self.max_retries)},
-            )
-        if self.fault_plan is not None and not isinstance(self.fault_plan, str):
-            raise InvalidRequestError(
-                f"fault_plan must be a JSON string or file path, "
-                f"got {self.fault_plan!r}",
-                details={"fault_plan": repr(self.fault_plan)},
-            )
+        check_knobs(self, _REQUEST_KNOBS)
         if self.passes is not None:
             object.__setattr__(self, "passes", tuple(self.passes))
 
@@ -260,11 +188,7 @@ class CompileRequest:
         _check_known_fields(data, cls, "CompileRequest")
         if "model" not in data:
             raise InvalidRequestError("CompileRequest payload is missing 'model'")
-        kwargs = dict(data)
-        if kwargs.get("passes") is not None:
-            kwargs["passes"] = tuple(kwargs["passes"])
-        kwargs.setdefault("schema_version", SCHEMA_VERSION)
-        return cls(**kwargs)
+        return cls(**data)
 
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -276,46 +200,34 @@ class CompileRequest:
     def fingerprint(self) -> str:
         """Content-addressed identity of this request.
 
-        ``tags`` (caller metadata), the pure execution knobs ``pnr_jobs``,
-        ``verify`` and ``dedup`` (every value produces the bit-identical
-        artifact) and the serving knobs ``deadline_s`` / ``max_retries`` /
-        ``fault_plan`` (they shape *whether and when* a result is served,
-        never its bits) are excluded, so e.g. coalescing and the artifact
-        store treat requests differing only in those fields as the same
-        compilation.
+        Every field its declaration marks as not fingerprinted — the
+        execution knobs (any value produces the bit-identical artifact) and
+        the serving fields (they shape *whether and when* a result is
+        served, never its bits) — is excluded, so coalescing and the
+        artifact store treat requests differing only in those fields as
+        the same compilation.
         """
         data = self.to_dict()
-        data.pop("tags")
-        data.pop("pnr_jobs")
-        data.pop("verify")
-        data.pop("dedup")
-        data.pop("deadline_s")
-        data.pop("max_retries")
-        data.pop("fault_plan")
+        for name in _UNFINGERPRINTED:
+            del data[name]
         canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def compile_kwargs(self) -> dict[str, Any]:
         """The keyword arguments for :meth:`FPSACompiler.compile`."""
-        return {
-            "duplication_degree": self.duplication_degree,
-            "pe_budget": self.pe_budget,
-            "detailed_schedule": self.detailed_schedule,
-            "run_pnr": self.run_pnr,
-            "emit_bitstream": self.emit_bitstream,
-            "max_schedule_reuse": self.max_schedule_reuse,
-            "pnr_channel_width": self.pnr_channel_width,
-            "pnr_seed": self.pnr_seed,
-            "pnr_jobs": self.pnr_jobs,
-            "seed": self.seed,
-            "num_chips": self.num_chips,
-            "shard_jobs": self.shard_jobs,
-            "passes": self.passes,
-            "use_cache": self.use_cache,
-            "verify": self.verify,
-            "dedup": self.dedup,
-            "fault_plan": self.fault_plan,
-        }
+        return {name: getattr(self, name) for name in _COMPILE_KWARGS}
+
+
+#: every checked request field: the knob table plus the request-only
+#: fields declared on :class:`CompileRequest` itself.
+_REQUEST_KNOBS = PUBLIC_KNOBS + tuple(
+    f for f in dataclasses.fields(CompileRequest) if "check" in f.metadata
+)
+_UNFINGERPRINTED = tuple(
+    f.name for f in _REQUEST_KNOBS if not f.metadata["fingerprinted"]
+)
+#: what ``compile()`` takes: every public knob plus its own two keywords.
+_COMPILE_KWARGS = tuple(f.name for f in PUBLIC_KNOBS) + ("passes", "use_cache")
 
 
 @dataclass(frozen=True)
@@ -354,10 +266,10 @@ class CompileTimings:
     by) the stage cache; ``evictions`` counts in-memory LRU entries this
     compile pushed out, and ``shared_cache_hits``/``shared_cache_misses``
     count the cross-process shared-tier lookups (zero when no shared tier
-    is attached).  ``dedup_hits``/``dedup_misses`` count subgraph-dedup
-    store lookups (zero unless the compile ran with ``dedup=True``); they
+    is attached).  ``dedup_hits``/``dedup_misses`` count subgraph-store
+    lookups (zero unless the compile ran with ``dedup=True``); they
     live here — not on :class:`ResultSummary` — because the summary is
-    the bit-identity comparison surface of equivalent compiles, and dedup
+    the bit-identity comparison surface of equivalent compiles, and these
     counters legitimately differ between a cold and a warm store.
     ``write_errors`` counts cache/store writes that degraded to a counted
     miss instead of propagating an ``OSError`` into the compile (disk
@@ -392,8 +304,8 @@ class CompileTimings:
             )
             for t in timings
         )
-        # ``verify:*`` rows are interposed IR verifiers, not passes: they
-        # never consult the cache, so they stay out of the miss counter
+        # the interposed IR-verifier rows are not passes: they never
+        # consult the cache, so they stay out of the miss counter
         return cls(
             passes=entries,
             total_seconds=sum(t.seconds for t in timings),
@@ -450,7 +362,7 @@ class CompileTimings:
             evictions=int(data.get("evictions", 0)),
             shared_cache_hits=int(data.get("shared_cache_hits", 0)),
             shared_cache_misses=int(data.get("shared_cache_misses", 0)),
-            # absent in payloads emitted before the dedup cache existed
+            # absent in payloads emitted before the subgraph store existed
             dedup_hits=int(data.get("dedup_hits", 0)),
             dedup_misses=int(data.get("dedup_misses", 0)),
             # absent before degraded-write accounting existed

@@ -120,3 +120,27 @@ class TestInjectedBug:
                            subset=("repeat",))
         assert not check.ok
         assert check.findings[0].kind == "error-divergence"
+
+
+class TestLatticeCoversTheExecutionKnobs:
+    def test_every_execution_knob_is_fuzzed_or_excused(self, monkeypatch):
+        from repro.core.compiler import FPSACompiler
+        from repro.core.pipeline import KNOBS
+
+        seen: dict[str, set] = {}
+        real_compile = FPSACompiler.compile
+
+        def spy(self, graph, **kwargs):
+            for name, value in kwargs.items():
+                seen.setdefault(name, set()).add(value)
+            return real_compile(self, graph, **kwargs)
+
+        monkeypatch.setattr(FPSACompiler, "compile", spy)
+        assert check_spec(generate_spec(0, 0, size_class="small")).ok
+
+        execution = {f.name: f.default for f in KNOBS if f.metadata["role"] == "execution"}
+        fuzzed = {name for name, default in execution.items() if seen.get(name, set()) - {default}}
+        # today: pnr_jobs (the ``pnr`` group), dedup (the ``dedup`` group)
+        # and verify (on in every lattice point); the rest must be excused
+        assert set(oracle_module._UNFUZZED) == set(execution) - fuzzed
+        assert all(oracle_module._UNFUZZED.values())

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from repro.core.compiler import FPSACompiler
+from repro.core.pipeline import PUBLIC_KNOBS, CompileOptions
 from repro.errors import CapacityError, InvalidRequestError, UnknownModelError
+from repro.models import build_model
 from repro.service import (
     SCHEMA_VERSION,
     CompileRequest,
@@ -100,6 +103,53 @@ class TestCompileRequest:
         assert b.compile_kwargs()["dedup"] is True
         with pytest.raises(InvalidRequestError):
             CompileRequest(model="LeNet", dedup="yes")
+
+
+#: wire payloads that used to be answered ``internal``, silently misread or
+#: passed on to crash later; each must be an ``invalid_request`` naming the
+#: field the moment the request is built
+_MISTYPED = [
+    ("pnr_channel_width", "8"),
+    ("pnr_seed", "7"),
+    ("max_schedule_reuse", "x"),
+    ("run_pnr", "no"),
+    ("emit_bitstream", 1),
+    ("detailed_schedule", "yes"),
+    ("use_cache", "false"),
+    ("duplication_degree", True),
+    ("pe_budget", True),
+    ("seed", True),
+    ("passes", "synthesis"),
+    ("tags", "x"),
+    ("tags", {"run": 1}),
+    ("synthesis_options", ["lower_pooling"]),
+]
+
+
+class TestMistypedFieldsAreInvalidRequests:
+    @pytest.mark.parametrize("name,value", _MISTYPED)
+    def test_rejected_at_request_construction(self, name, value):
+        with pytest.raises(InvalidRequestError) as excinfo:
+            CompileRequest.from_dict({"model": "LeNet", name: value})
+        assert excinfo.value.details == {name: repr(value)}
+        assert name in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [(n, v) for n, v in _MISTYPED if n in {f.name for f in PUBLIC_KNOBS}],
+    )
+    def test_same_typed_error_from_options_and_compile(self, name, value):
+        with pytest.raises(InvalidRequestError) as from_options:
+            CompileOptions(**{name: value})
+        with pytest.raises(InvalidRequestError) as from_compile:
+            FPSACompiler(cache=False).compile(build_model("LeNet"), **{name: value})
+        with pytest.raises(InvalidRequestError) as from_request:
+            CompileRequest(model="LeNet", **{name: value})
+        assert (
+            from_options.value.payload()
+            == from_compile.value.payload()
+            == from_request.value.payload()
+        )
 
 
 class TestServeAndRoundTrip:
