@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..arch.params import FPSAConfig
+from ..errors import MappingError, SynthesisError
 from ..mapper.control import ControlPlan
 from ..mapper.mapper import MappingResult
 from ..mapper.netlist import BlockType
 from ..pnr.pnr import PnRResult
+from ..synthesizer.splitting import TilePlan
 
 __all__ = [
     "CrossbarConfig",
@@ -97,6 +99,15 @@ class BufferConfig:
     value_bits: int
 
 
+def _record_dicts(records: list) -> list[dict]:
+    """``dataclasses.asdict`` of flat records of one class, without its
+    recursive deep copy: the field names are resolved once per list."""
+    if not records:
+        return []
+    names = tuple(f.name for f in fields(records[0]))
+    return [{name: getattr(r, name) for name in names} for r in records]
+
+
 @dataclass
 class FPSABitstream:
     """The complete deployable configuration of one model."""
@@ -144,10 +155,10 @@ class FPSABitstream:
         return {
             "model": self.model,
             "duplication_degree": self.duplication_degree,
-            "crossbars": [asdict(c) for c in self.crossbars],
-            "routing": [asdict(r) for r in self.routing],
-            "control": asdict(self.control) if self.control else None,
-            "buffers": [asdict(b) for b in self.buffers],
+            "crossbars": _record_dicts(self.crossbars),
+            "routing": _record_dicts(self.routing),
+            "control": _record_dicts([self.control])[0] if self.control else None,
+            "buffers": _record_dicts(self.buffers),
             "total_configuration_bits": self.total_configuration_bits,
         }
 
@@ -174,14 +185,29 @@ class FPSABitstream:
 def _crossbar_configs(mapping: MappingResult, config: FPSAConfig) -> list[CrossbarConfig]:
     configs: list[CrossbarConfig] = []
     pe = config.pe
+    plans: dict[str, TilePlan] = {}
     for block in mapping.netlist.blocks_of_type(BlockType.PE):
-        group = mapping.coreops.group(block.group)
-        plan = group.tiling(pe.rows, pe.logical_cols)
-        tile = plan.tiles[block.tile]
+        plan = plans.get(block.group)
+        if plan is None:
+            group = mapping.coreops.group(block.group)
+            plan = plans[block.group] = group.tiling(pe.rows, pe.logical_cols)
+        try:
+            tile = plan.tile(block.tile)
+        except SynthesisError:
+            raise MappingError(
+                f"PE block {block.name!r} programs tile {block.tile} of group "
+                f"{block.group!r}, which has {plan.n_tiles} tiles",
+                details={
+                    "block": block.name,
+                    "group": block.group,
+                    "tile": block.tile,
+                    "n_tiles": plan.n_tiles,
+                },
+            ) from None
         configs.append(
             CrossbarConfig(
                 pe=block.name,
-                group=group.name,
+                group=block.group,
                 tile_rows=tile.rows,
                 tile_cols=tile.cols,
                 cells_per_weight=pe.cells_per_weight,
@@ -194,6 +220,7 @@ def _crossbar_configs(mapping: MappingResult, config: FPSAConfig) -> list[Crossb
 def _routing_configs(pnr: PnRResult | None, mapping: MappingResult) -> list[RoutingSwitchConfig]:
     configs: list[RoutingSwitchConfig] = []
     if pnr is not None:
+        drivers = {net.name: net.driver for net in mapping.netlist.nets}
         for name, routed in pnr.routing.nets.items():
             segments = routed.wirelength
             # one CB switch per pin plus one SB switch per wire-to-wire hop
@@ -201,9 +228,7 @@ def _routing_configs(pnr: PnRResult | None, mapping: MappingResult) -> list[Rout
             configs.append(
                 RoutingSwitchConfig(
                     net=name,
-                    driver=next(
-                        (n.driver for n in mapping.netlist.nets if n.name == name), ""
-                    ),
+                    driver=drivers.get(name, ""),
                     n_sinks=len(routed.sink_paths),
                     wire_segments=segments,
                     switches_on=switches,

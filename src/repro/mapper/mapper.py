@@ -25,7 +25,7 @@ from ..errors import CapacityError
 from ..synthesizer.coreop import CoreOpGraph
 from .allocation import AllocationResult, allocate, allocate_for_pe_budget
 from .control import ControlPlan, plan_control
-from .netlist import FunctionBlockNetlist, build_netlist
+from .netlist import FunctionBlockNetlist, attach_control, build_datapath
 from .schedule import Schedule, schedule_instances
 
 __all__ = ["MappingResult", "SpatialTemporalMapper"]
@@ -151,10 +151,10 @@ class SpatialTemporalMapper:
                 },
             )
 
-        netlist = build_netlist(coreops, allocation, self.config)
+        # the control plan reads only the datapath's PE and SMB counts
+        netlist = build_datapath(coreops, allocation, self.config)
         control = plan_control(allocation, netlist, self.config)
-        # re-emit the netlist with the exact CLB count from the control plan
-        netlist = build_netlist(coreops, allocation, self.config, clb_blocks=control.clbs_needed)
+        attach_control(netlist, self.config, control.clbs_needed)
 
         schedule = None
         if detailed_schedule:

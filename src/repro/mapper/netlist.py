@@ -19,7 +19,15 @@ from ..errors import MappingError
 from ..synthesizer.coreop import CoreOpGraph
 from .allocation import AllocationResult
 
-__all__ = ["BlockType", "Block", "Net", "FunctionBlockNetlist", "build_netlist"]
+__all__ = [
+    "BlockType",
+    "Block",
+    "Net",
+    "FunctionBlockNetlist",
+    "build_datapath",
+    "attach_control",
+    "build_netlist",
+]
 
 
 class BlockType:
@@ -126,26 +134,19 @@ def _pe_block_name(group: str, tile: int, duplicate: int) -> str:
     return f"{group}::pe{tile}.{duplicate}"
 
 
-def build_netlist(
+def build_datapath(
     coreops: CoreOpGraph,
     allocation: AllocationResult,
     config: FPSAConfig | None = None,
-    clb_blocks: int | None = None,
 ) -> FunctionBlockNetlist:
-    """Build the function-block netlist for an allocated core-op graph.
+    """Build the IO, PE and SMB blocks of an allocated core-op graph and the
+    data nets between them; :func:`attach_control` completes the netlist.
 
     Buffers (SMBs) are instantiated on every group-to-group connection whose
     consumer iterates over its reuse positions (time-division multiplexing
     always needs the intermediate data buffered); direct streaming
     connections (producer and consumer iterate in lock step) carry nets
     straight between the PEs.
-
-    Parameters
-    ----------
-    clb_blocks:
-        Number of CLBs to instantiate.  When omitted, the default
-        provisioning of ``config.clbs_per_pe`` is used (the control planner
-        in :mod:`repro.mapper.control` computes the exact requirement).
     """
     config = config if config is not None else FPSAConfig()
     netlist = FunctionBlockNetlist(model=coreops.name)
@@ -242,10 +243,29 @@ def build_netlist(
                     )
                     net_index += 1
 
-    # CLB blocks for control
-    if clb_blocks is None:
-        clb_blocks = max(1, math.ceil(netlist.n_pe * config.clbs_per_pe))
+    return netlist
+
+
+def attach_control(
+    netlist: FunctionBlockNetlist,
+    config: FPSAConfig | None = None,
+    clb_blocks: int | None = None,
+) -> FunctionBlockNetlist:
+    """Append the CLB blocks and their control nets to a datapath netlist.
+
+    Parameters
+    ----------
+    clb_blocks:
+        Number of CLBs to instantiate.  When omitted, the default
+        provisioning of ``config.clbs_per_pe`` is used (the control planner
+        in :mod:`repro.mapper.control` computes the exact requirement).
+    """
+    config = config if config is not None else FPSAConfig()
     pe_blocks = netlist.blocks_of_type(BlockType.PE)
+    if clb_blocks is None:
+        clb_blocks = max(1, math.ceil(len(pe_blocks) * config.clbs_per_pe))
+    # net names continue the data nets' numbering
+    net_index = len(netlist.nets)
     for i in range(clb_blocks):
         clb = netlist.add_block(Block(name=f"clb{i}", type=BlockType.CLB))
         # each CLB drives the control pins of a share of the PEs
@@ -261,3 +281,14 @@ def build_netlist(
             )
             net_index += 1
     return netlist
+
+
+def build_netlist(
+    coreops: CoreOpGraph,
+    allocation: AllocationResult,
+    config: FPSAConfig | None = None,
+    clb_blocks: int | None = None,
+) -> FunctionBlockNetlist:
+    """Build the complete function-block netlist for an allocated core-op
+    graph: :func:`build_datapath` followed by :func:`attach_control`."""
+    return attach_control(build_datapath(coreops, allocation, config), config, clb_blocks)

@@ -2,7 +2,7 @@
 
 :func:`map_with_dedup` reproduces :meth:`repro.mapper.mapper.
 SpatialTemporalMapper.map`'s plain path (no PE-budget search, no detailed
-schedule) with two structural shortcuts:
+schedule) with one structural shortcut:
 
 * the per-group allocation decision — ``(tiles, duplication)`` — is
   memoized in the :class:`~repro.core.dedup.SubgraphStore`, keyed on the
@@ -11,17 +11,14 @@ schedule) with two structural shortcuts:
   deliberate choice here: tiles depend only on ``rows``/``cols`` and the
   crossbar, duplication only on ``reuse`` and the pace, so keying on the
   cone would destroy exactly the cross-model hits (VGG11 -> VGG16) this
-  cache exists for — cone digests diverge after the first differing layer;
-* the netlist is built **once**: the PE/SMB counts the control planner
-  needs are computed analytically from the allocation and the edge list,
-  so the legacy two-build sequence (count -> plan -> rebuild with the
-  exact CLB count) collapses into plan -> build.
+  cache exists for — cone digests diverge after the first differing layer.
 
 Everything else — the allocation formulae, the capacity pre-flight, the
-netlist construction itself — runs the exact code the legacy path runs, so
-the result is bit-identical by construction.  When any fragment was spliced
-in, the mapping is re-checked with the IR verifiers before install; the
-caller falls back to the legacy path on any validation failure.
+netlist construction and control plan — runs the exact code the legacy
+path runs, so the result is bit-identical by construction.  When any
+fragment was spliced in, the mapping is re-checked with the IR verifiers
+before install; the caller falls back to the legacy path on any validation
+failure.
 """
 
 from __future__ import annotations
@@ -37,21 +34,12 @@ from ..synthesizer.coreop import CoreOpGraph
 from .allocation import AllocationResult, GroupAllocation, _balanced_duplication
 from .control import plan_control
 from .mapper import MappingResult
-from .netlist import build_netlist
+from .netlist import attach_control, build_datapath
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.dedup import DedupStats, SubgraphStore
 
 __all__ = ["map_with_dedup"]
-
-
-class _BlockCounts:
-    """The two netlist properties :func:`repro.mapper.control.plan_control`
-    reads, computed without building the netlist."""
-
-    def __init__(self, n_pe: int, n_smb: int):
-        self.n_pe = n_pe
-        self.n_smb = n_smb
 
 
 def _valid_fragment(value) -> bool:
@@ -62,23 +50,6 @@ def _valid_fragment(value) -> bool:
         isinstance(v, int) and not isinstance(v, bool) and v >= 1
         for v in value
     )
-
-
-def _smbs_per_replica(
-    coreops: CoreOpGraph, allocation: AllocationResult, config: FPSAConfig
-) -> int:
-    """SMB blocks one replica instantiates — the exact count
-    :func:`repro.mapper.netlist.build_netlist` would produce."""
-    capacity = config.smb.values_capacity(config.pe.io_bits)
-    total = 0
-    for edge in coreops.edges():
-        if edge.src in coreops and edge.dst in coreops:
-            src_iter = allocation.allocation(edge.src).iterations
-            dst_iter = allocation.allocation(edge.dst).iterations
-            if src_iter != dst_iter or dst_iter > 1:
-                values = max(1, edge.values_per_instance)
-                total += max(1, math.ceil(values / capacity))
-    return total
 
 
 def map_with_dedup(
@@ -96,10 +67,7 @@ def map_with_dedup(
 
     Returns ``None`` (caller runs the legacy mapper, which raises the
     canonical typed errors for these inputs) when the graph has no groups
-    or the pace parameters are invalid, and when the analytically-derived
-    block counts disagree with the built netlist — a cannot-happen guard
-    that turns any drift between this module and ``build_netlist`` into a
-    silent fallback instead of a wrong control plan.
+    or the pace parameters are invalid.
 
     Raises :class:`~repro.errors.CapacityError` exactly as the legacy
     mapper does when the allocation exceeds ``max_pes``.
@@ -178,14 +146,9 @@ def map_with_dedup(
             },
         )
 
-    n_pe = allocation.total_pes
-    n_smb = allocation.replication * _smbs_per_replica(coreops, allocation, config)
-    control = plan_control(allocation, _BlockCounts(n_pe, n_smb), config)
-    netlist = build_netlist(
-        coreops, allocation, config, clb_blocks=control.clbs_needed
-    )
-    if netlist.n_pe != n_pe or netlist.n_smb != n_smb:
-        return None
+    netlist = build_datapath(coreops, allocation, config)
+    control = plan_control(allocation, netlist, config)
+    attach_control(netlist, config, control.clbs_needed)
     result = MappingResult(
         coreops=coreops,
         allocation=allocation,

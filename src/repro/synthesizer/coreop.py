@@ -17,6 +17,7 @@ is small enough (see :meth:`CoreOpGraph.expand`).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from ..errors import SynthesisError
@@ -182,15 +183,17 @@ class CoreOpGraph:
         """Groups in topological order of the group-level dataflow."""
         names = list(self._groups)
         in_degree = {n: 0 for n in names}
+        successors: dict[str, list[str]] = {n: [] for n in names}
         for edge in self._edges:
             if edge.src in self._groups and edge.dst in self._groups:
                 in_degree[edge.dst] += 1
-        ready = [n for n in names if in_degree[n] == 0]
+                successors[edge.src].append(edge.dst)
+        ready = deque(n for n in names if in_degree[n] == 0)
         order: list[str] = []
         while ready:
-            name = ready.pop(0)
+            name = ready.popleft()
             order.append(name)
-            for succ in self.successors(name):
+            for succ in successors[name]:
                 in_degree[succ] -= 1
                 if in_degree[succ] == 0:
                     ready.append(succ)
@@ -338,11 +341,11 @@ def _expand_group(
     max_cols: int,
     max_reuse: int | None,
 ) -> list[CoreOpInstance]:
-    plan = group.tiling(max_rows, max_cols)
+    tiles = group.tiling(max_rows, max_cols).tiles
     reuse = group.reuse if max_reuse is None else min(group.reuse, max_reuse)
     instances = []
     for r in range(reuse):
-        for t, tile in enumerate(plan.tiles):
+        for t, tile in enumerate(tiles):
             instances.append(
                 CoreOpInstance(
                     name=f"{group.name}#r{r}t{t}",

@@ -33,13 +33,16 @@ class Tile:
 
 @dataclass(frozen=True)
 class TilePlan:
-    """How one logical weight matrix maps onto crossbar tiles."""
+    """How one logical weight matrix maps onto crossbar tiles.
+
+    The plan is its four integers; every tile is arithmetic on them
+    (:meth:`tile`), so building a plan costs the same for any matrix.
+    """
 
     matrix_rows: int
     matrix_cols: int
     max_rows: int
     max_cols: int
-    tiles: tuple[Tile, ...]
 
     @property
     def n_row_tiles(self) -> int:
@@ -51,7 +54,27 @@ class TilePlan:
 
     @property
     def n_tiles(self) -> int:
-        return len(self.tiles)
+        return self.n_row_tiles * self.n_col_tiles
+
+    def tile(self, index: int) -> Tile:
+        """The ``index``-th tile in row-major order."""
+        if not 0 <= index < self.n_tiles:
+            raise SynthesisError(
+                f"tile index {index} outside range({self.n_tiles}) of a "
+                f"{self.matrix_rows}x{self.matrix_cols} matrix"
+            )
+        ri, ci = divmod(index, self.n_col_tiles)
+        return Tile(
+            row_index=ri,
+            col_index=ci,
+            rows=min(self.max_rows, self.matrix_rows - ri * self.max_rows),
+            cols=min(self.max_cols, self.matrix_cols - ci * self.max_cols),
+        )
+
+    @property
+    def tiles(self) -> tuple[Tile, ...]:
+        """Every tile, row-major (derived on each read; enumerate it once)."""
+        return tuple(self.tile(i) for i in range(self.n_tiles))
 
     @property
     def needs_reduction(self) -> bool:
@@ -96,21 +119,11 @@ def plan_tiling(
         raise SynthesisError("matrix dimensions must be positive")
     if max_rows <= 0 or max_cols <= 0:
         raise SynthesisError("crossbar dimensions must be positive")
-
-    tiles: list[Tile] = []
-    n_row_tiles = math.ceil(matrix_rows / max_rows)
-    n_col_tiles = math.ceil(matrix_cols / max_cols)
-    for ri in range(n_row_tiles):
-        rows = min(max_rows, matrix_rows - ri * max_rows)
-        for ci in range(n_col_tiles):
-            cols = min(max_cols, matrix_cols - ci * max_cols)
-            tiles.append(Tile(row_index=ri, col_index=ci, rows=rows, cols=cols))
     return TilePlan(
         matrix_rows=matrix_rows,
         matrix_cols=matrix_cols,
         max_rows=max_rows,
         max_cols=max_cols,
-        tiles=tuple(tiles),
     )
 
 

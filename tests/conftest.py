@@ -38,6 +38,22 @@ def config() -> FPSAConfig:
     return FPSAConfig()
 
 
+@pytest.fixture
+def tiles_built(monkeypatch):
+    """Every ``Tile`` the splitting module constructs while the test runs."""
+    from repro.synthesizer import splitting
+
+    built = []
+    tile_class = splitting.Tile
+
+    def counting_tile(**fields):
+        built.append(tile_class(**fields))
+        return built[-1]
+
+    monkeypatch.setattr(splitting, "Tile", counting_tile)
+    return built
+
+
 @pytest.fixture(scope="session")
 def mlp_graph():
     return build_mlp_500_100()

@@ -61,6 +61,42 @@ class TestGenerateBitstream:
         assert len(bitstream.routing) == len(mapping.netlist.nets)
         assert bitstream.total_configuration_bits > 0
 
+    def test_one_tile_derived_per_crossbar(self, config, tiles_built):
+        """VGG16's first shard holds fc1 (25088 x 4096, 1568 tiles): a tile
+        list rebuilt per PE constructs millions of ``Tile`` objects here."""
+        from repro.models.zoo import build_model
+
+        result = FPSACompiler().compile(
+            build_model("VGG16"), duplication_degree=1, num_chips="auto",
+            use_cache=False,
+        )
+        mapping = result.shard_results[0].mapping
+        assert "fc1" in mapping.coreops
+        tiles_built.clear()
+        bitstream = generate_bitstream(mapping, config=config)
+        assert len(bitstream.crossbars) == mapping.netlist.n_pe == 1824
+        assert len(tiles_built) == len(bitstream.crossbars)
+
+    @pytest.mark.parametrize("tile", [-1, 2])
+    def test_tile_index_outside_the_group_is_rejected(self, mlp_coreops, config, tile):
+        """``tiles[-1]`` used to program the last tile's geometry silently."""
+        from repro.errors import MappingError
+        from repro.mapper.mapper import SpatialTemporalMapper
+        from repro.mapper.netlist import Block, BlockType
+
+        mapping = SpatialTemporalMapper(config).map(mlp_coreops)
+        group = mlp_coreops.group("fc2")
+        assert group.min_pes(config.pe.rows, config.pe.logical_cols) == 2
+        mapping.netlist.add_block(
+            Block(name="stray", type=BlockType.PE, group=group.name, tile=tile)
+        )
+        with pytest.raises(MappingError) as caught:
+            generate_bitstream(mapping, config=config)
+        assert caught.value.details == {
+            "block": "stray", "group": group.name, "tile": tile, "n_tiles": 2,
+        }
+        assert "'stray'" in str(caught.value) and "2 tiles" in str(caught.value)
+
     def test_json_roundtrip(self, lenet_bitstream_deployment):
         bitstream = lenet_bitstream_deployment.bitstream
         text = bitstream.to_json()

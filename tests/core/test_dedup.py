@@ -319,6 +319,7 @@ class TestMappingReplay:
         return result, stats
 
     def test_replay_matches_legacy_mapper(self, lenet_coreops, config):
+        from repro.core.cache import netlist_fingerprint
         from repro.mapper.mapper import SpatialTemporalMapper
 
         legacy = SpatialTemporalMapper(config).map(lenet_coreops)
@@ -330,6 +331,10 @@ class TestMappingReplay:
             assert result.netlist.n_pe == legacy.netlist.n_pe
             assert result.netlist.n_smb == legacy.netlist.n_smb
             assert result.netlist.n_clb == legacy.netlist.n_clb
+            assert netlist_fingerprint(result.netlist) == netlist_fingerprint(
+                legacy.netlist
+            )
+            assert result.control == legacy.control
         assert warm_stats.hits == len(lenet_coreops.groups())
 
     def test_plausible_but_inconsistent_fragments_are_dropped(

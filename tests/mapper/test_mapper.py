@@ -45,3 +45,36 @@ class TestSpatialTemporalMapper:
         )
         assert result.schedule is not None
         assert len(result.schedule.ops) > 0
+
+
+class TestNetlistBuiltOnce:
+    """Work counts: a map adds every block of its netlist exactly once."""
+
+    @pytest.fixture
+    def blocks_added(self, monkeypatch):
+        from repro.mapper.netlist import FunctionBlockNetlist
+
+        added = []
+        add_block = FunctionBlockNetlist.add_block
+
+        def spy(netlist, block):
+            added.append(block.name)
+            return add_block(netlist, block)
+
+        monkeypatch.setattr(FunctionBlockNetlist, "add_block", spy)
+        return added
+
+    def test_map(self, lenet_coreops, config, blocks_added):
+        result = SpatialTemporalMapper(config).map(lenet_coreops, duplication_degree=4)
+        assert blocks_added == list(result.netlist.blocks)
+        assert result.netlist.n_clb == result.control.clbs_needed > 0
+
+    def test_map_with_dedup(self, lenet_coreops, config, blocks_added):
+        from repro.core.dedup import SubgraphStore
+        from repro.mapper.replay import map_with_dedup
+
+        result = map_with_dedup(
+            lenet_coreops, config, SubgraphStore(), duplication_degree=4
+        )
+        assert blocks_added == list(result.netlist.blocks)
+        assert result.netlist.n_clb == result.control.clbs_needed > 0

@@ -70,6 +70,25 @@ class TestBuildNetlist:
         netlist = build_netlist(mlp_coreops, allocation, config, clb_blocks=7)
         assert netlist.n_clb == 7
 
+    def test_control_attaches_to_the_datapath(self, lenet_coreops, config):
+        from repro.mapper.netlist import attach_control, build_datapath
+
+        allocation = allocate(lenet_coreops, 2, config.pe)
+        datapath = build_datapath(lenet_coreops, allocation, config)
+        assert datapath.n_clb == 0 and datapath.n_pe == allocation.total_pes
+        # a control plan that needs no CLB leaves the datapath as it is
+        assert build_netlist(lenet_coreops, allocation, config, clb_blocks=0) == datapath
+        data_blocks, data_nets = list(datapath.blocks), list(datapath.nets)
+        complete = attach_control(datapath, config, 3)
+        assert complete is datapath
+        assert complete == build_netlist(lenet_coreops, allocation, config, clb_blocks=3)
+        assert list(complete.blocks) == data_blocks + ["clb0", "clb1", "clb2"]
+        assert complete.nets[: len(data_nets)] == data_nets
+        # CLB nets continue the data nets' numbering
+        assert [n.name for n in complete.nets] == [
+            f"net{i}" for i in range(len(complete.nets))
+        ]
+
     def test_replication_multiplies_pe_blocks(self):
         g = CoreOpGraph("rep")
         g.add_group(WeightGroup("only", "only", "matmul", 64, 64, 2, macs_per_instance=4096))

@@ -86,6 +86,24 @@ class TestCoreOpGraph:
         order = [grp.name for grp in g.topological_groups()]
         assert order.index("a") < order.index("b") < order.index("c")
 
+    def test_topological_order_of_a_diamond_with_boundary_edges(self):
+        """Kahn's algorithm, FIFO: ties resolve by group insertion order,
+        successors by edge insertion order; boundary edges count nowhere."""
+        g = CoreOpGraph("diamond")
+        for name in ("d", "c", "b", "a", "lone"):
+            g.add_group(make_group(name))
+        g.add_edge(GRAPH_INPUT, "a", 8)
+        g.add_edge(GRAPH_INPUT, "d", 8)  # skip connection from the boundary
+        g.add_edge("a", "c", 8)
+        g.add_edge("a", "b", 8)
+        g.add_edge("b", "d", 8)
+        g.add_edge("c", "d", 8)
+        g.add_edge("a", "b", 4)  # parallel edge
+        g.add_edge("d", GRAPH_OUTPUT, 8)
+        g.add_edge("b", GRAPH_OUTPUT, 8)
+        order = [grp.name for grp in g.topological_groups()]
+        assert order == ["a", "lone", "c", "b", "d"]
+
     def test_cycle_detection(self):
         g = self.build()
         g.add_edge("c", "a", 10)

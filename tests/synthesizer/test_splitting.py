@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.synthesizer.splitting import plan_tiling, reduction_tree_width
+from repro.synthesizer.splitting import Tile, plan_tiling, reduction_tree_width
 
 
 class TestPlanTiling:
@@ -60,6 +60,38 @@ class TestPlanTiling:
         assert all(t.rows <= 256 and t.cols <= 256 for t in plan.tiles)
         assert plan.n_tiles == plan.n_row_tiles * plan.n_col_tiles
         assert 0 < plan.spatial_utilization <= 1.0
+
+    @given(
+        rows=st.integers(min_value=1, max_value=3000),
+        cols=st.integers(min_value=1, max_value=3000),
+        crossbar=st.sampled_from([(256, 256), (128, 64)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tile_by_index_is_the_row_major_enumeration(self, rows, cols, crossbar):
+        max_rows, max_cols = crossbar
+        plan = plan_tiling(rows, cols, max_rows, max_cols)
+        tiles = [plan.tile(i) for i in range(plan.n_tiles)]
+        assert tiles == list(plan.tiles)
+        assert [(t.row_index, t.col_index) for t in tiles] == [
+            (ri, ci) for ri in range(plan.n_row_tiles) for ci in range(plan.n_col_tiles)
+        ]
+        # the tiles of one row span the columns, those of one column the rows
+        assert sum(t.cols for t in tiles[: plan.n_col_tiles]) == cols
+        assert sum(t.rows for t in tiles[:: plan.n_col_tiles]) == rows
+        assert sum(t.weights for t in tiles) == rows * cols
+        assert all(0 < t.rows <= max_rows and 0 < t.cols <= max_cols for t in tiles)
+        for outside in (-1, plan.n_tiles):
+            with pytest.raises(ValueError):
+                plan.tile(outside)
+
+    def test_a_plan_is_its_four_integers(self, tiles_built):
+        plan = plan_tiling(25088, 4096, 256, 256)
+        assert (plan.n_tiles, plan.n_row_tiles) == (98 * 16, 98)
+        assert tiles_built == []
+        assert plan == plan_tiling(25088, 4096)
+        assert hash(plan) == hash(plan_tiling(25088, 4096))
+        assert plan.tile(17) == Tile(row_index=1, col_index=1, rows=256, cols=256)
+        assert len(tiles_built) == 1
 
 
 class TestReductionTree:
