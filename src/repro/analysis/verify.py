@@ -165,15 +165,17 @@ def verify_coreops(coreops: "CoreOpGraph", stage: str = "synthesis") -> None:
         _fail(stage, "edge-values", "values_per_instance must be non-negative", negative)
     # group-level acyclicity (pseudo input/output endpoints excluded)
     in_degree = {name: 0 for name in groups}
+    successors: dict[str, list[str]] = {name: [] for name in groups}
     for e in coreops.edges():
         if e.src in groups and e.dst in groups:
             in_degree[e.dst] += 1
+            successors[e.src].append(e.dst)
     ready = [name for name, degree in in_degree.items() if degree == 0]
     visited = 0
     while ready:
         name = ready.pop()
         visited += 1
-        for succ in coreops.successors(name):
+        for succ in successors[name]:
             in_degree[succ] -= 1
             if in_degree[succ] == 0:
                 ready.append(succ)

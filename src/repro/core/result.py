@@ -127,17 +127,15 @@ class DeploymentResult:
             for group in coreops.groups()
         )
         traffic = traffic_values_per_sample(coreops)
-        netlist = mapping.netlist
+        counts = mapping.netlist.block_counts()
         mix = BlockMix(
-            n_pe=netlist.n_pe,
-            n_smb=netlist.n_smb,
-            n_clb=netlist.n_clb,
+            **counts,
             pe_vmm_per_inference=float(vmm_per_inference),
             smb_accesses_per_inference=2.0 * traffic,
             clb_cycles_per_inference=float(vmm_per_inference),
             routed_bits_per_inference=traffic * config.pe.sampling_window,
             mean_route_segments=float(
-                mean_route_segments(netlist.n_pe + netlist.n_smb + netlist.n_clb)
+                mean_route_segments(sum(counts.values()))
             ),
         )
         return estimate_energy(mix, config)
@@ -216,9 +214,10 @@ class DeploymentResult:
         ]
         if self.mapping is not None:
             lines[0] += f" (duplication degree {self.mapping.duplication_degree})"
+            counts = self.mapping.netlist.block_counts()
             lines.append(
-                f"  PEs: {self.mapping.netlist.n_pe}   SMBs: {self.mapping.netlist.n_smb}   "
-                f"CLBs: {self.mapping.netlist.n_clb}"
+                f"  PEs: {counts['n_pe']}   SMBs: {counts['n_smb']}   "
+                f"CLBs: {counts['n_clb']}"
             )
         elif self.partition is not None:
             lines[0] += f" (duplication degree {self.partition.duplication_degree})"

@@ -51,6 +51,9 @@ class ComputationalGraph:
         #: (:func:`repro.core.cache.graph_fingerprint`) key on it so a
         #: mutated graph can never serve a stale digest.
         self.mutation_count = 0
+        #: ``(mutation_count, total_ops)`` of the last count; see
+        #: :meth:`total_ops`.
+        self._total_ops_memo: tuple[int, int] | None = None
 
     # ------------------------------------------------------------- building
     def add(self, name: str, op: Operation, inputs: list[str] | None = None) -> GraphNode:
@@ -169,8 +172,19 @@ class ComputationalGraph:
         )
 
     def total_ops(self) -> int:
-        """Total number of arithmetic operations per inference (MAC = 2 ops)."""
-        return sum(node.op.op_count(self.input_specs(node)) for node in self.nodes())
+        """Total number of arithmetic operations per inference (MAC = 2 ops).
+
+        Counted once per graph version: the ``perf`` and ``bounds`` passes
+        of every compile of this graph share the result, and any
+        :meth:`add` (which bumps ``mutation_count``) invalidates it.
+        """
+        memo = self._total_ops_memo
+        if memo is None or memo[0] != self.mutation_count:
+            total = sum(
+                node.op.op_count(self.input_specs(node)) for node in self.nodes()
+            )
+            memo = self._total_ops_memo = (self.mutation_count, total)
+        return memo[1]
 
     def summary(self) -> str:
         """Human-readable per-layer summary table."""

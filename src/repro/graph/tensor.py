@@ -10,6 +10,7 @@ are ``(features,)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class TensorSpec:
 
     @property
     def size(self) -> int:
-        """Number of scalar elements."""
-        return int(np.prod(self.shape))
+        """Number of scalar elements (exact: Python integers do not wrap)."""
+        return math.prod(self.shape)
 
     @property
     def bits_total(self) -> int:

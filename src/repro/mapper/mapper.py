@@ -54,15 +54,13 @@ class MappingResult:
         return self.allocation.duplication_degree
 
     def chip_area_mm2(self, config: FPSAConfig | None = None) -> float:
-        config = config if config is not None else FPSAConfig()
-        return config.chip_area_mm2(
-            self.netlist.n_pe, self.netlist.n_smb, self.netlist.n_clb
-        )
+        return self.netlist.chip_area_mm2(config)
 
     def summary(self) -> str:
+        counts = self.netlist.block_counts()
         lines = [
             f"mapping of {self.model!r} (duplication degree {self.duplication_degree})",
-            f"  PEs: {self.netlist.n_pe}  SMBs: {self.netlist.n_smb}  CLBs: {self.netlist.n_clb}",
+            f"  PEs: {counts['n_pe']}  SMBs: {counts['n_smb']}  CLBs: {counts['n_clb']}",
             f"  bottleneck iterations: {self.allocation.max_iterations}",
             f"  temporal utilization: {self.allocation.temporal_utilization():.3f}",
         ]

@@ -12,7 +12,9 @@ and routes the nets through the reconfigurable wiring fabric.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from ..arch.params import FPSAConfig
 from ..errors import MappingError
@@ -115,18 +117,31 @@ class FunctionBlockNetlist:
     def n_clb(self) -> int:
         return self.count(BlockType.CLB)
 
+    def block_counts(self) -> dict[str, int]:
+        """``n_pe`` / ``n_smb`` / ``n_clb`` from one pass over the blocks,
+        keyed the way the summaries and the area and energy models name
+        them.  Computed per call: the netlist is pickled into the stage
+        stores, so it carries no derived field."""
+        counts = Counter(map(attrgetter("type"), self.blocks.values()))
+        return {
+            "n_pe": counts[BlockType.PE],
+            "n_smb": counts[BlockType.SMB],
+            "n_clb": counts[BlockType.CLB],
+        }
+
     def blocks_of_type(self, block_type: str) -> list[Block]:
         return [b for b in self.blocks.values() if b.type == block_type]
 
     def chip_area_mm2(self, config: FPSAConfig | None = None) -> float:
         """Total chip area of this netlist including routing overhead."""
         config = config if config is not None else FPSAConfig()
-        return config.chip_area_mm2(self.n_pe, self.n_smb, self.n_clb)
+        return config.chip_area_mm2(**self.block_counts())
 
     def summary(self) -> str:
+        counts = self.block_counts()
         return (
-            f"netlist {self.model!r}: {self.n_pe} PEs, {self.n_smb} SMBs, "
-            f"{self.n_clb} CLBs, {len(self.nets)} nets"
+            f"netlist {self.model!r}: {counts['n_pe']} PEs, {counts['n_smb']} SMBs, "
+            f"{counts['n_clb']} CLBs, {len(self.nets)} nets"
         )
 
 

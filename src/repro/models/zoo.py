@@ -28,6 +28,7 @@ __all__ = [
     "BENCHMARK_MODELS",
     "model_names",
     "build_model",
+    "shared_model",
 ]
 
 
@@ -109,3 +110,27 @@ def build_model(name: str) -> ComputationalGraph:
             details={"model": name, "available": sorted(MODEL_BUILDERS)},
         ) from None
     return builder()
+
+
+#: :func:`shared_model`'s table: name -> (graph, its ``mutation_count`` when
+#: stored).  At most one entry per ``MODEL_BUILDERS`` name, per process.
+_SHARED_GRAPHS: dict[str, tuple[ComputationalGraph, int]] = {}
+
+
+def shared_model(name: str) -> ComputationalGraph:
+    """The process's shared graph of a zoo model — treat it as read-only.
+
+    A serving worker compiles the same few models over and over; building
+    each once also lets the memos the graph carries (its fingerprint, its
+    operation count) hit across requests.  The hand-out is guarded, not
+    trusted: a graph some caller ``add``-ed to no longer has the
+    ``mutation_count`` recorded here and is rebuilt.  Callers that mutate
+    their graph want :func:`build_model`.
+    """
+    entry = _SHARED_GRAPHS.get(name)
+    if entry is None or entry[0].mutation_count != entry[1]:
+        graph = build_model(name)
+        # concurrent callers may both build; the graphs are equal and the
+        # last assignment wins
+        entry = _SHARED_GRAPHS[name] = (graph, graph.mutation_count)
+    return entry[0]

@@ -81,12 +81,7 @@ class ShardCompileResult:
         """Exact function-block counts of this shard's netlist."""
         if self.mapping is None:
             return None
-        netlist = self.mapping.netlist
-        return {
-            "n_pe": netlist.n_pe,
-            "n_smb": netlist.n_smb,
-            "n_clb": netlist.n_clb,
-        }
+        return self.mapping.netlist.block_counts()
 
 
 def shard_options(

@@ -170,11 +170,18 @@ def traffic_values_per_sample(coreops: CoreOpGraph) -> float:
 
 def pipeline_depth(coreops: CoreOpGraph) -> int:
     """Length (in groups) of the longest dataflow path: the pipeline depth."""
+    # one pass over the edges; asking the graph per group would scan them all
+    # each time
+    preds: dict[str, list[str]] = {}
+    for edge in coreops.edges():
+        if edge.src in coreops:
+            preds.setdefault(edge.dst, []).append(edge.src)
     depth: dict[str, int] = {}
     longest = 1
     for group in coreops.topological_groups():
-        preds = coreops.predecessors(group.name)
-        depth[group.name] = 1 + max((depth[p] for p in preds), default=0)
+        depth[group.name] = 1 + max(
+            (depth[p] for p in preds.get(group.name, ())), default=0
+        )
         longest = max(longest, depth[group.name])
     return longest
 

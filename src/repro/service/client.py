@@ -2,9 +2,9 @@
 
 :func:`serve_request` is the single choke point every front-end (the
 :class:`FPSAClient`, the :class:`~repro.service.jobs.JobManager` workers and
-the CLI) funnels through: it builds the model, runs the pass pipeline, and
-converts the outcome — success or typed failure — into a wire-ready
-:class:`~repro.service.schemas.CompileResponse`.
+the CLI) funnels through: it looks up the model's shared graph, runs the
+pass pipeline, and converts the outcome — success or typed failure — into
+a wire-ready :class:`~repro.service.schemas.CompileResponse`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from ..core.compiler import FPSACompiler
 from ..core.pipeline import PassError
 from ..core.result import DeploymentResult
 from ..errors import InvalidRequestError
-from ..models.zoo import build_model
+from ..models.zoo import shared_model
 from ..synthesizer.synthesizer import SynthesisOptions
 from .schemas import CompileRequest, CompileResponse, CompileTimings, ErrorPayload, ResultSummary
 
@@ -75,7 +75,7 @@ def serve_request(
     """
     try:
         compiler = _compiler_for(request, config, cache)
-        graph = build_model(request.model)
+        graph = shared_model(request.model)
         result = compiler.compile(graph, **request.compile_kwargs())
     except PassError as exc:
         # a bad pass list on the request is the caller's mistake, not a

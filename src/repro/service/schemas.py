@@ -400,13 +400,8 @@ class ResultSummary:
         duplication = blocks = performance = bounds = energy = None
         pnr = pipeline = bitstream = partition = None
         if result.mapping is not None:
-            netlist = result.mapping.netlist
             duplication = result.mapping.duplication_degree
-            blocks = {
-                "n_pe": netlist.n_pe,
-                "n_smb": netlist.n_smb,
-                "n_clb": netlist.n_clb,
-            }
+            blocks = result.mapping.netlist.block_counts()
         if result.partition is not None:
             plan = result.partition
             duplication = duplication or plan.duplication_degree

@@ -16,12 +16,26 @@ Content addressing makes saves idempotent: re-serving an identical request
 with an identical outcome lands on the same run directory instead of
 accumulating duplicates, which is what makes sweep results comparable
 across sessions.
+
+Idempotent means *first write wins*.  A run id covers everything of a
+response except its run-environment-dependent fields (pass seconds,
+``cached`` flags, hit/miss counters — see :meth:`ArtifactStore.run_id_for`),
+so once an :class:`ArtifactStore` instance has written and indexed a run,
+saving an equal response into it again writes nothing: the stored
+``response.json`` keeps the volatile fields of that instance's *first* save
+(as ``created_at`` always did), not of the last.  Every other save — a new
+id, another instance or process, a bitstream arriving for a run stored
+without one, a run directory that was removed — goes through the guarded
+read-modify-write of the index.  Run files and the index are replaced
+atomically (temp file + ``os.replace``), so a concurrent ``load`` never
+sees a half-written file.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import threading
 import time
 from contextlib import contextmanager
@@ -77,6 +91,15 @@ class RunRecord:
         )
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write-then-rename: a reader sees the old file or the new one, never
+    a truncated one, and a crashed save leaves the old one in place."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    os.replace(tmp, path)
+
+
 class ArtifactStore:
     """Persist and reload compile responses under a root directory."""
 
@@ -86,6 +109,11 @@ class ArtifactStore:
         self.runs_root.mkdir(parents=True, exist_ok=True)
         self._index_path = self.root / _INDEX_NAME
         self._lock = threading.Lock()
+        #: run id -> ``has_bitstream`` as *this instance* last wrote it to
+        #: the index; what lets a repeat save return without touching a
+        #: file.  Not a copy of the index: entries of other savers are only
+        #: ever read from disk, under the guard.
+        self._indexed: dict[str, bool] = {}
 
     # ------------------------------------------------------------------
     # index handling
@@ -118,11 +146,7 @@ class ArtifactStore:
             return json.load(handle)
 
     def _write_index(self, index: dict[str, dict[str, Any]]) -> None:
-        # write-then-rename so a crashed save never truncates the index
-        tmp = self._index_path.with_suffix(".json.tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(index, handle, indent=2, sort_keys=True)
-        tmp.replace(self._index_path)
+        _write_atomic(self._index_path, json.dumps(index, indent=2, sort_keys=True))
 
     # ------------------------------------------------------------------
     # saving
@@ -147,19 +171,29 @@ class ArtifactStore:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
     def save(self, response: CompileResponse, bitstream_json: str | None = None) -> str:
-        """Persist one response (and optional bitstream); returns the run id."""
+        """Persist one response (and optional bitstream); returns the run id.
+
+        A run this instance has already written and indexed, whose files
+        are still there, is not written again (see the module docstring).
+        """
         run_id = self.run_id_for(response)
         run_dir = self.runs_root / run_id
+        stored_bitstream = self._indexed.get(run_id)
+        if (
+            stored_bitstream is not None
+            and (run_dir / "response.json").exists()
+            and (
+                bitstream_json is None
+                or (stored_bitstream and (run_dir / "bitstream.json").exists())
+            )
+        ):
+            return run_id
         with self._index_guard():
             run_dir.mkdir(parents=True, exist_ok=True)
-            (run_dir / "response.json").write_text(
-                response.to_json(indent=2), encoding="utf-8"
-            )
-            (run_dir / "request.json").write_text(
-                response.request.to_json(indent=2), encoding="utf-8"
-            )
+            _write_atomic(run_dir / "response.json", response.to_json(indent=2))
+            _write_atomic(run_dir / "request.json", response.request.to_json(indent=2))
             if bitstream_json is not None:
-                (run_dir / "bitstream.json").write_text(bitstream_json, encoding="utf-8")
+                _write_atomic(run_dir / "bitstream.json", bitstream_json)
             index = self._read_index()
             existing = index.get(run_id)
             record = RunRecord(
@@ -175,6 +209,7 @@ class ArtifactStore:
             )
             index[run_id] = record.to_dict()
             self._write_index(index)
+            self._indexed[run_id] = record.has_bitstream
         return run_id
 
     # ------------------------------------------------------------------

@@ -36,6 +36,7 @@ from repro.graph.ops import Dense, InputOp, ReLU
 from repro.mapper.mapper import SpatialTemporalMapper
 from repro.partition.partitioner import partition_coreops
 from repro.pnr.pnr import PlaceAndRoute
+from repro.synthesizer.coreop import GRAPH_INPUT, GRAPH_OUTPUT, CoreOpGraph, WeightGroup
 from repro.synthesizer.synthesizer import synthesize
 
 # ---------------------------------------------------------------------------
@@ -102,6 +103,10 @@ class TestVerifyGraph:
 # core-op graph verifier
 # ---------------------------------------------------------------------------
 
+def _group(name: str) -> WeightGroup:
+    return WeightGroup(name=name, source=name, kind="matmul", rows=4, cols=4, reuse=1)
+
+
 class TestVerifyCoreops:
     @settings(max_examples=8)
     @given(in_size=in_size_st, widths=widths_st)
@@ -139,6 +144,31 @@ class TestVerifyCoreops:
             verify_coreops(coreops)
         assert excinfo.value.invariant == invariant
         assert excinfo.value.stage == "synthesis"
+
+
+    def test_two_node_cycle_lists_both_groups(self):
+        coreops = CoreOpGraph("loop")
+        for name in ("a", "b", "tail"):
+            coreops.add_group(_group(name))
+        coreops.add_edge(GRAPH_INPUT, "a", 4)
+        coreops.add_edge("a", "b", 4)
+        coreops.add_edge("b", "a", 4)
+        coreops.add_edge("b", "tail", 4)
+        with pytest.raises(VerificationError) as excinfo:
+            verify_coreops(coreops)
+        assert excinfo.value.invariant == "cycle"
+        # the cycle and everything downstream of it never becomes ready
+        assert excinfo.value.ids == ("a", "b", "tail")
+
+    def test_boundary_edges_only(self, monkeypatch):
+        coreops = CoreOpGraph("islands")
+        for name in ("a", "b"):
+            coreops.add_group(_group(name))
+            coreops.add_edge(GRAPH_INPUT, name, 4)
+            coreops.add_edge(name, GRAPH_OUTPUT, 4)
+        # the cycle check builds its own successor map in one pass
+        monkeypatch.setattr(CoreOpGraph, "successors", None)
+        verify_coreops(coreops)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,19 @@ import numpy as np
 import pytest
 
 from repro.graph.tensor import TensorSpec
+from repro.models.zoo import build_model
+
+#: model -> (sum of node output sizes, total_ops, total_params), recorded at
+#: commit 1e4fa78, where ``size`` was still ``int(np.prod(shape))``.
+ZOO_COUNTS = {
+    "MLP-500-100": (2004, 886630, 443000),
+    "LeNet": (21004, 4601250, 430500),
+    "CIFAR-VGG17": (488308, 263419262, 1403520),
+    "AlexNet": (2090027, 1452962200, 60954656),
+    "VGG16": (28827600, 30960208824, 138344128),
+    "GoogLeNet": (10062768, 3185394408, 6990272),
+    "ResNet152": (84650960, 22651036600, 60191808),
+}
 
 
 class TestTensorSpec:
@@ -12,6 +25,19 @@ class TestTensorSpec:
         assert spec.size == 60
         assert spec.bits_total == 360
         assert spec.rank == 3
+
+    def test_size_is_exact_beyond_int64(self):
+        # int(np.prod(...)) wrapped around to 0 here
+        spec = TensorSpec((2**40, 2**40), bits=6)
+        assert spec.size == 2**80
+        assert spec.bits_total == 6 * 2**80
+
+    @pytest.mark.parametrize("model", sorted(ZOO_COUNTS))
+    def test_zoo_counts_unchanged(self, model):
+        graph = build_model(model)
+        sizes = sum(node.output.size for node in graph.nodes())
+        assert (sizes, graph.total_ops(), graph.total_params()) == ZOO_COUNTS[model]
+        assert all(type(node.output.size) is int for node in graph.nodes())
 
     def test_feature_map_accessors(self):
         spec = TensorSpec((64, 28, 28))

@@ -46,7 +46,8 @@ class _ManualExecutor:
 
     def complete_all(self):
         for fn, args, future in self.submitted:
-            future.set_result(fn(*args))
+            if not future.done():
+                future.set_result(fn(*args))
 
     def shutdown(self, wait=True):
         pass
@@ -279,10 +280,13 @@ class TestDeadlines:
 
 
 class TestAdmissionControl:
+    # the blocker stays in flight until the test completes it by hand: a
+    # real compile of a zoo model is a few milliseconds, about as long as
+    # the submitting thread waits for the GIL, so racing one is a coin toss
+
     def test_overload_rejects_with_a_retriable_typed_error(self):
-        with JobManager(
-            max_workers=1, use_processes=False, cache=False, max_queue_depth=1
-        ) as jm:
+        pool = _ManualExecutor()
+        with JobManager(pool=pool, cache=False, max_queue_depth=1) as jm:
             blocker = jm.submit("GoogLeNet")
             with pytest.raises(OverloadedError) as excinfo:
                 jm.submit("AlexNet")
@@ -301,19 +305,22 @@ class TestAdmissionControl:
             # occupy no worker, so the cap does not apply to them
             follower = jm.submit("GoogLeNet")
             assert jm.stats.coalesced == 1
+            pool.complete_all()
             assert jm.result(blocker).ok
             assert jm.result(follower).ok
             # capacity freed: new submissions are admitted again
-            assert jm.result(jm.submit("MLP-500-100")).ok
+            admitted = jm.submit("MLP-500-100")
+            pool.complete_all()
+            assert jm.result(admitted).ok
 
     def test_rejected_submission_leaves_no_orphan_job(self):
-        with JobManager(
-            max_workers=1, use_processes=False, cache=False, max_queue_depth=1
-        ) as jm:
+        pool = _ManualExecutor()
+        with JobManager(pool=pool, cache=False, max_queue_depth=1) as jm:
             blocker = jm.submit("GoogLeNet")
             with pytest.raises(OverloadedError):
                 jm.submit("AlexNet")
             assert len(jm.jobs()) == 1
+            pool.complete_all()
             assert jm.result(blocker).ok
 
 
