@@ -17,17 +17,6 @@ latency, the shared-cache hit rate, cold-vs-warm batch times and the
 speedup.  The serve section rides the same report file, so
 ``--check-regression`` guards both.
 
-``run_dedup_bench`` (``repro bench --dedup``) measures the subgraph
-dedup cache on its canonical workload: VGG11 compiled first through a
-shared :class:`~repro.core.dedup.SubgraphStore`, then VGG16 spliced from
-the warm store, against a dedup-off VGG16 reference — reporting the
-synthesis+mapping wall-time reduction, the warm hit rate, and
-(non-negotiably) whether the spliced result summaries stayed
-bit-identical to the dedup-off ones.  A fuzz-generated repeated-block
-model rides along to exercise within-model hits.  The dedup section
-shares the report file, so ``--check-regression`` guards its hit-rate
-floor and bit-identity too; the speedup is reported, not gated.
-
 ``run_chaos_bench`` (``repro bench --chaos``) measures the serving
 runtime's *fault tolerance* on the same repeated-model batch workload:
 a deterministic seeded fault plan (worker crashes, a hang, transient IO
@@ -59,7 +48,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from .core.cache import StageCache
-from .core.dedup import DEDUP_STORE_ENV
 from .core.shared_cache import SHARED_CACHE_ENV
 from .errors import InvalidRequestError
 from .models.zoo import BENCHMARK_MODELS, MODEL_BUILDERS
@@ -70,7 +58,6 @@ __all__ = [
     "BENCH_SCHEMA_VERSION",
     "DEFAULT_BENCH_MODELS",
     "DEFAULT_CHAOS_MODELS",
-    "DEFAULT_DEDUP_MODELS",
     "DEFAULT_REPORT_PATH",
     "DEFAULT_SERVE_MODELS",
     "BenchEntry",
@@ -78,7 +65,6 @@ __all__ = [
     "resolve_bench_models",
     "run_bench",
     "run_serve_bench",
-    "run_dedup_bench",
     "run_chaos_bench",
     "compare_reports",
     "main",
@@ -106,13 +92,6 @@ DEFAULT_SERVE_MODELS = ("MLP-500-100", "LeNet", "AlexNet")
 #: crash-and-retry round affordable while still spanning two distinct
 #: compiles for the fault plan to pick victims from.
 DEFAULT_CHAOS_MODELS = ("MLP-500-100", "LeNet")
-
-#: models of the dedup bench, compiled in order through one shared
-#: subgraph store: every model but the last warms the store, the last is
-#: the measured target.  VGG11 -> VGG16 is the canonical pair — they
-#: share stage widths and the classifier head, so a VGG11-warmed store
-#: serves most of VGG16's repeated structures.
-DEFAULT_DEDUP_MODELS = ("VGG11", "VGG16")
 
 _MODEL_ALIASES = {
     "mlp": "MLP-500-100",
@@ -234,9 +213,6 @@ class BenchReport:
     #: serving-runtime benchmark (see :func:`run_serve_bench`); ``None``
     #: when the serve bench did not run.
     serve: dict[str, Any] | None = None
-    #: subgraph-dedup benchmark (see :func:`run_dedup_bench`); ``None``
-    #: when the dedup bench did not run.
-    dedup: dict[str, Any] | None = None
     #: fault-tolerance benchmark (see :func:`run_chaos_bench`); ``None``
     #: when the chaos bench did not run.
     chaos: dict[str, Any] | None = None
@@ -267,8 +243,6 @@ class BenchReport:
         }
         if self.serve is not None:
             data["serve"] = dict(self.serve)
-        if self.dedup is not None:
-            data["dedup"] = dict(self.dedup)
         if self.chaos is not None:
             data["chaos"] = dict(self.chaos)
         return data
@@ -294,8 +268,6 @@ class BenchReport:
             entries=[BenchEntry.from_dict(e) for e in data.get("entries", ())],
             created_at=float(data.get("created_at", 0.0)),
             serve=dict(data["serve"]) if data.get("serve") else None,
-            # absent in reports written before the dedup cache existed
-            dedup=dict(data["dedup"]) if data.get("dedup") else None,
             # absent in reports written before the chaos harness existed
             chaos=dict(data["chaos"]) if data.get("chaos") else None,
         )
@@ -632,196 +604,6 @@ def format_serve_section(serve: Mapping[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def _synth_map_seconds(result) -> float:
-    """Synthesis+mapping wall-time of one core compile result — the two
-    passes the subgraph dedup cache accelerates."""
-    return sum(
-        t.seconds for t in (result.timings or ()) if t.name in ("synthesis", "mapping")
-    )
-
-
-def run_dedup_bench(
-    models: Iterable[str] | str | None = None,
-    seed: int = 0,
-    samples: int = 3,
-    fuzz_seed: int = 0,
-    progress=None,
-) -> dict[str, Any]:
-    """Benchmark the subgraph dedup cache on a cross-model workload.
-
-    The given models (default VGG11 then VGG16) compile in order through
-    one shared :class:`~repro.core.dedup.SubgraphStore`: every model but
-    the last warms the store, the last — the *target* — splices from it.
-    The target's synthesis+mapping wall-time is compared against a
-    dedup-off reference compile of the same model (best-of-``samples``
-    on both sides, a fresh store per sample), and its seconds-stripped
-    result summary must be identical to the reference's — the dedup
-    cache may only change *how fast* artifacts are built, never *what*
-    they are.
-
-    A fuzz-generated repeated-block model (``repeat >= 2``) additionally
-    exercises within-model hits: even a cold store serves its second and
-    later block copies.
-    """
-    # insulate from a pre-warmed user environment: an inherited dedup
-    # store would rob the reference sides of their cold measurements
-    env_saved = {
-        var: os.environ.pop(var, None)
-        for var in (SHARED_CACHE_ENV, DEDUP_STORE_ENV)
-    }
-    try:
-        return _run_dedup_bench(models, seed, samples, fuzz_seed, progress)
-    finally:
-        for var, value in env_saved.items():
-            if value is not None:
-                os.environ[var] = value
-
-
-def _run_dedup_bench(
-    models, seed: int, samples: int, fuzz_seed: int, progress
-) -> dict[str, Any]:
-    from dataclasses import replace as dataclass_replace
-
-    from .core.compiler import FPSACompiler
-    from .core.dedup import SubgraphStore
-    from .fuzz.generate import build_graph as build_fuzz_graph
-    from .fuzz.generate import generate_spec
-    from .fuzz.oracle import strip_seconds
-    from .models.zoo import build_model
-    from .service.schemas import ResultSummary
-
-    resolved = resolve_bench_models(
-        models if models is not None else DEFAULT_DEDUP_MODELS
-    )
-    if len(resolved) < 2:
-        raise InvalidRequestError(
-            "dedup bench needs at least 2 models (warm-up model(s), then "
-            "the measured target)"
-        )
-    target = resolved[-1]
-    graphs = {name: build_model(name) for name in resolved}
-
-    def summary_of(result, compiler) -> dict[str, Any]:
-        return strip_seconds(
-            ResultSummary.from_result(result, compiler.config).to_dict()
-        )
-
-    samples = max(1, int(samples))
-    baseline_secs: list[float] = []
-    cold_secs: list[float] = []
-    warm_secs: list[float] = []
-    baseline_summary = warm_summary = None
-    warm_hits = warm_misses = 0
-    for index in range(samples):
-        if progress is not None:
-            progress(
-                f"dedup bench: sample {index + 1}/{samples} "
-                f"({' -> '.join(resolved)} vs dedup-off {target}) ..."
-            )
-        # dedup-off reference compile of the target model
-        compiler = FPSACompiler(cache=StageCache())
-        result = compiler.compile(graphs[target], seed=seed)
-        baseline_secs.append(_synth_map_seconds(result))
-        baseline_summary = summary_of(result, compiler)
-        # a fresh shared store per sample: warm-up models fill it ...
-        store = SubgraphStore()
-        for name in resolved[:-1]:
-            compiler = FPSACompiler(cache=StageCache(), dedup_store=store)
-            result = compiler.compile(graphs[name], seed=seed, dedup=True)
-            if name == resolved[0]:
-                cold_secs.append(_synth_map_seconds(result))
-        # ... and the target splices from the warm store
-        compiler = FPSACompiler(cache=StageCache(), dedup_store=store)
-        result = compiler.compile(graphs[target], seed=seed, dedup=True)
-        warm_secs.append(_synth_map_seconds(result))
-        warm_summary = summary_of(result, compiler)
-        stats = result.cache_stats
-        warm_hits = getattr(stats, "dedup_hits", 0)
-        warm_misses = getattr(stats, "dedup_misses", 0)
-
-    # within-model hits: a fuzz spec with a repeated block, dedup-off vs
-    # cold store vs warm store — all three must tell the same story
-    spec = generate_spec(fuzz_seed, 0, size_class="small")
-    if spec.repeat == 1:
-        spec = dataclass_replace(spec, repeat=3)
-    if progress is not None:
-        progress(
-            f"dedup bench: fuzz spec {spec.spec_id()} "
-            f"(repeat {spec.repeat}) ..."
-        )
-    fuzz_graph = build_fuzz_graph(spec)
-    fuzz_store = SubgraphStore()
-    fuzz: dict[str, Any] = {"spec_id": spec.spec_id(), "repeat": spec.repeat}
-    fuzz_reference = None
-    fuzz_identical = True
-    for phase in ("off", "cold", "warm"):
-        compiler = FPSACompiler(
-            cache=StageCache(),
-            dedup_store=fuzz_store if phase != "off" else None,
-        )
-        result = compiler.compile(fuzz_graph, seed=seed, dedup=phase != "off")
-        summary = summary_of(result, compiler)
-        if phase == "off":
-            fuzz_reference = summary
-            continue
-        hits = getattr(result.cache_stats, "dedup_hits", 0)
-        misses = getattr(result.cache_stats, "dedup_misses", 0)
-        fuzz[f"{phase}_dedup_hits"] = hits
-        fuzz[f"{phase}_dedup_misses"] = misses
-        fuzz[f"{phase}_hit_rate"] = hits / (hits + misses) if hits + misses else 0.0
-        fuzz_identical = fuzz_identical and summary == fuzz_reference
-
-    baseline = min(baseline_secs)
-    warm = min(warm_secs)
-    lookups = warm_hits + warm_misses
-    return {
-        "models": list(resolved),
-        "target": target,
-        "seed": seed,
-        "samples": samples,
-        "baseline_synth_map_seconds": baseline,
-        "cold_synth_map_seconds": min(cold_secs),
-        "warm_synth_map_seconds": warm,
-        "speedup": baseline / warm if warm else 0.0,
-        "reduction": 1.0 - warm / baseline if baseline else 0.0,
-        "warm_dedup_hits": warm_hits,
-        "warm_dedup_misses": warm_misses,
-        "warm_hit_rate": warm_hits / lookups if lookups else 0.0,
-        "summaries_identical": warm_summary == baseline_summary and fuzz_identical,
-        "fuzz": fuzz,
-    }
-
-
-def format_dedup_section(dedup: Mapping[str, Any]) -> str:
-    """Human-readable summary of one dedup-bench section."""
-    fuzz = dedup.get("fuzz") or {}
-    lines = [
-        f"dedup bench: {' -> '.join(dedup['models'])} through one shared "
-        f"subgraph store (best of {dedup['samples']})",
-        f"  dedup off, {dedup['target']} synthesis+mapping: "
-        f"{dedup['baseline_synth_map_seconds'] * 1e3:.1f} ms",
-        f"  cold store, {dedup['models'][0]}: "
-        f"{dedup['cold_synth_map_seconds'] * 1e3:.1f} ms",
-        f"  warm store, {dedup['target']}: "
-        f"{dedup['warm_synth_map_seconds'] * 1e3:.1f} ms  "
-        f"-> {dedup['speedup']:.2f}x ({dedup['reduction']:.0%} reduction)",
-        f"  warm store: {dedup['warm_dedup_hits']} hit(s), "
-        f"{dedup['warm_dedup_misses']} miss(es) "
-        f"({dedup['warm_hit_rate']:.0%})",
-        f"  summaries identical to dedup-off: "
-        f"{'yes' if dedup['summaries_identical'] else 'NO'}",
-    ]
-    if fuzz:
-        lines.append(
-            f"  fuzz {fuzz.get('spec_id', '?')} (repeat {fuzz.get('repeat', '?')}): "
-            f"cold {fuzz.get('cold_dedup_hits', 0)} hit(s) "
-            f"({fuzz.get('cold_hit_rate', 0.0):.0%}), "
-            f"warm {fuzz.get('warm_dedup_hits', 0)} hit(s) "
-            f"({fuzz.get('warm_hit_rate', 0.0):.0%})"
-        )
-    return "\n".join(lines)
-
-
 def _chaos_plan(seed: int, requests: Sequence[CompileRequest]):
     """The deterministic fault plan of one chaos-bench run.
 
@@ -916,11 +698,11 @@ def run_chaos_bench(
     from .faults import FAULT_PLAN_ENV
 
     # insulate from the user environment: an inherited fault plan would
-    # poison the reference run, and a pre-warmed shared cache/dedup store
-    # would change which injected cache faults ever fire
+    # poison the reference run, and a pre-warmed shared cache would
+    # change which injected cache faults ever fire
     env_saved = {
         var: os.environ.pop(var, None)
-        for var in (SHARED_CACHE_ENV, DEDUP_STORE_ENV, FAULT_PLAN_ENV)
+        for var in (SHARED_CACHE_ENV, FAULT_PLAN_ENV)
     }
     try:
         return _run_chaos_bench(
@@ -1068,7 +850,6 @@ def compare_reports(
     time_threshold: float = 2.5,
     quality_tolerance: float = 0.10,
     serve_min_speedup: float = 3.0,
-    dedup_min_hit_rate: float = 0.5,
     chaos_min_availability: float = 1.0,
 ) -> list[str]:
     """Regressions of ``current`` against ``baseline``; empty when clean.
@@ -1084,13 +865,6 @@ def compare_reports(
     result summaries that differ from the fresh-pool baseline's (the
     caches/coalescing may change *when* work happens, never *what* it
     computes).
-
-    A dedup section regresses when the warm hit rate falls below
-    ``dedup_min_hit_rate`` or when any spliced compile's summary differed
-    from its dedup-off reference (bit-identity is the dedup cache's hard
-    contract).  Its warm-store ``speedup`` is reported, not gated: the
-    plain path derives as little as the splices save, so the ratio sits
-    near or below 1.
 
     A chaos section regresses when availability under the seeded fault
     plan falls below ``chaos_min_availability`` (1.0 by default: with
@@ -1119,21 +893,6 @@ def compare_reports(
             regressions.append(
                 "serve: runtime responses differ from the fresh-pool "
                 "baseline's result summaries"
-            )
-    dedup = current.dedup
-    if dedup is not None:
-        hit_rate = float(dedup.get("warm_hit_rate", 0.0))
-        if hit_rate < dedup_min_hit_rate:
-            regressions.append(
-                f"dedup: warm hit rate {hit_rate:.0%} is below the "
-                f"{dedup_min_hit_rate:.0%} floor "
-                f"({dedup.get('warm_dedup_hits', 0)} hit(s), "
-                f"{dedup.get('warm_dedup_misses', 0)} miss(es))"
-            )
-        if dedup.get("summaries_identical") is False:
-            regressions.append(
-                "dedup: spliced compiles produced summaries that differ "
-                "from the dedup-off reference's"
             )
     chaos = current.chaos
     if chaos is not None:
@@ -1310,33 +1069,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         help="--check-regression fails when the runtime speedup falls "
         "below this floor (default: 3.0)",
     )
-    dedup = parser.add_argument_group(
-        "subgraph dedup benchmark (--dedup)",
-        "measure the subgraph dedup cache: warm-up model(s) fill one "
-        "shared store, the last model splices from it, against a "
-        "dedup-off reference of the same model; replaces the P&R bench "
-        "for this run (other report sections are carried over)",
-    )
-    dedup.add_argument(
-        "--dedup", action="store_true",
-        help="run the subgraph-dedup benchmark instead of the P&R bench",
-    )
-    dedup.add_argument(
-        "--dedup-models", default=None, metavar="LIST",
-        help="models compiled in order through one shared store; the last "
-        "is the measured target (comma-separated; default: "
-        f"{','.join(DEFAULT_DEDUP_MODELS)})",
-    )
-    dedup.add_argument(
-        "--dedup-samples", type=int, default=3, metavar="N",
-        help="best-of-N samples for both the reference and the dedup "
-        "side (default: 3)",
-    )
-    dedup.add_argument(
-        "--dedup-min-hit-rate", type=float, default=0.5, metavar="X",
-        help="--check-regression fails when the warm-store hit rate "
-        "falls below this floor (default: 0.5)",
-    )
     chaos = parser.add_argument_group(
         "fault-tolerance benchmark (--chaos)",
         "serve a repeated-model batch workload under a deterministic "
@@ -1419,13 +1151,9 @@ def run_from_args(args: argparse.Namespace) -> int:
     progress = None if args.json else lambda msg: print(msg, file=sys.stderr)
     previous = _load_report_if_any(args.output)
     serve_mode = getattr(args, "serve", False)
-    dedup_mode = getattr(args, "dedup", False)
     chaos_mode = getattr(args, "chaos", False)
-    if sum((serve_mode, dedup_mode, chaos_mode)) > 1:
-        print(
-            "bench: --serve, --dedup and --chaos are mutually exclusive",
-            file=sys.stderr,
-        )
+    if serve_mode and chaos_mode:
+        print("bench: --serve and --chaos are mutually exclusive", file=sys.stderr)
         return 2
     if serve_mode:
         try:
@@ -1444,25 +1172,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             entries=list(previous.entries) if previous is not None else [],
             created_at=time.time(),
             serve=serve,
-            dedup=previous.dedup if previous is not None else None,
-            chaos=previous.chaos if previous is not None else None,
-        )
-    elif dedup_mode:
-        try:
-            dedup_section = run_dedup_bench(
-                models=getattr(args, "dedup_models", None),
-                seed=args.seed,
-                samples=getattr(args, "dedup_samples", 3),
-                progress=progress,
-            )
-        except InvalidRequestError as exc:
-            print(f"bench: {exc}", file=sys.stderr)
-            return 2
-        report = BenchReport(
-            entries=list(previous.entries) if previous is not None else [],
-            created_at=time.time(),
-            serve=previous.serve if previous is not None else None,
-            dedup=dedup_section,
             chaos=previous.chaos if previous is not None else None,
         )
     elif chaos_mode:
@@ -1484,7 +1193,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             entries=list(previous.entries) if previous is not None else [],
             created_at=time.time(),
             serve=previous.serve if previous is not None else None,
-            dedup=previous.dedup if previous is not None else None,
             chaos=chaos_section,
         )
     else:
@@ -1505,8 +1213,6 @@ def run_from_args(args: argparse.Namespace) -> int:
         )
         if previous is not None and previous.serve is not None:
             report.serve = previous.serve
-        if previous is not None and previous.dedup is not None:
-            report.dedup = previous.dedup
         if previous is not None and previous.chaos is not None:
             report.chaos = previous.chaos
     if args.output:
@@ -1516,8 +1222,6 @@ def run_from_args(args: argparse.Namespace) -> int:
     else:
         if serve_mode:
             print(format_serve_section(report.serve))
-        elif dedup_mode:
-            print(format_dedup_section(report.dedup))
         elif chaos_mode:
             print(format_chaos_section(report.chaos))
         else:
@@ -1530,10 +1234,6 @@ def run_from_args(args: argparse.Namespace) -> int:
         if serve_mode:
             current = BenchReport(
                 entries=[], created_at=report.created_at, serve=report.serve
-            )
-        elif dedup_mode:
-            current = BenchReport(
-                entries=[], created_at=report.created_at, dedup=report.dedup
             )
         elif chaos_mode:
             current = BenchReport(
@@ -1549,7 +1249,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             time_threshold=args.threshold,
             quality_tolerance=args.quality_tolerance,
             serve_min_speedup=getattr(args, "serve_min_speedup", 3.0),
-            dedup_min_hit_rate=getattr(args, "dedup_min_hit_rate", 0.5),
             chaos_min_availability=getattr(args, "chaos_min_availability", 1.0),
         )
         if regressions:

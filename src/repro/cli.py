@@ -6,7 +6,6 @@ Usage (after ``pip install -e .``)::
     python -m repro deploy VGG16 --chips auto
     python -m repro deploy LeNet --duplication 4 --detailed --pnr --bitstream out.json
     python -m repro deploy LeNet --passes synthesis,mapping --explain
-    python -m repro deploy VGG16 --dedup --dedup-store /tmp/dedup --explain
     python -m repro deploy AlexNet --json --store runs/
     python -m repro sweep AlexNet --duplication 1 4 16 64 --jobs 4
     python -m repro sweep CIFAR-VGG17 --duplication 64 --chips 1 2 4
@@ -121,38 +120,6 @@ def _add_shared_cache_flag(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_dedup_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--dedup", action="store_true",
-        help="consult the subgraph-level dedup store during synthesis and "
-        "mapping: repeated structures — within one model or across models "
-        "sharing the store — are compiled once and spliced back in; "
-        "results are bit-identical to a compile without it",
-    )
-    parser.add_argument(
-        "--dedup-store", metavar="DIR", default=None,
-        help="attach a disk tier to the subgraph dedup store in this "
-        "directory (defaults to the REPRO_DEDUP_STORE environment "
-        "variable), shared across runs, processes and workers; "
-        "implies --dedup",
-    )
-
-
-def _dedup_enabled(args: argparse.Namespace) -> bool:
-    """Resolve the ``--dedup`` / ``--dedup-store`` pair (the latter
-    implies the former), exporting the store directory so worker
-    processes attach the same disk tier through their environments."""
-    if getattr(args, "dedup_store", None):
-        import os
-
-        from .core.dedup import DEDUP_STORE_ENV, clear_default_dedup_store
-
-        os.environ[DEDUP_STORE_ENV] = args.dedup_store
-        clear_default_dedup_store()  # re-read the environment on next use
-        return True
-    return bool(getattr(args, "dedup", False))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -212,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_json_flag(deploy)
     _add_store_flag(deploy)
     _add_shared_cache_flag(deploy)
-    _add_dedup_flags(deploy)
 
     sweep = subparsers.add_parser(
         "sweep", help="batch-deploy one model across several duplication degrees"
@@ -243,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_json_flag(sweep)
     _add_store_flag(sweep)
     _add_shared_cache_flag(sweep)
-    _add_dedup_flags(sweep)
 
     serve_batch = subparsers.add_parser(
         "serve-batch",
@@ -457,7 +422,6 @@ def _command_deploy(args: argparse.Namespace) -> int:
         pnr_jobs=args.pnr_jobs,
         passes=tuple(args.passes) if args.passes is not None else None,
         verify=args.verify,
-        dedup=_dedup_enabled(args),
     )
     served = _client(args).serve(request)
     response = served.response
@@ -552,14 +516,12 @@ def _print_responses_json(responses) -> None:
 
 def _command_sweep(args: argparse.Namespace) -> int:
     chip_points = args.chips if args.chips is not None else [None]
-    dedup = _dedup_enabled(args)
     requests = [
         CompileRequest(
             model=args.model,
             duplication_degree=degree,
             num_chips=chips,
             verify=args.verify,
-            dedup=dedup,
         )
         for degree in args.duplication
         for chips in chip_points

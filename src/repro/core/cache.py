@@ -150,13 +150,9 @@ class CacheStats:
     either tier is a hit); ``shared_hits``/``shared_misses`` count the
     shared-tier lookups that happen on in-memory misses, and ``evictions``
     counts entries dropped from the in-memory LRU by :meth:`StageCache.put`.
-    ``dedup_hits``/``dedup_misses`` count subgraph-dedup-store lookups
-    (:mod:`repro.core.dedup`) folded in by the compiler — a separate
-    population from the stage-cache lookups above (per lowered node /
-    weight group, not per pass).  ``write_errors`` counts writes a cache
-    or store tier degraded to a counted miss instead of letting an
-    ``OSError`` (disk full, permissions, injected fault) escape into the
-    compile.
+    ``write_errors`` counts writes a cache tier degraded to a counted miss
+    instead of letting an ``OSError`` (disk full, permissions, injected
+    fault) escape into the compile.
     """
 
     hits: int = 0
@@ -164,8 +160,6 @@ class CacheStats:
     evictions: int = 0
     shared_hits: int = 0
     shared_misses: int = 0
-    dedup_hits: int = 0
-    dedup_misses: int = 0
     write_errors: int = 0
 
     @property
@@ -186,16 +180,6 @@ class CacheStats:
             return 0.0
         return self.shared_hits / self.shared_lookups
 
-    @property
-    def dedup_lookups(self) -> int:
-        return self.dedup_hits + self.dedup_misses
-
-    @property
-    def dedup_hit_rate(self) -> float:
-        if not self.dedup_lookups:
-            return 0.0
-        return self.dedup_hits / self.dedup_lookups
-
     def snapshot(self) -> "CacheStats":
         """A point-in-time copy (for before/after deltas around a compile)."""
         return dataclasses.replace(self)
@@ -208,8 +192,6 @@ class CacheStats:
             evictions=self.evictions - before.evictions,
             shared_hits=self.shared_hits - before.shared_hits,
             shared_misses=self.shared_misses - before.shared_misses,
-            dedup_hits=self.dedup_hits - before.dedup_hits,
-            dedup_misses=self.dedup_misses - before.dedup_misses,
             write_errors=self.write_errors - before.write_errors,
         )
 
@@ -221,9 +203,6 @@ class CacheStats:
             self.evictions += other.evictions
             self.shared_hits += other.shared_hits
             self.shared_misses += other.shared_misses
-            # rehydrated payloads predating the dedup counters lack them
-            self.dedup_hits += getattr(other, "dedup_hits", 0)
-            self.dedup_misses += getattr(other, "dedup_misses", 0)
             self.write_errors += getattr(other, "write_errors", 0)
         return self
 

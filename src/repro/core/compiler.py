@@ -30,8 +30,6 @@ from .cache import CacheStats, StageCache, default_cache
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from .api import WorkerPool
-    from .dedup import SubgraphStore
-from .dedup import fold_dedup_stats
 from .pipeline import (
     PUBLIC_KNOBS,
     CompileContext,
@@ -65,11 +63,6 @@ class FPSACompiler:
         A persistent :class:`~repro.core.api.WorkerPool` the partitioned
         flow reuses for parallel shard compiles (``shard_jobs > 1``)
         instead of spawning a fresh process pool per compile.
-    dedup_store:
-        A private :class:`~repro.core.dedup.SubgraphStore` for
-        ``compile(..., dedup=True)`` compiles; ``None`` (the default)
-        shares the process-wide store (whose disk tier is named by
-        ``REPRO_DEDUP_STORE``).
     """
 
     def __init__(
@@ -78,7 +71,6 @@ class FPSACompiler:
         synthesis_options: SynthesisOptions | None = None,
         cache: StageCache | bool | None = None,
         pool: "WorkerPool | None" = None,
-        dedup_store: "SubgraphStore | None" = None,
     ):
         self.config = config if config is not None else FPSAConfig()
         self.synthesis_options = (
@@ -87,7 +79,6 @@ class FPSACompiler:
             else SynthesisOptions.from_pe(self.config.pe)
         )
         self.pool = pool
-        self.dedup_store = dedup_store
         if cache is None or cache is True:
             self.cache: StageCache | None = default_cache()
         elif cache is False:
@@ -163,10 +154,8 @@ class FPSACompiler:
             config=self.config,
             options=options,
             synthesis_options=self.synthesis_options,
-            dedup_store=self.dedup_store,
         )
         timings = manager.run(ctx, cache=self.cache if use_cache else None)
-        fold_dedup_stats(ctx)
         return DeploymentResult(
             graph=graph,
             coreops=ctx.coreops,
@@ -210,7 +199,6 @@ class FPSACompiler:
             config=self.config,
             options=options,
             synthesis_options=self.synthesis_options,
-            dedup_store=self.dedup_store,
         )
         timings = PassManager(resolve_passes(front)).run(ctx, cache=cache)
         plan = ctx.partition
@@ -228,7 +216,6 @@ class FPSACompiler:
             timings += PassManager(
                 resolve_passes(backend), preloaded=("coreops",)
             ).run(ctx, cache=cache)
-            fold_dedup_stats(ctx)
             return DeploymentResult(
                 graph=graph,
                 coreops=ctx.coreops,
@@ -257,7 +244,6 @@ class FPSACompiler:
             cache=cache,
             pool=self.pool,
         )
-        fold_dedup_stats(ctx)
         cache_stats = ctx.cache_stats
         for result in shard_results:
             for t in result.timings or ():

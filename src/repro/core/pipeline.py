@@ -224,9 +224,7 @@ class CompileOptions:
     #: failing fast with a :class:`~repro.errors.VerificationError`;
     #: ``REPRO_VERIFY=1`` turns it on globally.
     verify: bool = knob(BOOLEAN, "execution", default=False)
-    #: consult the subgraph-level dedup store (:mod:`repro.core.dedup`)
-    #: during synthesis and mapping, splicing stored fragments back in;
-    #: bit-identity with dedup-off is a hard contract.
+    #: no-op kept for callers that still send it; goes with the next wire schema.
     dedup: bool = knob(BOOLEAN, "execution", default=False)
     #: deterministic fault-injection plan (inline JSON or a file path, see
     #: :mod:`repro.faults`), installed process-wide before the pipeline
@@ -291,15 +289,6 @@ class CompileContext:
     #: cannot contaminate each other's numbers).  ``None`` when no run
     #: consulted a cache.
     cache_stats: Any = field(default=None, compare=False)
-    #: the subgraph dedup store this compile consults (installed by the
-    #: compiler from its ``dedup_store`` argument, or lazily resolved to
-    #: the process-wide default store by the first splicing pass; ``None``
-    #: with ``options.dedup`` unset).
-    dedup_store: Any = field(default=None, compare=False, repr=False)
-    #: per-compile dedup hit/miss counters
-    #: (:class:`repro.core.dedup.DedupStats`), tallied locally by the
-    #: splicing passes and folded into ``cache_stats`` by the compiler.
-    dedup_stats: Any = field(default=None, compare=False, repr=False)
 
     def resolved_synthesis_options(self) -> "SynthesisOptions":
         """The synthesis options in effect (defaults derive from the PE)."""

@@ -191,11 +191,6 @@ class DeploymentResult:
                     f"{self.cache_stats.shared_misses} miss(es)"
                 )
         lines.append(cache_line)
-        if self.cache_stats is not None and self.cache_stats.dedup_lookups:
-            lines.append(
-                f"subgraph dedup: {self.cache_stats.dedup_hits} hit(s), "
-                f"{self.cache_stats.dedup_misses} miss(es)"
-            )
         return "\n".join(lines)
 
     def summary(self) -> str:

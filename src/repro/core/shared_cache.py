@@ -262,15 +262,6 @@ class SharedStageCache:
             self._evict_to_fit()
         return True
 
-    def discard(self, key: str) -> None:
-        """Remove one entry (best-effort; a missing entry is fine).
-
-        Used by the subgraph dedup store (:mod:`repro.core.dedup`) to drop
-        a poisoned fragment from the disk tier so the next lookup is a
-        clean miss instead of a repeated validation failure.
-        """
-        self._remove(self._path(key))
-
     # ------------------------------------------------------------------
     # eviction / maintenance
     # ------------------------------------------------------------------

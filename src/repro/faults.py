@@ -33,9 +33,8 @@ Fault kinds
     a pickle) and exercise the read-side damage tolerance.
 
 Sites currently instrumented: ``worker-compile`` (fired with the request's
-``model``/``duplication_degree``/``num_chips`` and the retry ``attempt``),
-``shared-cache-get`` / ``shared-cache-put`` (fired with the cache ``key``),
-and ``dedup-store-put``.
+``model``/``duplication_degree``/``num_chips`` and the retry ``attempt``)
+and ``shared-cache-get`` / ``shared-cache-put`` (fired with the cache ``key``).
 """
 
 from __future__ import annotations
@@ -60,7 +59,6 @@ __all__ = [
     "SITE_WORKER_COMPILE",
     "SITE_SHARED_CACHE_GET",
     "SITE_SHARED_CACHE_PUT",
-    "SITE_DEDUP_PUT",
     "FaultSpec",
     "FaultPlan",
     "FaultInjector",
@@ -85,7 +83,6 @@ FAULT_KINDS = (KIND_CRASH, KIND_HANG, KIND_IO_ERROR, KIND_CORRUPT)
 SITE_WORKER_COMPILE = "worker-compile"
 SITE_SHARED_CACHE_GET = "shared-cache-get"
 SITE_SHARED_CACHE_PUT = "shared-cache-put"
-SITE_DEDUP_PUT = "dedup-store-put"
 
 
 @dataclass(frozen=True)

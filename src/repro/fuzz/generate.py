@@ -134,8 +134,7 @@ class ModelSpec:
     layers: tuple[LayerSpec, ...]
     bits: int = 6
     size_class: str = "small"
-    #: how many times the ``layers`` block is stacked end-to-end — the
-    #: repeated-structure knob the subgraph dedup cache feeds on.  ``1``
+    #: how many times the ``layers`` block is stacked end-to-end.  ``1``
     #: (the default, and what every pre-knob corpus payload parses as)
     #: means the block appears once.
     repeat: int = 1
@@ -523,8 +522,8 @@ def generate_spec(seed: int, index: int, size_class: str | None = None) -> Model
             layers=tuple(layers),
             bits=rng.choice((4, 6, 8)),
             size_class="small",
-            # repeated-block models exercise the subgraph dedup cache's
-            # within-model hits; most specs stay single-block
+            # a stacked block gives the partitioner and the mapper a deeper
+            # model of the same layers; most specs stay single-block
             repeat=rng.choice((1, 1, 1, 2, 3)),
             seed=seed,
         )

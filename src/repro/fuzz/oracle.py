@@ -17,9 +17,6 @@ shared cache        pickle round-trip through the cross-process tier is
 ``num_chips=auto``  deterministic; succeeds whenever the classic flow
                     does, and turns the over-capacity ``CapacityError``
                     of ``num_chips=1`` into a sharded compile
-dedup on / off      subgraph splice-on-hit is bit-identical to fresh
-                    lowering, from a cold store and from a fully warm
-                    one (PR 9)
 ==================  ====================================================
 
 Every compile runs with IR verification on (the same checks
@@ -40,7 +37,6 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 from ..analysis.verify import verify_artifacts
 from ..core.cache import StageCache
 from ..core.compiler import FPSACompiler
-from ..core.dedup import SubgraphStore
 from ..core.shared_cache import SharedStageCache
 from ..errors import FPSAError, VerificationError
 from ..service.schemas import ErrorPayload, ResultSummary
@@ -60,7 +56,7 @@ __all__ = [
 ]
 
 #: configuration-lattice groups ``check_spec`` can run (``subset=``).
-CONFIG_GROUPS = ("repeat", "warm", "shared", "pnr", "chips", "dedup")
+CONFIG_GROUPS = ("repeat", "warm", "shared", "pnr", "chips")
 
 #: execution knobs no lattice point sets, each with its reason; a test
 #: holds every other execution knob of the table to a non-default value
@@ -68,6 +64,7 @@ CONFIG_GROUPS = ("repeat", "warm", "shared", "pnr", "chips", "dedup")
 _UNFUZZED = {
     "shard_jobs": "spawns a process pool per spec",
     "fault_plan": "covered by tests/core/test_faults.py",
+    "dedup": "accepted no-op; nothing reads it",
 }
 
 
@@ -163,7 +160,6 @@ def compile_spec(
     config_name: str,
     config: "FPSAConfig | None" = None,
     cache: StageCache | None = None,
-    dedup_store: SubgraphStore | None = None,
     **knobs: Any,
 ) -> Outcome:
     """Compile one spec under one lattice configuration (``knobs`` are
@@ -179,12 +175,9 @@ def compile_spec(
         compiler = FPSACompiler(
             config=config,
             cache=cache if cache is not None else StageCache(),
-            dedup_store=dedup_store,
         )
         knobs.setdefault("seed", 0)
-        result = compiler.compile(
-            graph, verify=True, dedup=dedup_store is not None, **knobs
-        )
+        result = compiler.compile(graph, verify=True, **knobs)
     except FPSAError as exc:
         return Outcome(
             config=config_name,
@@ -312,11 +305,6 @@ def check_spec(
         expect_same(
             pnr_base, run(f"pnr-jobs-{pnr_jobs}", run_pnr=True, pnr_jobs=pnr_jobs)
         )
-    if "dedup" in groups:
-        store = SubgraphStore()
-        expect_same(base, run("dedup-cold", dedup_store=store))
-        # the same store, now holding every fragment: splice-on-hit paths
-        expect_same(base, run("dedup-warm", dedup_store=store))
     if "chips" in groups:
         chips_a = run("chips1-a", num_chips=1)
         chips_b = run("chips1-b", num_chips=1)

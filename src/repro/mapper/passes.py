@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 from ..core.cache import config_fingerprint, coreops_fingerprint, fingerprint
-from ..core.dedup import dedup_context_stats, resolve_dedup_store
 from ..core.pipeline import CompileContext, CompilePass, register_pass
-from ..errors import VerificationError
 from .mapper import SpatialTemporalMapper
 
 __all__ = ["MappingPass", "mapping_fingerprint"]
@@ -19,8 +17,6 @@ def mapping_fingerprint(ctx: CompileContext) -> str:
     alias a standard-pipeline cache entry.  The capacity bound and the
     partition backend's pace overrides are part of the key: a compile that
     must raise ``CapacityError`` may not alias a cached unchecked mapping.
-    (``options.dedup`` is deliberately absent: the dedup splice is
-    bit-identical to the legacy path, so the two may alias freely.)
     """
     options = ctx.options
     return fingerprint(
@@ -48,36 +44,6 @@ class MappingPass(CompilePass):
 
     def run(self, ctx: CompileContext) -> None:
         options = ctx.options
-        store = resolve_dedup_store(ctx)
-        if (
-            store is not None
-            and options.pe_budget is None
-            and not options.detailed_schedule
-        ):
-            # the dedup splice covers the plain mapping path; budget search
-            # and detailed scheduling fall through to the legacy mapper
-            from .replay import map_with_dedup
-
-            stats = dedup_context_stats(ctx)
-            try:
-                result = map_with_dedup(
-                    ctx.coreops,
-                    ctx.config,
-                    store,
-                    stats,
-                    duplication_degree=options.duplication_degree,
-                    target_iterations=options.target_iterations,
-                    replication=options.replication,
-                    max_pes=options.max_pes,
-                )
-            except VerificationError:
-                # a spliced fragment produced an invalid mapping (should be
-                # unreachable past per-fragment validation): fall back
-                stats.errors += 1
-                result = None
-            if result is not None:
-                ctx.mapping = result
-                return
         ctx.mapping = SpatialTemporalMapper(ctx.config).map(
             ctx.coreops,
             duplication_degree=options.duplication_degree,

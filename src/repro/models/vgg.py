@@ -7,9 +7,7 @@ the fully connected layers (89.3% of the weights, 0.8% of the computation)
 drives the temporal-utilization analysis of Section 3.
 
 VGG11 (configuration "A") shares VGG16's stage widths and classifier head
-with fewer convolutions per stage, making the pair the canonical workload
-for the subgraph dedup cache: a store warmed by VGG11 serves most of
-VGG16's repeated structures.
+with fewer convolutions per stage.
 """
 
 from __future__ import annotations

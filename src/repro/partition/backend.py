@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING, Any
 from ..arch.params import FPSAConfig
 from ..core.api import _worker_private_cache, run_pool
 from ..core.cache import StageCache, default_cache
-from ..core.dedup import fold_dedup_stats
 from ..core.pipeline import CompileOptions, PassManager, PassTiming, resolve_passes
 from ..perf.comm import InterChipLinkModel
 from ..perf.metrics import LatencyBreakdown, PerformanceReport
@@ -129,7 +128,6 @@ def run_backend(
     ctx = CompileContext(graph=None, config=config, options=options)
     ctx.coreops = shard.coreops
     timings = manager.run(ctx, cache=cache)
-    fold_dedup_stats(ctx)
     return ShardCompileResult(
         shard=shard,
         mapping=ctx.mapping,

@@ -31,7 +31,6 @@ against the fresh-pool/private-cache baseline.
 
 from __future__ import annotations
 
-import os
 import shutil
 import tempfile
 from typing import TYPE_CHECKING, Any, Iterable
@@ -39,7 +38,6 @@ from typing import TYPE_CHECKING, Any, Iterable
 from ..arch.params import FPSAConfig
 from ..core.api import WorkerPool
 from ..core.cache import StageCache
-from ..core.dedup import DEDUP_STORE_ENV, clear_default_dedup_store
 from ..core.shared_cache import SharedStageCache, shared_cache_from_env
 from .jobs import JobManager
 from .schemas import CompileRequest, CompileResponse
@@ -75,14 +73,7 @@ class ServingRuntime:
         in-memory stage cache with the shared tier attached) — useful for
         tests and very cheap models.
     dedup_store_dir:
-        Directory of the subgraph dedup store's disk tier, shared by
-        every worker serving ``dedup=True`` requests (one worker's
-        synthesis fragment serves another's splice).  Exported as
-        ``REPRO_DEDUP_STORE`` before the pool spawns, since the workers'
-        process-wide default store reads the environment lazily.
-        ``None`` leaves the environment alone (an inherited
-        ``REPRO_DEDUP_STORE`` still applies; without one each process
-        keeps a private in-memory store).
+        Ignored: kept for callers that still pass it, until the next wire schema.
     max_retries:
         Default transparent-retry budget for retriable faults (worker
         death, transient IO); forwarded to the
@@ -108,12 +99,6 @@ class ServingRuntime:
         max_queue_depth: int | None = None,
     ):
         self.config = config
-        self.dedup_store_dir = dedup_store_dir or None
-        if self.dedup_store_dir is not None:
-            # before the (lazily spawned) pool: workers inherit the
-            # environment, and the parent's default store must re-read it
-            os.environ[DEDUP_STORE_ENV] = self.dedup_store_dir
-            clear_default_dedup_store()
         self._owns_cache_dir = False
         if shared_cache_dir is None:
             env = shared_cache_from_env()
@@ -205,7 +190,6 @@ class ServingRuntime:
             "pool_health": self.health(),
             "worker_pids": self.pool.worker_pids() if self.pool else [],
             "shared_cache_dir": self.shared_cache_dir,
-            "dedup_store_dir": self.dedup_store_dir,
         }
 
     def health(self) -> dict[str, Any] | None:

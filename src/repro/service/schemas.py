@@ -266,14 +266,9 @@ class CompileTimings:
     by) the stage cache; ``evictions`` counts in-memory LRU entries this
     compile pushed out, and ``shared_cache_hits``/``shared_cache_misses``
     count the cross-process shared-tier lookups (zero when no shared tier
-    is attached).  ``dedup_hits``/``dedup_misses`` count subgraph-store
-    lookups (zero unless the compile ran with ``dedup=True``); they
-    live here — not on :class:`ResultSummary` — because the summary is
-    the bit-identity comparison surface of equivalent compiles, and these
-    counters legitimately differ between a cold and a warm store.
-    ``write_errors`` counts cache/store writes that degraded to a counted
-    miss instead of propagating an ``OSError`` into the compile (disk
-    full, permissions, injected faults).
+    is attached).  ``write_errors`` counts cache writes that degraded to
+    a counted miss instead of propagating an ``OSError`` into the compile
+    (disk full, permissions, injected faults).
     """
 
     passes: tuple[PassTimingEntry, ...]
@@ -283,6 +278,7 @@ class CompileTimings:
     evictions: int = 0
     shared_cache_hits: int = 0
     shared_cache_misses: int = 0
+    #: always 0 from a new compile; kept until the next wire-schema version.
     dedup_hits: int = 0
     dedup_misses: int = 0
     write_errors: int = 0
@@ -318,8 +314,6 @@ class CompileTimings:
             evictions=getattr(cache_stats, "evictions", 0),
             shared_cache_hits=getattr(cache_stats, "shared_hits", 0),
             shared_cache_misses=getattr(cache_stats, "shared_misses", 0),
-            dedup_hits=getattr(cache_stats, "dedup_hits", 0),
-            dedup_misses=getattr(cache_stats, "dedup_misses", 0),
             write_errors=getattr(cache_stats, "write_errors", 0),
         )
 
@@ -327,11 +321,6 @@ class CompileTimings:
     def shared_cache_hit_rate(self) -> float:
         lookups = self.shared_cache_hits + self.shared_cache_misses
         return self.shared_cache_hits / lookups if lookups else 0.0
-
-    @property
-    def dedup_hit_rate(self) -> float:
-        lookups = self.dedup_hits + self.dedup_misses
-        return self.dedup_hits / lookups if lookups else 0.0
 
     def seconds_by_stage(self) -> dict[str, float]:
         """Wall-clock seconds keyed by pass name (wire-safe flat mapping)."""
@@ -362,7 +351,6 @@ class CompileTimings:
             evictions=int(data.get("evictions", 0)),
             shared_cache_hits=int(data.get("shared_cache_hits", 0)),
             shared_cache_misses=int(data.get("shared_cache_misses", 0)),
-            # absent in payloads emitted before the subgraph store existed
             dedup_hits=int(data.get("dedup_hits", 0)),
             dedup_misses=int(data.get("dedup_misses", 0)),
             # absent before degraded-write accounting existed

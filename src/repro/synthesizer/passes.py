@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from ..core.cache import fingerprint, graph_fingerprint
-from ..core.dedup import dedup_context_stats, resolve_dedup_store
 from ..core.pipeline import CompileContext, CompilePass, register_pass
 from .synthesizer import NeuralSynthesizer
 
@@ -12,13 +11,7 @@ __all__ = ["SynthesisPass"]
 
 @register_pass
 class SynthesisPass(CompilePass):
-    """Lower the computational graph to the grouped core-op graph.
-
-    With ``options.dedup`` set, the lowering of every weighted node is
-    memoized in the subgraph dedup store (:mod:`repro.core.dedup`) and
-    spliced back in on a hit — bit-identical to the plain synthesizer by
-    construction, so the cache key below is deliberately dedup-agnostic.
-    """
+    """Lower the computational graph to the grouped core-op graph."""
 
     name = "synthesis"
     requires = ()
@@ -26,15 +19,7 @@ class SynthesisPass(CompilePass):
 
     def run(self, ctx: CompileContext) -> None:
         options = ctx.resolved_synthesis_options()
-        store = resolve_dedup_store(ctx)
-        if store is not None:
-            from .dedup import synthesize_with_dedup
-
-            ctx.coreops = synthesize_with_dedup(
-                ctx.graph, options, store, stats=dedup_context_stats(ctx)
-            )
-        else:
-            ctx.coreops = NeuralSynthesizer(options).synthesize(ctx.graph)
+        ctx.coreops = NeuralSynthesizer(options).synthesize(ctx.graph)
 
     def cache_key(self, ctx: CompileContext) -> str:
         return fingerprint(

@@ -167,9 +167,7 @@ class TestReportMerge:
         output = tmp_path / "BENCH.json"
         from repro.bench import BenchEntry
 
-        existing = BenchReport(
-            created_at=1.0, serve={"speedup": 5.0}, dedup={"speedup": 2.0}
-        )
+        existing = BenchReport(created_at=1.0, serve={"speedup": 5.0})
         existing.entries.append(
             BenchEntry(model="M", duplication_degree=1, channel_width=16, seed=0)
         )
@@ -183,7 +181,6 @@ class TestReportMerge:
         assert merged.chaos == _chaos_section()
         assert [e.model for e in merged.entries] == ["M"]  # carried over
         assert merged.serve == {"speedup": 5.0}  # carried over
-        assert merged.dedup == {"speedup": 2.0}  # carried over
 
     def test_chaos_gate_uses_the_fresh_section(self, tmp_path, capsys,
                                                monkeypatch):
@@ -210,6 +207,7 @@ class TestReportMerge:
         assert "below the 100% floor" in capsys.readouterr().err
 
     def test_chaos_is_mutually_exclusive_with_other_modes(self, capsys):
-        for flags in (["--serve", "--chaos"], ["--dedup", "--chaos"]):
-            args = build_parser().parse_args(flags)
-            assert run_from_args(args) == 2
+        args = build_parser().parse_args(["--serve", "--chaos"])
+        assert run_from_args(args) == 2
+        with pytest.raises(SystemExit):  # not a mode
+            build_parser().parse_args(["--dedup"])

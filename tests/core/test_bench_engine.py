@@ -35,6 +35,21 @@ class TestReportCompatibility:
         assert "serial_place_route_seconds" not in report.entries[0].to_dict()
         assert compare_reports(report, report) == []
 
+    def test_dedup_section_is_ignored(self):
+        # reports written while ``bench --dedup`` existed carry its section:
+        # they must load, and a hit rate and a bit-identity flag that used
+        # to fail --check-regression must raise no finding
+        payload = BenchReport(serve={"speedup": 5.0}).to_dict()
+        payload["dedup"] = {
+            "speedup": 0.79,
+            "warm_hit_rate": 0.0,
+            "summaries_identical": False,
+        }
+        report = BenchReport.from_dict(payload)
+        assert report.serve == {"speedup": 5.0}
+        assert "dedup" not in report.to_dict()
+        assert compare_reports(report, BenchReport.from_dict(payload)) == []
+
     def test_pnr_jobs_round_trips_through_report(self):
         entry = BenchEntry(
             model="M", duplication_degree=1, channel_width=16, seed=0, pnr_jobs=4

@@ -284,22 +284,6 @@ class TestCacheDegradation:
         finally:
             os.chmod(directory, 0o700)
 
-    def test_dedup_store_put_degrades_to_counted_write_error(self, tmp_path):
-        from repro.core.dedup import SubgraphStore
-        from repro.core.shared_cache import SharedStageCache
-        from repro.faults import SITE_DEDUP_PUT
-
-        install_plan(
-            FaultPlan(
-                faults=(FaultSpec(site=SITE_DEDUP_PUT, kind="io_error"),)
-            )
-        )
-        store = SubgraphStore(shared=SharedStageCache(str(tmp_path / "dedup")))
-        store.put("f" * 16, {"anything": 1})
-        assert store.stats.write_errors == 1
-        # the in-memory tier still serves the fragment
-        assert store.get("f" * 16) is not None
-
 
 class TestCompileThreading:
     def test_fault_plan_reaches_compile_options(self):

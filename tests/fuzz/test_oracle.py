@@ -54,10 +54,11 @@ class TestCheckSpec:
         check = check_spec(generate_spec(0, 0, size_class="small"))
         assert check.ok
         assert check.compiles == len(check.configs)
-        # every group ran: repeat/warm/shared/pnr/dedup/chips all present
+        # every group ran: repeat/warm/shared/pnr/chips all present
         assert {"base", "repeat", "warm", "shared-cold", "shared-warm",
-                "pnr-base", "dedup-cold", "dedup-warm",
-                "chips1-a", "auto-a"} <= set(check.configs)
+                "pnr-base", "chips1-a", "auto-a"} <= set(check.configs)
+        assert len(check.configs) == 12
+        assert not any(c.startswith("dedup") for c in check.configs)
 
     def test_over_capacity_spec_skips_pnr_but_checks_chips(self):
         check = check_spec(generate_spec(0, 0, size_class="over"))
@@ -75,10 +76,12 @@ class TestCheckSpec:
     def test_unknown_subset_rejected(self):
         with pytest.raises(FPSAError):
             check_spec(generate_spec(0, 0), subset=("repeat", "quantum"))
+        with pytest.raises(FPSAError):
+            check_spec(generate_spec(0, 0), subset=("dedup",))
 
     def test_groups_cover_every_config_name(self):
         assert set(CONFIG_GROUPS) == {
-            "repeat", "warm", "shared", "pnr", "chips", "dedup",
+            "repeat", "warm", "shared", "pnr", "chips",
         }
 
 
@@ -140,7 +143,8 @@ class TestLatticeCoversTheExecutionKnobs:
 
         execution = {f.name: f.default for f in KNOBS if f.metadata["role"] == "execution"}
         fuzzed = {name for name, default in execution.items() if seen.get(name, set()) - {default}}
-        # today: pnr_jobs (the ``pnr`` group), dedup (the ``dedup`` group)
-        # and verify (on in every lattice point); the rest must be excused
+        # today: pnr_jobs (the ``pnr`` group) and verify (on in every
+        # lattice point); the rest must be excused
         assert set(oracle_module._UNFUZZED) == set(execution) - fuzzed
+        assert "dedup" in oracle_module._UNFUZZED
         assert all(oracle_module._UNFUZZED.values())

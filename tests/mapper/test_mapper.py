@@ -69,12 +69,38 @@ class TestNetlistBuiltOnce:
         assert blocks_added == list(result.netlist.blocks)
         assert result.netlist.n_clb == result.control.clbs_needed > 0
 
-    def test_map_with_dedup(self, lenet_coreops, config, blocks_added):
-        from repro.core.dedup import SubgraphStore
-        from repro.mapper.replay import map_with_dedup
+    def test_mapping_pass_ignores_the_dedup_knob(
+        self, lenet_coreops, config, blocks_added, monkeypatch
+    ):
+        # ``dedup=True`` takes the one path there is: a single call of
+        # ``SpatialTemporalMapper.map``, and the artifacts of ``dedup=False``
+        from repro.core.cache import netlist_fingerprint
+        from repro.core.pipeline import CompileContext, CompileOptions
+        from repro.mapper.passes import MappingPass
 
-        result = map_with_dedup(
-            lenet_coreops, config, SubgraphStore(), duplication_degree=4
-        )
-        assert blocks_added == list(result.netlist.blocks)
-        assert result.netlist.n_clb == result.control.clbs_needed > 0
+        calls = []
+        plain_map = SpatialTemporalMapper.map
+
+        def spy(mapper, coreops, **knobs):
+            calls.append(knobs)
+            return plain_map(mapper, coreops, **knobs)
+
+        monkeypatch.setattr(SpatialTemporalMapper, "map", spy)
+
+        def run(dedup):
+            ctx = CompileContext(
+                graph=None,
+                config=config,
+                options=CompileOptions(duplication_degree=4, dedup=dedup),
+            )
+            ctx.coreops = lenet_coreops
+            MappingPass().run(ctx)
+            return ctx.mapping
+
+        with_knob = run(dedup=True)
+        assert len(calls) == 1
+        assert blocks_added == list(with_knob.netlist.blocks)
+        plain = run(dedup=False)
+        assert netlist_fingerprint(with_knob.netlist) == netlist_fingerprint(plain.netlist)
+        assert with_knob.allocation == plain.allocation
+        assert with_knob.control == plain.control

@@ -79,8 +79,8 @@ class TestModelDefinitions:
         assert build_resnet50().total_params() < build_model("ResNet152").total_params()
 
     def test_vgg11_is_registered_but_not_a_benchmark(self):
-        # VGG11 exists for the dedup bench (VGG11 warms VGG16's store);
-        # it is not a paper workload, so the Table-3 zoo stays unchanged
+        # VGG11 is the stack benchmark's warm-up model, not a paper
+        # workload, so the Table-3 zoo stays unchanged
         graph = build_model("VGG11")
         graph.validate()
         assert "VGG11" not in BENCHMARK_MODELS

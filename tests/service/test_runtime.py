@@ -200,6 +200,20 @@ class TestServingRuntime:
             response = runtime.serve("MLP-500-100")
         assert response.ok
 
+    def test_dedup_store_dir_is_ignored(self, tmp_path, monkeypatch):
+        import os
+
+        monkeypatch.delenv("REPRO_DEDUP_STORE", raising=False)
+        directory = tmp_path / "d"
+        with ServingRuntime(
+            max_workers=1, use_processes=False, dedup_store_dir=str(directory)
+        ) as runtime:
+            response = runtime.serve(CompileRequest(model="MLP-500-100", dedup=True))
+            assert "dedup_store_dir" not in runtime.stats()
+        assert response.ok
+        assert "REPRO_DEDUP_STORE" not in os.environ
+        assert not directory.exists()
+
 
 class TestSharedCacheCounters:
     def test_timings_carry_shared_counters(self, tmp_path):

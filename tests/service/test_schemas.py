@@ -4,12 +4,14 @@ import json
 
 import pytest
 
+from repro.core.cache import StageCache
 from repro.core.compiler import FPSACompiler
 from repro.core.pipeline import PUBLIC_KNOBS, CompileOptions
 from repro.errors import CapacityError, InvalidRequestError, UnknownModelError
 from repro.models import build_model
 from repro.service import (
     SCHEMA_VERSION,
+    ArtifactStore,
     CompileRequest,
     CompileResponse,
     CompileTimings,
@@ -17,6 +19,42 @@ from repro.service import (
     ResultSummary,
     serve_request,
 )
+
+
+#: ``response.json`` of MLP-500-100 d16, ``dedup=True``, as a
+#: ``ServingRuntime`` at commit 6141f2b stored it under ``_STORED_RUN_ID``.
+_STORED_RUN_ID = "77933c3a249c03c2"
+_STORED_WITH_DEDUP_COUNTERS = """
+{"error": null, "request": {"deadline_s": null, "dedup": true,
+"detailed_schedule": false, "duplication_degree": 16, "emit_bitstream": false,
+"fault_plan": null, "max_retries": null, "max_schedule_reuse": null,
+"model": "MLP-500-100", "num_chips": null, "passes": null, "pe_budget": null,
+"pnr_channel_width": null, "pnr_jobs": null, "pnr_seed": 0, "run_pnr": false,
+"schema_version": 1, "seed": null, "shard_jobs": null, "synthesis_options": null,
+"tags": {}, "use_cache": true, "verify": false}, "schema_version": 1,
+"status": "ok", "summary": {"bitstream": null, "blocks": {"n_clb": 3, "n_pe": 40,
+"n_smb": 0}, "bounds": {"peak_density_tops_per_mm2": 38.01631718107818,
+"spatial_bound_tops_per_mm2": 12.857973976997126,
+"spatial_utilization": 0.3382225036621094,
+"temporal_bound_tops_per_mm2": 12.857973976997126, "temporal_utilization": 1.0},
+"duplication_degree": 16, "energy": {"clb_pj": 124.24, "pe_pj": 74480.64,
+"routing_pj": 2840.064, "smb_pj": 8505.4, "tops_per_w": 10.315607346492994,
+"total_pj": 85950.344}, "model": "MLP-500-100", "partition": null,
+"performance": {"area_mm2": 1.0032527120000003, "latency_us": 1.7273720000000001,
+"ops_per_sample": 886630, "real_tops": 11.251506960571565,
+"throughput_samples_per_s": 12690194.28687453, "tops_per_mm2": 11.21502770537396,
+"utilization": 0.3355399353598186}, "pipeline": null, "pnr": null},
+"timings": {"cache_hits": 1, "cache_misses": 3, "dedup_hits": 5,
+"dedup_misses": 0, "evictions": 0, "passes": [{"cached": true,
+"name": "synthesis", "provides": ["coreops"], "seconds": 3.861900040647015e-05},
+{"cached": false, "name": "mapping", "provides": ["mapping"],
+"seconds": 0.001407748000929132}, {"cached": false, "name": "perf",
+"provides": ["performance"], "seconds": 0.00015117200382519513},
+{"cached": false, "name": "bounds", "provides": ["bounds"],
+"seconds": 3.0409995815716684e-05}], "shared_cache_hits": 0,
+"shared_cache_misses": 1, "total_seconds": 0.001627949000976514,
+"write_errors": 0}}
+"""
 
 
 class TestCompileRequest:
@@ -94,8 +132,8 @@ class TestCompileRequest:
         assert a.fingerprint() != c.fingerprint()
 
     def test_dedup_is_an_execution_knob_not_a_fingerprint_input(self):
-        # dedup changes how fast artifacts are built, never what they are,
-        # so requests differing only in it must coalesce/cache-hit together
+        # accepted and type-checked, read by nothing: requests differing
+        # only in it must coalesce/cache-hit together
         a = CompileRequest(model="LeNet")
         b = CompileRequest(model="LeNet", dedup=True)
         assert a.fingerprint() == b.fingerprint()
@@ -103,6 +141,20 @@ class TestCompileRequest:
         assert b.compile_kwargs()["dedup"] is True
         with pytest.raises(InvalidRequestError):
             CompileRequest(model="LeNet", dedup="yes")
+
+    def test_dedup_changes_nothing_served(self):
+        def served(dedup):
+            request = CompileRequest(model="LeNet", dedup=dedup)
+            response = serve_request(request, cache=StageCache()).response
+            timings = response.timings.to_dict()
+            timings.pop("total_seconds")
+            for entry in timings["passes"]:
+                entry.pop("seconds")
+            return response.summary, timings
+
+        on, off = served(True), served(False)
+        assert on == off
+        assert on[1]["dedup_hits"] == on[1]["dedup_misses"] == 0
 
 
 #: wire payloads that used to be answered ``internal``, silently misread or
@@ -296,20 +348,16 @@ class TestCompileTimings:
         timings = CompileTimings.from_dict(payload)
         assert timings.dedup_hits == 0
         assert timings.dedup_misses == 0
-        assert timings.dedup_hit_rate == 0.0
 
     def test_dedup_counters_round_trip(self):
-        from repro.core.cache import CacheStats
-        from repro.core.pipeline import PassTiming
-
-        stats = CacheStats(dedup_hits=9, dedup_misses=1)
-        timings = CompileTimings.from_pass_timings(
-            [PassTiming("synthesis", 0.25, False, ("coreops",))],
-            cache_stats=stats,
-        )
-        assert timings.dedup_hits == 9
-        assert timings.dedup_hit_rate == pytest.approx(0.9)
-        assert CompileTimings.from_dict(timings.to_dict()) == timings
+        # a run stored by a build that still counted subgraph-store lookups
+        # keeps parsing, and keeps its content address, so ``load(run_id,
+        # verify=True)`` of a store written then still passes
+        payload = json.loads(_STORED_WITH_DEDUP_COUNTERS)
+        response = CompileResponse.from_dict(payload)
+        assert response.timings.dedup_hits == 5
+        assert response.to_dict() == payload
+        assert ArtifactStore.run_id_for(response) == _STORED_RUN_ID
 
     def test_truncated_payload_is_typed(self):
         # a hand-edited/truncated stored response must fail with the typed

@@ -90,3 +90,31 @@ class TestSynthesizer:
         second = synthesize(lenet_graph)
         assert [g.name for g in first.groups()] == [g.name for g in second.groups()]
         assert first.min_pes() == second.min_pes()
+
+
+class TestSynthesisPassHasOnePath:
+    def test_dedup_knob_builds_one_plain_synthesizer(self, lenet_graph, config, monkeypatch):
+        from repro.core.cache import coreops_fingerprint
+        from repro.core.pipeline import CompileContext, CompileOptions
+        from repro.synthesizer.passes import SynthesisPass
+        from repro.synthesizer.synthesizer import NeuralSynthesizer
+
+        built = []
+        plain_init = NeuralSynthesizer.__init__
+
+        def spy(synthesizer, options=None):
+            built.append(type(synthesizer))
+            plain_init(synthesizer, options)
+
+        monkeypatch.setattr(NeuralSynthesizer, "__init__", spy)
+
+        def run(dedup):
+            ctx = CompileContext(
+                graph=lenet_graph, config=config, options=CompileOptions(dedup=dedup)
+            )
+            SynthesisPass().run(ctx)
+            return ctx.coreops
+
+        with_knob = run(dedup=True)
+        assert built == [NeuralSynthesizer]
+        assert coreops_fingerprint(with_knob) == coreops_fingerprint(run(dedup=False))
