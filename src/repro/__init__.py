@@ -24,8 +24,8 @@ The package is organised the same way as the paper's system stack:
 * :mod:`repro.service` — the versioned wire-level service layer
   (request/response schemas, job manager, artifact store).
 * :mod:`repro.errors` — the typed :class:`FPSAError` exception hierarchy.
-* :mod:`repro.bench` — the P&R perf-regression benchmark harness
-  (``repro bench``, ``BENCH_pnr.json``).
+* :mod:`repro.chaos` — the serving runtime under a seeded fault plan,
+  held to three absolute floors (``repro chaos``).
 * :mod:`repro.seeding` — master-seed derivation for stochastic stages.
 """
 

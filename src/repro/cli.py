@@ -16,7 +16,7 @@ Usage (after ``pip install -e .``)::
     python -m repro runs --store runs/ --show RUN_ID
     python -m repro passes --model LeNet
     python -m repro models
-    python -m repro bench --models lenet,mlp --check-regression
+    python -m repro chaos --seed 0
     python -m repro experiments fig6 table3
     python -m repro deploy LeNet --verify
     python -m repro lint src/repro --json
@@ -37,8 +37,8 @@ import json
 import sys
 import time
 
-from .bench import add_bench_arguments
-from .bench import run_from_args as _run_bench_args
+from .chaos import add_arguments as _add_chaos_arguments
+from .chaos import run_from_args as _command_chaos
 from .core.cache import StageCache
 from .core.pipeline import PassError, available_passes
 from .core.shared_cache import SHARED_CACHE_ENV, SharedStageCache
@@ -297,12 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_json_flag(models)
 
-    bench = subparsers.add_parser(
-        "bench",
-        help="run the P&R perf benchmark over the model zoo and compare "
-        "against the committed BENCH_pnr.json baseline",
+    chaos = subparsers.add_parser(
+        "chaos",
+        help="serve a batch workload under a seeded fault plan; fails unless "
+        "every request is served, identical to a fault-free run",
     )
-    add_bench_arguments(bench)
+    _add_chaos_arguments(chaos)
 
     experiments = subparsers.add_parser(
         "experiments", help="regenerate the paper's tables and figures"
@@ -822,7 +822,7 @@ def main(argv: list[str] | None = None) -> int:
         "runs": _command_runs,
         "passes": _command_passes,
         "models": _command_models,
-        "bench": _run_bench_args,
+        "chaos": _command_chaos,
         "experiments": _command_experiments,
         "lint": _command_lint,
         "fuzz": _command_fuzz,

@@ -14,7 +14,7 @@ The plan activates in two equivalent ways:
 Because firing decisions depend only on the plan and per-process occurrence
 counters (never on wall clock or unseeded randomness), every injected fault
 is replayable: the same plan against the same workload fires at the same
-logical points.  The chaos bench (``repro bench --chaos``) builds on that to
+logical points.  The chaos gate (``repro chaos``) builds on that to
 prove the runtime serves every job bit-identically under a hostile plan.
 
 Fault kinds

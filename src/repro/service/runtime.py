@@ -25,8 +25,8 @@ Typical use::
 
 The runtime owns its pool and its shared-cache directory (a temporary
 directory unless one is given), and tears both down on ``close()`` /
-context exit.  ``repro bench --serve`` measures exactly this runtime
-against the fresh-pool/private-cache baseline.
+context exit.  The ``serve_mixed`` workload of ``benchmarks/stack/``
+measures exactly this runtime.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ in-flight *and* future job fails with ``BrokenProcessPool``.  The
 recovery: the job layer reports the breakage together with the pool
 *generation* it observed, the supervisor rebuilds the pool exactly once per
 generation (concurrent reports of the same breakage coalesce), and
-:class:`PoolHealth` counters record what happened so ``repro bench --chaos``
+:class:`PoolHealth` counters record what happened so ``repro chaos``
 and ``ServingRuntime.stats()`` can surface it.
 
 Lifecycle::

@@ -89,14 +89,22 @@ class TestMultiChipCompile:
             )
 
     def test_partitioned_pnr_runs_per_shard(self):
-        result = deploy_model(
-            "LeNet", duplication_degree=64, num_chips=2, run_pnr=True,
-            seed=5, use_cache=False,
-        )
-        assert result.pnr is None  # no whole-model netlist to place
-        for shard_result in result.shard_results:
-            assert shard_result.pnr is not None
-            assert shard_result.pnr.total_wirelength > 0
+        for model, duplication, chips, seed in (("LeNet", 64, 2, 5), ("CIFAR-VGG17", 1, 4, 0)):
+            result = deploy_model(
+                model, duplication_degree=duplication, num_chips=chips,
+                run_pnr=True, seed=seed, use_cache=False,
+            )
+            assert result.pnr is None  # no whole-model netlist to place
+            for shard_result in result.shard_results:
+                assert shard_result.pnr is not None
+                assert shard_result.pnr.total_wirelength > 0
+            # one P&R timing row per shard, and the cut it cost in the summary
+            assert [t.name for t in result.timings if t.name.startswith("pnr")] == [
+                f"pnr@chip{chip}" for chip in range(chips)
+            ]
+            partition = ResultSummary.from_result(result).partition
+            assert partition["cut_size"] >= 1
+            assert partition["cut_values_per_sample"] > 0
 
     def test_shards_hit_the_stage_cache_independently(self):
         cache = StageCache()

@@ -4,10 +4,12 @@ from concurrent.futures import Future
 
 import pytest
 
+from repro.fuzz.oracle import strip_seconds
 from repro.service import (
     CompileRequest,
     CompileResponse,
     CompileTimings,
+    FPSAClient,
     JobManager,
     JobState,
     ServingRuntime,
@@ -185,6 +187,13 @@ class TestServingRuntime:
         assert all(r.ok for r in first + second)
         for a, b in zip(first, second, strict=True):
             assert a.summary.to_dict() == b.summary.to_dict()
+        # pool, shared tier and coalescing may change *when* work happens,
+        # never *what*: each summary equals a cache-free in-process compile
+        for model, served in zip(["MLP-500-100", "LeNet"], first, strict=True):
+            direct = FPSAClient(cache=False).compile(model)
+            assert strip_seconds(served.summary.to_dict()) == strip_seconds(
+                direct.summary.to_dict()
+            )
 
     def test_owned_cache_dir_removed_on_close(self):
         import os

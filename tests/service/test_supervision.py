@@ -7,7 +7,6 @@ from concurrent.futures import Future
 
 import pytest
 
-from repro.bench import _summary_key
 from repro.errors import (
     DeadlineExceededError,
     OverloadedError,
@@ -20,6 +19,7 @@ from repro.faults import (
     FaultSpec,
     clear_installed_plan,
 )
+from repro.fuzz.oracle import strip_seconds
 from repro.service import CompileRequest, JobManager, PoolSupervisor
 
 
@@ -112,7 +112,9 @@ class TestCrashRecovery:
             assert health.jobs_displaced >= 1
         # the retried response is bit-identical (seconds stripped) to a
         # fault-free compile of the same seed
-        assert _summary_key(response) == _summary_key(reference)
+        assert strip_seconds(response.summary.to_dict()) == strip_seconds(
+            reference.summary.to_dict()
+        )
 
     def test_coalesced_followers_survive_a_primary_crash(self):
         request = CompileRequest(
@@ -181,7 +183,9 @@ class TestCrashRecovery:
             )
             assert manager.stats.retried >= 1
         assert response.ok
-        assert _summary_key(response) == _summary_key(reference)
+        assert strip_seconds(response.summary.to_dict()) == strip_seconds(
+            reference.summary.to_dict()
+        )
 
 
 class TestRetryPolicy:
