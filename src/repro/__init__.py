@@ -35,11 +35,9 @@ __version__ = "1.3.0"
 
 from .core import (
     DeploymentResult,
-    DeployPoint,
     FPSACompiler,
     StageCache,
     deploy,
-    deploy_many,
     deploy_model,
 )
 from .errors import (
@@ -65,8 +63,6 @@ __all__ = [
     "DeploymentResult",
     "deploy",
     "deploy_model",
-    "deploy_many",
-    "DeployPoint",
     "PartitionResult",
     "partition_coreops",
     "StageCache",

@@ -149,11 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run placement & routing on the function-block netlist (small models)",
     )
     deploy.add_argument(
-        "--pnr-jobs", type=_positive_int, default=None, metavar="N",
-        help="worker threads for the parallel P&R engine (results are "
-        "bit-identical for any value; default 1)",
-    )
-    deploy.add_argument(
         "--bitstream", metavar="FILE", default=None,
         help="write the chip configuration as JSON to FILE ('-' for stdout)",
     )
@@ -350,11 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="delta-debug every failing spec to a minimal reproducer",
     )
     fuzz.add_argument(
-        "--pnr-jobs", type=_positive_int, default=4, metavar="N",
-        help="parallel P&R worker count the jobs-invariance lattice point "
-        "compares against jobs=1 (default: 4)",
-    )
-    fuzz.add_argument(
         "--json", metavar="FILE", default=None,
         help="write the campaign report as JSON to FILE ('-' for stdout)",
     )
@@ -399,7 +389,20 @@ def _print_error(response_error) -> None:
     )
 
 
+def _check_writable(path: str | None, what: str) -> None:
+    """Fail before the work, not after it: an unwritable output path must
+    not cost a full compile or fuzzing run.  ``'-'`` (stdout) passes."""
+    if path is None or path == "-":
+        return
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        raise InvalidRequestError(f"cannot write {what} to {path!r}: {exc}") from exc
+
+
 def _command_deploy(args: argparse.Namespace) -> int:
+    _check_writable(args.bitstream, "bitstream")
     if args.passes is not None:
         # an explicit pass list overrides the flag-derived pipeline; tell the
         # user when a flag asked for a stage the list leaves out
@@ -419,7 +422,6 @@ def _command_deploy(args: argparse.Namespace) -> int:
         emit_bitstream=args.bitstream is not None,
         num_chips=args.chips,
         shard_jobs=args.chip_jobs,
-        pnr_jobs=args.pnr_jobs,
         passes=tuple(args.passes) if args.passes is not None else None,
         verify=args.verify,
     )
@@ -780,23 +782,13 @@ def _command_lint(args: argparse.Namespace) -> int:
 def _command_fuzz(args: argparse.Namespace) -> int:
     from .fuzz import run_campaign
 
-    if args.json is not None and args.json != "-":
-        # fail before the campaign, not after it: an unwritable report path
-        # must not cost a full fuzzing run
-        try:
-            with open(args.json, "a", encoding="utf-8"):
-                pass
-        except OSError as exc:
-            raise InvalidRequestError(
-                f"cannot write fuzz report to {args.json!r}: {exc}"
-            ) from exc
+    _check_writable(args.json, "fuzz report")
     progress = sys.stderr if args.json == "-" else sys.stdout
     report = run_campaign(
         models=args.models,
         seed=args.seed,
         size_class=args.size_class,
         shrink_failures=args.shrink,
-        pnr_jobs=args.pnr_jobs,
         log=lambda msg: print(msg, file=progress),
     )
     if args.json is not None:

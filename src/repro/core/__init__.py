@@ -2,7 +2,7 @@
 cache (in-memory + cross-process shared tiers), the warm worker pool and
 the (batch) deployment helpers."""
 
-from .api import DeployPoint, WorkerPool, deploy, deploy_many, deploy_model
+from .api import WorkerPool, deploy, deploy_model
 from .cache import CacheStats, StageCache, clear_default_cache, default_cache
 from .compiler import FPSACompiler
 from .pipeline import (
@@ -27,8 +27,6 @@ __all__ = [
     "DeploymentResult",
     "deploy",
     "deploy_model",
-    "deploy_many",
-    "DeployPoint",
     "WorkerPool",
     "StageCache",
     "CacheStats",

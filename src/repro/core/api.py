@@ -1,18 +1,15 @@
 """Convenience functions for the most common library entry points.
 
-Besides the single-model :func:`deploy` / :func:`deploy_model` helpers, this
-module provides :func:`deploy_many`: batch deployment of many (model,
-configuration) design points across a process pool, with the pipeline's
-stage cache de-duplicating the shared front-end work.  This is the entry
-point the experiment sweeps use.
-
-For serving workloads, :class:`WorkerPool` keeps one *persistent, warm*
-process pool alive across many :func:`deploy_many` /
-:class:`~repro.service.jobs.JobManager` / partition-shard batches: workers
-are spawned once, pre-import the model zoo and the pass pipeline, and
+:func:`deploy` / :func:`deploy_model` compile one graph or one zoo model in
+this process.  Batches of requests go through
+:meth:`repro.service.client.FPSAClient.compile_batch` /
+:class:`~repro.service.jobs.JobManager`, which fan out over a
+:class:`WorkerPool`: one *persistent, warm* process pool whose workers are
+spawned once, pre-import the model zoo and the pass pipeline, and
 optionally attach a cross-process
-:class:`~repro.core.shared_cache.SharedStageCache` tier — so the per-batch
-cost drops from "spawn a pool + cold caches" to "pickle the payloads".
+:class:`~repro.core.shared_cache.SharedStageCache` tier.  :func:`run_pool`
+is the shard backend's throwaway process pool (the shards of *one*
+compile, see :mod:`repro.partition.backend`).
 """
 
 from __future__ import annotations
@@ -20,14 +17,10 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import Executor, ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
-
 from ..arch.params import FPSAConfig
 from ..errors import InvalidRequestError
 from ..graph.graph import ComputationalGraph
 from ..models.zoo import build_model
-from ..synthesizer.synthesizer import SynthesisOptions
 from .cache import StageCache, default_cache
 from .compiler import FPSACompiler
 from .result import DeploymentResult
@@ -36,8 +29,6 @@ from .shared_cache import SharedStageCache, shared_cache_from_env
 __all__ = [
     "deploy",
     "deploy_model",
-    "deploy_many",
-    "DeployPoint",
     "run_pool",
     "WorkerPool",
 ]
@@ -88,13 +79,12 @@ def _warm_worker(
 class WorkerPool:
     """A persistent, warm pool of compile worker processes.
 
-    Unlike the throwaway ``ProcessPoolExecutor`` a bare :func:`run_pool`
-    spins up per batch, a ``WorkerPool`` is created once and reused: pass
-    it to :func:`deploy_many` / :func:`run_pool` (``pool=``), to
-    :class:`~repro.service.jobs.JobManager` (``pool=``), or to
-    :class:`FPSACompiler` (``pool=``, ridden by partitioned shard
-    compiles).  Workers pre-import the zoo and the pass pipeline at spawn
-    time and keep their per-process stage caches warm across batches.
+    Unlike the throwaway ``ProcessPoolExecutor`` :func:`run_pool` spins
+    up per call, a ``WorkerPool`` is created once and reused: pass it to
+    :class:`~repro.service.jobs.JobManager` (``pool=``) or ``submit`` to
+    it directly.  Workers pre-import the zoo and the pass pipeline at
+    spawn time and keep their per-process stage caches warm across
+    requests.
 
     Parameters
     ----------
@@ -158,10 +148,6 @@ class WorkerPool:
             self._executor = self._build_executor()
         old.shutdown(wait=False)
 
-    def map(self, worker, payloads) -> list:
-        """Map ``worker`` over ``payloads`` on the warm pool, in order."""
-        return list(self.executor.map(worker, payloads))
-
     def submit(self, worker, *args, **kwargs):
         return self.executor.submit(worker, *args, **kwargs)
 
@@ -180,21 +166,14 @@ class WorkerPool:
         self.shutdown()
 
 
-def run_pool(
-    worker,
-    payloads,
-    jobs: int | None = None,
-    pool: WorkerPool | None = None,
-) -> list:
+def run_pool(worker, payloads, jobs: int | None = None) -> list:
     """Map a picklable ``worker`` over ``payloads``, preserving order.
 
-    The process-pool machinery behind :func:`deploy_many`, also ridden by
-    the per-shard backend of :mod:`repro.partition.backend`.  ``jobs=None``
-    picks ``min(len(payloads), cpu_count, 8)``; ``1`` (or a single payload)
-    runs sequentially in this process.  A persistent :class:`WorkerPool`
-    given via ``pool=`` is reused as-is (``jobs`` is ignored, the pool's
-    own worker count applies, and the pool stays alive afterwards) —
-    this is the warm serving path.
+    The process pool of the per-shard backend
+    (:mod:`repro.partition.backend`).  ``jobs=None`` picks
+    ``min(len(payloads), cpu_count, 8)``; ``1`` (or a single payload) runs
+    sequentially in this process, anything else on a throwaway
+    ``ProcessPoolExecutor``.
     """
     payloads = list(payloads)
     if jobs is not None and jobs < 1:
@@ -203,8 +182,6 @@ def run_pool(
         )
     if not payloads:
         return []
-    if pool is not None:
-        return pool.map(worker, payloads)
     if jobs is None:
         jobs = min(len(payloads), os.cpu_count() or 1, _MAX_AUTO_JOBS)
     if jobs == 1 or len(payloads) == 1:
@@ -238,48 +215,9 @@ def deploy_model(
     return deploy(build_model(name), duplication_degree, config, **kwargs)
 
 
-@dataclass
-class DeployPoint:
-    """One design point of a batch deployment.
-
-    ``model`` is a model-zoo name or a pre-built graph; per-point
-    ``config`` / ``synthesis_options`` / ``compile_kwargs`` override the
-    batch-wide settings of :func:`deploy_many`.
-    """
-
-    model: str | ComputationalGraph
-    duplication_degree: int = 1
-    config: FPSAConfig | None = None
-    synthesis_options: SynthesisOptions | None = None
-    compile_kwargs: dict[str, Any] = field(default_factory=dict)
-
-    @classmethod
-    def coerce(cls, point: Any) -> "DeployPoint":
-        """Accept a DeployPoint, a model name/graph, or a (model, degree) pair.
-
-        The pair form accepts both tuples and lists (JSON round-trips turn
-        tuples into lists).
-        """
-        if isinstance(point, cls):
-            return point
-        if isinstance(point, (str, ComputationalGraph)):
-            return cls(model=point)
-        if isinstance(point, (tuple, list)) and len(point) == 2:
-            return cls(model=point[0], duplication_degree=point[1])
-        raise InvalidRequestError(
-            f"cannot interpret {point!r} of type {type(point).__name__} as a "
-            f"deploy point; expected a DeployPoint, a model name, a graph, or "
-            f"a (model, degree) pair",
-            details={"type": type(point).__name__},
-        )
-
-    def graph(self) -> ComputationalGraph:
-        return build_model(self.model) if isinstance(self.model, str) else self.model
-
-
 #: per-process private cache used when a parallel batch was given a private
 #: StageCache (which cannot cross process boundaries); one per worker, shared
-#: by every point that worker compiles.
+#: by everything that worker compiles.
 _WORKER_PRIVATE_CACHE: StageCache | None = None
 
 
@@ -295,86 +233,3 @@ def _worker_private_cache() -> StageCache:
             shared = shared_cache_from_env()
         _WORKER_PRIVATE_CACHE = StageCache(shared=shared)
     return _WORKER_PRIVATE_CACHE
-
-
-def _deploy_point(payload: tuple[DeployPoint, FPSAConfig | None,
-                                 dict[str, Any], StageCache | bool | None]
-                  ) -> DeploymentResult:
-    """Compile one design point (module-level so process pools can pickle it)."""
-    point, base_config, common_kwargs, cache = payload
-    if cache == "__private__":
-        cache = _worker_private_cache()
-    compiler = FPSACompiler(
-        config=point.config if point.config is not None else base_config,
-        synthesis_options=point.synthesis_options,
-        cache=cache,
-    )
-    kwargs = dict(common_kwargs)
-    kwargs.update(point.compile_kwargs)
-    return compiler.compile(
-        point.graph(), duplication_degree=point.duplication_degree, **kwargs
-    )
-
-
-def deploy_many(
-    points: Iterable[Any],
-    config: FPSAConfig | None = None,
-    jobs: int | None = None,
-    cache: StageCache | bool | None = None,
-    pool: WorkerPool | None = None,
-    **common_kwargs,
-) -> list[DeploymentResult]:
-    """Deploy a batch of design points, optionally across a process pool.
-
-    Parameters
-    ----------
-    points:
-        Design points: :class:`DeployPoint` instances, model names, graphs,
-        or ``(model, duplication_degree)`` pairs, freely mixed.
-    config:
-        Batch-wide hardware configuration (points may override it).
-    jobs:
-        Worker processes.  ``None`` picks ``min(len(points), cpu_count, 8)``;
-        ``1`` (or a single point) compiles sequentially in this process.
-    cache:
-        Stage-cache setting forwarded to every compiler (see
-        :class:`FPSACompiler`).  Worker processes keep per-process caches
-        (a private :class:`StageCache` becomes one fresh private cache per
-        worker), so cache hits across points require them to land on the
-        same worker — or a shared-cache tier (see :class:`WorkerPool`);
-        the sequential path shares one cache across the whole batch.
-    pool:
-        A persistent :class:`WorkerPool` to run the batch on.  The pool is
-        reused as-is and stays alive afterwards, so consecutive batches
-        land on the same warm workers (``jobs`` is ignored).
-    common_kwargs:
-        Extra keyword arguments forwarded to every compile (per-point
-        ``compile_kwargs`` take precedence).
-
-    Returns
-    -------
-    Results in the same order as ``points``, identical to calling
-    :func:`deploy` on each point sequentially.
-    """
-    # materialize generator inputs exactly once, before any validation can
-    # raise, so callers never see a half-consumed iterable
-    resolved = [DeployPoint.coerce(p) for p in points]
-    if jobs is not None and jobs < 1:
-        raise InvalidRequestError(
-            f"jobs must be >= 1, got {jobs}", details={"jobs": jobs}
-        )
-    if not resolved:
-        return []
-    if pool is None:
-        if jobs is None:
-            jobs = min(len(resolved), os.cpu_count() or 1, _MAX_AUTO_JOBS)
-        if jobs == 1 or len(resolved) == 1:
-            return [
-                _deploy_point((p, config, common_kwargs, cache)) for p in resolved
-            ]
-    # a StageCache instance holds a lock and cannot cross process boundaries;
-    # to preserve the isolation a private cache asks for, each worker builds
-    # its own private cache rather than falling back to the shared default.
-    worker_cache = cache if cache is None or isinstance(cache, bool) else "__private__"
-    payloads: Sequence = [(p, config, common_kwargs, worker_cache) for p in resolved]
-    return run_pool(_deploy_point, payloads, jobs=jobs, pool=pool)

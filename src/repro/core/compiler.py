@@ -20,16 +20,13 @@ synthesis and mapping entirely.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import Any, Sequence
 
 from ..arch.params import FPSAConfig
 from ..errors import InvalidRequestError
 from ..graph.graph import ComputationalGraph
 from ..synthesizer.synthesizer import SynthesisOptions
 from .cache import CacheStats, StageCache, default_cache
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from .api import WorkerPool
 from .pipeline import (
     PUBLIC_KNOBS,
     CompileContext,
@@ -59,10 +56,6 @@ class FPSACompiler:
         Stage cache for the pipeline: ``None`` (the default) shares the
         process-wide cache, a :class:`~repro.core.cache.StageCache` uses a
         private one, and ``False`` disables caching for this compiler.
-    pool:
-        A persistent :class:`~repro.core.api.WorkerPool` the partitioned
-        flow reuses for parallel shard compiles (``shard_jobs > 1``)
-        instead of spawning a fresh process pool per compile.
     """
 
     def __init__(
@@ -70,7 +63,6 @@ class FPSACompiler:
         config: FPSAConfig | None = None,
         synthesis_options: SynthesisOptions | None = None,
         cache: StageCache | bool | None = None,
-        pool: "WorkerPool | None" = None,
     ):
         self.config = config if config is not None else FPSAConfig()
         self.synthesis_options = (
@@ -78,7 +70,6 @@ class FPSACompiler:
             if synthesis_options is not None
             else SynthesisOptions.from_pe(self.config.pe)
         )
-        self.pool = pool
         if cache is None or cache is True:
             self.cache: StageCache | None = default_cache()
         elif cache is False:
@@ -242,7 +233,6 @@ class FPSACompiler:
             useful_ops_per_sample=useful_ops,
             jobs=options.shard_jobs if options.shard_jobs is not None else 1,
             cache=cache,
-            pool=self.pool,
         )
         cache_stats = ctx.cache_stats
         for result in shard_results:

@@ -181,8 +181,7 @@ class CompileOptions:
     pnr_channel_width: int | None = knob(COUNT, "semantic", default=None)
     #: stage-local placer seed; the master ``seed`` takes precedence.
     pnr_seed: int = knob(integer(0), "semantic", default=0)
-    #: worker threads for the P&R engine (``None``/``1`` = serial): any
-    #: value yields bit-identical placements and routings for one seed.
+    #: accepted, ignored (threads measured 0.73-0.80x).
     pnr_jobs: int | None = knob(COUNT, "execution", default=None)
     #: master seed every stochastic stage derives its stream from
     #: (:func:`repro.seeding.derive_seed`): same inputs, same bits.

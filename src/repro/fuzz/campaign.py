@@ -116,10 +116,9 @@ def _shrink_predicate(
     report: CampaignReport,
     groups: tuple[str, ...],
     config: "FPSAConfig | None",
-    pnr_jobs: int,
 ) -> Callable[[ModelSpec], bool]:
     def still_fails(candidate: ModelSpec) -> bool:
-        inner = check_spec(candidate, config=config, pnr_jobs=pnr_jobs, subset=groups)
+        inner = check_spec(candidate, config=config, subset=groups)
         report.compiles += inner.compiles
         report.configs_diffed += len(inner.configs)
         return not inner.ok
@@ -133,7 +132,6 @@ def run_campaign(
     *,
     size_class: str | None = None,
     shrink_failures: bool = False,
-    pnr_jobs: int = 4,
     config: "FPSAConfig | None" = None,
     max_shrink_evaluations: int = 60,
     log: Callable[[str], None] | None = None,
@@ -156,7 +154,7 @@ def run_campaign(
     for index in range(models):
         spec = generate_spec(seed, index, size_class=size_class)
         report.specs.append(spec.spec_id())
-        check = check_spec(spec, config=config, pnr_jobs=pnr_jobs)
+        check = check_spec(spec, config=config)
         report.compiles += check.compiles
         report.configs_diffed += len(check.configs)
         if check.ok:
@@ -165,9 +163,7 @@ def run_campaign(
             f"{len(check.findings)} finding(s)")
         shrunk: ShrinkResult | None = None
         if shrink_failures:
-            still_fails = _shrink_predicate(
-                report, _groups_of(check), config, pnr_jobs
-            )
+            still_fails = _shrink_predicate(report, _groups_of(check), config)
             shrunk = shrink(
                 spec, still_fails, max_evaluations=max_shrink_evaluations
             )

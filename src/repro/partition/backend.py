@@ -6,7 +6,7 @@ optionally ``pnr`` / ``pipeline_sim`` / ``bitstream``) as an independent
 compile: each shard gets its own :class:`~repro.core.pipeline.PassManager`
 with the ``coreops`` artifact preloaded, hits the stage cache with its own
 content-addressed keys, and — for ``shard_jobs > 1`` — compiles in a worker
-process of the same pool :func:`repro.core.api.deploy_many` uses.
+process of :func:`repro.core.api.run_pool`'s throwaway pool.
 
 Every shard is allocated against the *whole model's* pipeline pace
 (``target_iterations`` / ``replication`` recorded on the plan), so the
@@ -32,7 +32,6 @@ from ..perf.metrics import LatencyBreakdown, PerformanceReport
 from .plan import PartitionResult, Shard
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.api import WorkerPool
     from ..perf.bounds import UtilizationBounds
 
 __all__ = [
@@ -159,17 +158,13 @@ def compile_shards(
     useful_ops_per_sample: float,
     jobs: int | None = 1,
     cache: StageCache | None = None,
-    pool: "WorkerPool | None" = None,
 ) -> list[ShardCompileResult]:
     """Compile every shard of a partition plan, optionally in parallel.
 
-    ``jobs`` follows :func:`repro.core.api.deploy_many`: ``1`` compiles
+    ``jobs`` follows :func:`repro.core.api.run_pool`: ``1`` compiles
     sequentially sharing ``cache`` across the shards, ``None``/``>1``
     spreads the shards over a process pool (each worker keeps a per-process
-    cache, since a live :class:`StageCache` cannot cross processes — a
-    warm :class:`~repro.core.api.WorkerPool` given via ``pool=`` is reused
-    instead of spawning a fresh one, and its shared-cache tier lets one
-    worker's synthesis serve another's lookup).
+    cache, since a live :class:`StageCache` cannot cross processes).
     """
     shard_macs = [shard.coreops.total_macs() for shard in plan.shards]
     total_macs = sum(shard_macs)
@@ -188,7 +183,7 @@ def compile_shards(
                 cache,
             )
         )
-    sequential = pool is None and (jobs == 1 or len(payloads) == 1)
+    sequential = jobs == 1 or len(payloads) == 1
     if not sequential:
         marker = (
             "__default__"
@@ -196,7 +191,7 @@ def compile_shards(
             else ("__private__" if cache is not None else None)
         )
         payloads = [(s, c, o, n, marker) for (s, c, o, n, _) in payloads]
-    return run_pool(_compile_shard, payloads, jobs=jobs, pool=pool)
+    return run_pool(_compile_shard, payloads, jobs=jobs)
 
 
 # --------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from .pnr import PlaceAndRoute
 __all__ = ["PnRPass"]
 
 #: version salt of the P&R artifact: bumped whenever the engine's output
-#: changes for the same inputs (v2 = the parallel engine's batched
-#: annealing schedule and 1.6x A* inflation).
+#: changes for the same inputs (v2 = the batched annealing schedule and
+#: 1.6x A* inflation).
 _PNR_ARTIFACT_VERSION = "pnr-v2"
 
 
@@ -35,8 +35,7 @@ class PnRPass(CompilePass):
     def cache_key(self, ctx: CompileContext) -> str:
         # keyed on the netlist artifact actually routed, so any mapping
         # producer (standard or custom) gets a correct cache entry.
-        # ``pnr_jobs`` is deliberately absent: it is an execution knob and
-        # every jobs value produces the bit-identical artifact.
+        # ``pnr_jobs`` is deliberately absent: nothing reads it.
         return fingerprint(
             _PNR_ARTIFACT_VERSION,
             netlist_fingerprint(ctx.mapping.netlist),

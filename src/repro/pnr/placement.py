@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -346,10 +345,9 @@ class PlacementCostModel:
 class RegionGrid:
     """Disjoint rectangular regions tiling the fabric's core sites.
 
-    The grid shape is a pure function of the fabric geometry (never of
-    the jobs count), so the region id of a move — the major key of the
-    deterministic merge order — is identical no matter how many workers
-    evaluate the batch.
+    The grid shape is a pure function of the fabric geometry, and so is
+    the region id of a move — the major key of the deterministic merge
+    order.
     """
 
     width: int
@@ -569,10 +567,9 @@ class ParallelAnnealingPlacer:
     reproducible too, and a serial replay of that sequence through
     :class:`PlacementCostModel` reaches the identical placement.
 
-    ``jobs`` only splits the delta evaluation of one batch across worker
-    threads (grouped by region); every random draw comes from one
-    generator that never sees the jobs value, so results are
-    bit-identical for any ``jobs``.
+    Everything runs on the calling thread and every random draw comes
+    from one generator seeded by ``seed``; ``options`` is accepted and
+    not read (see :class:`~repro.pnr.options.PnROptions`).
     """
 
     #: exit temperature factor (VPR): stop when T < this * cost / nets.
@@ -601,7 +598,6 @@ class ParallelAnnealingPlacer:
         temperature: float,
         rlim: int,
         batch: int,
-        pool: ThreadPoolExecutor | None,
         collect_moves: bool = False,
     ) -> tuple[int, int, int, float, list[tuple[int, int, int, int]]]:
         """One batch: propose, arbitrate, evaluate survivors, apply.
@@ -702,27 +698,9 @@ class ParallelAnnealingPlacer:
         )
 
         t_delta = time.perf_counter()
-        new_cost = np.empty(pair_net.size, dtype=np.int64)
-        pair_region = region[survivors][pair_mv]
-        if pool is not None and survivors.size >= 2:
-            groups = [
-                np.flatnonzero(pair_region == r)
-                for r in np.unique(pair_region)
-            ]
-            list(
-                pool.map(
-                    lambda idx: self._eval_pairs(
-                        geometry, state, pair_mv, pair_net,
-                        sb, ss, stx, sty, sox, soy, new_cost, idx,
-                    ),
-                    groups,
-                )
-            )
-        else:
-            self._eval_pairs(
-                geometry, state, pair_mv, pair_net,
-                sb, ss, stx, sty, sox, soy, new_cost, None,
-            )
+        new_cost = self._eval_pairs(
+            geometry, state, pair_mv, pair_net, sb, ss, stx, sty, sox, soy
+        )
         pair_delta = new_cost - state.net_costs[pair_net]
         delta = np.bincount(
             pair_mv, weights=pair_delta, minlength=survivors.size
@@ -788,45 +766,29 @@ class ParallelAnnealingPlacer:
         sty: np.ndarray,
         sox: np.ndarray,
         soy: np.ndarray,
-        out_new_cost: np.ndarray,
-        idx: np.ndarray | None,
-    ) -> None:
-        """HPWL of each pair's net with the pair's move applied.
-
-        ``idx`` selects a subset of pairs (one region's worth when worker
-        threads split the batch); results land in the shared output array
-        at their global positions, so the merged output is identical no
-        matter how the pairs were grouped.
-        """
-        if idx is None:
-            mv, nets = pair_mv, pair_net
-        else:
-            mv, nets = pair_mv[idx], pair_net[idx]
-        mem = geometry.members_pad[nets]
-        mask = geometry.members_mask[nets]
-        memc = geometry.members_clipped[nets]
+    ) -> np.ndarray:
+        """HPWL of each pair's net with the pair's move applied."""
+        mem = geometry.members_pad[pair_net]
+        mask = geometry.members_mask[pair_net]
+        memc = geometry.members_clipped[pair_net]
         pxy = state.coords[:, memc]
-        sbm = sb[mv][:, None]
-        ssm = ss[mv][:, None]
+        sbm = sb[pair_mv][:, None]
+        ssm = ss[pair_mv][:, None]
         is_b = mem == sbm
         is_s = (ssm >= 0) & (mem == ssm)
         # both coordinates move through one fused (2, pairs, fanout)
         # where/min/max pass; the boolean masks broadcast across axis 0
-        txy = np.empty((2, mv.size, 1), dtype=np.int64)
-        txy[0, :, 0] = stx[mv]
-        txy[1, :, 0] = sty[mv]
-        oxy = np.empty((2, mv.size, 1), dtype=np.int64)
-        oxy[0, :, 0] = sox[mv]
-        oxy[1, :, 0] = soy[mv]
+        txy = np.empty((2, pair_mv.size, 1), dtype=np.int64)
+        txy[0, :, 0] = stx[pair_mv]
+        txy[1, :, 0] = sty[pair_mv]
+        oxy = np.empty((2, pair_mv.size, 1), dtype=np.int64)
+        oxy[0, :, 0] = sox[pair_mv]
+        oxy[1, :, 0] = soy[pair_mv]
         nxy = np.where(is_b, txy, np.where(is_s, oxy, pxy))
         big = np.int64(1) << 30
         lo = np.where(mask, nxy, big).min(axis=2)
         hi = np.where(mask, nxy, -big).max(axis=2)
-        cost = (hi[0] - lo[0]) + (hi[1] - lo[1])
-        if idx is None:
-            out_new_cost[:] = cost
-        else:
-            out_new_cost[idx] = cost
+        return (hi[0] - lo[0]) + (hi[1] - lo[1])
 
     # ---------------------------------------------------------------- schedule
     @staticmethod
@@ -881,8 +843,7 @@ class ParallelAnnealingPlacer:
         # so later batches within a round see the earlier batches' moves.
         # Small netlists cool slower through the mid phase: each of their
         # batches yields only a handful of conflict-free moves, so they
-        # need more rounds per temperature.  The choice depends only on
-        # the netlist, never on jobs.
+        # need more rounds per temperature.
         batches_per_round = 4
         mid_cooling = 0.96 if geometry.movable.size < 64 else 0.95
         batch = max(
@@ -891,52 +852,46 @@ class ParallelAnnealingPlacer:
         )
         max_dim = max(fabric.width, fabric.height)
 
-        jobs = self.options.effective_jobs()
-        pool = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-        try:
-            base = max(1.0, state.total / max(geometry.n_nets, 1))
-            temperature = base / max(self.initial_acceptance, 1e-6)
-            rlim = float(max_dim)
-            zero_rounds = 0
+        base = max(1.0, state.total / max(geometry.n_nets, 1))
+        temperature = base / max(self.initial_acceptance, 1e-6)
+        rlim = float(max_dim)
+        zero_rounds = 0
 
-            for _ in range(self._MAX_ROUNDS):
-                evaluated = accepted = nonzero = 0
-                for _ in range(batches_per_round):
-                    ev, acc, nz, dt, _ = self._batch(
-                        geometry, state, fabric, region_of_site,
-                        temperature, max(1, int(round(rlim))), batch, pool,
-                    )
-                    evaluated += ev
-                    accepted += acc
-                    nonzero += nz
-                    stats.place_delta_seconds += dt
+        for _ in range(self._MAX_ROUNDS):
+            evaluated = accepted = nonzero = 0
+            for _ in range(batches_per_round):
+                ev, acc, nz, dt, _ = self._batch(
+                    geometry, state, fabric, region_of_site,
+                    temperature, max(1, int(round(rlim))), batch,
+                )
+                evaluated += ev
+                accepted += acc
+                nonzero += nz
+                stats.place_delta_seconds += dt
 
-                proposed = batch * batches_per_round
-                stats.temperatures.append((temperature, proposed, accepted))
-                stats.moves_proposed += proposed
-                stats.moves_accepted += accepted
+            proposed = batch * batches_per_round
+            stats.temperatures.append((temperature, proposed, accepted))
+            stats.moves_proposed += proposed
+            stats.moves_accepted += accepted
 
-                # acceptance over the *evaluated* independent survivors:
-                # conflict-losers never reached the Metropolis test and
-                # must not read as rejections to the schedule
-                alpha = accepted / max(evaluated, 1)
-                temperature = self._cool(temperature, alpha, mid_cooling)
-                rlim = min(float(max_dim), max(1.0, rlim * (0.56 + alpha)))
+            # acceptance over the *evaluated* independent survivors:
+            # conflict-losers never reached the Metropolis test and
+            # must not read as rejections to the schedule
+            alpha = accepted / max(evaluated, 1)
+            temperature = self._cool(temperature, alpha, mid_cooling)
+            rlim = min(float(max_dim), max(1.0, rlim * (0.56 + alpha)))
 
-                # a round whose accepted moves were all zero-delta shuffles
-                # cannot have improved the cost: after a few of those in a
-                # row the anneal is frozen, whatever the temperature says
-                zero_rounds = zero_rounds + 1 if nonzero == 0 else 0
-                if (
-                    state.total == 0
-                    or zero_rounds >= self._FROZEN_ROUNDS
-                    or temperature
-                    < self._EXIT_FACTOR * max(state.total, 1) / max(geometry.n_nets, 1)
-                ):
-                    break
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=True)
+            # a round whose accepted moves were all zero-delta shuffles
+            # cannot have improved the cost: after a few of those in a
+            # row the anneal is frozen, whatever the temperature says
+            zero_rounds = zero_rounds + 1 if nonzero == 0 else 0
+            if (
+                state.total == 0
+                or zero_rounds >= self._FROZEN_ROUNDS
+                or temperature
+                < self._EXIT_FACTOR * max(state.total, 1) / max(geometry.n_nets, 1)
+            ):
+                break
 
         self._refine(geometry, state, fabric, stats)
 
@@ -959,10 +914,9 @@ class ParallelAnnealingPlacer:
         Serial and rng-free: blocks are visited in index order and each
         takes its best strictly-improving move (ties broken by lowest
         site id) within a ``radius`` window, so the polish is
-        deterministic and trivially independent of ``jobs``.  Deltas are
-        exact — the state is committed between moves — which lets the
-        quench escape the plateau the batched anneal's frozen phase
-        leaves behind.
+        deterministic.  Deltas are exact — the state is committed between
+        moves — which lets the quench escape the plateau the batched
+        anneal's frozen phase leaves behind.
         """
         width, height = fabric.width, fabric.height
         xs, ys, occ = state.xs, state.ys, state.occ
@@ -1014,10 +968,8 @@ class ParallelAnnealingPlacer:
                 stats.moves_proposed += n_cand
                 if pair_net.size == 0:
                     continue
-                new_cost = np.empty(pair_net.size, dtype=np.int64)
-                self._eval_pairs(
-                    geometry, state, pair_mv, pair_net,
-                    sb, ss, stx, sty, sox, soy, new_cost, None,
+                new_cost = self._eval_pairs(
+                    geometry, state, pair_mv, pair_net, sb, ss, stx, sty, sox, soy
                 )
                 delta = np.bincount(
                     pair_mv,

@@ -6,10 +6,9 @@ plays in the paper's toolchain: it consumes the function-block netlist
 emitted by the mapper and reports wirelength, channel occupancy and the
 communication critical path that feeds the performance model.
 
-There is one engine: the batched region-parallel annealer followed by the
-window-confined domain router.  It is deterministic for a fixed seed and
-bit-identical for any :class:`~repro.pnr.options.PnROptions` ``jobs``
-value.
+There is one engine: the batched annealer followed by the
+window-confined domain router.  It runs on the calling thread and is
+deterministic for a fixed seed.
 """
 
 from __future__ import annotations

@@ -15,25 +15,21 @@ changing its semantics where it matters:
 * **congestion domains** — nets whose search windows overlap are grouped
   (union-find) into one domain; domains are node-disjoint by construction
   and therefore share no congestion state, so each runs its own
-  independent negotiation loop (and worker threads may run domains
-  concurrently — bit-identical results for any ``jobs``, because the
-  domains never interact);
+  independent negotiation loop, one after the other;
 * **incremental rip-up** — from the second negotiation iteration on, only
   the nets whose trees touch an overused wire are ripped up and rerouted;
   everyone else keeps their tree and their occupancy.
 
 The search runs over the graph's :class:`~repro.pnr.rrgraph.CompiledRRGraph`
-— integer node ids, flat adjacency lists, and per-worker cost/visited
-lists reset by version stamps instead of reallocation.  The weighted A*
-heuristic (VPR's ``astar_fac``) steers the wavefront at the sink; heap
-ties break on node id, making routing deterministic across processes.
+— integer node ids, flat adjacency lists, and cost/visited lists reset by
+version stamps instead of reallocation.  The weighted A* heuristic (VPR's
+``astar_fac``) steers the wavefront at the sink; heap ties break on node
+id, making routing deterministic across processes.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
@@ -132,11 +128,10 @@ class RoutingResult:
 
 
 class _SearchState:
-    """Per-worker search scratch, reset by version stamps.
+    """Search scratch, reset by version stamps.
 
-    Every worker thread owns one instance, so concurrent domain searches
-    never share ``dist``/``prev``/``seen``/``on_tree`` labels.  The labels
-    are plain lists, which CPython indexes faster than numpy arrays.
+    The ``dist``/``prev``/``seen``/``on_tree`` labels are plain lists,
+    which CPython indexes faster than numpy arrays.
     """
 
     __slots__ = ("dist", "prev", "seen", "on_tree", "stamp")
@@ -264,8 +259,8 @@ class PathFinderRouter:
         result.domains = len(domains)
 
         # congestion state, shared across domains: every domain touches
-        # only its own (disjoint) node set, so concurrent writes never
-        # collide and the outcome is independent of the domain schedule
+        # only its own (disjoint) node set, so the outcome is independent
+        # of the domain order
         occupancy = np.zeros(n_nodes, dtype=np.int64)
         history = [0.0] * n_nodes
         node_cost = list(compiled.base_cost)
@@ -275,28 +270,15 @@ class PathFinderRouter:
         paths: list[dict[tuple[int, int], list[int]] | None] = [None] * len(terminals)
         wires: list[list[int]] = [[] for _ in terminals]
 
-        route_domain = lambda dom, state: self._route_domain(  # noqa: E731
-            dom, terminals, windows, compiled, state,
-            occupancy, history, node_cost,
-            trees, paths, wires,
-        )
-
-        jobs = self.options.effective_jobs()
-        if jobs > 1 and len(domains) > 1:
-            local = threading.local()
-
-            def run(dom: list[int]) -> tuple[int, int, int, float]:
-                state = getattr(local, "state", None)
-                if state is None:
-                    # threading.local: per-thread scratch, not shared state
-                    state = local.state = _SearchState(n_nodes)  # repro-lint: disable=CONC001
-                return route_domain(dom, state)
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(run, domains))
-        else:
-            state = _SearchState(n_nodes)
-            outcomes = [route_domain(dom, state) for dom in domains]
+        state = _SearchState(n_nodes)
+        outcomes = [
+            self._route_domain(
+                dom, terminals, windows, compiled, state,
+                occupancy, history, node_cost,
+                trees, paths, wires,
+            )
+            for dom in domains
+        ]
 
         result.iterations = max(o[0] for o in outcomes)
         result.nodes_expanded = sum(o[1] for o in outcomes)

@@ -1,10 +1,9 @@
 """Async job management over the compilation service.
 
-The :class:`JobManager` wraps the same process-pool machinery
-:func:`repro.core.api.deploy_many` uses for batch deployment, but exposes
-it with service semantics: ``submit`` returns immediately with a job id,
-jobs move through the QUEUED -> RUNNING -> DONE/FAILED lifecycle, and
-``result`` hands back the wire-level
+The :class:`JobManager` is the batch front door: it fans compile requests
+out over a process pool with service semantics.  ``submit`` returns
+immediately with a job id, jobs move through the QUEUED -> RUNNING ->
+DONE/FAILED lifecycle, and ``result`` hands back the wire-level
 :class:`~repro.service.schemas.CompileResponse` (failures included, as
 structured error payloads — a FAILED job never raises unless asked to).
 
@@ -158,7 +157,7 @@ def _execute_job(
     any) so the parent can persist both to an artifact store.  ``cache`` is
     the manager's setting; the ``"__private__"`` sentinel (a private
     StageCache cannot cross a process boundary) becomes one per-worker
-    private cache, exactly as in :func:`repro.core.api.deploy_many`.
+    private cache (:func:`repro.core.api._worker_private_cache`).
 
     ``attempt`` is the retry ordinal (0 = first try); it reaches the
     fault-injection site so a chaos plan can target "the first attempt
@@ -250,9 +249,9 @@ class JobManager:
         persisted as the results arrive in the parent process.
     use_processes:
         ``True`` (the default) runs jobs on a process pool, isolating the
-        heavy compiles exactly like ``deploy_many``; ``False`` uses threads
-        (in-process, shares the stage cache — useful for tests and for
-        cache-friendly sweeps of cheap models).
+        heavy compiles; ``False`` uses threads (in-process, shares the
+        stage cache — useful for tests and for cache-friendly sweeps of
+        cheap models).
     pool:
         A persistent :class:`~repro.core.api.WorkerPool` (or any
         ``Executor``) to run jobs on.  The manager does *not* own it: it
@@ -334,7 +333,7 @@ class JobManager:
             self._owns_pool = False
         else:
             if max_workers is None:
-                # same auto sizing as deploy_many's process pool
+                # same auto sizing as WorkerPool and run_pool
                 max_workers = min(os.cpu_count() or 1, _MAX_AUTO_JOBS)
             pool_cls: type[Executor] = (
                 ProcessPoolExecutor if use_processes else ThreadPoolExecutor
@@ -847,13 +846,6 @@ class JobManager:
         with self._lock:
             ids = list(self._jobs)
         return [self.result(job_id, timeout=timeout) for job_id in ids]
-
-    def latencies(self) -> list[float]:
-        """Submit-to-finish seconds of every finished job, in submission
-        order (the serve-bench reads p50/p99 off this)."""
-        with self._lock:
-            jobs = list(self._jobs.values())
-        return [job.seconds for job in jobs if job.seconds is not None]
 
     # ------------------------------------------------------------------
     # lifecycle

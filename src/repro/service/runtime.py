@@ -198,10 +198,6 @@ class ServingRuntime:
         supervisor = self.manager.supervisor
         return supervisor.health.to_dict() if supervisor is not None else None
 
-    def latencies(self) -> list[float]:
-        """Submit-to-finish seconds of every finished job so far."""
-        return self.manager.latencies()
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------

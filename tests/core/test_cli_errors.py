@@ -54,6 +54,19 @@ class TestBadDirectories:
         assert main(["runs", "--store", str(blocker / "sub")]) == 2
         assert "[invalid_request]" in capsys.readouterr().err
 
+    def test_deploy_bad_bitstream_path_fails_first(self, capsys, tmp_path, monkeypatch):
+        def compiled(*args, **kwargs):
+            raise AssertionError("an unwritable --bitstream must not cost a compile")
+
+        monkeypatch.setattr("repro.service.client.serve_request", compiled)
+        target = tmp_path / "missing" / "chip.json"
+        code = main(["deploy", "MLP-500-100", "--bitstream", str(target)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "[invalid_request]" in captured.err
+        assert f"cannot write bitstream to {str(target)!r}" in captured.err
+        assert captured.out == ""
+
     def test_fuzz_bad_json_path_fails_before_the_campaign(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.json"
         code = main(["fuzz", "--models", "1", "--json", str(target)])

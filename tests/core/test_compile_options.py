@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from repro import deploy_many, deploy_model
+from repro import deploy_model
 from repro.core.compiler import FPSACompiler
 from repro.core.pipeline import KNOBS, PUBLIC_KNOBS, CompileContext, CompileOptions
 from repro.errors import InvalidRequestError
@@ -155,9 +155,6 @@ class TestUnknownKnobIsATypedError:
     def test_deploy_helpers(self):
         with pytest.raises(InvalidRequestError) as excinfo:
             deploy_model("LeNet", bogus=1)
-        self._check(excinfo, "bogus")
-        with pytest.raises(InvalidRequestError) as excinfo:
-            deploy_many(["LeNet", "MLP-500-100"], jobs=1, cache=False, bogus=1)
         self._check(excinfo, "bogus")
 
 

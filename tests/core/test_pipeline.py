@@ -1,5 +1,4 @@
-"""Tests of the pass-based compilation pipeline, the stage cache and the
-batch deployment path."""
+"""Tests of the pass-based compilation pipeline and the stage cache."""
 
 import pytest
 
@@ -8,7 +7,6 @@ from repro.core import (
     CompileContext,
     CompileOptions,
     CompilePass,
-    DeployPoint,
     FPSACompiler,
     PassDependencyError,
     PassError,
@@ -17,8 +15,6 @@ from repro.core import (
     UnknownPassError,
     available_passes,
     default_pass_names,
-    deploy,
-    deploy_many,
     register_pass,
     resolve_passes,
 )
@@ -228,79 +224,3 @@ class TestStageCache:
         assert graph_fingerprint(g1) != graph_fingerprint(build_model("MLP-500-100"))
         config = FPSAConfig()
         assert config_fingerprint(config) == config_fingerprint(FPSAConfig())
-
-
-class TestDeployMany:
-    DEGREES = (1, 2, 4, 8)
-
-    def test_parallel_matches_sequential_deploy(self):
-        points = [DeployPoint(build_lenet(), d) for d in self.DEGREES]
-        batch = deploy_many(points, jobs=2, cache=False)
-        sequential = [
-            deploy(build_lenet(), duplication_degree=d, cache=False)
-            for d in self.DEGREES
-        ]
-        assert len(batch) == len(sequential) == len(self.DEGREES)
-        for got, want in zip(batch, sequential, strict=True):
-            assert got.model == want.model
-            assert got.duplication_degree == want.duplication_degree
-            assert got.mapping.netlist.n_pe == want.mapping.netlist.n_pe
-            assert got.throughput_samples_per_s == want.throughput_samples_per_s
-            assert got.latency_us == want.latency_us
-            assert got.area_mm2 == want.area_mm2
-            assert got.bounds.temporal_bound == want.bounds.temporal_bound
-
-    def test_parallel_private_cache_stays_private(self):
-        # a private cache cannot cross process boundaries; workers receive a
-        # sentinel and build fresh private caches instead of falling back to
-        # the process-wide default one
-        from repro.core.api import _deploy_point
-        from repro.core.cache import default_cache
-
-        before = default_cache().stats.lookups
-        result = _deploy_point((DeployPoint("LeNet", 2), None, {}, "__private__"))
-        assert result.mapping is not None
-        assert default_cache().stats.lookups == before
-        # end to end: the parallel path accepts a private cache
-        results = deploy_many(
-            [("LeNet", d) for d in self.DEGREES], jobs=2, cache=StageCache()
-        )
-        assert len(results) == len(self.DEGREES)
-
-    def test_sequential_path_shares_cache(self):
-        cache = StageCache()
-        results = deploy_many(
-            [("LeNet", d) for d in self.DEGREES], jobs=1, cache=cache
-        )
-        assert len(results) == len(self.DEGREES)
-        # one synthesis miss, then one hit per remaining point
-        assert cache.stats.hits == len(self.DEGREES) - 1
-
-    def test_point_coercion(self):
-        assert DeployPoint.coerce("LeNet").model == "LeNet"
-        assert DeployPoint.coerce(("LeNet", 4)).duplication_degree == 4
-        graph = build_lenet()
-        assert DeployPoint.coerce(graph).model is graph
-        point = DeployPoint("LeNet", 2)
-        assert DeployPoint.coerce(point) is point
-        with pytest.raises(TypeError):
-            DeployPoint.coerce(42)
-
-    def test_common_kwargs_and_per_point_override(self):
-        points = [
-            DeployPoint("LeNet", 1),
-            DeployPoint("LeNet", 1, compile_kwargs={"passes": ("synthesis",)}),
-        ]
-        full, partial = deploy_many(
-            points, jobs=1, cache=False, passes=("synthesis", "mapping")
-        )
-        assert full.mapping is not None
-        assert partial.mapping is None
-        assert partial.coreops is not None
-
-    def test_empty_batch(self):
-        assert deploy_many([]) == []
-
-    def test_invalid_jobs_rejected(self):
-        with pytest.raises(ValueError):
-            deploy_many(["LeNet"], jobs=0)

@@ -6,12 +6,11 @@ entries so the whole module stays in the seconds range.
 
 import os
 
-from repro.core.api import WorkerPool, deploy_many, deploy_model, run_pool
+import pytest
+
+from repro.core.api import WorkerPool, deploy_model, run_pool
+from repro.errors import InvalidRequestError
 from repro.service import CompileRequest, FPSAClient
-
-
-def _pid(_payload):
-    return os.getpid()
 
 
 def _compile_with_stats(model):
@@ -23,6 +22,7 @@ def _compile_with_stats(model):
     result = deploy_model(model, cache=_worker_private_cache())
     stats = result.cache_stats
     return {
+        "pid": os.getpid(),
         "throughput": result.throughput_samples_per_s,
         "hits": stats.hits,
         "misses": stats.misses,
@@ -31,36 +31,43 @@ def _compile_with_stats(model):
     }
 
 
+POINTS = [("MLP-500-100", 1), ("LeNet", 2)]
+
+
+def _submit_all(pool, worker, argument_lists):
+    futures = [pool.submit(worker, *args) for args in argument_lists]
+    return [f.result() for f in futures]
+
+
 class TestWorkerPool:
     def test_worker_pids_stable_across_batches(self):
-        # the warm-pool contract: consecutive deploy_many batches land on
-        # the same worker processes (no per-batch pool spawn)
+        # the warm-pool contract: consecutive rounds of submits land on
+        # the same worker processes (no per-round pool spawn)
+        models = [(model,) for model, _ in POINTS]
         with WorkerPool(max_workers=2) as pool:
-            first = deploy_many(["MLP-500-100", "LeNet"], pool=pool)
+            first = _submit_all(pool, _compile_with_stats, models)
             pids_after_first = pool.worker_pids()
-            second = deploy_many(["MLP-500-100", "LeNet"], pool=pool)
+            second = _submit_all(pool, _compile_with_stats, models)
             pids_after_second = pool.worker_pids()
         assert pids_after_first == pids_after_second
-        assert len(pids_after_first) >= 1
+        assert {r["pid"] for r in first + second} <= set(pids_after_first)
         assert os.getpid() not in pids_after_first
         for a, b in zip(first, second, strict=True):
-            assert a.throughput_samples_per_s == b.throughput_samples_per_s
-
-    def test_run_pool_reuses_given_pool(self):
-        with WorkerPool(max_workers=1) as pool:
-            pids = set(run_pool(_pid, [None] * 4, pool=pool))
-            pids |= set(run_pool(_pid, [None] * 4, pool=pool))
-        assert len(pids) == 1
-        assert os.getpid() not in pids
+            assert a["throughput"] == b["throughput"]
 
     def test_results_match_sequential(self):
-        sequential = deploy_many(["MLP-500-100", ("LeNet", 2)], jobs=1)
+        sequential = [deploy_model(m, d) for m, d in POINTS]
         with WorkerPool(max_workers=2) as pool:
-            pooled = deploy_many(["MLP-500-100", ("LeNet", 2)], pool=pool)
+            pooled = _submit_all(pool, deploy_model, POINTS)
         for a, b in zip(sequential, pooled, strict=True):
             assert a.throughput_samples_per_s == b.throughput_samples_per_s
             assert a.area_mm2 == b.area_mm2
             assert a.mapping.netlist.n_pe == b.mapping.netlist.n_pe
+
+
+def test_run_pool_rejects_jobs_below_one():
+    with pytest.raises(InvalidRequestError):
+        run_pool(len, ["a"], jobs=0)
 
 
 class TestSharedCacheAcrossProcesses:
@@ -69,10 +76,10 @@ class TestSharedCacheAcrossProcesses:
         single-worker pools over one shared directory — the second pool's
         worker is a different process and must hit the shared tier."""
         with WorkerPool(max_workers=1, shared_cache_dir=str(tmp_path)) as pool:
-            first = run_pool(_compile_with_stats, ["MLP-500-100"], pool=pool)[0]
+            first = pool.submit(_compile_with_stats, "MLP-500-100").result()
             first_pid = pool.worker_pids()[0]
         with WorkerPool(max_workers=1, shared_cache_dir=str(tmp_path)) as pool:
-            second = run_pool(_compile_with_stats, ["MLP-500-100"], pool=pool)[0]
+            second = pool.submit(_compile_with_stats, "MLP-500-100").result()
             second_pid = pool.worker_pids()[0]
         assert first_pid != second_pid
         assert first["shared_hits"] == 0  # nothing published yet: cold

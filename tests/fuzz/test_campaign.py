@@ -92,7 +92,7 @@ class TestCampaign:
         check = oracle_module.SpecCheck(spec=spec)
         for config, expected in (
             ("repeat", ("repeat",)),
-            ("pnr-jobs-2", ("pnr",)),
+            ("pnr-repeat", ("pnr",)),
             ("shared-warm", ("shared",)),
             ("chips1-a", ("chips",)),
             ("auto-b", ("chips",)),

@@ -57,7 +57,7 @@ class TestCheckSpec:
         # every group ran: repeat/warm/shared/pnr/chips all present
         assert {"base", "repeat", "warm", "shared-cold", "shared-warm",
                 "pnr-base", "chips1-a", "auto-a"} <= set(check.configs)
-        assert len(check.configs) == 12
+        assert len(check.configs) == 11
         assert not any(c.startswith("dedup") for c in check.configs)
 
     def test_over_capacity_spec_skips_pnr_but_checks_chips(self):
@@ -143,8 +143,7 @@ class TestLatticeCoversTheExecutionKnobs:
 
         execution = {f.name: f.default for f in KNOBS if f.metadata["role"] == "execution"}
         fuzzed = {name for name, default in execution.items() if seen.get(name, set()) - {default}}
-        # today: pnr_jobs (the ``pnr`` group) and verify (on in every
-        # lattice point); the rest must be excused
+        # today: only verify (on in every lattice point); the rest are excused
         assert set(oracle_module._UNFUZZED) == set(execution) - fuzzed
-        assert "dedup" in oracle_module._UNFUZZED
+        assert {"dedup", "pnr_jobs"} <= set(oracle_module._UNFUZZED)
         assert all(oracle_module._UNFUZZED.values())

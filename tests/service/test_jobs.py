@@ -127,6 +127,21 @@ class TestCacheForwarding:
             responses = [jm.result(i) for i in ids]
         assert responses[1].timings.cache_hits > 0
 
+    def test_private_cache_is_one_private_cache_per_worker_process(self):
+        # a StageCache cannot cross the process boundary: the worker builds
+        # its own, which its second job hits; the parent's is never consulted
+        from repro.core.cache import StageCache
+
+        cache = StageCache()
+        with JobManager(max_workers=1, cache=cache) as jm:
+            ids = jm.submit_batch(
+                [CompileRequest(model="MLP-500-100", duplication_degree=d) for d in (1, 2)]
+            )
+            responses = [jm.result(i) for i in ids]
+        assert all(r.ok for r in responses)
+        assert responses[1].timings.cache_hits > 0
+        assert cache.stats.lookups == 0
+
 
 class TestProcessPool:
     def test_process_pool_round_trip(self):
