@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 import time
 
@@ -363,8 +364,6 @@ def _open_store(directory: str) -> ArtifactStore:
 
 
 def _client(args: argparse.Namespace) -> FPSAClient:
-    import os
-
     store = _open_store(args.store) if getattr(args, "store", None) else None
     cache: StageCache | bool | None
     if getattr(args, "no_cache", False):
@@ -391,12 +390,16 @@ def _print_error(response_error) -> None:
 
 def _check_writable(path: str | None, what: str) -> None:
     """Fail before the work, not after it: an unwritable output path must
-    not cost a full compile or fuzzing run.  ``'-'`` (stdout) passes."""
+    not cost a full compile or fuzzing run.  ``'-'`` (stdout) passes.
+    The probe leaves nothing behind: a file it had to create is removed."""
     if path is None or path == "-":
         return
+    existed = os.path.exists(path)
     try:
         with open(path, "a", encoding="utf-8"):
             pass
+        if not existed:
+            os.remove(path)
     except OSError as exc:
         raise InvalidRequestError(f"cannot write {what} to {path!r}: {exc}") from exc
 

@@ -10,9 +10,9 @@ from .pnr import PlaceAndRoute
 __all__ = ["PnRPass"]
 
 #: version salt of the P&R artifact: bumped whenever the engine's output
-#: changes for the same inputs (v2 = the batched annealing schedule and
-#: 1.6x A* inflation).
-_PNR_ARTIFACT_VERSION = "pnr-v2"
+#: changes for the same inputs (v3 = admissible A* over an exact geometric
+#: lookahead, deepest-first ties).
+_PNR_ARTIFACT_VERSION = "pnr-v3"
 
 
 @register_pass

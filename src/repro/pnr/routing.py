@@ -22,9 +22,14 @@ changing its semantics where it matters:
 
 The search runs over the graph's :class:`~repro.pnr.rrgraph.CompiledRRGraph`
 — integer node ids, flat adjacency lists, and cost/visited lists reset by
-version stamps instead of reallocation.  The weighted A* heuristic (VPR's
-``astar_fac``) steers the wavefront at the sink; heap ties break on node
-id, making routing deterministic across processes.
+version stamps instead of reallocation.  It is admissible A*: a wire's
+remaining cost comes from a lookahead table (:func:`_lookahead`) holding,
+per wire kind and offset from the sink, the exact congestion-free cost
+still to pay — a pure function of the geometry, the fabric being
+translation-invariant with disjoint switch boxes.  Under an exact bound
+every node of an optimal path ties on ``f``; ties break deepest-first, then
+on node id, so the search dives at the sink instead of sweeping the plateau
+of equivalent tracks, and routing is deterministic across processes.
 """
 
 from __future__ import annotations
@@ -33,32 +38,46 @@ import time
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 
-import numpy as np
-
 from ..errors import InvalidRequestError, PnRError
 from ..mapper.netlist import FunctionBlockNetlist, Net
 from .options import PnROptions
 from .placement import Placement
-from .rrgraph import RoutingResourceGraph, RRNode
+from .rrgraph import PIN_BASE_COST, WIRE_BASE_COST, RoutingResourceGraph, RRNode
 
 __all__ = ["RoutedNet", "RoutingResult", "PathFinderRouter", "RoutingError"]
-
-#: cost of re-entering a node already on the net's own routed tree.
-_TREE_REUSE_COST = 0.01
 
 #: search-window margin: each net's A* is confined to its terminal
 #: bounding box expanded by this many blocks, which is also the overlap
 #: slack of the congestion-domain partitioner.
 _BB_MARGIN = 3
 
-#: weight on the distance-to-sink heuristic.  1.0 is plain (admissible)
-#: A*; weighting trades a bounded amount of per-path optimality for
-#: strongly goal-directed searches — with dozens of equivalent parallel
-#: tracks per channel, an unweighted search expands the tie plateau
-#: across every track, while the weighted one dives straight at the sink
-#: (VPR's astar_fac).  1.6 cuts expansions ~25% against the classic 1.2
-#: at equal routed quality on the bench zoo.
-_ASTAR_FACTOR = 1.6
+
+def _lookahead(span: int) -> tuple[list[list[float]], list[list[float]]]:
+    """Lower bound on the cost from a wire to a sink pin, by geometry.
+
+    ``table[dx + span][dy + span]`` of the returned ``(H, V)`` pair is the
+    congestion-free cost still to pay after a wire of that kind at offset
+    ``(dx, dy)`` from the sink's block: the fewest further wires to one of
+    the four at the sink pin — ``H(0, 0)``, ``H(0, -1)``, ``V(0, 0)``,
+    ``V(-1, 0)`` — plus the pin.  Wires continue to ``x ± 1`` and ``y ± 1``
+    within their kind and cross to the other kind in place, always on one
+    track, so the count is exact inside the fabric; congestion only
+    multiplies costs up and the borders only remove edges, so it never
+    overestimates.
+    """
+    def near(d: int) -> int:  # to the nearer of the pin's two channels
+        return min(abs(d), abs(d + 1))
+
+    def table(hops) -> list[list[float]]:
+        return [
+            [PIN_BASE_COST + WIRE_BASE_COST * hops(dx, dy) for dy in range(-span, span + 1)]
+            for dx in range(-span, span + 1)
+        ]
+
+    return (
+        table(lambda dx, dy: min(abs(dx) + near(dy), 1 + near(dx) + abs(dy))),
+        table(lambda dx, dy: min(abs(dy) + near(dx), 1 + abs(dx) + near(dy))),
+    )
 
 
 class RoutingError(PnRError):
@@ -128,20 +147,23 @@ class RoutingResult:
 
 
 class _SearchState:
-    """Search scratch, reset by version stamps.
+    """Search scratch, reset by version stamps, and the lookahead tables.
 
     The ``dist``/``prev``/``seen``/``on_tree`` labels are plain lists,
-    which CPython indexes faster than numpy arrays.
+    which CPython indexes faster than numpy arrays.  ``span`` is one more
+    than the largest pin-to-pin coordinate offset of the fabric.
     """
 
-    __slots__ = ("dist", "prev", "seen", "on_tree", "stamp")
+    __slots__ = ("dist", "prev", "seen", "on_tree", "stamp", "span", "look_h", "look_v")
 
-    def __init__(self, n_nodes: int):
+    def __init__(self, n_nodes: int, span: int):
         self.dist = [0.0] * n_nodes
         self.prev = [-1] * n_nodes
         self.seen = [0] * n_nodes
         self.on_tree = [0] * n_nodes
         self.stamp = 0
+        self.span = span
+        self.look_h, self.look_v = _lookahead(span)
 
 
 class PathFinderRouter:
@@ -153,19 +175,15 @@ class PathFinderRouter:
         max_iterations: int = 30,
         present_cost_factor: float = 0.5,
         history_cost_factor: float = 0.4,
-        astar_factor: float = _ASTAR_FACTOR,
         options: PnROptions | None = None,
     ):
         if max_iterations < 1:
             raise InvalidRequestError("max_iterations must be >= 1")
-        if astar_factor < 1.0:
-            raise InvalidRequestError("astar_factor must be >= 1.0")
         self.graph = graph
         self.max_iterations = max_iterations
         self.present_cost_factor = present_cost_factor
         self.history_cost_factor = history_cost_factor
         self.options = options if options is not None else PnROptions()
-        self.astar_factor = astar_factor
 
     # ----------------------------------------------------------- preparation
     def _net_terminals(
@@ -181,10 +199,7 @@ class PathFinderRouter:
                 {placement.position(sink) for sink in net.sinks},
                 key=lambda pos: abs(pos[0] - driver_pos[0]) + abs(pos[1] - driver_pos[1]),
             )
-            sinks = [
-                (pos, compiled.node_id(self.graph.ipin(*pos)))
-                for pos in sink_positions
-            ]
+            sinks = [(pos, compiled.node_id(self.graph.ipin(*pos))) for pos in sink_positions]
             terminals.append((net, source, sinks))
         return terminals
 
@@ -203,9 +218,7 @@ class PathFinderRouter:
             for (sx, sy), _ in sinks:
                 lo_x, hi_x = min(lo_x, sx), max(hi_x, sx)
                 lo_y, hi_y = min(lo_y, sy), max(hi_y, sy)
-            windows.append(
-                (lo_x - margin, hi_x + margin, lo_y - margin, hi_y + margin)
-            )
+            windows.append((lo_x - margin, hi_x + margin, lo_y - margin, hi_y + margin))
         return windows
 
     @staticmethod
@@ -261,7 +274,7 @@ class PathFinderRouter:
         # congestion state, shared across domains: every domain touches
         # only its own (disjoint) node set, so the outcome is independent
         # of the domain order
-        occupancy = np.zeros(n_nodes, dtype=np.int64)
+        occupancy = [0] * n_nodes
         history = [0.0] * n_nodes
         node_cost = list(compiled.base_cost)
 
@@ -270,7 +283,8 @@ class PathFinderRouter:
         paths: list[dict[tuple[int, int], list[int]] | None] = [None] * len(terminals)
         wires: list[list[int]] = [[] for _ in terminals]
 
-        state = _SearchState(n_nodes)
+        fabric = self.graph.fabric
+        state = _SearchState(n_nodes, max(fabric.width, fabric.height) + 2)
         outcomes = [
             self._route_domain(
                 dom, terminals, windows, compiled, state,
@@ -284,15 +298,16 @@ class PathFinderRouter:
         result.nodes_expanded = sum(o[1] for o in outcomes)
         result.rerouted_nets = sum(o[2] for o in outcomes)
         result.expand_seconds = sum(o[3] for o in outcomes)
-        result.overused_nodes = 0
 
         nodes_by_id = compiled.nodes
         for index, (net, _, _) in enumerate(terminals):
+            # every path node is on the tree: build each RRNode once
+            node_of = {u: nodes_by_id[u] for u in trees[index]}
             result.nets[net.name] = RoutedNet(
                 name=net.name,
-                nodes={nodes_by_id[u] for u in trees[index]},
+                nodes=set(node_of.values()),
                 sink_paths={
-                    pos: [nodes_by_id[u] for u in path]
+                    pos: [node_of[u] for u in path]
                     for pos, path in paths[index].items()
                 },
             )
@@ -306,7 +321,7 @@ class PathFinderRouter:
         windows: list[tuple[int, int, int, int]],
         compiled,
         state: _SearchState,
-        occupancy: np.ndarray,
+        occupancy: list[int],
         history: list[float],
         node_cost: list[float],
         trees: list,
@@ -319,7 +334,7 @@ class PathFinderRouter:
         expand_seconds)``.  Mutates only this domain's entries of the
         shared per-net/per-node state.
         """
-        is_wire = compiled.is_wire
+        n_wires = compiled.n_wires
         base = compiled.base_cost
         expansions = 0
         rerouted = 0
@@ -335,23 +350,14 @@ class PathFinderRouter:
                 # overused wire
                 for i in dom:
                     for u in wires[i]:
-                        node_cost[u] = (
-                            base[u]
-                            * (1.0 + present * occupancy[u])
-                            * (1.0 + history[u])
-                        )
-                targets = [
-                    i for i in dom
-                    if any(occupancy[u] > 1 for u in wires[i])
-                ]
+                        node_cost[u] = base[u] * (1.0 + present * occupancy[u]) * (1.0 + history[u])
+                targets = [i for i in dom if any(occupancy[u] > 1 for u in wires[i])]
                 rerouted += len(targets)
                 for i in targets:
                     for u in wires[i]:
                         occ = occupancy[u] - 1
                         occupancy[u] = occ
-                        node_cost[u] = (
-                            base[u] * (1.0 + present * occ) * (1.0 + history[u])
-                        )
+                        node_cost[u] = base[u] * (1.0 + present * occ) * (1.0 + history[u])
                     wires[i] = []
 
             for i in targets:
@@ -363,20 +369,14 @@ class PathFinderRouter:
                 expansions += expanded
                 trees[i] = tree
                 paths[i] = sink_paths
-                net_wires = [u for u in tree if is_wire[u]]
+                net_wires = [u for u in tree if u < n_wires]
                 wires[i] = net_wires
                 for u in net_wires:
                     occ = occupancy[u] + 1
                     occupancy[u] = occ
-                    node_cost[u] = (
-                        base[u] * (1.0 + present * occ) * (1.0 + history[u])
-                    )
+                    node_cost[u] = base[u] * (1.0 + present * occ) * (1.0 + history[u])
 
-            overused: set[int] = set()
-            for i in dom:
-                for u in wires[i]:
-                    if occupancy[u] > 1:
-                        overused.add(u)
+            overused = {u for i in dom for u in wires[i] if occupancy[u] > 1}
             if not overused:
                 return iteration, expansions, rerouted, expand_seconds
             # independent += on distinct indices: order cannot matter
@@ -445,61 +445,79 @@ class PathFinderRouter:
         sink: int,
         window: tuple[int, int, int, int],
     ) -> tuple[bool, int]:
-        """Window-confined weighted A* from the net's tree to one sink.
+        """Window-confined admissible A* from the net's tree to one sink.
 
-        Heap keys are ``(f, g, id)``: unique, so the expansion order — and
-        with it every predecessor label — is deterministic.
+        Heap keys are ``(f, -g, -id)``: among equal ``f`` the deepest node
+        first, and unique, so the expansion order — and with it every
+        predecessor label — is deterministic.  ``tree[0]`` is the net's
+        source pin; ``dist[sink]`` is the cost of the path found.
         """
         neighbors = compiled.neighbors
         node_x = compiled.x
         node_y = compiled.y
+        n_wires = compiled.n_wires
         dist = state.dist
         prev = state.prev
         seen = state.seen
         on_tree = state.on_tree
-        astar = self.astar_factor
+        look_h, look_v = state.look_h, state.look_v
         lo_x, hi_x, lo_y, hi_y = window
-        sink_x = node_x[sink]
-        sink_y = node_y[sink]
-        tree_reuse = _TREE_REUSE_COST
+        # table index of a node at (x, y): [x + ox][y + oy]
+        ox = state.span - node_x[sink]
+        oy = state.span - node_y[sink]
         pop = heappop
         push = heappush
-        _abs = abs
 
-        heap = []
+        # the tree is free (g = 0).  Its wires start at their lookahead, the
+        # source pin a wire above its nearest channel's, so its fan-out over
+        # every track opens only when no tree wire is closer; its input pins
+        # lead nowhere and get no entry
+        source = tree[0]
+        px = node_x[source] + ox
+        py = node_y[source] + oy
+        nearest = min(look_h[px][py], look_h[px][py - 1], look_v[px][py], look_v[px - 1][py])
+        heap = [(WIRE_BASE_COST + nearest, 0.0, -source)]
         for u in tree:
             on_tree[u] = net_stamp
             seen[u] = net_stamp
             dist[u] = 0.0
             prev[u] = -1
-            h = _abs(node_x[u] - sink_x) + _abs(node_y[u] - sink_y) - 2
-            heap.append((astar * h if h > 0 else 0.0, 0.0, u))
+            if u < n_wires:
+                h = (look_v if u & 1 else look_h)[node_x[u] + ox][node_y[u] + oy]
+                heap.append((h, 0.0, -u))
         heapify(heap)
 
         expansions = 0
         while heap:
             _, d, u = pop(heap)
+            d, u = -d, -u
             if d > dist[u]:
                 continue
             expansions += 1
             if u == sink:
                 return True, expansions
             for v in neighbors[u]:
-                vx = node_x[v]
-                if vx < lo_x or vx > hi_x:
+                if v >= n_wires:
+                    # input pins have no out-edges: only the sink matters
+                    if v != sink:
+                        continue
+                    h = 0.0
+                elif on_tree[v] == net_stamp:
                     continue
-                vy = node_y[v]
-                if vy < lo_y or vy > hi_y:
-                    continue
-                nd = d + (
-                    tree_reuse if on_tree[v] == net_stamp else node_cost[v]
-                )
+                else:
+                    vx = node_x[v]
+                    if vx < lo_x or vx > hi_x:
+                        continue
+                    vy = node_y[v]
+                    if vy < lo_y or vy > hi_y:
+                        continue
+                    h = (look_v if v & 1 else look_h)[vx + ox][vy + oy]
+                nd = d + node_cost[v]
                 if seen[v] != net_stamp:
                     seen[v] = net_stamp
                 elif nd >= dist[v]:
                     continue
                 dist[v] = nd
                 prev[v] = u
-                h = _abs(vx - sink_x) + _abs(vy - sink_y) - 2
-                push(heap, (nd + astar * h if h > 0 else nd, nd, v))
+                push(heap, (nd + h, -nd, -v))
         return False, expansions

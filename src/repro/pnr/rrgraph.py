@@ -13,9 +13,10 @@ only to track ``t`` of the adjacent channels.
 
 The graph the router actually searches is the :class:`CompiledRRGraph`,
 which :meth:`CompiledRRGraph.from_geometry` assembles directly from integer
-index formulas — no intermediate :class:`RRNode` adjacency dict — in the
-exact node-id order the dict construction would produce, so heap
-tie-breaking (and therefore every routing artifact) is unchanged.  The
+index formulas — no :class:`RRNode` is built, hashed or looked up; its
+``nodes`` make one when indexed — in the exact node-id order the dict
+construction would produce, so heap tie-breaking (and therefore every
+routing artifact) does not depend on which way the graph was built.  The
 object-level adjacency of :class:`RoutingResourceGraph` is built lazily on
 first access; the compile flow never touches it.
 """
@@ -50,34 +51,87 @@ class RRNode:
         return self.kind in ("H", "V")
 
 
+#: congestion-free cost of crossing a wire segment / entering a pin.
+WIRE_BASE_COST = 1.0
+PIN_BASE_COST = 0.5
+
+
+class _GeometryNodes:
+    """The nodes of a ``(width, height, tracks)`` fabric as id arithmetic.
+
+    A read-only sequence equal to the node list of the dict-built graph:
+    ``H(x, y, t)`` and ``V(x, y, t)`` interleaved over ``x``, ``y``, ``t``,
+    then ``OPIN(x, y)`` / ``IPIN(x, y)`` over the pin sites.  An
+    :class:`RRNode` is only built when one is indexed.
+    """
+
+    __slots__ = ("n_ch_y", "tracks", "n_wires", "n_pin_rows", "n_nodes")
+
+    def __init__(self, width: int, height: int, tracks: int):
+        self.n_ch_y = height + 1
+        self.tracks = tracks
+        self.n_wires = 2 * (width + 1) * (height + 1) * tracks
+        self.n_pin_rows = height + 2
+        self.n_nodes = self.n_wires + 2 * (width + 2) * (height + 2)
+
+    def __len__(self) -> int:
+        return self.n_nodes
+
+    def __getitem__(self, i: int) -> RRNode:
+        if not 0 <= i < self.n_nodes:
+            raise IndexError(i)
+        if i < self.n_wires:
+            cell, track = divmod(i >> 1, self.tracks)
+            cx, cy = divmod(cell, self.n_ch_y)
+            return RRNode("V" if i & 1 else "H", cx - 1, cy - 1, track)
+        px, py = divmod((i - self.n_wires) >> 1, self.n_pin_rows)
+        return RRNode("IPIN" if i & 1 else "OPIN", px - 1, py - 1)
+
+    def __eq__(self, other: object) -> bool:
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def id_of(self, node: RRNode) -> int | None:
+        """The id of ``node``, ``None`` when it is not in the graph."""
+        if node.kind in ("H", "V"):
+            i = 2 * (
+                ((node.x + 1) * self.n_ch_y + node.y + 1) * self.tracks + node.track
+            ) + (node.kind == "V")
+        else:
+            i = (
+                self.n_wires
+                + 2 * ((node.x + 1) * self.n_pin_rows + node.y + 1)
+                + (node.kind == "IPIN")
+            )
+        # the round trip rejects out-of-range coordinates that alias an id
+        return i if 0 <= i < self.n_nodes and self[i] == node else None
+
+
 class CompiledRRGraph:
     """Integer-indexed view of the RRG for the router's hot loop.
 
-    Node ids follow the graph's deterministic construction order, so any
-    computation keyed on ids (heap tie-breaking in particular) is
-    reproducible across processes — unlike iteration over sets of
-    :class:`RRNode`, whose order depends on randomized string hashing.
+    Node ids follow the graph's deterministic construction order — every
+    wire (``H`` even, ``V`` odd) before every pin, so ``id < n_wires`` is
+    "is a wire" — and any computation keyed on ids (heap tie-breaking in
+    particular) is reproducible across processes, unlike iteration over
+    sets of :class:`RRNode`, whose order depends on randomized string
+    hashing.
 
     Adjacency (``neighbors``) and the per-node attributes are plain
     Python lists, which the heapq search indexes faster than arrays.
     """
 
-    __slots__ = ("nodes", "ids", "neighbors", "is_wire", "base_cost", "x", "y")
+    __slots__ = ("nodes", "_id_of", "neighbors", "n_wires", "base_cost", "x", "y")
 
     def __init__(self, adjacency: dict[RRNode, list[RRNode]]):
-        self.nodes: list[RRNode] = list(adjacency)
-        self.ids: dict[RRNode, int] = {node: i for i, node in enumerate(self.nodes)}
-        ids = self.ids
+        self.nodes: list[RRNode] | _GeometryNodes = list(adjacency)
+        ids = {node: i for i, node in enumerate(self.nodes)}
+        self._id_of = ids.get
         self.neighbors: list[list[int]] = [
             [ids[n] for n in adjacency[node]] for node in self.nodes
         ]
-        self._finalize()
-
-    def _finalize(self) -> None:
-        """Derive the per-node attribute lists."""
-        self.is_wire: list[bool] = [node.is_wire for node in self.nodes]
+        self.n_wires = sum(1 for node in self.nodes if node.is_wire)
         self.base_cost: list[float] = [
-            1.0 if node.is_wire else 0.5 for node in self.nodes
+            WIRE_BASE_COST if node.is_wire else PIN_BASE_COST for node in self.nodes
         ]
         self.x: list[int] = [node.x for node in self.nodes]
         self.y: list[int] = [node.y for node in self.nodes]
@@ -90,34 +144,33 @@ class CompiledRRGraph:
 
         Node ids, edge set and per-node attributes are identical to
         compiling a dict-built :class:`RoutingResourceGraph` for the same
-        ``(width, height, tracks)`` — only the construction cost differs
-        (integer formulas and vectorized edge assembly instead of
-        dataclass hashing).
+        ``(width, height, tracks)`` — only the construction cost differs:
+        everything is index arithmetic, and ``nodes`` builds an
+        :class:`RRNode` only when one is asked for.
         """
         if width <= 0 or height <= 0:
             raise InvalidRequestError("fabric dimensions must be positive")
         if tracks <= 0:
             raise InvalidRequestError("channel_width must be positive")
         n_ch_x, n_ch_y = width + 1, height + 1
-        n_wires = 2 * n_ch_x * n_ch_y * tracks
         n_pin_cols, n_pin_rows = width + 2, height + 2
 
         self = cls.__new__(cls)
-        nodes: list[RRNode] = []
-        for x in range(-1, width):
-            for y in range(-1, height):
-                for t in range(tracks):
-                    nodes.append(RRNode("H", x, y, t))
-                    nodes.append(RRNode("V", x, y, t))
-        for x in range(-1, width + 1):
-            for y in range(-1, height + 1):
-                nodes.append(RRNode("OPIN", x, y))
-                nodes.append(RRNode("IPIN", x, y))
-        self.nodes = nodes
-        self.ids = {node: i for i, node in enumerate(nodes)}
+        self.nodes = nodes = _GeometryNodes(width, height, tracks)
+        self._id_of = nodes.id_of
+        self.n_wires = n_wires = nodes.n_wires
+        n_nodes = len(nodes)
+        self.base_cost = [WIRE_BASE_COST] * n_wires + [PIN_BASE_COST] * (n_nodes - n_wires)
+        self.x = (
+            np.repeat(np.arange(-1, width), 2 * n_ch_y * tracks).tolist()
+            + np.repeat(np.arange(-1, width + 1), 2 * n_pin_rows).tolist()
+        )
+        self.y = (
+            np.tile(np.repeat(np.arange(-1, height), 2 * tracks), n_ch_x).tolist()
+            + np.tile(np.repeat(np.arange(-1, height + 1), 2), n_pin_cols).tolist()
+        )
 
-        # wire ids follow the interleaved H/V insertion order above:
-        # H(x, y, t) = 2*(((x+1)*n_ch_y + (y+1))*tracks + t), V = H + 1
+        # wire ids: H(x, y, t) = 2*(((x+1)*n_ch_y + (y+1))*tracks + t), V = H + 1
         cx, cy, tt = np.meshgrid(
             np.arange(n_ch_x), np.arange(n_ch_y), np.arange(tracks),
             indexing="ij",
@@ -171,27 +224,19 @@ class CompiledRRGraph:
 
         src = np.concatenate(src_parts)
         dst = np.concatenate(dst_parts)
-        n_nodes = len(nodes)
-        order = np.argsort(src, kind="stable")
-        sorted_dst = dst[order]
-        counts = np.bincount(src, minlength=n_nodes)
-        indptr = np.zeros(n_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        flat = sorted_dst.tolist()
-        self.neighbors = [
-            flat[indptr[i]:indptr[i + 1]] for i in range(n_nodes)
-        ]
-        self._finalize()
+        flat = dst[np.argsort(src, kind="stable")].tolist()
+        ends = np.cumsum(np.bincount(src, minlength=n_nodes)).tolist()
+        self.neighbors = [flat[a:b] for a, b in zip([0] + ends, ends)]
         return self
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def node_id(self, node: RRNode) -> int:
-        try:
-            return self.ids[node]
-        except KeyError:
-            raise KeyError(f"node {node} is not in the routing-resource graph") from None  # repro-lint: disable=ERR001
+        i = self._id_of(node)
+        if i is None:
+            raise KeyError(f"node {node} is not in the routing-resource graph")  # repro-lint: disable=ERR001
+        return i
 
 
 class RoutingResourceGraph:

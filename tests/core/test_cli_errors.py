@@ -4,8 +4,6 @@ an argparse usage error."""
 
 import json
 
-import pytest
-
 from repro.cli import main
 
 
@@ -66,6 +64,20 @@ class TestBadDirectories:
         assert "[invalid_request]" in captured.err
         assert f"cannot write bitstream to {str(target)!r}" in captured.err
         assert captured.out == ""
+
+    def test_failing_deploy_leaves_no_bitstream_file(self, capsys, tmp_path):
+        target = tmp_path / "out.json"
+        code = main(["deploy", "LeNet", "--pe-budget", "1", "--bitstream", str(target)])
+        assert code == 1
+        assert "[capacity_error]" in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_writability_probe_leaves_an_existing_file_alone(self, capsys, tmp_path):
+        target = tmp_path / "out.json"
+        target.write_bytes(b"earlier bitstream\n")
+        code = main(["deploy", "LeNet", "--pe-budget", "1", "--bitstream", str(target)])
+        assert code == 1
+        assert target.read_bytes() == b"earlier bitstream\n"
 
     def test_fuzz_bad_json_path_fails_before_the_campaign(self, capsys, tmp_path):
         target = tmp_path / "missing" / "report.json"

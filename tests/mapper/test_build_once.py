@@ -61,7 +61,7 @@ class TestBitstreamIdentity:
         )
         assert len(result.bitstream.routing) == 34
         assert _sha256(result.bitstream.to_json()) == (
-            "8bfd65e95a3d6e44bb3f04da430379de13af6ebb46099f753ee0bebc0b558527"
+            "7b010a50e239375e4c9288023aaf59784f2a5d458705d78b8bf1170bf4ed607b"
         )
 
     def test_json_round_trips(self, alexnet_bitstream):

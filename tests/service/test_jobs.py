@@ -121,10 +121,15 @@ class TestCacheForwarding:
     def test_shared_cache_instance_hits_across_jobs(self):
         from repro.core.cache import StageCache
 
+        # one after the other: identical requests in flight together
+        # coalesce into one compile, and the follower never asks the cache
         cache = StageCache()
         with JobManager(max_workers=1, use_processes=False, cache=cache) as jm:
-            ids = jm.submit_batch([CompileRequest(model="MLP-500-100")] * 2)
-            responses = [jm.result(i) for i in ids]
+            responses = [
+                jm.result(jm.submit(CompileRequest(model="MLP-500-100")))
+                for _ in range(2)
+            ]
+        assert responses[0].timings.cache_hits == 0
         assert responses[1].timings.cache_hits > 0
 
     def test_private_cache_is_one_private_cache_per_worker_process(self):
