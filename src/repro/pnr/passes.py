@@ -10,9 +10,9 @@ from .pnr import PlaceAndRoute
 __all__ = ["PnRPass"]
 
 #: version salt of the P&R artifact: bumped whenever the engine's output
-#: changes for the same inputs (v3 = admissible A* over an exact geometric
-#: lookahead, deepest-first ties).
-_PNR_ARTIFACT_VERSION = "pnr-v3"
+#: changes for the same inputs (v4 = serial annealer, two proposals per
+#: movable block per temperature).
+_PNR_ARTIFACT_VERSION = "pnr-v4"
 
 
 @register_pass

@@ -6,7 +6,7 @@ plays in the paper's toolchain: it consumes the function-block netlist
 emitted by the mapper and reports wirelength, channel occupancy and the
 communication critical path that feeds the performance model.
 
-There is one engine: the batched annealer followed by the
+There is one engine: the serial annealer followed by the
 window-confined domain router.  It runs on the calling thread and is
 deterministic for a fixed seed.
 """
@@ -39,8 +39,8 @@ class PnRResult:
     timing: TimingReport
     channel_width: int
     #: wall-clock seconds of each P&R stage (place / rrgraph / route /
-    #: timing) plus the ``place_delta`` / ``route_expand`` kernel
-    #: sub-timers
+    #: timing) plus the kernel sub-timers: ``place_delta`` is the
+    #: annealer's move loop, ``route_expand`` the router's search
     stage_seconds: dict[str, float] = field(default_factory=dict)
     #: annealing observability of the placer
     placement_stats: PlacementStats | None = None
@@ -68,19 +68,25 @@ class PnRResult:
     def explain(self, max_temperature_rows: int = 12) -> str:
         """Human-readable annealing/search observability.
 
-        The placer section lists moves proposed/accepted per temperature
-        (head and tail of the schedule when it is longer than
-        ``max_temperature_rows``); the router section reports negotiation
-        iterations, node expansions, rip-up volume and congestion domains.
+        The placer section gives the move counts (proposed, evaluated by
+        the cost model, accepted) with the unit cost of an evaluated move,
+        then moves proposed/accepted per temperature (head and tail of the
+        schedule when it is longer than ``max_temperature_rows``); the
+        router section reports negotiation iterations, node expansions,
+        rip-up volume and congestion domains.
         """
         lines = ["P&R observability"]
         stats = self.placement_stats
         if stats is not None:
+            evaluated = max(stats.moves_evaluated, 1)
             lines.append(
                 f"  placer: {stats.rounds} temperature rounds, "
                 f"{stats.moves_proposed} proposed / "
+                f"{stats.moves_evaluated} evaluated "
+                f"({stats.moves_evaluated / max(stats.moves_proposed, 1):.1%}) / "
                 f"{stats.moves_accepted} accepted moves, "
-                f"final cost {stats.final_cost}"
+                f"{stats.place_delta_seconds / evaluated * 1e6:.2f} us per "
+                f"evaluated move, final cost {stats.final_cost}"
             )
             rows = list(enumerate(stats.temperatures))
             if len(rows) > max_temperature_rows:

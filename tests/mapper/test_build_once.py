@@ -61,7 +61,7 @@ class TestBitstreamIdentity:
         )
         assert len(result.bitstream.routing) == 34
         assert _sha256(result.bitstream.to_json()) == (
-            "7b010a50e239375e4c9288023aaf59784f2a5d458705d78b8bf1170bf4ed607b"
+            "c2cd58a9cf65b5f1e87455eef8ff29c5f075b206d421eb6fe95ca34081c5d6e7"
         )
 
     def test_json_round_trips(self, alexnet_bitstream):

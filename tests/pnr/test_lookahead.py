@@ -163,9 +163,12 @@ class TestSearchEffort:
             return search(self, *args)
 
         monkeypatch.setattr(PathFinderRouter, "_search", counted)
-        routing = PlaceAndRoute(seed=0).run(zoo_netlist("LeNet", 2)).routing
+        netlist = zoo_netlist("LeNet", 2)
+        routing = PlaceAndRoute(seed=0).run(netlist).routing
         assert routing.legal
-        assert searches > 100
+        # every sink connection is searched at least once, whatever the
+        # placement; how many are ripped up and searched again is its doing
+        assert searches >= sum(len(set(net.sinks)) for net in netlist.nets)
         assert routing.nodes_expanded <= 25 * searches
 
     @pytest.mark.parametrize("model", ["LeNet", "CIFAR-VGG17"])

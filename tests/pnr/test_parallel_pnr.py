@@ -4,35 +4,25 @@ The engine runs on the calling thread and ignores its one execution knob:
 any ``jobs`` value must produce the identical placement and routing for
 the same seed, and start no thread.  The differential test pins that on
 a real zoo netlist; the property tests pin the structural invariants the
-engine rests on — the region grid tiles the fabric disjointly, the
-batched annealer's merged move sequence replays serially to the same
-state, congestion domains never share routing-resource nodes, and the
-geometry-compiled RR graph equals the dict-built one node for node.
+router rests on — congestion domains never share routing-resource nodes,
+and the geometry-compiled RR graph equals the dict-built one node for
+node.  (The annealer's invariants live in ``test_placement.py`` and
+``test_properties.py``.)
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import random
 import threading
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mapper.mapper import SpatialTemporalMapper
-from repro.mapper.netlist import Block, BlockType, FunctionBlockNetlist, Net
 from repro.models.zoo import build_model
 from repro.pnr.fabric import FabricGrid
 from repro.pnr.options import PnROptions
-from repro.pnr.placement import (
-    ParallelAnnealingPlacer,
-    PlacementCostModel,
-    RegionGrid,
-    _AnnealState,
-    _NetGeometry,
-)
 from repro.pnr.pnr import PlaceAndRoute
 from repro.pnr.routing import PathFinderRouter
 from repro.pnr.rrgraph import CompiledRRGraph, RoutingResourceGraph
@@ -62,8 +52,8 @@ def assert_identical(a, b):
 
 def test_pnr_starts_no_thread(monkeypatch):
     """``jobs=4`` is accepted, builds no pool, starts no thread, and gives
-    the ``jobs=None`` result (LeNet d2: >1 placement region, and — like
-    every zoo netlist — one congestion domain)."""
+    the ``jobs=None`` result (LeNet d2: like every zoo netlist, one
+    congestion domain)."""
     netlist = SpatialTemporalMapper().map(
         synthesize(build_model("LeNet")), duplication_degree=2
     ).netlist
@@ -129,10 +119,10 @@ class TestJobsInvarianceOfKeys:
             return PnRPass().cache_key(ctx)
 
         assert key(None) == key(1) == key(8)
-        # re-recorded at pnr-v3: the router's lookahead changed routings,
+        # re-recorded at pnr-v4: the serial annealer changed placements,
         # so every older stage- and shared-cache entry is deliberately cut off
         assert key(None) == (
-            "56b0f50c5e95aeeba879ffa73f6557b1f1f6ddf29fae8026c3de99e71b9521f5"
+            "290a2a4921f615e90e188715f7635b483e9262d5406a168c25503d066d82d4ad"
         )
 
     def test_request_fingerprint_jobs_invariant(self):
@@ -157,109 +147,6 @@ class TestJobsInvarianceOfKeys:
         for bad in (0, -2, True, "four"):
             with pytest.raises(InvalidRequestError):
                 CompileRequest(model="LeNet", pnr_jobs=bad)
-
-
-class TestRegionGridProperties:
-    @settings(max_examples=50, deadline=None)
-    @given(
-        width=st.integers(min_value=1, max_value=14),
-        height=st.integers(min_value=1, max_value=14),
-        target_span=st.integers(min_value=1, max_value=6),
-    )
-    def test_regions_disjointly_cover_the_fabric(self, width, height, target_span):
-        grid = RegionGrid.for_fabric(width, height, target_span=target_span)
-        groups = grid.sites_by_region()
-        assert len(groups) == grid.n_regions
-        seen = set()
-        for region_id, sites in enumerate(groups):
-            for site in sites:
-                assert site not in seen, "regions overlap"
-                seen.add(site)
-                assert grid.region_of(*site) == region_id
-        assert seen == {(x, y) for x in range(width) for y in range(height)}
-
-    def test_region_shape_independent_of_jobs(self):
-        # the grid is a pure function of the fabric: nothing else feeds it
-        a = RegionGrid.for_fabric(9, 7)
-        b = RegionGrid.for_fabric(9, 7)
-        assert a == b
-
-
-def random_netlist(rng: random.Random, n_blocks: int, n_nets: int, max_fanout: int):
-    """A random netlist of PE blocks plus one I/O pair (mirrors the
-    generator of test_properties.py)."""
-    netlist = FunctionBlockNetlist("random")
-    names = [f"pe{i}" for i in range(n_blocks)]
-    for name in names:
-        netlist.add_block(Block(name, BlockType.PE))
-    netlist.add_block(Block("__in__", BlockType.IO))
-    netlist.add_net(Net("io", driver="__in__", sinks=(rng.choice(names),)))
-    for i in range(n_nets):
-        driver = rng.choice(names)
-        fanout = rng.randint(1, max_fanout)
-        sinks = tuple(rng.sample(names, min(fanout, len(names))))
-        netlist.add_net(Net(f"n{i}", driver=driver, sinks=sinks))
-    return netlist
-
-
-class TestMergedMovesReplaySerially:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        params=st.tuples(
-            st.integers(min_value=2, max_value=24),   # blocks
-            st.integers(min_value=1, max_value=12),   # nets
-            st.integers(min_value=1, max_value=6),    # max fanout
-            st.integers(min_value=0, max_value=2**16),  # seed
-        ),
-        temperature=st.floats(min_value=0.01, max_value=50.0),
-        n_batches=st.integers(min_value=1, max_value=4),
-    )
-    def test_batch_moves_replay_through_cost_model(
-        self, params, temperature, n_batches
-    ):
-        """The accepted moves of a batch, applied one by one in merge order
-        through the *serial* incremental cost model, must reach the exact
-        state (coordinates and total cost) the batched engine reached."""
-        n_blocks, n_nets, max_fanout, seed = params
-        netlist = random_netlist(random.Random(seed), n_blocks, n_nets, max_fanout)
-        fabric = FabricGrid.for_netlist(netlist)
-        geometry = _NetGeometry(netlist)
-        state = _AnnealState(geometry, fabric, np.random.default_rng(seed))
-
-        model = PlacementCostModel(
-            netlist,
-            {
-                name: (int(state.xs[i]), int(state.ys[i]))
-                for i, name in enumerate(geometry.block_names)
-            },
-        )
-        region = RegionGrid.for_fabric(fabric.width, fabric.height)
-        region_of_site = np.array(
-            [
-                region.region_of(site // fabric.height, site % fabric.height)
-                for site in range(fabric.width * fabric.height)
-            ],
-            dtype=np.int64,
-        )
-        placer = ParallelAnnealingPlacer(seed=seed)
-        rlim = max(fabric.width, fabric.height)
-        for _ in range(n_batches):
-            *_, moves = placer._batch(
-                geometry, state, fabric, region_of_site,
-                temperature, rlim, batch=32, collect_moves=True,
-            )
-            for block, tx, ty, swap in moves:
-                model.propose(
-                    geometry.block_names[block],
-                    (tx, ty),
-                    None if swap == -1 else geometry.block_names[swap],
-                )
-                model.commit()
-
-        replayed = model.positions()
-        for i, name in enumerate(geometry.block_names):
-            assert replayed[name] == (int(state.xs[i]), int(state.ys[i]))
-        assert model.full_cost() == state.total
 
 
 def window_overlaps(a, b) -> bool:

@@ -1,17 +1,24 @@
 """Tests of the simulated-annealing placer."""
 
+import random
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import CapacityError
+from repro.mapper.mapper import SpatialTemporalMapper
 from repro.mapper.netlist import Block, BlockType, FunctionBlockNetlist, Net
+from repro.models.zoo import build_model
 from repro.pnr.fabric import FabricGrid
 from repro.pnr.placement import (
     ParallelAnnealingPlacer,
     Placement,
-    _AnnealState,
-    _NetGeometry,
+    PlacementCostModel,
+    initial_positions,
 )
+from repro.synthesizer.synthesizer import synthesize
 
 
 def chain_netlist(n_blocks: int) -> FunctionBlockNetlist:
@@ -62,7 +69,9 @@ class TestSimulatedAnnealingPlacer:
         netlist = chain_netlist(20)
         fabric = FabricGrid(6, 6)
         rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
-        initial = _AnnealState(_NetGeometry(netlist), fabric, rng).total
+        initial = PlacementCostModel(
+            netlist, initial_positions(netlist, fabric, rng)
+        ).total
         placer = ParallelAnnealingPlacer(seed=3)
         annealed = placer.place(netlist, fabric)
         assert placer.last_stats.temperatures, "the schedule never ran"
@@ -95,3 +104,123 @@ class TestSimulatedAnnealingPlacer:
         a = ParallelAnnealingPlacer(seed=7).place(netlist, FabricGrid(4, 4))
         b = ParallelAnnealingPlacer(seed=7).place(netlist, FabricGrid(4, 4))
         assert a.positions == b.positions
+
+
+def zoo_netlist(model: str, duplication: int) -> FunctionBlockNetlist:
+    return SpatialTemporalMapper().map(
+        synthesize(build_model(model)), duplication_degree=duplication
+    ).netlist
+
+
+def place(netlist, seed):
+    """``(placement, stats)`` of one annealing run."""
+    placer = ParallelAnnealingPlacer(seed=seed)
+    return placer.place(netlist), placer.last_stats
+
+
+def assert_one_cost(netlist, placement, stats):
+    """Three independent computations of the final HPWL agree: the
+    annealer's running total of exact deltas, a from-scratch sweep of a
+    fresh cost model, and the per-net loop of ``Placement``."""
+    recomputed = PlacementCostModel(netlist, placement.positions).full_cost()
+    assert stats.final_cost == recomputed == placement.total_wirelength(netlist.nets)
+
+
+def movable_blocks(netlist) -> int:
+    connected = {b for net in netlist.nets for b in (net.driver, *net.sinks)}
+    return sum(
+        1 for block in netlist.blocks.values()
+        if block.type != BlockType.IO and block.name in connected
+    )
+
+
+#: the netlists of ``tests/pnr/golden`` with the mean placement HPWL over
+#: placer seeds 0-7 of the batched engine this annealer replaced.
+REPLACED_ENGINE_MEAN_HPWL = {
+    ("CIFAR-VGG17", 1): 496.9,
+    ("LeNet", 1): 75.0,
+    ("LeNet", 2): 80.4,
+    ("LeNet", 8): 104.2,
+    ("MLP-500-100", 1): 36.6,
+    ("MLP-500-100", 2): 45.2,
+}
+
+
+@pytest.fixture(scope="module")
+def golden_runs():
+    """Each golden netlist placed at seeds 0-7, once for every test below
+    (placement only, about 1.5 s)."""
+    runs = {}
+    for model, duplication in REPLACED_ENGINE_MEAN_HPWL:
+        netlist = zoo_netlist(model, duplication)
+        runs[model, duplication] = (netlist, [place(netlist, seed) for seed in range(8)])
+    return runs
+
+
+class TestAnnealerAccounting:
+    def test_final_cost_three_ways_on_the_golden_netlists(self, golden_runs):
+        for netlist, runs in golden_runs.values():
+            for placement, stats in runs:
+                assert_one_cost(netlist, placement, stats)
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n_blocks=st.integers(min_value=13, max_value=40),
+        fanout=st.integers(min_value=12, max_value=30),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_final_cost_three_ways_with_a_tracked_net(self, n_blocks, fanout, seed):
+        """A net of 12 pins or more takes the incremental bounding-box path
+        on every move that touches it."""
+        rng = random.Random(seed)
+        netlist = FunctionBlockNetlist("wide")
+        names = [f"pe{i}" for i in range(n_blocks)]
+        for name in names:
+            netlist.add_block(Block(name, BlockType.PE))
+        netlist.add_block(Block("__in__", BlockType.IO))
+        netlist.add_net(Net("io", driver="__in__", sinks=(rng.choice(names),)))
+        wide = rng.sample(names, min(fanout, n_blocks - 1) + 1)
+        netlist.add_net(Net("wide", driver=wide[0], sinks=tuple(wide[1:])))
+        for i in range(n_blocks):
+            driver, sink = rng.sample(names, 2)
+            netlist.add_net(Net(f"n{i}", driver=driver, sinks=(sink,)))
+        placement, stats = place(netlist, seed)
+        assert PlacementCostModel(netlist, placement.positions)._bbox
+        assert_one_cost(netlist, placement, stats)
+
+    @pytest.mark.parametrize("case", [("LeNet", 2), ("CIFAR-VGG17", 1)])
+    def test_move_counts(self, golden_runs, case):
+        """Counts repeat exactly.  Every temperature, and the final sweep,
+        proposes two moves per movable block, and nearly all of them reach
+        the cost model: the engine this replaced evaluated 7.6 % of what it
+        proposed, and a proposal stream that is mostly discarded must not
+        come back unnoticed."""
+        netlist, runs = golden_runs[case]
+        _, stats = runs[0]
+        per_round = max(16, 2 * movable_blocks(netlist))
+        assert stats.moves_proposed == (stats.rounds + 1) * per_round
+        assert all(proposed == per_round for _, proposed, _ in stats.temperatures)
+        assert stats.moves_evaluated >= 0.8 * stats.moves_proposed
+        assert stats.moves_accepted <= stats.moves_evaluated
+
+    def test_mean_wirelength_no_worse_than_the_replaced_engine(self, golden_runs):
+        """A distribution guard, not a one-seed lottery: the mean over
+        seeds 0-7 per netlist, within 1 % of the replaced engine's and
+        lower in total.  (Five cases read 2-7 % lower; LeNet d8 reads 104.6
+        against 104.2, a third of the standard error of an 8-seed mean.)"""
+        means = {
+            case: sum(stats.final_cost for _, stats in runs) / len(runs)
+            for case, (_, runs) in golden_runs.items()
+        }
+        for case, recorded in REPLACED_ENGINE_MEAN_HPWL.items():
+            assert means[case] <= recorded * 1.01, (case, means[case], recorded)
+        assert sum(means.values()) < sum(REPLACED_ENGINE_MEAN_HPWL.values())
+
+    def test_alexnet_places_within_a_linear_budget(self):
+        """1082 blocks and four 577-pin nets: 67 s and HPWL 13 436 for the
+        replaced engine at this seed, about 2 s here."""
+        netlist = zoo_netlist("AlexNet", 1)
+        placement, stats = place(netlist, 7)
+        assert stats.moves_proposed <= 300_000
+        assert stats.final_cost <= 13_436
+        assert_one_cost(netlist, placement, stats)

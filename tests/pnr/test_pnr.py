@@ -39,3 +39,12 @@ class TestPlaceAndRoute:
     def test_summary(self, mlp_pnr):
         result, _ = mlp_pnr
         assert "fabric" in result.summary()
+
+    def test_explain_attributes_place_to_evaluated_moves(self, mlp_pnr):
+        result, _ = mlp_pnr
+        stats = result.placement_stats
+        assert 0 < stats.moves_evaluated <= stats.moves_proposed
+        assert result.stage_seconds["place_delta"] == stats.place_delta_seconds
+        placer_line = result.explain().splitlines()[1]
+        assert f"{stats.moves_evaluated} evaluated" in placer_line
+        assert "us per evaluated move" in placer_line
