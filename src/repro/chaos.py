@@ -18,6 +18,7 @@ run: exit 0 clean, 1 on any finding.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import random
@@ -132,7 +133,10 @@ def run_chaos(
     attempt fails with the pool) and retried at attempt 1, where the
     attempt-0 crash spec no longer matches — the next round resubmits it
     at attempt 0 on fresh workers, so the plan reliably kills at least
-    two workers across the run.
+    two workers across the run.  Round ``r`` compiles with seed
+    ``seed + r`` (the plan matches on model, duplication and attempt, not
+    on seed): an identical request would be answered from round 0's
+    concluded job and never meet a worker.
     """
     if copies < 1:
         raise InvalidRequestError("copies must be >= 1")
@@ -175,17 +179,24 @@ def _run_chaos(
         for model in models
         for degree in duplications
     ]
-    batch = [request for request in unique_requests for _ in range(copies)]
-    total_requests = len(batch) * rounds
+    batches = [
+        [
+            dataclasses.replace(request, seed=seed + r)
+            for request in unique_requests
+            for _ in range(copies)
+        ]
+        for r in range(rounds)
+    ]
+    total_requests = len(batches[0]) * rounds
 
     if progress is not None:
         progress(
             f"chaos bench: fault-free reference "
-            f"({rounds} x {len(batch)} requests) ..."
+            f"({rounds} x {len(batches[0])} requests) ..."
         )
     reference: list = []
     with ServingRuntime(max_workers=workers) as runtime:
-        for _ in range(rounds):
+        for batch in batches:
             reference.extend(runtime.serve_batch(batch))
     for response in reference:
         response.raise_for_status()
@@ -203,7 +214,7 @@ def _run_chaos(
         chaos: list = []
         chaos_start = time.perf_counter()
         with ServingRuntime(max_workers=workers) as runtime:
-            for _ in range(rounds):
+            for batch in batches:
                 chaos.extend(runtime.serve_batch(batch))
             stats = runtime.stats()
         chaos_seconds = time.perf_counter() - chaos_start

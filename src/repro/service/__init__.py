@@ -9,7 +9,7 @@ the experiment harnesses, and any future HTTP/queue service:
   execution choke point) and the in-process :class:`FPSAClient`.
 * :mod:`~repro.service.jobs` — the async :class:`JobManager`
   (QUEUED/RUNNING/DONE/FAILED) over the batch process pool, with
-  coalescing of identical in-flight requests.
+  coalescing of identical requests, in flight or concluded.
 * :mod:`~repro.service.runtime` — the :class:`ServingRuntime`: persistent
   warm worker pool + cross-process shared stage cache + coalescing, the
   high-throughput front door for serving traffic.

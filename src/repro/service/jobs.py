@@ -16,11 +16,14 @@ Serving-runtime behaviours that live here:
   :class:`~repro.core.api.WorkerPool` via ``pool=`` and the manager runs
   jobs on it without owning it: consecutive managers (or batches) land on
   the same warm worker processes instead of paying a pool spawn each time.
-* **Request coalescing** — identical in-flight requests (same canonical
+* **Request coalescing** — identical requests (same canonical
   :meth:`CompileRequest.fingerprint`, which excludes ``tags``) share one
-  compile: followers attach to the primary job's future and the response
-  is fanned out to each with its own request object.  Disable per manager
-  with ``coalesce=False``.
+  compile.  While it is in flight, followers attach to the primary job
+  and the response is fanned out to each with its own request object;
+  once it has concluded ``ok``, ``submit`` answers a repeat on the
+  caller's thread from the same fingerprint map (the last
+  :data:`REMEMBERED_JOBS`, LRU).  Disable per manager with
+  ``coalesce=False``; a ``use_cache=False`` request is never remembered.
 * **Supervision and bounded retries** — a dead worker poisons a
   ``ProcessPoolExecutor`` (every in-flight and future job fails with
   ``BrokenProcessPool``); the manager reports the breakage to a
@@ -85,6 +88,11 @@ __all__ = ["JobState", "JobInfo", "JobManager", "JobManagerStats"]
 #: (``CompileRequest.max_retries`` overrides per job).
 DEFAULT_MAX_RETRIES = 2
 
+#: concluded jobs a manager keeps answering repeats from, least recently
+#: used first out (references to responses ``_jobs`` holds anyway, about
+#: 2 KB of JSON each).
+REMEMBERED_JOBS = 1024
+
 
 class JobState(str, Enum):
     """Lifecycle of one submitted compile job."""
@@ -131,7 +139,8 @@ class JobManagerStats:
     """Lifetime counters of one :class:`JobManager`."""
 
     submitted: int = 0
-    #: jobs that attached to an identical in-flight request's compile.
+    #: jobs that shared an identical request's compile, in flight or
+    #: concluded, instead of reaching the pool.
     coalesced: int = 0
     completed: int = 0
     failed: int = 0
@@ -206,6 +215,9 @@ class _Job:
         #: set (under the manager lock) once the fan-out follower snapshot
         #: is taken: no follower may attach past this point.
         self.retired = False
+        #: the compile's response, set in that same lock hold when repeats
+        #: may be answered with it (``response`` can be a deadline error).
+        self.compiled: CompileResponse | None = None
         self.submitted_at = time.monotonic()
         self.finished_at: float | None = None
         #: completed retry attempts (0 while the first try is in flight).
@@ -259,10 +271,11 @@ class JobManager:
         (or batch) reuses the same warm workers.  ``max_workers`` and
         ``use_processes`` are ignored when a pool is given.
     coalesce:
-        Deduplicate identical in-flight requests (default on): a request
-        whose canonical fingerprint matches a submitted-but-unfinished
-        job rides that job's compile and receives a fanned-out copy of
-        its response.
+        Deduplicate identical requests (default on): a request whose
+        canonical fingerprint matches a submitted-but-unfinished job
+        rides that job's compile and receives a fanned-out copy of its
+        response, and one that matches a remembered concluded job is
+        answered with that response at once.
     max_retries:
         Default transparent-retry budget per job for *retriable* faults
         (worker death, transient IO — see
@@ -275,8 +288,8 @@ class JobManager:
         Admission-control cap on uncoalesced in-flight jobs; submissions
         past the cap raise a retriable
         :class:`~repro.errors.OverloadedError` instead of queueing
-        unboundedly.  Followers of an in-flight compile always coalesce
-        (they occupy no worker).  ``None`` (default) disables the cap.
+        unboundedly.  Coalesced requests are always taken (they occupy
+        no worker).  ``None`` (default) disables the cap.
     retry_backoff_s / retry_backoff_cap_s:
         Base and cap of the exponential backoff window (attempt ``n``
         draws uniformly from ``[0, min(cap, base * 2**(n-1))]``).
@@ -361,7 +374,9 @@ class JobManager:
         self.stats = JobManagerStats()
         self.supervisor = self._make_supervisor()
         self._jobs: dict[str, _Job] = {}
-        self._inflight: dict[str, _Job] = {}
+        #: fingerprint -> the job identical requests share: in flight until
+        #: ``retired``, then remembered (oldest use first) if ``compiled``.
+        self._shared: dict[str, _Job] = {}
         self._active = 0
         self._closing = False
         self._lock = threading.Lock()
@@ -399,9 +414,12 @@ class JobManager:
         With coalescing enabled, a request identical to one already in
         flight (same canonical fingerprint) does not reach the pool at
         all: it becomes a follower of the in-flight job and finishes when
-        that compile does, with its own copy of the response.  Followers
-        bypass admission control; a fresh request past ``max_queue_depth``
-        raises :class:`~repro.errors.OverloadedError` without queueing.
+        that compile does, with its own copy of the response.  One
+        identical to a remembered concluded job is finished before
+        ``submit`` returns, on the caller's thread, with that same copy.
+        Both bypass admission control; a fresh request past
+        ``max_queue_depth`` raises :class:`~repro.errors.OverloadedError`
+        without queueing.
         """
         if isinstance(request, str):
             request = CompileRequest(model=request)
@@ -417,20 +435,22 @@ class JobManager:
             )
             if request.deadline_s is not None:
                 job.deadline_at = job.submitted_at + request.deadline_s
-            if self.coalesce:
-                primary = self._inflight.get(job.fingerprint)
-                if primary is not None:
-                    # attach under the lock: _finish pops the in-flight
-                    # entry under the same lock, so the primary cannot fan
-                    # out between our check and the attach
-                    self._jobs[job_id] = job
-                    self.stats.submitted += 1
-                    job.primary = primary
+            primary = self._shared.get(job.fingerprint)
+            if primary is not None:
+                self._jobs[job_id] = job
+                self.stats.submitted += 1
+                self.stats.coalesced += 1
+                job.primary = primary
+                if not primary.retired:
+                    # attach under the lock: _conclude retires the entry
+                    # under the same lock, so the primary cannot fan out
+                    # between our check and the attach
                     primary.followers.append(job)
-                    self.stats.coalesced += 1
                     self._arm_deadline(job)
                     return job_id
-            if (
+                # concluded: from here on the most recently used entry
+                self._shared[job.fingerprint] = self._shared.pop(job.fingerprint)
+            elif (
                 self.max_queue_depth is not None
                 and self._active >= self.max_queue_depth
             ):
@@ -443,12 +463,22 @@ class JobManager:
                         "max_queue_depth": self.max_queue_depth,
                     },
                 )
-            self._jobs[job_id] = job
-            self.stats.submitted += 1
-            job.counted = True
-            self._active += 1
-            if self.coalesce:
-                self._inflight[job.fingerprint] = job
+            else:
+                self._jobs[job_id] = job
+                self.stats.submitted += 1
+                job.counted = True
+                self._active += 1
+                if self.coalesce:
+                    self._shared[job.fingerprint] = job
+        if primary is not None:
+            # what a follower of the compile received, on the caller's thread
+            self._publish(
+                job,
+                dataclasses.replace(primary.compiled, request=request),
+                None,
+                time.monotonic(),
+            )
+            return job_id
         try:
             self._submit_attempt(job)
         except Exception as exc:
@@ -457,8 +487,8 @@ class JobManager:
             # follower that attached between the lock and the failed submit
             with self._lock:
                 self._jobs.pop(job_id, None)
-                if self._inflight.get(job.fingerprint) is job:
-                    del self._inflight[job.fingerprint]
+                if self._shared.get(job.fingerprint) is job:
+                    del self._shared[job.fingerprint]
                 if job.counted:
                     job.counted = False
                     self._active -= 1
@@ -592,12 +622,23 @@ class JobManager:
         self, job: _Job, response: CompileResponse, bitstream: str | None
     ) -> None:
         """Retire a primary job and fan its response out to followers."""
-        # stop accepting followers before publishing: a submit that misses
-        # the in-flight entry starts a fresh compile instead of racing us
+        # stop accepting followers before publishing, and in the same lock
+        # hold either remember the compile or forget the fingerprint: no
+        # identical request can fall between the two and compile again
         with self._lock:
-            if self._inflight.get(job.fingerprint) is job:
-                del self._inflight[job.fingerprint]
             job.retired = True
+            if self._shared.get(job.fingerprint) is job:
+                del self._shared[job.fingerprint]
+                # an error may not repeat; use_cache=False asks for a fresh
+                # compile; a bitstream is not on the response to hand out
+                if response.ok and job.request.use_cache and bitstream is None:
+                    job.compiled = response
+                    self._shared[job.fingerprint] = job
+                    if len(self._shared) > REMEMBERED_JOBS:
+                        # never an in-flight entry: their followers wait
+                        del self._shared[
+                            next(k for k, j in self._shared.items() if j.retired)
+                        ]
             followers = list(job.followers)
             if job.counted:
                 job.counted = False
@@ -824,11 +865,11 @@ class JobManager:
         # attach between the check and the cancel (Future.cancel runs the
         # done callbacks synchronously, so it must happen outside the lock)
         with self._lock:
-            if job.followers:
+            if job.followers or job.retired:
                 return False
-            removed = self._inflight.get(job.fingerprint) is job
+            removed = self._shared.get(job.fingerprint) is job
             if removed:
-                del self._inflight[job.fingerprint]
+                del self._shared[job.fingerprint]
         cancelled = job.future.cancel()
         if cancelled:
             job.cancelled = True
@@ -838,7 +879,7 @@ class JobManager:
             # duplicate already claimed the slot
             with self._lock:
                 if not job.retired:
-                    self._inflight.setdefault(job.fingerprint, job)
+                    self._shared.setdefault(job.fingerprint, job)
         return cancelled
 
     def wait_all(self, timeout: float | None = None) -> list[CompileResponse]:

@@ -13,8 +13,8 @@ owns — none of which speed up a single compile, all of which speed up a
   in-memory stage cache is backed by one disk-backed content-addressed
   tier, so worker N's synthesis serves worker M's lookup;
 * **request coalescing** (:class:`~repro.service.jobs.JobManager`):
-  identical in-flight requests share one compile, and the response fans
-  out to every waiter.
+  identical requests share one compile; the response fans out to every
+  waiter, and answers a later repeat without reaching a worker.
 
 Typical use::
 
@@ -64,7 +64,7 @@ class ServingRuntime:
         private temporary directory (removed on ``close``); ``False``
         disables the shared tier.
     coalesce:
-        Deduplicate identical in-flight requests (default on).
+        Deduplicate identical requests, in flight or concluded (default on).
     store:
         Optional :class:`~repro.service.store.ArtifactStore` every
         response is persisted to.

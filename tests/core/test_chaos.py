@@ -116,7 +116,8 @@ class TestChaosBenchRun:
         assert chaos["ok_requests"] == 4
         assert chaos["availability"] == 1.0
         assert chaos["summaries_identical"] is True
-        assert chaos["broken_pool_events"] >= 1
+        # round 1 has its own fingerprint: it reaches a worker, at attempt 0
+        assert chaos["broken_pool_events"] >= 2
         assert chaos["respawns"] >= 1
         assert chaos["retried"] >= 1
         assert chaos["chaos_seconds"] > 0

@@ -110,10 +110,15 @@ class TestCancel:
 
 
 class TestCacheForwarding:
+    # coalesce=False in both: a coalesced twin, in flight or concluded,
+    # shares the first compile and never asks the cache
+
     def test_disabled_cache_reaches_workers(self):
         # cache=False must survive the worker boundary: two identical
         # requests on one worker see zero stage-cache hits
-        with JobManager(max_workers=1, use_processes=False, cache=False) as jm:
+        with JobManager(
+            max_workers=1, use_processes=False, cache=False, coalesce=False
+        ) as jm:
             ids = jm.submit_batch([CompileRequest(model="MLP-500-100")] * 2)
             responses = [jm.result(i) for i in ids]
         assert all(r.timings.cache_hits == 0 for r in responses)
@@ -121,14 +126,12 @@ class TestCacheForwarding:
     def test_shared_cache_instance_hits_across_jobs(self):
         from repro.core.cache import StageCache
 
-        # one after the other: identical requests in flight together
-        # coalesce into one compile, and the follower never asks the cache
         cache = StageCache()
-        with JobManager(max_workers=1, use_processes=False, cache=cache) as jm:
-            responses = [
-                jm.result(jm.submit(CompileRequest(model="MLP-500-100")))
-                for _ in range(2)
-            ]
+        with JobManager(
+            max_workers=1, use_processes=False, cache=cache, coalesce=False
+        ) as jm:
+            ids = jm.submit_batch([CompileRequest(model="MLP-500-100")] * 2)
+            responses = [jm.result(i) for i in ids]
         assert responses[0].timings.cache_hits == 0
         assert responses[1].timings.cache_hits > 0
 

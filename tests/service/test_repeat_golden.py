@@ -3,10 +3,10 @@
 The literals were recorded at commit 1e4fa78.  Without a shared tier the
 first serve of a point and every repeat hash to one run id: no counter
 inside the content address differs between a compile and a stage-cache hit.
-Still open: through a ``ServingRuntime`` the ``shared_cache_*`` counters
-are part of the address too, so one point can land under up to three ids
-(first compile, shared-tier hit, memory hit) until the store stops hashing
-volatile counters.
+Through a ``ServingRuntime`` an identical repeat is answered with its first
+compile's response, so it too keeps one id (``test_repeat_path.py``); the
+``shared_cache_*`` counters are still part of the address, so a point that
+compiles again (forgotten, ``coalesce=False``) can land under up to three.
 """
 
 import hashlib

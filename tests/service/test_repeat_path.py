@@ -1,9 +1,11 @@
 """What a repeat request does, as counts of work rather than timings.
 
-A hit looks things up: the worker's shared zoo graph, the fingerprint and
-operation count memoized on it, the stage cache, and a store that has the
-run already.  Each test pins one of those by counting the work it must no
-longer do (and the guard that makes skipping it safe).
+An identical repeat is answered by the ``JobManager`` from the concluded job
+it remembers and never reaches the pool.  A partial hit looks things up: the
+worker's shared zoo graph, the fingerprint and operation count memoized on
+it, the stage cache, and a store that has the run already.  Each test pins
+one of those by counting the work it must no longer do (and the guard that
+makes skipping it safe).
 """
 
 import builtins
@@ -12,9 +14,11 @@ import os
 import shutil
 import sys
 import threading
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
+from test_runtime import _ManualExecutor
 
 from repro.core import cache as cache_module
 from repro.core.cache import StageCache, graph_fingerprint
@@ -23,7 +27,16 @@ from repro.graph.ops import Dense
 from repro.models import zoo
 from repro.models.zoo import BENCHMARK_MODELS, build_model, shared_model
 from repro.perf.analytic import pipeline_depth
-from repro.service import ArtifactStore, CompileRequest, ResultSummary, serve_request
+from repro.service import (
+    ArtifactStore,
+    CompileRequest,
+    JobManager,
+    JobState,
+    ResultSummary,
+    ServingRuntime,
+    serve_request,
+)
+from repro.service import jobs as jobs_module
 from repro.synthesizer.coreop import GRAPH_INPUT, GRAPH_OUTPUT, CoreOpGraph, WeightGroup
 from repro.synthesizer.synthesizer import synthesize
 
@@ -356,3 +369,206 @@ class TestRepeatSave:
         assert len(expected) == 150
         assert {record.run_id for record in store.list_runs()} == expected
         assert set(store._indexed) == expected
+
+
+# ---------------------------------------------------------------------------
+# the job manager: an identical request is answered where it arrives
+# ---------------------------------------------------------------------------
+
+class _Executor(_ManualExecutor):
+    """Futures stay pending (so ``cancel`` succeeds) until the test ends one."""
+
+    def submit(self, fn, *args, **kwargs):
+        self.submitted.append((fn, args, Future()))
+        return self.submitted[-1][2]
+
+    def complete_last(self):
+        fn, args, future = self.submitted[-1]
+        future.set_result(fn(*args))
+
+
+def _point(i: int = 0, **fields) -> CompileRequest:
+    """Distinct fingerprints of one cheap compile (the seed is in them)."""
+    return CompileRequest(model="MLP-500-100", seed=i, **fields)
+
+
+class TestAnsweredFromTheConcludedJob:
+    @pytest.fixture
+    def pool(self):
+        return _Executor()
+
+    def serve(self, manager, pool, request):
+        """Submit, let a compile that reached the pool run, return the response."""
+        job_id = manager.submit(request)
+        pool.complete_all()
+        return manager.result(job_id, timeout=0)
+
+    def test_repeats_reach_the_pool_once(self, pool):
+        manager = JobManager(pool=pool)
+        first = self.serve(manager, pool, _point())
+        for i in range(5):
+            job_id = manager.submit(_point(tags={"i": str(i)}))
+            info = manager.status(job_id)  # done before submit returned
+            assert info.state == JobState.DONE and info.coalesced
+            response = manager.result(job_id, timeout=0)
+            assert response.request.tags == {"i": str(i)}
+            assert (response.summary, response.timings) == (first.summary, first.timings)
+        assert len(pool.submitted) == 1
+        stats = manager.stats
+        assert (stats.submitted, stats.coalesced, stats.completed) == (6, 5, 6)
+
+    def test_use_cache_false_compiles_every_time(self, pool):
+        manager = JobManager(pool=pool)
+        for _ in range(3):
+            assert self.serve(manager, pool, _point(use_cache=False)).ok
+        assert len(pool.submitted) == 3
+        assert manager.stats.coalesced == 0
+
+    def test_coalesce_false_compiles_every_time(self, pool):
+        manager = JobManager(pool=pool, coalesce=False)
+        for _ in range(3):
+            assert self.serve(manager, pool, _point()).ok
+        assert len(pool.submitted) == 3
+
+    @pytest.mark.parametrize("code", ["unknown_model", "cancelled", "transient_io"])
+    def test_an_error_is_never_remembered(self, pool, code):
+        manager = JobManager(pool=pool, max_retries=0)
+        request = CompileRequest(model="NotANetwork") if code == "unknown_model" else _point()
+        job_id = manager.submit(request)
+        if code == "cancelled":
+            assert manager.cancel(job_id)
+        elif code == "transient_io":  # retriable, and out of budget
+            pool.submitted[-1][2].set_exception(OSError("disk went away"))
+        pool.complete_all()
+        assert manager.result(job_id, timeout=0).error.code == code
+        manager.submit(request)
+        assert len(pool.submitted) == 2
+        assert manager.stats.coalesced == 0
+
+    def test_a_job_that_returned_a_bitstream_is_not_remembered(self, pool, tmp_path):
+        # the response does not carry the artifact: the store gets it from
+        # the worker, so a removed bitstream.json needs another compile
+        store = ArtifactStore(tmp_path)
+        manager = JobManager(pool=pool, store=store)
+        request = _point(emit_bitstream=True)
+        run_id = store.run_id_for(self.serve(manager, pool, request))
+        bitstream = store.load_bitstream(run_id)
+        assert bitstream is not None
+        (store.runs_root / run_id / "bitstream.json").unlink()
+        assert self.serve(manager, pool, request).ok
+        assert len(pool.submitted) == 2
+        assert store.load_bitstream(run_id) == bitstream
+
+    def test_the_least_recently_used_job_is_forgotten(self, pool, monkeypatch):
+        monkeypatch.setattr(jobs_module, "REMEMBERED_JOBS", 3)
+        manager = JobManager(pool=pool)
+        for i in (0, 1, 2, 0, 3):  # the repeat of 0 makes 1 the oldest
+            self.serve(manager, pool, _point(i))
+        assert len(pool.submitted) == 4
+        for i, compiles in ((0, 4), (2, 4), (3, 4), (1, 5)):
+            self.serve(manager, pool, _point(i))
+            assert len(pool.submitted) == compiles, i
+
+    def test_an_in_flight_job_is_never_the_one_forgotten(self, pool, monkeypatch):
+        monkeypatch.setattr(jobs_module, "REMEMBERED_JOBS", 2)
+        manager = JobManager(pool=pool)
+        oldest = manager.submit(_point(0))
+        for i in (1, 2, 3):
+            manager.submit(_point(i))
+            pool.complete_last()
+        follower = manager.submit(_point(0))
+        assert len(pool.submitted) == 4
+        assert manager.status(follower).state == JobState.QUEUED
+        pool.complete_all()
+        assert manager.result(oldest, timeout=0).ok
+        assert manager.result(follower, timeout=0).ok
+        # the bound counts 0 while it is in flight: 1, then 2, made room
+        for i, compiles in ((3, 4), (0, 4), (2, 5)):
+            self.serve(manager, pool, _point(i))
+            assert len(pool.submitted) == compiles, i
+
+    def test_a_compile_that_outlived_its_deadline_is_remembered(self, pool):
+        manager = JobManager(pool=pool)
+        late = manager.submit(_point(deadline_s=0.01))
+        assert manager.result(late, timeout=60).error.code == "deadline_exceeded"
+        pool.complete_all()  # dropped for the job that gave up, kept for the next
+        assert self.serve(manager, pool, _point()).ok
+        assert len(pool.submitted) == 1
+
+    def test_answered_jobs_take_no_slot_and_arm_no_timer(self, pool, monkeypatch):
+        manager = JobManager(pool=pool, max_queue_depth=1)
+        self.serve(manager, pool, _point())
+        manager.submit(_point(1))  # holds the only slot
+        timers = _count_calls(monkeypatch, threading, "Timer")
+        job_id = manager.submit(_point(deadline_s=60.0))
+        assert manager.status(job_id).state == JobState.DONE
+        assert timers == []
+        assert manager.stats.rejected == 0
+
+    def test_no_window_between_concluding_and_remembering(self, pool):
+        # the earliest a repeat can arrive after its twin concluded: from
+        # the store, which the primary's publish calls before anyone wakes
+        repeats = []
+
+        class ResubmittingStore:
+            def save(self, response, bitstream_json=None):
+                if not repeats:
+                    repeats.append(manager.submit(response.request))
+
+        manager = JobManager(pool=pool, store=ResubmittingStore())
+        assert self.serve(manager, pool, _point()).ok
+        assert manager.result(repeats[0], timeout=0).ok
+        assert len(pool.submitted) == 1
+
+    def test_clients_racing_the_bound_lose_no_job(self, monkeypatch):
+        # 6 clients on 2 pool threads, 4 points, room for 2: entries are
+        # attached to, answered from, forgotten and re-made concurrently
+        monkeypatch.setattr(jobs_module, "REMEMBERED_JOBS", 2)
+        compiles = _count_calls(monkeypatch, jobs_module, "_execute_job")
+        expected = [serve_request(_point(i), cache=False).response.summary for i in range(4)]
+        wrong = []
+
+        def client(offset: int) -> None:
+            for n in range(40):
+                i = (offset + n * n) % 4
+                response = manager.result(manager.submit(_point(i)), timeout=60)
+                if response.summary != expected[i]:
+                    wrong.append(response)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with JobManager(max_workers=2, use_processes=False) as manager:
+                threads = [threading.Thread(target=client, args=(k,)) for k in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        stats = manager.stats
+        assert stats.submitted == stats.completed == 240
+        assert len(compiles) + stats.coalesced == 240
+        assert len(manager._shared) <= 2 and stats.coalesced > 0
+
+
+def test_one_point_one_run_id_through_a_serving_runtime(tmp_path):
+    store = ArtifactStore(tmp_path / "store")
+    points = [CompileRequest(model="LeNet", duplication_degree=d) for d in (1, 2, 4)]
+    with ServingRuntime(
+        max_workers=2, shared_cache_dir=str(tmp_path / "shared"), store=store
+    ) as runtime:
+        for _ in range(5):
+            for request in points:
+                direct = serve_request(request, cache=False).response
+                assert runtime.serve(request, timeout=60).summary == direct.summary
+        assert len(store) == 3
+        assert runtime.stats()["coalesced"] == 12
+        # tags are in the address: the same point, asked by somebody else
+        tagged = dataclasses.replace(points[0], tags={"who": "b"})
+        response = runtime.serve(tagged, timeout=60)
+        assert runtime.stats()["coalesced"] == 13
+    assert len(store) == 4
+    assert store.load(store.run_id_for(response)).request == tagged

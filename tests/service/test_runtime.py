@@ -67,15 +67,21 @@ class TestRequestCoalescing:
         assert r3.summary.to_dict() != r1.summary.to_dict()
         assert manager.status(second).seconds is not None
 
-    def test_finished_requests_do_not_coalesce(self):
+    def test_finished_requests_coalesce_too(self):
         executor = _ManualExecutor()
         manager = JobManager(pool=executor)
         first = manager.submit("MLP-500-100")
         executor.complete_all()
-        manager.result(first, timeout=10)
-        manager.submit("MLP-500-100")  # primary finished: fresh compile
-        assert len(executor.submitted) == 2
-        assert manager.stats.coalesced == 0
+        r1 = manager.result(first, timeout=10)
+        # primary concluded: answered from it, before submit returns
+        second = manager.submit(CompileRequest(model="MLP-500-100", tags={"who": "b"}))
+        assert len(executor.submitted) == 1
+        assert manager.stats.coalesced == 1
+        info = manager.status(second)
+        assert info.state == JobState.DONE and info.coalesced
+        r2 = manager.result(second, timeout=0)
+        assert r2.request.tags == {"who": "b"}
+        assert (r2.summary, r2.timings) == (r1.summary, r1.timings)
 
     def test_coalesce_disabled(self):
         executor = _ManualExecutor()
