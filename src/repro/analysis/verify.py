@@ -238,11 +238,16 @@ def verify_mapping(mapping: "MappingResult", stage: str = "mapping") -> None:
     if allocation.replication <= 0:
         _fail(stage, "allocation-replication", "replication must be positive",
               [allocation.replication])
-    n_pe = mapping.netlist.n_pe
-    if n_pe != allocation.total_pes:
+    built = mapping.netlist.block_counts()
+    if built["n_pe"] != allocation.total_pes:
         _fail(stage, "pe-count",
-              f"netlist instantiates {n_pe} PEs but the allocation assigns "
-              f"{allocation.total_pes}",
+              f"netlist instantiates {built['n_pe']} PEs but the allocation "
+              f"assigns {allocation.total_pes}",
+              [mapping.model])
+    closed_form = mapping.block_counts()
+    if built != closed_form:
+        _fail(stage, "block-counts",
+              f"netlist instantiates {built} but the mapping counts {closed_form}",
               [mapping.model])
     unallocated = sorted(
         {

@@ -39,8 +39,8 @@ class DeploymentResult:
     coreops:
         The synthesized core-op graph.
     mapping:
-        Allocation + netlist + control plan (+ detailed schedule when
-        requested).
+        Allocation + control plan (+ detailed schedule when requested);
+        its netlist is built when first read.
     performance:
         The analytic performance report (throughput, latency, OPS, area).
     bounds:
@@ -127,7 +127,7 @@ class DeploymentResult:
             for group in coreops.groups()
         )
         traffic = traffic_values_per_sample(coreops)
-        counts = mapping.netlist.block_counts()
+        counts = mapping.block_counts()
         mix = BlockMix(
             **counts,
             pe_vmm_per_inference=float(vmm_per_inference),
@@ -209,7 +209,7 @@ class DeploymentResult:
         ]
         if self.mapping is not None:
             lines[0] += f" (duplication degree {self.mapping.duplication_degree})"
-            counts = self.mapping.netlist.block_counts()
+            counts = self.mapping.block_counts()
             lines.append(
                 f"  PEs: {counts['n_pe']}   SMBs: {counts['n_smb']}   "
                 f"CLBs: {counts['n_clb']}"

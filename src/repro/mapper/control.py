@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from ..arch.clb import IterationCounter
 from ..arch.params import CLBParams, FPSAConfig
 from .allocation import AllocationResult
-from .netlist import FunctionBlockNetlist
 
 __all__ = ["ControlPlan", "plan_control"]
 
@@ -43,10 +42,12 @@ def _counter_luts(period: int, clb: CLBParams) -> int:
 
 def plan_control(
     allocation: AllocationResult,
-    netlist: FunctionBlockNetlist,
+    n_pe: int,
+    n_smb: int,
     config: FPSAConfig | None = None,
 ) -> ControlPlan:
-    """Size the control plane of an allocated, netlisted model."""
+    """Size the control plane of an allocated model from its datapath's PE
+    and SMB counts."""
     config = config if config is not None else FPSAConfig()
     clb = config.clb
     window = config.pe.sampling_window
@@ -54,7 +55,7 @@ def plan_control(
     luts = 0
 
     # one sampling-window counter per PE (reset pulse generation)
-    window_counters = netlist.n_pe
+    window_counters = n_pe
     luts += window_counters * _counter_luts(window, clb)
 
     # one iteration counter per PE whose group executes more than once
@@ -67,7 +68,7 @@ def plan_control(
     # one address counter per SMB
     value_bits = config.pe.io_bits
     capacity = config.smb.values_capacity(value_bits)
-    buffer_counters = netlist.n_smb
+    buffer_counters = n_smb
     luts += buffer_counters * _counter_luts(capacity, clb)
 
     clbs_needed = max(1, math.ceil(luts / clb.luts_per_clb)) if luts else 0

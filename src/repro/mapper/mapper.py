@@ -11,21 +11,23 @@ The mapper performs the two sub-steps of Section 5.2:
    streaming is impossible (:mod:`repro.mapper.schedule`), and generate the
    control logic (:mod:`repro.mapper.control`).
 
-The result is a :class:`MappingResult` holding the allocation, the
-function-block netlist, the control plan and (for models small enough to
-expand to instance level) the detailed schedule.
+The result is a :class:`MappingResult` holding the allocation, the control
+plan, (for models small enough to expand to instance level) the detailed
+schedule, and the function-block netlist those determine — built when
+something first reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..arch.params import FPSAConfig
 from ..errors import CapacityError
 from ..synthesizer.coreop import CoreOpGraph
 from .allocation import AllocationResult, allocate, allocate_for_pe_budget
 from .control import ControlPlan, plan_control
-from .netlist import FunctionBlockNetlist, attach_control, build_datapath
+from .netlist import FunctionBlockNetlist, build_netlist, smbs_per_edge
 from .schedule import Schedule, schedule_instances
 
 __all__ = ["MappingResult", "SpatialTemporalMapper"]
@@ -37,13 +39,39 @@ _DETAILED_SCHEDULE_LIMIT = 20_000
 
 @dataclass
 class MappingResult:
-    """Everything the mapper produces for one model."""
+    """Everything the mapper produces for one model.
+
+    ``netlist`` is derived from the fields below on first read (by P&R, the
+    bitstream generator, the verifier) and is not pickled: summaries, sweeps
+    and the stage stores need only :meth:`block_counts`.
+    """
 
     coreops: CoreOpGraph
     allocation: AllocationResult
-    netlist: FunctionBlockNetlist
     control: ControlPlan
+    config: FPSAConfig
     schedule: Schedule | None = None
+
+    @cached_property
+    def netlist(self) -> FunctionBlockNetlist:
+        return build_netlist(
+            self.coreops, self.allocation, self.config, self.control.clbs_needed
+        )
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        state.pop("netlist", None)
+        return state
+
+    def block_counts(self) -> dict[str, int]:
+        """The netlist's ``n_pe`` / ``n_smb`` / ``n_clb`` without building
+        it: the control plan holds one window counter per PE, one address
+        counter per SMB, and the CLB count the netlist instantiates."""
+        return {
+            "n_pe": self.control.window_counters,
+            "n_smb": self.control.buffer_counters,
+            "n_clb": self.control.clbs_needed,
+        }
 
     @property
     def model(self) -> str:
@@ -54,10 +82,11 @@ class MappingResult:
         return self.allocation.duplication_degree
 
     def chip_area_mm2(self, config: FPSAConfig | None = None) -> float:
-        return self.netlist.chip_area_mm2(config)
+        config = config if config is not None else self.config
+        return config.chip_area_mm2(**self.block_counts())
 
     def summary(self) -> str:
-        counts = self.netlist.block_counts()
+        counts = self.block_counts()
         lines = [
             f"mapping of {self.model!r} (duplication degree {self.duplication_degree})",
             f"  PEs: {counts['n_pe']}  SMBs: {counts['n_smb']}  CLBs: {counts['n_clb']}",
@@ -150,9 +179,10 @@ class SpatialTemporalMapper:
             )
 
         # the control plan reads only the datapath's PE and SMB counts
-        netlist = build_datapath(coreops, allocation, self.config)
-        control = plan_control(allocation, netlist, self.config)
-        attach_control(netlist, self.config, control.clbs_needed)
+        n_smb = allocation.replication * sum(
+            smbs_per_edge(coreops, allocation, self.config)
+        )
+        control = plan_control(allocation, allocation.total_pes, n_smb, self.config)
 
         schedule = None
         if detailed_schedule:
@@ -166,7 +196,7 @@ class SpatialTemporalMapper:
         return MappingResult(
             coreops=coreops,
             allocation=allocation,
-            netlist=netlist,
             control=control,
+            config=self.config,
             schedule=schedule,
         )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -26,6 +27,7 @@ __all__ = [
     "Block",
     "Net",
     "FunctionBlockNetlist",
+    "smbs_per_edge",
     "build_datapath",
     "attach_control",
     "build_netlist",
@@ -84,7 +86,7 @@ class FunctionBlockNetlist:
     #: bumped by every structural mutation; memoized fingerprints
     #: (:func:`repro.core.cache.netlist_fingerprint`) key on it so a
     #: mutated netlist can never serve a stale digest.  Mutate only
-    #: through :meth:`add_block`/:meth:`add_net`.
+    #: through :meth:`add_block`/:meth:`add_net`/:meth:`add_nets`.
     mutation_count: int = field(default=0, repr=False, compare=False)
 
     def add_block(self, block: Block) -> Block:
@@ -101,6 +103,19 @@ class FunctionBlockNetlist:
         self.nets.append(net)
         self.mutation_count += 1
         return net
+
+    def add_nets(self, drivers: Sequence[str], sinks: tuple[str, ...]) -> None:
+        """One net per driver, named ``net<index>`` in sequence, all on the
+        one ``sinks`` tuple; the names are checked once per call (M + N
+        probes for M drivers and N sinks, not M x N)."""
+        unknown = [b for b in (*drivers, *sinks) if b not in self.blocks]
+        if unknown:
+            raise MappingError(
+                f"net 'net{len(self.nets)}' references unknown blocks {unknown}"
+            )
+        for driver in drivers:
+            self.nets.append(Net(name=f"net{len(self.nets)}", driver=driver, sinks=sinks))
+            self.mutation_count += 1
 
     def count(self, block_type: str) -> int:
         return sum(1 for b in self.blocks.values() if b.type == block_type)
@@ -120,8 +135,8 @@ class FunctionBlockNetlist:
     def block_counts(self) -> dict[str, int]:
         """``n_pe`` / ``n_smb`` / ``n_clb`` from one pass over the blocks,
         keyed the way the summaries and the area and energy models name
-        them.  Computed per call: the netlist is pickled into the stage
-        stores, so it carries no derived field."""
+        them.  A compiled mapping answers the same question without a
+        netlist (:meth:`repro.mapper.mapper.MappingResult.block_counts`)."""
         counts = Counter(map(attrgetter("type"), self.blocks.values()))
         return {
             "n_pe": counts[BlockType.PE],
@@ -145,8 +160,29 @@ class FunctionBlockNetlist:
         )
 
 
-def _pe_block_name(group: str, tile: int, duplicate: int) -> str:
-    return f"{group}::pe{tile}.{duplicate}"
+def smbs_per_edge(
+    coreops: CoreOpGraph, allocation: AllocationResult, config: FPSAConfig
+) -> list[int]:
+    """SMBs each of ``coreops.edges()`` needs in one replica, in edge order;
+    0 means the edge streams.
+
+    A group-to-group connection is buffered when its consumer iterates over
+    its reuse positions (time-division multiplexing always needs the
+    intermediate data buffered) or runs at another pace than its producer;
+    producer and consumer iterating in lock step stream, as do the graph's
+    boundary edges.  The one statement of the rule: the builder
+    instantiates these SMBs and every block count sums them.
+    """
+    capacity = config.smb.values_capacity(config.pe.io_bits)
+    counts = []
+    for edge in coreops.edges():
+        n_smbs = 0
+        if edge.src in coreops and edge.dst in coreops:
+            consumer = allocation.allocation(edge.dst).iterations
+            if consumer > 1 or consumer != allocation.allocation(edge.src).iterations:
+                n_smbs = max(1, math.ceil(max(1, edge.values_per_instance) / capacity))
+        counts.append(n_smbs)
+    return counts
 
 
 def build_datapath(
@@ -157,106 +193,54 @@ def build_datapath(
     """Build the IO, PE and SMB blocks of an allocated core-op graph and the
     data nets between them; :func:`attach_control` completes the netlist.
 
-    Buffers (SMBs) are instantiated on every group-to-group connection whose
-    consumer iterates over its reuse positions (time-division multiplexing
-    always needs the intermediate data buffered); direct streaming
-    connections (producer and consumer iterate in lock step) carry nets
-    straight between the PEs.
+    Buffered connections (:func:`smbs_per_edge`) go through their SMBs;
+    streaming ones carry nets straight between the PEs.
     """
     config = config if config is not None else FPSAConfig()
     netlist = FunctionBlockNetlist(model=coreops.name)
 
-    io_in = netlist.add_block(Block(name="__input__", type=BlockType.IO))
-    io_out = netlist.add_block(Block(name="__output__", type=BlockType.IO))
-
-    value_bits = config.pe.io_bits
-    smb_capacity = config.smb.values_capacity(value_bits)
-    net_index = 0
+    io_in = (netlist.add_block(Block(name="__input__", type=BlockType.IO)).name,)
+    io_out = (netlist.add_block(Block(name="__output__", type=BlockType.IO)).name,)
+    edges = list(zip(coreops.edges(), smbs_per_edge(coreops, allocation, config)))
     smb_index = 0
 
     for replica in range(allocation.replication):
         prefix = f"rep{replica}::" if allocation.replication > 1 else ""
 
-        # PE blocks of this replica
+        # PE blocks of this replica; a group's names are formatted once and
+        # the one tuple is every net's view of that group
+        pe_names: dict[str, tuple[str, ...]] = {}
         for group_name, alloc in allocation.allocations.items():
-            for tile in range(alloc.tiles):
-                for dup in range(alloc.duplication):
-                    netlist.add_block(
-                        Block(
-                            name=prefix + _pe_block_name(group_name, tile, dup),
-                            type=BlockType.PE,
-                            group=group_name,
-                            tile=tile,
-                            duplicate=dup,
-                        )
+            pe_names[group_name] = tuple(
+                netlist.add_block(
+                    Block(
+                        name=f"{prefix}{group_name}::pe{tile}.{dup}",
+                        type=BlockType.PE,
+                        group=group_name,
+                        tile=tile,
+                        duplicate=dup,
                     )
-
-        # SMB blocks for buffered connections + nets
-        for edge in coreops.edges():
-            src_is_group = edge.src in coreops
-            dst_is_group = edge.dst in coreops
-
-            if src_is_group:
-                src_alloc = allocation.allocation(edge.src)
-                drivers = [
-                    prefix + _pe_block_name(edge.src, t, d)
-                    for t in range(src_alloc.tiles)
-                    for d in range(src_alloc.duplication)
-                ]
-            else:
-                drivers = [io_in.name]
-
-            if dst_is_group:
-                dst_alloc = allocation.allocation(edge.dst)
-                sinks = [
-                    prefix + _pe_block_name(edge.dst, t, d)
-                    for t in range(dst_alloc.tiles)
-                    for d in range(dst_alloc.duplication)
-                ]
-            else:
-                sinks = [io_out.name]
-
-            needs_buffer = (
-                src_is_group
-                and dst_is_group
-                and (
-                    allocation.allocation(edge.src).iterations
-                    != allocation.allocation(edge.dst).iterations
-                    or allocation.allocation(edge.dst).iterations > 1
-                )
+                ).name
+                for tile in range(alloc.tiles)
+                for dup in range(alloc.duplication)
             )
 
-            if needs_buffer:
-                values = max(1, edge.values_per_instance)
-                n_smbs = max(1, math.ceil(values / smb_capacity))
-                smb_names = []
-                for _ in range(n_smbs):
-                    smb = netlist.add_block(
-                        Block(name=f"smb{smb_index}", type=BlockType.SMB, group=edge.dst)
-                    )
-                    smb_names.append(smb.name)
-                    smb_index += 1
-                for driver in drivers:
-                    netlist.add_net(
-                        Net(
-                            name=f"net{net_index}",
-                            driver=driver,
-                            sinks=tuple(smb_names),
-                            bits=1,
-                        )
-                    )
-                    net_index += 1
-                for smb_name in smb_names:
-                    netlist.add_net(
-                        Net(name=f"net{net_index}", driver=smb_name, sinks=tuple(sinks), bits=1)
-                    )
-                    net_index += 1
+        # SMB blocks for buffered connections + nets
+        for edge, n_smbs in edges:
+            drivers = pe_names[edge.src] if edge.src in coreops else io_in
+            sinks = pe_names[edge.dst] if edge.dst in coreops else io_out
+            if n_smbs:
+                smbs = tuple(
+                    netlist.add_block(
+                        Block(name=f"smb{smb_index + i}", type=BlockType.SMB, group=edge.dst)
+                    ).name
+                    for i in range(n_smbs)
+                )
+                smb_index += n_smbs
+                netlist.add_nets(drivers, smbs)
+                netlist.add_nets(smbs, sinks)
             else:
-                for driver in drivers:
-                    netlist.add_net(
-                        Net(name=f"net{net_index}", driver=driver, sinks=tuple(sinks), bits=1)
-                    )
-                    net_index += 1
+                netlist.add_nets(drivers, sinks)
 
     return netlist
 

@@ -20,7 +20,7 @@ def mapping_fingerprint(ctx: CompileContext) -> str:
     """
     options = ctx.options
     return fingerprint(
-        "mapping",
+        "mapping-v2",  # v1 entries pickled a netlist and no config
         coreops_fingerprint(ctx.coreops),
         config_fingerprint(ctx.config),
         options.duplication_degree,
@@ -35,8 +35,9 @@ def mapping_fingerprint(ctx: CompileContext) -> str:
 
 @register_pass
 class MappingPass(CompilePass):
-    """Map the core-op graph onto function blocks (allocation + netlist
-    + control plan, plus the detailed schedule when requested)."""
+    """Map the core-op graph onto function blocks (allocation + control
+    plan + block counts, plus the detailed schedule when requested; the
+    netlist is derived from these by its first reader)."""
 
     name = "mapping"
     requires = ("coreops",)

@@ -79,7 +79,7 @@ class ShardCompileResult:
         """Exact function-block counts of this shard's netlist."""
         if self.mapping is None:
             return None
-        return self.mapping.netlist.block_counts()
+        return self.mapping.block_counts()
 
 
 def shard_options(

@@ -25,6 +25,7 @@ from typing import Protocol
 
 from ..arch.params import FPSAConfig
 from ..mapper.allocation import AllocationResult, allocate, allocate_for_pe_budget
+from ..mapper.netlist import smbs_per_edge
 from ..synthesizer.coreop import CoreOpGraph
 from .comm import CommContext, CommunicationModel, ReconfigurableRoutingComm
 from .metrics import LatencyBreakdown, PerformanceReport
@@ -136,23 +137,12 @@ def estimate_block_counts(
     allocation: AllocationResult,
     config: FPSAConfig | None = None,
 ) -> BlockCounts:
-    """Cheap block-count estimate (the full netlist builder gives the exact
-    numbers; this estimate avoids materialising hundreds of thousands of
-    block objects inside area sweeps)."""
+    """Block counts of a design point that has no mapping: the netlist's
+    exact PE and SMB counts, CLBs at the default ``clbs_per_pe``
+    provisioning (a mapping's control plan sizes them exactly)."""
     config = config if config is not None else FPSAConfig()
     n_pe = allocation.total_pes
-
-    value_bits = config.pe.io_bits
-    capacity = config.smb.values_capacity(value_bits)
-    n_smb = 0
-    for edge in coreops.edges():
-        if edge.src not in coreops or edge.dst not in coreops:
-            continue
-        dst = allocation.allocation(edge.dst)
-        src = allocation.allocation(edge.src)
-        if dst.iterations > 1 or dst.iterations != src.iterations:
-            n_smb += max(1, math.ceil(max(1, edge.values_per_instance) / capacity))
-    n_smb *= allocation.replication
+    n_smb = allocation.replication * sum(smbs_per_edge(coreops, allocation, config))
     n_clb = max(1, math.ceil(n_pe * config.clbs_per_pe))
     return BlockCounts(n_pe=n_pe, n_smb=n_smb, n_clb=n_clb)
 

@@ -389,7 +389,7 @@ class ResultSummary:
         pnr = pipeline = bitstream = partition = None
         if result.mapping is not None:
             duplication = result.mapping.duplication_degree
-            blocks = result.mapping.netlist.block_counts()
+            blocks = result.mapping.block_counts()
         if result.partition is not None:
             plan = result.partition
             duplication = duplication or plan.duplication_degree

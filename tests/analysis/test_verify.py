@@ -11,6 +11,7 @@ fixtures stay pristine.
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from repro.errors import VerificationError
 from repro.graph.graph import ComputationalGraph
 from repro.graph.ops import Dense, InputOp, ReLU
 from repro.mapper.mapper import SpatialTemporalMapper
+from repro.mapper.netlist import Block
 from repro.partition.partitioner import partition_coreops
 from repro.pnr.pnr import PlaceAndRoute
 from repro.synthesizer.coreop import GRAPH_INPUT, GRAPH_OUTPUT, CoreOpGraph, WeightGroup
@@ -191,7 +193,8 @@ class TestVerifyMapping:
 
     @settings(max_examples=6)
     @given(in_size=in_size_st, widths=widths_st, mutation=st.sampled_from(
-        ["drop-block", "empty-sinks", "pe-count", "duplicate-net", "zero-bits"]
+        ["drop-block", "empty-sinks", "pe-count", "duplicate-net", "zero-bits",
+         "block-counts"]
     ))
     def test_rejects_mutations(self, config, in_size, widths, mutation):
         mapping = SpatialTemporalMapper(config).map(
@@ -205,13 +208,16 @@ class TestVerifyMapping:
             object.__setattr__(netlist.nets[0], "sinks", ())
             invariant = "net-sinks"
         elif mutation == "pe-count":
-            object.__setattr__(
-                mapping.allocation, "total_pes", mapping.allocation.total_pes + 1
-            )
+            group = next(iter(mapping.allocation.allocations))
+            netlist.blocks["pe-extra"] = Block("pe-extra", "PE", group=group)
             invariant = "pe-count"
         elif mutation == "duplicate-net":
             netlist.nets.append(netlist.nets[0])
             invariant = "duplicate-net"
+        elif mutation == "block-counts":
+            # a structurally sound netlist the closed-form counts miss
+            netlist.blocks["clb-extra"] = Block("clb-extra", "CLB")
+            invariant = "block-counts"
         else:
             object.__setattr__(netlist.nets[0], "bits", 0)
             invariant = "net-bits"
@@ -219,6 +225,18 @@ class TestVerifyMapping:
             verify_mapping(mapping)
         assert excinfo.value.invariant == invariant
         assert excinfo.value.stage == "mapping"
+
+    def test_rejects_closed_form_counts_the_netlist_does_not_have(
+        self, lenet_coreops, config
+    ):
+        mapping = SpatialTemporalMapper(config).map(lenet_coreops, duplication_degree=4)
+        verify_mapping(mapping)
+        mapping.control = dataclasses.replace(
+            mapping.control, buffer_counters=mapping.control.buffer_counters + 1
+        )
+        with pytest.raises(VerificationError) as excinfo:
+            verify_mapping(mapping)
+        assert excinfo.value.invariant == "block-counts"
 
     def test_netlist_verifier_standalone(self, lenet_mapping):
         netlist = copy.deepcopy(lenet_mapping.netlist)

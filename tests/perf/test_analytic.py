@@ -1,10 +1,19 @@
 """Tests of the analytic pipelined performance model."""
 
+import json
+from pathlib import Path
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.fp_prime import FPPrimeArchitecture
 from repro.baselines.prime import PrimeArchitecture
+from repro.core.compiler import FPSACompiler
+from repro.errors import CapacityError
+from repro.fuzz import ModelSpec, build_graph, generate_spec
 from repro.mapper.allocation import allocate
+from repro.models.zoo import build_model, model_names
 from repro.perf.analytic import (
     FPSAArchitecture,
     estimate_block_counts,
@@ -13,6 +22,8 @@ from repro.perf.analytic import (
     sweep_area,
     traffic_values_per_sample,
 )
+
+CORPUS_FILES = sorted((Path(__file__).parent.parent / "fuzz" / "corpus").glob("*.json"))
 
 
 class TestHelpers:
@@ -23,14 +34,62 @@ class TestHelpers:
         # 3 dense + 2 reductions chained
         assert pipeline_depth(mlp_coreops) == 5
 
-    def test_block_count_estimate_matches_netlist(self, lenet_coreops, config):
-        from repro.mapper.netlist import build_netlist
+    def test_block_count_estimate_matches_netlist(self, config):
+        # the exactness oracle of the closed-form counts: the paper's zoo
+        # over the sweep grid, whole-chip and sharded
+        checked = 0
+        for model in model_names():
+            graph = build_model(model)
+            for duplication in (1, 4, 16, 64):
+                for num_chips in (None, "auto"):
+                    checked += _assert_counts_are_the_netlists(
+                        graph, config, duplication_degree=duplication, num_chips=num_chips
+                    )
+        assert checked > 7 * 4 * 2  # some points shard
 
-        allocation = allocate(lenet_coreops, 4, config.pe)
-        estimate = estimate_block_counts(lenet_coreops, allocation, config)
-        netlist = build_netlist(lenet_coreops, allocation, config)
-        assert estimate.n_pe == netlist.n_pe
-        assert estimate.n_smb == netlist.n_smb
+    @pytest.mark.parametrize("path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES])
+    def test_block_counts_of_the_fuzz_corpus(self, path, config):
+        spec = ModelSpec.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        for num_chips in (None, "auto"):
+            _assert_counts_are_the_netlists(
+                build_graph(spec), config, duplication_degree=4, num_chips=num_chips
+            )
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        index=st.integers(0, 60),
+        duplication=st.sampled_from([1, 2, 8, 64]),
+        num_chips=st.sampled_from([None, "auto", 2]),
+    )
+    @settings(max_examples=40)
+    def test_block_counts_of_generated_models(
+        self, config, seed, index, duplication, num_chips
+    ):
+        graph = build_graph(generate_spec(seed, index))
+        try:
+            _assert_counts_are_the_netlists(
+                graph, config, duplication_degree=duplication, num_chips=num_chips
+            )
+        except CapacityError:
+            assume(False)  # the model fits no such chip count: nothing mapped
+
+
+def _assert_counts_are_the_netlists(graph, config, **knobs) -> int:
+    """Every mapping of one compile counts, in closed form, exactly what its
+    netlist instantiates — and the estimator agrees on PEs and SMBs."""
+    result = FPSACompiler(config, cache=False).compile(graph, use_cache=False, **knobs)
+    mappings = (
+        [result.mapping]
+        if result.mapping is not None
+        else [shard.mapping for shard in result.shard_results]
+    )
+    for mapping in mappings:
+        assert "netlist" not in vars(mapping)
+        counts = mapping.block_counts()
+        assert counts == mapping.netlist.block_counts(), (graph.name, knobs)
+        estimate = estimate_block_counts(mapping.coreops, mapping.allocation, config)
+        assert (estimate.n_pe, estimate.n_smb) == (counts["n_pe"], counts["n_smb"])
+    return len(mappings)
 
 
 class TestEvaluateDesignPoint:
