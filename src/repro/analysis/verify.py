@@ -322,13 +322,44 @@ def verify_placement(
                   misplaced)
 
 
+def _rr(node: Any) -> str:
+    return f"{node.kind}({node.x},{node.y})#{node.track}"
+
+
+def _around(pin: Any, wire: Any) -> bool:
+    """Whether ``wire`` runs in one of the four channels around ``pin``'s
+    block: ``H(x, y)`` above, ``H(x, y - 1)`` below, ``V(x, y)`` right,
+    ``V(x - 1, y)`` left."""
+    offset = (wire.x - pin.x, wire.y - pin.y)
+    return offset in (((0, 0), (0, -1)) if wire.kind == "H" else ((0, 0), (-1, 0)))
+
+
+def _is_fabric_switch(a: Any, b: Any) -> bool:
+    """Whether the fabric has a programmable switch from RR node ``a`` to
+    RR node ``b``, judged on their coordinates alone — independently of the
+    router's id arithmetic, which this is the check on.  Switch boxes are
+    disjoint: a wire meets only its own track, crossing to the other kind
+    in place or continuing its kind into a neighbouring cell.  Connection
+    boxes join a block's output pin to, and its input pin from, every
+    track of the channels around it."""
+    if a.is_wire and b.is_wire:
+        apart = abs(a.x - b.x) + abs(a.y - b.y)
+        return a.track == b.track and apart == (1 if a.kind == b.kind else 0)
+    if a.kind == "OPIN" and b.is_wire:
+        return _around(a, b)
+    if a.is_wire and b.kind == "IPIN":
+        return _around(b, a)
+    return False
+
+
 def verify_routing(
     routing: "RoutingResult",
     netlist: "FunctionBlockNetlist | None" = None,
     placement: "Placement | None" = None,
     stage: str = "pnr",
 ) -> None:
-    """Routing: every net routed, RR-node capacity respected, routes
+    """Routing: every net routed, RR-node capacity respected, every path
+    follows switches of the fabric from the net's tree so far, routes
     connect their terminals (terminal checks need netlist + placement)."""
     # capacity: every wire RR node hosts at most one net's tree
     usage: dict[Any, int] = {}
@@ -336,11 +367,7 @@ def verify_routing(
         for node in net.nodes:
             if getattr(node, "is_wire", False):
                 usage[node] = usage.get(node, 0) + 1
-    overused = sorted(
-        f"{node.kind}({node.x},{node.y})#{node.track}"
-        for node, count in usage.items()
-        if count > 1
-    )
+    overused = sorted(_rr(node) for node, count in usage.items() if count > 1)
     if overused:
         _fail(stage, "rr-capacity", "wire nodes shared by multiple nets", overused)
     if routing.overused_nodes != 0:
@@ -352,7 +379,7 @@ def verify_routing(
             _fail(stage, "name-mismatch", "net routed under a different name",
                   [name, net.name])
         stray = [
-            f"{node.kind}({node.x},{node.y})#{node.track}"
+            _rr(node)
             for path in net.sink_paths.values()
             for node in path
             if node not in net.nodes
@@ -361,6 +388,20 @@ def verify_routing(
             _fail(stage, "route-tree",
                   f"net {name!r} has sink-path nodes outside its routed tree",
                   sorted(set(stray)))
+        # paths are recorded in routing order: each branches off the tree
+        # the earlier ones built, the first off the driver's output pin
+        reached: set[Any] = set()
+        for pos, path in net.sink_paths.items():
+            if path and path[0].kind != "OPIN" and path[0] not in reached:
+                _fail(stage, "route-edges",
+                      f"net {name!r}: path to {pos} starts at {_rr(path[0])}, neither "
+                      f"an output pin nor a node of an earlier path", [name])
+            for a, b in zip(path, path[1:]):
+                if not _is_fabric_switch(a, b):
+                    _fail(stage, "route-edges",
+                          f"net {name!r}: path to {pos} steps {_rr(a)} -> {_rr(b)}, "
+                          f"which no switch of the fabric connects", [name])
+            reached.update(path)
     if netlist is None or placement is None:
         return
     expected = {net.name for net in netlist.nets if net.sinks}
@@ -383,7 +424,12 @@ def verify_routing(
             if not path:
                 _fail(stage, "route-connects-sinks",
                       f"net {name!r} has an empty path to sink {pos}", [pos])
-            last = path[-1]
+            first, last = path[0], path[-1]
+            if first.kind == "OPIN" and (first.x, first.y) != driver_pos:
+                _fail(stage, "route-edges",
+                      f"net {name!r}: path to {pos} starts at the output pin of "
+                      f"({first.x}, {first.y}), not the driver's at {driver_pos}",
+                      [name])
             if last.kind != "IPIN" or (last.x, last.y) != pos:
                 _fail(stage, "route-connects-sinks",
                       f"net {name!r}: path to {pos} ends at "

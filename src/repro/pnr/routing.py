@@ -21,8 +21,9 @@ changing its semantics where it matters:
   everyone else keeps their tree and their occupancy.
 
 The search runs over the graph's :class:`~repro.pnr.rrgraph.CompiledRRGraph`
-— integer node ids, flat adjacency lists, and cost/visited lists reset by
-version stamps instead of reallocation.  It is admissible A*: a wire's
+— integer node ids, neighbours computed from the id when a node is expanded
+(no adjacency is stored), and flat cost/visited lists reset by version
+stamps instead of reallocation.  It is admissible A*: a wire's
 remaining cost comes from a lookahead table (:func:`_lookahead`) holding,
 per wire kind and offset from the sink, the exact congestion-free cost
 still to pay — a pure function of the geometry, the fabric being
@@ -51,6 +52,10 @@ __all__ = ["RoutedNet", "RoutingResult", "PathFinderRouter", "RoutingError"]
 #: slack of the congestion-domain partitioner.
 _BB_MARGIN = 3
 
+#: a net, its source pin's id, its (sink position, sink pin's id) pairs
+_Terminal = tuple[Net, int, list[tuple[tuple[int, int], int]]]
+_Window = tuple[int, int, int, int]
+
 
 def _lookahead(span: int) -> tuple[list[list[float]], list[list[float]]]:
     """Lower bound on the cost from a wire to a sink pin, by geometry.
@@ -78,6 +83,17 @@ def _lookahead(span: int) -> tuple[list[list[float]], list[list[float]]]:
         table(lambda dx, dy: min(abs(dx) + near(dy), 1 + near(dx) + abs(dy))),
         table(lambda dx, dy: min(abs(dy) + near(dx), 1 + abs(dx) + near(dy))),
     )
+
+
+def _key_order(channel: range, node_cost: list[float], h: float):
+    """The wires of one channel in the order a search pops them when all
+    are entered at ``g = 0`` under the same ``h``: by heap key
+    ``(cost + h, -cost, -id)``.  Congestion-free channels, the common
+    case, cost the same on every track: descending ids, no sort."""
+    costs = node_cost[channel.start:channel.stop:2]
+    if min(costs) == max(costs):
+        return reversed(channel)
+    return iter(sorted(channel, key=lambda v: (node_cost[v] + h, -node_cost[v], -v)))
 
 
 class RoutingError(PnRError):
@@ -188,41 +204,30 @@ class PathFinderRouter:
     # ----------------------------------------------------------- preparation
     def _net_terminals(
         self, nets: list[Net], placement: Placement
-    ) -> list[tuple[Net, int, list[tuple[tuple[int, int], int]]]]:
-        """Resolve every net's driver OPIN / sink IPINs to node ids."""
-        compiled = self.graph.compiled()
-        terminals = []
+    ) -> tuple[list[_Terminal], list[_Window]]:
+        """Every net's driver OPIN / sink IPINs as node ids, nearest sink
+        first, and its search window: the terminals' bounding box grown by
+        ``_BB_MARGIN``."""
+        pin_id = self.graph.compiled().geometry.pin_id
+        terminals, windows = [], []
         for net in nets:
-            driver_pos = placement.position(net.driver)
-            source = compiled.node_id(self.graph.opin(*driver_pos))
-            sink_positions = sorted(
-                {placement.position(sink) for sink in net.sinks},
-                key=lambda pos: abs(pos[0] - driver_pos[0]) + abs(pos[1] - driver_pos[1]),
-            )
-            sinks = [(pos, compiled.node_id(self.graph.ipin(*pos))) for pos in sink_positions]
-            terminals.append((net, source, sinks))
-        return terminals
-
-    @staticmethod
-    def _windows(
-        terminals: list[tuple[Net, int, list[tuple[tuple[int, int], int]]]],
-        placement: Placement,
-        margin: int,
-    ) -> list[tuple[int, int, int, int]]:
-        """Each net's search window: terminal bbox grown by ``margin``."""
-        windows = []
-        for net, _, sinks in terminals:
             dx, dy = placement.position(net.driver)
-            lo_x = hi_x = dx
-            lo_y = hi_y = dy
-            for (sx, sy), _ in sinks:
-                lo_x, hi_x = min(lo_x, sx), max(hi_x, sx)
-                lo_y, hi_y = min(lo_y, sy), max(hi_y, sy)
-            windows.append((lo_x - margin, hi_x + margin, lo_y - margin, hi_y + margin))
-        return windows
+            positions = sorted(
+                {placement.position(sink) for sink in net.sinks},
+                key=lambda pos: abs(pos[0] - dx) + abs(pos[1] - dy),
+            )
+            sinks = [(pos, pin_id("IPIN", *pos)) for pos in positions]
+            terminals.append((net, pin_id("OPIN", dx, dy), sinks))
+            xs = [dx, *(x for x, _ in positions)]
+            ys = [dy, *(y for _, y in positions)]
+            windows.append((
+                min(xs) - _BB_MARGIN, max(xs) + _BB_MARGIN,
+                min(ys) - _BB_MARGIN, max(ys) + _BB_MARGIN,
+            ))
+        return terminals, windows
 
     @staticmethod
-    def _domains(windows: list[tuple[int, int, int, int]]) -> list[list[int]]:
+    def _domains(windows: list[_Window]) -> list[list[int]]:
         """Union-find partition of nets into window-overlap domains.
 
         Nets in different domains have disjoint search windows, hence
@@ -238,12 +243,17 @@ class PathFinderRouter:
                 i = parent[i]
             return i
 
-        for i in range(n):
-            lo_xi, hi_xi, lo_yi, hi_yi = windows[i]
-            for j in range(i + 1, n):
-                lo_xj, hi_xj, lo_yj, hi_yj = windows[j]
-                if hi_xi < lo_xj or hi_xj < lo_xi:
-                    continue
+        # sweep in lo_x order: past the first window starting right of
+        # hi_x none overlaps.  A root is its domain's smallest index, so
+        # the partition does not depend on the order pairs are met in
+        order = sorted(range(n), key=lambda i: windows[i][0])
+        for a, i in enumerate(order):
+            _, hi_xi, lo_yi, hi_yi = windows[i]
+            for b in range(a + 1, n):
+                j = order[b]
+                lo_xj, _, lo_yj, hi_yj = windows[j]
+                if lo_xj > hi_xi:
+                    break
                 if hi_yi < lo_yj or hi_yj < lo_yi:
                     continue
                 ri, rj = find(i), find(j)
@@ -262,12 +272,11 @@ class PathFinderRouter:
         n_nodes = len(compiled)
 
         nets = [net for net in netlist.nets if net.sinks]
-        terminals = self._net_terminals(nets, placement)
+        terminals, windows = self._net_terminals(nets, placement)
         result = RoutingResult()
         if not terminals:
             return result
 
-        windows = self._windows(terminals, placement, _BB_MARGIN)
         domains = self._domains(windows)
         result.domains = len(domains)
 
@@ -285,19 +294,12 @@ class PathFinderRouter:
 
         fabric = self.graph.fabric
         state = _SearchState(n_nodes, max(fabric.width, fabric.height) + 2)
-        outcomes = [
+        for dom in domains:
             self._route_domain(
                 dom, terminals, windows, compiled, state,
                 occupancy, history, node_cost,
-                trees, paths, wires,
+                trees, paths, wires, result,
             )
-            for dom in domains
-        ]
-
-        result.iterations = max(o[0] for o in outcomes)
-        result.nodes_expanded = sum(o[1] for o in outcomes)
-        result.rerouted_nets = sum(o[2] for o in outcomes)
-        result.expand_seconds = sum(o[3] for o in outcomes)
 
         nodes_by_id = compiled.nodes
         for index, (net, _, _) in enumerate(terminals):
@@ -317,8 +319,8 @@ class PathFinderRouter:
     def _route_domain(
         self,
         dom: list[int],
-        terminals: list[tuple[Net, int, list[tuple[tuple[int, int], int]]]],
-        windows: list[tuple[int, int, int, int]],
+        terminals: list[_Terminal],
+        windows: list[_Window],
         compiled,
         state: _SearchState,
         occupancy: list[int],
@@ -327,18 +329,15 @@ class PathFinderRouter:
         trees: list,
         paths: list,
         wires: list[list[int]],
-    ) -> tuple[int, int, int, float]:
+        result: RoutingResult,
+    ) -> None:
         """Negotiation loop of one congestion domain.
 
-        Returns ``(iterations, nodes_expanded, rerouted_nets,
-        expand_seconds)``.  Mutates only this domain's entries of the
-        shared per-net/per-node state.
+        Mutates only this domain's entries of the shared per-net/per-node
+        state, and adds its effort to ``result``'s counters.
         """
         n_wires = compiled.n_wires
         base = compiled.base_cost
-        expansions = 0
-        rerouted = 0
-        expand_seconds = 0.0
 
         for iteration in range(1, self.max_iterations + 1):
             present = self.present_cost_factor * iteration
@@ -352,7 +351,7 @@ class PathFinderRouter:
                     for u in wires[i]:
                         node_cost[u] = base[u] * (1.0 + present * occupancy[u]) * (1.0 + history[u])
                 targets = [i for i in dom if any(occupancy[u] > 1 for u in wires[i])]
-                rerouted += len(targets)
+                result.rerouted_nets += len(targets)
                 for i in targets:
                     for u in wires[i]:
                         occ = occupancy[u] - 1
@@ -365,8 +364,8 @@ class PathFinderRouter:
                 tree, sink_paths, expanded = self._route_net(
                     terminals[i], windows[i], compiled, state, node_cost
                 )
-                expand_seconds += time.perf_counter() - t0
-                expansions += expanded
+                result.expand_seconds += time.perf_counter() - t0
+                result.nodes_expanded += expanded
                 trees[i] = tree
                 paths[i] = sink_paths
                 net_wires = [u for u in tree if u < n_wires]
@@ -378,7 +377,8 @@ class PathFinderRouter:
 
             overused = {u for i in dom for u in wires[i] if occupancy[u] > 1}
             if not overused:
-                return iteration, expansions, rerouted, expand_seconds
+                result.iterations = max(result.iterations, iteration)
+                return
             # independent += on distinct indices: order cannot matter
             for u in overused:  # repro-lint: disable=DET002
                 history[u] += self.history_cost_factor * (occupancy[u] - 1)
@@ -391,8 +391,8 @@ class PathFinderRouter:
     # --------------------------------------------------------- one net
     def _route_net(
         self,
-        terminal: tuple[Net, int, list[tuple[tuple[int, int], int]]],
-        window: tuple[int, int, int, int],
+        terminal: _Terminal,
+        window: _Window,
         compiled,
         state: _SearchState,
         node_cost: list[float],
@@ -443,7 +443,7 @@ class PathFinderRouter:
         tree: list[int],
         net_stamp: int,
         sink: int,
-        window: tuple[int, int, int, int],
+        window: _Window,
     ) -> tuple[bool, int]:
         """Window-confined admissible A* from the net's tree to one sink.
 
@@ -451,8 +451,14 @@ class PathFinderRouter:
         first, and unique, so the expansion order — and with it every
         predecessor label — is deterministic.  ``tree[0]`` is the net's
         source pin; ``dist[sink]`` is the cost of the path found.
+
+        The source pin reaches every track of its channels, and the tracks
+        of one channel share ``h``: their keys are known in order without
+        pushing them (:func:`_key_order`).  The heap holds one wire per
+        channel, and popping it pushes the channel's next; every label and
+        every expansion is the one pushing them all at once would give.
         """
-        neighbors = compiled.neighbors
+        neighbors_of = compiled.geometry.neighbors_of
         node_x = compiled.x
         node_y = compiled.y
         n_wires = compiled.n_wires
@@ -476,7 +482,8 @@ class PathFinderRouter:
         px = node_x[source] + ox
         py = node_y[source] + oy
         nearest = min(look_h[px][py], look_h[px][py - 1], look_v[px][py], look_v[px - 1][py])
-        heap = [(WIRE_BASE_COST + nearest, 0.0, -source)]
+        source_f = WIRE_BASE_COST + nearest
+        heap = [(source_f, 0.0, -source)]
         for u in tree:
             on_tree[u] = net_stamp
             seen[u] = net_stamp
@@ -487,6 +494,8 @@ class PathFinderRouter:
                 heap.append((h, 0.0, -u))
         heapify(heap)
 
+        #: fan-out wire in the heap -> (the rest of its channel, the channel's h)
+        fanout: dict[int, tuple] = {}
         expansions = 0
         while heap:
             _, d, u = pop(heap)
@@ -496,7 +505,41 @@ class PathFinderRouter:
             expansions += 1
             if u == sink:
                 return True, expansions
-            for v in neighbors[u]:
+            if u < n_wires:
+                opened = (fanout.pop(u),) if u in fanout else ()
+                adjacent = neighbors_of(u)
+            else:
+                # the source: the only other pin that is ever pushed
+                opened = []
+                for channel in compiled.geometry.opin_channels(u):
+                    v = channel[0]
+                    vx, vy = node_x[v], node_y[v]
+                    if lo_x <= vx <= hi_x and lo_y <= vy <= hi_y:
+                        h = (look_v if v & 1 else look_h)[vx + ox][vy + oy]
+                        opened.append((_key_order(channel, node_cost, h), h))
+                adjacent = ()
+            for rest, h in opened:
+                for v in rest:
+                    if on_tree[v] == net_stamp:
+                        continue
+                    nd = node_cost[v]  # the source's g is 0
+                    if seen[v] != net_stamp:
+                        seen[v] = net_stamp
+                    elif nd >= dist[v]:
+                        # no label is below a wire's own cost: a tree wire
+                        # (g = 0 too) labelled v and pushed this very key;
+                        # the source's label stands unless that wire's own
+                        # key, (h, 0, -id), popped before the source's
+                        w = prev[v]
+                        if source_f <= (look_v if w & 1 else look_h)[node_x[w] + ox][node_y[w] + oy]:
+                            prev[v] = source
+                        continue
+                    dist[v] = nd
+                    prev[v] = source
+                    push(heap, (nd + h, -nd, -v))
+                    fanout[v] = (rest, h)
+                    break
+            for v in adjacent:
                 if v >= n_wires:
                     # input pins have no out-edges: only the sink matters
                     if v != sink:

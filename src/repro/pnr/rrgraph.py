@@ -9,21 +9,21 @@ many nets can cross the same channel.
 
 Wire segments have unit length (one block span), matching mrFPGA's
 single-length segments; the disjoint switch-box pattern connects track ``t``
-only to track ``t`` of the adjacent channels.
-
-The graph the router actually searches is the :class:`CompiledRRGraph`,
-which :meth:`CompiledRRGraph.from_geometry` assembles directly from integer
-index formulas — no :class:`RRNode` is built, hashed or looked up; its
-``nodes`` make one when indexed — in the exact node-id order the dict
-construction would produce, so heap tie-breaking (and therefore every
-routing artifact) does not depend on which way the graph was built.  The
-object-level adjacency of :class:`RoutingResourceGraph` is built lazily on
-first access; the compile flow never touches it.
+only to track ``t`` of the adjacent channels.  Such a fabric is
+translation-invariant, so the :class:`CompiledRRGraph` the router searches
+stores no node and no edge: it keeps three flat per-node lists (``x``,
+``y``, ``base_cost``) and computes the rest from a node's id when asked —
+:meth:`_Geometry.neighbors_of` is the one neighbour rule, ``nodes`` and
+``neighbors`` are indexable views over the arithmetic.  The object-level
+adjacency of :class:`RoutingResourceGraph` is the reference the rule is
+tested against; the compile flow never builds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Any, Callable
 
 import numpy as np
 
@@ -56,77 +56,135 @@ WIRE_BASE_COST = 1.0
 PIN_BASE_COST = 0.5
 
 
-class _GeometryNodes:
-    """The nodes of a ``(width, height, tracks)`` fabric as id arithmetic.
+class _Computed:
+    """A read-only sequence whose items are computed from their index."""
 
-    A read-only sequence equal to the node list of the dict-built graph:
-    ``H(x, y, t)`` and ``V(x, y, t)`` interleaved over ``x``, ``y``, ``t``,
-    then ``OPIN(x, y)`` / ``IPIN(x, y)`` over the pin sites.  An
-    :class:`RRNode` is only built when one is indexed.
-    """
+    __slots__ = ("_length", "_item")
 
-    __slots__ = ("n_ch_y", "tracks", "n_wires", "n_pin_rows", "n_nodes")
-
-    def __init__(self, width: int, height: int, tracks: int):
-        self.n_ch_y = height + 1
-        self.tracks = tracks
-        self.n_wires = 2 * (width + 1) * (height + 1) * tracks
-        self.n_pin_rows = height + 2
-        self.n_nodes = self.n_wires + 2 * (width + 2) * (height + 2)
+    def __init__(self, length: int, item: Callable[[int], Any]):
+        self._length = length
+        self._item = item
 
     def __len__(self) -> int:
-        return self.n_nodes
+        return self._length
 
-    def __getitem__(self, i: int) -> RRNode:
-        if not 0 <= i < self.n_nodes:
+    def __getitem__(self, i: int) -> Any:
+        if not 0 <= i < self._length:
             raise IndexError(i)
-        if i < self.n_wires:
-            cell, track = divmod(i >> 1, self.tracks)
-            cx, cy = divmod(cell, self.n_ch_y)
-            return RRNode("V" if i & 1 else "H", cx - 1, cy - 1, track)
-        px, py = divmod((i - self.n_wires) >> 1, self.n_pin_rows)
-        return RRNode("IPIN" if i & 1 else "OPIN", px - 1, py - 1)
+        return self._item(i)
 
     def __eq__(self, other: object) -> bool:
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
-    def id_of(self, node: RRNode) -> int | None:
-        """The id of ``node``, ``None`` when it is not in the graph."""
-        if node.kind in ("H", "V"):
-            i = 2 * (
-                ((node.x + 1) * self.n_ch_y + node.y + 1) * self.tracks + node.track
-            ) + (node.kind == "V")
-        else:
-            i = (
-                self.n_wires
-                + 2 * ((node.x + 1) * self.n_pin_rows + node.y + 1)
-                + (node.kind == "IPIN")
-            )
-        # the round trip rejects out-of-range coordinates that alias an id
-        return i if 0 <= i < self.n_nodes and self[i] == node else None
+
+class _Geometry:
+    """The id arithmetic of a ``(width, height, tracks)`` fabric.
+
+    Node ids follow the dict construction's node order: ``H(x, y, t)`` and
+    ``V(x, y, t)`` interleaved over ``x``, ``y``, ``t`` — wire
+    ``2 * (((x + 1) * n_ch_y + (y + 1)) * tracks + t) + (kind == "V")`` —
+    then ``OPIN(x, y)`` / ``IPIN(x, y)`` over the ``(width + 2) x
+    (height + 2)`` pin sites.
+    """
+
+    __slots__ = ("n_ch_x", "n_ch_y", "tracks", "n_wires", "n_nodes")
+
+    def __init__(self, width: int, height: int, tracks: int):
+        self.n_ch_x = width + 1
+        self.n_ch_y = height + 1
+        self.tracks = tracks
+        self.n_wires = 2 * self.n_ch_x * self.n_ch_y * tracks
+        self.n_nodes = self.n_wires + 2 * (width + 2) * (height + 2)
+
+    def node(self, i: int) -> RRNode:
+        if i < self.n_wires:
+            cell, track = divmod(i >> 1, self.tracks)
+            cx, cy = divmod(cell, self.n_ch_y)
+            return RRNode("V" if i & 1 else "H", cx - 1, cy - 1, track)
+        px, py = divmod((i - self.n_wires) >> 1, self.n_ch_y + 1)
+        return RRNode("IPIN" if i & 1 else "OPIN", px - 1, py - 1)
+
+    def pin_id(self, kind: str, x: int, y: int) -> int:
+        """The id of the ``"OPIN"`` / ``"IPIN"`` of block site ``(x, y)``."""
+        if not (-1 <= x < self.n_ch_x and -1 <= y < self.n_ch_y):
+            raise KeyError(f"node {RRNode(kind, x, y)} is not in the routing-resource graph")  # repro-lint: disable=ERR001
+        return self.n_wires + 2 * ((x + 1) * (self.n_ch_y + 1) + y + 1) + (kind == "IPIN")
+
+    def opin_channels(self, opin: int) -> list[range]:
+        """The wire ids of the (up to four) channels around an output pin,
+        one ``range`` over all tracks per channel: ``H(x, y)`` above and
+        ``V(x, y)`` right of the block, ``V(x - 1, y)`` left of it,
+        ``H(x, y - 1)`` below — those the fabric has."""
+        n_ch_y, span = self.n_ch_y, 2 * self.tracks
+        px, py = divmod((opin - self.n_wires) >> 1, n_ch_y + 1)
+        firsts = []
+        if py < n_ch_y:
+            if px < self.n_ch_x:
+                firsts += [(px * n_ch_y + py) * span, (px * n_ch_y + py) * span + 1]
+            if px:
+                firsts.append(((px - 1) * n_ch_y + py) * span + 1)
+        if py and px < self.n_ch_x:
+            firsts.append((px * n_ch_y + py - 1) * span)
+        return [range(first, first + span, 2) for first in firsts]
+
+    def neighbors_of(self, u: int) -> list[int]:
+        """The neighbour rule: the out-edges of node ``u``.
+
+        A wire crosses to the other kind in place (``u ^ 1``), continues
+        on its track into the channels at ``y ± 1`` (``2 * tracks`` ids
+        away) and ``x ± 1`` (``2 * n_ch_y * tracks`` away) where the fabric
+        has them, and enters the input pins of its two blocks; an output
+        pin drives every track of :meth:`opin_channels`; an input pin
+        drives nothing.
+        """
+        n_wires, n_ch_y = self.n_wires, self.n_ch_y
+        if u >= n_wires:
+            if u & 1:  # n_wires is even: the odd pins are the input pins
+                return []
+            return [w for channel in self.opin_channels(u) for w in channel]
+        row = 2 * self.tracks
+        col = row * n_ch_y
+        cx, cy = divmod(u // row, n_ch_y)
+        out = [u ^ 1]
+        if cy:
+            out.append(u - row)
+        if cy + 1 < n_ch_y:
+            out.append(u + row)
+        if cx:
+            out.append(u - col)
+        if u + col < n_wires:
+            out.append(u + col)
+        # H(x, y) enters blocks (x, y) and (x, y + 1), V(x, y) enters
+        # (x, y) and (x + 1, y); a column of pin sites has n_ch_y + 1 rows
+        ipin = n_wires + 2 * (cx * (n_ch_y + 1) + cy) + 1
+        out.append(ipin)
+        out.append(ipin + (2 * (n_ch_y + 1) if u & 1 else 2))
+        return out
 
 
 class CompiledRRGraph:
     """Integer-indexed view of the RRG for the router's hot loop.
 
-    Node ids follow the graph's deterministic construction order — every
-    wire (``H`` even, ``V`` odd) before every pin, so ``id < n_wires`` is
-    "is a wire" — and any computation keyed on ids (heap tie-breaking in
-    particular) is reproducible across processes, unlike iteration over
-    sets of :class:`RRNode`, whose order depends on randomized string
-    hashing.
+    Every wire (``H`` even, ``V`` odd) comes before every pin, so
+    ``id < n_wires`` is "is a wire", and any computation keyed on ids (heap
+    tie-breaking in particular) is reproducible across processes, unlike
+    iteration over sets of :class:`RRNode`, whose order depends on
+    randomized string hashing.  The per-node attributes are plain Python
+    lists, which the heapq search indexes faster than arrays.
 
-    Adjacency (``neighbors``) and the per-node attributes are plain
-    Python lists, which the heapq search indexes faster than arrays.
+    Compiling an adjacency dict is the reference construction: ``nodes``
+    and ``neighbors`` are lists, there is no ``geometry``, and the router
+    never sees one.  :meth:`from_geometry` makes both views over the
+    arithmetic, with the same ids, edges and attributes.
     """
 
-    __slots__ = ("nodes", "_id_of", "neighbors", "n_wires", "base_cost", "x", "y")
+    __slots__ = ("nodes", "neighbors", "n_wires", "base_cost", "x", "y", "geometry")
 
     def __init__(self, adjacency: dict[RRNode, list[RRNode]]):
-        self.nodes: list[RRNode] | _GeometryNodes = list(adjacency)
+        self.geometry: _Geometry | None = None
+        self.nodes: list[RRNode] | _Computed = list(adjacency)
         ids = {node: i for i, node in enumerate(self.nodes)}
-        self._id_of = ids.get
-        self.neighbors: list[list[int]] = [
+        self.neighbors: list[list[int]] | _Computed = [
             [ids[n] for n in adjacency[node]] for node in self.nodes
         ]
         self.n_wires = sum(1 for node in self.nodes if node.is_wire)
@@ -137,115 +195,42 @@ class CompiledRRGraph:
         self.y: list[int] = [node.y for node in self.nodes]
 
     @classmethod
-    def from_geometry(
-        cls, width: int, height: int, tracks: int
-    ) -> "CompiledRRGraph":
-        """Build the compiled graph straight from the fabric geometry.
-
-        Node ids, edge set and per-node attributes are identical to
-        compiling a dict-built :class:`RoutingResourceGraph` for the same
-        ``(width, height, tracks)`` — only the construction cost differs:
-        everything is index arithmetic, and ``nodes`` builds an
-        :class:`RRNode` only when one is asked for.
-        """
+    def from_geometry(cls, width: int, height: int, tracks: int) -> "CompiledRRGraph":
+        """The compiled graph of a ``(width, height, tracks)`` fabric: only
+        ``x``, ``y`` and ``base_cost`` are stored, an :class:`RRNode` or a
+        neighbour list is made when one is indexed."""
         if width <= 0 or height <= 0:
             raise InvalidRequestError("fabric dimensions must be positive")
         if tracks <= 0:
             raise InvalidRequestError("channel_width must be positive")
-        n_ch_x, n_ch_y = width + 1, height + 1
-        n_pin_cols, n_pin_rows = width + 2, height + 2
-
         self = cls.__new__(cls)
-        self.nodes = nodes = _GeometryNodes(width, height, tracks)
-        self._id_of = nodes.id_of
-        self.n_wires = n_wires = nodes.n_wires
-        n_nodes = len(nodes)
+        self.geometry = geometry = _Geometry(width, height, tracks)
+        self.n_wires = n_wires = geometry.n_wires
+        n_nodes = geometry.n_nodes
+        self.nodes = _Computed(n_nodes, geometry.node)
+        self.neighbors = _Computed(n_nodes, geometry.neighbors_of)
         self.base_cost = [WIRE_BASE_COST] * n_wires + [PIN_BASE_COST] * (n_nodes - n_wires)
+        n_ch_x, n_ch_y = width + 1, height + 1
         self.x = (
             np.repeat(np.arange(-1, width), 2 * n_ch_y * tracks).tolist()
-            + np.repeat(np.arange(-1, width + 1), 2 * n_pin_rows).tolist()
+            + np.repeat(np.arange(-1, width + 1), 2 * (height + 2)).tolist()
         )
         self.y = (
             np.tile(np.repeat(np.arange(-1, height), 2 * tracks), n_ch_x).tolist()
-            + np.tile(np.repeat(np.arange(-1, height + 1), 2), n_pin_cols).tolist()
+            + np.tile(np.repeat(np.arange(-1, height + 1), 2), width + 2).tolist()
         )
-
-        # wire ids: H(x, y, t) = 2*(((x+1)*n_ch_y + (y+1))*tracks + t), V = H + 1
-        cx, cy, tt = np.meshgrid(
-            np.arange(n_ch_x), np.arange(n_ch_y), np.arange(tracks),
-            indexing="ij",
-        )
-        h = 2 * ((cx * n_ch_y + cy) * tracks + tt)
-        v = h + 1
-
-        src_parts: list[np.ndarray] = []
-        dst_parts: list[np.ndarray] = []
-
-        def bidir(a: np.ndarray, b: np.ndarray) -> None:
-            src_parts.extend((a.ravel(), b.ravel()))
-            dst_parts.extend((b.ravel(), a.ravel()))
-
-        # switch boxes: same-track H <-> V at every channel intersection,
-        # straight continuations while the next segment exists
-        bidir(h, v)
-        bidir(h[:-1], h[1:])  # x + 1 < width
-        bidir(v[:-1], v[1:])
-        bidir(h[:, :-1], h[:, 1:])  # y + 1 < height
-        bidir(v[:, :-1], v[:, 1:])
-
-        # connection boxes: every block pin reaches all tracks of the four
-        # surrounding channels (those that exist)
-        px, py, pt = np.meshgrid(
-            np.arange(n_pin_cols), np.arange(n_pin_rows), np.arange(tracks),
-            indexing="ij",
-        )
-        pin_base = n_wires + 2 * (px * n_pin_rows + py)
-        opin, ipin = pin_base, pin_base + 1
-
-        def wire_at(kind_offset: int, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
-            return 2 * ((wx * n_ch_y + wy) * tracks + pt) + kind_offset
-
-        # (wire coordinates here are channel indices cx = x + 1, cy = y + 1)
-        for kind_offset, wx, wy in (
-            (0, px, py),          # H(x, y, t): channel above
-            (0, px, py - 1),      # H(x, y - 1, t): channel below
-            (1, px, py),          # V(x, y, t): channel to the right
-            (1, px - 1, py),      # V(x - 1, y, t): channel to the left
-        ):
-            exists = (
-                (wx >= 0) & (wx < n_ch_x) & (wy >= 0) & (wy < n_ch_y)
-            )
-            wire = wire_at(kind_offset, np.clip(wx, 0, n_ch_x - 1),
-                           np.clip(wy, 0, n_ch_y - 1))
-            src_parts.append(opin[exists])
-            dst_parts.append(wire[exists])
-            src_parts.append(wire[exists])
-            dst_parts.append(ipin[exists])
-
-        src = np.concatenate(src_parts)
-        dst = np.concatenate(dst_parts)
-        flat = dst[np.argsort(src, kind="stable")].tolist()
-        ends = np.cumsum(np.bincount(src, minlength=n_nodes)).tolist()
-        self.neighbors = [flat[a:b] for a, b in zip([0] + ends, ends)]
         return self
 
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def node_id(self, node: RRNode) -> int:
-        i = self._id_of(node)
-        if i is None:
-            raise KeyError(f"node {node} is not in the routing-resource graph")  # repro-lint: disable=ERR001
-        return i
-
 
 class RoutingResourceGraph:
     """Adjacency structure over :class:`RRNode` objects.
 
-    The object-level adjacency dict exists for inspection and tests; it is
-    built lazily on first access.  The compile flow only ever calls
-    :meth:`compiled`, which assembles the integer-indexed graph directly
-    from the geometry.
+    The object-level adjacency dict exists for inspection and as the tests'
+    reference; it is built on first access.  The compile flow only ever
+    calls :meth:`compiled`, which builds nothing of the kind.
     """
 
     def __init__(self, fabric: FabricGrid, channel_width: int = 16):
@@ -253,86 +238,57 @@ class RoutingResourceGraph:
             raise InvalidRequestError("channel_width must be positive")
         self.fabric = fabric
         self.channel_width = channel_width
-        self._lazy_adjacency: dict[RRNode, list[RRNode]] | None = None
         self._compiled: CompiledRRGraph | None = None
 
     # ------------------------------------------------------------ construction
-    @property
+    @cached_property
     def _adjacency(self) -> dict[RRNode, list[RRNode]]:
-        if self._lazy_adjacency is None:
-            self._lazy_adjacency = {}
-            self._build()
-        return self._lazy_adjacency
-
-    def _add_edge(self, a: RRNode, b: RRNode) -> None:
-        self._lazy_adjacency.setdefault(a, []).append(b)
-
-    def _add_bidirectional(self, a: RRNode, b: RRNode) -> None:
-        self._add_edge(a, b)
-        self._add_edge(b, a)
-
-    def _build(self) -> None:
-        fabric = self.fabric
-        width, height, tracks = fabric.width, fabric.height, self.channel_width
-        adjacency = self._lazy_adjacency
+        width, height = self.fabric.width, self.fabric.height
+        tracks = range(self.channel_width)
 
         # wire nodes: H(x, y, t) runs along the channel above row y between
         # columns x and x+1; V(x, y, t) runs along the channel right of
         # column x between rows y and y+1.  Channels exist on all four sides
         # of the core grid (indices -1 .. width/height - 1).
-        for x in range(-1, width):
-            for y in range(-1, height):
-                for t in range(tracks):
-                    h = RRNode("H", x, y, t)
-                    v = RRNode("V", x, y, t)
-                    adjacency.setdefault(h, [])
-                    adjacency.setdefault(v, [])
+        cells = [(x, y, t) for x in range(-1, width) for y in range(-1, height) for t in tracks]
+        adjacency: dict[RRNode, list[RRNode]] = {
+            RRNode(kind, *cell): [] for cell in cells for kind in ("H", "V")
+        }
+
+        def switch(a: RRNode, b: RRNode) -> None:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
 
         # switch boxes (disjoint pattern): at each channel intersection the
         # same-track horizontal and vertical wires interconnect, and wires
         # continue straight into the next segment.
-        for x in range(-1, width):
-            for y in range(-1, height):
-                for t in range(tracks):
-                    h = RRNode("H", x, y, t)
-                    v = RRNode("V", x, y, t)
-                    self._add_bidirectional(h, v)
-                    if x + 1 < width:
-                        self._add_bidirectional(h, RRNode("H", x + 1, y, t))
-                        self._add_bidirectional(v, RRNode("V", x + 1, y, t))
-                    if y + 1 < height:
-                        self._add_bidirectional(h, RRNode("H", x, y + 1, t))
-                        self._add_bidirectional(v, RRNode("V", x, y + 1, t))
+        for x, y, t in cells:
+            h, v = RRNode("H", x, y, t), RRNode("V", x, y, t)
+            switch(h, v)
+            if x + 1 < width:
+                switch(h, RRNode("H", x + 1, y, t))
+                switch(v, RRNode("V", x + 1, y, t))
+            if y + 1 < height:
+                switch(h, RRNode("H", x, y + 1, t))
+                switch(v, RRNode("V", x, y + 1, t))
 
-        # connection boxes: every block pin reaches all tracks of the
-        # channels on its four sides (the paper's CBs surround each block).
+        # connection boxes: every block pin, of the core and of the I/O
+        # ring around it, reaches all tracks of the channels on its four
+        # sides (the paper's CBs surround each block) — above, below,
+        # right, left, those that exist.
         for x in range(-1, width + 1):
             for y in range(-1, height + 1):
-                in_core = fabric.contains(x, y)
-                on_io_ring = (
-                    (-1 <= x <= width) and (-1 <= y <= height) and not in_core
-                    and (x in (-1, width) or y in (-1, height))
-                )
-                if not (in_core or on_io_ring):
-                    continue
-                opin = RRNode("OPIN", x, y)
-                ipin = RRNode("IPIN", x, y)
-                adjacency.setdefault(opin, [])
-                adjacency.setdefault(ipin, [])
-                for t in range(self.channel_width):
-                    for wire in self._adjacent_wires(x, y, t):
+                opin, ipin = RRNode("OPIN", x, y), RRNode("IPIN", x, y)
+                adjacency[opin], adjacency[ipin] = [], []
+                for t in tracks:
+                    for wire in (
+                        RRNode("H", x, y, t), RRNode("H", x, y - 1, t),
+                        RRNode("V", x, y, t), RRNode("V", x - 1, y, t),
+                    ):
                         if wire in adjacency:
-                            self._add_edge(opin, wire)
-                            self._add_edge(wire, ipin)
-
-    def _adjacent_wires(self, x: int, y: int, t: int) -> list[RRNode]:
-        """Wires in the four channels surrounding block site (x, y)."""
-        return [
-            RRNode("H", x, y, t),        # channel above
-            RRNode("H", x, y - 1, t),    # channel below
-            RRNode("V", x, y, t),        # channel to the right
-            RRNode("V", x - 1, y, t),    # channel to the left
-        ]
+                            adjacency[opin].append(wire)
+                            adjacency[wire].append(ipin)
+        return adjacency
 
     # --------------------------------------------------------------- queries
     def __len__(self) -> int:

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.verify import (
     ARTIFACT_VERIFIERS,
+    _is_fabric_switch,
     verification_enabled,
     verify_artifact,
     verify_artifacts,
@@ -37,7 +38,9 @@ from repro.graph.ops import Dense, InputOp, ReLU
 from repro.mapper.mapper import SpatialTemporalMapper
 from repro.mapper.netlist import Block
 from repro.partition.partitioner import partition_coreops
+from repro.pnr.fabric import FabricGrid
 from repro.pnr.pnr import PlaceAndRoute
+from repro.pnr.rrgraph import RoutingResourceGraph
 from repro.synthesizer.coreop import GRAPH_INPUT, GRAPH_OUTPUT, CoreOpGraph, WeightGroup
 from repro.synthesizer.synthesizer import synthesize
 
@@ -307,6 +310,8 @@ class TestVerifyPnR:
         ("drop-net", "nets-routed"),
         ("phantom-net", "nets-phantom"),
         ("drop-sink-path", "route-connects-sinks"),
+        ("jump-track", "route-edges"),
+        ("mid-air", "route-edges"),
     ])
     def test_rejects_routing_mutations(self, mlp_pnr, mutation, invariant):
         netlist, pnr = mlp_pnr
@@ -328,12 +333,41 @@ class TestVerifyPnR:
         elif mutation == "phantom-net":
             # an empty routed net: no shared wires, purely a phantom entry
             routing.nets["ghost"] = type(first)(name="ghost")
-        else:
+        elif mutation == "drop-sink-path":
             first.sink_paths.pop(next(iter(first.sink_paths)))
+        elif mutation == "jump-track":
+            # the same channel on a track nobody uses: on the tree, in no
+            # other net, but the disjoint switch boxes do not lead there
+            net, path = next(
+                (net, path)
+                for net in routing.nets.values()
+                for path in net.sink_paths.values()
+                if sum(n.is_wire for n in path) >= 2
+            )
+            k = next(i for i, n in enumerate(path) if n.is_wire)
+            used = {n.track for net in routing.nets.values() for n in net.nodes}
+            free = next(t for t in range(pnr.channel_width) if t not in used)
+            path[k] = dataclasses.replace(path[k], track=free)
+            net.nodes.add(path[k])
+        else:
+            # the first path no longer starts at the driver's output pin
+            path = next(iter(first.sink_paths.values()))
+            assert path[0].kind == "OPIN"
+            del path[0]
         with pytest.raises(VerificationError) as excinfo:
             verify_routing(routing, netlist, pnr.placement)
         assert excinfo.value.invariant == invariant
         assert excinfo.value.stage == "pnr"
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 4, 2), (3, 2, 2), (4, 4, 1)])
+def test_switch_predicate_equals_the_dict_built_graph(shape):
+    """``route-edges`` judges adjacency on coordinates; the reference is
+    the object-level adjacency, every ordered pair of nodes."""
+    width, height, tracks = shape
+    adjacency = RoutingResourceGraph(FabricGrid(width, height), channel_width=tracks)._adjacency
+    for a, out in adjacency.items():
+        assert {b for b in adjacency if _is_fabric_switch(a, b)} == set(out), a
 
 
 # ---------------------------------------------------------------------------

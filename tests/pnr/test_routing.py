@@ -1,16 +1,29 @@
 """Tests of the PathFinder router and timing analysis."""
 
+import hashlib
+import json
+import random
+from dataclasses import astuple
+from heapq import heapify, heappop, heappush
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arch.params import RoutingParams
 from repro.errors import InvalidRequestError
+from repro.mapper.mapper import SpatialTemporalMapper
 from repro.mapper.netlist import Block, BlockType, FunctionBlockNetlist, Net
+from repro.models.zoo import build_model
+from repro.pnr import routing as routing_module
 from repro.pnr.fabric import FabricGrid
 from repro.pnr.placement import Placement
 from repro.pnr.pnr import PlaceAndRoute
-from repro.pnr.routing import PathFinderRouter, RoutingError
-from repro.pnr.rrgraph import RoutingResourceGraph
+from repro.pnr.routing import PathFinderRouter, RoutingError, _SearchState
+from repro.pnr.rrgraph import WIRE_BASE_COST, RoutingResourceGraph
 from repro.pnr.timing import analyze_timing
+from repro.synthesizer.synthesizer import synthesize
 
 
 def grid_netlist_and_placement(n: int, fabric: FabricGrid):
@@ -140,3 +153,217 @@ class TestTiming:
         routing = PathFinderRouter(graph).route(netlist, placement)
         report = analyze_timing(routing)
         assert report.spike_cycle_ns(pe_cycle_ns=2.443) >= 2.443
+
+
+# --------------------------------------------------------------------------
+# the lazy source fan-out and the arithmetic neighbour rule change no routing
+# --------------------------------------------------------------------------
+
+def zoo_netlist(model: str, duplication_degree: int):
+    return SpatialTemporalMapper().map(
+        synthesize(build_model(model)), duplication_degree=duplication_degree
+    ).netlist
+
+
+def routing_digest(result) -> str:
+    """Every routed node, every sink path in routing order, every counter."""
+    routing = result.routing
+    rows = [
+        (
+            name,
+            sorted(astuple(node) for node in net.nodes),
+            [(pos, [astuple(node) for node in path]) for pos, path in net.sink_paths.items()],
+        )
+        for name, net in sorted(routing.nets.items())
+    ]
+    counters = (
+        routing.iterations, routing.nodes_expanded, routing.rerouted_nets,
+        routing.domains, result.total_wirelength, result.critical_path_ns,
+    )
+    return hashlib.sha256(repr((rows, counters)).encode()).hexdigest()
+
+
+GOLDEN_CASES = sorted((Path(__file__).parent / "golden").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", GOLDEN_CASES, ids=[p.stem for p in GOLDEN_CASES])
+def test_routing_is_bit_identical_to_the_recorded_digests(path):
+    """``routing_digests.json`` was recorded at ``10e5c39``, whose search
+    pushed every track of the source's channels and read stored adjacency
+    lists.  A digest that moves means routings changed: say which and why
+    before re-recording (and bump ``_PNR_ARTIFACT_VERSION``)."""
+    recorded = json.loads((Path(__file__).parent / "routing_digests.json").read_text())
+    golden = json.loads(path.read_text())
+    netlist = zoo_netlist(golden["model"], golden["duplication_degree"])
+    for seed in range(4):
+        result = PlaceAndRoute(channel_width=golden["channel_width"], seed=seed).run(netlist)
+        assert routing_digest(result) == recorded[f"{path.stem}-seed{seed}"], (path.stem, seed)
+
+
+def test_lenet_d2_pushes_few_heap_entries_per_search(monkeypatch):
+    """Counts repeat exactly: 99 searches, 1 267 pushes.  Pushing the
+    source pin's 4 x 64 wires eagerly took 14 778 (149 a search)."""
+    counts = {"pushes": 0, "searches": 0}
+    search = PathFinderRouter._search
+
+    def counted_search(self, *args):
+        counts["searches"] += 1
+        return search(self, *args)
+
+    def counted_push(heap, item):
+        counts["pushes"] += 1
+        heappush(heap, item)
+
+    monkeypatch.setattr(PathFinderRouter, "_search", counted_search)
+    monkeypatch.setattr(routing_module, "heappush", counted_push)
+    assert PlaceAndRoute(seed=0).run(zoo_netlist("LeNet", 2)).routing.legal
+    assert counts["searches"] == 99
+    assert counts["pushes"] <= 30 * counts["searches"], counts
+
+
+def eager_search(compiled, state, node_cost, tree, net_stamp, sink, window):
+    """The search as it was at ``10e5c39`` — every neighbour of every
+    expanded node pushed at once, read from adjacency lists — and the
+    oracle for the lazy fan-out: same labels, same expansions."""
+    neighbors = compiled.neighbors
+    node_x, node_y, n_wires = compiled.x, compiled.y, compiled.n_wires
+    dist, prev, seen, on_tree = state.dist, state.prev, state.seen, state.on_tree
+    look_h, look_v = state.look_h, state.look_v
+    lo_x, hi_x, lo_y, hi_y = window
+    ox = state.span - node_x[sink]
+    oy = state.span - node_y[sink]
+
+    def lookahead(u):
+        return (look_v if u & 1 else look_h)[node_x[u] + ox][node_y[u] + oy]
+
+    source = tree[0]
+    px, py = node_x[source] + ox, node_y[source] + oy
+    nearest = min(look_h[px][py], look_h[px][py - 1], look_v[px][py], look_v[px - 1][py])
+    heap = [(WIRE_BASE_COST + nearest, 0.0, -source)]
+    for u in tree:
+        on_tree[u] = seen[u] = net_stamp
+        dist[u] = 0.0
+        prev[u] = -1
+        if u < n_wires:
+            heap.append((lookahead(u), 0.0, -u))
+    heapify(heap)
+    expansions = 0
+    while heap:
+        _, d, u = heappop(heap)
+        d, u = -d, -u
+        if d > dist[u]:
+            continue
+        expansions += 1
+        if u == sink:
+            return True, expansions
+        for v in neighbors[u]:
+            if v >= n_wires:
+                if v != sink:
+                    continue
+                h = 0.0
+            elif on_tree[v] == net_stamp:
+                continue
+            elif not (lo_x <= node_x[v] <= hi_x and lo_y <= node_y[v] <= hi_y):
+                continue
+            else:
+                h = lookahead(v)
+            nd = d + node_cost[v]
+            if seen[v] != net_stamp:
+                seen[v] = net_stamp
+            elif nd >= dist[v]:
+                continue
+            dist[v] = nd
+            prev[v] = u
+            heappush(heap, (nd + h, -nd, -v))
+    return False, expansions
+
+
+class TestLazyFanOutEqualsEagerSearch:
+    @pytest.mark.parametrize("seed", range(60))
+    def test_same_labels_and_expansions_under_random_congestion(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        width, height = rng.randint(2, 6), rng.randint(2, 6)
+        tracks = rng.randint(1, 5)
+        graph = RoutingResourceGraph(FabricGrid(width, height), channel_width=tracks)
+        compiled = graph.compiled()
+        router = PathFinderRouter(graph)
+        span = max(width, height) + 2
+        lazy, eager = _SearchState(len(compiled), span), _SearchState(len(compiled), span)
+        # few distinct costs, so whole channels tie and equal-cost labels
+        # from tree wires and from the source pin meet on the same wire
+        levels = rng.choice([(1.0,), (1.0, 1.5), (1.0, 1.5, 2.0, 3.75)])
+        node_cost = [
+            base * rng.choice(levels) if u < compiled.n_wires else base
+            for u, base in enumerate(compiled.base_cost)
+        ]
+        blocks = rng.sample(
+            [(x, y) for x in range(-1, width + 1) for y in range(-1, height + 1)],
+            rng.randint(3, 6),
+        )
+        margin = rng.randint(0, 3)
+        xs, ys = [b[0] for b in blocks], [b[1] for b in blocks]
+        window = (min(xs) - margin, max(xs) + margin, min(ys) - margin, max(ys) + margin)
+
+        popped = []
+
+        def recording_pop(heap):
+            popped.append(-heap[0][2])
+            return heappop(heap)
+
+        monkeypatch.setattr(routing_module, "heappop", recording_pop)
+        tree = [compiled.geometry.pin_id("OPIN", *blocks[0])]
+        for block in blocks[1:]:
+            sink = compiled.geometry.pin_id("IPIN", *block)
+            lazy.stamp = eager.stamp = lazy.stamp + 1
+            del popped[:]
+            outcome = router._search(compiled, lazy, node_cost, tree, lazy.stamp, sink, window)
+            assert outcome == eager_search(
+                compiled, eager, node_cost, tree, eager.stamp, sink, window
+            )
+            # a wire the lazy search popped has had its turn in the fan-out:
+            # from then on its label is the eager one
+            for u in popped:
+                assert (lazy.dist[u], lazy.prev[u]) == (eager.dist[u], eager.prev[u]), (
+                    seed, compiled.nodes[u]
+                )
+            if not outcome[0]:
+                continue
+            path = [sink]
+            while lazy.prev[path[-1]] != -1:
+                path.append(lazy.prev[path[-1]])
+            tree.extend(u for u in path if lazy.on_tree[u] != lazy.stamp)
+
+
+def quadratic_domains(windows):
+    """``_domains`` as it was: every pair of windows compared."""
+    parent = list(range(len(windows)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, (lo_xi, hi_xi, lo_yi, hi_yi) in enumerate(windows):
+        for j in range(i + 1, len(windows)):
+            lo_xj, hi_xj, lo_yj, hi_yj = windows[j]
+            if hi_xi < lo_xj or hi_xj < lo_xi or hi_yi < lo_yj or hi_yj < lo_yi:
+                continue
+            ri, rj = find(i), find(j)
+            parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(len(windows)):
+        groups.setdefault(find(i), []).append(i)
+    return [groups[root] for root in sorted(groups)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    windows=st.lists(
+        st.tuples(
+            st.integers(-3, 12), st.integers(0, 7), st.integers(-3, 12), st.integers(0, 7)
+        ).map(lambda t: (t[0], t[0] + t[1], t[2], t[2] + t[3])),
+        max_size=24,
+    )
+)
+def test_swept_domains_equal_the_quadratic_partition_in_order(windows):
+    assert PathFinderRouter._domains(windows) == quadratic_domains(windows)

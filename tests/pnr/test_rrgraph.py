@@ -3,7 +3,7 @@
 import pytest
 
 from repro.pnr.fabric import FabricGrid
-from repro.pnr.rrgraph import RoutingResourceGraph, RRNode
+from repro.pnr.rrgraph import CompiledRRGraph, RoutingResourceGraph, RRNode
 
 
 @pytest.fixture(scope="module")
@@ -65,3 +65,69 @@ class TestRoutingResourceGraph:
                     seen.add(neighbor)
                     queue.append(neighbor)
         assert found
+
+
+class TestNeighbourRule:
+    """The compiled graph stores no edge: ``neighbors`` and ``nodes`` are
+    computed from ids, and must equal the dict construction node for node."""
+
+    @pytest.mark.parametrize("tracks", [1, 2, 16])
+    @pytest.mark.parametrize("size", [(1, 1), (1, 5), (4, 3), (7, 6)])
+    def test_rule_equals_dict_built_adjacency(self, size, tracks):
+        width, height = size
+        computed = CompiledRRGraph.from_geometry(width, height, tracks)
+        reference = CompiledRRGraph(
+            RoutingResourceGraph(FabricGrid(width, height), channel_width=tracks)._adjacency
+        )
+        assert len(computed) == len(reference)
+        assert computed.nodes == reference.nodes
+        for u, expected in enumerate(reference.neighbors):
+            found = computed.neighbors[u]
+            assert len(found) == len(set(found)), reference.nodes[u]
+            assert sorted(found) == sorted(expected), reference.nodes[u]
+        assert (computed.x, computed.y, computed.base_cost) == (
+            reference.x, reference.y, reference.base_cost
+        )
+
+    def test_an_output_pin_drives_whole_channels(self):
+        computed = CompiledRRGraph.from_geometry(3, 2, 4)
+        geometry = computed.geometry
+        for x in range(-1, 4):
+            for y in range(-1, 3):
+                opin = geometry.pin_id("OPIN", x, y)
+                channels = geometry.opin_channels(opin)
+                assert all(len(channel) == 4 for channel in channels)
+                wires = [computed.nodes[w] for channel in channels for w in channel]
+                kinds = {(wire.kind, wire.x, wire.y) for wire in wires}
+                assert len(kinds) == len(channels) <= 4
+                assert computed.neighbors[opin] == [w for c in channels for w in c]
+
+    def test_pin_ids_round_trip_and_unknown_sites_raise(self):
+        computed = CompiledRRGraph.from_geometry(3, 2, 2)
+        for kind in ("OPIN", "IPIN"):
+            for x in range(-1, 4):
+                for y in range(-1, 3):
+                    assert computed.nodes[computed.geometry.pin_id(kind, x, y)] == RRNode(kind, x, y)
+            for x, y in [(-2, 0), (4, 0), (0, -2), (0, 3)]:
+                with pytest.raises(KeyError):
+                    computed.geometry.pin_id(kind, x, y)
+        with pytest.raises(IndexError):
+            computed.neighbors[len(computed)]
+        with pytest.raises(IndexError):
+            computed.nodes[-1]
+
+    def test_the_benchmark_fabric_retains_under_4_mb(self):
+        """18 x 18 x 64 is the largest fabric of ``pnr_cold``; its 47 008
+        adjacency lists used to retain 19.4 MB."""
+        import tracemalloc
+
+        graph = RoutingResourceGraph(FabricGrid(18, 18), channel_width=64)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            compiled = graph.compiled()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(compiled) == 47008
+        assert retained < 4 * 2**20, f"{retained / 2**20:.1f} MB"
