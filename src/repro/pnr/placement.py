@@ -5,12 +5,11 @@ site, minimising the total half-perimeter wirelength (HPWL) of the nets —
 the same objective and algorithm family as the VPR/mrVPR tool the paper
 uses.  I/O blocks are constrained to the peripheral I/O sites.
 
-:class:`PlacementCostModel` is the objective: flat coordinate lists, an
-incrementally tracked bounding box per large net, and the exact integer
-cost delta of one staged relocation or swap.
-:class:`ParallelAnnealingPlacer` is the one annealer: a serial loop that
-stages each proposed move on the model by block id and commits or
-rejects it.  The tests drive the same model by block name.
+:class:`PlacementCostModel` is the objective's state: flat coordinate
+lists, the partners of every two-pin net, one counted bounding box per
+larger net, and the total.  :class:`ParallelAnnealingPlacer` is the one
+annealer, and its move loop is the only code that prices a move: the
+exact integer delta of a relocation or swap, net by net, in place.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import CapacityError, PnRError
+from ..errors import CapacityError
 from ..mapper.netlist import BlockType, FunctionBlockNetlist, Net
 from .fabric import FabricGrid
 from .options import PnROptions
@@ -34,36 +33,9 @@ __all__ = [
     "initial_positions",
 ]
 
-#: nets with at least this many member blocks track their bounding box
-#: incrementally (boundary values + counts) instead of rescanning members.
-_BBOX_TRACK_THRESHOLD = 12
-
 #: proposed moves per movable block per temperature: the smallest whole
 #: number at which the golden netlists pass at their recorded seed.
 _MOVES_PER_BLOCK = 2
-
-
-def _axis_move(old: int, new: int, mn: int, cmn: int, mx: int, cmx: int):
-    """Update one bounding-box axis (min, count, max, count) for a member
-    moving ``old -> new``; returns ``None`` when a boundary vanished and a
-    rescan is required."""
-    if new == old:
-        return mn, cmn, mx, cmx
-    if old == mn:
-        cmn -= 1
-    if old == mx:
-        cmx -= 1
-    if new < mn:
-        mn, cmn = new, 1
-    elif new == mn:
-        cmn += 1
-    if new > mx:
-        mx, cmx = new, 1
-    elif new == mx:
-        cmx += 1
-    if cmn == 0 or cmx == 0:
-        return None
-    return mn, cmn, mx, cmx
 
 
 @dataclass
@@ -93,19 +65,18 @@ class Placement:
 
 
 class PlacementCostModel:
-    """HPWL objective with a vectorized full sweep and incremental moves.
+    """The HPWL objective's state, laid out for the move loop.
 
-    Block coordinates live in flat lists indexed by a dense block id and
-    each net's member blocks are a precomputed id list.  :meth:`full_cost`
-    evaluates every net in one numpy ``reduceat`` sweep (used for the
-    initial cost and as the ground truth the delta path is tested against);
-    :meth:`stage` stages a move (single relocation or swap) and returns
-    the exact cost delta from re-evaluating only the nets incident to the
-    moved blocks, to be finalised with :meth:`commit` or undone with
-    :meth:`reject`; :meth:`propose` is :meth:`stage` by block name.  The
-    delta path is deliberately numpy-free: the nets touching one block are
-    few and small, where flat-list indexing beats tiny-array dispatch
-    overhead by an order of magnitude.
+    Block coordinates live in flat lists ``xs`` / ``ys`` indexed by a dense
+    block id, and each net's distinct members are an id list.  A net is
+    laid out by its arity: a two-pin net is only a partner id in
+    ``partners`` on each side, priced in closed form as the Manhattan
+    distance; a net of three or more members keeps a counted bounding box
+    ``boxes[net]`` — per axis (min, members on it, max, members on it) —
+    and is listed in ``box_nets`` of each member; a single-member net costs
+    nothing and appears only in ``nets_of``.  :meth:`full_cost` evaluates
+    every net in one numpy ``reduceat`` sweep, the ground truth the move
+    loop's running ``total`` is tested against.
     """
 
     def __init__(self, netlist: FunctionBlockNetlist, positions: dict[str, tuple[int, int]]):
@@ -129,13 +100,6 @@ class PlacementCostModel:
             self._flat_members = np.zeros(0, dtype=np.intp)
             self._flat_ptr = np.zeros(0, dtype=np.intp)
 
-        nets_of: list[list[int]] = [[] for _ in names]
-        for index, member_ids in enumerate(members):
-            for b in member_ids:
-                nets_of[b].append(index)
-        self.nets_of = nets_of
-        self._net_sets = [frozenset(incident) for incident in nets_of]
-
         self.xs = [0] * len(names)
         self.ys = [0] * len(names)
         for name, (px, py) in positions.items():
@@ -143,27 +107,34 @@ class PlacementCostModel:
             self.xs[b] = px
             self.ys[b] = py
 
-        # high-fanout nets keep their bounding box (boundary values plus the
-        # number of members sitting on each boundary) up to date across
-        # moves, so evaluating them is O(1) instead of O(fanout)
-        self._bbox: dict[int, list[int]] = {
-            i: self._scan_state(i)
-            for i, m in enumerate(members)
-            if len(m) >= _BBOX_TRACK_THRESHOLD
-        }
+        self.nets_of: list[list[int]] = [[] for _ in names]
+        self.partners: list[list[int]] = [[] for _ in names]
+        self.box_nets: list[list[int]] = [[] for _ in names]
+        self.boxes: list[list[int] | None] = [None] * len(members)
+        #: a boxed net's members as a set: the move loop's test for a net
+        #: holding both ends of a swap
+        self.member_sets: list[frozenset[int] | None] = [None] * len(members)
+        for index, member_ids in enumerate(members):
+            for b in member_ids:
+                self.nets_of[b].append(index)
+            if len(member_ids) == 2:
+                a, b = member_ids
+                self.partners[a].append(b)
+                self.partners[b].append(a)
+            elif len(member_ids) > 2:
+                box: list[int] = []
+                for coords in (self.xs, self.ys):
+                    values = [coords[b] for b in member_ids]
+                    lo, hi = min(values), max(values)
+                    box += (lo, values.count(lo), hi, values.count(hi))
+                self.boxes[index] = box
+                self.member_sets[index] = frozenset(member_ids)
+                for b in member_ids:
+                    self.box_nets[b].append(index)
+        #: nets a move of each block prices
+        self.priced = [len(p) + len(q) for p, q in zip(self.partners, self.box_nets)]
+        self.total = self.full_cost()
 
-        #: every other net is rescanned; its members are split here (first,
-        #: rest) so the move loop neither indexes nor slices.  ``None``
-        #: marks a bbox-tracked net.
-        self._rescan = [
-            None if i in self._bbox else (m[0], m[1:]) for i, m in enumerate(members)
-        ]
-
-        self.net_costs = self._sweep().tolist()
-        self.total = sum(self.net_costs)
-        self._pending: tuple | None = None
-
-    # ------------------------------------------------------------- evaluation
     def _sweep(self) -> np.ndarray:
         """Per-net HPWL of every net, one vectorized reduceat sweep."""
         if self._flat_members.size == 0:
@@ -178,151 +149,9 @@ class PlacementCostModel:
         )
 
     def full_cost(self) -> int:
-        """Total HPWL recomputed from scratch (ground truth for deltas)."""
+        """Total HPWL recomputed from scratch (ground truth for the move
+        loop's running total)."""
         return int(self._sweep().sum())
-
-    def _scan_state(self, net: int) -> list[int]:
-        """Bounding box of one net by scanning its members: the boundary
-        values and the number of members sitting on each boundary."""
-        xs, ys = self.xs, self.ys
-        mem = self.members_by_net[net]
-        member_xs = [xs[m] for m in mem]
-        member_ys = [ys[m] for m in mem]
-        min_x, max_x = min(member_xs), max(member_xs)
-        min_y, max_y = min(member_ys), max(member_ys)
-        return [
-            min_x, member_xs.count(min_x), max_x, member_xs.count(max_x),
-            min_y, member_ys.count(min_y), max_y, member_ys.count(max_y),
-        ]
-
-    def _eval_net_move(
-        self,
-        net: int,
-        moves: list[tuple[int, int, int, int]],
-    ) -> list[int]:
-        """Bounding-box state of tracked ``net`` after its listed members
-        moved ``(old_x, old_y, new_x, new_y)`` (coordinates already
-        updated), to install on commit."""
-        state = self._bbox[net]
-        for old_x, old_y, new_x, new_y in moves:
-            x_axis = _axis_move(old_x, new_x, state[0], state[1], state[2], state[3])
-            y_axis = _axis_move(old_y, new_y, state[4], state[5], state[6], state[7])
-            if x_axis is None or y_axis is None:
-                return self._scan_state(net)
-            state = [*x_axis, *y_axis]
-        return state
-
-    # ------------------------------------------------------------------ moves
-    def stage(self, b: int, x: int, y: int, s: int | None = None) -> int:
-        """Stage a move by block id and return its cost delta.
-
-        Block ``b`` moves to ``(x, y)``; when ``s`` is given, it takes
-        ``b``'s old site.  The move stays staged until :meth:`commit` or
-        :meth:`reject`.
-        """
-        if self._pending is not None:
-            raise PnRError("a staged move is already pending")
-        xs, ys = self.xs, self.ys
-        old_x, old_y = xs[b], ys[b]
-        xs[b] = x
-        ys[b] = y
-        nets_b = nets = self.nets_of[b]
-        if s is None:
-            swap_x = swap_y = None
-            nets_s = ()
-        else:
-            swap_x, swap_y = xs[s], ys[s]
-            xs[s] = old_x
-            ys[s] = old_y
-            nets_s = self.nets_of[s]
-            shared = self._net_sets[b].intersection(nets_s)
-            if shared:
-                # in the annealer's swap the two blocks exchange sites: a
-                # net containing both sees the same coordinate multiset
-                # before and after, so its cost and bounding box cannot
-                # change.  sorted: the staging order must not depend on
-                # set iteration order
-                both = [] if (swap_x, swap_y) == (x, y) else sorted(shared)
-                nets = [i for i in (*nets_b, *nets_s) if i not in shared] + both
-            else:
-                nets = nets_b + nets_s
-
-        rescan, net_costs = self._rescan, self.net_costs
-        costs: list[int] = []
-        states: list[tuple[int, list[int]]] = []
-        delta = 0
-        for i in nets:
-            split = rescan[i]
-            if split is None:
-                moves = []
-                if i in nets_b:
-                    moves.append((old_x, old_y, x, y))
-                if i in nets_s:
-                    moves.append((swap_x, swap_y, old_x, old_y))
-                state = self._eval_net_move(i, moves)
-                states.append((i, state))
-                cost = state[2] - state[0] + state[6] - state[4]
-            else:
-                first, rest = split
-                min_x = max_x = xs[first]
-                min_y = max_y = ys[first]
-                for m in rest:
-                    px = xs[m]
-                    if px < min_x:
-                        min_x = px
-                    elif px > max_x:
-                        max_x = px
-                    py = ys[m]
-                    if py < min_y:
-                        min_y = py
-                    elif py > max_y:
-                        max_y = py
-                cost = max_x - min_x + max_y - min_y
-            costs.append(cost)
-            delta += cost - net_costs[i]
-        self._pending = (
-            (b, old_x, old_y, s, swap_x, swap_y),  # what reject restores
-            (nets, costs, states, delta),  # what commit installs
-        )
-        return delta
-
-    def propose(
-        self,
-        block: str,
-        new_pos: tuple[int, int],
-        swap_block: str | None = None,
-    ) -> int:
-        """:meth:`stage` by block name: ``block`` moves to ``new_pos`` and
-        ``swap_block``, when given, takes ``block``'s old site."""
-        return self.stage(
-            self.block_index[block],
-            *new_pos,
-            None if swap_block is None else self.block_index[swap_block],
-        )
-
-    def commit(self) -> None:
-        """Finalise the staged move."""
-        if self._pending is None:
-            raise PnRError("no staged move to commit")
-        nets, costs, states, delta = self._pending[1]
-        net_costs = self.net_costs
-        for i, cost in zip(nets, costs):
-            net_costs[i] = cost
-        self._bbox.update(states)
-        self.total += delta
-        self._pending = None
-
-    def reject(self) -> None:
-        """Undo the staged move."""
-        if self._pending is None:
-            raise PnRError("no staged move to reject")
-        b, old_x, old_y, s, swap_x, swap_y = self._pending[0]
-        self.xs[b] = old_x
-        self.ys[b] = old_y
-        if s is not None:
-            self.xs[s] = swap_x
-            self.ys[s] = swap_y
-        self._pending = None
 
     def positions(self) -> dict[str, tuple[int, int]]:
         """Export the coordinates as a block -> site mapping."""
@@ -349,6 +178,11 @@ class PlacementStats:
     moves_evaluated: int = 0
     moves_accepted: int = 0
     final_cost: int = 0
+    #: nets priced across the evaluated moves (a net holding both ends of
+    #: a swap is skipped, not priced) and, of the bounding boxes among
+    #: them, the axis boundaries found again by rescanning the members
+    nets_repriced: int = 0
+    box_rescans: int = 0
     #: seconds spent inside the move loop
     place_delta_seconds: float = 0.0
 
@@ -394,9 +228,9 @@ class ParallelAnnealingPlacer:
 
     Each temperature proposes ``_MOVES_PER_BLOCK`` range-limited moves per
     movable block, one after the other: a block steps to a site within
-    the range window (an occupied target is an exchange swap), the model
-    returns the exact cost delta, and the Metropolis test commits or
-    rejects the move before the next one is drawn.  Temperature and range
+    the range window (an occupied target is an exchange swap), the move
+    loop prices its exact cost delta on the model, and the Metropolis test
+    accepts or rejects it before the next one is drawn.  Temperature and range
     window follow VPR's adaptive schedule, which holds the acceptance
     rate near 0.44 by shrinking the window as the anneal cools; a last
     sweep at range 1 takes only strict improvements.
@@ -431,10 +265,17 @@ class ParallelAnnealingPlacer:
         temperature: float,
         rlim: int,
     ) -> tuple[int, int]:
-        """``n`` proposals at one temperature, each staged on the model
-        and committed or rejected before the next; ``temperature == 0``
-        accepts only strict improvements.  Returns ``(evaluated,
-        accepted)``."""
+        """``n`` proposals at one temperature, each priced and accepted or
+        rejected before the next; ``temperature == 0`` accepts only strict
+        improvements.  Returns ``(evaluated, accepted)``.
+
+        A move writes the movers' coordinates in place and prices, for each
+        mover, its incident nets: a two-pin net as the change of one
+        Manhattan distance, a larger net by updating its counted box in
+        O(1) and rescanning its members for one boundary only when that
+        boundary's sole member moves inward.  A net holding both ends of a
+        swap keeps its coordinate multiset and is skipped.  Accepting
+        installs the changed boxes; rejecting restores the coordinates."""
         # three fixed-size draws, consumed in order (the x and y
         # displacements share one): the generator's state after a round is
         # a function of seed and geometry alone
@@ -443,10 +284,12 @@ class ParallelAnnealingPlacer:
         uniforms = rng.random(n).tolist()
 
         xs, ys = model.xs, model.ys
-        stage, commit, reject = model.stage, model.commit, model.reject
+        partners, box_nets, boxes = model.partners, model.box_nets, model.boxes
+        members, member_sets, priced = model.members_by_net, model.member_sets, model.priced
         exp = math.exp
         max_x, max_y, height = fabric.width - 1, fabric.height - 1, fabric.height
-        evaluated = accepted = 0
+        evaluated = accepted = repriced = rescans = 0
+        total = model.total
         started = time.perf_counter()
         for b, dx, dy, u in zip(blocks, steps[:n], steps[n:], uniforms):
             old_x, old_y = xs[b], ys[b]
@@ -464,20 +307,130 @@ class ParallelAnnealingPlacer:
                 continue
             site = x * height + y
             swap = occupant[site]
-            delta = stage(b, x, y, swap)
             evaluated += 1
+            xs[b] = x
+            ys[b] = y
+            if swap is None:
+                movers = ((b, old_x, old_y, x, y, None),)
+            else:
+                xs[swap] = old_x
+                ys[swap] = old_y
+                movers = ((b, old_x, old_y, x, y, swap), (swap, x, y, old_x, old_y, b))
+            delta = 0
+            staged = []
+            for mover, ox, oy, nx, ny, other in movers:
+                repriced += priced[mover]
+                for p in partners[mover]:
+                    if p == other:
+                        repriced -= 1
+                        continue
+                    px = xs[p]
+                    py = ys[p]
+                    delta += abs(nx - px) + abs(ny - py) - abs(ox - px) - abs(oy - py)
+                for i in box_nets[mover]:
+                    if other in member_sets[i]:
+                        repriced -= 1
+                        continue
+                    lo_x, n_lo_x, hi_x, n_hi_x, lo_y, n_lo_y, hi_y, n_hi_y = boxes[i]
+                    # an axis changes only when a boundary is left or reached
+                    changed = False
+                    if nx != ox and (
+                        nx <= lo_x or nx >= hi_x or ox == lo_x or ox == hi_x
+                    ):
+                        changed = True
+                        delta += lo_x - hi_x
+                        if nx < lo_x:
+                            lo_x, n_lo_x = nx, 1
+                        elif nx > hi_x:
+                            hi_x, n_hi_x = nx, 1
+                        elif nx == lo_x:
+                            n_lo_x += 1
+                        elif nx == hi_x:
+                            n_hi_x += 1
+                        # ox is on one boundary at most: were lo == hi, nx
+                        # (never ox) lay outside and has replaced one of them
+                        if ox == lo_x:
+                            n_lo_x -= 1
+                            if not n_lo_x:
+                                rescans += 1
+                                lo_x = hi_x
+                                for m in members[i]:
+                                    v = xs[m]
+                                    if v < lo_x:
+                                        lo_x, n_lo_x = v, 1
+                                    elif v == lo_x:
+                                        n_lo_x += 1
+                        elif ox == hi_x:
+                            n_hi_x -= 1
+                            if not n_hi_x:
+                                rescans += 1
+                                hi_x = lo_x
+                                for m in members[i]:
+                                    v = xs[m]
+                                    if v > hi_x:
+                                        hi_x, n_hi_x = v, 1
+                                    elif v == hi_x:
+                                        n_hi_x += 1
+                        delta += hi_x - lo_x
+                    if ny != oy and (
+                        ny <= lo_y or ny >= hi_y or oy == lo_y or oy == hi_y
+                    ):
+                        changed = True
+                        delta += lo_y - hi_y
+                        if ny < lo_y:
+                            lo_y, n_lo_y = ny, 1
+                        elif ny > hi_y:
+                            hi_y, n_hi_y = ny, 1
+                        elif ny == lo_y:
+                            n_lo_y += 1
+                        elif ny == hi_y:
+                            n_hi_y += 1
+                        if oy == lo_y:
+                            n_lo_y -= 1
+                            if not n_lo_y:
+                                rescans += 1
+                                lo_y = hi_y
+                                for m in members[i]:
+                                    v = ys[m]
+                                    if v < lo_y:
+                                        lo_y, n_lo_y = v, 1
+                                    elif v == lo_y:
+                                        n_lo_y += 1
+                        elif oy == hi_y:
+                            n_hi_y -= 1
+                            if not n_hi_y:
+                                rescans += 1
+                                hi_y = lo_y
+                                for m in members[i]:
+                                    v = ys[m]
+                                    if v > hi_y:
+                                        hi_y, n_hi_y = v, 1
+                                    elif v == hi_y:
+                                        n_hi_y += 1
+                        delta += hi_y - lo_y
+                    if changed:
+                        staged.append((i, [lo_x, n_lo_x, hi_x, n_hi_x, lo_y, n_lo_y, hi_y, n_hi_y]))
             # at delta == 0, exp(0) exceeds every uniform in [0, 1)
             if delta < 0 or (temperature and u < exp(-delta / temperature)):
-                commit()
+                for i, box in staged:
+                    boxes[i] = box
+                total += delta
                 occupant[site] = b
                 occupant[old_x * height + old_y] = swap
                 accepted += 1
             else:
-                reject()
+                xs[b] = old_x
+                ys[b] = old_y
+                if swap is not None:
+                    xs[swap] = x
+                    ys[swap] = y
+        model.total = total
         stats.place_delta_seconds += time.perf_counter() - started
         stats.moves_proposed += n
         stats.moves_evaluated += evaluated
         stats.moves_accepted += accepted
+        stats.nets_repriced += repriced
+        stats.box_rescans += rescans
         return evaluated, accepted
 
     # ---------------------------------------------------------------- schedule
@@ -517,7 +470,7 @@ class ParallelAnnealingPlacer:
             for b in core:
                 occupant[model.xs[b] * fabric.height + model.ys[b]] = b
             n = max(16, _MOVES_PER_BLOCK * movable.size)
-            n_nets = len(model.net_costs)
+            n_nets = len(model.members_by_net)
             max_dim = max(fabric.width, fabric.height)
             temperature = max(1.0, model.total / n_nets) / self._INITIAL_ACCEPTANCE
             rlim = float(max_dim)

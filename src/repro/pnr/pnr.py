@@ -69,7 +69,8 @@ class PnRResult:
         """Human-readable annealing/search observability.
 
         The placer section gives the move counts (proposed, evaluated by
-        the cost model, accepted) with the unit cost of an evaluated move,
+        the cost model, accepted) with the unit cost of an evaluated move
+        and what it is made of (nets priced, bounding-box axes rescanned),
         then moves proposed/accepted per temperature (head and tail of the
         schedule when it is longer than ``max_temperature_rows``); the
         router section reports negotiation iterations, node expansions,
@@ -86,7 +87,9 @@ class PnRResult:
                 f"({stats.moves_evaluated / max(stats.moves_proposed, 1):.1%}) / "
                 f"{stats.moves_accepted} accepted moves, "
                 f"{stats.place_delta_seconds / evaluated * 1e6:.2f} us per "
-                f"evaluated move, final cost {stats.final_cost}"
+                f"evaluated move ({stats.nets_repriced} nets repriced, "
+                f"{stats.box_rescans} box axes rescanned), "
+                f"final cost {stats.final_cost}"
             )
             rows = list(enumerate(stats.temperatures))
             if len(rows) > max_temperature_rows:

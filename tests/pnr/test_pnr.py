@@ -48,3 +48,6 @@ class TestPlaceAndRoute:
         placer_line = result.explain().splitlines()[1]
         assert f"{stats.moves_evaluated} evaluated" in placer_line
         assert "us per evaluated move" in placer_line
+        assert f"({stats.nets_repriced} nets repriced, " in placer_line
+        assert f"{stats.box_rescans} box axes rescanned)" in placer_line
+        assert 0 < stats.box_rescans < stats.nets_repriced

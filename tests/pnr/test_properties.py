@@ -8,7 +8,7 @@ implementations must uphold:
 * every net is routed and no routing-resource wire exceeds its unit
   capacity in a legal result,
 * the placer's incremental delta-cost evaluation agrees exactly with a
-  from-scratch recomputation after any sequence of moves, swaps, commits
+  from-scratch recomputation after any rounds of moves, swaps, accepts
   and rejects.
 """
 
@@ -16,12 +16,18 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mapper.netlist import Block, BlockType, FunctionBlockNetlist, Net
 from repro.pnr.fabric import FabricGrid
-from repro.pnr.placement import ParallelAnnealingPlacer, PlacementCostModel
+from repro.pnr.placement import (
+    ParallelAnnealingPlacer,
+    PlacementCostModel,
+    PlacementStats,
+    initial_positions,
+)
 from repro.pnr.routing import PathFinderRouter
 from repro.pnr.rrgraph import RoutingResourceGraph
 
@@ -45,8 +51,8 @@ def random_netlist(rng: random.Random, n_blocks: int, n_nets: int, max_fanout: i
 netlist_params = st.tuples(
     st.integers(min_value=2, max_value=16),   # blocks
     st.integers(min_value=1, max_value=10),   # nets
-    # fanouts beyond _BBOX_TRACK_THRESHOLD (12) exercise the incremental
-    # bounding-box path of the cost model, not just the rescan path
+    # fanouts of 2 and more put nets on the counted bounding box, beside
+    # the two-pin nets priced in closed form
     st.integers(min_value=1, max_value=15),   # max fanout
     st.integers(min_value=0, max_value=2**16),  # rng seed
 )
@@ -71,61 +77,55 @@ class TestPlacementInvariants:
                 assert fabric.contains(x, y), "core block off the fabric"
 
 
+def annealing_start(netlist: FunctionBlockNetlist, seed: int):
+    """What ``ParallelAnnealingPlacer.place`` sets up before its first
+    round: the model on a random legal placement, the site occupancy and
+    the movable blocks."""
+    fabric = FabricGrid.for_netlist(netlist)
+    rng = np.random.default_rng(seed)
+    model = PlacementCostModel(netlist, initial_positions(netlist, fabric, rng))
+    core = [b for b, block in enumerate(netlist.blocks.values()) if block.type != BlockType.IO]
+    occupant = [None] * fabric.n_sites
+    for b in core:
+        occupant[model.xs[b] * fabric.height + model.ys[b]] = b
+    movable = np.array([b for b in core if model.nets_of[b]], dtype=np.int64)
+    return model, occupant, movable, fabric, rng
+
+
 class TestDeltaCostInvariant:
     @settings(max_examples=30, deadline=None)
     @given(
         params=netlist_params,
-        n_moves=st.integers(min_value=1, max_value=60),
+        temperatures=st.lists(st.sampled_from([0.0, 1.0, 10.0]), min_size=1, max_size=6),
     )
-    def test_delta_equals_full_recomputation(self, params, n_moves):
-        """After any random move sequence the incrementally-tracked total
-        equals a from-scratch sweep, and every proposed delta is exact."""
+    def test_delta_equals_full_recomputation(self, params, temperatures):
+        """After every round of relocations, swaps, accepts and rejects the
+        move loop's running total equals a from-scratch sweep."""
         n_blocks, n_nets, max_fanout, seed = params
-        rng = random.Random(seed)
-        netlist = random_netlist(rng, n_blocks, n_nets, max_fanout)
-        span = max(4, n_blocks)
-        positions = {
-            name: (rng.randrange(span), rng.randrange(span))
-            for name in netlist.blocks
-        }
-        model = PlacementCostModel(netlist, positions)
+        netlist = random_netlist(random.Random(seed), n_blocks, n_nets, max_fanout)
+        model, occupant, movable, fabric, rng = annealing_start(netlist, seed)
         assert model.total == model.full_cost()
-
-        names = list(netlist.blocks)
-        for _ in range(n_moves):
-            block = rng.choice(names)
-            swap = rng.choice(names) if rng.random() < 0.5 else None
-            if swap == block:
-                swap = None
-            target = (rng.randrange(span), rng.randrange(span))
-            before = model.total
-            delta = model.propose(block, target, swap)
-            if rng.random() < 0.5:
-                model.commit()
-                assert model.total == before + delta
-            else:
-                model.reject()
-                assert model.total == before
+        stats = PlacementStats()
+        rlim = max(fabric.width, fabric.height)
+        for temperature in temperatures:
+            ParallelAnnealingPlacer._round(
+                model, occupant, movable, fabric, rng, stats, 40, temperature, rlim
+            )
             assert model.total == model.full_cost()
 
     def test_high_fanout_nets_use_bbox_tracking(self):
-        """Nets above the tracking threshold keep exact incremental state."""
-        rng = random.Random(7)
-        netlist = random_netlist(rng, 20, 4, 18)
-        positions = {
-            name: (rng.randrange(10), rng.randrange(10)) for name in netlist.blocks
-        }
-        model = PlacementCostModel(netlist, positions)
-        assert model._bbox, "expected at least one bbox-tracked net"
-        names = list(netlist.blocks)
-        for _ in range(300):
-            block = rng.choice(names)
-            swap = rng.choice(names) if rng.random() < 0.5 else None
-            if swap == block:
-                swap = None
-            model.propose(block, (rng.randrange(10), rng.randrange(10)), swap)
-            model.commit() if rng.random() < 0.7 else model.reject()
-            assert model.total == model.full_cost()
+        """Nets of three members or more keep a counted bounding box, and
+        it stays equal to a fresh scan of the members."""
+        netlist = random_netlist(random.Random(7), 20, 4, 18)
+        model, occupant, movable, fabric, rng = annealing_start(netlist, 7)
+        assert any(len(m) >= 12 and box for m, box in zip(model.members_by_net, model.boxes))
+        stats = PlacementStats()
+        for temperature in (10.0, 3.0, 1.0, 0.0):
+            ParallelAnnealingPlacer._round(
+                model, occupant, movable, fabric, rng, stats, 150, temperature, 3
+            )
+            assert model.boxes == PlacementCostModel(netlist, model.positions()).boxes
+        assert stats.box_rescans > 0
 
 
 class TestRoutingInvariants:
