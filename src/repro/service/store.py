@@ -3,36 +3,32 @@
 The :class:`ArtifactStore` persists every served
 :class:`~repro.service.schemas.CompileResponse` (and the emitted bitstream,
 when the request asked for one) under a run directory named by the content
-hash of the response, with a JSON index for listing and reloading past
-runs::
+hash of the response, with an append-only index for listing past runs::
 
     <root>/
-      index.json                   run_id -> {model, status, created_at, ...}
+      index.jsonl                  one {run_id, model, status, created_at, ...} per indexed save
+      index.json                   an older store's whole-file index (read first, never written)
       runs/<run_id>/response.json  the full wire response
-      runs/<run_id>/request.json   the request alone (convenience copy)
       runs/<run_id>/bitstream.json the chip configuration (when emitted)
 
-Content addressing makes saves idempotent: re-serving an identical request
-with an identical outcome lands on the same run directory instead of
-accumulating duplicates, which is what makes sweep results comparable
-across sessions.
-
-Idempotent means *first write wins*.  A run id covers everything of a
-response except its run-environment-dependent fields (pass seconds,
-``cached`` flags, hit/miss counters — see :meth:`ArtifactStore.run_id_for`),
-so once an :class:`ArtifactStore` instance has written and indexed a run,
-saving an equal response into it again writes nothing: the stored
-``response.json`` keeps the volatile fields of that instance's *first* save
-(as ``created_at`` always did), not of the last.  Every other save — a new
-id, another instance or process, a bitstream arriving for a run stored
-without one, a run directory that was removed — goes through the guarded
-read-modify-write of the index.  Run files and the index are replaced
-atomically (temp file + ``os.replace``), so a concurrent ``load`` never
-sees a half-written file.
+Content addressing makes saves idempotent — re-serving an identical request
+with an identical outcome lands on the same run directory — and idempotent
+means *first write wins*.  A run id leaves out a response's
+run-environment-dependent fields (see :meth:`ArtifactStore.run_id_for`), so
+an instance that has written and indexed a run writes nothing when an equal
+response is saved again: ``response.json`` keeps the volatile fields of the
+first save.  Any other save — a new id, another instance or process, a
+bitstream arriving later, a removed run directory — rewrites the run files
+under the guard, and appends an index line if this instance had not
+indexed the id or a bitstream arrived.  Readers fold the lines: an id's
+first line gives its ``created_at``, any line may add the bitstream, and a
+line that does not decode (torn by a crash, or still being appended) is
+skipped.  Run files are replaced atomically (temp file + ``os.replace``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -54,8 +50,9 @@ from .schemas import CompileResponse
 
 __all__ = ["ArtifactStore", "RunRecord"]
 
-_INDEX_NAME = "index.json"
+_INDEX_NAME = "index.jsonl"
 _RUNS_DIR = "runs"
+_RUN_ID_MEMO = "_run_id"  # set on a (frozen) response by its first address
 
 
 @dataclass(frozen=True)
@@ -70,25 +67,11 @@ class RunRecord:
     has_bitstream: bool
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "run_id": self.run_id,
-            "model": self.model,
-            "status": self.status,
-            "duplication_degree": self.duplication_degree,
-            "created_at": self.created_at,
-            "has_bitstream": self.has_bitstream,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "RunRecord":
-        return cls(
-            run_id=str(data["run_id"]),
-            model=str(data["model"]),
-            status=str(data["status"]),
-            duplication_degree=int(data.get("duplication_degree") or 1),
-            created_at=float(data.get("created_at") or 0.0),
-            has_bitstream=bool(data.get("has_bitstream")),
-        )
+        return cls(**{field.name: data[field.name] for field in dataclasses.fields(cls)})
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -109,10 +92,9 @@ class ArtifactStore:
         self.runs_root.mkdir(parents=True, exist_ok=True)
         self._index_path = self.root / _INDEX_NAME
         self._lock = threading.Lock()
-        #: run id -> ``has_bitstream`` as *this instance* last wrote it to
-        #: the index; what lets a repeat save return without touching a
-        #: file.  Not a copy of the index: entries of other savers are only
-        #: ever read from disk, under the guard.
+        #: run id -> ``has_bitstream`` as *this instance* last indexed it:
+        #: what lets a repeat save return without touching a file.  Not a
+        #: copy of the index: other savers' entries are only read from disk.
         self._indexed: dict[str, bool] = {}
 
     # ------------------------------------------------------------------
@@ -121,13 +103,9 @@ class ArtifactStore:
 
     @contextmanager
     def _index_guard(self):
-        """Serialize index read-modify-write across threads *and* processes.
-
-        Two concurrent savers (e.g. a ``serve-batch`` pool in one shell and
-        an ``FPSAClient`` in another) must not lose each other's entries, so
-        the thread lock is paired with an advisory ``flock`` on a lock file
-        next to the index where the platform provides one.
-        """
+        """Serialize saves across threads *and* processes (a ``serve-batch``
+        pool in one shell, an ``FPSAClient`` in another): the thread lock
+        plus an advisory ``flock`` where the platform provides one."""
         with self._lock:
             if fcntl is None:  # pragma: no cover - non-POSIX
                 yield
@@ -139,14 +117,36 @@ class ArtifactStore:
                 finally:
                     fcntl.flock(lockfile, fcntl.LOCK_UN)
 
-    def _read_index(self) -> dict[str, dict[str, Any]]:
-        if not self._index_path.exists():
-            return {}
-        with open(self._index_path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+    def _read_index(self) -> dict[str, RunRecord]:
+        """One record per run id, folded from an older store's ``index.json``
+        and then the log: the first entry wins, a later one can only add
+        the bitstream."""
+        legacy = self.root / "index.json"
+        entries = list(json.loads(legacy.read_bytes()).values()) if legacy.exists() else []
+        if self._index_path.exists():
+            for line in self._index_path.read_bytes().splitlines():
+                try:
+                    entries.append(json.loads(line))
+                except ValueError:  # torn by a crash, or still being appended
+                    continue
+        records: dict[str, RunRecord] = {}
+        for record in map(RunRecord.from_dict, entries):
+            first = records.setdefault(record.run_id, record)
+            if record.has_bitstream and not first.has_bitstream:
+                records[record.run_id] = dataclasses.replace(first, has_bitstream=True)
+        return records
 
-    def _write_index(self, index: dict[str, dict[str, Any]]) -> None:
-        _write_atomic(self._index_path, json.dumps(index, indent=2, sort_keys=True))
+    def _append_index(self, record: RunRecord) -> None:
+        """Append one line (under the guard); a last line a crash left
+        without its newline is ended first, never continued."""
+        line = json.dumps(record.to_dict(), separators=(",", ":")).encode("utf-8") + b"\n"
+        with open(self._index_path, "a+b") as handle:
+            end = handle.seek(0, os.SEEK_END)
+            if end:
+                handle.seek(end - 1)
+                if handle.read(1) != b"\n":
+                    line = b"\n" + line
+            handle.write(line)
 
     # ------------------------------------------------------------------
     # saving
@@ -157,59 +157,55 @@ class ArtifactStore:
         """Content-addressed run id: hash of the canonical response JSON
         minus everything run-environment-dependent (wall-clock timings and
         the stage-cache hit/miss state), so re-serving an identical request
-        with an identical outcome maps to the same run id."""
-        data = response.to_dict()
+        with an identical outcome maps to the same run id.  Computed once
+        per response object."""
+        return ArtifactStore._address(response)[0]
+
+    @staticmethod
+    def _address(response: CompileResponse) -> tuple[str, dict[str, Any] | None]:
+        """:meth:`run_id_for`, plus the wire dict if this call built one."""
+        run_id = getattr(response, _RUN_ID_MEMO, None)
+        if run_id is not None:
+            return run_id, None
+        data = canonical = response.to_dict()
         timings = data.get("timings")
         if timings:
-            timings["passes"] = [
+            volatile = ("total_seconds", "cache_hits", "cache_misses")
+            stripped = {k: v for k, v in timings.items() if k not in volatile}
+            stripped["passes"] = [
                 {k: v for k, v in entry.items() if k not in ("seconds", "cached")}
                 for entry in timings["passes"]
             ]
-            for volatile in ("total_seconds", "cache_hits", "cache_misses"):
-                timings.pop(volatile, None)
-        canonical = json.dumps(data, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+            canonical = {**data, "timings": stripped}
+        text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+        run_id = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+        object.__setattr__(response, _RUN_ID_MEMO, run_id)
+        return run_id, data
 
     def save(self, response: CompileResponse, bitstream_json: str | None = None) -> str:
         """Persist one response (and optional bitstream); returns the run id.
-
-        A run this instance has already written and indexed, whose files
-        are still there, is not written again (see the module docstring).
-        """
-        run_id = self.run_id_for(response)
+        A run this instance indexed, whose files are there, is not rewritten."""
+        run_id, data = self._address(response)
         run_dir = self.runs_root / run_id
-        stored_bitstream = self._indexed.get(run_id)
-        if (
-            stored_bitstream is not None
-            and (run_dir / "response.json").exists()
-            and (
-                bitstream_json is None
-                or (stored_bitstream and (run_dir / "bitstream.json").exists())
-            )
+        indexed = self._indexed.get(run_id)
+        if indexed is not None and (run_dir / "response.json").exists() and (
+            bitstream_json is None or (indexed and (run_dir / "bitstream.json").exists())
         ):
             return run_id
+        text = json.dumps(data if data is not None else response.to_dict(), sort_keys=True)
         with self._index_guard():
             run_dir.mkdir(parents=True, exist_ok=True)
-            _write_atomic(run_dir / "response.json", response.to_json(indent=2))
-            _write_atomic(run_dir / "request.json", response.request.to_json(indent=2))
+            _write_atomic(run_dir / "response.json", text)
             if bitstream_json is not None:
                 _write_atomic(run_dir / "bitstream.json", bitstream_json)
-            index = self._read_index()
-            existing = index.get(run_id)
-            record = RunRecord(
-                run_id=run_id,
-                model=response.request.model,
-                status=response.status,
-                duplication_degree=response.request.duplication_degree,
-                created_at=(
-                    existing["created_at"] if existing else time.time()
-                ),
-                has_bitstream=bitstream_json is not None
-                or bool(existing and existing.get("has_bitstream")),
-            )
-            index[run_id] = record.to_dict()
-            self._write_index(index)
-            self._indexed[run_id] = record.has_bitstream
+            has_bitstream = bitstream_json is not None or bool(indexed)
+            if has_bitstream != indexed:  # also when this instance never indexed it
+                request = response.request
+                self._append_index(RunRecord(
+                    run_id, request.model, response.status,
+                    request.duplication_degree, time.time(), has_bitstream,
+                ))
+                self._indexed[run_id] = has_bitstream
         return run_id
 
     # ------------------------------------------------------------------
@@ -229,7 +225,7 @@ class ArtifactStore:
         self, model: str | None = None, status: str | None = None
     ) -> list[RunRecord]:
         """Index entries (newest first), optionally filtered."""
-        records = [RunRecord.from_dict(entry) for entry in self._read_index().values()]
+        records = list(self._read_index().values())
         if model is not None:
             records = [r for r in records if r.model == model]
         if status is not None:

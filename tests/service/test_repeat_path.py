@@ -10,10 +10,12 @@ makes skipping it safe).
 
 import builtins
 import dataclasses
+import hashlib
 import os
 import shutil
 import sys
 import threading
+import time
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -30,6 +32,7 @@ from repro.perf.analytic import pipeline_depth
 from repro.service import (
     ArtifactStore,
     CompileRequest,
+    CompileResponse,
     JobManager,
     JobState,
     ResultSummary,
@@ -221,14 +224,14 @@ def response():
 @pytest.fixture
 def writes(monkeypatch):
     """Every file opened for writing and every ``os.replace``, as
-    ``("open", path)`` / ``("replace", src, dst)`` entries.  ``write_text``
-    fails outright: it opens the final name in place."""
+    ``("open", name, mode)`` / ``("replace", src, dst)`` entries.
+    ``write_text`` fails outright: it opens the final name in place."""
     log = []
     real_open, real_replace = builtins.open, os.replace
 
     def spy_open(file, mode="r", *args, **kwargs):
         if set(mode) & set("wax+"):
-            log.append(("open", Path(file).name))
+            log.append(("open", Path(file).name, mode))
         return real_open(file, mode, *args, **kwargs)
 
     def spy_replace(src, dst, **kwargs):
@@ -270,15 +273,20 @@ class TestRepeatSave:
         store = ArtifactStore(tmp_path)
         served = serve_request(CompileRequest(model="MLP-500-100", emit_bitstream=True))
         store.save(served.response, bitstream_json=served.result.bitstream.to_json())
-        opened = [entry[1] for entry in writes if entry[0] == "open"]
+        opened = [entry[1:] for entry in writes if entry[0] == "open"]
         replaced = [entry[1:] for entry in writes if entry[0] == "replace"]
-        final_names = {"response.json", "request.json", "bitstream.json", "index.json"}
-        assert not final_names & set(opened)
-        assert {dst for _, dst in replaced} == final_names
+        run_files = {"response.json", "bitstream.json"}
+        assert not run_files & {name for name, _ in opened}
+        assert {dst for _, dst in replaced} == run_files
         assert all(src == dst + ".tmp" for src, dst in replaced)
+        # the index is appended to, never opened to be rewritten
+        assert [entry for entry in opened if entry[0].startswith("index")] == [
+            ("index.jsonl", "a+b")
+        ]
         # nothing but the final files is left behind
         run_dir = store.runs_root / store.run_id_for(served.response)
-        assert {p.name for p in run_dir.iterdir()} == final_names - {"index.json"}
+        assert {p.name for p in run_dir.iterdir()} == run_files
+        assert {p.name for p in tmp_path.iterdir()} == {"runs", "index.jsonl", ".index.lock"}
 
     def test_another_instance_takes_the_guarded_path(self, tmp_path, response, writes):
         first = ArtifactStore(tmp_path)
@@ -288,7 +296,9 @@ class TestRepeatSave:
         created_at = second.list_runs()[0].created_at
         writes.clear()
         assert second.save(response) == run_id
-        assert ("replace", "index.json.tmp", "index.json") in writes
+        assert ("replace", "response.json.tmp", "response.json") in writes
+        assert ("open", "index.jsonl", "a+b") in writes
+        assert len((tmp_path / "index.jsonl").read_bytes().splitlines()) == 2
         assert second.list_runs()[0].created_at == created_at  # first write wins
         writes.clear()
         assert second.save(response) == run_id
@@ -370,6 +380,51 @@ class TestRepeatSave:
         assert {record.run_id for record in store.list_runs()} == expected
         assert set(store._indexed) == expected
 
+    def test_the_500th_new_save_writes_as_many_index_bytes_as_the_1st(
+        self, tmp_path, response, monkeypatch
+    ):
+        # every run id has 16 characters, and with the clock held still
+        # every index line has the same length: a save that rewrote the
+        # index would write ~500 lines' worth by the end
+        monkeypatch.setattr(time, "time", lambda: 1792000000.0)
+        written = []
+        real_open = builtins.open
+
+        class Counted:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, data):
+                written.append(len(data))
+                return self.handle.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.handle.close()
+
+        def spy_open(file, mode="r", *args, **kwargs):
+            handle = real_open(file, mode, *args, **kwargs)
+            if Path(file).name.startswith("index") and set(mode) & set("wax+"):
+                return Counted(handle)
+            return handle
+
+        monkeypatch.setattr(builtins, "open", spy_open)
+        store = ArtifactStore(tmp_path)
+        per_save = []
+        for i in range(500):
+            written.clear()
+            request = dataclasses.replace(response.request, tags={"i": str(i)})
+            store.save(dataclasses.replace(response, request=request))
+            per_save.append(sum(written))
+        assert per_save[0] > 0
+        assert per_save[-1] == per_save[0]
+        assert len(store) == 500
+
 
 # ---------------------------------------------------------------------------
 # the job manager: an identical request is answered where it arrives
@@ -416,6 +471,25 @@ class TestAnsweredFromTheConcludedJob:
         assert len(pool.submitted) == 1
         stats = manager.stats
         assert (stats.submitted, stats.coalesced, stats.completed) == (6, 5, 6)
+
+    def test_an_identical_repeat_is_its_twin_and_hashes_nothing(
+        self, pool, tmp_path, monkeypatch
+    ):
+        manager = JobManager(pool=pool, store=ArtifactStore(tmp_path))
+        request = _point()
+        first = self.serve(manager, pool, request)
+        assert first.request is request  # built around the submitted request
+        work = [_count_calls(monkeypatch, hashlib, "sha256")] + [
+            _count_calls(monkeypatch, cls, "to_dict") for cls in (CompileRequest, CompileResponse)
+        ]
+        for _ in range(3):
+            assert self.serve(manager, pool, request) is first
+        assert work == [[], [], []]
+        # a tagged repeat is a copy under its own request, and its own run
+        tagged = self.serve(manager, pool, _point(tags={"who": "b"}))
+        assert tagged is not first and tagged.summary == first.summary
+        assert ArtifactStore.run_id_for(tagged) != ArtifactStore.run_id_for(first)
+        assert len(pool.submitted) == 1
 
     def test_use_cache_false_compiles_every_time(self, pool):
         manager = JobManager(pool=pool)

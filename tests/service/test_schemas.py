@@ -224,6 +224,20 @@ class TestServeAndRoundTrip:
         assert rebuilt == response
         assert rebuilt.to_json() == response.to_json()
 
+    def test_decoded_responses_share_their_key_strings(self):
+        # what a response kept in memory costs is mostly the key strings
+        # of its summary sections and pass rows, unless decodes share them
+        response = serve_request(CompileRequest(model="LeNet", run_pnr=True)).response
+        a, b = (CompileResponse.from_json(response.to_json()) for _ in range(2))
+        assert a == b == response
+        for section in ("blocks", "performance", "bounds", "energy", "pnr"):
+            keys = zip(getattr(a.summary, section), getattr(b.summary, section))
+            assert all(x is y for x, y in keys), section
+        assert a.summary.model is b.summary.model
+        for x, y in zip(a.timings.passes, b.timings.passes):
+            assert x.name is y.name
+            assert all(p is q for p, q in zip(x.provides, y.provides))
+
     def test_partial_compile_sections_are_none(self):
         request = CompileRequest(model="MLP-500-100", passes=("synthesis", "mapping"))
         response = serve_request(request).response

@@ -1,6 +1,11 @@
 """Tests of the content-addressed ArtifactStore."""
 
+import dataclasses
 import json
+import multiprocessing
+import shutil
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +18,27 @@ from repro.service import (
 )
 
 
+#: a store written before the index was a log, at commit 18c041f: a
+#: whole-file ``index.json`` and a ``request.json`` beside every response
+LEGACY_STORE = Path(__file__).parent / "legacy_store"
+
+
 @pytest.fixture
 def response():
     return serve_request(CompileRequest(model="MLP-500-100")).response
+
+
+def _tagged(response, **tags):
+    return dataclasses.replace(
+        response, request=dataclasses.replace(response.request, tags=tags)
+    )
+
+
+def _save_fifty(root: str, saver: str) -> list[str]:
+    """Process worker: 50 runs of its own into a store root it shares."""
+    store = ArtifactStore(root)
+    response = serve_request(CompileRequest(model="MLP-500-100")).response
+    return [store.save(_tagged(response, saver=saver, i=str(i))) for i in range(50)]
 
 
 class TestSaveLoad:
@@ -95,6 +118,83 @@ class TestIndex:
         reopened = ArtifactStore(tmp_path)
         assert run_id in reopened
         assert reopened.load(run_id) == response
+
+
+class TestAppendOnlyIndex:
+    def test_a_torn_last_line_is_skipped_and_never_continued(self, tmp_path, response):
+        store = ArtifactStore(tmp_path)
+        first = store.save(response)
+        index = tmp_path / "index.jsonl"
+        line = index.read_bytes()
+        torn = line[: len(line) // 2]
+        with open(index, "ab") as handle:  # a crash halfway through an append
+            handle.write(torn)
+        assert [record.run_id for record in store.list_runs()] == [first]
+        second = store.save(_tagged(response, n="2"))
+        assert index.read_bytes().split(b"\n")[:2] == [line.rstrip(b"\n"), torn]
+        assert json.loads(index.read_bytes().split(b"\n")[2])["run_id"] == second
+        assert {record.run_id for record in ArtifactStore(tmp_path)} == {first, second}
+
+    def test_two_processes_lose_no_entry(self, tmp_path):
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=2, mp_context=spawn) as pool:
+            saved = list(pool.map(_save_fifty, [str(tmp_path)] * 2, ["a", "b"]))
+        store = ArtifactStore(tmp_path)
+        expected = set(saved[0] + saved[1])
+        assert len(expected) == 100
+        assert {record.run_id for record in store.list_runs()} == expected
+        lines = (tmp_path / "index.jsonl").read_bytes().splitlines()
+        assert sorted(json.loads(line)["run_id"] for line in lines) == sorted(expected)
+
+    def test_first_line_gives_created_at_and_any_line_the_bitstream(self, tmp_path):
+        served = serve_request(CompileRequest(model="MLP-500-100", emit_bitstream=True))
+        run_id = ArtifactStore(tmp_path).save(served.response)
+        created_at = ArtifactStore(tmp_path).latest().created_at
+        bitstream = served.result.bitstream.to_json()
+        ArtifactStore(tmp_path).save(served.response, bitstream_json=bitstream)
+        ArtifactStore(tmp_path).save(served.response)
+        assert len((tmp_path / "index.jsonl").read_bytes().splitlines()) == 3
+        (record,) = ArtifactStore(tmp_path).list_runs()
+        assert (record.run_id, record.created_at, record.has_bitstream) == (
+            run_id, created_at, True
+        )
+
+
+class TestLegacyStore:
+    @pytest.fixture
+    def legacy(self, tmp_path):
+        root = tmp_path / "store"
+        shutil.copytree(LEGACY_STORE, root)
+        return root
+
+    @pytest.fixture
+    def recorded(self):
+        return json.loads((LEGACY_STORE / "index.json").read_text(encoding="utf-8"))
+
+    def test_lists_and_loads_verified(self, legacy, recorded):
+        store = ArtifactStore(legacy)
+        newest_first = sorted(recorded.values(), key=lambda e: e["created_at"], reverse=True)
+        assert [record.to_dict() for record in store.list_runs()] == newest_first
+        for run_id in recorded:
+            response = store.load(run_id, verify=True)
+            request_json = (legacy / "runs" / run_id / "request.json").read_text(encoding="utf-8")
+            assert response.request == CompileRequest.from_json(request_json)
+        (with_bitstream,) = [r.run_id for r in store.list_runs() if r.has_bitstream]
+        assert json.loads(store.load_bitstream(with_bitstream))["model"] == "MLP-500-100"
+
+    def test_accepts_saves_and_keeps_its_records(self, legacy, recorded):
+        store = ArtifactStore(legacy)
+        # the same point served today has the id it was stored under
+        again = serve_request(CompileRequest(model="MLP-500-100", emit_bitstream=True))
+        run_id = store.save(again.response)
+        assert recorded[run_id]["has_bitstream"]
+        new = store.save(serve_request(CompileRequest(model="LeNet")).response)
+        assert new not in recorded
+        reopened = ArtifactStore(legacy)
+        assert len(reopened) == len(recorded) + 1
+        records = {record.run_id: record.to_dict() for record in reopened}
+        assert {k: records[k] for k in recorded} == recorded  # first write wins
+        assert reopened.load(new, verify=True).request.model == "LeNet"
 
 
 class TestClientIntegration:
