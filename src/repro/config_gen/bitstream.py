@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from typing import Any, NamedTuple
 
 from ..arch.params import FPSAConfig
-from ..errors import MappingError, SynthesisError
+from ..errors import InvalidRequestError, MappingError
 from ..mapper.control import ControlPlan
 from ..mapper.mapper import MappingResult
 from ..mapper.netlist import BlockType
@@ -41,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CrossbarConfig:
+class CrossbarConfig(NamedTuple):
     """Programming record of one PE's crossbar."""
 
     pe: str
@@ -62,8 +63,7 @@ class CrossbarConfig:
         return self.programmed_cells * self.cell_bits
 
 
-@dataclass(frozen=True)
-class RoutingSwitchConfig:
+class RoutingSwitchConfig(NamedTuple):
     """ReRAM switches programmed for one routed net."""
 
     net: str
@@ -73,8 +73,7 @@ class RoutingSwitchConfig:
     switches_on: int
 
 
-@dataclass(frozen=True)
-class ControlConfig:
+class ControlConfig(NamedTuple):
     """CLB configuration summary."""
 
     clbs: int
@@ -89,23 +88,13 @@ class ControlConfig:
         return self.luts * 64
 
 
-@dataclass(frozen=True)
-class BufferConfig:
+class BufferConfig(NamedTuple):
     """SMB allocation record."""
 
     smb: str
     consumer_group: str
     capacity_values: int
     value_bits: int
-
-
-def _record_dicts(records: list) -> list[dict]:
-    """``dataclasses.asdict`` of flat records of one class, without its
-    recursive deep copy: the field names are resolved once per list."""
-    if not records:
-        return []
-    names = tuple(f.name for f in fields(records[0]))
-    return [{name: getattr(r, name) for name in names} for r in records]
 
 
 @dataclass
@@ -155,10 +144,10 @@ class FPSABitstream:
         return {
             "model": self.model,
             "duplication_degree": self.duplication_degree,
-            "crossbars": _record_dicts(self.crossbars),
-            "routing": _record_dicts(self.routing),
-            "control": _record_dicts([self.control])[0] if self.control else None,
-            "buffers": _record_dicts(self.buffers),
+            "crossbars": [c._asdict() for c in self.crossbars],
+            "routing": [r._asdict() for r in self.routing],
+            "control": self.control._asdict() if self.control else None,
+            "buffers": [b._asdict() for b in self.buffers],
             "total_configuration_bits": self.total_configuration_bits,
         }
 
@@ -166,72 +155,99 @@ class FPSABitstream:
         return json.dumps(self.to_dict(), indent=indent)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "FPSABitstream":
-        bitstream = cls(
+    def from_dict(cls, data: Mapping[str, Any]) -> "FPSABitstream":
+        """Rebuild a configuration from :meth:`to_dict`'s form.  The input
+        comes from outside the program: a missing key, or a missing or
+        unknown record field, raises :class:`InvalidRequestError` naming
+        the record kind, its index and the field."""
+        for key in ("model", "duplication_degree"):
+            if key not in data:
+                raise InvalidRequestError(
+                    f"bitstream: missing key {key!r}", details={"field": key}
+                )
+        control = data.get("control")
+        return cls(
             model=data["model"],
             duplication_degree=data["duplication_degree"],
-            crossbars=[CrossbarConfig(**c) for c in data.get("crossbars", [])],
-            routing=[RoutingSwitchConfig(**r) for r in data.get("routing", [])],
-            control=ControlConfig(**data["control"]) if data.get("control") else None,
-            buffers=[BufferConfig(**b) for b in data.get("buffers", [])],
+            crossbars=_records(CrossbarConfig, "crossbars", data),
+            routing=_records(RoutingSwitchConfig, "routing", data),
+            control=_record(ControlConfig, "control", None, control) if control else None,
+            buffers=_records(BufferConfig, "buffers", data),
         )
-        return bitstream
 
     @classmethod
     def from_json(cls, text: str) -> "FPSABitstream":
         return cls.from_dict(json.loads(text))
 
 
+def _record(record: type, kind: str, index: int | None, entry: Any) -> Any:
+    """``record(**entry)``, or the :class:`InvalidRequestError` naming the
+    first unknown or missing field of ``kind[index]``."""
+    where = kind if index is None else f"{kind}[{index}]"
+    details = {"record": kind, "index": index}
+    if not isinstance(entry, Mapping):
+        raise InvalidRequestError(f"bitstream {where}: not an object", details=details)
+    try:
+        return record(**entry)
+    except TypeError:
+        pass
+    unknown = [name for name in entry if name not in record._fields]
+    missing = [name for name in record._fields if name not in entry]
+    problem, name = ("unknown", unknown[0]) if unknown else ("missing", missing[0])
+    raise InvalidRequestError(
+        f"bitstream {where}: {problem} field {name!r}", details={**details, "field": name}
+    )
+
+
+def _records(record: type, kind: str, data: Mapping[str, Any]) -> list:
+    return [_record(record, kind, i, entry) for i, entry in enumerate(data.get(kind) or ())]
+
+
 def _crossbar_configs(mapping: MappingResult, config: FPSAConfig) -> list[CrossbarConfig]:
+    """One record per PE block.  A tile's rows and cols are
+    :meth:`TilePlan.tile`'s arithmetic on one ``(plan, n_tiles,
+    n_col_tiles)`` looked up per group; no ``Tile`` is built."""
     configs: list[CrossbarConfig] = []
     pe = config.pe
-    plans: dict[str, TilePlan] = {}
-    for block in mapping.netlist.blocks_of_type(BlockType.PE):
-        plan = plans.get(block.group)
-        if plan is None:
-            group = mapping.coreops.group(block.group)
-            plan = plans[block.group] = group.tiling(pe.rows, pe.logical_cols)
-        try:
-            tile = plan.tile(block.tile)
-        except SynthesisError:
+    cells_per_weight, cell_bits = pe.cells_per_weight, pe.cell_bits
+    shapes: dict[str, tuple[TilePlan, int, int]] = {}
+    for name, _, group, index, _ in mapping.netlist.blocks_of_type(BlockType.PE):
+        shape = shapes.get(group)
+        if shape is None:
+            plan = mapping.coreops.group(group).tiling(pe.rows, pe.logical_cols)
+            shape = shapes[group] = (plan, plan.n_tiles, plan.n_col_tiles)
+        plan, n_tiles, n_col_tiles = shape
+        if not 0 <= index < n_tiles:
             raise MappingError(
-                f"PE block {block.name!r} programs tile {block.tile} of group "
-                f"{block.group!r}, which has {plan.n_tiles} tiles",
-                details={
-                    "block": block.name,
-                    "group": block.group,
-                    "tile": block.tile,
-                    "n_tiles": plan.n_tiles,
-                },
-            ) from None
+                f"PE block {name!r} programs tile {index} of group "
+                f"{group!r}, which has {n_tiles} tiles",
+                details={"block": name, "group": group, "tile": index, "n_tiles": n_tiles},
+            )
+        ri, ci = divmod(index, n_col_tiles)
         configs.append(
             CrossbarConfig(
-                pe=block.name,
-                group=block.group,
-                tile_rows=tile.rows,
-                tile_cols=tile.cols,
-                cells_per_weight=pe.cells_per_weight,
-                cell_bits=pe.cell_bits,
+                name,
+                group,
+                min(plan.max_rows, plan.matrix_rows - ri * plan.max_rows),
+                min(plan.max_cols, plan.matrix_cols - ci * plan.max_cols),
+                cells_per_weight,
+                cell_bits,
             )
         )
     return configs
 
 
 def _routing_configs(pnr: PnRResult | None, mapping: MappingResult) -> list[RoutingSwitchConfig]:
-    configs: list[RoutingSwitchConfig] = []
     if pnr is not None:
         drivers = {net.name: net.driver for net in mapping.netlist.nets}
+        configs: list[RoutingSwitchConfig] = []
         for name, routed in pnr.routing.nets.items():
             segments = routed.wirelength
+            n_sinks = len(routed.sink_paths)
             # one CB switch per pin plus one SB switch per wire-to-wire hop
-            switches = segments + 1 + len(routed.sink_paths)
             configs.append(
                 RoutingSwitchConfig(
-                    net=name,
-                    driver=drivers.get(name, ""),
-                    n_sinks=len(routed.sink_paths),
-                    wire_segments=segments,
-                    switches_on=switches,
+                    name, drivers.get(name, ""), n_sinks, segments, segments + 1 + n_sinks
                 )
             )
         return configs
@@ -239,17 +255,16 @@ def _routing_configs(pnr: PnRResult | None, mapping: MappingResult) -> list[Rout
     # no detailed routing available: estimate from the netlist topology with
     # the analytic mean route length.
     estimated_segments = max(1, int(math.sqrt(len(mapping.netlist.blocks))))
-    for net in mapping.netlist.nets:
-        configs.append(
-            RoutingSwitchConfig(
-                net=net.name,
-                driver=net.driver,
-                n_sinks=len(net.sinks),
-                wire_segments=estimated_segments * len(net.sinks),
-                switches_on=(estimated_segments + 1) * len(net.sinks) + 1,
-            )
+    return [
+        RoutingSwitchConfig(
+            name,
+            driver,
+            len(sinks),
+            estimated_segments * len(sinks),
+            (estimated_segments + 1) * len(sinks) + 1,
         )
-    return configs
+        for name, driver, sinks, _ in mapping.netlist.nets
+    ]
 
 
 def _control_config(control: ControlPlan) -> ControlConfig:
@@ -266,12 +281,7 @@ def _buffer_configs(mapping: MappingResult, config: FPSAConfig) -> list[BufferCo
     value_bits = config.pe.io_bits
     capacity = config.smb.values_capacity(value_bits)
     return [
-        BufferConfig(
-            smb=block.name,
-            consumer_group=block.group,
-            capacity_values=capacity,
-            value_bits=value_bits,
-        )
+        BufferConfig(block.name, block.group, capacity, value_bits)
         for block in mapping.netlist.blocks_of_type(BlockType.SMB)
     ]
 

@@ -51,8 +51,9 @@ __all__ = [
 def fingerprint(*parts: Any) -> str:
     """SHA-256 digest of the ``repr`` of the given parts.
 
-    All the objects fed here are frozen dataclasses, strings or numbers,
-    whose ``repr`` is deterministic within (and across) processes.
+    All the objects fed here are frozen dataclasses, ``NamedTuple``
+    records, strings or numbers, whose ``repr`` is deterministic within
+    (and across) processes.
     """
     digest = hashlib.sha256()
     for part in parts:

@@ -16,6 +16,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 from ..arch.params import FPSAConfig
 from ..errors import MappingError
@@ -45,35 +46,47 @@ class BlockType:
     ALL = (PE, SMB, CLB, IO)
 
 
-@dataclass(frozen=True)
-class Block:
-    """One instantiated function block."""
-
+class _BlockFields(NamedTuple):
     name: str
     type: str
     group: str = ""
     tile: int = 0
     duplicate: int = 0
 
-    def __post_init__(self) -> None:
-        if self.type not in BlockType.ALL:
-            raise MappingError(f"unknown block type {self.type!r}")
+
+class Block(_BlockFields):
+    """One instantiated function block: an immutable tuple record whose
+    ``repr`` is the fingerprinted form."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, name: str, type: str, group: str = "", tile: int = 0, duplicate: int = 0
+    ) -> "Block":
+        if type not in BlockType.ALL:
+            raise MappingError(f"unknown block type {type!r}")
+        return tuple.__new__(cls, (name, type, group, tile, duplicate))
 
 
-@dataclass(frozen=True)
-class Net:
-    """One routed connection from a driver block to one or more sink blocks."""
-
+class _NetFields(NamedTuple):
     name: str
     driver: str
     sinks: tuple[str, ...]
     bits: int = 1
 
-    def __post_init__(self) -> None:
-        if not self.sinks:
-            raise MappingError(f"net {self.name!r} has no sinks")
-        if self.bits <= 0:
-            raise MappingError(f"net {self.name!r} must carry at least one bit")
+
+class Net(_NetFields):
+    """One routed connection from a driver block to one or more sink blocks
+    (an immutable tuple record, like :class:`Block`)."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, driver: str, sinks: tuple[str, ...], bits: int = 1) -> "Net":
+        if not sinks:
+            raise MappingError(f"net {name!r} has no sinks")
+        if bits <= 0:
+            raise MappingError(f"net {name!r} must carry at least one bit")
+        return tuple.__new__(cls, (name, driver, sinks, bits))
 
 
 @dataclass
@@ -113,9 +126,11 @@ class FunctionBlockNetlist:
             raise MappingError(
                 f"net 'net{len(self.nets)}' references unknown blocks {unknown}"
             )
-        for driver in drivers:
-            self.nets.append(Net(name=f"net{len(self.nets)}", driver=driver, sinks=sinks))
-            self.mutation_count += 1
+        self.nets.extend(
+            Net(f"net{index}", driver, sinks)
+            for index, driver in enumerate(drivers, len(self.nets))
+        )
+        self.mutation_count += len(drivers)
 
     def count(self, block_type: str) -> int:
         return sum(1 for b in self.blocks.values() if b.type == block_type)
@@ -199,8 +214,8 @@ def build_datapath(
     config = config if config is not None else FPSAConfig()
     netlist = FunctionBlockNetlist(model=coreops.name)
 
-    io_in = (netlist.add_block(Block(name="__input__", type=BlockType.IO)).name,)
-    io_out = (netlist.add_block(Block(name="__output__", type=BlockType.IO)).name,)
+    io_in = (netlist.add_block(Block("__input__", BlockType.IO)).name,)
+    io_out = (netlist.add_block(Block("__output__", BlockType.IO)).name,)
     edges = list(zip(coreops.edges(), smbs_per_edge(coreops, allocation, config)))
     smb_index = 0
 
@@ -214,11 +229,11 @@ def build_datapath(
             pe_names[group_name] = tuple(
                 netlist.add_block(
                     Block(
-                        name=f"{prefix}{group_name}::pe{tile}.{dup}",
-                        type=BlockType.PE,
-                        group=group_name,
-                        tile=tile,
-                        duplicate=dup,
+                        f"{prefix}{group_name}::pe{tile}.{dup}",
+                        BlockType.PE,
+                        group_name,
+                        tile,
+                        dup,
                     )
                 ).name
                 for tile in range(alloc.tiles)
@@ -231,9 +246,7 @@ def build_datapath(
             sinks = pe_names[edge.dst] if edge.dst in coreops else io_out
             if n_smbs:
                 smbs = tuple(
-                    netlist.add_block(
-                        Block(name=f"smb{smb_index + i}", type=BlockType.SMB, group=edge.dst)
-                    ).name
+                    netlist.add_block(Block(f"smb{smb_index + i}", BlockType.SMB, edge.dst)).name
                     for i in range(n_smbs)
                 )
                 smb_index += n_smbs
@@ -266,18 +279,11 @@ def attach_control(
     # net names continue the data nets' numbering
     net_index = len(netlist.nets)
     for i in range(clb_blocks):
-        clb = netlist.add_block(Block(name=f"clb{i}", type=BlockType.CLB))
+        clb = netlist.add_block(Block(f"clb{i}", BlockType.CLB))
         # each CLB drives the control pins of a share of the PEs
         share = pe_blocks[i::clb_blocks]
         if share:
-            netlist.add_net(
-                Net(
-                    name=f"net{net_index}",
-                    driver=clb.name,
-                    sinks=tuple(b.name for b in share),
-                    bits=1,
-                )
-            )
+            netlist.add_net(Net(f"net{net_index}", clb.name, tuple(b.name for b in share)))
             net_index += 1
     return netlist
 

@@ -136,13 +136,17 @@ def estimate_block_counts(
     coreops: CoreOpGraph,
     allocation: AllocationResult,
     config: FPSAConfig | None = None,
+    n_smb: int | None = None,
 ) -> BlockCounts:
     """Block counts of a design point that has no mapping: the netlist's
     exact PE and SMB counts, CLBs at the default ``clbs_per_pe``
-    provisioning (a mapping's control plan sizes them exactly)."""
+    provisioning (a mapping's control plan sizes them exactly).  A caller
+    holding a mapping passes its SMB count as ``n_smb``; without one the
+    count is derived from the buffered-edge rule."""
     config = config if config is not None else FPSAConfig()
     n_pe = allocation.total_pes
-    n_smb = allocation.replication * sum(smbs_per_edge(coreops, allocation, config))
+    if n_smb is None:
+        n_smb = allocation.replication * sum(smbs_per_edge(coreops, allocation, config))
     n_clb = max(1, math.ceil(n_pe * config.clbs_per_pe))
     return BlockCounts(n_pe=n_pe, n_smb=n_smb, n_clb=n_clb)
 
@@ -183,6 +187,7 @@ def evaluate_design_point(
     arch: ArchitectureModel,
     n_pe_total: int | None = None,
     config: FPSAConfig | None = None,
+    n_smb: int | None = None,
 ) -> PerformanceReport:
     """Evaluate one (model, architecture, allocation) design point.
 
@@ -195,9 +200,12 @@ def evaluate_design_point(
     n_pe_total:
         Total PEs physically present on the chip (>= the allocated PEs);
         the surplus contributes to peak performance and area but idles.
+    n_smb:
+        The mapping's SMB count, when the caller has a mapping
+        (:func:`estimate_block_counts` derives it otherwise).
     """
     config = config if config is not None else FPSAConfig()
-    blocks = estimate_block_counts(coreops, allocation, config)
+    blocks = estimate_block_counts(coreops, allocation, config, n_smb)
     n_pe = max(blocks.n_pe, n_pe_total or 0)
 
     comm = arch.comm_model()

@@ -37,6 +37,8 @@ class PerfPass(CompilePass):
             _useful_ops(ctx),
             FPSAArchitecture(ctx.config),
             config=ctx.config,
+            # the mapper has counted the SMBs; the estimator need not again
+            n_smb=ctx.mapping.block_counts()["n_smb"],
         )
 
 

@@ -9,6 +9,7 @@ a wire-ready :class:`~repro.service.schemas.CompileResponse`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
@@ -41,12 +42,19 @@ class ServedCompile:
         return self.response.ok
 
 
+@functools.cache
+def _default_config() -> FPSAConfig:
+    """The paper's configuration, built once per process: it is frozen, so
+    every ``config=None`` request shares it and its memoized fingerprint."""
+    return FPSAConfig()
+
+
 def _compiler_for(
     request: CompileRequest,
     config: FPSAConfig | None,
     cache: StageCache | bool | None,
 ) -> FPSACompiler:
-    config = config if config is not None else FPSAConfig()
+    config = config if config is not None else _default_config()
     synthesis_options = None
     if request.synthesis_options is not None:
         try:

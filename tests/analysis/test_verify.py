@@ -208,7 +208,9 @@ class TestVerifyMapping:
             netlist.blocks.pop(netlist.nets[0].driver)
             invariant = "net-terminals"
         elif mutation == "empty-sinks":
-            object.__setattr__(netlist.nets[0], "sinks", ())
+            # a record is an immutable tuple; ``_replace`` builds the invalid
+            # net its constructor would refuse
+            netlist.nets[0] = netlist.nets[0]._replace(sinks=())
             invariant = "net-sinks"
         elif mutation == "pe-count":
             group = next(iter(mapping.allocation.allocations))
@@ -222,7 +224,7 @@ class TestVerifyMapping:
             netlist.blocks["clb-extra"] = Block("clb-extra", "CLB")
             invariant = "block-counts"
         else:
-            object.__setattr__(netlist.nets[0], "bits", 0)
+            netlist.nets[0] = netlist.nets[0]._replace(bits=0)
             invariant = "net-bits"
         with pytest.raises(VerificationError) as excinfo:
             verify_mapping(mapping)

@@ -1,5 +1,7 @@
 """Tests of the function-block netlist builder."""
 
+import pickle
+
 import pytest
 
 from repro.mapper.allocation import allocate
@@ -17,6 +19,29 @@ class TestNetlistDataModel:
             Net(name="n", driver="a", sinks=())
         with pytest.raises(ValueError):
             Net(name="n", driver="a", sinks=("b",), bits=0)
+
+    @pytest.mark.parametrize(
+        "record, text",
+        [
+            (
+                Block("pe0", BlockType.PE, "g", 1, 2),
+                "Block(name='pe0', type='PE', group='g', tile=1, duplicate=2)",
+            ),
+            (
+                Net("n", "pe0", ("pe1", "pe2"), 3),
+                "Net(name='n', driver='pe0', sinks=('pe1', 'pe2'), bits=3)",
+            ),
+        ],
+        ids=["Block", "Net"],
+    )
+    def test_records_are_immutable_tuples(self, record, text):
+        for name in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+        # the repr is the fingerprinted form
+        assert repr(record) == text
+        assert type(record)(**record._asdict()) == record
+        assert pickle.loads(pickle.dumps(record)) == record
 
     def test_duplicate_block_rejected(self):
         netlist = FunctionBlockNetlist("m")

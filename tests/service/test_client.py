@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.core.cache import StageCache
+from repro.arch.params import FPSAConfig
+from repro.core.cache import StageCache, fingerprint
 from repro.errors import CapacityError, UnknownModelError
 from repro.service import CompileRequest, FPSAClient
+from repro.service.client import _default_config, serve_request
 
 
 class TestCompile:
@@ -34,6 +36,26 @@ class TestCompile:
         request = CompileRequest(model="MLP-500-100", duplication_degree=3)
         assert client.compile(request).timings.cache_hits == 0
         assert client.compile(request).timings.cache_hits > 0
+
+
+class TestServeRequest:
+    def test_default_config_is_hashed_once(self, monkeypatch):
+        """``config=None`` serves share one frozen default: its fingerprint is
+        computed once, not once per request."""
+        hashed = []
+
+        def spy(*parts):
+            if any(isinstance(part, FPSAConfig) for part in parts):
+                hashed.append(parts)
+            return fingerprint(*parts)
+
+        monkeypatch.setattr("repro.core.cache.fingerprint", spy)
+        _default_config.cache_clear()
+        request = CompileRequest(model="MLP-500-100", duplication_degree=5)
+        first, second = (serve_request(request, cache=StageCache()) for _ in range(2))
+        assert first.ok and second.ok
+        assert first.result.mapping.config is second.result.mapping.config
+        assert len(hashed) == 1
 
 
 class TestDeploy:
