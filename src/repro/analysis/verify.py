@@ -360,46 +360,50 @@ def verify_routing(
 ) -> None:
     """Routing: every net routed, RR-node capacity respected, every path
     follows switches of the fabric from the net's tree so far, routes
-    connect their terminals (terminal checks need netlist + placement)."""
-    # capacity: every wire RR node hosts at most one net's tree
-    usage: dict[Any, int] = {}
-    for net in routing.nets.values():
-        for node in net.nodes:
-            if getattr(node, "is_wire", False):
-                usage[node] = usage.get(node, 0) + 1
-    overused = sorted(_rr(node) for node, count in usage.items() if count > 1)
-    if overused:
-        _fail(stage, "rr-capacity", "wire nodes shared by multiple nets", overused)
-    if routing.overused_nodes != 0:
-        _fail(stage, "routing-legal",
-              f"routing recorded {routing.overused_nodes} overused node(s)",
-              [routing.overused_nodes])
+    connect their terminals (terminal checks need netlist + placement).
+    Node ids are decoded with the routing's geometry; every step is judged
+    on the decoded coordinates."""
+    node = routing.geometry.node if routing.nets else None
+    decoded: dict[str, dict[int, Any]] = {}
     for name, net in routing.nets.items():
         if net.name != name:
             _fail(stage, "name-mismatch", "net routed under a different name",
                   [name, net.name])
-        stray = [
-            _rr(node)
-            for path in net.sink_paths.values()
-            for node in path
-            if node not in net.nodes
-        ]
+        tree = set(net.nodes)
+        if list(net.nodes) != sorted(tree):
+            _fail(stage, "route-tree", f"net {name!r}: tree ids not distinct, ascending", [name])
+        ids = tree.union(*net.sink_paths.values())
+        if not all(0 <= u < routing.geometry.n_nodes for u in ids):
+            _fail(stage, "route-tree", f"net {name!r} has ids outside the fabric", [name])
+        decoded[name] = at = {u: node(u) for u in ids}
+        stray = [_rr(at[u]) for path in net.sink_paths.values() for u in path if u not in tree]
         if stray:
             _fail(stage, "route-tree",
                   f"net {name!r} has sink-path nodes outside its routed tree",
                   sorted(set(stray)))
+    # capacity: every wire RR node hosts at most one net's tree
+    usage: dict[Any, int] = {}
+    for name, net in routing.nets.items():
+        for u in net.nodes:
+            if decoded[name][u].is_wire:
+                usage[u] = usage.get(u, 0) + 1
+    overused = sorted(_rr(node(u)) for u, count in usage.items() if count > 1)
+    if overused:
+        _fail(stage, "rr-capacity", "wire nodes shared by multiple nets", overused)
+    for name, net in routing.nets.items():
+        at = decoded[name]
         # paths are recorded in routing order: each branches off the tree
         # the earlier ones built, the first off the driver's output pin
-        reached: set[Any] = set()
+        reached: set[int] = set()
         for pos, path in net.sink_paths.items():
-            if path and path[0].kind != "OPIN" and path[0] not in reached:
+            if path and at[path[0]].kind != "OPIN" and path[0] not in reached:
                 _fail(stage, "route-edges",
-                      f"net {name!r}: path to {pos} starts at {_rr(path[0])}, neither "
+                      f"net {name!r}: path to {pos} starts at {_rr(at[path[0]])}, neither "
                       f"an output pin nor a node of an earlier path", [name])
             for a, b in zip(path, path[1:]):
-                if not _is_fabric_switch(a, b):
+                if not _is_fabric_switch(at[a], at[b]):
                     _fail(stage, "route-edges",
-                          f"net {name!r}: path to {pos} steps {_rr(a)} -> {_rr(b)}, "
+                          f"net {name!r}: path to {pos} steps {_rr(at[a])} -> {_rr(at[b])}, "
                           f"which no switch of the fabric connects", [name])
             reached.update(path)
     if netlist is None or placement is None:
@@ -413,6 +417,7 @@ def verify_routing(
         _fail(stage, "nets-phantom", "routed nets do not exist in the netlist", phantom)
     nets_by_name = {net.name: net for net in netlist.nets}
     for name, routed in routing.nets.items():
+        at = decoded[name]
         net = nets_by_name[name]
         driver_pos = placement.position(net.driver)
         sink_positions = {placement.position(sink) for sink in net.sinks}
@@ -424,7 +429,7 @@ def verify_routing(
             if not path:
                 _fail(stage, "route-connects-sinks",
                       f"net {name!r} has an empty path to sink {pos}", [pos])
-            first, last = path[0], path[-1]
+            first, last = at[path[0]], at[path[-1]]
             if first.kind == "OPIN" and (first.x, first.y) != driver_pos:
                 _fail(stage, "route-edges",
                       f"net {name!r}: path to {pos} starts at the output pin of "
@@ -436,9 +441,9 @@ def verify_routing(
                       f"{last.kind}({last.x},{last.y}), not the sink IPIN",
                       [name])
         opin = [
-            node
-            for node in routed.nodes
-            if node.kind == "OPIN" and (node.x, node.y) == driver_pos
+            u
+            for u in routed.nodes
+            if at[u].kind == "OPIN" and (at[u].x, at[u].y) == driver_pos
         ]
         if not opin:
             _fail(stage, "route-connects-driver",

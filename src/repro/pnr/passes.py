@@ -10,9 +10,10 @@ from .pnr import PlaceAndRoute
 __all__ = ["PnRPass"]
 
 #: version salt of the P&R artifact: bumped whenever the engine's output
-#: changes for the same inputs (v4 = serial annealer, two proposals per
-#: movable block per temperature).
-_PNR_ARTIFACT_VERSION = "pnr-v4"
+#: changes for the same inputs, or its pickled layout does (v4 = serial
+#: annealer, two proposals per movable block per temperature; v5 = routed
+#: trees and paths held as node-id tuples, every routing unchanged).
+_PNR_ARTIFACT_VERSION = "pnr-v5"
 
 
 @register_pass

@@ -6,6 +6,11 @@ historical congestion.  Iterating rip-up-and-reroute until no wire is
 shared by two different nets yields a legal routing, exactly as VPR/mrVPR
 do for FPGAs.
 
+A routing is node ids: each net's tree is the sorted tuple of the ids it
+occupies and each sink path the tuple of ids the search walked, decoded
+into :class:`~repro.pnr.rrgraph.RRNode` only by a reader that prints or
+judges coordinates (``RoutingResult.geometry.node``).
+
 Three structural optimizations keep the negotiation loop fast without
 changing its semantics where it matters:
 
@@ -13,9 +18,9 @@ changing its semantics where it matters:
   terminal bounding box grown by ``_BB_MARGIN`` blocks, so a short net
   never floods the fabric;
 * **congestion domains** — nets whose search windows overlap are grouped
-  (union-find) into one domain; domains are node-disjoint by construction
-  and therefore share no congestion state, so each runs its own
-  independent negotiation loop, one after the other;
+  (union-find, one row sweep) into one domain; domains are node-disjoint
+  by construction and therefore share no congestion state, so each runs
+  its own independent negotiation loop, one after the other;
 * **incremental rip-up** — from the second negotiation iteration on, only
   the nets whose trees touch an overused wire are ripped up and rerouted;
   everyone else keeps their tree and their occupancy.
@@ -36,14 +41,18 @@ of equivalent tracks, and routing is deterministic across processes.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+
+import numpy as np
 
 from ..errors import InvalidRequestError, PnRError
 from ..mapper.netlist import FunctionBlockNetlist, Net
 from .options import PnROptions
 from .placement import Placement
-from .rrgraph import PIN_BASE_COST, WIRE_BASE_COST, RoutingResourceGraph, RRNode
+from .rrgraph import PIN_BASE_COST, WIRE_BASE_COST, RoutingResourceGraph, _Geometry
 
 __all__ = ["RoutedNet", "RoutingResult", "PathFinderRouter", "RoutingError"]
 
@@ -70,30 +79,37 @@ def _lookahead(span: int) -> tuple[list[list[float]], list[list[float]]]:
     multiplies costs up and the borders only remove edges, so it never
     overestimates.
     """
-    def near(d: int) -> int:  # to the nearer of the pin's two channels
-        return min(abs(d), abs(d + 1))
-
-    def table(hops) -> list[list[float]]:
-        return [
-            [PIN_BASE_COST + WIRE_BASE_COST * hops(dx, dy) for dy in range(-span, span + 1)]
-            for dx in range(-span, span + 1)
-        ]
-
-    return (
-        table(lambda dx, dy: min(abs(dx) + near(dy), 1 + near(dx) + abs(dy))),
-        table(lambda dx, dy: min(abs(dy) + near(dx), 1 + abs(dx) + near(dy))),
+    d = np.arange(-span, span + 1)
+    near = np.minimum(abs(d), abs(d + 1))  # to the nearer of the pin's two channels
+    dx, dy, near_x, near_y = abs(d)[:, None], abs(d)[None, :], near[:, None], near[None, :]
+    return tuple(
+        (PIN_BASE_COST + WIRE_BASE_COST * hops).tolist()
+        for hops in (
+            np.minimum(dx + near_y, 1 + near_x + dy),
+            np.minimum(dy + near_x, 1 + dx + near_y),
+        )
     )
 
 
 def _key_order(channel: range, node_cost: list[float], h: float):
     """The wires of one channel in the order a search pops them when all
     are entered at ``g = 0`` under the same ``h``: by heap key
-    ``(cost + h, -cost, -id)``.  Congestion-free channels, the common
-    case, cost the same on every track: descending ids, no sort."""
+    ``(cost + h, -cost, -id)``.  That is the channel's distinct costs by
+    ``(cost + h, -cost)``, each cost's wires in descending id, yielded as
+    they are asked for.  Congestion-free channels, the common case, cost
+    the same on every track: descending ids."""
     costs = node_cost[channel.start:channel.stop:2]
-    if min(costs) == max(costs):
+    distinct = set(costs)
+    if len(distinct) == 1:
         return reversed(channel)
-    return iter(sorted(channel, key=lambda v: (node_cost[v] + h, -node_cost[v], -v)))
+    costs.reverse()
+    ids = channel[::-1]
+    return (
+        v
+        for cost in sorted(distinct, key=lambda c: (c + h, -c))
+        for v, c in zip(ids, costs)
+        if c == cost
+    )
 
 
 class RoutingError(PnRError):
@@ -106,21 +122,26 @@ class RoutingError(PnRError):
 
 @dataclass
 class RoutedNet:
-    """The routed tree of one net."""
+    """The routed tree of one net, as node ids; ids below ``n_wires`` are
+    wires."""
 
     name: str
-    nodes: set[RRNode] = field(default_factory=set)
-    sink_paths: dict[tuple[int, int], list[RRNode]] = field(default_factory=dict)
+    #: every node of the tree, ascending: its wires, then its pins
+    nodes: tuple[int, ...] = ()
+    #: each sink's path in routing order, from the tree node it branched
+    #: off to the sink's input pin
+    sink_paths: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
+    n_wires: int = 0
 
     @property
     def wirelength(self) -> int:
         """Number of wire segments used by the net's tree."""
-        return sum(1 for node in self.nodes if node.is_wire)
+        return bisect_left(self.nodes, self.n_wires)
 
     def sink_delay_segments(self, sink: tuple[int, int]) -> int:
         """Wire segments on the path from the driver to one sink."""
-        path = self.sink_paths.get(sink, [])
-        return sum(1 for node in path if node.is_wire)
+        n_wires = self.n_wires
+        return sum(u < n_wires for u in self.sink_paths.get(sink, ()))
 
 
 @dataclass
@@ -128,9 +149,10 @@ class RoutingResult:
     """All routed nets plus congestion/search statistics."""
 
     nets: dict[str, RoutedNet] = field(default_factory=dict)
+    #: the fabric's id arithmetic: ``geometry.node(i)`` decodes node id ``i``
+    geometry: _Geometry | None = None
     #: negotiation iterations: the maximum over all congestion domains
     iterations: int = 0
-    overused_nodes: int = 0
     #: independent congestion domains the netlist partitioned into
     domains: int = 0
     #: A* node expansions summed over every search
@@ -140,9 +162,14 @@ class RoutingResult:
     #: wall-clock seconds inside the search inner loop
     expand_seconds: float = 0.0
 
+    def _wires(self) -> list[tuple[int, ...]]:
+        return [net.nodes[:net.wirelength] for net in self.nets.values()]
+
     @property
     def legal(self) -> bool:
-        return self.overused_nodes == 0
+        """Whether no wire lies in two nets' trees, recounted."""
+        wires = self._wires()
+        return len(set().union(*wires)) == sum(map(len, wires))
 
     @property
     def total_wirelength(self) -> int:
@@ -150,15 +177,10 @@ class RoutingResult:
 
     def max_channel_occupancy(self) -> int:
         """Largest number of nets using wires of the same channel position."""
-        usage: dict[tuple[str, int, int], int] = {}
-        for net in self.nets.values():
-            seen = set()
-            for node in net.nodes:
-                if node.is_wire:
-                    key = (node.kind, node.x, node.y)
-                    if key not in seen:
-                        usage[key] = usage.get(key, 0) + 1
-                        seen.add(key)
+        usage: Counter[int] = Counter()
+        for wires in self._wires():
+            # one channel position's ids share id // (2 * tracks) and bit 0
+            usage.update({u // (2 * self.geometry.tracks) * 2 + (u & 1) for u in wires})
         return max(usage.values(), default=0)
 
 
@@ -233,6 +255,15 @@ class PathFinderRouter:
         Nets in different domains have disjoint search windows, hence
         disjoint reachable node sets, hence no shared congestion state:
         their negotiation loops are fully independent.
+
+        One sweep in ``lo_x`` order.  Each ``y`` row keeps the window met
+        so far that covers it with the largest ``hi_x``; a new window
+        overlaps an earlier one covering a row of its own iff that one's
+        ``hi_x`` reaches its ``lo_x``.  All such windows contain the point
+        ``(lo_x, y)``, so they are one component already, and uniting with
+        the kept one is uniting with them all.  A root is its domain's
+        smallest index, so the partition does not depend on the order
+        pairs are met in.
         """
         n = len(windows)
         parent = list(range(n))
@@ -243,22 +274,21 @@ class PathFinderRouter:
                 i = parent[i]
             return i
 
-        # sweep in lo_x order: past the first window starting right of
-        # hi_x none overlaps.  A root is its domain's smallest index, so
-        # the partition does not depend on the order pairs are met in
-        order = sorted(range(n), key=lambda i: windows[i][0])
-        for a, i in enumerate(order):
-            _, hi_xi, lo_yi, hi_yi = windows[i]
-            for b in range(a + 1, n):
-                j = order[b]
-                lo_xj, _, lo_yj, hi_yj = windows[j]
-                if lo_xj > hi_xi:
-                    break
-                if hi_yi < lo_yj or hi_yj < lo_yi:
-                    continue
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[max(ri, rj)] = min(ri, rj)
+        low = min((w[2] for w in windows), default=0)
+        rows = max((w[3] for w in windows), default=low) - low + 1
+        kept = [-1] * rows
+        reach = [min((w[0] for w in windows), default=0) - 1] * rows  # kept's hi_x
+        for j in sorted(range(n), key=lambda i: windows[i][0]):
+            lo_x, hi_x, lo_y, hi_y = windows[j]
+            joined = -1
+            for r in range(lo_y - low, hi_y - low + 1):
+                if reach[r] >= lo_x and kept[r] != joined:
+                    joined = kept[r]
+                    ri, rj = find(joined), find(j)
+                    if ri != rj:
+                        parent[max(ri, rj)] = min(ri, rj)
+                if hi_x > reach[r]:
+                    kept[r], reach[r] = j, hi_x
 
         groups: dict[int, list[int]] = {}
         for i in range(n):
@@ -273,7 +303,7 @@ class PathFinderRouter:
 
         nets = [net for net in netlist.nets if net.sinks]
         terminals, windows = self._net_terminals(nets, placement)
-        result = RoutingResult()
+        result = RoutingResult(geometry=compiled.geometry)
         if not terminals:
             return result
 
@@ -289,7 +319,7 @@ class PathFinderRouter:
 
         # per-net routed state, filled in by the domain loops
         trees: list[list[int] | None] = [None] * len(terminals)
-        paths: list[dict[tuple[int, int], list[int]] | None] = [None] * len(terminals)
+        paths: list[dict[tuple[int, int], tuple[int, ...]] | None] = [None] * len(terminals)
         wires: list[list[int]] = [[] for _ in terminals]
 
         fabric = self.graph.fabric
@@ -301,17 +331,10 @@ class PathFinderRouter:
                 trees, paths, wires, result,
             )
 
-        nodes_by_id = compiled.nodes
+        n_wires = compiled.n_wires
         for index, (net, _, _) in enumerate(terminals):
-            # every path node is on the tree: build each RRNode once
-            node_of = {u: nodes_by_id[u] for u in trees[index]}
             result.nets[net.name] = RoutedNet(
-                name=net.name,
-                nodes=set(node_of.values()),
-                sink_paths={
-                    pos: [node_of[u] for u in path]
-                    for pos, path in paths[index].items()
-                },
+                net.name, tuple(sorted(trees[index])), paths[index], n_wires
             )
         return result
 
@@ -396,7 +419,7 @@ class PathFinderRouter:
         compiled,
         state: _SearchState,
         node_cost: list[float],
-    ) -> tuple[list[int], dict[tuple[int, int], list[int]], int]:
+    ) -> tuple[list[int], dict[tuple[int, int], tuple[int, ...]], int]:
         """Route one net as a tree; returns (tree, sink paths, expansions)."""
         net, source, sinks = terminal
         on_tree = state.on_tree
@@ -406,10 +429,10 @@ class PathFinderRouter:
         net_stamp = state.stamp + 1
         tree = [source]
         on_tree[source] = net_stamp
-        sink_paths: dict[tuple[int, int], list[int]] = {}
+        sink_paths: dict[tuple[int, int], tuple[int, ...]] = {}
         for pos, sink in sinks:
             if on_tree[sink] == net_stamp:
-                sink_paths[pos] = [sink]
+                sink_paths[pos] = (sink,)
                 continue
             state.stamp = net_stamp = state.stamp + 1
             found, expanded = self._search(
@@ -417,10 +440,9 @@ class PathFinderRouter:
             )
             expansions += expanded
             if not found:
-                node = compiled.nodes[sink]
                 raise RoutingError(
-                    f"no path to sink pin at ({node.x}, {node.y}) inside the "
-                    f"net's search window; increase the channel width"
+                    f"no path to sink pin at ({compiled.x[sink]}, {compiled.y[sink]}) "
+                    f"inside the net's search window; increase the channel width"
                 )
             path = [sink]
             u = sink
@@ -428,7 +450,7 @@ class PathFinderRouter:
                 u = prev[u]
                 path.append(u)
             path.reverse()
-            sink_paths[pos] = path
+            sink_paths[pos] = path = tuple(path)
             for u in path:
                 if on_tree[u] != net_stamp:
                     on_tree[u] = net_stamp

@@ -13,17 +13,15 @@ only to track ``t`` of the adjacent channels.  Such a fabric is
 translation-invariant, so the :class:`CompiledRRGraph` the router searches
 stores no node and no edge: it keeps three flat per-node lists (``x``,
 ``y``, ``base_cost``) and computes the rest from a node's id when asked —
-:meth:`_Geometry.neighbors_of` is the one neighbour rule, ``nodes`` and
-``neighbors`` are indexable views over the arithmetic.  The object-level
-adjacency of :class:`RoutingResourceGraph` is the reference the rule is
-tested against; the compile flow never builds it.
+:meth:`_Geometry.neighbors_of` is the one neighbour rule and
+:meth:`_Geometry.node` decodes an id into an :class:`RRNode`.  The tests
+keep an object-level adjacency dict as the reference both are checked
+against; nothing in the compile flow builds one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Any, Callable
 
 import numpy as np
 
@@ -56,32 +54,11 @@ WIRE_BASE_COST = 1.0
 PIN_BASE_COST = 0.5
 
 
-class _Computed:
-    """A read-only sequence whose items are computed from their index."""
-
-    __slots__ = ("_length", "_item")
-
-    def __init__(self, length: int, item: Callable[[int], Any]):
-        self._length = length
-        self._item = item
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, i: int) -> Any:
-        if not 0 <= i < self._length:
-            raise IndexError(i)
-        return self._item(i)
-
-    def __eq__(self, other: object) -> bool:
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-
 class _Geometry:
     """The id arithmetic of a ``(width, height, tracks)`` fabric.
 
-    Node ids follow the dict construction's node order: ``H(x, y, t)`` and
-    ``V(x, y, t)`` interleaved over ``x``, ``y``, ``t`` — wire
+    Node ids are ``H(x, y, t)`` and ``V(x, y, t)`` interleaved over ``x``,
+    ``y``, ``t`` — wire
     ``2 * (((x + 1) * n_ch_y + (y + 1)) * tracks + t) + (kind == "V")`` —
     then ``OPIN(x, y)`` / ``IPIN(x, y)`` over the ``(width + 2) x
     (height + 2)`` pin sites.
@@ -96,7 +73,14 @@ class _Geometry:
         self.n_wires = 2 * self.n_ch_x * self.n_ch_y * tracks
         self.n_nodes = self.n_wires + 2 * (width + 2) * (height + 2)
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, _Geometry) and (
+            (self.n_ch_x, self.n_ch_y, self.tracks) == (other.n_ch_x, other.n_ch_y, other.tracks)
+        )
+
     def node(self, i: int) -> RRNode:
+        """The node of id ``i``: what a reader prints or judges on
+        coordinates; the router never builds one."""
         if i < self.n_wires:
             cell, track = divmod(i >> 1, self.tracks)
             cx, cy = divmod(cell, self.n_ch_y)
@@ -167,38 +151,17 @@ class CompiledRRGraph:
 
     Every wire (``H`` even, ``V`` odd) comes before every pin, so
     ``id < n_wires`` is "is a wire", and any computation keyed on ids (heap
-    tie-breaking in particular) is reproducible across processes, unlike
-    iteration over sets of :class:`RRNode`, whose order depends on
-    randomized string hashing.  The per-node attributes are plain Python
-    lists, which the heapq search indexes faster than arrays.
-
-    Compiling an adjacency dict is the reference construction: ``nodes``
-    and ``neighbors`` are lists, there is no ``geometry``, and the router
-    never sees one.  :meth:`from_geometry` makes both views over the
-    arithmetic, with the same ids, edges and attributes.
+    tie-breaking in particular) is reproducible across processes.  Only the
+    per-node ``x``, ``y`` and ``base_cost`` are stored, as plain Python
+    lists, which the heapq search indexes faster than arrays; edges and
+    nodes are :attr:`geometry`'s arithmetic.
     """
 
-    __slots__ = ("nodes", "neighbors", "n_wires", "base_cost", "x", "y", "geometry")
-
-    def __init__(self, adjacency: dict[RRNode, list[RRNode]]):
-        self.geometry: _Geometry | None = None
-        self.nodes: list[RRNode] | _Computed = list(adjacency)
-        ids = {node: i for i, node in enumerate(self.nodes)}
-        self.neighbors: list[list[int]] | _Computed = [
-            [ids[n] for n in adjacency[node]] for node in self.nodes
-        ]
-        self.n_wires = sum(1 for node in self.nodes if node.is_wire)
-        self.base_cost: list[float] = [
-            WIRE_BASE_COST if node.is_wire else PIN_BASE_COST for node in self.nodes
-        ]
-        self.x: list[int] = [node.x for node in self.nodes]
-        self.y: list[int] = [node.y for node in self.nodes]
+    __slots__ = ("n_wires", "base_cost", "x", "y", "geometry")
 
     @classmethod
     def from_geometry(cls, width: int, height: int, tracks: int) -> "CompiledRRGraph":
-        """The compiled graph of a ``(width, height, tracks)`` fabric: only
-        ``x``, ``y`` and ``base_cost`` are stored, an :class:`RRNode` or a
-        neighbour list is made when one is indexed."""
+        """The compiled graph of a ``(width, height, tracks)`` fabric."""
         if width <= 0 or height <= 0:
             raise InvalidRequestError("fabric dimensions must be positive")
         if tracks <= 0:
@@ -207,8 +170,6 @@ class CompiledRRGraph:
         self.geometry = geometry = _Geometry(width, height, tracks)
         self.n_wires = n_wires = geometry.n_wires
         n_nodes = geometry.n_nodes
-        self.nodes = _Computed(n_nodes, geometry.node)
-        self.neighbors = _Computed(n_nodes, geometry.neighbors_of)
         self.base_cost = [WIRE_BASE_COST] * n_wires + [PIN_BASE_COST] * (n_nodes - n_wires)
         n_ch_x, n_ch_y = width + 1, height + 1
         self.x = (
@@ -222,15 +183,14 @@ class CompiledRRGraph:
         return self
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return self.geometry.n_nodes
 
 
 class RoutingResourceGraph:
-    """Adjacency structure over :class:`RRNode` objects.
+    """The routing resources of a fabric at one channel width.
 
-    The object-level adjacency dict exists for inspection and as the tests'
-    reference; it is built on first access.  The compile flow only ever
-    calls :meth:`compiled`, which builds nothing of the kind.
+    The compile flow only ever calls :meth:`compiled`, the integer view
+    the router searches.
     """
 
     def __init__(self, fabric: FabricGrid, channel_width: int = 16):
@@ -239,78 +199,6 @@ class RoutingResourceGraph:
         self.fabric = fabric
         self.channel_width = channel_width
         self._compiled: CompiledRRGraph | None = None
-
-    # ------------------------------------------------------------ construction
-    @cached_property
-    def _adjacency(self) -> dict[RRNode, list[RRNode]]:
-        width, height = self.fabric.width, self.fabric.height
-        tracks = range(self.channel_width)
-
-        # wire nodes: H(x, y, t) runs along the channel above row y between
-        # columns x and x+1; V(x, y, t) runs along the channel right of
-        # column x between rows y and y+1.  Channels exist on all four sides
-        # of the core grid (indices -1 .. width/height - 1).
-        cells = [(x, y, t) for x in range(-1, width) for y in range(-1, height) for t in tracks]
-        adjacency: dict[RRNode, list[RRNode]] = {
-            RRNode(kind, *cell): [] for cell in cells for kind in ("H", "V")
-        }
-
-        def switch(a: RRNode, b: RRNode) -> None:
-            adjacency[a].append(b)
-            adjacency[b].append(a)
-
-        # switch boxes (disjoint pattern): at each channel intersection the
-        # same-track horizontal and vertical wires interconnect, and wires
-        # continue straight into the next segment.
-        for x, y, t in cells:
-            h, v = RRNode("H", x, y, t), RRNode("V", x, y, t)
-            switch(h, v)
-            if x + 1 < width:
-                switch(h, RRNode("H", x + 1, y, t))
-                switch(v, RRNode("V", x + 1, y, t))
-            if y + 1 < height:
-                switch(h, RRNode("H", x, y + 1, t))
-                switch(v, RRNode("V", x, y + 1, t))
-
-        # connection boxes: every block pin, of the core and of the I/O
-        # ring around it, reaches all tracks of the channels on its four
-        # sides (the paper's CBs surround each block) — above, below,
-        # right, left, those that exist.
-        for x in range(-1, width + 1):
-            for y in range(-1, height + 1):
-                opin, ipin = RRNode("OPIN", x, y), RRNode("IPIN", x, y)
-                adjacency[opin], adjacency[ipin] = [], []
-                for t in tracks:
-                    for wire in (
-                        RRNode("H", x, y, t), RRNode("H", x, y - 1, t),
-                        RRNode("V", x, y, t), RRNode("V", x - 1, y, t),
-                    ):
-                        if wire in adjacency:
-                            adjacency[opin].append(wire)
-                            adjacency[wire].append(ipin)
-        return adjacency
-
-    # --------------------------------------------------------------- queries
-    def __len__(self) -> int:
-        return len(self._adjacency)
-
-    def __contains__(self, node: RRNode) -> bool:
-        return node in self._adjacency
-
-    def neighbors(self, node: RRNode) -> list[RRNode]:
-        try:
-            return self._adjacency[node]
-        except KeyError:
-            raise KeyError(f"node {node} is not in the routing-resource graph") from None  # repro-lint: disable=ERR001
-
-    def opin(self, x: int, y: int) -> RRNode:
-        return RRNode("OPIN", x, y)
-
-    def ipin(self, x: int, y: int) -> RRNode:
-        return RRNode("IPIN", x, y)
-
-    def wire_count(self) -> int:
-        return sum(1 for node in self._adjacency if node.is_wire)
 
     def compiled(self) -> CompiledRRGraph:
         """The integer-indexed view of this graph (built once, cached)."""

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.verify import (
     ARTIFACT_VERIFIERS,
-    _is_fabric_switch,
     verification_enabled,
     verify_artifact,
     verify_artifacts,
@@ -38,9 +37,7 @@ from repro.graph.ops import Dense, InputOp, ReLU
 from repro.mapper.mapper import SpatialTemporalMapper
 from repro.mapper.netlist import Block
 from repro.partition.partitioner import partition_coreops
-from repro.pnr.fabric import FabricGrid
 from repro.pnr.pnr import PlaceAndRoute
-from repro.pnr.rrgraph import RoutingResourceGraph
 from repro.synthesizer.coreop import GRAPH_INPUT, GRAPH_OUTPUT, CoreOpGraph, WeightGroup
 from repro.synthesizer.synthesizer import synthesize
 
@@ -306,9 +303,10 @@ class TestVerifyPnR:
 
     @pytest.mark.parametrize("mutation,invariant", [
         ("share-wire", "rr-capacity"),
-        ("overused-count", "routing-legal"),
         ("rename", "name-mismatch"),
         ("stray-path", "route-tree"),
+        ("unsorted-tree", "route-tree"),
+        ("outside-fabric", "route-tree"),
         ("drop-net", "nets-routed"),
         ("phantom-net", "nets-phantom"),
         ("drop-sink-path", "route-connects-sinks"),
@@ -318,58 +316,63 @@ class TestVerifyPnR:
     def test_rejects_routing_mutations(self, mlp_pnr, mutation, invariant):
         netlist, pnr = mlp_pnr
         routing = copy.deepcopy(pnr.routing)
+        node = routing.geometry.node
         names = sorted(routing.nets)
         first, second = routing.nets[names[0]], routing.nets[names[1]]
+
+        def first_path(net):
+            return next(iter(net.sink_paths))
+
         if mutation == "share-wire":
-            wire = next(n for n in first.nodes if n.is_wire)
-            second.nodes.add(wire)
-        elif mutation == "overused-count":
-            routing.overused_nodes = 3
+            # a wire of the first net forged into the second's tree: the
+            # router never records an overuse, the recount finds it
+            wire = first.nodes[0]
+            assert node(wire).is_wire
+            second.nodes = tuple(sorted({*second.nodes, wire}))
         elif mutation == "rename":
             routing.nets["ghost"] = routing.nets.pop(names[0])
         elif mutation == "stray-path":
-            foreign = next(n for n in second.nodes if n.is_wire)
-            next(iter(first.sink_paths.values())).append(foreign)
+            foreign = second.nodes[0]
+            pos = first_path(first)
+            first.sink_paths[pos] = first.sink_paths[pos] + (foreign,)
+        elif mutation == "unsorted-tree":
+            first.nodes = first.nodes[::-1]
+        elif mutation == "outside-fabric":
+            first.nodes = first.nodes + (routing.geometry.n_nodes,)
         elif mutation == "drop-net":
             routing.nets.pop(names[0])
         elif mutation == "phantom-net":
             # an empty routed net: no shared wires, purely a phantom entry
             routing.nets["ghost"] = type(first)(name="ghost")
         elif mutation == "drop-sink-path":
-            first.sink_paths.pop(next(iter(first.sink_paths)))
+            first.sink_paths.pop(first_path(first))
         elif mutation == "jump-track":
             # the same channel on a track nobody uses: on the tree, in no
             # other net, but the disjoint switch boxes do not lead there
-            net, path = next(
-                (net, path)
+            net, pos, path = next(
+                (net, pos, path)
                 for net in routing.nets.values()
-                for path in net.sink_paths.values()
-                if sum(n.is_wire for n in path) >= 2
+                for pos, path in net.sink_paths.items()
+                if sum(node(u).is_wire for u in path) >= 2
             )
-            k = next(i for i, n in enumerate(path) if n.is_wire)
-            used = {n.track for net in routing.nets.values() for n in net.nodes}
+            k = next(i for i, u in enumerate(path) if node(u).is_wire)
+            used = {node(u).track for net in routing.nets.values() for u in net.nodes}
             free = next(t for t in range(pnr.channel_width) if t not in used)
-            path[k] = dataclasses.replace(path[k], track=free)
-            net.nodes.add(path[k])
+            moved = path[k] + 2 * (free - node(path[k]).track)
+            assert node(moved) == dataclasses.replace(node(path[k]), track=free)
+            net.sink_paths[pos] = path[:k] + (moved,) + path[k + 1:]
+            net.nodes = tuple(sorted({*net.nodes, moved}))
         else:
             # the first path no longer starts at the driver's output pin
-            path = next(iter(first.sink_paths.values()))
-            assert path[0].kind == "OPIN"
-            del path[0]
+            pos = first_path(first)
+            assert node(first.sink_paths[pos][0]).kind == "OPIN"
+            first.sink_paths[pos] = first.sink_paths[pos][1:]
+        # ``legal`` is the router-side recount of the same capacity rule
+        assert routing.legal == (invariant != "rr-capacity")
         with pytest.raises(VerificationError) as excinfo:
             verify_routing(routing, netlist, pnr.placement)
         assert excinfo.value.invariant == invariant
         assert excinfo.value.stage == "pnr"
-
-
-@pytest.mark.parametrize("shape", [(1, 1, 1), (1, 4, 2), (3, 2, 2), (4, 4, 1)])
-def test_switch_predicate_equals_the_dict_built_graph(shape):
-    """``route-edges`` judges adjacency on coordinates; the reference is
-    the object-level adjacency, every ordered pair of nodes."""
-    width, height, tracks = shape
-    adjacency = RoutingResourceGraph(FabricGrid(width, height), channel_width=tracks)._adjacency
-    for a, out in adjacency.items():
-        assert {b for b in adjacency if _is_fabric_switch(a, b)} == set(out), a
 
 
 # ---------------------------------------------------------------------------

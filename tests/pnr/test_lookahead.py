@@ -36,13 +36,14 @@ def further_wires(compiled: CompiledRRGraph, ipin: int) -> dict[int, int]:
     """Fewest further wires from every wire to ``ipin``, by breadth-first
     search from the wires at the pin (wire-to-wire edges go both ways)."""
     n_wires = compiled.n_wires
+    neighbors_of = compiled.geometry.neighbors_of
     hops = {
-        w: 0 for w in range(n_wires) if ipin in compiled.neighbors[w]
+        w: 0 for w in range(n_wires) if ipin in neighbors_of(w)
     }
     queue = deque(hops)
     while queue:
         u = queue.popleft()
-        for v in compiled.neighbors[u]:
+        for v in neighbors_of(u):
             if v < n_wires and v not in hops:
                 hops[v] = hops[u] + 1
                 queue.append(v)
@@ -65,16 +66,40 @@ class TestLookaheadTable:
             # some are missing and the true count can only be larger
             in_core = 0 <= sx < width and 0 <= sy < height
             hops = further_wires(compiled, ipin)
-            assert compiled.nodes[ipin].kind == "IPIN"
+            assert compiled.geometry.node(ipin).kind == "IPIN"
             # (the far corner of the I/O ring touches no channel at all)
             assert len(hops) == (0 if (sx, sy) == (width, height) else n_wires)
             for w, true_hops in hops.items():
                 table = look_v if w & 1 else look_h
                 bound = table[compiled.x[w] - sx + span][compiled.y[w] - sy + span]
                 true_cost = WIRE_BASE_COST * true_hops + PIN_BASE_COST
-                assert bound <= true_cost, (shape, compiled.nodes[w], (sx, sy))
+                assert bound <= true_cost, (shape, compiled.geometry.node(w), (sx, sy))
                 if in_core:
-                    assert bound == true_cost, (shape, compiled.nodes[w], (sx, sy))
+                    assert bound == true_cost, (shape, compiled.geometry.node(w), (sx, sy))
+
+
+def lambda_tables(span: int):
+    """``_lookahead`` as it was: both tables built entry by entry."""
+    def near(d: int) -> int:
+        return min(abs(d), abs(d + 1))
+
+    def table(hops):
+        return [
+            [PIN_BASE_COST + WIRE_BASE_COST * hops(dx, dy) for dy in range(-span, span + 1)]
+            for dx in range(-span, span + 1)
+        ]
+
+    return (
+        table(lambda dx, dy: min(abs(dx) + near(dy), 1 + near(dx) + abs(dy))),
+        table(lambda dx, dy: min(abs(dy) + near(dx), 1 + abs(dx) + near(dy))),
+    )
+
+
+@pytest.mark.parametrize("span", range(1, 41))
+def test_broadcast_tables_equal_the_entrywise_ones(span):
+    look_h, look_v = _lookahead(span)
+    assert (look_h, look_v) == lambda_tables(span)
+    assert all(type(cost) is float for row in look_h + look_v for cost in row)
 
 
 def dijkstra(compiled, node_cost, tree, sink, window):
@@ -89,7 +114,7 @@ def dijkstra(compiled, node_cost, tree, sink, window):
             continue
         if u == sink:
             return d
-        for v in compiled.neighbors[u]:
+        for v in compiled.geometry.neighbors_of(u):
             if v >= compiled.n_wires:
                 if v != sink:
                     continue

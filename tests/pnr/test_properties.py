@@ -150,16 +150,17 @@ class TestRoutingInvariants:
             assert sink_positions == set(routed.sink_paths)
             for pos, path in routed.sink_paths.items():
                 assert path, f"empty path to sink {pos}"
-                assert path[-1].kind == "IPIN"
-                assert (path[-1].x, path[-1].y) == pos
-                assert all(node in routed.nodes for node in path)
+                last = result.geometry.node(path[-1])
+                assert last.kind == "IPIN"
+                assert (last.x, last.y) == pos
+                assert set(path) <= set(routed.nodes)
 
         # capacity: in a legal routing no wire is claimed by two nets
         usage: dict = {}
         for name, routed in result.nets.items():
-            for node in routed.nodes:
-                if node.is_wire:
-                    usage[node] = usage.get(node, 0) + 1
+            for u in routed.nodes:
+                if result.geometry.node(u).is_wire:
+                    usage[u] = usage.get(u, 0) + 1
         assert all(count <= 1 for count in usage.values()), (
             "a wire node is claimed by two nets in a 'legal' routing"
         )

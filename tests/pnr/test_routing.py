@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import pickle
 import random
 from dataclasses import astuple
 from heapq import heapify, heappop, heappush
@@ -20,8 +21,8 @@ from repro.pnr import routing as routing_module
 from repro.pnr.fabric import FabricGrid
 from repro.pnr.placement import Placement
 from repro.pnr.pnr import PlaceAndRoute
-from repro.pnr.routing import PathFinderRouter, RoutingError, _SearchState
-from repro.pnr.rrgraph import WIRE_BASE_COST, RoutingResourceGraph
+from repro.pnr.routing import PathFinderRouter, RoutingError, _key_order, _SearchState
+from repro.pnr.rrgraph import WIRE_BASE_COST, RoutingResourceGraph, RRNode
 from repro.pnr.timing import analyze_timing
 from repro.synthesizer.synthesizer import synthesize
 
@@ -166,13 +167,18 @@ def zoo_netlist(model: str, duplication_degree: int):
 
 
 def routing_digest(result) -> str:
-    """Every routed node, every sink path in routing order, every counter."""
+    """Every routed node, every sink path in routing order, every counter —
+    node ids decoded, so the digests recorded over ``RRNode`` sets hold."""
     routing = result.routing
+
+    def decoded(u):
+        return astuple(routing.geometry.node(u))
+
     rows = [
         (
             name,
-            sorted(astuple(node) for node in net.nodes),
-            [(pos, [astuple(node) for node in path]) for pos, path in net.sink_paths.items()],
+            sorted(map(decoded, net.nodes)),
+            [(pos, list(map(decoded, path))) for pos, path in net.sink_paths.items()],
         )
         for name, net in sorted(routing.nets.items())
     ]
@@ -225,7 +231,7 @@ def eager_search(compiled, state, node_cost, tree, net_stamp, sink, window):
     """The search as it was at ``10e5c39`` — every neighbour of every
     expanded node pushed at once, read from adjacency lists — and the
     oracle for the lazy fan-out: same labels, same expansions."""
-    neighbors = compiled.neighbors
+    neighbors_of = compiled.geometry.neighbors_of
     node_x, node_y, n_wires = compiled.x, compiled.y, compiled.n_wires
     dist, prev, seen, on_tree = state.dist, state.prev, state.seen, state.on_tree
     look_h, look_v = state.look_h, state.look_v
@@ -256,7 +262,7 @@ def eager_search(compiled, state, node_cost, tree, net_stamp, sink, window):
         expansions += 1
         if u == sink:
             return True, expansions
-        for v in neighbors[u]:
+        for v in neighbors_of(u):
             if v >= n_wires:
                 if v != sink:
                     continue
@@ -324,7 +330,7 @@ class TestLazyFanOutEqualsEagerSearch:
             # from then on its label is the eager one
             for u in popped:
                 assert (lazy.dist[u], lazy.prev[u]) == (eager.dist[u], eager.prev[u]), (
-                    seed, compiled.nodes[u]
+                    seed, compiled.geometry.node(u)
                 )
             if not outcome[0]:
                 continue
@@ -367,3 +373,128 @@ def quadratic_domains(windows):
 )
 def test_swept_domains_equal_the_quadratic_partition_in_order(windows):
     assert PathFinderRouter._domains(windows) == quadratic_domains(windows)
+
+
+def random_window_set(rng: random.Random, shape: str) -> list[tuple[int, int, int, int]]:
+    """Search windows of one of four shapes: nested in each other, meeting
+    edge to edge (or one short of it), clusters far apart, or one net."""
+    def window(x, y, w, h):
+        return (x, x + w, y, y + h)
+
+    def corner():
+        return rng.randint(-3, 9), rng.randint(-3, 9)
+
+    if shape == "one-net":
+        return [window(*corner(), rng.randint(0, 8), rng.randint(0, 8))]
+    windows = []
+    if shape == "nested":
+        for _ in range(rng.randint(2, 5)):
+            (x, y), w, h = corner(), rng.randint(6, 14), rng.randint(6, 14)
+            while w >= 0 and h >= 0:
+                windows.append(window(x, y, w, h))
+                step = rng.randint(1, 3)
+                x, y, w, h = x + step, y + rng.randint(0, step), w - 2 * step, h - 2 * step
+    elif shape == "touching":
+        x, y = rng.randint(-3, 3), rng.randint(-3, 3)
+        for _ in range(rng.randint(2, 12)):
+            w, h = rng.randint(0, 5), rng.randint(0, 5)
+            windows.append(window(x, y, w, h))
+            # the next starts on this one's far edge, or one past it
+            if rng.random() < 0.5:
+                x += w + rng.randint(0, 1)
+                y += rng.randint(-h, h)
+            else:
+                y += h + rng.randint(0, 1)
+                x += rng.randint(-w, w)
+    else:  # clusters far apart
+        for cluster in range(rng.randint(2, 5)):
+            cx, cy = 40 * cluster, rng.choice((0, 40))
+            for _ in range(rng.randint(1, 6)):
+                windows.append(window(
+                    cx + rng.randint(0, 10), cy + rng.randint(0, 10),
+                    rng.randint(0, 7), rng.randint(0, 7),
+                ))
+    rng.shuffle(windows)
+    return windows
+
+
+@pytest.mark.parametrize("shape", ["nested", "touching", "clusters", "one-net"])
+def test_row_sweep_equals_the_pairwise_union_find(shape):
+    rng = random.Random(shape)
+    for _ in range(300):
+        windows = random_window_set(rng, shape)
+        assert PathFinderRouter._domains(windows) == quadratic_domains(windows), windows
+
+
+def keyed_order(channel: range, node_cost: list[float], h: float) -> list[int]:
+    """``_key_order`` as it was: the whole channel in one keyed sort."""
+    costs = node_cost[channel.start:channel.stop:2]
+    if min(costs) == max(costs):
+        return list(reversed(channel))
+    return sorted(channel, key=lambda v: (node_cost[v] + h, -node_cost[v], -v))
+
+
+@pytest.mark.parametrize("case", ["ties", "all-equal", "one-congested", "distinct"])
+def test_grouped_channel_order_equals_the_keyed_sort(case):
+    rng = random.Random(case)
+    for _ in range(200):
+        tracks = rng.randint(1, 64)
+        start = rng.randint(0, 40)
+        channel = range(start, start + 2 * tracks, 2)
+        node_cost = [rng.uniform(0.5, 9.0) for _ in range(channel.stop)]
+        if case == "ties":
+            levels = [1.0 * (1 + 0.5 * k) * (1 + 0.4 * j) for k in range(3) for j in range(2)]
+            costs = [rng.choice(levels[:rng.randint(2, 6)]) for _ in channel]
+        elif case == "all-equal":
+            costs = [rng.choice((1.0, 2.25))] * tracks
+        elif case == "one-congested":
+            costs = [1.0] * tracks
+            costs[rng.randrange(tracks)] = rng.choice((1.5, 2.0, 3.75))
+        else:
+            costs = [rng.uniform(1.0, 4.0) for _ in channel]
+        node_cost[channel.start:channel.stop:2] = costs
+        # a large h rounds distinct costs to one ``cost + h``: -cost decides
+        h = rng.choice((0.0, 1.5, rng.uniform(0.5, 30.0), 2.0**53))
+        assert list(_key_order(channel, node_cost, h)) == keyed_order(channel, node_cost, h)
+
+
+def test_place_and_route_builds_no_rrnode(monkeypatch):
+    """A routing is node ids end to end: routing, wirelength, timing and
+    the bitstream's switch counts never decode one."""
+    from repro.core.compiler import FPSACompiler
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("the compile path built an RRNode")
+
+    netlist = zoo_netlist("LeNet", 2)
+    monkeypatch.setattr(RRNode, "__init__", refuse)
+    result = PlaceAndRoute(seed=0).run(netlist)
+    assert result.routing.legal
+    assert result.total_wirelength > 0 and result.critical_path_ns > 0
+    assert result.routing.max_channel_occupancy() >= 1
+    compiled = FPSACompiler(cache=False).compile(
+        build_model("LeNet"), duplication_degree=2, run_pnr=True, emit_bitstream=True, seed=0
+    )
+    assert len(compiled.bitstream.routing) == len(compiled.pnr.routing.nets)
+
+
+def test_a_pickled_routing_round_trips_equal_and_smaller():
+    """The shared cache pickles the ``PnRResult``: ids pickle smaller than
+    the same trees as ``RRNode`` sets, and come back equal."""
+    result = PlaceAndRoute(seed=0).run(zoo_netlist("LeNet", 2))
+    back = pickle.loads(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+    assert back.routing == result.routing
+    assert back.timing == result.timing
+    assert back.placement.positions == result.placement.positions
+    assert routing_digest(back) == routing_digest(result)
+
+    node = result.routing.geometry.node
+    as_objects = {
+        name: (
+            set(map(node, net.nodes)),
+            {pos: list(map(node, path)) for pos, path in net.sink_paths.items()},
+        )
+        for name, net in result.routing.nets.items()
+    }
+    ids = {name: (net.nodes, net.sink_paths) for name, net in result.routing.nets.items()}
+    assert len(pickle.dumps(ids)) < len(pickle.dumps(as_objects)) / 2

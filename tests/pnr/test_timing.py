@@ -8,7 +8,7 @@ from repro.pnr.pnr import PlaceAndRoute
 from repro.synthesizer.synthesizer import synthesize
 
 
-def segments_from_driver(net) -> dict[tuple[int, int], int]:
+def segments_from_driver(net, geometry) -> dict[tuple[int, int], int]:
     """Wire segments between the driver's output pin and every sink,
     walking each sink path back through the paths it branched from."""
     parent = {}
@@ -17,10 +17,10 @@ def segments_from_driver(net) -> dict[tuple[int, int], int]:
             parent.setdefault(b, a)
     segments = {}
     for pos, path in net.sink_paths.items():
-        node, count = path[-1], 0
-        while node.kind != "OPIN":
-            count += node.is_wire
-            node = parent[node]
+        u, count = path[-1], 0
+        while geometry.node(u).kind != "OPIN":
+            count += geometry.node(u).is_wire
+            u = parent[u]
         segments[pos] = count
     return segments
 
@@ -39,5 +39,5 @@ def test_sink_delay_counts_from_the_driver():
     ).netlist
     routing = PlaceAndRoute(seed=0).run(netlist).routing
     for net in routing.nets.values():
-        for pos, segments in segments_from_driver(net).items():
+        for pos, segments in segments_from_driver(net, routing.geometry).items():
             assert net.sink_delay_segments(pos) == segments, (net.name, pos)

@@ -109,5 +109,5 @@ def test_stage_cache_keys_of_lenet_seed_0():
         "synthesis": "d8694d17ae545539886bcc05db55e5ace9fe13c0882d764cf85d3d3afeb4ac8b",
         "partition": "5ac9e594c24b9b35854ee75c2c0c468bb2a8ae527eb007811c997c429c44cb7b",
         "mapping": "1398776baf3daec147d0a187bdedcb4baf6794beb006476a38589faeac246366",
-        "pnr": "14299a24d50ac2400cde6cbaf2768a2d860a76f22b692a7f99999b1faf24955c",
+        "pnr": "2d2a5a2a6628dc6a4788bce9146b56e62025123e9b0e7e364616901107d83bc3",  # pnr-v5
     }
