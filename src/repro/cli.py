@@ -42,7 +42,7 @@ from .chaos import add_arguments as _add_chaos_arguments
 from .chaos import run_from_args as _command_chaos
 from .core.cache import StageCache
 from .core.pipeline import PassError, available_passes
-from .core.shared_cache import SHARED_CACHE_ENV, SharedStageCache
+from .core.shared_cache import SharedStageCache
 from .errors import FPSAError, InvalidRequestError
 from .experiments.runner import EXPERIMENTS, run_all
 from .models.zoo import MODEL_BUILDERS, PAPER_TABLE3, model_names
@@ -369,11 +369,8 @@ def _client(args: argparse.Namespace) -> FPSAClient:
     if getattr(args, "no_cache", False):
         cache = False
     elif getattr(args, "shared_cache", None):
+        # a multi-process sweep's workers each get a copy with this tier
         cache = StageCache(shared=SharedStageCache(args.shared_cache))
-        # worker processes cannot inherit a live StageCache; export the
-        # directory so a multi-process sweep's workers attach the same
-        # shared tier through their process default caches
-        os.environ[SHARED_CACHE_ENV] = args.shared_cache
     else:
         # REPRO_SHARED_CACHE already rides the process default cache; an
         # explicit None keeps that behaviour

@@ -5,11 +5,12 @@ this process.  Batches of requests go through
 :meth:`repro.service.client.FPSAClient.compile_batch` /
 :class:`~repro.service.jobs.JobManager`, which fan out over a
 :class:`WorkerPool`: one *persistent, warm* process pool whose workers are
-spawned once, pre-import the model zoo and the pass pipeline, and
-optionally attach a cross-process
+spawned once, pre-import the model zoo and the pass pipeline, and give
+their default caches the pool's cross-process
 :class:`~repro.core.shared_cache.SharedStageCache` tier.  :func:`run_pool`
 is the shard backend's throwaway process pool (the shards of *one*
-compile, see :mod:`repro.partition.backend`).
+compile, see :mod:`repro.partition.backend`).  A stage cache sent to
+either pool arrives by its own rule (:meth:`StageCache.__reduce__`).
 """
 
 from __future__ import annotations
@@ -36,44 +37,22 @@ __all__ = [
 #: upper bound on worker processes when ``jobs`` is not given.
 _MAX_AUTO_JOBS = 8
 
-#: the shared-cache tier this worker process was warmed with (see
-#: :func:`_warm_worker`); ``None`` outside WorkerPool workers.
-_WORKER_SHARED_CACHE: SharedStageCache | None = None
-
-#: set when the pool explicitly opted out (``shared_cache_dir=False``):
-#: the worker must not fall back to ``REPRO_SHARED_CACHE`` either.
-_WORKER_SHARED_DISABLED = False
-
-
-def _warm_worker(
-    shared_cache_dir: str | None = None, disable_shared: bool = False
-) -> None:
+def _warm_worker(shared_cache_dir: str | None = None) -> None:
     """Worker-process initializer: pay the cold-start cost exactly once.
 
     Pre-imports the model zoo and every built-in pass module (which pulls
     in numpy and the whole layer stack), so the first real payload a warm
     worker receives compiles immediately instead of importing for hundreds
-    of milliseconds.  When ``shared_cache_dir`` is given, the process-wide
-    default cache (and any later per-worker private cache) gains the
-    cross-process shared tier; ``disable_shared`` strips the tier even
-    when ``REPRO_SHARED_CACHE`` names one.
+    of milliseconds.  The process-wide default cache gets the shared tier
+    in ``shared_cache_dir``, or none (even one a forked worker inherited).
     """
     from ..models import zoo as _zoo  # noqa: F401 - import is the warmup
     from .pipeline import available_passes
 
     available_passes()  # imports every layer's pass module
-    # a fork-started worker inherits the parent's per-worker private cache
-    # (a thread-mode JobManager builds one in-process); drop it so this
-    # worker's private cache is its own and carries the right shared tier
-    global _WORKER_PRIVATE_CACHE, _WORKER_SHARED_CACHE, _WORKER_SHARED_DISABLED
-    _WORKER_PRIVATE_CACHE = None
-    if disable_shared:
-        _WORKER_SHARED_DISABLED = True
-        _WORKER_SHARED_CACHE = None
-        default_cache().attach_shared(None)
-    elif shared_cache_dir:
-        _WORKER_SHARED_CACHE = SharedStageCache(shared_cache_dir)
-        default_cache().attach_shared(_WORKER_SHARED_CACHE)
+    default_cache().shared = (
+        SharedStageCache(shared_cache_dir) if shared_cache_dir else None
+    )
 
 
 class WorkerPool:
@@ -91,8 +70,8 @@ class WorkerPool:
     max_workers:
         Worker processes; ``None`` picks ``min(cpu_count, 8)``.
     shared_cache_dir:
-        Directory of the cross-process shared stage cache every worker
-        attaches under its in-memory cache.  ``None`` reads the
+        Directory of the cross-process shared stage cache under every
+        worker's default cache.  ``None`` reads the
         ``REPRO_SHARED_CACHE`` environment variable; pass ``False`` to
         disable even when the environment names one.
     """
@@ -109,15 +88,11 @@ class WorkerPool:
             )
         if max_workers is None:
             max_workers = min(os.cpu_count() or 1, _MAX_AUTO_JOBS)
-        disable_shared = shared_cache_dir is False
-        if disable_shared:
-            shared_cache_dir = None
-        elif shared_cache_dir is None:
+        if shared_cache_dir is None:
             env = shared_cache_from_env()
             shared_cache_dir = env.directory if env is not None else None
         self.max_workers = max_workers
         self.shared_cache_dir = shared_cache_dir or None
-        self._disable_shared = disable_shared
         self._lock = threading.Lock()
         self._executor = self._build_executor()
 
@@ -125,7 +100,7 @@ class WorkerPool:
         return ProcessPoolExecutor(
             max_workers=self.max_workers,
             initializer=_warm_worker,
-            initargs=(self.shared_cache_dir, self._disable_shared),
+            initargs=(self.shared_cache_dir,),
         )
 
     @property
@@ -213,23 +188,3 @@ def deploy_model(
 ) -> DeploymentResult:
     """Deploy one of the benchmark models (see ``repro.models.model_names``)."""
     return deploy(build_model(name), duplication_degree, config, **kwargs)
-
-
-#: per-process private cache used when a parallel batch was given a private
-#: StageCache (which cannot cross process boundaries); one per worker, shared
-#: by everything that worker compiles.
-_WORKER_PRIVATE_CACHE: StageCache | None = None
-
-
-def _worker_private_cache() -> StageCache:
-    global _WORKER_PRIVATE_CACHE
-    if _WORKER_PRIVATE_CACHE is None:
-        # a worker warmed with a shared tier (or one inheriting
-        # REPRO_SHARED_CACHE) extends it to private caches too: privacy
-        # isolates in-memory artifacts, not the disk tier.  Explicit None
-        # check: an *empty* SharedStageCache is falsy (it has __len__).
-        shared = _WORKER_SHARED_CACHE
-        if shared is None and not _WORKER_SHARED_DISABLED:
-            shared = shared_cache_from_env()
-        _WORKER_PRIVATE_CACHE = StageCache(shared=shared)
-    return _WORKER_PRIVATE_CACHE

@@ -11,12 +11,18 @@ artifact as immutable, so sharing is safe.
 The default process-wide cache (:func:`default_cache`) is what
 :class:`~repro.core.compiler.FPSACompiler` uses unless a private cache (or
 ``cache=False``) is given.
+
+A cache crosses a process boundary by one rule (:meth:`StageCache.__reduce__`):
+the default cache arrives as the receiving process's :func:`default_cache`,
+and any other cache as that process's single copy of it — the same bound,
+the same shared tier, empty memory.  Worker pools therefore take the cache
+they were given; nothing names a stand-in for it.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
+import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -181,21 +187,6 @@ class CacheStats:
             return 0.0
         return self.shared_hits / self.shared_lookups
 
-    def snapshot(self) -> "CacheStats":
-        """A point-in-time copy (for before/after deltas around a compile)."""
-        return dataclasses.replace(self)
-
-    def delta(self, before: "CacheStats") -> "CacheStats":
-        """Counter increments since the ``before`` snapshot."""
-        return CacheStats(
-            hits=self.hits - before.hits,
-            misses=self.misses - before.misses,
-            evictions=self.evictions - before.evictions,
-            shared_hits=self.shared_hits - before.shared_hits,
-            shared_misses=self.shared_misses - before.shared_misses,
-            write_errors=self.write_errors - before.write_errors,
-        )
-
     def merge(self, other: "CacheStats | None") -> "CacheStats":
         """Accumulate another counter set into this one (returns self)."""
         if other is not None:
@@ -233,8 +224,8 @@ class StageCache:
     methods; values are ``{artifact name: object}`` dicts installed verbatim
     into the :class:`~repro.core.pipeline.CompileContext` on a hit.
 
-    An optional :class:`~repro.core.shared_cache.SharedStageCache` attached
-    via ``shared=`` (or :meth:`attach_shared`) acts as a second,
+    An optional :class:`~repro.core.shared_cache.SharedStageCache` given as
+    ``shared=`` (or assigned to :attr:`shared`) acts as a second,
     cross-process tier: in-memory misses fall through to the shared
     directory, and puts are written through so other processes can hit.
     """
@@ -251,10 +242,18 @@ class StageCache:
         self.shared = shared
         self._entries: OrderedDict[str, dict[str, Any]] = OrderedDict()
         self._lock = threading.Lock()
+        #: identity every copy of this cache in another process shares.
+        self._token = os.urandom(16).hex()
 
-    def attach_shared(self, shared: "SharedStageCache | None") -> None:
-        """Attach (or detach, with ``None``) the cross-process tier."""
-        self.shared = shared
+    def __reduce__(self):
+        """The process-boundary rule: the default cache arrives as the
+        receiving process's :func:`default_cache`; any other cache as that
+        process's single copy of it (:func:`_process_copy`)."""
+        if self is _DEFAULT_CACHE:
+            return default_cache, ()
+        shared = self.shared
+        tier = None if shared is None else (shared.directory, shared.max_bytes, shared.verify)
+        return _process_copy, (self._token, self.max_entries, tier)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -334,26 +333,41 @@ class StageCache:
                     stats.write_errors += 1
         return evicted
 
-    def clear(self, clear_shared: bool = False) -> None:
+    def clear(self) -> None:
         """Drop the in-memory entries and reset the stats.
 
-        The cross-process shared tier is left alone by default — other
-        processes may be serving from it, and with ``REPRO_SHARED_CACHE``
-        set a "cleared" lookup would otherwise simply be re-served from
-        disk.  Pass ``clear_shared=True`` to wipe the disk tier too (this
-        handle's view of it; peers see misses afterwards).
+        The cross-process shared tier is left alone — other processes may
+        be serving from it (wipe it with ``cache.shared.clear()``).
         """
         with self._lock:
             self._entries.clear()
             self.stats = CacheStats()
-        if clear_shared and self.shared is not None:
-            self.shared.clear()
+
+
+#: the copies of pickled caches this process received, by token.
+_COPIES: dict[str, StageCache] = {}
+# a forked child is a different process: it starts with no copies
+os.register_at_fork(after_in_child=_COPIES.clear)
+
+
+def _process_copy(
+    token: str, max_entries: int, tier: tuple[str, int, bool | None] | None
+) -> StageCache:
+    """This process's copy of the cache ``token`` names: built on first
+    arrival (same bound, same shared tier, empty memory), then reused."""
+    copy = _COPIES.get(token)
+    if copy is None:
+        from .shared_cache import SharedStageCache
+
+        shared = None if tier is None else SharedStageCache(*tier)
+        copy = StageCache(max_entries, shared)
+        copy._token = token
+        copy = _COPIES.setdefault(token, copy)
+    return copy
 
 
 def _make_default_cache() -> StageCache:
     # honour REPRO_SHARED_CACHE in every process that imports the library
-    # (worker processes inherit the environment, so a sweep's workers all
-    # share one disk tier with zero plumbing)
     from .shared_cache import shared_cache_from_env
 
     return StageCache(shared=shared_cache_from_env())
@@ -367,7 +381,7 @@ def default_cache() -> StageCache:
     return _DEFAULT_CACHE
 
 
-def clear_default_cache(clear_shared: bool = False) -> None:
+def clear_default_cache() -> None:
     """Drop every in-memory entry (and the stats) of the process-wide
-    cache; see :meth:`StageCache.clear` for the shared-tier semantics."""
-    _DEFAULT_CACHE.clear(clear_shared=clear_shared)
+    cache; its shared tier is left alone."""
+    _DEFAULT_CACHE.clear()

@@ -20,12 +20,13 @@ Design constraints (all enforced here, not by callers):
   version skew, truncated by a dying process) is treated as a miss and
   deleted; the compile then simply re-runs the pass.
 
-The tier is opt-in: attach one to a :class:`StageCache` via its ``shared=``
-argument (or :meth:`StageCache.attach_shared`), point the
-``REPRO_SHARED_CACHE`` environment variable at a directory, or pass
-``--shared-cache`` on the CLI.  Worker processes of a warm
-:class:`~repro.core.api.WorkerPool` attach the tier during pool
-initialization, once per process.
+The tier is opt-in: give one to a :class:`StageCache` as its ``shared=``
+argument, point the ``REPRO_SHARED_CACHE`` environment variable at a
+directory, or pass ``--shared-cache`` on the CLI.  A ``StageCache`` sent
+to a worker process carries its tier with it (see
+:meth:`StageCache.__reduce__`); the default caches of a warm
+:class:`~repro.core.api.WorkerPool`'s workers get the pool's tier when
+each worker starts.
 """
 
 from __future__ import annotations
@@ -309,15 +310,20 @@ class SharedStageCache:
 
 
 def shared_cache_from_env() -> SharedStageCache | None:
-    """The shared cache named by ``REPRO_SHARED_CACHE``, or ``None``."""
+    """The shared cache named by ``REPRO_SHARED_CACHE``, or ``None``.
+
+    A ``REPRO_SHARED_CACHE_MAX_BYTES`` that is not a positive integer
+    raises an :class:`InvalidRequestError` naming the variable and value.
+    """
     directory = os.environ.get(SHARED_CACHE_ENV, "").strip()
     if not directory:
         return None
     raw = os.environ.get(SHARED_CACHE_MAX_BYTES_ENV, "").strip()
-    max_bytes = DEFAULT_MAX_BYTES
-    if raw:
-        try:
-            max_bytes = int(raw)
-        except ValueError:
-            max_bytes = DEFAULT_MAX_BYTES
-    return SharedStageCache(directory, max_bytes=max_bytes)
+    if not raw:
+        return SharedStageCache(directory)
+    if not raw.isdecimal() or int(raw) == 0:
+        raise InvalidRequestError(
+            f"{SHARED_CACHE_MAX_BYTES_ENV}={raw!r} is not a positive integer",
+            details={SHARED_CACHE_MAX_BYTES_ENV: raw},
+        )
+    return SharedStageCache(directory, max_bytes=int(raw))

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from ..arch.params import FPSAConfig
-from ..core.api import _worker_private_cache, run_pool
-from ..core.cache import StageCache, default_cache
+from ..core.api import run_pool
+from ..core.cache import StageCache
 from ..core.pipeline import CompileOptions, PassManager, PassTiming, resolve_passes
 from ..perf.comm import InterChipLinkModel
 from ..perf.metrics import LatencyBreakdown, PerformanceReport
@@ -142,12 +142,7 @@ def run_backend(
 
 def _compile_shard(payload) -> ShardCompileResult:
     """Pool worker (module-level so process pools can pickle it)."""
-    shard, config, options, pass_names, cache = payload
-    if cache == "__private__":
-        cache = _worker_private_cache()
-    elif cache == "__default__":
-        cache = default_cache()
-    return run_backend(shard, config, options, pass_names, cache)
+    return run_backend(*payload)
 
 
 def compile_shards(
@@ -163,8 +158,8 @@ def compile_shards(
 
     ``jobs`` follows :func:`repro.core.api.run_pool`: ``1`` compiles
     sequentially sharing ``cache`` across the shards, ``None``/``>1``
-    spreads the shards over a process pool (each worker keeps a per-process
-    cache, since a live :class:`StageCache` cannot cross processes).
+    spreads the shards over a process pool, where ``cache`` arrives as each
+    worker's copy of it (:meth:`StageCache.__reduce__`).
     """
     shard_macs = [shard.coreops.total_macs() for shard in plan.shards]
     total_macs = sum(shard_macs)
@@ -183,14 +178,6 @@ def compile_shards(
                 cache,
             )
         )
-    sequential = jobs == 1 or len(payloads) == 1
-    if not sequential:
-        marker = (
-            "__default__"
-            if cache is not None and cache is default_cache()
-            else ("__private__" if cache is not None else None)
-        )
-        payloads = [(s, c, o, n, marker) for (s, c, o, n, _) in payloads]
     return run_pool(_compile_shard, payloads, jobs=jobs)
 
 

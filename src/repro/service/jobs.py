@@ -56,7 +56,6 @@ from concurrent.futures import (
     CancelledError,
     Executor,
     Future,
-    ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
 from dataclasses import dataclass
@@ -64,7 +63,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Any, Iterable
 
 from ..arch.params import FPSAConfig
-from ..core.api import _MAX_AUTO_JOBS, WorkerPool, _worker_private_cache
+from ..core.api import _MAX_AUTO_JOBS, WorkerPool
 from ..core.cache import StageCache
 from ..errors import (
     RETRIABLE_CODES,
@@ -158,16 +157,14 @@ class JobManagerStats:
 def _execute_job(
     request_dict: dict[str, Any],
     config: FPSAConfig | None,
-    cache: StageCache | bool | str | None,
+    cache: StageCache | bool | None,
     attempt: int = 0,
 ) -> tuple[dict[str, Any], str | None]:
     """Worker entry point (module-level so process pools can pickle it).
 
     Returns the response as a wire dict plus the emitted bitstream JSON (if
     any) so the parent can persist both to an artifact store.  ``cache`` is
-    the manager's setting; the ``"__private__"`` sentinel (a private
-    StageCache cannot cross a process boundary) becomes one per-worker
-    private cache (:func:`repro.core.api._worker_private_cache`).
+    the manager's setting, as it arrived in this process.
 
     ``attempt`` is the retry ordinal (0 = first try); it reaches the
     fault-injection site so a chaos plan can target "the first attempt
@@ -175,8 +172,6 @@ def _execute_job(
     """
     from .. import faults
 
-    if cache == "__private__":
-        cache = _worker_private_cache()
     request = CompileRequest.from_dict(request_dict)
     if request.fault_plan:
         faults.install_plan(request.fault_plan)
@@ -264,16 +259,17 @@ class JobManager:
         Stage-cache setting forwarded to every job (see
         :class:`~repro.core.compiler.FPSACompiler`): ``None`` shares each
         worker's process-wide cache, ``False`` disables caching, and a
-        private :class:`StageCache` becomes one fresh private cache per
-        process-pool worker (thread workers share the instance directly).
+        private :class:`StageCache` is shared as is by thread workers and
+        arrives in each worker process as that process's own copy (same
+        bound and shared tier, its own memory).
     store:
         When given, every finished job's response (and bitstream) is
         persisted as the results arrive in the parent process.
     use_processes:
-        ``True`` (the default) runs jobs on a process pool, isolating the
-        heavy compiles; ``False`` uses threads (in-process, shares the
-        stage cache — useful for tests and for cache-friendly sweeps of
-        cheap models).
+        ``True`` (the default) runs jobs on a :class:`WorkerPool` the
+        manager owns, isolating the heavy compiles; ``False`` uses threads
+        (in-process, shares the stage cache — useful for tests and for
+        cache-friendly sweeps of cheap models).
     pool:
         A persistent :class:`~repro.core.api.WorkerPool` (or any
         ``Executor``) to run jobs on.  The manager does *not* own it: it
@@ -346,33 +342,25 @@ class JobManager:
                 f"got {max_queue_depth!r}",
                 details={"max_queue_depth": repr(max_queue_depth)},
             )
-        self._worker_pool: WorkerPool | None = None
-        if pool is not None:
-            if isinstance(pool, WorkerPool):
-                self._worker_pool = pool
-                self._pool: Executor = pool.executor
+        self._owns_pool = pool is None
+        if pool is None:
+            if use_processes:
+                pool = WorkerPool(max_workers)
             else:
-                self._pool = pool
-            self._owns_pool = False
-        else:
-            if max_workers is None:
                 # same auto sizing as WorkerPool and run_pool
-                max_workers = min(os.cpu_count() or 1, _MAX_AUTO_JOBS)
-            pool_cls: type[Executor] = (
-                ProcessPoolExecutor if use_processes else ThreadPoolExecutor
-            )
-            self._pool = pool_cls(max_workers=max_workers)
-            self._owns_pool = True
-        self._max_workers = max_workers
-        self.config = config
-        # a StageCache instance cannot cross a process boundary; preserve the
-        # isolation a private cache asks for with one private cache per worker
-        crosses_processes = pool is not None or use_processes
-        self._worker_cache: StageCache | bool | str | None = (
-            "__private__"
-            if crosses_processes and isinstance(cache, StageCache)
-            else cache
+                pool = ThreadPoolExecutor(
+                    max_workers=max_workers
+                    or min(os.cpu_count() or 1, _MAX_AUTO_JOBS)
+                )
+        self._pool: WorkerPool | Executor = pool
+        # supervision applies wherever a broken pool can be rebuilt: thread
+        # pools don't break like process pools, and a bare executor is not
+        # ours to rebuild
+        self.supervisor = (
+            PoolSupervisor(pool.rebuild) if isinstance(pool, WorkerPool) else None
         )
+        self.config = config
+        self.cache = cache
         self.store = store
         self.coalesce = coalesce
         self.max_retries = (
@@ -382,7 +370,6 @@ class JobManager:
         self.retry_backoff_s = retry_backoff_s
         self.retry_backoff_cap_s = retry_backoff_cap_s
         self.stats = JobManagerStats()
-        self.supervisor = self._make_supervisor()
         self._jobs: dict[str, _Job] = {}
         #: fingerprint -> the job identical requests share: in flight until
         #: ``retired``, then remembered (oldest use first) if ``compiled``.
@@ -391,28 +378,6 @@ class JobManager:
         self._closing = False
         self._lock = threading.Lock()
         self._counter = itertools.count(1)
-
-    def _make_supervisor(self) -> PoolSupervisor | None:
-        """Supervision applies wherever a broken pool can be rebuilt."""
-        if self._worker_pool is not None:
-            return PoolSupervisor(self._worker_pool.rebuild)
-        if self._owns_pool and isinstance(self._pool, ProcessPoolExecutor):
-            return PoolSupervisor(self._rebuild_owned_pool)
-        # thread pools don't break like process pools, and an external bare
-        # executor is not ours to rebuild
-        return None
-
-    def _rebuild_owned_pool(self) -> None:
-        old = self._pool
-        self._pool = ProcessPoolExecutor(max_workers=self._max_workers)
-        old.shutdown(wait=False)
-
-    def _live_executor(self) -> Executor:
-        """The executor submissions should land on *right now* (a rebuilt
-        WorkerPool swaps its executor underneath us)."""
-        if self._worker_pool is not None:
-            return self._worker_pool.executor
-        return self._pool
 
     # ------------------------------------------------------------------
     # submission
@@ -520,7 +485,7 @@ class JobManager:
         return [self.submit(request) for request in requests]
 
     def _submit_attempt(self, job: _Job) -> None:
-        """Hand the job's current attempt to the live executor.
+        """Hand the job's current attempt to the pool.
 
         A submission that hits an already-broken pool heals it through the
         supervisor and tries once more on the fresh pool; without a
@@ -531,11 +496,11 @@ class JobManager:
             supervisor = self.supervisor
             generation = supervisor.generation if supervisor is not None else 0
             try:
-                future = self._live_executor().submit(
+                future = self._pool.submit(
                     _execute_job,
                     job.request.to_dict(),
                     self.config,
-                    self._worker_cache,
+                    self.cache,
                     job.attempts,
                 )
             except BrokenExecutor as exc:

@@ -18,9 +18,9 @@ Lifecycle::
         -> health.respawns += 1, recovery time recorded
         -> generation 1; displaced jobs resubmit against the new pool
 
-The supervisor is deliberately generic over a ``rebuild`` callable so it
-works for :class:`repro.core.api.WorkerPool` and for executors the
-:class:`~repro.service.jobs.JobManager` owns directly.
+The supervisor is generic over a ``rebuild`` callable; the
+:class:`~repro.service.jobs.JobManager` hands it
+:meth:`repro.core.api.WorkerPool.rebuild`, owned pool or given.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """Tests of the command-line interface."""
 
 import json
+import os
+import pathlib
 
 import pytest
 
@@ -109,6 +111,21 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "duplication" in out
         assert "samples/s" in out
+
+    def test_shared_cache_sweep_leaves_the_environment_alone(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # the workers get the tier with the cache itself: the flag must not
+        # leak REPRO_SHARED_CACHE into every later compile of this process
+        monkeypatch.delenv("REPRO_SHARED_CACHE", raising=False)
+        directory = str(tmp_path / "shared")
+        assert main([
+            "sweep", "MLP-500-100", "--duplication", "1", "2", "--jobs", "2",
+            "--shared-cache", directory,
+        ]) == 0
+        capsys.readouterr()
+        assert "REPRO_SHARED_CACHE" not in os.environ
+        assert list(pathlib.Path(directory).rglob("*.pkl"))
 
 
 class TestServiceCommands:

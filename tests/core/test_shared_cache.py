@@ -5,13 +5,14 @@ import pickle
 
 import pytest
 
-from repro.core.cache import CacheStats, StageCache
+from repro.core.cache import LOOKUP_SHARED, StageCache, default_cache
 from repro.core.shared_cache import (
     SHARED_CACHE_ENV,
     SHARED_CACHE_MAX_BYTES_ENV,
     SharedStageCache,
     shared_cache_from_env,
 )
+from repro.errors import InvalidRequestError
 
 
 class TestSharedStageCache:
@@ -98,6 +99,52 @@ class TestSharedStageCache:
         assert cache.directory == str(tmp_path)
         assert cache.max_bytes == 12345
 
+    @pytest.mark.parametrize("raw", ["0", "lots"])
+    def test_bad_max_bytes_from_env_is_named(self, tmp_path, monkeypatch, raw):
+        monkeypatch.setenv(SHARED_CACHE_ENV, str(tmp_path))
+        monkeypatch.setenv(SHARED_CACHE_MAX_BYTES_ENV, raw)
+        with pytest.raises(InvalidRequestError) as err:
+            shared_cache_from_env()
+        assert f"{SHARED_CACHE_MAX_BYTES_ENV}={raw!r}" in str(err.value)
+
+
+class TestProcessBoundary:
+    """A StageCache crosses a pickle boundary by one rule (``__reduce__``)."""
+
+    def test_default_cache_arrives_as_the_default_cache(self):
+        assert pickle.loads(pickle.dumps(default_cache())) is default_cache()
+
+    def test_private_cache_arrives_as_an_empty_copy_over_its_tier(self, tmp_path):
+        cache = StageCache(
+            max_entries=7, shared=SharedStageCache(str(tmp_path), max_bytes=12345)
+        )
+        cache.put("k", {"a": 1})
+        copy = pickle.loads(pickle.dumps(cache))
+        assert copy is not cache
+        assert copy.max_entries == 7
+        assert len(copy) == 0
+        assert copy.shared.directory == cache.shared.directory
+        assert copy.shared.max_bytes == 12345
+        # the memory stayed behind; the disk tier came along
+        assert copy.lookup("k") == ({"a": 1}, LOOKUP_SHARED)
+
+    def test_repeat_unpickles_return_one_copy(self):
+        cache = StageCache()
+        first = pickle.loads(pickle.dumps(cache))
+        assert pickle.loads(pickle.dumps(cache)) is first
+        assert pickle.loads(pickle.dumps(first)) is first
+        assert first.shared is None
+
+    def test_process_job_manager_writes_the_private_caches_tier(self, tmp_path):
+        from repro.service import CompileRequest, JobManager
+
+        cache = StageCache(shared=SharedStageCache(str(tmp_path)))
+        with JobManager(max_workers=1, cache=cache) as jm:
+            response = jm.result(jm.submit(CompileRequest(model="MLP-500-100")))
+        assert response.ok
+        assert len(SharedStageCache(str(tmp_path))) > 0
+        assert cache.stats.lookups == 0  # the worker compiled against its copy
+
 
 class TestTwoTierStageCache:
     def test_memory_miss_falls_through_to_shared(self, tmp_path):
@@ -136,20 +183,6 @@ class TestTwoTierStageCache:
             cache.put(f"k{i}", {"v": i})
         assert cache.stats.evictions == 3
         assert len(cache) == 2
-
-    def test_stats_snapshot_delta(self):
-        cache = StageCache(max_entries=1)
-        before = cache.stats.snapshot()
-        cache.put("a", {})
-        cache.put("b", {})  # evicts a
-        cache.get("b")
-        cache.get("a")  # miss
-        delta = cache.stats.delta(before)
-        assert delta == CacheStats(
-            hits=1, misses=1, evictions=1, shared_hits=0, shared_misses=0
-        )
-        # the snapshot itself is unchanged by later activity
-        assert before.lookups == 0
 
     def test_lookup_reports_tier(self, tmp_path):
         from repro.core.cache import (

@@ -14,12 +14,13 @@ from repro.service import CompileRequest, FPSAClient
 
 
 def _compile_with_stats(model):
-    """Worker: compile through the worker's private cache (fork-clean —
-    the process default cache may be inherited pre-warmed from the parent),
-    return the per-compile cache-stat delta (picklable summary only)."""
-    from repro.core.api import _worker_private_cache
+    """Worker: compile through a fresh cache over the worker's shared tier
+    (fork-clean — the process default cache may be inherited pre-warmed
+    from the parent), return the per-compile cache stats (picklable
+    summary only)."""
+    from repro.core.cache import StageCache, default_cache
 
-    result = deploy_model(model, cache=_worker_private_cache())
+    result = deploy_model(model, cache=StageCache(shared=default_cache().shared))
     stats = result.cache_stats
     return {
         "pid": os.getpid(),
