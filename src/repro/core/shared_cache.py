@@ -22,11 +22,9 @@ Design constraints (all enforced here, not by callers):
 
 The tier is opt-in: give one to a :class:`StageCache` as its ``shared=``
 argument, point the ``REPRO_SHARED_CACHE`` environment variable at a
-directory, or pass ``--shared-cache`` on the CLI.  A ``StageCache`` sent
-to a worker process carries its tier with it (see
-:meth:`StageCache.__reduce__`); the default caches of a warm
-:class:`~repro.core.api.WorkerPool`'s workers get the pool's tier when
-each worker starts.
+directory, or pass ``--shared-cache`` on the CLI.  A tier reaches a worker
+process only with the ``StageCache`` it is handed, which carries the tier,
+size bound included (see :meth:`StageCache.__reduce__`).
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ optionally ``pnr`` / ``pipeline_sim`` / ``bitstream``) as an independent
 compile: each shard gets its own :class:`~repro.core.pipeline.PassManager`
 with the ``coreops`` artifact preloaded, hits the stage cache with its own
 content-addressed keys, and — for ``shard_jobs > 1`` — compiles in a worker
-process of :func:`repro.core.api.run_pool`'s throwaway pool.
+process of a :class:`~repro.core.api.WorkerPool` opened for the one compile.
+A disk tier reaches those workers only with the stage cache they are handed.
 
 Every shard is allocated against the *whole model's* pipeline pace
 (``target_iterations`` / ``replication`` recorded on the plan), so the
@@ -20,13 +21,15 @@ report under the inter-chip link model.
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from ..arch.params import FPSAConfig
-from ..core.api import run_pool
+from ..core.api import _MAX_AUTO_JOBS, WorkerPool
 from ..core.cache import StageCache
 from ..core.pipeline import CompileOptions, PassManager, PassTiming, resolve_passes
+from ..errors import InvalidRequestError
 from ..perf.comm import InterChipLinkModel
 from ..perf.metrics import LatencyBreakdown, PerformanceReport
 from .plan import PartitionResult, Shard
@@ -156,11 +159,16 @@ def compile_shards(
 ) -> list[ShardCompileResult]:
     """Compile every shard of a partition plan, optionally in parallel.
 
-    ``jobs`` follows :func:`repro.core.api.run_pool`: ``1`` compiles
-    sequentially sharing ``cache`` across the shards, ``None``/``>1``
-    spreads the shards over a process pool, where ``cache`` arrives as each
-    worker's copy of it (:meth:`StageCache.__reduce__`).
+    ``jobs=1`` compiles sequentially, sharing ``cache`` across the shards;
+    ``None`` (``min(cpu_count, 8)``) or ``> 1`` spreads the shards over a
+    :class:`~repro.core.api.WorkerPool` of at most one worker a shard,
+    where ``cache`` arrives as each worker's copy of it
+    (:meth:`StageCache.__reduce__`).
     """
+    if jobs is not None and jobs < 1:
+        raise InvalidRequestError(
+            f"jobs must be >= 1, got {jobs}", details={"jobs": jobs}
+        )
     shard_macs = [shard.coreops.total_macs() for shard in plan.shards]
     total_macs = sum(shard_macs)
     payloads = []
@@ -178,7 +186,12 @@ def compile_shards(
                 cache,
             )
         )
-    return run_pool(_compile_shard, payloads, jobs=jobs)
+    if jobs is None:
+        jobs = min(os.cpu_count() or 1, _MAX_AUTO_JOBS)
+    if jobs == 1 or len(payloads) < 2:
+        return [_compile_shard(payload) for payload in payloads]
+    with WorkerPool(min(jobs, len(payloads))) as pool:
+        return list(pool.executor.map(_compile_shard, payloads))
 
 
 # --------------------------------------------------------------------------

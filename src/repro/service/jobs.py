@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import os
 import random
 import sys
 import threading
@@ -56,14 +55,13 @@ from concurrent.futures import (
     CancelledError,
     Executor,
     Future,
-    ThreadPoolExecutor,
 )
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Iterable
 
 from ..arch.params import FPSAConfig
-from ..core.api import _MAX_AUTO_JOBS, WorkerPool
+from ..core.api import WorkerPool
 from ..core.cache import StageCache
 from ..errors import (
     RETRIABLE_CODES,
@@ -259,23 +257,18 @@ class JobManager:
         Stage-cache setting forwarded to every job (see
         :class:`~repro.core.compiler.FPSACompiler`): ``None`` shares each
         worker's process-wide cache, ``False`` disables caching, and a
-        private :class:`StageCache` is shared as is by thread workers and
-        arrives in each worker process as that process's own copy (same
-        bound and shared tier, its own memory).
+        private :class:`StageCache` arrives in each worker process as that
+        process's own copy (same bound and shared tier, its own memory) —
+        or is shared as is by the threads of an in-process ``pool``.
     store:
         When given, every finished job's response (and bitstream) is
         persisted as the results arrive in the parent process.
-    use_processes:
-        ``True`` (the default) runs jobs on a :class:`WorkerPool` the
-        manager owns, isolating the heavy compiles; ``False`` uses threads
-        (in-process, shares the stage cache — useful for tests and for
-        cache-friendly sweeps of cheap models).
     pool:
         A persistent :class:`~repro.core.api.WorkerPool` (or any
         ``Executor``) to run jobs on.  The manager does *not* own it: it
         stays alive after ``shutdown``/``__exit__``, so the next manager
-        (or batch) reuses the same warm workers.  ``max_workers`` and
-        ``use_processes`` are ignored when a pool is given.
+        (or batch) reuses the same warm workers.  Without one, the manager
+        runs jobs on a :class:`WorkerPool` of ``max_workers`` it owns.
     coalesce:
         Deduplicate identical requests (default on): a request whose
         canonical fingerprint matches a submitted-but-unfinished job
@@ -310,7 +303,6 @@ class JobManager:
         config: FPSAConfig | None = None,
         cache: StageCache | bool | None = None,
         store: "ArtifactStore | None" = None,
-        use_processes: bool = True,
         pool: "WorkerPool | Executor | None" = None,
         coalesce: bool = True,
         max_retries: int | None = None,
@@ -343,21 +335,16 @@ class JobManager:
                 details={"max_queue_depth": repr(max_queue_depth)},
             )
         self._owns_pool = pool is None
-        if pool is None:
-            if use_processes:
-                pool = WorkerPool(max_workers)
-            else:
-                # same auto sizing as WorkerPool and run_pool
-                pool = ThreadPoolExecutor(
-                    max_workers=max_workers
-                    or min(os.cpu_count() or 1, _MAX_AUTO_JOBS)
-                )
-        self._pool: WorkerPool | Executor = pool
-        # supervision applies wherever a broken pool can be rebuilt: thread
-        # pools don't break like process pools, and a bare executor is not
-        # ours to rebuild
+        #: the pool jobs run on.
+        self.pool: WorkerPool | Executor = (
+            pool if pool is not None else WorkerPool(max_workers)
+        )
+        # supervision applies wherever a broken pool can be rebuilt: a bare
+        # executor is not ours to rebuild
         self.supervisor = (
-            PoolSupervisor(pool.rebuild) if isinstance(pool, WorkerPool) else None
+            PoolSupervisor(self.pool.rebuild)
+            if isinstance(self.pool, WorkerPool)
+            else None
         )
         self.config = config
         self.cache = cache
@@ -496,7 +483,7 @@ class JobManager:
             supervisor = self.supervisor
             generation = supervisor.generation if supervisor is not None else 0
             try:
-                future = self._pool.submit(
+                future = self.pool.submit(
                     _execute_job,
                     job.request.to_dict(),
                     self.config,
@@ -879,7 +866,7 @@ class JobManager:
                 if job.retry_timer is not None or job.future is not None:
                     job.finished.wait()
         if self._owns_pool:
-            self._pool.shutdown(wait=wait)
+            self.pool.shutdown(wait=wait)
 
     def __enter__(self) -> "JobManager":
         return self

@@ -9,9 +9,10 @@ owns — none of which speed up a single compile, all of which speed up a
   worker processes are spawned once, pre-import the model zoo and the pass
   pipeline, and stay alive across every batch the runtime serves;
 * a **cross-process shared stage cache**
-  (:class:`~repro.core.shared_cache.SharedStageCache`): each worker's
-  in-memory stage cache is backed by one disk-backed content-addressed
-  tier, so worker N's synthesis serves worker M's lookup;
+  (:class:`~repro.core.shared_cache.SharedStageCache`): the runtime hands
+  every job one :class:`~repro.core.cache.StageCache` over one disk-backed
+  content-addressed tier, so worker N's synthesis serves worker M's
+  lookup.  The tier reaches a worker only with that cache;
 * **request coalescing** (:class:`~repro.service.jobs.JobManager`):
   identical requests share one compile; the response fans out to every
   waiter, and answers a later repeat without reaching a worker.
@@ -25,8 +26,8 @@ Typical use::
 
 The runtime owns its pool and its shared-cache directory (a temporary
 directory unless one is given), and tears both down on ``close()`` /
-context exit.  The ``serve_mixed`` workload of ``benchmarks/stack/``
-measures exactly this runtime.
+context exit, or when its construction fails.  The ``serve_mixed``
+workload of ``benchmarks/stack/`` measures exactly this runtime.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import tempfile
 from typing import TYPE_CHECKING, Any, Iterable
 
 from ..arch.params import FPSAConfig
-from ..core.api import WorkerPool
 from ..core.cache import StageCache
 from ..core.shared_cache import SharedStageCache, shared_cache_from_env
 from .jobs import JobManager
@@ -60,18 +60,14 @@ class ServingRuntime:
         Hardware configuration served to every request.
     shared_cache_dir:
         Directory of the cross-process shared stage cache.  ``None`` uses
-        the ``REPRO_SHARED_CACHE`` environment variable when set, else a
-        private temporary directory (removed on ``close``); ``False``
-        disables the shared tier.
+        the tier ``REPRO_SHARED_CACHE`` (and its size bound) names when
+        set, else a private temporary directory (removed on ``close``);
+        ``False`` disables the shared tier.
     coalesce:
         Deduplicate identical requests, in flight or concluded (default on).
     store:
         Optional :class:`~repro.service.store.ArtifactStore` every
         response is persisted to.
-    use_processes:
-        ``False`` serves in-process on threads (no pool spawn, shared
-        in-memory stage cache with the shared tier attached) — useful for
-        tests and very cheap models.
     dedup_store_dir:
         Ignored: kept for callers that still pass it, until the next wire schema.
     max_retries:
@@ -93,49 +89,35 @@ class ServingRuntime:
         shared_cache_dir: str | None | bool = None,
         coalesce: bool = True,
         store: "ArtifactStore | None" = None,
-        use_processes: bool = True,
         dedup_store_dir: str | None = None,
         max_retries: int | None = None,
         max_queue_depth: int | None = None,
     ):
         self.config = config
-        self._owns_cache_dir = False
+        self._owned_dir: str | None = None
         if shared_cache_dir is None:
-            env = shared_cache_from_env()
-            if env is not None:
-                shared_cache_dir = env.directory
-            else:
-                shared_cache_dir = tempfile.mkdtemp(prefix="repro-shared-cache-")
-                self._owns_cache_dir = True
-        elif shared_cache_dir is False:
-            shared_cache_dir = None
-        self.shared_cache_dir: str | None = shared_cache_dir or None
-
-        self.pool: WorkerPool | None = None
-        cache: StageCache | None = None
-        if use_processes:
-            self.pool = WorkerPool(
+            tier = shared_cache_from_env()
+            if tier is None:
+                self._owned_dir = tempfile.mkdtemp(prefix="repro-shared-cache-")
+                tier = SharedStageCache(self._owned_dir)
+        else:
+            tier = SharedStageCache(shared_cache_dir) if shared_cache_dir else None
+        self.shared_cache_dir = tier.directory if tier is not None else None
+        try:
+            self.manager = JobManager(
                 max_workers=max_workers,
-                shared_cache_dir=(
-                    self.shared_cache_dir
-                    if self.shared_cache_dir is not None
-                    else False
-                ),
+                config=config,
+                cache=StageCache(shared=tier),
+                store=store,
+                coalesce=coalesce,
+                max_retries=max_retries,
+                max_queue_depth=max_queue_depth,
             )
-        elif self.shared_cache_dir is not None:
-            # thread mode: one in-process stage cache with the shared tier
-            cache = StageCache(shared=SharedStageCache(self.shared_cache_dir))
-        self.manager = JobManager(
-            max_workers=max_workers,
-            config=config,
-            cache=cache,
-            store=store,
-            use_processes=use_processes,
-            pool=self.pool,
-            coalesce=coalesce,
-            max_retries=max_retries,
-            max_queue_depth=max_queue_depth,
-        )
+        except BaseException:
+            self._remove_owned_dir()
+            raise
+        #: the warm worker pool the manager owns.
+        self.pool = self.manager.pool
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -188,15 +170,14 @@ class ServingRuntime:
             "rejected": manager_stats.rejected,
             "deadline_expired": manager_stats.deadline_expired,
             "pool_health": self.health(),
-            "worker_pids": self.pool.worker_pids() if self.pool else [],
+            "worker_pids": self.pool.worker_pids(),
             "shared_cache_dir": self.shared_cache_dir,
         }
 
-    def health(self) -> dict[str, Any] | None:
+    def health(self) -> dict[str, Any]:
         """Supervision counters of the worker pool (respawns, breakages,
-        recovery time), or ``None`` when the pool is unsupervised."""
-        supervisor = self.manager.supervisor
-        return supervisor.health.to_dict() if supervisor is not None else None
+        recovery time)."""
+        return self.manager.supervisor.health.to_dict()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -208,10 +189,11 @@ class ServingRuntime:
             return
         self._closed = True
         self.manager.shutdown(wait=wait)
-        if self.pool is not None:
-            self.pool.shutdown(wait=wait)
-        if self._owns_cache_dir and self.shared_cache_dir:
-            shutil.rmtree(self.shared_cache_dir, ignore_errors=True)
+        self._remove_owned_dir()
+
+    def _remove_owned_dir(self) -> None:
+        if self._owned_dir is not None:
+            shutil.rmtree(self._owned_dir, ignore_errors=True)
 
     def __enter__(self) -> "ServingRuntime":
         return self

@@ -6,21 +6,23 @@ entries so the whole module stays in the seconds range.
 
 import os
 
-import pytest
+from repro.core.api import WorkerPool, deploy_model
+from repro.core.cache import StageCache, default_cache
+from repro.core.compiler import FPSACompiler
+from repro.core.shared_cache import (
+    SHARED_CACHE_ENV,
+    SHARED_CACHE_MAX_BYTES_ENV,
+    SharedStageCache,
+    shared_cache_from_env,
+)
+from repro.service import CompileRequest, FPSAClient, ServingRuntime
 
-from repro.core.api import WorkerPool, deploy_model, run_pool
-from repro.errors import InvalidRequestError
-from repro.service import CompileRequest, FPSAClient
 
-
-def _compile_with_stats(model):
-    """Worker: compile through a fresh cache over the worker's shared tier
-    (fork-clean — the process default cache may be inherited pre-warmed
-    from the parent), return the per-compile cache stats (picklable
-    summary only)."""
-    from repro.core.cache import StageCache, default_cache
-
-    result = deploy_model(model, cache=StageCache(shared=default_cache().shared))
+def _compile_with_stats(model, cache):
+    """Worker: compile through ``cache`` as it arrived in this process (a
+    cache new to the process arrives with empty memory), return the
+    per-compile cache stats (picklable summary only)."""
+    result = deploy_model(model, cache=cache)
     stats = result.cache_stats
     return {
         "pid": os.getpid(),
@@ -40,11 +42,17 @@ def _submit_all(pool, worker, argument_lists):
     return [f.result() for f in futures]
 
 
+def _tier_bound(cache):
+    """Worker: the size bound of the disk tier a compile handed ``cache``
+    runs against in this process."""
+    return FPSACompiler(cache=cache).cache.shared.max_bytes
+
+
 class TestWorkerPool:
     def test_worker_pids_stable_across_batches(self):
         # the warm-pool contract: consecutive rounds of submits land on
         # the same worker processes (no per-round pool spawn)
-        models = [(model,) for model, _ in POINTS]
+        models = [(model, StageCache()) for model, _ in POINTS]
         with WorkerPool(max_workers=2) as pool:
             first = _submit_all(pool, _compile_with_stats, models)
             pids_after_first = pool.worker_pids()
@@ -66,21 +74,17 @@ class TestWorkerPool:
             assert a.mapping.netlist.n_pe == b.mapping.netlist.n_pe
 
 
-def test_run_pool_rejects_jobs_below_one():
-    with pytest.raises(InvalidRequestError):
-        run_pool(len, ["a"], jobs=0)
-
-
 class TestSharedCacheAcrossProcesses:
     def test_hit_from_a_different_process(self, tmp_path):
         """Worker N's synthesis serves worker M's lookup: two *fresh*
         single-worker pools over one shared directory — the second pool's
         worker is a different process and must hit the shared tier."""
-        with WorkerPool(max_workers=1, shared_cache_dir=str(tmp_path)) as pool:
-            first = pool.submit(_compile_with_stats, "MLP-500-100").result()
+        cache = StageCache(shared=SharedStageCache(str(tmp_path)))
+        with WorkerPool(max_workers=1) as pool:
+            first = pool.submit(_compile_with_stats, "MLP-500-100", cache).result()
             first_pid = pool.worker_pids()[0]
-        with WorkerPool(max_workers=1, shared_cache_dir=str(tmp_path)) as pool:
-            second = pool.submit(_compile_with_stats, "MLP-500-100").result()
+        with WorkerPool(max_workers=1) as pool:
+            second = pool.submit(_compile_with_stats, "MLP-500-100", cache).result()
             second_pid = pool.worker_pids()[0]
         assert first_pid != second_pid
         assert first["shared_hits"] == 0  # nothing published yet: cold
@@ -88,6 +92,22 @@ class TestSharedCacheAcrossProcesses:
         assert second["hits"] >= second["shared_hits"]
         # the shared tier must not change what gets computed
         assert second["throughput"] == first["throughput"]
+
+    def test_environment_bound_reaches_every_worker(self, tmp_path, monkeypatch):
+        """The tier ``REPRO_SHARED_CACHE`` names keeps its
+        ``REPRO_SHARED_CACHE_MAX_BYTES`` bound in every worker: the pool's
+        workers keep this process's default cache, the runtime's compile
+        against the cache it hands them."""
+        monkeypatch.setenv(SHARED_CACHE_ENV, str(tmp_path))
+        monkeypatch.setenv(SHARED_CACHE_MAX_BYTES_ENV, "12345")
+        # this process as if it had started under that environment
+        monkeypatch.setattr(default_cache(), "shared", shared_cache_from_env())
+        with WorkerPool(max_workers=1) as pool:
+            assert pool.submit(_tier_bound, None).result() == 12345
+        with ServingRuntime(max_workers=1) as runtime:
+            handed = runtime.manager.cache
+            assert runtime.pool.submit(_tier_bound, handed).result() == 12345
+            assert runtime.stats()["shared_cache_dir"] == str(tmp_path)
 
     def test_partitioned_artifacts_identical_under_shared_cache(self, tmp_path):
         """1-chip and partitioned compiles must stay bit-identical whether

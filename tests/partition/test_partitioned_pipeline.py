@@ -88,6 +88,15 @@ class TestMultiChipCompile:
                 b.mapping.netlist
             )
 
+    def test_compile_shards_rejects_jobs_below_one(self):
+        from repro.arch.params import FPSAConfig
+        from repro.core.pipeline import CompileOptions
+        from repro.partition import compile_shards
+
+        plan = deploy_model("LeNet", num_chips=2, use_cache=False).partition
+        with pytest.raises(InvalidRequestError):
+            compile_shards(plan, FPSAConfig(), CompileOptions(), [], 0.0, jobs=0)
+
     def test_partitioned_pnr_runs_per_shard(self):
         for model, duplication, chips, seed in (("LeNet", 64, 2, 5), ("CIFAR-VGG17", 1, 4, 0)):
             result = deploy_model(

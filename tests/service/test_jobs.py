@@ -1,5 +1,7 @@
 """Tests of the JobManager lifecycle (thread pool: fast, shares the cache)."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.errors import CapacityError, InvalidRequestError
@@ -8,7 +10,7 @@ from repro.service import CompileRequest, JobManager, JobState
 
 @pytest.fixture
 def manager():
-    with JobManager(max_workers=2, use_processes=False) as jm:
+    with ThreadPoolExecutor(max_workers=2) as pool, JobManager(pool=pool) as jm:
         yield jm
 
 
@@ -66,7 +68,9 @@ class TestLifecycle:
     def test_result_timeout_raises_timeout_error(self):
         # saturate a single worker with an uncached heavier compile so the
         # second job is still queued when we ask for it with a zero budget
-        with JobManager(max_workers=1, use_processes=False, cache=False) as jm:
+        with ThreadPoolExecutor(max_workers=1) as pool, JobManager(
+            pool=pool, cache=False
+        ) as jm:
             first = jm.submit("GoogLeNet")
             second = jm.submit("MLP-500-100")
             with pytest.raises(TimeoutError):
@@ -75,7 +79,7 @@ class TestLifecycle:
             assert jm.result(second).ok  # still completes normally afterwards
 
     def test_submit_after_shutdown_leaves_no_orphan(self):
-        jm = JobManager(max_workers=1, use_processes=False)
+        jm = JobManager(max_workers=1)
         jm.shutdown()
         with pytest.raises(RuntimeError):
             jm.submit("MLP-500-100")
@@ -86,7 +90,7 @@ class TestLifecycle:
 class TestCancel:
     def test_cancel_queued_job(self):
         # a single worker saturated by the first job leaves the rest QUEUED
-        with JobManager(max_workers=1, use_processes=False) as jm:
+        with ThreadPoolExecutor(max_workers=1) as pool, JobManager(pool=pool) as jm:
             ids = jm.submit_batch(["MLP-500-100"] * 4)
             cancelled_any = False
             for job_id in reversed(ids):
@@ -116,8 +120,8 @@ class TestCacheForwarding:
     def test_disabled_cache_reaches_workers(self):
         # cache=False must survive the worker boundary: two identical
         # requests on one worker see zero stage-cache hits
-        with JobManager(
-            max_workers=1, use_processes=False, cache=False, coalesce=False
+        with ThreadPoolExecutor(max_workers=1) as pool, JobManager(
+            pool=pool, cache=False, coalesce=False
         ) as jm:
             ids = jm.submit_batch([CompileRequest(model="MLP-500-100")] * 2)
             responses = [jm.result(i) for i in ids]
@@ -127,8 +131,8 @@ class TestCacheForwarding:
         from repro.core.cache import StageCache
 
         cache = StageCache()
-        with JobManager(
-            max_workers=1, use_processes=False, cache=cache, coalesce=False
+        with ThreadPoolExecutor(max_workers=1) as pool, JobManager(
+            pool=pool, cache=cache, coalesce=False
         ) as jm:
             ids = jm.submit_batch([CompileRequest(model="MLP-500-100")] * 2)
             responses = [jm.result(i) for i in ids]

@@ -16,7 +16,7 @@ import shutil
 import sys
 import threading
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -612,7 +612,7 @@ class TestAnsweredFromTheConcludedJob:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with JobManager(max_workers=2, use_processes=False) as manager:
+            with ThreadPoolExecutor(max_workers=2) as pool, JobManager(pool=pool) as manager:
                 threads = [threading.Thread(target=client, args=(k,)) for k in range(6)]
                 for thread in threads:
                     thread.start()

@@ -1,6 +1,8 @@
 """Tests of the serving runtime: coalescing, warm-pool serving, stats."""
 
-from concurrent.futures import Future
+import os
+import tempfile
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
@@ -162,7 +164,7 @@ class TestRequestCoalescing:
     def test_coalescing_with_thread_pool_end_to_end(self):
         # a real (thread) pool: whether or not the duplicates coalesce is
         # timing-dependent, but the responses must always be correct
-        with JobManager(max_workers=2, use_processes=False) as manager:
+        with ThreadPoolExecutor(max_workers=2) as pool, JobManager(pool=pool) as manager:
             ids = [manager.submit("MLP-500-100") for _ in range(4)]
             responses = [manager.result(job_id, timeout=60) for job_id in ids]
         assert all(r.ok for r in responses)
@@ -171,18 +173,6 @@ class TestRequestCoalescing:
 
 
 class TestServingRuntime:
-    def test_serve_batch_threads(self, tmp_path):
-        with ServingRuntime(
-            max_workers=2, use_processes=False, shared_cache_dir=str(tmp_path)
-        ) as runtime:
-            requests = [CompileRequest(model="MLP-500-100")] * 3 + ["LeNet"]
-            responses = runtime.serve_batch(requests)
-            assert all(r.ok for r in responses)
-            stats = runtime.stats()
-            assert stats["submitted"] == 4
-            assert stats["completed"] == 4
-            assert stats["shared_cache_dir"] == str(tmp_path)
-
     def test_serve_batch_processes_warm_pool(self):
         with ServingRuntime(max_workers=2) as runtime:
             first = runtime.serve_batch(["MLP-500-100", "LeNet"])
@@ -201,27 +191,34 @@ class TestServingRuntime:
             )
 
     def test_owned_cache_dir_removed_on_close(self):
-        import os
-
-        runtime = ServingRuntime(max_workers=1, use_processes=False)
+        runtime = ServingRuntime(max_workers=1)
         cache_dir = runtime.shared_cache_dir
         assert cache_dir is not None and os.path.isdir(cache_dir)
         runtime.close()
         assert not os.path.exists(cache_dir)
 
     def test_serve_single(self):
-        with ServingRuntime(max_workers=1, use_processes=False) as runtime:
+        with ServingRuntime(max_workers=1) as runtime:
             response = runtime.serve("MLP-500-100")
         assert response.ok
 
-    def test_dedup_store_dir_is_ignored(self, tmp_path, monkeypatch):
-        import os
+    @pytest.mark.parametrize(
+        "settings", [{"max_workers": 0}, {"max_retries": -1}, {"max_queue_depth": 0}]
+    )
+    def test_rejected_settings_leave_no_cache_dir(self, settings, tmp_path, monkeypatch):
+        from repro.core.shared_cache import SHARED_CACHE_ENV
+        from repro.errors import InvalidRequestError
 
+        monkeypatch.delenv(SHARED_CACHE_ENV, raising=False)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with pytest.raises(InvalidRequestError):
+            ServingRuntime(**settings)
+        assert os.listdir(tmp_path) == []
+
+    def test_dedup_store_dir_is_ignored(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_DEDUP_STORE", raising=False)
         directory = tmp_path / "d"
-        with ServingRuntime(
-            max_workers=1, use_processes=False, dedup_store_dir=str(directory)
-        ) as runtime:
+        with ServingRuntime(max_workers=1, dedup_store_dir=str(directory)) as runtime:
             response = runtime.serve(CompileRequest(model="MLP-500-100", dedup=True))
             assert "dedup_store_dir" not in runtime.stats()
         assert response.ok

@@ -215,10 +215,14 @@ class TestClientIntegration:
         assert store.load_bitstream(record.run_id) is not None
 
     def test_job_manager_persists(self, tmp_path):
+        from concurrent.futures import ThreadPoolExecutor
+
         from repro.service import JobManager
 
         store = ArtifactStore(tmp_path)
-        with JobManager(max_workers=2, use_processes=False, store=store) as jm:
+        with ThreadPoolExecutor(max_workers=2) as pool, JobManager(
+            pool=pool, store=store
+        ) as jm:
             jm.submit_batch(["MLP-500-100", "LeNet"])
             jm.wait_all()
         assert len(store) == 2

@@ -3,7 +3,7 @@ deterministic retries, per-job deadlines and admission control."""
 
 from __future__ import annotations
 
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
@@ -199,7 +199,7 @@ class TestRetryPolicy:
                 ),
             )
         ).to_json()
-        with JobManager(max_workers=1, use_processes=False) as manager:
+        with ThreadPoolExecutor(max_workers=1) as pool, JobManager(pool=pool) as manager:
             response = manager.result(
                 manager.submit(
                     CompileRequest(
@@ -211,7 +211,7 @@ class TestRetryPolicy:
         assert manager.stats.retried == 1
 
     def test_typed_compile_errors_are_never_retried(self):
-        with JobManager(max_workers=1, use_processes=False) as manager:
+        with ThreadPoolExecutor(max_workers=1) as pool, JobManager(pool=pool) as manager:
             response = manager.result(
                 manager.submit(
                     CompileRequest(model="MLP-500-100", pe_budget=1, max_retries=3)
@@ -226,7 +226,7 @@ class TestRetryPolicy:
         from repro.service.jobs import _Job
 
         request = CompileRequest(model="MLP-500-100", seed=5)
-        with JobManager(max_workers=1, use_processes=False) as manager:
+        with JobManager(pool=_ManualExecutor()) as manager:
             job = _Job("job-0001", request)
             first = manager._backoff_delay(job, 1)
             second = manager._backoff_delay(job, 2)
@@ -245,14 +245,16 @@ class TestRetryPolicy:
         from repro.errors import InvalidRequestError
 
         with pytest.raises(InvalidRequestError):
-            JobManager(max_retries=-1, use_processes=False)
+            JobManager(max_retries=-1)
         with pytest.raises(InvalidRequestError):
-            JobManager(max_queue_depth=0, use_processes=False)
+            JobManager(max_queue_depth=0)
 
 
 class TestDeadlines:
     def test_result_timeout_is_a_typed_deadline_error(self):
-        with JobManager(max_workers=1, use_processes=False, cache=False) as jm:
+        with ThreadPoolExecutor(max_workers=1) as pool, JobManager(
+            pool=pool, cache=False
+        ) as jm:
             first = jm.submit("GoogLeNet")
             second = jm.submit("MLP-500-100")
             with pytest.raises(DeadlineExceededError) as excinfo:
@@ -332,11 +334,10 @@ class TestRuntimeSurface:
     def test_stats_and_health_exposed(self):
         from repro.service import ServingRuntime
 
-        with ServingRuntime(
-            max_workers=1, use_processes=False, shared_cache_dir=False
-        ) as runtime:
+        with ServingRuntime(max_workers=1, shared_cache_dir=False) as runtime:
             assert runtime.serve("MLP-500-100").ok
             stats = runtime.stats()
+            assert stats["pool_health"] == runtime.health()
         for key in (
             "retried",
             "displaced",
@@ -345,8 +346,7 @@ class TestRuntimeSurface:
             "pool_health",
         ):
             assert key in stats
-        # a thread pool cannot break like a process pool: no supervisor
-        assert stats["pool_health"] is None
+        assert stats["shared_cache_dir"] is None
 
     def test_process_runtime_reports_pool_health(self):
         from repro.service import ServingRuntime
