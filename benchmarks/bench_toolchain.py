@@ -1,4 +1,4 @@
-"""Benchmark: raw toolchain throughput (synthesis, mapping, scheduling, P&R).
+"""Benchmark: raw toolchain throughput (synthesis, mapping, P&R).
 
 These time the software stack itself — useful for tracking regressions in
 the compiler rather than reproducing a paper figure.
@@ -38,7 +38,7 @@ def test_map_vgg16_dup64(benchmark, vgg16_graph):
 def test_full_compile_lenet(benchmark, lenet_graph):
     compiler = FPSACompiler()
     result = benchmark.pedantic(
-        lambda: compiler.compile(lenet_graph, duplication_degree=4, detailed_schedule=True),
+        lambda: compiler.compile(lenet_graph, duplication_degree=4),
         rounds=1, iterations=1,
     )
     assert result.throughput_samples_per_s > 0

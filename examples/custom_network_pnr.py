@@ -4,11 +4,10 @@ This example exercises every layer of the system stack on a custom network
 built with the public :class:`~repro.graph.GraphBuilder` API:
 
 1. neural synthesis to a core-op graph,
-2. spatial-to-temporal mapping with the Algorithm-1 scheduler,
+2. spatial-to-temporal mapping (allocation, SMB buffers, control plan),
 3. simulated-annealing placement and PathFinder routing on the island-style
    fabric (the step mrVPR performs in the paper),
-4. cycle-level pipeline simulation,
-5. the analytic performance report and its utilization bounds.
+4. the analytic performance report and its utilization bounds.
 
 Run with::
 
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 from repro.core.compiler import FPSACompiler
 from repro.graph import GraphBuilder
-from repro.mapper.schedule import validate_schedule
 
 
 def build_custom_cnn():
@@ -45,7 +43,6 @@ def main() -> None:
     result = compiler.compile(
         graph,
         duplication_degree=4,
-        detailed_schedule=True,
         run_pnr=True,
         pnr_channel_width=32,
     )
@@ -56,10 +53,6 @@ def main() -> None:
     print("core-op graph")
     print(result.coreops.summary())
     print()
-
-    schedule = result.mapping.schedule
-    violations = validate_schedule(schedule, result.coreops.expand())
-    print(f"schedule constraint check: {'OK' if not violations else violations}")
 
     pnr = result.pnr
     print(f"fabric: {pnr.fabric.width} x {pnr.fabric.height} sites, "

@@ -4,9 +4,10 @@ Run with::
 
     python examples/quickstart.py
 
-The example deploys LeNet with a 4x duplication degree, runs the detailed
-Algorithm-1 scheduler and the cycle-level pipeline simulator, and prints
-the resulting throughput, latency, area and utilization bounds.
+The example deploys LeNet with a 4x duplication degree, prints the
+resulting throughput, latency, area, utilization bounds and function-block
+mix, then scales the duplication degree and serves the same compile as a
+wire-level request.
 """
 
 from __future__ import annotations
@@ -18,23 +19,14 @@ def main() -> None:
     print("FPSA quickstart: deploying LeNet")
     print("=" * 60)
 
-    result = repro.deploy_model(
-        "LeNet",
-        duplication_degree=4,
-        detailed_schedule=True,
-    )
+    result = repro.deploy_model("LeNet", duplication_degree=4)
 
     print(result.summary())
     print()
 
-    netlist = result.mapping.netlist
-    print("function-block netlist:", netlist.summary())
-    print(f"scheduled core-ops: {len(result.mapping.schedule.ops)}")
-    print(f"SMB buffers inserted by the scheduler: {result.mapping.schedule.n_buffers}")
-    print(
-        "pipeline initiation interval: "
-        f"{result.pipeline.initiation_interval_cycles} spike cycles"
-    )
+    blocks = result.mapping.block_counts()
+    print(f"function blocks: {blocks['n_pe']} PEs, {blocks['n_smb']} SMBs "
+          f"(buffers where streaming is impossible), {blocks['n_clb']} CLBs")
     print()
 
     print("scaling up: the same network at higher duplication degrees")

@@ -15,8 +15,7 @@ The package is organised the same way as the paper's system stack:
 * :mod:`repro.partition` — multi-chip partitioned compilation (min-cut
   graph partitioner, per-chip parallel backend, inter-chip link model).
 * :mod:`repro.pnr` — placement & routing on the island-style fabric.
-* :mod:`repro.perf` — performance bounds, the analytic model and the
-  pipeline simulator.
+* :mod:`repro.perf` — performance bounds and the analytic model.
 * :mod:`repro.baselines` — PRIME, FP-PRIME, ISAAC and PipeLayer models.
 * :mod:`repro.variation` — device variation and the splice/add study.
 * :mod:`repro.experiments` — one module per paper figure/table.

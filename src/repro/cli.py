@@ -4,7 +4,7 @@ Usage (after ``pip install -e .``)::
 
     python -m repro deploy VGG16 --duplication 64
     python -m repro deploy VGG16 --chips auto
-    python -m repro deploy LeNet --duplication 4 --detailed --pnr --bitstream out.json
+    python -m repro deploy LeNet --duplication 4 --pnr --bitstream out.json
     python -m repro deploy LeNet --passes synthesis,mapping --explain
     python -m repro deploy AlexNet --json --store runs/
     python -m repro sweep AlexNet --duplication 1 4 16 64 --jobs 4
@@ -140,10 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     deploy.add_argument(
         "--pe-budget", type=int, default=None,
         help="choose the largest duplication degree that fits this many PEs",
-    )
-    deploy.add_argument(
-        "--detailed", action="store_true",
-        help="run the instance-level scheduler and pipeline simulator (small models)",
     )
     deploy.add_argument(
         "--pnr", action="store_true",
@@ -403,21 +399,18 @@ def _check_writable(path: str | None, what: str) -> None:
 
 def _command_deploy(args: argparse.Namespace) -> int:
     _check_writable(args.bitstream, "bitstream")
-    if args.passes is not None:
+    if args.passes is not None and args.pnr and "pnr" not in args.passes:
         # an explicit pass list overrides the flag-derived pipeline; tell the
         # user when a flag asked for a stage the list leaves out
-        for flag, pass_name in (("--pnr", "pnr"), ("--detailed", "pipeline_sim")):
-            if getattr(args, flag.lstrip("-")) and pass_name not in args.passes:
-                print(
-                    f"warning: {flag} requested but the {pass_name!r} pass is "
-                    f"not in --passes; it will not run",
-                    file=sys.stderr,
-                )
+        print(
+            "warning: --pnr requested but the 'pnr' pass is not in --passes; "
+            "it will not run",
+            file=sys.stderr,
+        )
     request = CompileRequest(
         model=args.model,
         duplication_degree=args.duplication,
         pe_budget=args.pe_budget,
-        detailed_schedule=args.detailed,
         run_pnr=args.pnr,
         emit_bitstream=args.bitstream is not None,
         num_chips=args.chips,

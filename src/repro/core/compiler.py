@@ -5,12 +5,12 @@
 
     computational graph
       -> neural synthesizer        (core-op graph)
-      -> spatial-to-temporal mapper (function-block netlist + schedule)
+      -> spatial-to-temporal mapper (function-block netlist)
       -> placement & routing        (chip configuration, optional)
       -> performance model          (throughput / latency / area / bounds)
 
 is expressed as the ``synthesis``, ``mapping``, ``perf``, ``bounds``,
-``pnr``, ``pipeline_sim`` and ``bitstream`` passes, run by a
+``pnr`` and ``bitstream`` passes, run by a
 :class:`~repro.core.pipeline.PassManager` over a shared
 :class:`~repro.core.pipeline.CompileContext`, with per-pass wall-clock
 timings and a content-addressed stage cache that lets repeated sweeps skip
@@ -95,8 +95,6 @@ class FPSACompiler:
             Explicit pass-name list to run instead of the default pipeline,
             e.g. ``("synthesis", "mapping")`` for a front-end-only compile.
             Artifacts of omitted passes stay ``None`` on the result.
-            Listing ``"pipeline_sim"`` implies ``detailed_schedule=True``
-            (the simulator needs the instance-level schedule).
         use_cache:
             Set ``False`` to bypass the stage cache for this compilation.
         knobs:
@@ -122,8 +120,6 @@ class FPSACompiler:
                 f"(plus 'passes' and 'use_cache')",
                 details={"unknown": unknown, "known": known},
             )
-        if passes is not None and "pipeline_sim" in passes:
-            knobs["detailed_schedule"] = True
         options = CompileOptions(**knobs)
         if options.fault_plan:
             from ..faults import install_plan
@@ -154,7 +150,6 @@ class FPSACompiler:
             performance=ctx.performance,
             bounds=ctx.bounds,
             pnr=ctx.pnr,
-            pipeline=ctx.pipeline,
             bitstream=ctx.bitstream,
             timings=timings,
             cache_stats=ctx.cache_stats,
@@ -214,7 +209,6 @@ class FPSACompiler:
                 performance=ctx.performance,
                 bounds=ctx.bounds,
                 pnr=ctx.pnr,
-                pipeline=ctx.pipeline,
                 bitstream=ctx.bitstream,
                 partition=plan,
                 timings=timings,
@@ -222,14 +216,11 @@ class FPSACompiler:
             )
 
         useful_ops = graph.total_ops()
-        # the cycle-level pipeline simulator is single-chip-only analysis:
-        # per-shard runs would cost instance-level expansion with no
-        # cross-chip model behind it, so the pass is dropped for shards
         shard_results = compile_shards(
             plan,
             config=self.config,
             options=options,
-            pass_names=[n for n in backend if n != "pipeline_sim"],
+            pass_names=backend,
             useful_ops_per_sample=useful_ops,
             jobs=options.shard_jobs if options.shard_jobs is not None else 1,
             cache=cache,

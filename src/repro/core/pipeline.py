@@ -18,7 +18,6 @@ pass                      module                            provides
 ``perf``                  :mod:`repro.perf.passes`          ``performance``
 ``bounds``                :mod:`repro.perf.passes`          ``bounds``
 ``pnr``                   :mod:`repro.pnr.passes`           ``pnr``
-``pipeline_sim``          :mod:`repro.perf.passes`          ``pipeline``
 ``bitstream``             :mod:`repro.config_gen.passes`    ``bitstream``
 ========================  ================================  ==========
 
@@ -68,7 +67,6 @@ ARTIFACTS = (
     "performance",
     "bounds",
     "pnr",
-    "pipeline",
     "bitstream",
 )
 
@@ -167,16 +165,11 @@ class CompileOptions:
     #: when given, the largest duplication degree that fits this many PEs
     #: is chosen instead of ``duplication_degree``.
     pe_budget: int | None = knob(COUNT, "semantic", default=None)
-    #: run the instance-level Algorithm-1 scheduler and the cycle-level
-    #: pipeline simulator (small models only).
-    detailed_schedule: bool = knob(BOOLEAN, "semantic", default=False)
     #: run placement and PathFinder routing (small/medium netlists only).
     run_pnr: bool = knob(BOOLEAN, "semantic", default=False)
     #: assemble the chip configuration from the mapping and, when
     #: available, the P&R result.
     emit_bitstream: bool = knob(BOOLEAN, "semantic", default=False)
-    #: cap on the per-group reuse the detailed schedule expands.
-    max_schedule_reuse: int | None = knob(COUNT, "semantic", default=None)
     #: routing-channel width (``None`` = the architecture's default).
     pnr_channel_width: int | None = knob(COUNT, "semantic", default=None)
     #: stage-local placer seed; the master ``seed`` takes precedence.
@@ -280,7 +273,6 @@ class CompileContext:
     performance: Any = None
     bounds: Any = None
     pnr: Any = None
-    pipeline: Any = None
     bitstream: Any = None
     #: per-compile stage-cache counters, accumulated by every
     #: :meth:`PassManager.run` over this context (not a context artifact:
@@ -557,8 +549,6 @@ def default_pass_names(options: CompileOptions) -> list[str]:
     names += ["mapping", "perf", "bounds"]
     if options.run_pnr:
         names.append("pnr")
-    if options.detailed_schedule:
-        names.append("pipeline_sim")
     if options.emit_bitstream:
         names.append("bitstream")
     return names

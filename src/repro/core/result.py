@@ -15,7 +15,6 @@ from ..perf.analytic import traffic_values_per_sample
 from ..perf.bounds import UtilizationBounds
 from ..perf.comm import mean_route_segments
 from ..perf.metrics import PerformanceReport
-from ..perf.pipeline_sim import PipelineSimulationResult
 from ..pnr.pnr import PnRResult
 from ..synthesizer.coreop import CoreOpGraph
 from .cache import CacheStats
@@ -39,17 +38,13 @@ class DeploymentResult:
     coreops:
         The synthesized core-op graph.
     mapping:
-        Allocation + control plan (+ detailed schedule when requested);
-        its netlist is built when first read.
+        Allocation + control plan; its netlist is built when first read.
     performance:
         The analytic performance report (throughput, latency, OPS, area).
     bounds:
         Peak / spatial / temporal computational-density bounds.
     pnr:
         Placement & routing result (``None`` unless the detailed flow ran).
-    pipeline:
-        Cycle-level pipeline simulation (``None`` unless a detailed schedule
-        was produced).
     timings:
         Per-pass wall-clock timings from the pass manager.
 
@@ -67,7 +62,6 @@ class DeploymentResult:
     performance: PerformanceReport | None = None
     bounds: UtilizationBounds | None = None
     pnr: PnRResult | None = None
-    pipeline: PipelineSimulationResult | None = None
     bitstream: FPSABitstream | None = None
     #: multi-chip compiles: the partition plan and the per-shard backend
     #: artifacts (``shard_results`` stays ``None`` for the identity 1-chip
@@ -255,9 +249,4 @@ class DeploymentResult:
             lines.append(f"  {self.pnr.summary()}")
         if self.bitstream is not None:
             lines.append(f"  {self.bitstream.summary()}")
-        if self.pipeline is not None:
-            lines.append(
-                f"  pipeline simulation: II {self.pipeline.initiation_interval_cycles} cycles, "
-                f"throughput {self.pipeline.throughput_samples_per_s:,.1f} samples/s"
-            )
         return "\n".join(lines)

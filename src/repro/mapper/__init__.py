@@ -10,24 +10,12 @@ from .control import ControlPlan, plan_control
 from .mapper import MappingResult, SpatialTemporalMapper
 from .netlist import Block, BlockType, FunctionBlockNetlist, Net, build_netlist
 from .passes import MappingPass
-from .schedule import (
-    Schedule,
-    ScheduledOp,
-    assign_pes,
-    schedule_instances,
-    validate_schedule,
-)
 
 __all__ = [
     "GroupAllocation",
     "AllocationResult",
     "allocate",
     "allocate_for_pe_budget",
-    "ScheduledOp",
-    "Schedule",
-    "assign_pes",
-    "schedule_instances",
-    "validate_schedule",
     "Block",
     "BlockType",
     "Net",

@@ -6,15 +6,16 @@ The mapper performs the two sub-steps of Section 5.2:
    group at least one PE per crossbar tile, and duplicate the
    heavily-reused groups to balance the pipeline stages
    (:mod:`repro.mapper.allocation`).
-2. **Scheduling** — order the core-op executions on their PEs under the
-   RC / NBD / BD / BC / SW constraints, inserting SMB buffers where
-   streaming is impossible (:mod:`repro.mapper.schedule`), and generate the
-   control logic (:mod:`repro.mapper.control`).
+2. **Scheduling** — decide where streaming is impossible under the
+   RC / NBD / BD / BC / SW constraints and buffer those edges in SMBs
+   (:func:`~repro.mapper.netlist.smbs_per_edge` counts them per group
+   edge), and generate the control logic (:mod:`repro.mapper.control`).
 
 The result is a :class:`MappingResult` holding the allocation, the control
-plan, (for models small enough to expand to instance level) the detailed
-schedule, and the function-block netlist those determine — built when
-something first reads it.
+plan and the function-block netlist those determine — built when something
+first reads it.  The paper's instance-level greedy scheduler (Algorithm 1)
+and a cycle-level simulator of its schedules are kept under ``tests/perf/``
+as the reference the analytic performance model is checked against.
 """
 
 from __future__ import annotations
@@ -28,13 +29,8 @@ from ..synthesizer.coreop import CoreOpGraph
 from .allocation import AllocationResult, allocate, allocate_for_pe_budget
 from .control import ControlPlan, plan_control
 from .netlist import FunctionBlockNetlist, build_netlist, smbs_per_edge
-from .schedule import Schedule, schedule_instances
 
 __all__ = ["MappingResult", "SpatialTemporalMapper"]
-
-#: expanding more instances than this is pointless for scheduling studies
-#: and would dominate runtime; larger models use the group-level pipeline model.
-_DETAILED_SCHEDULE_LIMIT = 20_000
 
 
 @dataclass
@@ -50,7 +46,6 @@ class MappingResult:
     allocation: AllocationResult
     control: ControlPlan
     config: FPSAConfig
-    schedule: Schedule | None = None
 
     @cached_property
     def netlist(self) -> FunctionBlockNetlist:
@@ -87,18 +82,12 @@ class MappingResult:
 
     def summary(self) -> str:
         counts = self.block_counts()
-        lines = [
+        return "\n".join([
             f"mapping of {self.model!r} (duplication degree {self.duplication_degree})",
             f"  PEs: {counts['n_pe']}  SMBs: {counts['n_smb']}  CLBs: {counts['n_clb']}",
             f"  bottleneck iterations: {self.allocation.max_iterations}",
             f"  temporal utilization: {self.allocation.temporal_utilization():.3f}",
-        ]
-        if self.schedule is not None:
-            lines.append(
-                f"  detailed schedule: makespan {self.schedule.makespan} cycles, "
-                f"{self.schedule.n_buffers} buffered edges"
-            )
-        return "\n".join(lines)
+        ])
 
 
 class SpatialTemporalMapper:
@@ -112,8 +101,6 @@ class SpatialTemporalMapper:
         coreops: CoreOpGraph,
         duplication_degree: int = 1,
         pe_budget: int | None = None,
-        detailed_schedule: bool = False,
-        max_schedule_reuse: int | None = None,
         target_iterations: int | None = None,
         replication: int | None = None,
         max_pes: int | None = None,
@@ -127,11 +114,6 @@ class SpatialTemporalMapper:
         pe_budget:
             When set, pick the largest duplication degree that fits the
             budget instead of using ``duplication_degree``.
-        detailed_schedule:
-            Run the instance-level Algorithm-1 scheduler (small models only).
-        max_schedule_reuse:
-            Cap on reuse positions expanded per group for the detailed
-            schedule; ``None`` expands everything.
         target_iterations / replication:
             Override the bottleneck-derived pipeline pace (set by the
             multi-chip backend so every shard matches the whole-model
@@ -183,20 +165,6 @@ class SpatialTemporalMapper:
             smbs_per_edge(coreops, allocation, self.config)
         )
         control = plan_control(allocation, allocation.total_pes, n_smb, self.config)
-
-        schedule = None
-        if detailed_schedule:
-            instances = coreops.expand(
-                max_rows=pe.rows,
-                max_cols=pe.logical_cols,
-                max_reuse=max_schedule_reuse,
-                max_instances=_DETAILED_SCHEDULE_LIMIT,
-            )
-            schedule = schedule_instances(instances, allocation, window=pe.sampling_window)
         return MappingResult(
-            coreops=coreops,
-            allocation=allocation,
-            control=control,
-            config=self.config,
-            schedule=schedule,
+            coreops=coreops, allocation=allocation, control=control, config=self.config
         )

@@ -20,13 +20,13 @@ def mapping_fingerprint(ctx: CompileContext) -> str:
     """
     options = ctx.options
     return fingerprint(
-        "mapping-v2",  # v1 entries pickled a netlist and no config
+        # v1 entries pickled a netlist and no config; v2 ones could carry a
+        # detailed schedule
+        "mapping-v3",
         coreops_fingerprint(ctx.coreops),
         config_fingerprint(ctx.config),
         options.duplication_degree,
         options.pe_budget,
-        options.detailed_schedule,
-        options.max_schedule_reuse,
         options.target_iterations,
         options.replication,
         options.max_pes,
@@ -36,8 +36,8 @@ def mapping_fingerprint(ctx: CompileContext) -> str:
 @register_pass
 class MappingPass(CompilePass):
     """Map the core-op graph onto function blocks (allocation + control
-    plan + block counts, plus the detailed schedule when requested; the
-    netlist is derived from these by its first reader)."""
+    plan + block counts; the netlist is derived from these by its first
+    reader)."""
 
     name = "mapping"
     requires = ("coreops",)
@@ -49,8 +49,6 @@ class MappingPass(CompilePass):
             ctx.coreops,
             duplication_degree=options.duplication_degree,
             pe_budget=options.pe_budget,
-            detailed_schedule=options.detailed_schedule,
-            max_schedule_reuse=options.max_schedule_reuse,
             target_iterations=options.target_iterations,
             replication=options.replication,
             max_pes=options.max_pes,

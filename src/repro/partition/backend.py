@@ -2,7 +2,7 @@
 
 After the ``partition`` pass splits the core-op graph, every shard runs the
 back half of the pipeline (``mapping`` -> ``perf`` -> ``bounds`` and
-optionally ``pnr`` / ``pipeline_sim`` / ``bitstream``) as an independent
+optionally ``pnr`` / ``bitstream``) as an independent
 compile: each shard gets its own :class:`~repro.core.pipeline.PassManager`
 with the ``coreops`` artifact preloaded, hits the stage cache with its own
 content-addressed keys, and — for ``shard_jobs > 1`` — compiles in a worker
@@ -63,7 +63,6 @@ class ShardCompileResult:
     performance: Any = None
     bounds: Any = None
     pnr: Any = None
-    pipeline: Any = None
     bitstream: Any = None
     timings: list[PassTiming] | None = None
     #: this shard's per-compile stage-cache counters (tallied by its own
@@ -98,16 +97,13 @@ def shard_options(
     useful-operation share are pinned, and the per-chip capacity becomes
     the shard's mapping-time pre-flight bound — a safety net that catches
     any drift between the partitioner's PE estimates and the mapper's
-    actual allocation.  The instance-level detailed schedule (and with it
-    the cycle-level pipeline simulator) is single-chip-only analysis and
-    is switched off per shard.
+    actual allocation.
     """
     return dataclasses.replace(
         options,
         num_chips=None,
         shard_jobs=None,
         pe_budget=None,
-        detailed_schedule=False,
         duplication_degree=plan.duplication_degree,
         target_iterations=plan.target_iterations,
         replication=plan.replication,
@@ -136,7 +132,6 @@ def run_backend(
         performance=ctx.performance,
         bounds=ctx.bounds,
         pnr=ctx.pnr,
-        pipeline=ctx.pipeline,
         bitstream=ctx.bitstream,
         timings=timings,
         cache_stats=ctx.cache_stats,

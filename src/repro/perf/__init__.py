@@ -1,4 +1,4 @@
-"""Performance models: bounds, the analytic pipelined model, the simulator."""
+"""Performance models: bounds and the analytic pipelined model."""
 
 from .analytic import (
     ArchitectureModel,
@@ -20,8 +20,7 @@ from .comm import (
     mean_route_segments,
 )
 from .metrics import LatencyBreakdown, PerformanceReport, geometric_mean
-from .passes import BoundsPass, PerfPass, PipelineSimPass
-from .pipeline_sim import PipelineSimulationResult, PipelineSimulator
+from .passes import BoundsPass, PerfPass
 
 __all__ = [
     "PerformanceReport",
@@ -44,9 +43,6 @@ __all__ = [
     "evaluate_design_point",
     "sweep_area",
     "AreaSweepPoint",
-    "PipelineSimulationResult",
-    "PipelineSimulator",
     "PerfPass",
     "BoundsPass",
-    "PipelineSimPass",
 ]

@@ -5,9 +5,8 @@ from __future__ import annotations
 from ..core.pipeline import CompileContext, CompilePass, register_pass
 from .analytic import FPSAArchitecture, evaluate_design_point
 from .bounds import compute_bounds
-from .pipeline_sim import PipelineSimulator
 
-__all__ = ["PerfPass", "BoundsPass", "PipelineSimPass"]
+__all__ = ["PerfPass", "BoundsPass"]
 
 
 def _useful_ops(ctx: CompileContext) -> float:
@@ -54,20 +53,3 @@ class BoundsPass(CompilePass):
         ctx.bounds = compute_bounds(
             ctx.coreops, ctx.mapping.allocation, _useful_ops(ctx), ctx.config
         )
-
-
-@register_pass
-class PipelineSimPass(CompilePass):
-    """Run the cycle-level pipeline simulator on the detailed schedule.
-
-    Leaves ``pipeline`` as ``None`` when the mapping carries no detailed
-    schedule (the simulator needs instance-level scheduling).
-    """
-
-    name = "pipeline_sim"
-    requires = ("mapping",)
-    provides = ("pipeline",)
-
-    def run(self, ctx: CompileContext) -> None:
-        if ctx.mapping.schedule is not None:
-            ctx.pipeline = PipelineSimulator(ctx.config.pe).run(ctx.mapping.schedule)

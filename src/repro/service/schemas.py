@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 from ..core.pipeline import (
     BOOLEAN,
+    COUNT,
     PUBLIC_KNOBS,
     check_knobs,
     integer,
@@ -142,10 +143,13 @@ class CompileRequest:
     model: str
     duplication_degree: int = 1
     pe_budget: int | None = None
-    detailed_schedule: bool = False
+    #: inert: checked and fingerprinted, read by nothing; kept until the
+    #: wire-schema bump, because stored run ids hash it.
+    detailed_schedule: bool = knob(BOOLEAN, "semantic", default=False)
     run_pnr: bool = False
     emit_bitstream: bool = False
-    max_schedule_reuse: int | None = None
+    #: inert like ``detailed_schedule``; kept until the wire-schema bump.
+    max_schedule_reuse: int | None = knob(COUNT, "semantic", default=None)
     pnr_channel_width: int | None = None
     pnr_seed: int = 0
     pnr_jobs: int | None = None
@@ -388,6 +392,8 @@ class ResultSummary:
     bounds: dict[str, float] | None = None
     energy: dict[str, float] | None = None
     pnr: dict[str, float] | None = None
+    #: load-only: stored responses may carry the cycle simulator's section;
+    #: always ``None`` from a new compile, kept until the wire-schema bump.
     pipeline: dict[str, float] | None = None
     bitstream: dict[str, Any] | None = None
     #: multi-chip compiles: shard roster, cut size/traffic and per-chip
@@ -400,7 +406,7 @@ class ResultSummary:
     ) -> "ResultSummary":
         """Distill the wire-relevant numbers out of a live compile result."""
         duplication = blocks = performance = bounds = energy = None
-        pnr = pipeline = bitstream = partition = None
+        pnr = bitstream = partition = None
         if result.mapping is not None:
             duplication = result.mapping.duplication_degree
             blocks = result.mapping.block_counts()
@@ -477,15 +483,6 @@ class ResultSummary:
                 pnr["place_moves_accepted"] = float(stats.moves_accepted)
             for stage, seconds in result.pnr.stage_seconds.items():
                 pnr[f"{stage}_seconds"] = seconds
-        if result.pipeline is not None:
-            pipeline = {
-                "initiation_interval_cycles": float(
-                    result.pipeline.initiation_interval_cycles
-                ),
-                "makespan_cycles": float(result.pipeline.makespan_cycles),
-                "latency_us": result.pipeline.latency_us,
-                "throughput_samples_per_s": result.pipeline.throughput_samples_per_s,
-            }
         if result.bitstream is not None:
             bitstream = {"emitted": True, "summary": result.bitstream.summary()}
         return cls(
@@ -496,7 +493,6 @@ class ResultSummary:
             bounds=bounds,
             energy=energy,
             pnr=pnr,
-            pipeline=pipeline,
             bitstream=bitstream,
             partition=partition,
         )

@@ -4,12 +4,8 @@ from .coreop import (
     GRAPH_INPUT,
     GRAPH_OUTPUT,
     CoreOpGraph,
-    CoreOpInstance,
-    CoreOpInstanceGraph,
     GroupEdge,
-    InstanceEdge,
     WeightGroup,
-    expand,
 )
 from .lowering import LoweringContext, LoweringError
 from .passes import SynthesisPass
@@ -20,12 +16,8 @@ __all__ = [
     "WeightGroup",
     "GroupEdge",
     "CoreOpGraph",
-    "CoreOpInstance",
-    "InstanceEdge",
-    "CoreOpInstanceGraph",
     "GRAPH_INPUT",
     "GRAPH_OUTPUT",
-    "expand",
     "LoweringContext",
     "LoweringError",
     "Tile",

@@ -10,15 +10,14 @@ millions of nodes.  The synthesizer therefore emits a *grouped*
 representation: a :class:`WeightGroup` describes one shared weight matrix
 together with its *reuse degree* (how many core-op instances share it), and
 :class:`GroupEdge` records the dataflow between groups.  The
-spatial-to-temporal mapper works directly on groups; the detailed scheduler
-expands groups into individual :class:`CoreOpInstance` nodes when the model
-is small enough (see :meth:`CoreOpGraph.expand`).
+spatial-to-temporal mapper and the performance model work directly on
+groups; nothing in the compile path expands them into instances.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import SynthesisError
 from .splitting import TilePlan, plan_tiling
@@ -27,12 +26,8 @@ __all__ = [
     "WeightGroup",
     "GroupEdge",
     "CoreOpGraph",
-    "CoreOpInstance",
-    "InstanceEdge",
-    "CoreOpInstanceGraph",
     "GRAPH_INPUT",
     "GRAPH_OUTPUT",
-    "expand",
 ]
 
 
@@ -236,16 +231,6 @@ class CoreOpGraph:
             return 0.0
         return min(1.0, useful / capacity)
 
-    def expand(
-        self,
-        max_rows: int = 256,
-        max_cols: int = 256,
-        max_reuse: int | None = None,
-        max_instances: int = 200_000,
-    ) -> "CoreOpInstanceGraph":
-        """Expand into an instance-level DAG (see module-level :func:`expand`)."""
-        return expand(self, max_rows, max_cols, max_reuse, max_instances)
-
     def summary(self) -> str:
         lines = [f"core-op graph {self.name!r}: {len(self)} groups, {len(self._edges)} edges"]
         header = (
@@ -260,161 +245,3 @@ class CoreOpGraph:
                 f"{g.min_pes():>6} {g.macs_per_instance:>10,}"
             )
         return "\n".join(lines)
-
-
-# --------------------------------------------------------------------------
-# instance-level expansion (used by the detailed scheduler on small models)
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CoreOpInstance:
-    """One individual core-op: a specific tile executed for a specific
-    reuse position of its weight group."""
-
-    name: str
-    group: str
-    tile_index: int
-    reuse_index: int
-    rows: int
-    cols: int
-
-
-@dataclass(frozen=True)
-class InstanceEdge:
-    src: str
-    dst: str
-    values: int
-
-
-@dataclass
-class CoreOpInstanceGraph:
-    """A fully expanded, instance-level core-op DAG."""
-
-    name: str
-    instances: dict[str, CoreOpInstance] = field(default_factory=dict)
-    edges: list[InstanceEdge] = field(default_factory=list)
-
-    def add_instance(self, instance: CoreOpInstance) -> None:
-        if instance.name in self.instances:
-            raise SynthesisError(f"duplicate instance {instance.name!r}")
-        self.instances[instance.name] = instance
-
-    def add_edge(self, src: str, dst: str, values: int) -> None:
-        if src not in self.instances or dst not in self.instances:
-            raise SynthesisError("instance edge references unknown instance")
-        self.edges.append(InstanceEdge(src, dst, values))
-
-    def __len__(self) -> int:
-        return len(self.instances)
-
-    def predecessors(self, name: str) -> list[str]:
-        return [e.src for e in self.edges if e.dst == name]
-
-    def successors(self, name: str) -> list[str]:
-        return [e.dst for e in self.edges if e.src == name]
-
-    def topological(self) -> list[CoreOpInstance]:
-        in_degree = {n: 0 for n in self.instances}
-        adjacency: dict[str, list[str]] = {n: [] for n in self.instances}
-        for edge in self.edges:
-            in_degree[edge.dst] += 1
-            adjacency[edge.src].append(edge.dst)
-        ready = [n for n, d in in_degree.items() if d == 0]
-        order = []
-        while ready:
-            name = ready.pop(0)
-            order.append(self.instances[name])
-            for succ in adjacency[name]:
-                in_degree[succ] -= 1
-                if in_degree[succ] == 0:
-                    ready.append(succ)
-        if len(order) != len(self.instances):
-            raise SynthesisError("instance graph contains a cycle")
-        return order
-
-
-def _expand_group(
-    graph: CoreOpGraph,
-    group: WeightGroup,
-    max_rows: int,
-    max_cols: int,
-    max_reuse: int | None,
-) -> list[CoreOpInstance]:
-    tiles = group.tiling(max_rows, max_cols).tiles
-    reuse = group.reuse if max_reuse is None else min(group.reuse, max_reuse)
-    instances = []
-    for r in range(reuse):
-        for t, tile in enumerate(tiles):
-            instances.append(
-                CoreOpInstance(
-                    name=f"{group.name}#r{r}t{t}",
-                    group=group.name,
-                    tile_index=t,
-                    reuse_index=r,
-                    rows=tile.rows,
-                    cols=tile.cols,
-                )
-            )
-    return instances
-
-
-def expand(
-    graph: CoreOpGraph,
-    max_rows: int = 256,
-    max_cols: int = 256,
-    max_reuse: int | None = None,
-    max_instances: int = 200_000,
-) -> CoreOpInstanceGraph:
-    """Expand a grouped core-op graph into an instance-level DAG.
-
-    Parameters
-    ----------
-    max_reuse:
-        Optionally cap the number of reuse positions expanded per group
-        (useful to schedule a representative slice of a large CNN).
-    max_instances:
-        Safety limit; expansion larger than this raises ``ValueError``.
-    """
-    total = 0
-    for group in graph.groups():
-        reuse = group.reuse if max_reuse is None else min(group.reuse, max_reuse)
-        total += reuse * group.min_pes(max_rows, max_cols)
-    if total > max_instances:
-        raise SynthesisError(
-            f"expansion would create {total} instances (> {max_instances}); "
-            "cap reuse with max_reuse or use the group-level mapper"
-        )
-
-    result = CoreOpInstanceGraph(graph.name)
-    per_group: dict[str, list[CoreOpInstance]] = {}
-    for group in graph.topological_groups():
-        instances = _expand_group(graph, group, max_rows, max_cols, max_reuse)
-        per_group[group.name] = instances
-        for instance in instances:
-            result.add_instance(instance)
-
-    # connect instances: reuse position i of a consumer group depends on the
-    # producer instances of the matching reuse position (or the last one if
-    # the producer has fewer positions), across all producer tiles.
-    for edge in graph.edges():
-        if edge.src not in per_group or edge.dst not in per_group:
-            continue
-        sources = per_group[edge.src]
-        sinks = per_group[edge.dst]
-        src_group = graph.group(edge.src)
-        dst_group = graph.group(edge.dst)
-        src_tiles = src_group.min_pes(max_rows, max_cols)
-        dst_tiles = dst_group.min_pes(max_rows, max_cols)
-        src_reuse = len(sources) // src_tiles
-        dst_reuse = len(sinks) // dst_tiles
-        for dst_pos in range(dst_reuse):
-            src_pos = min(int(dst_pos * src_reuse / max(dst_reuse, 1)), src_reuse - 1)
-            for st in range(src_tiles):
-                for dt in range(dst_tiles):
-                    result.add_edge(
-                        sources[src_pos * src_tiles + st].name,
-                        sinks[dst_pos * dst_tiles + dt].name,
-                        edge.values_per_instance,
-                    )
-    return result

@@ -87,7 +87,7 @@ def vgg16_coreops(vgg16_graph):
 @pytest.fixture(scope="session")
 def lenet_mapping(lenet_coreops, config):
     mapper = SpatialTemporalMapper(config)
-    return mapper.map(lenet_coreops, duplication_degree=4, detailed_schedule=True)
+    return mapper.map(lenet_coreops, duplication_degree=4)
 
 
 @pytest.fixture(scope="session")

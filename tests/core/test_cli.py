@@ -16,11 +16,16 @@ class TestParser:
 
     def test_deploy_arguments(self):
         args = build_parser().parse_args(
-            ["deploy", "LeNet", "--duplication", "8", "--detailed"]
+            ["deploy", "LeNet", "--duplication", "8", "--pnr"]
         )
         assert args.model == "LeNet"
         assert args.duplication == 8
-        assert args.detailed is True
+        assert args.pnr is True
+
+    def test_detailed_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["deploy", "LeNet", "--detailed"])
+        assert "--detailed" in capsys.readouterr().err
 
     def test_unknown_model_parses(self):
         # unknown models are not an argparse error: they flow through the

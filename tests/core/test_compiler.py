@@ -4,6 +4,7 @@ import pytest
 
 import repro
 from repro.core.compiler import FPSACompiler
+from repro.errors import InvalidRequestError
 from repro.models import build_lenet
 
 
@@ -11,7 +12,7 @@ class TestFPSACompiler:
     @pytest.fixture(scope="class")
     def lenet_deployment(self):
         compiler = FPSACompiler()
-        return compiler.compile(build_lenet(), duplication_degree=4, detailed_schedule=True)
+        return compiler.compile(build_lenet(), duplication_degree=4)
 
     def test_deployment_result_consistency(self, lenet_deployment):
         result = lenet_deployment
@@ -21,9 +22,18 @@ class TestFPSACompiler:
         assert result.performance.model == "LeNet"
         assert result.bounds.peak_density >= result.bounds.spatial_bound
 
-    def test_pipeline_simulation_attached(self, lenet_deployment):
-        assert lenet_deployment.pipeline is not None
-        assert lenet_deployment.pipeline.throughput_samples_per_s > 0
+    def test_one_throughput_and_one_latency(self, lenet_deployment):
+        # the analytic model is the only performance model in the result
+        assert not hasattr(lenet_deployment, "pipeline")
+        assert not hasattr(lenet_deployment.mapping, "schedule")
+        assert lenet_deployment.throughput_samples_per_s > 0
+        assert lenet_deployment.latency_us > 0
+
+    @pytest.mark.parametrize("knob", ["detailed_schedule", "max_schedule_reuse"])
+    def test_detailed_schedule_knobs_are_unknown(self, knob):
+        with pytest.raises(InvalidRequestError) as excinfo:
+            FPSACompiler(cache=False).compile(build_lenet(), **{knob: 1})
+        assert excinfo.value.details["unknown"] == [knob]
 
     def test_summary_readable(self, lenet_deployment):
         text = lenet_deployment.summary()

@@ -26,9 +26,9 @@ from repro.models.zoo import build_model
 class TestPassRegistry:
     def test_builtin_passes_registered(self):
         registry = available_passes()
-        for name in ("synthesis", "mapping", "perf", "bounds", "pnr",
-                     "pipeline_sim", "bitstream"):
+        for name in ("synthesis", "mapping", "perf", "bounds", "pnr", "bitstream"):
             assert name in registry
+        assert "pipeline_sim" not in registry
 
     def test_unknown_pass_rejected(self):
         with pytest.raises(UnknownPassError, match="nonsense"):
@@ -39,12 +39,9 @@ class TestPassRegistry:
             "synthesis", "mapping", "perf", "bounds"
         ]
         full = default_pass_names(
-            CompileOptions(detailed_schedule=True, run_pnr=True, emit_bitstream=True)
+            CompileOptions(run_pnr=True, emit_bitstream=True)
         )
-        assert full == [
-            "synthesis", "mapping", "perf", "bounds",
-            "pnr", "pipeline_sim", "bitstream",
-        ]
+        assert full == ["synthesis", "mapping", "perf", "bounds", "pnr", "bitstream"]
 
     def test_custom_pass_registration(self):
         @register_pass
@@ -124,13 +121,11 @@ class TestPartialCompile:
         # mapping ran, so its accessor works
         assert result.duplication_degree == 2
 
-    def test_explicit_pipeline_sim_pass_implies_detailed_schedule(self):
-        result = FPSACompiler(cache=False).compile(
-            build_lenet(), passes=("synthesis", "mapping", "pipeline_sim")
-        )
-        assert result.mapping.schedule is not None
-        assert result.pipeline is not None
-        assert result.pipeline.throughput_samples_per_s > 0
+    def test_the_removed_pipeline_sim_pass_is_a_pass_error(self):
+        with pytest.raises(PassError, match="pipeline_sim"):
+            FPSACompiler(cache=False).compile(
+                build_lenet(), passes=("synthesis", "mapping", "pipeline_sim")
+            )
 
     def test_full_compile_records_timings(self):
         result = FPSACompiler(cache=False).compile(build_lenet())

@@ -9,7 +9,7 @@ import pickle
 
 import pytest
 
-from repro.core.cache import netlist_fingerprint
+from repro.core.cache import StageCache, netlist_fingerprint
 from repro.core.compiler import FPSACompiler
 from repro.core.shared_cache import SharedStageCache
 from repro.errors import MappingError
@@ -61,7 +61,11 @@ class TestNothingBuildsWhatNothingReads:
         assert all("netlist" not in vars(m) for m in _mappings(result))
 
     def test_serve_request(self, datapath_builds):
-        served = serve_request(CompileRequest(model="LeNet", duplication_degree=4))
+        # a private cache: another test's compile of the same point may
+        # have read the netlist of the process-wide cache's mapping
+        served = serve_request(
+            CompileRequest(model="LeNet", duplication_degree=4), cache=StageCache()
+        )
         served.response.raise_for_status()
         assert served.response.summary.blocks["n_smb"] > 0
         assert datapath_builds == []

@@ -11,12 +11,6 @@ class TestSpatialTemporalMapper:
         assert lenet_mapping.duplication_degree == 4
         assert lenet_mapping.netlist.n_pe == lenet_mapping.allocation.total_pes
         assert lenet_mapping.control.clbs_needed == lenet_mapping.netlist.n_clb
-        assert lenet_mapping.schedule is not None
-
-    def test_detailed_schedule_optional(self, mlp_coreops, config):
-        mapper = SpatialTemporalMapper(config)
-        result = mapper.map(mlp_coreops, duplication_degree=2)
-        assert result.schedule is None
 
     def test_pe_budget_mapping(self, lenet_coreops, config):
         mapper = SpatialTemporalMapper(config)
@@ -37,14 +31,6 @@ class TestSpatialTemporalMapper:
         text = lenet_mapping.summary()
         assert "PEs" in text
         assert "duplication degree 4" in text
-
-    def test_schedule_reuse_cap(self, vgg16_coreops, config):
-        mapper = SpatialTemporalMapper(config)
-        result = mapper.map(
-            vgg16_coreops, duplication_degree=1, detailed_schedule=True, max_schedule_reuse=1
-        )
-        assert result.schedule is not None
-        assert len(result.schedule.ops) > 0
 
 
 class TestNetlistBuiltOnce:

@@ -57,6 +57,45 @@ _STORED_WITH_DEDUP_COUNTERS = """
 """
 
 
+#: ``response.json`` of MLP-500-100 d1, ``detailed_schedule=True``, as the
+#: build that still ran the cycle-level pipeline simulator stored it under
+#: ``_STORED_SIMULATED_RUN_ID``: a non-null ``pipeline`` summary section
+#: and a ``pipeline_sim`` timing row.
+_STORED_SIMULATED_RUN_ID = "e2e3aaa55e106970"
+_STORED_WITH_SIMULATOR_SECTION = """
+{"error": null, "request": {"deadline_s": null, "dedup": false,
+"detailed_schedule": true, "duplication_degree": 1, "emit_bitstream": false,
+"fault_plan": null, "max_retries": null, "max_schedule_reuse": null, "model":
+"MLP-500-100", "num_chips": null, "passes": null, "pe_budget": null,
+"pnr_channel_width": null, "pnr_jobs": null, "pnr_seed": 0, "run_pnr": false,
+"schema_version": 1, "seed": null, "shard_jobs": null, "synthesis_options":
+null, "tags": {}, "use_cache": true, "verify": false}, "schema_version": 1,
+"status": "ok", "summary": {"bitstream": null, "blocks": {"n_clb": 1, "n_pe":
+13, "n_smb": 2}, "bounds": {"peak_density_tops_per_mm2": 38.01631718107818,
+"spatial_bound_tops_per_mm2": 12.857973976997126, "spatial_utilization":
+0.3382225036621094, "temporal_bound_tops_per_mm2": 2.4726873032686782,
+"temporal_utilization": 0.19230769230769232}, "duplication_degree": 1, "energy":
+{"clb_pj": 62.12, "pe_pj": 37240.32, "routing_pj": 1893.376, "smb_pj": 8505.4,
+"tops_per_w": 18.587157191129048, "total_pj": 47701.216}, "model":
+"MLP-500-100", "partition": null, "performance": {"area_mm2": 0.3404595986,
+"latency_us": 2.825386, "ops_per_sample": 886630, "real_tops":
+0.7050085240645794, "throughput_samples_per_s": 795155.2779226728,
+"tops_per_mm2": 2.0707553171173223, "utilization": 0.06469109916953755},
+"pipeline": {"initiation_interval_cycles": 512.0, "latency_us":
+1.2532590000000001, "makespan_cycles": 513.0, "throughput_samples_per_s":
+799478.1006958657}, "pnr": null}, "timings": {"cache_hits": 0, "cache_misses":
+5, "dedup_hits": 0, "dedup_misses": 0, "evictions": 0, "passes": [{"cached":
+false, "name": "synthesis", "provides": ["coreops"], "seconds":
+0.00046950399973866297}, {"cached": false, "name": "mapping", "provides":
+["mapping"], "seconds": 0.0014658829995823908}, {"cached": false, "name":
+"perf", "provides": ["performance"], "seconds": 0.00022600900047109462},
+{"cached": false, "name": "bounds", "provides": ["bounds"], "seconds":
+5.239100028120447e-05}, {"cached": false, "name": "pipeline_sim", "provides":
+["pipeline"], "seconds": 0.00018472500050847884}], "shared_cache_hits": 0,
+"shared_cache_misses": 0, "total_seconds": 0.0023985120005818317,
+"write_errors": 0}}
+"""
+
 class TestCompileRequest:
     def test_defaults(self):
         request = CompileRequest(model="LeNet")
@@ -215,14 +254,26 @@ class TestServeAndRoundTrip:
         )
         response = serve_request(request).response
         assert response.ok
-        # every artifact section made it into the summary
+        # every artifact section made it into the summary; the inert
+        # ``detailed_schedule`` no longer adds a simulator section
         summary = response.summary
         for section in ("blocks", "performance", "bounds", "energy",
-                        "pnr", "pipeline", "bitstream"):
+                        "pnr", "bitstream"):
             assert getattr(summary, section) is not None, section
+        assert summary.pipeline is None
+        assert "pipeline_sim" not in response.timings.seconds_by_stage()
         rebuilt = CompileResponse.from_json(response.to_json())
         assert rebuilt == response
         assert rebuilt.to_json() == response.to_json()
+
+    def test_inert_request_fields_change_no_summary(self):
+        plain = serve_request(CompileRequest(model="MLP-500-100")).response
+        inert = serve_request(
+            CompileRequest(model="MLP-500-100", detailed_schedule=True, max_schedule_reuse=2)
+        ).response
+        assert inert.summary == plain.summary
+        assert inert.request.fingerprint() != plain.request.fingerprint()
+        assert inert.to_dict()["summary"]["pipeline"] is None
 
     def test_decoded_responses_share_their_key_strings(self):
         # what a response kept in memory costs is mostly the key strings
@@ -372,6 +423,20 @@ class TestCompileTimings:
         assert response.timings.dedup_hits == 5
         assert response.to_dict() == payload
         assert ArtifactStore.run_id_for(response) == _STORED_RUN_ID
+
+    def test_stored_simulator_section_loads_and_keeps_its_run_id(self, tmp_path):
+        # the section and the two request fields are load-only now; a run
+        # stored with them parses, round-trips and re-hashes to its id
+        payload = json.loads(_STORED_WITH_SIMULATOR_SECTION)
+        response = CompileResponse.from_dict(payload)
+        assert response.request.detailed_schedule is True
+        assert response.summary.pipeline["initiation_interval_cycles"] == 512.0
+        assert response.to_dict() == payload
+        assert CompileResponse.from_json(response.to_json()) == response
+        assert ArtifactStore.run_id_for(response) == _STORED_SIMULATED_RUN_ID
+        store = ArtifactStore(tmp_path / "runs")
+        assert store.save(response) == _STORED_SIMULATED_RUN_ID
+        assert store.load(_STORED_SIMULATED_RUN_ID, verify=True) == response
 
     def test_truncated_payload_is_typed(self):
         # a hand-edited/truncated stored response must fail with the typed

@@ -121,44 +121,3 @@ class TestCoreOpGraph:
     def test_summary_mentions_groups(self):
         assert "a" in self.build().summary()
 
-
-class TestExpansion:
-    def test_expand_instance_counts(self):
-        g = CoreOpGraph("expand")
-        g.add_group(make_group("x", rows=512, cols=128, reuse=3))
-        instances = g.expand()
-        # 2 row tiles x 3 reuse positions
-        assert len(instances) == 6
-
-    def test_expand_edges_follow_group_edges(self):
-        g = CoreOpGraph("edges")
-        g.add_group(make_group("p", reuse=2))
-        g.add_group(make_group("q", reuse=2))
-        g.add_edge("p", "q", 64)
-        instances = g.expand()
-        assert len(instances.edges) == 2
-        for edge in instances.edges:
-            assert edge.src.startswith("p")
-            assert edge.dst.startswith("q")
-
-    def test_expand_respects_max_reuse_cap(self):
-        g = CoreOpGraph("cap")
-        g.add_group(make_group("big", reuse=1000))
-        instances = g.expand(max_reuse=5)
-        assert len(instances) == 5
-
-    def test_expand_instance_limit(self):
-        g = CoreOpGraph("huge")
-        g.add_group(make_group("big", reuse=10_000_000))
-        with pytest.raises(ValueError):
-            g.expand(max_instances=1000)
-
-    def test_expanded_graph_topological(self):
-        g = CoreOpGraph("topo")
-        g.add_group(make_group("p", reuse=4))
-        g.add_group(make_group("q", reuse=2))
-        g.add_edge("p", "q", 64)
-        instances = g.expand()
-        order = [i.name for i in instances.topological()]
-        for edge in instances.edges:
-            assert order.index(edge.src) < order.index(edge.dst)

@@ -12,7 +12,7 @@ from repro.synthesizer import synthesize
 class TestCustomModelEndToEnd:
     def test_user_defined_cnn_deploys(self):
         """A model built through the public GraphBuilder API goes through
-        synthesis, mapping, scheduling, P&R and performance evaluation."""
+        synthesis, mapping, P&R and performance evaluation."""
         builder = GraphBuilder("custom-cnn", input_shape=(3, 16, 16))
         builder.conv(16, 3, padding=1).maxpool(2).conv(32, 3, padding=1).maxpool(2)
         builder.flatten().dense(64, relu=True).dense(10).softmax()
@@ -20,13 +20,11 @@ class TestCustomModelEndToEnd:
 
         compiler = FPSACompiler()
         result = compiler.compile(
-            graph, duplication_degree=4, detailed_schedule=True,
-            run_pnr=True, pnr_channel_width=24,
+            graph, duplication_degree=4, run_pnr=True, pnr_channel_width=24,
         )
         assert result.throughput_samples_per_s > 0
         assert result.latency_us > 0
         assert result.pnr is not None and result.pnr.routing.legal
-        assert result.pipeline is not None
         assert result.mapping.netlist.n_pe >= result.coreops.min_pes()
 
     def test_residual_model_deploys(self):
