@@ -12,8 +12,9 @@ __all__ = ["PnRPass"]
 #: version salt of the P&R artifact: bumped whenever the engine's output
 #: changes for the same inputs, or its pickled layout does (v4 = serial
 #: annealer, two proposals per movable block per temperature; v5 = routed
-#: trees and paths held as node-id tuples, every routing unchanged).
-_PNR_ARTIFACT_VERSION = "pnr-v5"
+#: trees and paths held as node-id tuples, every routing unchanged; v6 =
+#: the anneal starts cold from a quadratic start, not a random one).
+_PNR_ARTIFACT_VERSION = "pnr-v6"
 
 
 @register_pass

@@ -1,9 +1,12 @@
-"""Simulated-annealing placement.
+"""Placement: a quadratic start refined by simulated annealing.
 
 The placer assigns every block of the function-block netlist to a fabric
 site, minimising the total half-perimeter wirelength (HPWL) of the nets —
 the same objective and algorithm family as the VPR/mrVPR tool the paper
 uses.  I/O blocks are constrained to the peripheral I/O sites.
+:func:`start_positions` solves a star-model quadratic placement and
+legalises it, as SimPL does (Kim, Lee & Markov, ICCAD 2010); the anneal
+refines it from a cold start, drawing from its seed for the moves alone.
 
 :class:`PlacementCostModel` is the objective's state: flat coordinate
 lists, the partners of every two-pin net, one counted bounding box per
@@ -30,7 +33,7 @@ __all__ = [
     "PlacementCostModel",
     "PlacementStats",
     "ParallelAnnealingPlacer",
-    "initial_positions",
+    "start_positions",
 ]
 
 #: proposed moves per movable block per temperature: the smallest whole
@@ -177,6 +180,8 @@ class PlacementStats:
     #: its own site is proposed but not evaluated)
     moves_evaluated: int = 0
     moves_accepted: int = 0
+    #: HPWL of the constructive start and of the final placement
+    start_cost: int = 0
     final_cost: int = 0
     #: nets priced across the evaluated moves (a net holding both ends of
     #: a swap is skipped, not priced) and, of the bounding boxes among
@@ -191,35 +196,103 @@ class PlacementStats:
         return len(self.temperatures)
 
 
-def initial_positions(
-    netlist: FunctionBlockNetlist, fabric: FabricGrid, rng: np.random.Generator
+#: the quadratic start: each free node's pull to the fabric's centre (a
+#: two-pin net weighs 1), and the passes that pull the core blocks to their
+#: last legal sites, by _ANCHOR_WEIGHT more each time (SimPL's pseudo-nets)
+_CENTRE_WEIGHT = 1e-3
+_SPREAD_PASSES = 8
+_ANCHOR_WEIGHT = 0.03
+
+
+def _conjugate_gradient(apply, diag: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> None:
+    """Jacobi-preconditioned conjugate gradient for ``apply(x) == rhs``, in place."""
+    r = rhs - apply(x)
+    p = z = r / diag
+    rz = (r * z).sum()
+    for _ in range(rhs.size):
+        if (r * r).sum() <= 1e-18 * max((rhs * rhs).sum(), 1.0):
+            break
+        q = apply(p)
+        step = rz / (p * q).sum()
+        x += step * p
+        r -= step * q
+        z = r / diag
+        rz, previous = (r * z).sum(), rz
+        p = z + rz / previous * p
+
+
+def start_positions(
+    netlist: FunctionBlockNetlist, fabric: FabricGrid
 ) -> dict[str, tuple[int, int]]:
-    """The random legal placement the anneal starts from: core blocks on a
-    permutation of the core sites, I/O blocks on a permutation of the
-    peripheral I/O sites."""
-    core_blocks = [b.name for b in netlist.blocks.values() if b.type != BlockType.IO]
-    io_blocks = [b.name for b in netlist.blocks.values() if b.type == BlockType.IO]
-
-    sites = [s.position for s in fabric.sites()]
-    if len(core_blocks) > len(sites):
+    """The legal placement the anneal starts from, a function of the netlist
+    and the fabric only: a net of k >= 3 members is a star node joined to
+    each with weight k / (k - 1), I/O blocks are anchors at mid height (left
+    if they drive a net, else right), and the solve by conjugate gradient is
+    legalised by x into equal shares of the columns, each by y onto rows
+    spread over its height.  An I/O block takes the nearest free I/O site."""
+    core = [b.name for b in netlist.blocks.values() if b.type != BlockType.IO]
+    io = [b.name for b in netlist.blocks.values() if b.type == BlockType.IO]
+    if len(core) > fabric.n_sites:
         raise CapacityError(
-            f"netlist has {len(core_blocks)} blocks but the fabric "
-            f"only has {len(sites)} sites",
-            details={"blocks": len(core_blocks), "sites": len(sites)},
+            f"netlist has {len(core)} blocks but the fabric only has {fabric.n_sites} sites",
+            details={"blocks": len(core), "sites": fabric.n_sites},
         )
-    order = rng.permutation(len(sites))
-    positions = {name: sites[order[i]] for i, name in enumerate(core_blocks)}
-
     io_sites = [s.position for s in fabric.io_sites()]
-    if len(io_blocks) > len(io_sites):
+    if len(io) > len(io_sites):
         raise CapacityError(
             "not enough I/O sites for the netlist's I/O blocks",
-            details={"io_blocks": len(io_blocks), "io_sites": len(io_sites)},
+            details={"io_blocks": len(io), "io_sites": len(io_sites)},
         )
-    io_order = rng.permutation(len(io_sites))
-    positions.update(
-        (name, io_sites[io_order[i]]) for i, name in enumerate(io_blocks)
-    )
+
+    # nodes: the core blocks, the I/O blocks (fixed), then the stars
+    n_core, index = len(core), {name: i for i, name in enumerate(core + io)}
+    n, edges = len(index), []
+    for net in netlist.nets:
+        members = [index[b] for b in dict.fromkeys((net.driver, *net.sinks))]
+        if len(members) == 2:
+            edges.append((*members, 1.0))
+        elif len(members) > 2:
+            edges += [(m, n, len(members) / (len(members) - 1)) for m in members]
+            n += 1
+    table = np.array(edges, dtype=float).reshape(-1, 3)
+    u, v, w = table[:, 0].astype(np.intp), table[:, 1].astype(np.intp), table[:, 2]
+    free = (np.arange(n) < n_core) | (np.arange(n) >= len(index))
+    degree = np.bincount(u, w, n) + np.bincount(v, w, n) + _CENTRE_WEIGHT
+    pull = np.zeros(n)  # each core block's pseudo-net to its last legal site
+
+    def adjacent(z: np.ndarray) -> np.ndarray:
+        return np.bincount(u, w * z[v], n) + np.bincount(v, w * z[u], n)
+
+    def apply(z: np.ndarray) -> np.ndarray:
+        return np.where(free, (degree + pull) * z - adjacent(z), 0.0)
+
+    drivers = {net.driver for net in netlist.nets}
+    centre = ((fabric.width - 1) / 2, (fabric.height - 1) / 2)
+    anchors = {name: (-1 if name in drivers else fabric.width, centre[1]) for name in io}
+    fixed = np.zeros((2, n))
+    for name in io:
+        fixed[:, index[name]] = anchors[name]
+    rhs = [np.where(free, adjacent(f) + _CENTRE_WEIGHT * c, 0.0) for f, c in zip(fixed, centre)]
+    solved, legal = np.where(free, np.array(centre)[:, None], 0.0), np.zeros((2, n))
+    bounds = np.arange(fabric.width + 1) * n_core // fabric.width
+    for spread_pass in range(_SPREAD_PASSES + 1):
+        pull[:n_core] = _ANCHOR_WEIGHT * spread_pass
+        for axis in (0, 1):
+            _conjugate_gradient(apply, degree + pull, rhs[axis] + pull * legal[axis], solved[axis])
+        # rounded so that blocks the solve placed alike sort by index
+        xs, ys = np.round(solved[:, :n_core], 6)
+        order = np.lexsort((np.arange(n_core), ys, xs))
+        for column in range(fabric.width):
+            members = order[bounds[column]:bounds[column + 1]]
+            rows = members[np.lexsort((members, xs[members], ys[members]))]
+            legal[0, rows] = column
+            legal[1, rows] = (2 * np.arange(rows.size) + 1) * fabric.height // (2 * rows.size)
+
+    positions = dict(zip(core, map(tuple, legal[:, :n_core].T.astype(int).tolist())))
+    for name in io:
+        site = min(io_sites, key=lambda s, a=anchors[name]: FabricGrid.manhattan(s, a))
+        io_sites.remove(site)
+        positions[name] = site
     return positions
 
 
@@ -230,20 +303,22 @@ class ParallelAnnealingPlacer:
     movable block, one after the other: a block steps to a site within
     the range window (an occupied target is an exchange swap), the move
     loop prices its exact cost delta on the model, and the Metropolis test
-    accepts or rejects it before the next one is drawn.  Temperature and range
-    window follow VPR's adaptive schedule, which holds the acceptance
-    rate near 0.44 by shrinking the window as the anneal cools; a last
-    sweep at range 1 takes only strict improvements.
+    accepts or rejects it before the next one is drawn.  It refines
+    :func:`start_positions`, so it starts cold: at ``_START_FACTOR`` times
+    the start's mean cost per net, with a range window of that mean span.
+    Then temperature and window follow VPR's adaptive schedule, which holds
+    the acceptance rate near 0.44 by shrinking the window as the anneal
+    cools; a last sweep at range 1 takes only strict improvements.
 
     Everything runs on the calling thread and every random draw comes
     from one generator seeded by ``seed``; ``options`` is accepted and
     not read (see :class:`~repro.pnr.options.PnROptions`).
     """
 
-    #: VPR's schedule: the start temperature accepts about this share of
-    #: uphill moves of mean size, and the anneal stops when
-    #: T < _EXIT_FACTOR * cost / nets.
-    _INITIAL_ACCEPTANCE = 0.5
+    #: the schedule: the anneal starts at T = _START_FACTOR * cost / nets
+    #: of the start and stops when T < _EXIT_FACTOR * cost / nets (the
+    #: start factor chosen over P&R seeds 0-7 of the ``pnr_cold`` netlists)
+    _START_FACTOR = 0.2
     _EXIT_FACTOR = 0.005
     _MAX_ROUNDS = 2000
 
@@ -458,7 +533,8 @@ class ParallelAnnealingPlacer:
         self.last_stats = stats
 
         rng = np.random.default_rng(np.random.SeedSequence(self.seed).spawn(1)[0])
-        model = PlacementCostModel(netlist, initial_positions(netlist, fabric, rng))
+        model = PlacementCostModel(netlist, start_positions(netlist, fabric))
+        stats.start_cost = model.total
         core = [
             i for i, block in enumerate(netlist.blocks.values())
             if block.type != BlockType.IO
@@ -472,8 +548,8 @@ class ParallelAnnealingPlacer:
             n = max(16, _MOVES_PER_BLOCK * movable.size)
             n_nets = len(model.members_by_net)
             max_dim = max(fabric.width, fabric.height)
-            temperature = max(1.0, model.total / n_nets) / self._INITIAL_ACCEPTANCE
-            rlim = float(max_dim)
+            temperature = self._START_FACTOR * model.total / n_nets
+            rlim = min(float(max_dim), max(1.0, model.total / n_nets))
             for _ in range(self._MAX_ROUNDS):
                 evaluated, accepted = self._round(
                     model, occupant, movable, fabric, rng, stats,

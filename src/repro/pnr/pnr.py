@@ -71,7 +71,8 @@ class PnRResult:
         The placer section gives the move counts (proposed, evaluated by
         the cost model, accepted) with the unit cost of an evaluated move
         and what it is made of (nets priced, bounding-box axes rescanned),
-        then moves proposed/accepted per temperature (head and tail of the
+        and the HPWL of the constructive start against the final; then
+        moves proposed/accepted per temperature (head and tail of the
         schedule when it is longer than ``max_temperature_rows``); the
         router section reports negotiation iterations, node expansions,
         rip-up volume and congestion domains.
@@ -89,7 +90,7 @@ class PnRResult:
                 f"{stats.place_delta_seconds / evaluated * 1e6:.2f} us per "
                 f"evaluated move ({stats.nets_repriced} nets repriced, "
                 f"{stats.box_rescans} box axes rescanned), "
-                f"final cost {stats.final_cost}"
+                f"HPWL {stats.start_cost} at the start -> {stats.final_cost} final"
             )
             rows = list(enumerate(stats.temperatures))
             if len(rows) > max_temperature_rows:

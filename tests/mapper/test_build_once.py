@@ -61,7 +61,7 @@ class TestBitstreamIdentity:
         )
         assert len(result.bitstream.routing) == 34
         assert _sha256(result.bitstream.to_json()) == (
-            "c2cd58a9cf65b5f1e87455eef8ff29c5f075b206d421eb6fe95ca34081c5d6e7"
+            "ba29abfc2fbb691ccd0994d18ff1d3dd7d74924c7f21ebf5cfc395b78be6bf65"
         )
 
     def test_json_round_trips(self, alexnet_bitstream):

@@ -1,6 +1,8 @@
 """Tests of the simulated-annealing placer."""
 
+import functools
 import hashlib
+import inspect
 import json
 import random
 from pathlib import Path
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from random_start import initial_positions
 
 from repro.core.api import deploy_model
 from repro.errors import CapacityError
@@ -20,8 +23,10 @@ from repro.pnr.placement import (
     ParallelAnnealingPlacer,
     Placement,
     PlacementCostModel,
-    initial_positions,
+    PlacementStats,
+    start_positions,
 )
+from repro.seeding import derive_seed
 from repro.synthesizer.synthesizer import synthesize
 
 
@@ -69,7 +74,7 @@ class TestSimulatedAnnealingPlacer:
 
     def test_placement_improves_over_random(self):
         """The annealer ends below the wirelength of the random placement
-        it starts from (the state its own seed stream draws)."""
+        its seed stream would draw (the start before the quadratic one)."""
         netlist = chain_netlist(20)
         fabric = FabricGrid(6, 6)
         rng = np.random.default_rng(np.random.SeedSequence(3).spawn(1)[0])
@@ -149,6 +154,7 @@ PNR_COLD_ZOO = [
 ]
 
 
+@functools.cache
 def digest_netlists() -> dict[str, FunctionBlockNetlist]:
     """The ``pnr_cold`` zoo netlists by digest key: six single-chip points
     and the two shards of CIFAR-VGG17 d1 on two chips."""
@@ -246,12 +252,12 @@ class TestAnnealerAccounting:
         assert stats.moves_accepted <= stats.moves_evaluated
 
     def test_unit_cost_counts(self, golden_runs):
-        """Counts repeat exactly: 5 739 evaluated moves price 25 735 nets
-        and rescan 1 798 box axes.  A kernel that rescans whole nets, or
+        """Counts repeat exactly: 2 434 evaluated moves price 10 696 nets
+        and rescan 506 box axes.  A kernel that rescans whole nets, or
         prices a net it could skip, moves these before it moves a digest."""
         _, stats = golden_runs["LeNet", 2][1][0]
         assert (stats.moves_evaluated, stats.nets_repriced, stats.box_rescans) == (
-            5739, 25735, 1798
+            2434, 10696, 506
         )
 
     def test_mean_wirelength_no_worse_than_the_replaced_engine(self, golden_runs):
@@ -288,3 +294,64 @@ def test_placements_are_bit_identical_to_the_recorded_digests(seed):
     for name, netlist in digest_netlists().items():
         digest = placement_digest(*place(netlist, seed))
         assert digest == PLACEMENT_DIGESTS[f"{name}-seed{seed}"], (name, seed)
+
+
+class TestQuadraticStart:
+    """``start_positions``: the anneal's start, built from structure (its
+    legality on any netlist is a property in ``test_properties.py``)."""
+
+    def test_draws_nothing_and_repeats(self):
+        netlist = zoo_netlist("LeNet", 4)
+        fabric = FabricGrid.for_netlist(netlist)
+        assert list(inspect.signature(start_positions).parameters) == ["netlist", "fabric"]
+        global_state = np.random.get_state()[1].copy()
+        start = start_positions(netlist, fabric)
+        assert start_positions(netlist, fabric) == start
+        assert np.array_equal(np.random.get_state()[1], global_state)
+        cost = PlacementCostModel(netlist, start).total
+        assert {place(netlist, seed)[1].start_cost for seed in (0, 1, 2)} == {cost}
+
+    def test_the_seed_drives_only_the_moves(self):
+        """The anneal's first round is the first thing its generator draws:
+        replayed on the start from a fresh generator, it makes the same
+        decisions."""
+        netlist = zoo_netlist("LeNet", 4)
+        fabric = FabricGrid.for_netlist(netlist)
+        temperature, n, accepted = place(netlist, 11)[1].temperatures[0]
+        model = PlacementCostModel(netlist, start_positions(netlist, fabric))
+        core = [b for b, block in enumerate(netlist.blocks.values()) if block.type != BlockType.IO]
+        occupant = [None] * fabric.n_sites
+        for b in core:
+            occupant[model.xs[b] * fabric.height + model.ys[b]] = b
+        movable = np.array([b for b in core if model.nets_of[b]], dtype=np.int64)
+        span = model.total / len(netlist.nets)
+        rlim = max(1, round(min(max(fabric.width, fabric.height), max(1.0, span))))
+        rng = np.random.default_rng(np.random.SeedSequence(11).spawn(1)[0])
+        assert ParallelAnnealingPlacer._round(
+            model, occupant, movable, fabric, rng, PlacementStats(), n, temperature, rlim
+        )[1] == accepted
+
+    @pytest.mark.parametrize("n_core, n_io, size", [(10, 0, (3, 3)), (1, 5, (1, 1))])
+    def test_raises_the_capacity_errors_of_the_random_start(self, n_core, n_io, size):
+        netlist = chain_netlist(n_core)
+        for i in range(n_io):
+            netlist.add_block(Block(f"io{i}", BlockType.IO))
+        fabric = FabricGrid(*size)
+        with pytest.raises(CapacityError) as start:
+            start_positions(netlist, fabric)
+        with pytest.raises(CapacityError) as random_start:
+            initial_positions(netlist, fabric, np.random.default_rng(0))
+        assert str(start.value) == str(random_start.value)
+        assert start.value.details == random_start.value.details
+
+    def test_starts_within_one_and_a_half_of_the_final_on_pnr_cold(self):
+        """ROADMAP's stop rule for the start, kept as a guard: on each P&R
+        result of the ``pnr_cold`` zoo points, at the benchmark's P&R seed,
+        the start's HPWL is at most 1.5x the anneal's final (1.16-1.41x
+        when recorded)."""
+        seed = derive_seed(0, "pnr")
+        for name, netlist in digest_netlists().items():
+            start = start_positions(netlist, FabricGrid.for_netlist(netlist))
+            _, stats = place(netlist, seed)
+            assert stats.start_cost == PlacementCostModel(netlist, start).total
+            assert stats.start_cost <= 1.5 * stats.final_cost, (name, stats)

@@ -19,6 +19,7 @@ import time
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from random_start import initial_positions
 
 from repro.errors import PnRError
 from repro.mapper.netlist import Block, BlockType, FunctionBlockNetlist, Net
@@ -27,7 +28,6 @@ from repro.pnr.placement import (
     ParallelAnnealingPlacer,
     PlacementCostModel,
     PlacementStats,
-    initial_positions,
 )
 
 #: nets with at least this many member blocks track their bounding box

@@ -50,4 +50,8 @@ class TestPlaceAndRoute:
         assert "us per evaluated move" in placer_line
         assert f"({stats.nets_repriced} nets repriced, " in placer_line
         assert f"{stats.box_rescans} box axes rescanned)" in placer_line
+        assert placer_line.endswith(
+            f"HPWL {stats.start_cost} at the start -> {stats.final_cost} final"
+        )
+        assert stats.final_cost <= stats.start_cost
         assert 0 < stats.box_rescans < stats.nets_repriced

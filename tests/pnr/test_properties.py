@@ -3,8 +3,9 @@
 Randomized netlists and move sequences check the invariants the optimized
 implementations must uphold:
 
-* placements are bijective (no two blocks share a site) and respect the
-  core/I/O site split,
+* placements, and the quadratic start of any netlist (with or without
+  I/O blocks and nets), are bijective (no two blocks share a site) and
+  respect the core/I/O site split,
 * every net is routed and no routing-resource wire exceeds its unit
   capacity in a legal result,
 * the placer's incremental delta-cost evaluation agrees exactly with a
@@ -14,11 +15,13 @@ implementations must uphold:
 
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from random_start import initial_positions
 
 from repro.mapper.netlist import Block, BlockType, FunctionBlockNetlist, Net
 from repro.pnr.fabric import FabricGrid
@@ -26,7 +29,7 @@ from repro.pnr.placement import (
     ParallelAnnealingPlacer,
     PlacementCostModel,
     PlacementStats,
-    initial_positions,
+    start_positions,
 )
 from repro.pnr.routing import PathFinderRouter
 from repro.pnr.rrgraph import RoutingResourceGraph
@@ -73,6 +76,41 @@ class TestPlacementInvariants:
         for name, (x, y) in placement.positions.items():
             if netlist.blocks[name].type == BlockType.IO:
                 assert not fabric.contains(x, y), "I/O block on a core site"
+            else:
+                assert fabric.contains(x, y), "core block off the fabric"
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_core=st.integers(min_value=0, max_value=20),
+        n_io=st.integers(min_value=0, max_value=4),
+        n_nets=st.integers(min_value=0, max_value=12),
+        spare_sites=st.integers(min_value=0, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_start_is_legal_and_repeats(self, n_core, n_io, n_nets, spare_sites, seed):
+        """Any netlist, with or without I/O blocks and nets, on a fabric
+        with or without spare sites."""
+        rng = random.Random(seed)
+        netlist = FunctionBlockNetlist("start")
+        names = [f"pe{i}" for i in range(n_core)] + [f"io{i}" for i in range(n_io)]
+        for name in names:
+            netlist.add_block(Block(name, BlockType.IO if name[:2] == "io" else BlockType.PE))
+        for i in range(n_nets if names else 0):
+            driver = rng.choice(names)
+            sinks = tuple(rng.sample(names, rng.randint(1, min(len(names), 6))))
+            netlist.add_net(Net(f"n{i}", driver=driver, sinks=sinks))
+        width = max(1, math.isqrt(n_core + spare_sites))
+        fabric = FabricGrid(width, max(1, -(-(n_core + spare_sites) // width)))
+
+        positions = start_positions(netlist, fabric)
+        assert start_positions(netlist, fabric) == positions
+        assert set(positions) == set(netlist.blocks)
+        assert len(set(positions.values())) == len(positions), "two blocks share a site"
+        io_sites = {site.position for site in fabric.io_sites()}
+        for name, (x, y) in positions.items():
+            if netlist.blocks[name].type == BlockType.IO:
+                assert (x, y) in io_sites, "I/O block off the I/O sites"
             else:
                 assert fabric.contains(x, y), "core block off the fabric"
 
