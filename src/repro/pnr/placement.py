@@ -188,7 +188,8 @@ class PlacementStats:
     #: them, the axis boundaries found again by rescanning the members
     nets_repriced: int = 0
     box_rescans: int = 0
-    #: seconds spent inside the move loop
+    #: seconds spent building the start and inside the move loop
+    start_seconds: float = 0.0
     place_delta_seconds: float = 0.0
 
     @property
@@ -208,16 +209,17 @@ def _conjugate_gradient(apply, diag: np.ndarray, rhs: np.ndarray, x: np.ndarray)
     """Jacobi-preconditioned conjugate gradient for ``apply(x) == rhs``, in place."""
     r = rhs - apply(x)
     p = z = r / diag
-    rz = (r * z).sum()
+    rz = r @ z
+    tolerance = 1e-18 * max(rhs @ rhs, 1.0)
     for _ in range(rhs.size):
-        if (r * r).sum() <= 1e-18 * max((rhs * rhs).sum(), 1.0):
+        if r @ r <= tolerance:
             break
         q = apply(p)
-        step = rz / (p * q).sum()
+        step = rz / (p @ q)
         x += step * p
         r -= step * q
         z = r / diag
-        rz, previous = (r * z).sum(), rz
+        rz, previous = r @ z, rz
         p = z + rz / previous * p
 
 
@@ -244,9 +246,14 @@ def start_positions(
             details={"io_blocks": len(io), "io_sites": len(io_sites)},
         )
 
-    # nodes: the core blocks, the I/O blocks (fixed), then the stars
-    n_core, index = len(core), {name: i for i, name in enumerate(core + io)}
-    n, edges = len(index), []
+    # the unknowns are the core blocks, then the stars; an I/O block is an
+    # anchor, numbered from -len(io) so that it indexes the anchor columns
+    drivers = {net.driver for net in netlist.nets}
+    centre = ((fabric.width - 1) / 2, (fabric.height - 1) / 2)
+    anchors = {name: (-1 if name in drivers else fabric.width, centre[1]) for name in io}
+    index = dict(zip(core + io, [*range(len(core)), *range(-len(io), 0)]))
+    n_core = n = len(core)
+    edges = []
     for net in netlist.nets:
         members = [index[b] for b in dict.fromkeys((net.driver, *net.sinks))]
         if len(members) == 2:
@@ -255,38 +262,46 @@ def start_positions(
             edges += [(m, n, len(members) / (len(members) - 1)) for m in members]
             n += 1
     table = np.array(edges, dtype=float).reshape(-1, 3)
-    u, v, w = table[:, 0].astype(np.intp), table[:, 1].astype(np.intp), table[:, 2]
-    free = (np.arange(n) < n_core) | (np.arange(n) >= len(index))
-    degree = np.bincount(u, w, n) + np.bincount(v, w, n) + _CENTRE_WEIGHT
+    rows, cols = np.concatenate((table[:, :2], table[:, 1::-1])).T.astype(np.intp)
+    w = np.tile(table[:, 2], 2)
+    rows, cols, w = rows[rows >= 0], cols[rows >= 0], w[rows >= 0]
+    # an anchor adds to its neighbour's diagonal and right-hand side only
+    degree = np.bincount(rows, w, n) + _CENTRE_WEIGHT
+    fixed = np.array([anchors[name] for name in io]).reshape(-1, 2).T
+    pinned = cols < 0
+    rhs = np.concatenate([
+        np.bincount(rows[pinned], w[pinned] * f[cols[pinned]], n) + _CENTRE_WEIGHT * c
+        for f, c in zip(fixed, centre)
+    ])
+    # the Laplacian of x then y by row, each row's diagonal first: a
+    # product is one gather and one reduceat
+    rows = np.concatenate((np.arange(n), rows[~pinned]))
+    order = np.argsort(rows, kind="stable")
+    cols = np.concatenate((np.arange(n), cols[~pinned]))[order]
+    cols = np.concatenate((cols, cols + n))
+    weights = np.tile(np.concatenate((np.zeros(n), -w[~pinned]))[order], 2)
+    diagonal = np.searchsorted(rows[order], np.arange(n))
+    diagonal = np.concatenate((diagonal, diagonal + order.size))
     pull = np.zeros(n)  # each core block's pseudo-net to its last legal site
 
-    def adjacent(z: np.ndarray) -> np.ndarray:
-        return np.bincount(u, w * z[v], n) + np.bincount(v, w * z[u], n)
-
     def apply(z: np.ndarray) -> np.ndarray:
-        return np.where(free, (degree + pull) * z - adjacent(z), 0.0)
+        return np.add.reduceat(weights * z[cols], diagonal)
 
-    drivers = {net.driver for net in netlist.nets}
-    centre = ((fabric.width - 1) / 2, (fabric.height - 1) / 2)
-    anchors = {name: (-1 if name in drivers else fabric.width, centre[1]) for name in io}
-    fixed = np.zeros((2, n))
-    for name in io:
-        fixed[:, index[name]] = anchors[name]
-    rhs = [np.where(free, adjacent(f) + _CENTRE_WEIGHT * c, 0.0) for f, c in zip(fixed, centre)]
-    solved, legal = np.where(free, np.array(centre)[:, None], 0.0), np.zeros((2, n))
+    # the k-th core block by x takes column[k], the k-th by column, y and
+    # x takes row[k]: equal shares of the columns, rows spread over each
     bounds = np.arange(fabric.width + 1) * n_core // fabric.width
+    column = np.repeat(np.arange(fabric.width), np.diff(bounds))
+    row = (2 * (np.arange(n_core) - bounds[column]) + 1) * fabric.height
+    row //= 2 * np.diff(bounds)[column]
+    solved, legal, blocks = np.repeat(centre, n), np.zeros((2, n)), np.arange(n_core)
     for spread_pass in range(_SPREAD_PASSES + 1):
         pull[:n_core] = _ANCHOR_WEIGHT * spread_pass
-        for axis in (0, 1):
-            _conjugate_gradient(apply, degree + pull, rhs[axis] + pull * legal[axis], solved[axis])
+        weights[diagonal] = np.tile(degree + pull, 2)
+        _conjugate_gradient(apply, weights[diagonal], rhs + (pull * legal).ravel(), solved)
         # rounded so that blocks the solve placed alike sort by index
-        xs, ys = np.round(solved[:, :n_core], 6)
-        order = np.lexsort((np.arange(n_core), ys, xs))
-        for column in range(fabric.width):
-            members = order[bounds[column]:bounds[column + 1]]
-            rows = members[np.lexsort((members, xs[members], ys[members]))]
-            legal[0, rows] = column
-            legal[1, rows] = (2 * np.arange(rows.size) + 1) * fabric.height // (2 * rows.size)
+        xs, ys = np.round(solved.reshape(2, n)[:, :n_core], 6)
+        legal[0, np.lexsort((blocks, ys, xs))] = column
+        legal[1, np.lexsort((blocks, xs, ys, legal[0, :n_core]))] = row
 
     positions = dict(zip(core, map(tuple, legal[:, :n_core].T.astype(int).tolist())))
     for name in io:
@@ -533,7 +548,10 @@ class ParallelAnnealingPlacer:
         self.last_stats = stats
 
         rng = np.random.default_rng(np.random.SeedSequence(self.seed).spawn(1)[0])
-        model = PlacementCostModel(netlist, start_positions(netlist, fabric))
+        started = time.perf_counter()
+        start = start_positions(netlist, fabric)
+        stats.start_seconds = time.perf_counter() - started
+        model = PlacementCostModel(netlist, start)
         stats.start_cost = model.total
         core = [
             i for i, block in enumerate(netlist.blocks.values())

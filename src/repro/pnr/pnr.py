@@ -39,8 +39,9 @@ class PnRResult:
     timing: TimingReport
     channel_width: int
     #: wall-clock seconds of each P&R stage (place / rrgraph / route /
-    #: timing) plus the kernel sub-timers: ``place_delta`` is the
-    #: annealer's move loop, ``route_expand`` the router's search
+    #: timing) plus the kernel sub-timers: ``place_start`` is the quadratic
+    #: start, ``place_delta`` the annealer's move loop, ``route_expand``
+    #: the router's search
     stage_seconds: dict[str, float] = field(default_factory=dict)
     #: annealing observability of the placer
     placement_stats: PlacementStats | None = None
@@ -118,7 +119,7 @@ class PnRResult:
                 lines.append(
                     f"  {stage + ':':<9} {self.stage_seconds[stage] * 1e3:8.1f} ms"
                 )
-        for sub in ("place_delta", "route_expand"):
+        for sub in ("place_start", "place_delta", "route_expand"):
             if sub in self.stage_seconds:
                 lines.append(
                     f"  {sub + ':':<13} {self.stage_seconds[sub] * 1e3:8.1f} ms (kernel)"
@@ -172,6 +173,7 @@ class PlaceAndRoute:
             "route": t3 - t2,
             "timing": t4 - t3,
             "route_expand": routing.expand_seconds,
+            "place_start": placement_stats.start_seconds,
             "place_delta": placement_stats.place_delta_seconds,
         }
         return PnRResult(

@@ -45,6 +45,7 @@ class TestPlaceAndRoute:
         stats = result.placement_stats
         assert 0 < stats.moves_evaluated <= stats.moves_proposed
         assert result.stage_seconds["place_delta"] == stats.place_delta_seconds
+        assert result.stage_seconds["place_start"] == stats.start_seconds
         placer_line = result.explain().splitlines()[1]
         assert f"{stats.moves_evaluated} evaluated" in placer_line
         assert "us per evaluated move" in placer_line

@@ -19,7 +19,7 @@ import math
 import random
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from random_start import initial_positions
 
@@ -88,6 +88,11 @@ class TestPlacementInvariants:
         spare_sites=st.integers(min_value=0, max_value=6),
         seed=st.integers(min_value=0, max_value=2**16),
     )
+    # no net joins two free nodes: a self-loop, nets to an I/O block, an
+    # I/O-only net (the solve's Laplacian has only its diagonal)
+    @example(n_core=3, n_io=2, n_nets=4, spare_sites=0, seed=2)
+    # a net of three I/O blocks: a star anchored on every side
+    @example(n_core=3, n_io=3, n_nets=3, spare_sites=0, seed=386)
     def test_start_is_legal_and_repeats(self, n_core, n_io, n_nets, spare_sites, seed):
         """Any netlist, with or without I/O blocks and nets, on a fabric
         with or without spare sites."""
