@@ -348,15 +348,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_store(directory: str) -> ArtifactStore:
-    """An :class:`ArtifactStore`, with unusable directories surfaced as a
+def _open(what: str, directory: str, opener):
+    """``opener(directory)``, with an unusable directory surfaced as a
     typed error (exit code 2 + ErrorPayload) instead of a raw OSError."""
     try:
-        return ArtifactStore(directory)
+        return opener(directory)
     except OSError as exc:
-        raise InvalidRequestError(
-            f"cannot open artifact store at {directory!r}: {exc}"
-        ) from exc
+        raise InvalidRequestError(f"cannot open {what} at {directory!r}: {exc}") from exc
+
+
+def _open_store(directory: str) -> ArtifactStore:
+    return _open("artifact store", directory, ArtifactStore)
 
 
 def _client(args: argparse.Namespace) -> FPSAClient:
@@ -366,7 +368,8 @@ def _client(args: argparse.Namespace) -> FPSAClient:
         cache = False
     elif getattr(args, "shared_cache", None):
         # a multi-process sweep's workers each get a copy with this tier
-        cache = StageCache(shared=SharedStageCache(args.shared_cache))
+        tier = _open("shared cache", args.shared_cache, SharedStageCache)
+        cache = StageCache(shared=tier)
     else:
         # REPRO_SHARED_CACHE already rides the process default cache; an
         # explicit None keeps that behaviour

@@ -8,9 +8,11 @@ input graph, the hardware configuration and the pass options — was seen
 before.  Cached artifacts are shared by reference; passes treat every
 artifact as immutable, so sharing is safe.
 
-The default process-wide cache (:func:`default_cache`) is what
-:class:`~repro.core.compiler.FPSACompiler` uses unless a private cache (or
-``cache=False``) is given.
+The cache keeps no counters: the only ones are the per-compile
+:class:`CacheStats` tally the pass manager hands to every ``get``/``put``.
+The default process-wide cache (:func:`default_cache`, built on its first
+call) is what :class:`~repro.core.compiler.FPSACompiler` uses unless a
+private cache (or ``cache=False``) is given.
 
 A cache crosses a process boundary by one rule (:meth:`StageCache.__reduce__`):
 the default cache arrives as the receiving process's :func:`default_cache`,
@@ -40,10 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "StageCache",
     "CacheStats",
-    "LOOKUP_MEMORY",
-    "LOOKUP_SHARED",
-    "LOOKUP_MISS",
-    "LOOKUP_SHARED_MISS",
     "default_cache",
     "clear_default_cache",
     "fingerprint",
@@ -151,15 +149,15 @@ def netlist_fingerprint(netlist: "FunctionBlockNetlist") -> str:
 
 @dataclass
 class CacheStats:
-    """Hit/miss/eviction counters of one :class:`StageCache`.
+    """The stage-cache counters of one compile, the cache's only books.
 
-    ``hits``/``misses`` count overall lookup outcomes (a hit served from
-    either tier is a hit); ``shared_hits``/``shared_misses`` count the
-    shared-tier lookups that happen on in-memory misses, and ``evictions``
-    counts entries dropped from the in-memory LRU by :meth:`StageCache.put`.
-    ``write_errors`` counts writes a cache tier degraded to a counted miss
-    instead of letting an ``OSError`` (disk full, permissions, injected
-    fault) escape into the compile.
+    ``hits``/``misses`` count lookup outcomes (a hit served from either
+    tier is a hit); ``shared_hits``/``shared_misses`` count the shared-tier
+    lookups that happen on in-memory misses; ``evictions`` counts entries
+    the compile's puts pushed out of the in-memory LRU (installing a
+    shared-tier hit is not one).  ``write_errors`` counts shared-tier
+    writes that degraded to a miss instead of letting an ``OSError`` (disk
+    full, permissions, injected fault) escape into the compile.
     """
 
     hits: int = 0
@@ -170,22 +168,8 @@ class CacheStats:
     write_errors: int = 0
 
     @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    @property
     def shared_lookups(self) -> int:
         return self.shared_hits + self.shared_misses
-
-    @property
-    def shared_hit_rate(self) -> float:
-        if not self.shared_lookups:
-            return 0.0
-        return self.shared_hits / self.shared_lookups
 
     def merge(self, other: "CacheStats | None") -> "CacheStats":
         """Accumulate another counter set into this one (returns self)."""
@@ -195,26 +179,8 @@ class CacheStats:
             self.evictions += other.evictions
             self.shared_hits += other.shared_hits
             self.shared_misses += other.shared_misses
-            self.write_errors += getattr(other, "write_errors", 0)
+            self.write_errors += other.write_errors
         return self
-
-    def record_lookup(self, tier: str) -> None:
-        """Count one :meth:`StageCache.lookup` outcome by its tier."""
-        if tier in (LOOKUP_MEMORY, LOOKUP_SHARED):
-            self.hits += 1
-        else:
-            self.misses += 1
-        if tier == LOOKUP_SHARED:
-            self.shared_hits += 1
-        elif tier == LOOKUP_SHARED_MISS:
-            self.shared_misses += 1
-
-
-#: :meth:`StageCache.lookup` outcome tiers.
-LOOKUP_MEMORY = "memory"
-LOOKUP_SHARED = "shared"
-LOOKUP_MISS = "miss"
-LOOKUP_SHARED_MISS = "shared_miss"
 
 
 class StageCache:
@@ -238,7 +204,6 @@ class StageCache:
         if max_entries <= 0:
             raise InvalidRequestError("max_entries must be positive")
         self.max_entries = max_entries
-        self.stats = CacheStats()
         self.shared = shared
         self._entries: OrderedDict[str, dict[str, Any]] = OrderedDict()
         self._lock = threading.Lock()
@@ -252,7 +217,7 @@ class StageCache:
         if self is _DEFAULT_CACHE:
             return default_cache, ()
         shared = self.shared
-        tier = None if shared is None else (shared.directory, shared.max_bytes, shared.verify)
+        tier = None if shared is None else (shared.directory, shared.max_bytes)
         return _process_copy, (self._token, self.max_entries, tier)
 
     def __len__(self) -> int:
@@ -264,84 +229,60 @@ class StageCache:
                 return True
         return self.shared is not None and key in self.shared
 
-    def get(self, key: str) -> dict[str, Any] | None:
-        return self.lookup(key)[0]
-
-    def lookup(self, key: str) -> tuple[dict[str, Any] | None, str]:
-        """Like :meth:`get`, but also reports which tier answered.
-
-        The second element is one of :data:`LOOKUP_MEMORY`,
-        :data:`LOOKUP_SHARED`, :data:`LOOKUP_MISS` or
-        :data:`LOOKUP_SHARED_MISS` — callers that need *per-compile*
-        counters (the pass manager) tally these locally, since deltas of
-        the cache-global ``stats`` would mix in concurrent compiles
-        sharing this cache.
-        """
+    def get(self, key: str, stats: CacheStats | None = None) -> dict[str, Any] | None:
+        """The artifacts under ``key`` or ``None``, counted into ``stats``
+        when given; an in-memory miss falls through to the shared tier,
+        whose hit is installed in memory."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return entry, LOOKUP_MEMORY
         # fall through to the cross-process tier outside the lock: disk
         # reads must not serialize unrelated in-memory lookups
-        if self.shared is not None:
-            artifacts = self.shared.get(key)
-            if artifacts is not None:
-                with self._lock:
-                    self.stats.shared_hits += 1
-                    self.stats.hits += 1
-                self._install(key, artifacts)
-                return artifacts, LOOKUP_SHARED
-            with self._lock:
-                self.stats.shared_misses += 1
-                self.stats.misses += 1
-            return None, LOOKUP_SHARED_MISS
-        with self._lock:
-            self.stats.misses += 1
-        return None, LOOKUP_MISS
+        if entry is None and self.shared is not None:
+            entry = self.shared.get(key)
+            if entry is not None:
+                self._install(key, entry)
+            if stats is not None:
+                if entry is None:
+                    stats.shared_misses += 1
+                else:
+                    stats.shared_hits += 1
+        if stats is not None:
+            if entry is None:
+                stats.misses += 1
+            else:
+                stats.hits += 1
+        return entry
 
     def _install(self, key: str, artifacts: dict[str, Any]) -> int:
         """Install an entry in the in-memory LRU (no shared write-through);
         returns how many entries the bound pushed out."""
-        evicted = 0
         with self._lock:
             self._entries[key] = artifacts
             self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
+            evicted = max(0, len(self._entries) - self.max_entries)
+            for _ in range(evicted):
                 self._entries.popitem(last=False)
-                self.stats.evictions += 1
-                evicted += 1
         return evicted
 
     def put(
         self, key: str, artifacts: dict[str, Any], stats: CacheStats | None = None
-    ) -> int:
-        """Store an entry (write-through to the shared tier); returns the
-        number of in-memory evictions this put caused.
-
-        A shared-tier write that fails (disk full, permissions) degrades
-        to a counted miss: it lands in this cache's ``write_errors`` and,
-        when a per-compile ``stats`` object is given, in that too.
-        """
+    ) -> None:
+        """Store an entry, written through to the shared tier; its
+        evictions and a failed shared write (never raised) are counted into
+        ``stats`` when given."""
         evicted = self._install(key, artifacts)
-        if self.shared is not None:
-            if not self.shared.put(key, artifacts):
-                with self._lock:
-                    self.stats.write_errors += 1
-                if stats is not None:
-                    stats.write_errors += 1
-        return evicted
+        written = self.shared is None or self.shared.put(key, artifacts)
+        if stats is not None:
+            stats.evictions += evicted
+            stats.write_errors += 0 if written else 1
 
     def clear(self) -> None:
-        """Drop the in-memory entries and reset the stats.
-
-        The cross-process shared tier is left alone — other processes may
-        be serving from it (wipe it with ``cache.shared.clear()``).
-        """
+        """Drop the in-memory entries.  The shared tier is left alone —
+        other processes may be serving from it (``cache.shared.clear()``)."""
         with self._lock:
             self._entries.clear()
-            self.stats = CacheStats()
 
 
 #: the copies of pickled caches this process received, by token.
@@ -351,7 +292,7 @@ os.register_at_fork(after_in_child=_COPIES.clear)
 
 
 def _process_copy(
-    token: str, max_entries: int, tier: tuple[str, int, bool | None] | None
+    token: str, max_entries: int, tier: tuple[str, int] | None
 ) -> StageCache:
     """This process's copy of the cache ``token`` names: built on first
     arrival (same bound, same shared tier, empty memory), then reused."""
@@ -366,22 +307,29 @@ def _process_copy(
     return copy
 
 
-def _make_default_cache() -> StageCache:
-    # honour REPRO_SHARED_CACHE in every process that imports the library
-    from .shared_cache import shared_cache_from_env
-
-    return StageCache(shared=shared_cache_from_env())
-
-
-_DEFAULT_CACHE = _make_default_cache()
+_DEFAULT_CACHE: StageCache | None = None
+_DEFAULT_LOCK = threading.Lock()
 
 
 def default_cache() -> StageCache:
-    """The process-wide stage cache shared by all compilers by default."""
-    return _DEFAULT_CACHE
+    """The process-wide stage cache shared by all compilers by default.
+
+    Built on the first call, over the tier ``REPRO_SHARED_CACHE`` names,
+    so a malformed setting fails that call with a typed
+    :class:`~repro.errors.InvalidRequestError`, never ``import repro``.
+    """
+    global _DEFAULT_CACHE
+    with _DEFAULT_LOCK:
+        if _DEFAULT_CACHE is None:
+            from .shared_cache import shared_cache_from_env
+
+            _DEFAULT_CACHE = StageCache(shared=shared_cache_from_env())
+        return _DEFAULT_CACHE
 
 
 def clear_default_cache() -> None:
-    """Drop every in-memory entry (and the stats) of the process-wide
-    cache; its shared tier is left alone."""
-    _DEFAULT_CACHE.clear()
+    """Drop every in-memory entry of the process-wide cache; its shared
+    tier is left alone.  The cache keeps no counters: a compile's are on
+    its result."""
+    if _DEFAULT_CACHE is not None:
+        _DEFAULT_CACHE.clear()

@@ -26,7 +26,7 @@ from ..arch.params import FPSAConfig
 from ..errors import InvalidRequestError
 from ..graph.graph import ComputationalGraph
 from ..synthesizer.synthesizer import SynthesisOptions
-from .cache import CacheStats, StageCache, default_cache
+from .cache import StageCache, default_cache
 from .pipeline import (
     PUBLIC_KNOBS,
     CompileContext,
@@ -236,9 +236,7 @@ class FPSACompiler:
                         provides=t.provides,
                     )
                 )
-            if result.cache_stats is not None:
-                if cache_stats is None:
-                    cache_stats = CacheStats()
+            if cache_stats is not None:
                 cache_stats.merge(result.cache_stats)
         return DeploymentResult(
             graph=graph,

@@ -274,11 +274,11 @@ class CompileContext:
     bounds: Any = None
     pnr: Any = None
     bitstream: Any = None
-    #: per-compile stage-cache counters, accumulated by every
-    #: :meth:`PassManager.run` over this context (not a context artifact:
-    #: tallied locally per run, so concurrent compiles sharing one cache
-    #: cannot contaminate each other's numbers).  ``None`` when no run
-    #: consulted a cache.
+    #: the compile's stage-cache tally, counted into by every
+    #: :meth:`PassManager.run` over this context (not a context artifact;
+    #: per compile, so concurrent compiles sharing one cache cannot
+    #: contaminate each other's numbers).  ``None`` when no run consulted
+    #: a cache.
     cache_stats: Any = field(default=None, compare=False)
 
     def resolved_synthesis_options(self) -> "SynthesisOptions":
@@ -395,9 +395,11 @@ class PassManager:
         """Execute the passes over ``ctx``; returns the per-pass timings.
 
         When a cache is consulted, the run's hit/miss/eviction counters
-        (including the shared-tier split) are tallied *locally* and merged
-        into ``ctx.cache_stats`` — deltas of the cache's global counters
-        would include concurrent compiles sharing the same cache.
+        (including the shared-tier split) are tallied into
+        ``ctx.cache_stats``, the compile's own
+        :class:`~repro.core.cache.CacheStats` handed to every cache
+        ``get``/``put``: concurrent compiles sharing one cache never mix
+        their numbers.
 
         When verification is on (``ctx.options.verify`` or
         ``REPRO_VERIFY=1``), every artifact with a registered verifier is
@@ -411,7 +413,9 @@ class PassManager:
         from .cache import CacheStats
 
         timings: list[PassTiming] = []
-        stats = CacheStats() if cache is not None else None
+        if cache is not None and ctx.cache_stats is None:
+            ctx.cache_stats = CacheStats()
+        stats = ctx.cache_stats if cache is not None else None
         verify = verification_enabled(
             True if getattr(ctx.options, "verify", False) else None
         )
@@ -439,8 +443,7 @@ class PassManager:
             cached = False
             key = p.cache_key(ctx) if cache is not None else None
             if key is not None:
-                hit, tier = cache.lookup(key)
-                stats.record_lookup(tier)
+                hit = cache.get(key, stats)
                 if hit is not None:
                     for artifact, value in hit.items():
                         ctx.set(artifact, value)
@@ -448,9 +451,7 @@ class PassManager:
             if not cached:
                 p.run(ctx)
                 if key is not None:
-                    stats.evictions += cache.put(
-                        key, {a: ctx.get(a) for a in p.provides}, stats=stats
-                    )
+                    cache.put(key, {a: ctx.get(a) for a in p.provides}, stats)
             timings.append(
                 PassTiming(
                     name=p.name,
@@ -473,11 +474,6 @@ class PassManager:
                                 provides=(),
                             )
                         )
-        if stats is not None:
-            if ctx.cache_stats is None:
-                ctx.cache_stats = stats
-            else:
-                ctx.cache_stats.merge(stats)
         return timings
 
 

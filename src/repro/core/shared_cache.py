@@ -19,6 +19,15 @@ Design constraints (all enforced here, not by callers):
 * **Crash/ corruption tolerance.**  An unreadable entry (evicted mid-read,
   version skew, truncated by a dying process) is treated as a miss and
   deleted; the compile then simply re-runs the pass.
+* **Verified loads.**  With ``REPRO_VERIFY`` on, every loaded entry runs
+  through the IR verifiers; a failure deletes the entry and raises, so a
+  poisoned pickle surfaces at the boundary, not three passes downstream.
+  The environment variable is the only switch (there is no ``verify=``).
+
+The tier keeps no counters: ``get`` answers with the artifacts or
+``None`` and ``put`` with whether the entry stuck, and the compile that
+asked counts the outcome in its own tally
+(:class:`~repro.core.cache.CacheStats`).
 
 The tier is opt-in: give one to a :class:`StageCache` as its ``shared=``
 argument, point the ``REPRO_SHARED_CACHE`` environment variable at a
@@ -33,7 +42,6 @@ import os
 import pickle
 import tempfile
 import threading
-from dataclasses import dataclass
 from typing import Any
 
 from ..analysis.verify import verification_enabled, verify_artifacts
@@ -49,7 +57,6 @@ __all__ = [
     "SHARED_CACHE_ENV",
     "SHARED_CACHE_MAX_BYTES_ENV",
     "DEFAULT_MAX_BYTES",
-    "SharedCacheStats",
     "SharedStageCache",
     "shared_cache_from_env",
 ]
@@ -66,30 +73,6 @@ DEFAULT_MAX_BYTES = 512 * 1024 * 1024
 _SUFFIX = ".pkl"
 
 
-@dataclass
-class SharedCacheStats:
-    """Hit/miss/write counters of one :class:`SharedStageCache` handle.
-
-    Counters are per-process (each worker holds its own handle onto the
-    shared directory); the directory itself carries no counters.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    puts: int = 0
-    evictions: int = 0
-    #: entries that failed to pickle/unpickle and were skipped or dropped.
-    errors: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
 class SharedStageCache:
     """Disk-backed, content-addressed artifact store shared across processes.
 
@@ -99,22 +82,11 @@ class SharedStageCache:
     processes on one filesystem.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        max_bytes: int = DEFAULT_MAX_BYTES,
-        verify: bool | None = None,
-    ):
+    def __init__(self, directory: str, max_bytes: int = DEFAULT_MAX_BYTES):
         if max_bytes <= 0:
             raise InvalidRequestError("max_bytes must be positive")
         self.directory = os.path.abspath(directory)
         self.max_bytes = max_bytes
-        #: run the IR verifiers over every loaded entry (``None`` defers to
-        #: the ``REPRO_VERIFY`` environment variable).  A verification
-        #: failure deletes the entry and raises — a poisoned pickle must
-        #: surface at the boundary, not three passes downstream.
-        self.verify = verify
-        self.stats = SharedCacheStats()
         self._lock = threading.Lock()
         #: running estimate of the on-disk footprint, maintained so puts
         #: need not rescan the whole directory; ``None`` until the first
@@ -164,25 +136,21 @@ class SharedStageCache:
     # ------------------------------------------------------------------
 
     def get(self, key: str) -> dict[str, Any] | None:
-        """Load the artifacts stored under ``key``, or ``None`` on a miss."""
+        """Load the artifacts stored under ``key``, or ``None`` on a miss
+        (an unreadable entry is deleted and misses too)."""
         path = self._path(key)
         try:
             # injected transient read faults degrade exactly like a real
-            # unreadable entry: counted miss, entry dropped, pass re-runs
+            # unreadable entry: a miss, entry dropped, pass re-runs
             fire(SITE_SHARED_CACHE_GET, key=key)
             with open(path, "rb") as handle:
                 artifacts = pickle.load(handle)
         except FileNotFoundError:
-            with self._lock:
-                self.stats.misses += 1
             return None
         except Exception:  # noqa: BLE001 - unreadable entry: drop, recompute
-            with self._lock:
-                self.stats.misses += 1
-                self.stats.errors += 1
             self._remove(path)
             return None
-        if verification_enabled(self.verify):
+        if verification_enabled():
             try:
                 if not isinstance(artifacts, dict):
                     raise VerificationError(
@@ -197,9 +165,6 @@ class SharedStageCache:
                 # a structurally invalid entry is worse than a missing one:
                 # drop it so the next compile recomputes, and raise so this
                 # load fails at the boundary with the pinpointed violation
-                with self._lock:
-                    self.stats.errors += 1
-                    self.stats.misses += 1
                 self._remove(path)
                 raise
         # refresh the mtime so eviction sees this entry as recently used
@@ -207,27 +172,23 @@ class SharedStageCache:
             os.utime(path)
         except OSError:
             pass
-        with self._lock:
-            self.stats.hits += 1
         return artifacts
 
     def put(self, key: str, artifacts: dict[str, Any]) -> bool:
         """Publish ``artifacts`` under ``key``; returns whether it stuck.
 
-        Unpicklable artifacts are skipped (counted in ``stats.errors``)
-        rather than raised: the shared tier is an accelerator, never a
-        correctness dependency.
+        Unpicklable artifacts and failed writes return ``False`` rather
+        than raise: the shared tier is an accelerator, never a correctness
+        dependency.
         """
         try:
             payload = pickle.dumps(artifacts, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception:  # noqa: BLE001 - see docstring
-            with self._lock:
-                self.stats.errors += 1
             return False
         path = self._path(key)
         shard_dir = os.path.dirname(path)
         try:
-            # injected write faults: io_error degrades to a counted failed
+            # injected write faults: io_error degrades to a failed
             # put below; a corrupt spec swaps the payload for garbage bytes
             # so the read side's damage tolerance gets exercised
             spec = fire(SITE_SHARED_CACHE_PUT, key=key)
@@ -245,11 +206,8 @@ class SharedStageCache:
                 self._remove(tmp_path)
                 raise
         except OSError:
-            with self._lock:
-                self.stats.errors += 1
             return False
         with self._lock:
-            self.stats.puts += 1
             if self._approx_bytes is None:
                 scan_needed = True
             else:
@@ -283,8 +241,6 @@ class SharedStageCache:
                 break
             self._remove(path)
             total -= size
-            with self._lock:
-                self.stats.evictions += 1
         with self._lock:
             self._approx_bytes = total
 
@@ -293,11 +249,10 @@ class SharedStageCache:
         return sum(size for _, _, size in self._entries())
 
     def clear(self) -> None:
-        """Drop every entry (peers see misses afterwards) and the stats."""
+        """Drop every entry (peers see misses afterwards)."""
         for path, _, _ in list(self._entries()):
             self._remove(path)
         with self._lock:
-            self.stats = SharedCacheStats()
             self._approx_bytes = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

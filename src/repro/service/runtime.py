@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+from dataclasses import asdict
 from typing import TYPE_CHECKING, Any, Iterable
 
 from ..arch.params import FPSAConfig
@@ -159,16 +160,8 @@ class ServingRuntime:
     def stats(self) -> dict[str, Any]:
         """Serving counters: jobs, coalescing, fault handling, pool and
         shared-cache state."""
-        manager_stats = self.manager.stats
         return {
-            "submitted": manager_stats.submitted,
-            "coalesced": manager_stats.coalesced,
-            "completed": manager_stats.completed,
-            "failed": manager_stats.failed,
-            "retried": manager_stats.retried,
-            "displaced": manager_stats.displaced,
-            "rejected": manager_stats.rejected,
-            "deadline_expired": manager_stats.deadline_expired,
+            **asdict(self.manager.stats),
             "pool_health": self.health(),
             "worker_pids": self.pool.worker_pids(),
             "shared_cache_dir": self.shared_cache_dir,

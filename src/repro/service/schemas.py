@@ -308,7 +308,7 @@ class CompileTimings:
         cache_stats: Any = None,
     ) -> "CompileTimings | None":
         """Build from live pass timings, plus the compile's
-        :class:`~repro.core.cache.CacheStats` delta when available."""
+        :class:`~repro.core.cache.CacheStats` tally when available."""
         if timings is None:
             return None
         entries = tuple(
@@ -334,11 +334,6 @@ class CompileTimings:
             shared_cache_misses=getattr(cache_stats, "shared_misses", 0),
             write_errors=getattr(cache_stats, "write_errors", 0),
         )
-
-    @property
-    def shared_cache_hit_rate(self) -> float:
-        lookups = self.shared_cache_hits + self.shared_cache_misses
-        return self.shared_cache_hits / lookups if lookups else 0.0
 
     def seconds_by_stage(self) -> dict[str, float]:
         """Wall-clock seconds keyed by pass name (wire-safe flat mapping)."""

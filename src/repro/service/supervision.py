@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 __all__ = ["PoolHealth", "PoolSupervisor"]
@@ -49,13 +49,7 @@ class PoolHealth:
     total_recovery_seconds: float = 0.0
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "broken_pool_events": self.broken_pool_events,
-            "respawns": self.respawns,
-            "jobs_displaced": self.jobs_displaced,
-            "last_recovery_seconds": self.last_recovery_seconds,
-            "total_recovery_seconds": self.total_recovery_seconds,
-        }
+        return asdict(self)
 
 
 class PoolSupervisor:

@@ -1,0 +1,96 @@
+"""The per-compile cache counters, pinned over one fixed sequence.
+
+A compile's ``CompileTimings`` counters (and so its run id, which hashes
+every counter but ``cache_hits``/``cache_misses``) come from the tally
+``PassManager.run`` keeps.  The expected rows below were recorded from
+the implementation that still kept a second set of books on the cache
+objects; they must not move when the cache's own counting changes.
+"""
+
+from __future__ import annotations
+
+import pickle
+
+import pytest
+
+from repro.core.cache import StageCache
+from repro.core.shared_cache import SharedStageCache
+from repro.faults import (
+    FAULT_PLAN_ENV,
+    SITE_SHARED_CACHE_PUT,
+    FaultPlan,
+    FaultSpec,
+    clear_installed_plan,
+)
+from repro.service import ArtifactStore, CompileRequest, serve_request
+
+#: step -> (cache_hits, cache_misses, evictions, shared_cache_hits,
+#: shared_cache_misses, write_errors, run id)
+EXPECTED = {
+    "cold": (0, 4, 0, 0, 2, 0, "2ca2df7d30a33cd2"),
+    "memory hit": (2, 2, 0, 0, 0, 0, "8d2ffa0a9d1fde0b"),
+    "shared hit in a process copy": (2, 2, 0, 2, 0, 0, "1c6c38adb90f8f29"),
+    # installing a shared-tier hit pushes entries out of a 1-entry memory
+    # tier, but that is not an eviction of the compile
+    "shared hit at max_entries=1": (2, 2, 0, 2, 0, 0, "1c6c38adb90f8f29"),
+    "eviction at max_entries=1": (0, 4, 1, 0, 0, 0, "f4fe7183a8fc5d57"),
+    "failed writes under io_error": (0, 4, 0, 0, 2, 2, "252c9997676985f7"),
+    "2-chip cold": (0, 8, 0, 0, 4, 0, "c5f7a0c702e70307"),
+    "2-chip shared hit": (4, 4, 0, 4, 0, 0, "704f1f7f30d9e5c4"),
+}
+
+
+@pytest.fixture(autouse=True)
+def _no_fault_plan(monkeypatch):
+    monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
+    clear_installed_plan()
+    yield
+    clear_installed_plan()
+
+
+def _row(request, cache):
+    response = serve_request(request, cache=cache).response
+    assert response.ok, response.error
+    t = response.timings
+    return (
+        t.cache_hits,
+        t.cache_misses,
+        t.evictions,
+        t.shared_cache_hits,
+        t.shared_cache_misses,
+        t.write_errors,
+        ArtifactStore.run_id_for(response),
+    )
+
+
+def test_counters_and_run_ids_match_the_recorded_sequence(tmp_path):
+    def tier(name):
+        return SharedStageCache(str(tmp_path / name))
+
+    request = CompileRequest(model="MLP-500-100", duplication_degree=2, seed=0)
+    cache = StageCache(shared=tier("shared"))
+    plan = FaultPlan(
+        faults=(FaultSpec(site=SITE_SHARED_CACHE_PUT, kind="io_error", times=5),)
+    ).to_json()
+    chips = CompileRequest(model="LeNet", num_chips=2, seed=0)
+    chips_cache = StageCache(shared=tier("chips"))
+
+    observed = {
+        "cold": _row(request, cache),
+        "memory hit": _row(request, cache),
+        "shared hit in a process copy": _row(request, pickle.loads(pickle.dumps(cache))),
+        "shared hit at max_entries=1": _row(
+            request, StageCache(max_entries=1, shared=tier("shared"))
+        ),
+        "eviction at max_entries=1": _row(request, StageCache(max_entries=1)),
+        "failed writes under io_error": _row(
+            CompileRequest(
+                model="MLP-500-100", duplication_degree=2, seed=0, fault_plan=plan
+            ),
+            StageCache(shared=tier("faulty")),
+        ),
+    }
+    clear_installed_plan()
+    observed["2-chip cold"] = _row(chips, chips_cache)
+    observed["2-chip shared hit"] = _row(chips, pickle.loads(pickle.dumps(chips_cache)))
+    assert observed == EXPECTED

@@ -3,7 +3,11 @@ surface a typed ErrorPayload (code + message), never a bare traceback or
 an argparse usage error."""
 
 import json
+import os
+import subprocess
+import sys
 
+import repro
 from repro.cli import main
 
 
@@ -46,6 +50,15 @@ class TestBadDirectories:
         assert code == 2
         assert "[invalid_request]" in capsys.readouterr().err
 
+    def test_deploy_bad_shared_cache_dir(self, capsys, tmp_path):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        code = main(["deploy", "LeNet", "--shared-cache", str(blocker / "sub")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "[invalid_request]" in err
+        assert "cannot open shared cache" in err
+
     def test_runs_bad_store_dir(self, capsys, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
@@ -87,6 +100,33 @@ class TestBadDirectories:
         assert "[invalid_request]" in captured.err
         # the campaign never started: failing late would waste the full run
         assert "fuzz campaign" not in captured.out
+
+
+class TestBadEnvironment:
+    def _repro(self, tmp_path, *args):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            REPRO_SHARED_CACHE=str(tmp_path / "shared"),
+            REPRO_SHARED_CACHE_MAX_BYTES="abc",
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_malformed_max_bytes_does_not_break_import(self, tmp_path):
+        done = self._repro(tmp_path, "models")
+        assert done.returncode == 0, done.stderr
+        assert "LeNet" in done.stdout
+
+    def test_malformed_max_bytes_is_a_typed_compile_error(self, tmp_path):
+        done = self._repro(tmp_path, "deploy", "LeNet")
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert "[invalid_request]" in done.stderr
+        assert "REPRO_SHARED_CACHE_MAX_BYTES='abc'" in done.stderr
 
 
 class TestFuzzCommand:

@@ -148,8 +148,8 @@ class TestStageCache:
         second_cached = {t.name for t in second.timings if t.cached}
         assert first_cached == set()
         assert second_cached == {"synthesis", "mapping"}
-        assert cache.stats.hits == 2
-        assert cache.stats.misses == 2
+        assert (first.cache_stats.hits, first.cache_stats.misses) == (0, 2)
+        assert (second.cache_stats.hits, second.cache_stats.misses) == (2, 0)
         # cached artifacts produce an identical deployment
         assert second.throughput_samples_per_s == first.throughput_samples_per_s
         assert second.mapping.netlist.n_pe == first.mapping.netlist.n_pe
@@ -191,7 +191,7 @@ class TestStageCache:
         assert cache.get("b") == {"coreops": 2}
         cache.clear()
         assert len(cache) == 0
-        assert cache.stats.lookups == 0
+        assert cache.get("b") is None
 
     def test_mapping_key_tracks_coreops_artifact(self):
         # the mapping cache key must follow the coreops artifact actually

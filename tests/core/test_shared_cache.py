@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from repro.core.cache import LOOKUP_SHARED, StageCache, default_cache
+from repro.core.cache import CacheStats, StageCache, default_cache
 from repro.core.shared_cache import (
     SHARED_CACHE_ENV,
     SHARED_CACHE_MAX_BYTES_ENV,
@@ -21,9 +21,7 @@ class TestSharedStageCache:
         assert cache.get("a" * 64) is None
         assert cache.put("a" * 64, {"coreops": [1, 2, 3]})
         assert cache.get("a" * 64) == {"coreops": [1, 2, 3]}
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.puts == 1
+        assert len(cache) == 1
 
     def test_second_handle_sees_entries(self, tmp_path):
         # two handles onto one directory model two processes
@@ -31,12 +29,11 @@ class TestSharedStageCache:
         reader = SharedStageCache(str(tmp_path))
         writer.put("k" * 64, {"mapping": {"x": 1}})
         assert reader.get("k" * 64) == {"mapping": {"x": 1}}
-        assert reader.stats.hits == 1
 
     def test_unpicklable_artifacts_are_skipped(self, tmp_path):
         cache = SharedStageCache(str(tmp_path))
         assert not cache.put("b" * 64, {"bad": lambda: None})
-        assert cache.stats.errors == 1
+        assert len(cache) == 0
         assert cache.get("b" * 64) is None
 
     def test_corrupt_entry_is_dropped(self, tmp_path):
@@ -46,7 +43,6 @@ class TestSharedStageCache:
         with open(path, "wb") as handle:
             handle.write(b"not a pickle")
         assert cache.get("c" * 64) is None
-        assert cache.stats.errors == 1
         assert not os.path.exists(path)  # dropped, not retried forever
         # a subsequent put repairs the entry
         cache.put("c" * 64, {"x": 2})
@@ -59,7 +55,8 @@ class TestSharedStageCache:
         keys = [f"{i:02d}" + "e" * 62 for i in range(5)]
         for key in keys:
             cache.put(key, payload)
-        assert cache.stats.evictions >= 2
+        assert len(cache) <= 3  # at least two evicted
+        assert not os.path.exists(cache._path(keys[0]))
         assert cache.total_bytes() <= 3 * entry_size
         # the most recent entry always survives
         assert cache.get(keys[-1]) is not None
@@ -126,7 +123,9 @@ class TestProcessBoundary:
         assert copy.shared.directory == cache.shared.directory
         assert copy.shared.max_bytes == 12345
         # the memory stayed behind; the disk tier came along
-        assert copy.lookup("k") == ({"a": 1}, LOOKUP_SHARED)
+        tally = CacheStats()
+        assert copy.get("k", tally) == {"a": 1}
+        assert tally == CacheStats(hits=1, shared_hits=1)
 
     def test_repeat_unpickles_return_one_copy(self):
         cache = StageCache()
@@ -143,7 +142,7 @@ class TestProcessBoundary:
             response = jm.result(jm.submit(CompileRequest(model="MLP-500-100")))
         assert response.ok
         assert len(SharedStageCache(str(tmp_path))) > 0
-        assert cache.stats.lookups == 0  # the worker compiled against its copy
+        assert len(cache) == 0  # the worker compiled against its copy
 
 
 class TestTwoTierStageCache:
@@ -155,55 +154,56 @@ class TestTwoTierStageCache:
         # in-memory miss is served by the shared tier
         second = StageCache(shared=SharedStageCache(str(tmp_path)))
         assert second.get("k1") == {"coreops": "artifact"}
-        assert second.stats.hits == 1
-        assert second.stats.shared_hits == 1
         # and the entry was promoted into the in-memory tier
-        assert second.stats.shared_misses == 0
+        assert len(second) == 1
         second.shared = None
         assert second.get("k1") == {"coreops": "artifact"}
-
-    def test_shared_miss_counted(self, tmp_path):
-        cache = StageCache(shared=SharedStageCache(str(tmp_path)))
-        assert cache.get("absent") is None
-        assert cache.stats.misses == 1
-        assert cache.stats.shared_misses == 1
 
     def test_no_shared_tier_behaves_as_before(self):
         cache = StageCache()
         assert cache.get("absent") is None
         cache.put("k", {"a": 1})
         assert cache.get("k") == {"a": 1}
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.shared_hits == 0
+        assert len(cache) == 1
 
     def test_evictions_counted(self):
         cache = StageCache(max_entries=2)
+        tally = CacheStats()
         for i in range(5):
-            cache.put(f"k{i}", {"v": i})
-        assert cache.stats.evictions == 3
+            cache.put(f"k{i}", {"v": i}, tally)
+        assert tally.evictions == 3
         assert len(cache) == 2
+        assert cache.get("k0") is None and cache.get("k4") == {"v": 4}
 
-    def test_lookup_reports_tier(self, tmp_path):
-        from repro.core.cache import (
-            LOOKUP_MEMORY,
-            LOOKUP_MISS,
-            LOOKUP_SHARED,
-            LOOKUP_SHARED_MISS,
-        )
-        from repro.core.shared_cache import SharedStageCache
+    def test_installing_a_shared_hit_is_not_an_eviction(self, tmp_path):
+        writer = StageCache(shared=SharedStageCache(str(tmp_path)))
+        writer.put("k1", {"a": 1})
+        writer.put("k2", {"b": 2})
+        reader = StageCache(max_entries=1, shared=SharedStageCache(str(tmp_path)))
+        tally = CacheStats()
+        assert reader.get("k1", tally) == {"a": 1}
+        assert reader.get("k2", tally) == {"b": 2}  # pushes k1 out of memory
+        assert len(reader) == 1
+        assert tally == CacheStats(hits=2, shared_hits=2)
 
-        plain = StageCache()
-        assert plain.lookup("k")[1] == LOOKUP_MISS
-        plain.put("k", {"a": 1})
-        assert plain.lookup("k")[1] == LOOKUP_MEMORY
-
-        shared = SharedStageCache(str(tmp_path))
-        StageCache(shared=shared).put("k2", {"b": 2})
-        tiered = StageCache(shared=SharedStageCache(str(tmp_path)))
-        assert tiered.lookup("absent")[1] == LOOKUP_SHARED_MISS
-        assert tiered.lookup("k2")[1] == LOOKUP_SHARED
-        assert tiered.lookup("k2")[1] == LOOKUP_MEMORY  # promoted
+    @pytest.mark.parametrize(
+        "tiered, key, artifacts, expected",
+        [
+            (False, "k", {"a": 1}, CacheStats(hits=1)),
+            (False, "absent", None, CacheStats(misses=1)),
+            (True, "k2", {"b": 2}, CacheStats(hits=1, shared_hits=1)),
+            (True, "absent", None, CacheStats(misses=1, shared_misses=1)),
+        ],
+        ids=["memory-hit", "miss", "shared-hit", "shared-miss"],
+    )
+    def test_lookup_reports_tier(self, tmp_path, tiered, key, artifacts, expected):
+        """The four outcomes of ``get(key, tally)``, as the tally counts them."""
+        StageCache(shared=SharedStageCache(str(tmp_path))).put("k2", {"b": 2})
+        cache = StageCache(shared=SharedStageCache(str(tmp_path)) if tiered else None)
+        cache.put("k", {"a": 1})
+        tally = CacheStats()
+        assert cache.get(key, tally) == artifacts
+        assert tally == expected
 
     def test_per_compile_stats_do_not_leak_across_concurrent_compiles(self):
         """The per-compile counters are tallied by the run itself, so a
@@ -216,10 +216,11 @@ class TestTwoTierStageCache:
         cache = StageCache()
         compiler = FPSACompiler(cache=cache)
         stop = threading.Event()
+        hammered = CacheStats()
 
         def hammer():
             while not stop.is_set():
-                cache.get("unrelated-key")  # global misses pile up
+                cache.get("unrelated-key", hammered)  # another compile's misses
 
         thread = threading.Thread(target=hammer)
         thread.start()
@@ -234,7 +235,7 @@ class TestTwoTierStageCache:
         # the hammering thread's lookups
         assert stats.misses == 2
         assert stats.hits == 0
-        assert cache.stats.misses > 2  # the global counters did see them
+        assert hammered.misses > 0
 
     def test_contains_checks_both_tiers(self, tmp_path):
         shared = SharedStageCache(str(tmp_path))

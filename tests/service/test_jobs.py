@@ -152,7 +152,7 @@ class TestCacheForwarding:
             responses = [jm.result(i) for i in ids]
         assert all(r.ok for r in responses)
         assert responses[1].timings.cache_hits > 0
-        assert cache.stats.lookups == 0
+        assert len(cache) == 0
 
 
 class TestProcessPool:
