@@ -9,14 +9,20 @@ spawned once and pre-import the model zoo and the pass pipeline.  The
 shards of one compile (:mod:`repro.partition.backend`) fan out over a
 ``WorkerPool`` too.  A worker compiles against the stage cache it is
 handed, and a disk tier reaches it only with that cache
-(:meth:`StageCache.__reduce__`); the pool configures no cache.
+(:meth:`StageCache.__reduce__`); the pool configures no cache.  A pool
+whose worker died heals itself (:meth:`WorkerPool.heal`) and counts it in
+:class:`PoolHealth`.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+import time
 from concurrent.futures import Executor, ProcessPoolExecutor
+from dataclasses import asdict, dataclass
+from typing import Any
+
 from ..arch.params import FPSAConfig
 from ..errors import InvalidRequestError
 from ..graph.graph import ComputationalGraph
@@ -28,11 +34,30 @@ from .result import DeploymentResult
 __all__ = [
     "deploy",
     "deploy_model",
+    "PoolHealth",
     "WorkerPool",
 ]
 
 #: upper bound on worker processes when ``jobs`` is not given.
 _MAX_AUTO_JOBS = 8
+
+
+@dataclass
+class PoolHealth:
+    """How often a :class:`WorkerPool` broke and how it recovered."""
+
+    #: distinct pool breakages (reports of one breakage coalesce).
+    broken_pool_events: int = 0
+    #: executor rebuilds performed (== generations advanced).
+    respawns: int = 0
+    #: wall-clock seconds the most recent rebuild took.
+    last_recovery_seconds: float = 0.0
+    #: wall-clock seconds across all rebuilds.
+    total_recovery_seconds: float = 0.0
+
+    def to_dict(self) -> dict[str, Any]:
+        return asdict(self)
+
 
 def _warm_worker() -> None:
     """Worker-process initializer: pay the cold-start cost exactly once.
@@ -58,6 +83,12 @@ class WorkerPool:
     copy in the worker keeps its memory across jobs); the pool itself
     configures no cache.
 
+    A ``ProcessPoolExecutor`` is poisoned the moment any worker dies: every
+    in-flight and future job fails with ``BrokenProcessPool``.  Whoever sees
+    that calls :meth:`heal` with the :attr:`generation` its job ran
+    against; the pool swaps in a fresh executor once per generation and
+    records it in :attr:`health`.
+
     Parameters
     ----------
     max_workers:
@@ -80,6 +111,9 @@ class WorkerPool:
         if max_workers is None:
             max_workers = min(os.cpu_count() or 1, _MAX_AUTO_JOBS)
         self.max_workers = max_workers
+        #: advances by one each time :meth:`heal` replaces the executor.
+        self.generation = 0
+        self.health = PoolHealth()
         self._lock = threading.Lock()
         self._executor = self._build_executor()
 
@@ -94,18 +128,27 @@ class WorkerPool:
         with self._lock:
             return self._executor
 
-    def rebuild(self) -> None:
-        """Replace a (typically broken) executor with a fresh warm pool.
+    def heal(self, observed_generation: int) -> None:
+        """Replace the executor after a breakage seen at ``observed_generation``.
 
-        The new pool runs the same :func:`_warm_worker` initializer, so
-        respawned workers re-import the pipeline like the originals.  The old
-        executor is shut down without waiting — its workers are dead or
-        dying, and its futures have already been failed by the breakage.
+        Every job the breakage displaced reports it; only the first report
+        of a generation rebuilds, later ones find the generation advanced
+        and return.  The new executor runs the same :func:`_warm_worker`
+        initializer.  The old one is shut down without waiting: its workers
+        are dead or dying, and the breakage has already failed its futures.
         """
         with self._lock:
-            old = self._executor
-            self._executor = self._build_executor()
-        old.shutdown(wait=False)
+            if observed_generation != self.generation:
+                return
+            started = time.perf_counter()
+            old, self._executor = self._executor, self._build_executor()
+            old.shutdown(wait=False)
+            elapsed = time.perf_counter() - started
+            self.generation += 1
+            self.health.broken_pool_events += 1
+            self.health.respawns += 1
+            self.health.last_recovery_seconds = elapsed
+            self.health.total_recovery_seconds += elapsed
 
     def submit(self, worker, *args, **kwargs):
         return self.executor.submit(worker, *args, **kwargs)

@@ -9,14 +9,14 @@ the experiment harnesses, and any future HTTP/queue service:
   execution choke point) and the in-process :class:`FPSAClient`.
 * :mod:`~repro.service.jobs` — the async :class:`JobManager`
   (QUEUED/RUNNING/DONE/FAILED) over the batch process pool, with
-  coalescing of identical requests, in flight or concluded.
+  coalescing of identical requests, in flight or concluded, bounded
+  deterministic-backoff retries, per-job deadlines that are compared
+  rather than timed, and admission control.
 * :mod:`~repro.service.runtime` — the :class:`ServingRuntime`: persistent
   warm worker pool + cross-process shared stage cache + coalescing, the
-  high-throughput front door for serving traffic.
-* :mod:`~repro.service.supervision` — the :class:`PoolSupervisor` that
-  rebuilds a broken worker pool and tracks :class:`PoolHealth` (the
-  JobManager pairs it with bounded deterministic-backoff retries,
-  per-job deadlines, and admission control).
+  high-throughput front door for serving traffic.  Its
+  :class:`~repro.core.api.WorkerPool` heals itself when a worker dies and
+  counts that in :class:`PoolHealth` (re-exported here).
 * :mod:`~repro.service.store` — the content-addressed :class:`ArtifactStore`
   for durable, comparable run results.
 
@@ -24,6 +24,7 @@ The typed error hierarchy the service maps to structured payloads lives in
 :mod:`repro.errors` (re-exported here for convenience).
 """
 
+from ..core.api import PoolHealth
 from ..errors import (
     RETRIABLE_CODES,
     CapacityError,
@@ -42,7 +43,6 @@ from ..errors import (
 from .client import FPSAClient, ServedCompile, serve_request
 from .jobs import JobInfo, JobManager, JobManagerStats, JobState
 from .runtime import ServingRuntime
-from .supervision import PoolHealth, PoolSupervisor
 from .schemas import (
     SCHEMA_VERSION,
     CompileRequest,
@@ -71,7 +71,6 @@ __all__ = [
     "JobInfo",
     "ServingRuntime",
     "PoolHealth",
-    "PoolSupervisor",
     "ArtifactStore",
     "RunRecord",
     "FPSAError",

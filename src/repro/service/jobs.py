@@ -25,20 +25,25 @@ Serving-runtime behaviours that live here:
   caller's thread from the same fingerprint map (the last
   :data:`REMEMBERED_JOBS`, LRU).  Disable per manager with
   ``coalesce=False``; a ``use_cache=False`` request is never remembered.
-* **Supervision and bounded retries** — a dead worker poisons a
+* **Self-healing pool and bounded retries** — a dead worker poisons a
   ``ProcessPoolExecutor`` (every in-flight and future job fails with
-  ``BrokenProcessPool``); the manager reports the breakage to a
-  :class:`~repro.service.supervision.PoolSupervisor`, which rebuilds the
-  pool once per breakage, and resubmits displaced jobs with exponential
-  backoff and full jitter *derived deterministically from the request
-  seed*.  Only *retriable* faults (worker death, transient IO, overload —
-  see :data:`repro.errors.RETRIABLE_CODES`) are retried; typed compile
+  ``BrokenProcessPool``); the manager asks its
+  :class:`~repro.core.api.WorkerPool` to :meth:`~repro.core.api.WorkerPool.heal`,
+  which rebuilds the executor once per breakage, and resubmits displaced
+  jobs at once.  The worker then sleeps an exponential backoff with full
+  jitter *derived deterministically from the request seed* before it
+  compiles (:func:`backoff_delay`).  Only *retriable* faults (worker
+  death, transient IO, overload — see :data:`repro.errors.RETRIABLE_CODES`)
+  are retried, at most ``CompileRequest.max_retries`` times; typed compile
   errors never are.  Retried jobs produce responses bit-identical to
   first-try jobs — determinism makes retries safe.
 * **Deadlines and admission control** — ``CompileRequest.deadline_s``
-  bounds each job's wall clock (a typed ``deadline_exceeded`` error is
-  published when it expires), and ``max_queue_depth`` caps the number of
-  uncoalesced in-flight jobs, rejecting the excess with a retriable
+  bounds each job's wall clock.  A deadline is a time that gets compared,
+  not a thread: a response that lands at or after it, or a waiter
+  (``result``, ``wait_all``, ``shutdown``) or observer (``status``,
+  ``jobs``) that outlives it, publishes the typed ``deadline_exceeded``
+  error instead.  ``max_queue_depth`` caps the number of uncoalesced
+  in-flight jobs, rejecting the excess with a retriable
   :class:`~repro.errors.OverloadedError` instead of queueing unboundedly.
 """
 
@@ -75,16 +80,20 @@ from ..errors import (
 from ..seeding import derive_seed
 from .client import serve_request
 from .schemas import CompileRequest, CompileResponse, ErrorPayload
-from .supervision import PoolSupervisor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .store import ArtifactStore
 
 __all__ = ["JobState", "JobInfo", "JobManager", "JobManagerStats"]
 
-#: manager-level default for transparent retries of retriable faults
-#: (``CompileRequest.max_retries`` overrides per job).
+#: transparent retries of retriable faults a job gets unless its
+#: ``CompileRequest.max_retries`` says otherwise.
 DEFAULT_MAX_RETRIES = 2
+
+#: base and cap (seconds) of the retry backoff window: attempt ``n`` draws
+#: uniformly from ``[0, min(cap, base * 2**(n-1))]``.
+RETRY_BACKOFF_S = 0.05
+RETRY_BACKOFF_CAP_S = 2.0
 
 #: concluded jobs a manager keeps answering repeats from, least recently
 #: used first out (references to responses ``_jobs`` holds anyway, about
@@ -152,6 +161,21 @@ class JobManagerStats:
     deadline_expired: int = 0
 
 
+def backoff_delay(request: CompileRequest, attempt: int) -> float:
+    """Seconds retry ``attempt`` (>= 1) of ``request`` waits before it runs.
+
+    Exponential backoff with full jitter, deterministic per (request seed,
+    fingerprint, attempt) — replayable like every other stochastic stage
+    (see :mod:`repro.seeding`).
+    """
+    master = request.seed if request.seed is not None else 0
+    rng = random.Random(
+        derive_seed(master, f"retry:{request.fingerprint()}:{attempt}")
+    )
+    window = min(RETRY_BACKOFF_CAP_S, RETRY_BACKOFF_S * 2 ** (attempt - 1))
+    return rng.uniform(0.0, window)
+
+
 def _execute_job(
     request_dict: dict[str, Any],
     config: FPSAConfig | None,
@@ -164,13 +188,17 @@ def _execute_job(
     any) so the parent can persist both to an artifact store.  ``cache`` is
     the manager's setting, as it arrived in this process.
 
-    ``attempt`` is the retry ordinal (0 = first try); it reaches the
-    fault-injection site so a chaos plan can target "the first attempt
-    only", which keeps crash faults self-limiting across retries.
+    ``attempt`` is the retry ordinal (0 = first try).  A retry first sleeps
+    its :func:`backoff_delay`, here in the worker, so the parent keeps no
+    timer.  The ordinal reaches the fault-injection site so a chaos plan
+    can target "the first attempt only", which keeps crash faults
+    self-limiting across retries.
     """
     from .. import faults
 
     request = CompileRequest.from_dict(request_dict)
+    if attempt:
+        time.sleep(backoff_delay(request, attempt))
     if request.fault_plan:
         faults.install_plan(request.fault_plan)
     # crash/hang/io_error faults fire *before* the compile so an injected
@@ -223,15 +251,12 @@ class _Job:
         self.compiled: CompileResponse | None = None
         self.submitted_at = time.monotonic()
         self.finished_at: float | None = None
-        #: completed retry attempts (0 while the first try is in flight).
+        #: retries resubmitted so far (0 while the first try is in flight).
         self.attempts = 0
-        #: resolved retry budget for this job (request override or default).
-        self.max_retries = 0
         #: absolute monotonic deadline, or ``None`` for no deadline.
         self.deadline_at: float | None = None
-        self.deadline_timer: threading.Timer | None = None
-        #: pending backoff timer between a retriable failure and resubmit.
-        self.retry_timer: threading.Timer | None = None
+        if request.deadline_s is not None:
+            self.deadline_at = self.submitted_at + request.deadline_s
         #: pool generation the current attempt was submitted against.
         self.generation = 0
         #: whether this (primary) job occupies an admission-control slot.
@@ -275,23 +300,15 @@ class JobManager:
         rides that job's compile and receives its response under its own
         request, and one that matches a remembered concluded job is
         answered with that response at once.
-    max_retries:
-        Default transparent-retry budget per job for *retriable* faults
-        (worker death, transient IO — see
-        :data:`repro.errors.RETRIABLE_CODES`); typed compile errors are
-        never retried.  ``None`` uses :data:`DEFAULT_MAX_RETRIES`;
-        ``CompileRequest.max_retries`` overrides per job.  Backoff between
-        attempts is exponential with full jitter drawn from a generator
-        seeded off the request seed — deterministic and replayable.
     max_queue_depth:
         Admission-control cap on uncoalesced in-flight jobs; submissions
         past the cap raise a retriable
         :class:`~repro.errors.OverloadedError` instead of queueing
         unboundedly.  Coalesced requests are always taken (they occupy
         no worker).  ``None`` (default) disables the cap.
-    retry_backoff_s / retry_backoff_cap_s:
-        Base and cap of the exponential backoff window (attempt ``n``
-        draws uniformly from ``[0, min(cap, base * 2**(n-1))]``).
+
+    A :class:`WorkerPool` heals itself when a worker dies; a bare
+    ``Executor`` as ``pool=`` runs unsupervised.
 
     The manager is a context manager; leaving the ``with`` block shuts the
     pool down after the submitted jobs finish (owned pools only).
@@ -305,24 +322,12 @@ class JobManager:
         store: "ArtifactStore | None" = None,
         pool: "WorkerPool | Executor | None" = None,
         coalesce: bool = True,
-        max_retries: int | None = None,
         max_queue_depth: int | None = None,
-        retry_backoff_s: float = 0.05,
-        retry_backoff_cap_s: float = 2.0,
     ):
         if max_workers is not None and max_workers < 1:
             raise InvalidRequestError(
                 f"max_workers must be >= 1, got {max_workers}",
                 details={"max_workers": max_workers},
-            )
-        if max_retries is not None and (
-            not isinstance(max_retries, int)
-            or isinstance(max_retries, bool)
-            or max_retries < 0
-        ):
-            raise InvalidRequestError(
-                f"max_retries must be an integer >= 0, got {max_retries!r}",
-                details={"max_retries": repr(max_retries)},
             )
         if max_queue_depth is not None and (
             not isinstance(max_queue_depth, int)
@@ -339,23 +344,11 @@ class JobManager:
         self.pool: WorkerPool | Executor = (
             pool if pool is not None else WorkerPool(max_workers)
         )
-        # supervision applies wherever a broken pool can be rebuilt: a bare
-        # executor is not ours to rebuild
-        self.supervisor = (
-            PoolSupervisor(self.pool.rebuild)
-            if isinstance(self.pool, WorkerPool)
-            else None
-        )
         self.config = config
         self.cache = cache
         self.store = store
         self.coalesce = coalesce
-        self.max_retries = (
-            max_retries if max_retries is not None else DEFAULT_MAX_RETRIES
-        )
         self.max_queue_depth = max_queue_depth
-        self.retry_backoff_s = retry_backoff_s
-        self.retry_backoff_cap_s = retry_backoff_cap_s
         self.stats = JobManagerStats()
         self._jobs: dict[str, _Job] = {}
         #: fingerprint -> the job identical requests share: in flight until
@@ -391,13 +384,6 @@ class JobManager:
         with self._lock:
             job_id = f"job-{next(self._counter):04d}"
             job = _Job(job_id, request)
-            job.max_retries = (
-                request.max_retries
-                if request.max_retries is not None
-                else self.max_retries
-            )
-            if request.deadline_s is not None:
-                job.deadline_at = job.submitted_at + request.deadline_s
             primary = self._shared.get(job.fingerprint)
             if primary is not None:
                 self._jobs[job_id] = job
@@ -409,7 +395,6 @@ class JobManager:
                     # under the same lock, so the primary cannot fan out
                     # between our check and the attach
                     primary.followers.append(job)
-                    self._arm_deadline(job)
                     return job_id
                 # concluded: from here on the most recently used entry
                 self._shared[job.fingerprint] = self._shared.pop(job.fingerprint)
@@ -464,7 +449,6 @@ class JobManager:
                     now,
                 )
             raise
-        self._arm_deadline(job)
         return job_id
 
     def submit_batch(self, requests: Iterable[CompileRequest | str | dict]) -> list[str]:
@@ -474,34 +458,31 @@ class JobManager:
     def _submit_attempt(self, job: _Job) -> None:
         """Hand the job's current attempt to the pool.
 
-        A submission that hits an already-broken pool heals it through the
-        supervisor and tries once more on the fresh pool; without a
-        supervisor the breakage propagates to the caller.
+        A submission that hits an already-broken :class:`WorkerPool` heals
+        it and tries once more on the fresh executor; on a bare executor
+        the breakage propagates to the caller.
         """
-        last_exc: BaseException | None = None
-        for _ in range(2):
-            supervisor = self.supervisor
-            generation = supervisor.generation if supervisor is not None else 0
+        pool = self.pool
+        heals = isinstance(pool, WorkerPool)
+        for healed in (False, True):
+            generation = pool.generation if heals else 0
             try:
-                future = self.pool.submit(
+                future = pool.submit(
                     _execute_job,
                     job.request.to_dict(),
                     self.config,
                     self.cache,
                     job.attempts,
                 )
-            except BrokenExecutor as exc:
-                last_exc = exc
-                if supervisor is None:
+            except BrokenExecutor:
+                if not heals or healed:
                     raise
-                supervisor.note_breakage(generation)
+                pool.heal(generation)
                 continue
             job.generation = generation
             job.future = future
             future.add_done_callback(lambda f, j=job: self._finish(j, f))
             return
-        assert last_exc is not None
-        raise last_exc
 
     # ------------------------------------------------------------------
     # completion, retries, deadlines
@@ -563,17 +544,16 @@ class JobManager:
         if broken:
             with self._lock:
                 self.stats.displaced += 1
-            if self.supervisor is not None:
+            if isinstance(self.pool, WorkerPool):
                 # heal once per breakage (concurrent reports coalesce on
                 # the generation), whether or not this job retries
-                self.supervisor.note_displaced()
-                self.supervisor.note_breakage(job.generation)
+                self.pool.heal(job.generation)
         retriable = (
             response.error is not None
             and response.error.code in RETRIABLE_CODES
             and not job.cancelled
         )
-        if retriable and self._maybe_retry(job):
+        if retriable and self._retry(job):
             return  # keep the in-flight entry: followers still coalesce
         self._conclude(job, response, bitstream)
 
@@ -607,50 +587,20 @@ class JobManager:
         for follower in followers:
             self._publish(follower, _answer(response, follower.request), bitstream, now)
 
-    def _maybe_retry(self, job: _Job) -> bool:
-        """Schedule a deterministic-backoff resubmit; False when out of
-        budget, past the deadline, shutting down, or nobody is waiting."""
+    def _retry(self, job: _Job) -> bool:
+        """Resubmit a retriable failure at once (the worker sleeps its
+        backoff); False when out of budget, past the deadline or shutting
+        down."""
+        budget = job.request.max_retries
+        if budget is None:
+            budget = DEFAULT_MAX_RETRIES
         with self._lock:
-            if self._closing or job.retired:
+            if self._closing or job.retired or job.attempts >= budget:
                 return False
-            if job.attempts >= job.max_retries:
-                return False
-            now = time.monotonic()
-            if job.deadline_at is not None and now >= job.deadline_at:
-                return False
-            # if the primary and every follower were already published
-            # (deadline expiry), a retry would compile for nobody
-            waiting = job.response is None or any(
-                f.response is None for f in job.followers
-            )
-            if not waiting:
+            if job.deadline_at is not None and time.monotonic() >= job.deadline_at:
                 return False
             job.attempts += 1
-            attempt = job.attempts
             self.stats.retried += 1
-        delay = self._backoff_delay(job, attempt)
-        timer = threading.Timer(delay, self._resubmit, args=(job,))
-        timer.daemon = True
-        job.retry_timer = timer
-        timer.start()
-        return True
-
-    def _backoff_delay(self, job: _Job, attempt: int) -> float:
-        """Exponential backoff with full jitter, deterministic per
-        (request seed, fingerprint, attempt) — replayable like every other
-        stochastic stage (see :mod:`repro.seeding`)."""
-        master = job.request.seed if job.request.seed is not None else 0
-        rng = random.Random(
-            derive_seed(master, f"retry:{job.fingerprint}:{attempt}")
-        )
-        window = min(
-            self.retry_backoff_cap_s,
-            self.retry_backoff_s * (2 ** (attempt - 1)),
-        )
-        return rng.uniform(0.0, window)
-
-    def _resubmit(self, job: _Job) -> None:
-        job.retry_timer = None
         try:
             self._submit_attempt(job)
         except Exception as exc:  # noqa: BLE001 - conclude, never hang waiters
@@ -663,65 +613,57 @@ class JobManager:
                 ),
                 None,
             )
-
-    def _arm_deadline(self, job: _Job) -> None:
-        if job.deadline_at is None:
-            return
-        delay = max(0.0, job.deadline_at - time.monotonic())
-        timer = threading.Timer(delay, self._expire, args=(job,))
-        timer.daemon = True
-        job.deadline_timer = timer
-        timer.start()
-
-    def _expire(self, job: _Job) -> None:
-        """Publish a typed deadline error for one job (and only that job:
-        a coalesced sibling with a longer deadline keeps waiting, and the
-        underlying compile keeps running for whoever still wants it)."""
-        assert job.request.deadline_s is not None
-        response = CompileResponse(
-            request=job.request,
-            status="error",
-            error=ErrorPayload(
-                code=DeadlineExceededError.code,
-                type=DeadlineExceededError.__name__,
-                message=(
-                    f"job {job.job_id!r} missed its deadline of "
-                    f"{job.request.deadline_s} s"
-                ),
-                details={
-                    "job_id": job.job_id,
-                    "deadline_s": job.request.deadline_s,
-                },
-            ),
-        )
-        if self._publish(job, response, None, time.monotonic()):
-            with self._lock:
-                self.stats.deadline_expired += 1
+        return True
 
     def _publish(
         self,
         job: _Job,
-        response: CompileResponse,
+        response: CompileResponse | None,
         bitstream: str | None,
         finished_at: float,
-    ) -> bool:
+    ) -> None:
         """Finalize one job: record, persist, and wake its waiters.
 
-        First publish wins (idempotent): a deadline expiry and a late
-        compile result race benignly — whichever lands second is dropped.
-        Returns whether this call published.
+        A response that lands at or after the job's deadline is replaced by
+        the typed ``deadline_exceeded`` error, finished at the deadline;
+        ``response`` is ``None`` when only the deadline landed (a waiter or
+        observer outlived it).  Only that job expires: a coalesced sibling
+        with a longer deadline keeps waiting, and the compile keeps running
+        for whoever still wants it.  First publish wins (idempotent), so an
+        expiry and a late compile result race benignly.
         """
+        expired = job.deadline_at is not None and finished_at >= job.deadline_at
+        if expired:
+            finished_at = job.deadline_at
+            bitstream = None
+            response = CompileResponse(
+                request=job.request,
+                status="error",
+                error=ErrorPayload(
+                    code=DeadlineExceededError.code,
+                    type=DeadlineExceededError.__name__,
+                    message=(
+                        f"job {job.job_id!r} missed its deadline of "
+                        f"{job.request.deadline_s} s"
+                    ),
+                    details={
+                        "job_id": job.job_id,
+                        "deadline_s": job.request.deadline_s,
+                    },
+                ),
+            )
+        assert response is not None
         with self._lock:
             if job.response is not None:
-                return False
+                return
             job.response = response
             job.finished_at = finished_at
             if response.ok:
                 self.stats.completed += 1
             else:
                 self.stats.failed += 1
-        if job.deadline_timer is not None:
-            job.deadline_timer.cancel()
+            if expired:
+                self.stats.deadline_expired += 1
         try:
             if self.store is not None:
                 self.store.save(response, bitstream_json=bitstream)
@@ -732,7 +674,23 @@ class JobManager:
             )
         finally:
             job.finished.set()
-        return True
+
+    def _wait(self, job: _Job, timeout: float | None = None) -> bool:
+        """Block until the job is published, ``timeout`` passes or its
+        deadline does, whichever is first; a waiter that outlives the
+        deadline publishes the expiry.  Returns whether the job finished."""
+        # the job's future can complete a hair before its done callback
+        # fills in the response; ``finished`` is set only once the response
+        # is published, so the event is the single wait surface (it also
+        # spans retries, where the future is replaced per attempt)
+        if job.deadline_at is not None:
+            until_deadline = max(0.0, job.deadline_at - time.monotonic())
+            if timeout is None or until_deadline <= timeout:
+                if not job.finished.wait(until_deadline):
+                    self._publish(job, None, None, job.deadline_at)
+                    job.finished.wait()  # a racing publish is mid-persist
+                return True
+        return job.finished.wait(timeout)
 
     # ------------------------------------------------------------------
     # inspection
@@ -750,6 +708,13 @@ class JobManager:
         """Snapshot of one job's lifecycle state."""
         job = self._get(job_id)
         coalesced = job.primary is not None
+        if (
+            job.response is None
+            and job.deadline_at is not None
+            and time.monotonic() >= job.deadline_at
+        ):
+            # overdue with no waiter: the observer publishes the expiry
+            self._publish(job, None, None, job.deadline_at)
         if job.response is not None:
             state = JobState.DONE if job.response.ok else JobState.FAILED
             return JobInfo(
@@ -761,11 +726,14 @@ class JobManager:
                 coalesced=coalesced,
             )
         # a follower's lifecycle mirrors the primary compile it shares
-        future = job.future if job.primary is None else job.primary.future
+        primary = job.primary or job
+        future = primary.future
         # a completed future whose done callback has not filled in the
-        # response yet must still read RUNNING, never regress to QUEUED
-        # (this also covers a job waiting out a retry backoff)
-        if future is not None and (future.running() or future.done()):
+        # response yet must still read RUNNING, never regress to QUEUED;
+        # so must a retry, whose worker may be sleeping out its backoff
+        if primary.attempts or (
+            future is not None and (future.running() or future.done())
+        ):
             return JobInfo(
                 job_id, job.request.model, JobState.RUNNING, coalesced=coalesced
             )
@@ -782,7 +750,8 @@ class JobManager:
     def result(self, job_id: str, timeout: float | None = None) -> CompileResponse:
         """Block until the job finishes; returns its response.
 
-        FAILED jobs return normally with the structured error payload on
+        A job past its deadline returns its ``deadline_exceeded`` error at
+        the deadline.  FAILED jobs return normally with the structured error payload on
         the response; call ``response.raise_for_status()`` for the typed
         exception.  An expired ``timeout`` raises
         :class:`~repro.errors.DeadlineExceededError` (a ``TimeoutError``
@@ -790,11 +759,7 @@ class JobManager:
         working) carrying the job id and the timeout in ``details``.
         """
         job = self._get(job_id)
-        # the job's future can complete a hair before its done callback
-        # fills in the response; ``finished`` is set only once the response
-        # is published, so the event is the single wait surface (it also
-        # spans retries, where the future is replaced per attempt)
-        if not job.finished.wait(timeout=timeout):
+        if not self._wait(job, timeout):
             raise DeadlineExceededError(
                 f"job {job_id!r} did not finish within {timeout} s",
                 details={"job_id": job_id, "timeout": timeout},
@@ -806,7 +771,8 @@ class JobManager:
         """Cancel a QUEUED job; returns whether cancellation succeeded.
 
         A cancelled job moves to FAILED with a ``cancelled`` error payload.
-        RUNNING and finished jobs cannot be cancelled, and neither can
+        RUNNING (retries included) and finished jobs cannot be cancelled,
+        and neither can
         coalesced jobs: a follower shares its compile with other waiters,
         and cancelling a primary with followers would cancel them all.
         """
@@ -817,7 +783,7 @@ class JobManager:
         # attach between the check and the cancel (Future.cancel runs the
         # done callbacks synchronously, so it must happen outside the lock)
         with self._lock:
-            if job.followers or job.retired:
+            if job.followers or job.retired or job.attempts:
                 return False
             removed = self._shared.get(job.fingerprint) is job
             if removed:
@@ -848,23 +814,18 @@ class JobManager:
         """Shut the pool down — owned pools only; an external
         :class:`WorkerPool` stays warm for the next manager.
 
-        New retries stop being scheduled once shutdown begins (an attempt
-        failing mid-drain concludes with its retriable error instead of
-        respawning); with ``wait=True``, jobs already waiting out a retry
-        backoff are drained first — they hold no pool future, so the
-        executor's own shutdown would not wait for them.
+        New retries stop once shutdown begins (an attempt failing mid-drain
+        concludes with its retriable error instead of resubmitting); with
+        ``wait=True``, every job in flight is drained first, each at most
+        until its deadline.
         """
         self._closing = True
         if wait:
             with self._lock:
                 jobs = list(self._jobs.values())
             for job in jobs:
-                if job.primary is not None:
-                    continue  # finishes with its primary
-                if job.finished.is_set():
-                    continue
-                if job.retry_timer is not None or job.future is not None:
-                    job.finished.wait()
+                if job.primary is None:  # a follower finishes with its primary
+                    self._wait(job)
         if self._owns_pool:
             self.pool.shutdown(wait=wait)
 

@@ -7,7 +7,8 @@ owns — none of which speed up a single compile, all of which speed up a
 
 * a **persistent warm worker pool** (:class:`~repro.core.api.WorkerPool`):
   worker processes are spawned once, pre-import the model zoo and the pass
-  pipeline, and stay alive across every batch the runtime serves;
+  pipeline, and stay alive across every batch the runtime serves (a pool
+  a dead worker broke heals itself, :meth:`health` says how often);
 * a **cross-process shared stage cache**
   (:class:`~repro.core.shared_cache.SharedStageCache`): the runtime hands
   every job one :class:`~repro.core.cache.StageCache` over one disk-backed
@@ -71,12 +72,6 @@ class ServingRuntime:
         response is persisted to.
     dedup_store_dir:
         Ignored: kept for callers that still pass it, until the next wire schema.
-    max_retries:
-        Default transparent-retry budget for retriable faults (worker
-        death, transient IO); forwarded to the
-        :class:`~repro.service.jobs.JobManager`.  ``None`` uses the
-        manager's default; ``CompileRequest.max_retries`` overrides per
-        job.
     max_queue_depth:
         Admission-control cap on uncoalesced in-flight jobs; submissions
         past it raise a retriable
@@ -91,7 +86,6 @@ class ServingRuntime:
         coalesce: bool = True,
         store: "ArtifactStore | None" = None,
         dedup_store_dir: str | None = None,
-        max_retries: int | None = None,
         max_queue_depth: int | None = None,
     ):
         self.config = config
@@ -111,7 +105,6 @@ class ServingRuntime:
                 cache=StageCache(shared=tier),
                 store=store,
                 coalesce=coalesce,
-                max_retries=max_retries,
                 max_queue_depth=max_queue_depth,
             )
         except BaseException:
@@ -168,9 +161,9 @@ class ServingRuntime:
         }
 
     def health(self) -> dict[str, Any]:
-        """Supervision counters of the worker pool (respawns, breakages,
+        """How the worker pool broke and healed (breakages, respawns,
         recovery time)."""
-        return self.manager.supervisor.health.to_dict()
+        return self.pool.health.to_dict()
 
     # ------------------------------------------------------------------
     # lifecycle

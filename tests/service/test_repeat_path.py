@@ -16,11 +16,10 @@ import shutil
 import sys
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
-from test_runtime import _ManualExecutor
 
 from repro.core import cache as cache_module
 from repro.core.cache import StageCache, graph_fingerprint
@@ -430,18 +429,6 @@ class TestRepeatSave:
 # the job manager: an identical request is answered where it arrives
 # ---------------------------------------------------------------------------
 
-class _Executor(_ManualExecutor):
-    """Futures stay pending (so ``cancel`` succeeds) until the test ends one."""
-
-    def submit(self, fn, *args, **kwargs):
-        self.submitted.append((fn, args, Future()))
-        return self.submitted[-1][2]
-
-    def complete_last(self):
-        fn, args, future = self.submitted[-1]
-        future.set_result(fn(*args))
-
-
 def _point(i: int = 0, **fields) -> CompileRequest:
     """Distinct fingerprints of one cheap compile (the seed is in them)."""
     return CompileRequest(model="MLP-500-100", seed=i, **fields)
@@ -449,8 +436,10 @@ def _point(i: int = 0, **fields) -> CompileRequest:
 
 class TestAnsweredFromTheConcludedJob:
     @pytest.fixture
-    def pool(self):
-        return _Executor()
+    def pool(self, manual_executor):
+        """Futures stay pending (so ``cancel`` succeeds) until the test ends one."""
+        manual_executor.pending = True
+        return manual_executor
 
     def serve(self, manager, pool, request):
         """Submit, let a compile that reached the pool run, return the response."""
@@ -506,8 +495,12 @@ class TestAnsweredFromTheConcludedJob:
 
     @pytest.mark.parametrize("code", ["unknown_model", "cancelled", "transient_io"])
     def test_an_error_is_never_remembered(self, pool, code):
-        manager = JobManager(pool=pool, max_retries=0)
-        request = CompileRequest(model="NotANetwork") if code == "unknown_model" else _point()
+        manager = JobManager(pool=pool)
+        request = (
+            CompileRequest(model="NotANetwork", max_retries=0)
+            if code == "unknown_model"
+            else _point(max_retries=0)
+        )
         job_id = manager.submit(request)
         if code == "cancelled":
             assert manager.cancel(job_id)

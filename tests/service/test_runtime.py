@@ -2,7 +2,7 @@
 
 import os
 import tempfile
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -19,31 +19,9 @@ from repro.service import (
 from repro.service.client import serve_request
 
 
-class _ManualExecutor:
-    """An executor whose futures the test completes by hand — makes the
-    in-flight window deterministic instead of racing a real compile."""
-
-    def __init__(self):
-        self.submitted = []
-
-    def submit(self, fn, *args, **kwargs):
-        future = Future()
-        future.set_running_or_notify_cancel()
-        self.submitted.append((fn, args, future))
-        return future
-
-    def complete_all(self):
-        for fn, args, future in self.submitted:
-            if not future.done():
-                future.set_result(fn(*args))
-
-    def shutdown(self, wait=True):
-        pass
-
-
 class TestRequestCoalescing:
-    def test_identical_inflight_requests_share_one_compile(self):
-        executor = _ManualExecutor()
+    def test_identical_inflight_requests_share_one_compile(self, manual_executor):
+        executor = manual_executor
         manager = JobManager(pool=executor)
         request = CompileRequest(model="MLP-500-100", tags={"who": "a"})
         twin = CompileRequest(model="MLP-500-100", tags={"who": "b"})
@@ -69,8 +47,8 @@ class TestRequestCoalescing:
         assert r3.summary.to_dict() != r1.summary.to_dict()
         assert manager.status(second).seconds is not None
 
-    def test_finished_requests_coalesce_too(self):
-        executor = _ManualExecutor()
+    def test_finished_requests_coalesce_too(self, manual_executor):
+        executor = manual_executor
         manager = JobManager(pool=executor)
         first = manager.submit("MLP-500-100")
         executor.complete_all()
@@ -85,16 +63,16 @@ class TestRequestCoalescing:
         assert r2.request.tags == {"who": "b"}
         assert (r2.summary, r2.timings) == (r1.summary, r1.timings)
 
-    def test_coalesce_disabled(self):
-        executor = _ManualExecutor()
+    def test_coalesce_disabled(self, manual_executor):
+        executor = manual_executor
         manager = JobManager(pool=executor, coalesce=False)
         manager.submit("MLP-500-100")
         manager.submit("MLP-500-100")
         assert len(executor.submitted) == 2
         assert manager.stats.coalesced == 0
 
-    def test_follower_failure_fanout(self):
-        executor = _ManualExecutor()
+    def test_follower_failure_fanout(self, manual_executor):
+        executor = manual_executor
         manager = JobManager(pool=executor)
         first = manager.submit("no-such-model")
         second = manager.submit("no-such-model")
@@ -106,20 +84,10 @@ class TestRequestCoalescing:
         assert r1.error.code == r2.error.code == "unknown_model"
         assert manager.stats.failed == 2
 
-    def test_follower_released_when_primary_submit_fails(self):
+    def test_follower_released_when_primary_submit_fails(self, manual_executor):
         # a follower that attached while the primary's pool.submit was in
         # flight must not hang forever when that submit raises
-        class _FlakyExecutor(_ManualExecutor):
-            def __init__(self):
-                super().__init__()
-                self.fail_next = False
-
-            def submit(self, fn, *args, **kwargs):
-                if self.fail_next:
-                    raise RuntimeError("pool is gone")
-                return super().submit(fn, *args, **kwargs)
-
-        executor = _FlakyExecutor()
+        executor = manual_executor
         manager = JobManager(pool=executor)
 
         # deterministically recreate the window: attach the follower while
@@ -140,8 +108,8 @@ class TestRequestCoalescing:
         assert not response.ok
         assert response.error.code == "internal"
 
-    def test_cancel_retires_inflight_entry(self):
-        executor = _ManualExecutor()
+    def test_cancel_retires_inflight_entry(self, manual_executor):
+        executor = manual_executor
         manager = JobManager(pool=executor)
         primary = manager.submit("MLP-500-100")
         # ManualExecutor futures report RUNNING, so cancel() fails — but it
@@ -152,8 +120,8 @@ class TestRequestCoalescing:
         executor.complete_all()
         assert manager.result(primary, timeout=10).ok
 
-    def test_followers_cannot_be_cancelled(self):
-        executor = _ManualExecutor()
+    def test_followers_cannot_be_cancelled(self, manual_executor):
+        executor = manual_executor
         manager = JobManager(pool=executor)
         manager.submit("MLP-500-100")
         follower = manager.submit("MLP-500-100")
@@ -203,7 +171,7 @@ class TestServingRuntime:
         assert response.ok
 
     @pytest.mark.parametrize(
-        "settings", [{"max_workers": 0}, {"max_retries": -1}, {"max_queue_depth": 0}]
+        "settings", [{"max_workers": 0}, {"max_queue_depth": True}, {"max_queue_depth": 0}]
     )
     def test_rejected_settings_leave_no_cache_dir(self, settings, tmp_path, monkeypatch):
         from repro.core.shared_cache import SHARED_CACHE_ENV

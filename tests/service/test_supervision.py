@@ -1,12 +1,16 @@
-"""Fault tolerance of the serving runtime: worker supervision, bounded
-deterministic retries, per-job deadlines and admission control."""
+"""Fault tolerance of the serving runtime: a pool that heals itself,
+bounded deterministic retries, per-job deadlines and admission control."""
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ThreadPoolExecutor
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.core.api import WorkerPool
 from repro.errors import (
     DeadlineExceededError,
     OverloadedError,
@@ -20,7 +24,8 @@ from repro.faults import (
     clear_installed_plan,
 )
 from repro.fuzz.oracle import strip_seconds
-from repro.service import CompileRequest, JobManager, PoolSupervisor
+from repro.service import CompileRequest, JobManager, JobState
+from repro.service import jobs as jobs_module
 
 
 @pytest.fixture(autouse=True)
@@ -31,28 +36,6 @@ def _clean_fault_state(monkeypatch):
     clear_installed_plan()
 
 
-class _ManualExecutor:
-    """An executor whose futures the test completes by hand (the pattern
-    of ``test_runtime.py``)."""
-
-    def __init__(self):
-        self.submitted = []
-
-    def submit(self, fn, *args, **kwargs):
-        future = Future()
-        future.set_running_or_notify_cancel()
-        self.submitted.append((fn, args, future))
-        return future
-
-    def complete_all(self):
-        for fn, args, future in self.submitted:
-            if not future.done():
-                future.set_result(fn(*args))
-
-    def shutdown(self, wait=True):
-        pass
-
-
 def crash_plan(**match) -> str:
     return FaultPlan(
         faults=(
@@ -61,35 +44,35 @@ def crash_plan(**match) -> str:
     ).to_json()
 
 
-class TestPoolSupervisor:
+class TestPoolHealing:
     def test_breakage_reports_coalesce_on_generation(self):
-        rebuilds = []
-        supervisor = PoolSupervisor(lambda: rebuilds.append(1))
-        assert supervisor.generation == 0
-        assert supervisor.note_breakage(0) == 1
-        assert len(rebuilds) == 1
-        # a second report of the same (already healed) generation is a
-        # stale observation: no second rebuild
-        assert supervisor.note_breakage(0) == 1
-        assert len(rebuilds) == 1
-        assert supervisor.note_breakage(1) == 2
-        assert len(rebuilds) == 2
-        health = supervisor.health
-        assert health.broken_pool_events == 2
-        assert health.respawns == 2
-        assert health.total_recovery_seconds >= 0.0
-        supervisor.note_displaced()
-        supervisor.note_displaced(2)
-        assert health.jobs_displaced == 3
-        # chaos.py reads pool_health.* by these names, in this order
-        assert list(health.to_dict()) == [
-            "broken_pool_events",
-            "respawns",
-            "jobs_displaced",
-            "last_recovery_seconds",
-            "total_recovery_seconds",
-        ]
-        assert health.to_dict()["jobs_displaced"] == 3
+        pool = WorkerPool(1)  # executors spawn no worker before a submit
+        try:
+            first = pool.executor
+            assert pool.generation == 0
+            pool.heal(0)
+            second = pool.executor
+            assert second is not first and pool.generation == 1
+            # a second report of the same (already healed) generation is a
+            # stale observation: no second rebuild
+            pool.heal(0)
+            assert pool.executor is second and pool.generation == 1
+            pool.heal(1)
+            assert pool.executor is not second and pool.generation == 2
+            health = pool.health
+            assert health.broken_pool_events == 2
+            assert health.respawns == 2
+            assert health.total_recovery_seconds >= health.last_recovery_seconds >= 0.0
+            # chaos.py reads pool_health.* by these names, in this order;
+            # displaced attempts are counted once, in stats()["displaced"]
+            assert list(health.to_dict()) == [
+                "broken_pool_events",
+                "respawns",
+                "last_recovery_seconds",
+                "total_recovery_seconds",
+            ]
+        finally:
+            pool.shutdown()
 
 
 class TestCrashRecovery:
@@ -108,10 +91,10 @@ class TestCrashRecovery:
             response = manager.result(manager.submit(request))
             assert response.ok
             assert manager.stats.retried >= 1
-            health = manager.supervisor.health
+            assert manager.stats.displaced >= 1
+            health = manager.pool.health
             assert health.broken_pool_events >= 1
             assert health.respawns >= 1
-            assert health.jobs_displaced >= 1
         # the retried response is bit-identical (seconds stripped) to a
         # fault-free compile of the same seed
         assert strip_seconds(response.summary.to_dict()) == strip_seconds(
@@ -225,29 +208,53 @@ class TestRetryPolicy:
         assert manager.stats.retried == 0
 
     def test_backoff_is_deterministic_and_bounded(self):
-        from repro.service.jobs import _Job
-
+        backoff_delay = jobs_module.backoff_delay
         request = CompileRequest(model="MLP-500-100", seed=5)
-        with JobManager(pool=_ManualExecutor()) as manager:
-            job = _Job("job-0001", request)
-            first = manager._backoff_delay(job, 1)
-            second = manager._backoff_delay(job, 2)
-            # same (seed, fingerprint, attempt) -> same delay, replayable
-            assert manager._backoff_delay(_Job("job-0002", request), 1) == first
-            assert 0.0 <= first <= manager.retry_backoff_s
-            assert 0.0 <= second <= 2 * manager.retry_backoff_s
-            assert second <= manager.retry_backoff_cap_s
-            # a different seed draws a different jitter
-            other = _Job(
-                "job-0003", CompileRequest(model="MLP-500-100", seed=6)
-            )
-            assert manager._backoff_delay(other, 1) != first
+        first = backoff_delay(request, 1)
+        second = backoff_delay(request, 2)
+        # same (seed, fingerprint, attempt) -> same delay, replayable
+        assert backoff_delay(CompileRequest(model="MLP-500-100", seed=5), 1) == first
+        assert 0.0 <= first <= jobs_module.RETRY_BACKOFF_S
+        assert 0.0 <= second <= 2 * jobs_module.RETRY_BACKOFF_S
+        assert backoff_delay(request, 12) <= jobs_module.RETRY_BACKOFF_CAP_S
+        # a different seed draws a different jitter
+        assert backoff_delay(CompileRequest(model="MLP-500-100", seed=6), 1) != first
 
-    def test_invalid_retry_and_queue_settings_rejected(self):
+    def test_the_worker_sleeps_the_backoff_and_the_parent_starts_no_thread(
+        self, manual_executor, monkeypatch
+    ):
+        request = CompileRequest(model="MLP-500-100", seed=3, max_retries=2)
+        slept = []
+        monkeypatch.setattr(time, "sleep", slept.append)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        manual_executor.pending = True  # the retry waits for a worker
+        manager = JobManager(pool=manual_executor)
+        job_id = manager.submit(request)
+        manual_executor.submitted[0][2].set_exception(OSError("disk went away"))
+        # resubmitted at once, as attempt 1, and still RUNNING: not cancellable
+        (_, args, _), = manual_executor.submitted[1:]
+        assert args[-1] == 1
+        assert manager.status(job_id).state == JobState.RUNNING
+        assert manager.cancel(job_id) is False
+        assert slept == []
+        manual_executor.complete_all()  # the worker call, on this thread
+        assert slept == [jobs_module.backoff_delay(request, 1)]
+        assert manager.result(job_id, timeout=0).ok
+        assert manager.stats.retried == 1
+        assert started == []
+
+    def test_the_retry_budget_defaults_per_request(self, manual_executor):
+        manager = JobManager(pool=manual_executor)
+        job_id = manager.submit(CompileRequest(model="MLP-500-100", seed=3))
+        for attempt in range(jobs_module.DEFAULT_MAX_RETRIES + 1):
+            manual_executor.submitted[attempt][2].set_exception(OSError("flaky"))
+        assert manager.result(job_id, timeout=0).error.code == "transient_io"
+        assert len(manual_executor.submitted) == jobs_module.DEFAULT_MAX_RETRIES + 1
+
+    def test_invalid_queue_settings_rejected(self):
         from repro.errors import InvalidRequestError
 
-        with pytest.raises(InvalidRequestError):
-            JobManager(max_retries=-1)
         with pytest.raises(InvalidRequestError):
             JobManager(max_queue_depth=0)
 
@@ -266,11 +273,11 @@ class TestDeadlines:
             assert jm.result(first).ok
             assert jm.result(second).ok
 
-    def test_expired_deadline_publishes_a_typed_error(self):
+    def test_expired_deadline_publishes_a_typed_error(self, manual_executor):
         # the pool's futures complete only when the test says so: both jobs
         # stay in flight until the expiry has been observed, so the outcome
-        # does not depend on how fast a compile or the deadline timer runs
-        pool = _ManualExecutor()
+        # does not depend on how fast a compile runs
+        pool = manual_executor
         with JobManager(pool=pool, cache=False) as jm:
             blocker = jm.submit("LeNet")
             expired = jm.submit(
@@ -286,14 +293,95 @@ class TestDeadlines:
             assert jm.result(blocker).ok
             assert jm.stats.deadline_expired == 1
 
+    def test_deadlines_start_no_thread(self, manual_executor):
+        before = threading.active_count()
+        manager = JobManager(pool=manual_executor)
+        ids = [
+            manager.submit(CompileRequest(model="MLP-500-100", seed=i, deadline_s=60.0))
+            for i in range(64)
+        ]
+        assert threading.active_count() == before
+        manual_executor.complete_all()
+        assert all(manager.result(job_id, timeout=0).ok for job_id in ids)
+
+    def test_an_overdue_job_with_no_waiter_reads_failed(
+        self, manual_executor, monkeypatch
+    ):
+        manager = JobManager(pool=manual_executor)
+        job_id = manager.submit(CompileRequest(model="MLP-500-100", deadline_s=60.0))
+        assert manager.status(job_id).state == JobState.RUNNING
+        now = time.monotonic()
+        monkeypatch.setattr(time, "monotonic", lambda: now + 61.0)
+        info = manager.status(job_id)
+        assert info.state == JobState.FAILED
+        assert info.error.code == "deadline_exceeded"
+        assert info.seconds == pytest.approx(60.0)  # finished at the deadline
+        assert manager.stats.deadline_expired == 1
+        assert manager.jobs() == [info]
+        manual_executor.complete_all()  # the late result is dropped
+        assert manager.result(job_id, timeout=0).error.code == "deadline_exceeded"
+        assert (manager.stats.deadline_expired, manager.stats.failed) == (1, 1)
+
+    def test_a_result_landing_after_the_deadline_is_the_expiry(self, manual_executor, monkeypatch):
+        manager = JobManager(pool=manual_executor)
+        job_id = manager.submit(CompileRequest(model="MLP-500-100", deadline_s=60.0))
+        now = time.monotonic()
+        monkeypatch.setattr(time, "monotonic", lambda: now + 61.0)
+        manual_executor.complete_all()
+        response = manager.result(job_id, timeout=0)
+        assert response.error.code == "deadline_exceeded"
+        assert manager.status(job_id).seconds == pytest.approx(60.0)
+        assert manager.stats.deadline_expired == 1
+
+    def test_waiters_racing_late_results_publish_each_job_once(self):
+        # 6 waiter threads on 2 pool threads: expiries the waiters publish
+        # race the compiles landing; job i lands after about i ms, and its
+        # deadline is 1, 2 or 3 ms a place in the queue
+        requests = [
+            CompileRequest(model="MLP-500-100", seed=i, deadline_s=0.001 * (1 + i) * (1 + i % 3))
+            for i in range(48)
+        ]
+        seen = [[] for _ in range(6)]
+
+        def waiter(k: int) -> None:
+            for job_id in ids[k::2] + ids:
+                manager.status(job_id)
+                seen[k].append(manager.result(job_id, timeout=60))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool, JobManager(
+                pool=pool, cache=False
+            ) as manager:
+                ids = manager.submit_batch(requests)
+                threads = [threading.Thread(target=waiter, args=(k,)) for k in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        responses = {job_id: manager.result(job_id, timeout=0) for job_id in ids}
+        for k, answers in enumerate(seen):  # one published answer a job
+            assert all(
+                a is responses[j] for a, j in zip(answers, ids[k::2] + ids, strict=True)
+            )
+        codes = [r.error.code for r in responses.values() if not r.ok]
+        assert set(codes) <= {"deadline_exceeded"}
+        stats = manager.stats
+        assert stats.completed + stats.failed == stats.submitted == 48
+        assert stats.deadline_expired == len(codes)
+
 
 class TestAdmissionControl:
     # the blocker stays in flight until the test completes it by hand: a
     # real compile of a zoo model is a few milliseconds, about as long as
     # the submitting thread waits for the GIL, so racing one is a coin toss
 
-    def test_overload_rejects_with_a_retriable_typed_error(self):
-        pool = _ManualExecutor()
+    def test_overload_rejects_with_a_retriable_typed_error(self, manual_executor):
+        pool = manual_executor
         with JobManager(pool=pool, cache=False, max_queue_depth=1) as jm:
             blocker = jm.submit("GoogLeNet")
             with pytest.raises(OverloadedError) as excinfo:
@@ -321,8 +409,8 @@ class TestAdmissionControl:
             pool.complete_all()
             assert jm.result(admitted).ok
 
-    def test_rejected_submission_leaves_no_orphan_job(self):
-        pool = _ManualExecutor()
+    def test_rejected_submission_leaves_no_orphan_job(self, manual_executor):
+        pool = manual_executor
         with JobManager(pool=pool, cache=False, max_queue_depth=1) as jm:
             blocker = jm.submit("GoogLeNet")
             with pytest.raises(OverloadedError):
