@@ -23,6 +23,8 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 from typing import Any, NamedTuple
 
 from ..arch.params import FPSAConfig
@@ -31,7 +33,6 @@ from ..mapper.control import ControlPlan
 from ..mapper.mapper import MappingResult
 from ..mapper.netlist import BlockType
 from ..pnr.pnr import PnRResult
-from ..synthesizer.splitting import TilePlan
 
 __all__ = [
     "CrossbarConfig",
@@ -203,37 +204,50 @@ def _records(record: type, kind: str, data: Mapping[str, Any]) -> list:
     return [_record(record, kind, i, entry) for i, entry in enumerate(data.get(kind) or ())]
 
 
+#: builds a record without running its constructor (a ``NamedTuple``'s
+#: ``__new__`` is a Python function call per record)
+_new = tuple.__new__
+
+
 def _crossbar_configs(mapping: MappingResult, config: FPSAConfig) -> list[CrossbarConfig]:
-    """One record per PE block.  A tile's rows and cols are
-    :meth:`TilePlan.tile`'s arithmetic on one ``(plan, n_tiles,
-    n_col_tiles)`` looked up per group; no ``Tile`` is built."""
+    """One record per PE block, one batch per run of a group's blocks.  A
+    group's tile rows and cols are :meth:`TilePlan.tile`'s arithmetic, done
+    once per row and column of its tiles; no ``Tile`` is built."""
     configs: list[CrossbarConfig] = []
     pe = config.pe
     cells_per_weight, cell_bits = pe.cells_per_weight, pe.cell_bits
-    shapes: dict[str, tuple[TilePlan, int, int]] = {}
-    for name, _, group, index, _ in mapping.netlist.blocks_of_type(BlockType.PE):
-        shape = shapes.get(group)
-        if shape is None:
+    dims: dict[str, tuple[dict[int, int], dict[int, int]]] = {}
+    for group, run in groupby(mapping.netlist.blocks_of_type(BlockType.PE), itemgetter(2)):
+        if group not in dims:
             plan = mapping.coreops.group(group).tiling(pe.rows, pe.logical_cols)
-            shape = shapes[group] = (plan, plan.n_tiles, plan.n_col_tiles)
-        plan, n_tiles, n_col_tiles = shape
-        if not 0 <= index < n_tiles:
+            row_sizes = [
+                min(plan.max_rows, plan.matrix_rows - r * plan.max_rows)
+                for r in range(plan.n_row_tiles)
+            ]
+            col_sizes = [
+                min(plan.max_cols, plan.matrix_cols - c * plan.max_cols)
+                for c in range(plan.n_col_tiles)
+            ]
+            # tile index -> rows and cols, row-major; a tile outside the
+            # group misses them, so the range check costs nothing until it fails
+            dims[group] = (
+                dict(enumerate([size for size in row_sizes for _ in col_sizes])),
+                dict(enumerate(col_sizes * len(row_sizes))),
+            )
+        rows, cols = dims[group]
+        blocks = list(run)
+        try:
+            configs += [
+                _new(CrossbarConfig, (name, group, rows[i], cols[i], cells_per_weight, cell_bits))
+                for name, _, _, i, _ in blocks
+            ]
+        except KeyError:
+            name, _, _, index, _ = next(b for b in blocks if b[3] not in rows)
             raise MappingError(
                 f"PE block {name!r} programs tile {index} of group "
-                f"{group!r}, which has {n_tiles} tiles",
-                details={"block": name, "group": group, "tile": index, "n_tiles": n_tiles},
-            )
-        ri, ci = divmod(index, n_col_tiles)
-        configs.append(
-            CrossbarConfig(
-                name,
-                group,
-                min(plan.max_rows, plan.matrix_rows - ri * plan.max_rows),
-                min(plan.max_cols, plan.matrix_cols - ci * plan.max_cols),
-                cells_per_weight,
-                cell_bits,
-            )
-        )
+                f"{group!r}, which has {len(rows)} tiles",
+                details={"block": name, "group": group, "tile": index, "n_tiles": len(rows)},
+            ) from None
     return configs
 
 
@@ -253,18 +267,19 @@ def _routing_configs(pnr: PnRResult | None, mapping: MappingResult) -> list[Rout
         return configs
 
     # no detailed routing available: estimate from the netlist topology with
-    # the analytic mean route length.
+    # the analytic mean route length, once per edge (the nets of an edge
+    # share one sinks tuple)
     estimated_segments = max(1, int(math.sqrt(len(mapping.netlist.blocks))))
-    return [
-        RoutingSwitchConfig(
-            name,
-            driver,
-            len(sinks),
-            estimated_segments * len(sinks),
-            (estimated_segments + 1) * len(sinks) + 1,
-        )
-        for name, driver, sinks, _ in mapping.netlist.nets
-    ]
+    configs = []
+    for sinks, run in groupby(mapping.netlist.nets, itemgetter(2)):
+        n_sinks = len(sinks)
+        segments = estimated_segments * n_sinks
+        switches = (estimated_segments + 1) * n_sinks + 1
+        configs += [
+            _new(RoutingSwitchConfig, (name, driver, n_sinks, segments, switches))
+            for name, driver, _, _ in run
+        ]
+    return configs
 
 
 def _control_config(control: ControlPlan) -> ControlConfig:
@@ -281,8 +296,8 @@ def _buffer_configs(mapping: MappingResult, config: FPSAConfig) -> list[BufferCo
     value_bits = config.pe.io_bits
     capacity = config.smb.values_capacity(value_bits)
     return [
-        BufferConfig(block.name, block.group, capacity, value_bits)
-        for block in mapping.netlist.blocks_of_type(BlockType.SMB)
+        _new(BufferConfig, (name, group, capacity, value_bits))
+        for name, _, group, _, _ in mapping.netlist.blocks_of_type(BlockType.SMB)
     ]
 
 

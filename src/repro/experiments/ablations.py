@@ -12,7 +12,8 @@ Four ablations quantify design decisions the paper discusses in prose:
 * **routing-only vs PE-only improvements** (Figure 6's decomposition): how
   much of the end-to-end speedup comes from the routing architecture alone
   (FP-PRIME) and how much from the simplified PE (FPSA).
-* **duplication sweep**: throughput/area scaling across duplication degrees.
+* **multi-chip partitioning**: cut traffic against end-to-end performance
+  across chip counts.
 
 All sweeps run through the service layer (:class:`repro.service.FPSAClient`
 over :class:`~repro.service.schemas.CompileRequest`), so repeated
@@ -37,7 +38,6 @@ __all__ = [
     "run_spike_transmission",
     "run_pooling_synthesis",
     "run_speedup_decomposition",
-    "run_duplication_sweep",
     "run_chip_partition_sweep",
 ]
 
@@ -192,51 +192,6 @@ def run_speedup_decomposition(model: str = "VGG16", duplication_degree: int = 64
             speedup_over_PRIME=report.real_ops / prime.real_ops if prime.real_ops else 0.0,
             area_mm2=report.area_mm2,
         )
-    return result
-
-
-def run_duplication_sweep(
-    model: str = "AlexNet",
-    degrees: tuple[int, ...] = (1, 4, 16, 64),
-    jobs: int | None = 1,
-) -> ExperimentResult:
-    """Throughput/area scaling across duplication degrees.
-
-    Runs entirely at the wire level: one :class:`CompileRequest` per
-    degree through :meth:`FPSAClient.compile_batch`, reading the numbers
-    off the serialized :class:`~repro.service.schemas.ResultSummary` — the
-    same data a remote front-end would see.  Pass ``jobs`` greater than 1
-    to spread the compiles over the job manager's process pool.
-    """
-    requests = [
-        CompileRequest(model=model, duplication_degree=degree) for degree in degrees
-    ]
-    responses = FPSAClient().compile_batch(requests, jobs=jobs)
-
-    result = ExperimentResult(
-        name="Ablation: duplication sweep",
-        description=f"Throughput/area scaling of {model} across duplication degrees "
-        f"(batched through the service layer).",
-        columns=[
-            "duplication", "total_pes", "area_mm2",
-            "throughput_samples_per_s", "latency_us", "temporal_utilization",
-        ],
-    )
-    for degree, response in zip(degrees, responses, strict=True):
-        summary = response.raise_for_status().summary
-        result.add_row(
-            duplication=degree,
-            total_pes=summary.blocks["n_pe"],
-            area_mm2=summary.performance["area_mm2"],
-            throughput_samples_per_s=summary.performance["throughput_samples_per_s"],
-            latency_us=summary.performance["latency_us"],
-            temporal_utilization=summary.bounds["temporal_utilization"],
-        )
-    result.add_note(
-        "duplicating the bottleneck weight groups trades area for throughput; "
-        "the temporal-utilization column shows the pipeline balancing improve "
-        "with the duplication degree."
-    )
     return result
 
 

@@ -30,7 +30,6 @@ EXPERIMENTS = {
     "ablation_spike_transmission": ablations.run_spike_transmission,
     "ablation_pooling_synthesis": ablations.run_pooling_synthesis,
     "ablation_speedup_decomposition": ablations.run_speedup_decomposition,
-    "ablation_duplication_sweep": ablations.run_duplication_sweep,
     "ablation_chip_partition_sweep": ablations.run_chip_partition_sweep,
 }
 

@@ -15,6 +15,7 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -99,7 +100,8 @@ class FunctionBlockNetlist:
     #: bumped by every structural mutation; memoized fingerprints
     #: (:func:`repro.core.cache.netlist_fingerprint`) key on it so a
     #: mutated netlist can never serve a stale digest.  Mutate only
-    #: through :meth:`add_block`/:meth:`add_net`/:meth:`add_nets`.
+    #: through :meth:`add_block`/:meth:`add_net` (or, in this module's
+    #: builders, one batch of records at a time).
     mutation_count: int = field(default=0, repr=False, compare=False)
 
     def add_block(self, block: Block) -> Block:
@@ -116,21 +118,6 @@ class FunctionBlockNetlist:
         self.nets.append(net)
         self.mutation_count += 1
         return net
-
-    def add_nets(self, drivers: Sequence[str], sinks: tuple[str, ...]) -> None:
-        """One net per driver, named ``net<index>`` in sequence, all on the
-        one ``sinks`` tuple; the names are checked once per call (M + N
-        probes for M drivers and N sinks, not M x N)."""
-        unknown = [b for b in (*drivers, *sinks) if b not in self.blocks]
-        if unknown:
-            raise MappingError(
-                f"net 'net{len(self.nets)}' references unknown blocks {unknown}"
-            )
-        self.nets.extend(
-            Net(f"net{index}", driver, sinks)
-            for index, driver in enumerate(drivers, len(self.nets))
-        )
-        self.mutation_count += len(drivers)
 
     def count(self, block_type: str) -> int:
         return sum(1 for b in self.blocks.values() if b.type == block_type)
@@ -200,6 +187,45 @@ def smbs_per_edge(
     return counts
 
 
+#: builds a record without running its constructor; the builders below
+#: make the constructor's checks once per batch instead
+_new = tuple.__new__
+
+
+def _add_blocks(
+    netlist: FunctionBlockNetlist, block_type: str, batch: dict[str, Block]
+) -> tuple[str, ...]:
+    """Add one batch of ``block_type`` blocks, whose names differ by index,
+    and return their names: the checks of :class:`Block` and
+    :meth:`FunctionBlockNetlist.add_block`, once for the batch."""
+    if block_type not in BlockType.ALL:
+        raise MappingError(f"unknown block type {block_type!r}")
+    blocks = netlist.blocks
+    size = len(blocks)
+    blocks.update(batch)
+    if len(blocks) != size + len(batch):
+        # a taken name keeps its place; only the new names are appended
+        added = set(islice(blocks, size, None))
+        name = next(name for name in batch if name not in added)
+        raise MappingError(f"duplicate block name {name!r}")
+    netlist.mutation_count += len(batch)
+    return tuple(batch)
+
+
+def _add_nets(
+    netlist: FunctionBlockNetlist, drivers: Sequence[str], sinks: tuple[str, ...]
+) -> None:
+    """One net per driver, numbered on from the netlist's last, all on the
+    one ``sinks`` tuple; both ends are blocks of this build."""
+    nets = netlist.nets
+    if drivers and not sinks:
+        raise MappingError(f"net 'net{len(nets)}' has no sinks")
+    nets += [
+        _new(Net, (f"net{i}", driver, sinks, 1)) for i, driver in enumerate(drivers, len(nets))
+    ]
+    netlist.mutation_count += len(drivers)
+
+
 def build_datapath(
     coreops: CoreOpGraph,
     allocation: AllocationResult,
@@ -209,51 +235,51 @@ def build_datapath(
     data nets between them; :func:`attach_control` completes the netlist.
 
     Buffered connections (:func:`smbs_per_edge`) go through their SMBs;
-    streaming ones carry nets straight between the PEs.
+    streaming ones carry nets straight between the PEs.  Blocks are added
+    one group and nets one edge at a time.
     """
     config = config if config is not None else FPSAConfig()
+    for group in coreops.groups():
+        if group.name not in allocation.allocations:
+            message = f"the allocation of {coreops.name!r} has no PEs for group {group.name!r}"
+            raise MappingError(message, details={"group": group.name})
     netlist = FunctionBlockNetlist(model=coreops.name)
-
-    io_in = (netlist.add_block(Block("__input__", BlockType.IO)).name,)
-    io_out = (netlist.add_block(Block("__output__", BlockType.IO)).name,)
+    io_in = _add_blocks(netlist, BlockType.IO, {"__input__": Block("__input__", BlockType.IO)})
+    io_out = _add_blocks(netlist, BlockType.IO, {"__output__": Block("__output__", BlockType.IO)})
     edges = list(zip(coreops.edges(), smbs_per_edge(coreops, allocation, config)))
+    pe, smb = BlockType.PE, BlockType.SMB
     smb_index = 0
 
     for replica in range(allocation.replication):
         prefix = f"rep{replica}::" if allocation.replication > 1 else ""
 
-        # PE blocks of this replica; a group's names are formatted once and
-        # the one tuple is every net's view of that group
+        # PE blocks of this replica; the one names tuple of a group is
+        # every net's view of that group
         pe_names: dict[str, tuple[str, ...]] = {}
-        for group_name, alloc in allocation.allocations.items():
-            pe_names[group_name] = tuple(
-                netlist.add_block(
-                    Block(
-                        f"{prefix}{group_name}::pe{tile}.{dup}",
-                        BlockType.PE,
-                        group_name,
-                        tile,
-                        dup,
-                    )
-                ).name
+        for group, alloc in allocation.allocations.items():
+            base = f"{prefix}{group}::pe"
+            batch = {
+                (name := f"{base}{tile}.{dup}"): _new(Block, (name, pe, group, tile, dup))
                 for tile in range(alloc.tiles)
                 for dup in range(alloc.duplication)
-            )
+            }
+            pe_names[group] = _add_blocks(netlist, pe, batch)
 
         # SMB blocks for buffered connections + nets
         for edge, n_smbs in edges:
             drivers = pe_names[edge.src] if edge.src in coreops else io_in
             sinks = pe_names[edge.dst] if edge.dst in coreops else io_out
             if n_smbs:
-                smbs = tuple(
-                    netlist.add_block(Block(f"smb{smb_index + i}", BlockType.SMB, edge.dst)).name
-                    for i in range(n_smbs)
-                )
+                batch = {
+                    (name := f"smb{index}"): _new(Block, (name, smb, edge.dst, 0, 0))
+                    for index in range(smb_index, smb_index + n_smbs)
+                }
+                smbs = _add_blocks(netlist, smb, batch)
                 smb_index += n_smbs
-                netlist.add_nets(drivers, smbs)
-                netlist.add_nets(smbs, sinks)
+                _add_nets(netlist, drivers, smbs)
+                _add_nets(netlist, smbs, sinks)
             else:
-                netlist.add_nets(drivers, sinks)
+                _add_nets(netlist, drivers, sinks)
 
     return netlist
 
@@ -273,18 +299,20 @@ def attach_control(
         in :mod:`repro.mapper.control` computes the exact requirement).
     """
     config = config if config is not None else FPSAConfig()
-    pe_blocks = netlist.blocks_of_type(BlockType.PE)
+    pes = tuple([block.name for block in netlist.blocks_of_type(BlockType.PE)])
     if clb_blocks is None:
-        clb_blocks = max(1, math.ceil(len(pe_blocks) * config.clbs_per_pe))
-    # net names continue the data nets' numbering
-    net_index = len(netlist.nets)
-    for i in range(clb_blocks):
-        clb = netlist.add_block(Block(f"clb{i}", BlockType.CLB))
-        # each CLB drives the control pins of a share of the PEs
-        share = pe_blocks[i::clb_blocks]
-        if share:
-            netlist.add_net(Net(f"net{net_index}", clb.name, tuple(b.name for b in share)))
-            net_index += 1
+        clb_blocks = max(1, math.ceil(len(pes) * config.clbs_per_pe))
+    clb = BlockType.CLB
+    batch = {(name := f"clb{i}"): _new(Block, (name, clb, "", 0, 0)) for i in range(clb_blocks)}
+    # each CLB drives the control pins of a share of the PEs (the first
+    # ``len(pes)`` have one); net names continue the data nets' numbering
+    drivers = _add_blocks(netlist, clb, batch)[: len(pes)]
+    start = len(netlist.nets)
+    netlist.nets += [
+        _new(Net, (f"net{start + i}", driver, pes[i::clb_blocks], 1))
+        for i, driver in enumerate(drivers)
+    ]
+    netlist.mutation_count += len(drivers)
     return netlist
 
 

@@ -287,6 +287,18 @@ class TestAblations:
         assert rows["FP-PRIME"]["speedup_over_PRIME"] > 1
         assert rows["FPSA"]["speedup_over_PRIME"] > rows["FP-PRIME"]["speedup_over_PRIME"]
 
+    def test_chip_partition_sweep_smallest(self):
+        result = ablations.run_chip_partition_sweep(
+            "LeNet", duplication_degree=1, chip_counts=(1, 2)
+        )
+        one, two = result.rows
+        assert (one["chips"], two["chips"]) == (1, 2)
+        assert one["total_pes"] == two["total_pes"] > two["max_chip_pes"] > 0
+        assert (one["cut_edges"], one["cut_values_per_sample"]) == (0, 0)
+        assert two["cut_edges"] > 0 and two["cut_values_per_sample"] > 0
+        # the cut values cross a serial link
+        assert two["latency_us"] > one["latency_us"] > 0
+
 
 class TestMotivation:
     def test_vgg16_imbalance_notes(self):

@@ -5,17 +5,18 @@ Counts, not timings — a front-end compile that silently starts building
 netlists again fails here and not in the next benchmark.
 """
 
+import dataclasses
 import pickle
 
 import pytest
 
+from repro.analysis.verify import verify_netlist
 from repro.core.cache import StageCache, netlist_fingerprint
 from repro.core.compiler import FPSACompiler
 from repro.core.shared_cache import SharedStageCache
 from repro.errors import MappingError
 from repro.mapper import netlist as netlist_module
-from repro.mapper.netlist import Block, BlockType, FunctionBlockNetlist
-from repro.models.zoo import build_model
+from repro.models.zoo import MODEL_BUILDERS, build_model
 from repro.service import CompileRequest, ResultSummary, serve_request
 
 
@@ -120,15 +121,22 @@ class TestLinearBuilder:
         assert shared
         assert all(net.sinks is nets[0].sinks for nets in shared for net in nets)
 
-    def test_unknown_block_name_in_an_edge_is_rejected(self):
-        netlist = FunctionBlockNetlist("m")
-        netlist.add_block(Block("a", BlockType.PE))
-        netlist.add_block(Block("b", BlockType.PE))
-        with pytest.raises(MappingError, match="ghost"):
-            netlist.add_nets(("a", "ghost"), ("b",))
-        with pytest.raises(MappingError, match="ghost"):
-            netlist.add_nets(("a",), ("b", "ghost"))
-        assert netlist.nets == [] and netlist.mutation_count == 2
-        netlist.add_nets(("a", "b"), ("b",))
-        assert [n.name for n in netlist.nets] == ["net0", "net1"]
-        assert netlist.mutation_count == 4  # one bump per net
+    def test_edge_to_a_group_the_allocation_lacks_is_rejected(self):
+        """The edge ``__input__ -> conv1`` used to escape as a bare
+        ``KeyError: 'conv1'``; no net may name blocks that were never built."""
+        result = _compile("LeNet")
+        allocation = result.mapping.allocation
+        allocations = {k: v for k, v in allocation.allocations.items() if k != "conv1"}
+        lacking = dataclasses.replace(allocation, allocations=allocations)
+        with pytest.raises(MappingError, match="'conv1'") as caught:
+            netlist_module.build_datapath(result.coreops, lacking)
+        assert caught.value.details == {"group": "conv1"}
+
+    @pytest.mark.parametrize("duplication", [1, 4])
+    @pytest.mark.parametrize("model", sorted(MODEL_BUILDERS))
+    def test_zoo_netlists_verify(self, model, duplication):
+        result = _compile(model, duplication_degree=duplication, num_chips="auto")
+        for mapping in _mappings(result):
+            netlist = mapping.netlist
+            verify_netlist(netlist)
+            assert netlist.mutation_count == len(netlist.blocks) + len(netlist.nets)

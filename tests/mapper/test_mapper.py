@@ -34,26 +34,27 @@ class TestSpatialTemporalMapper:
 
 
 class TestNetlistBuiltOnce:
-    """Work counts: a map adds every block of its netlist exactly once."""
+    """Work counts: a map adds every block of its netlist exactly once, and
+    a second read of the netlist adds none."""
 
     @pytest.fixture
     def blocks_added(self, monkeypatch):
-        from repro.mapper.netlist import FunctionBlockNetlist
+        from repro.mapper import netlist as netlist_module
 
         added = []
-        add_block = FunctionBlockNetlist.add_block
+        add_blocks = netlist_module._add_blocks
 
-        def spy(netlist, block):
-            added.append(block.name)
-            return add_block(netlist, block)
+        def spy(netlist, block_type, batch):
+            added.extend(batch)
+            return add_blocks(netlist, block_type, batch)
 
-        monkeypatch.setattr(FunctionBlockNetlist, "add_block", spy)
+        monkeypatch.setattr(netlist_module, "_add_blocks", spy)
         return added
 
     def test_map(self, lenet_coreops, config, blocks_added):
         result = SpatialTemporalMapper(config).map(lenet_coreops, duplication_degree=4)
-        assert blocks_added == list(result.netlist.blocks)
         assert result.netlist.n_clb == result.control.clbs_needed > 0
+        assert blocks_added == list(result.netlist.blocks)
 
     def test_mapping_pass_ignores_the_dedup_knob(
         self, lenet_coreops, config, blocks_added, monkeypatch
@@ -85,8 +86,9 @@ class TestNetlistBuiltOnce:
 
         with_knob = run(dedup=True)
         assert len(calls) == 1
+        fingerprint = netlist_fingerprint(with_knob.netlist)
         assert blocks_added == list(with_knob.netlist.blocks)
         plain = run(dedup=False)
-        assert netlist_fingerprint(with_knob.netlist) == netlist_fingerprint(plain.netlist)
+        assert fingerprint == netlist_fingerprint(plain.netlist)
         assert with_knob.allocation == plain.allocation
         assert with_knob.control == plain.control

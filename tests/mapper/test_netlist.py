@@ -114,6 +114,29 @@ class TestBuildNetlist:
             f"net{i}" for i in range(len(complete.nets))
         ]
 
+    def test_control_attached_twice_is_a_duplicate(self, lenet_coreops, config):
+        from repro.errors import MappingError
+        from repro.mapper.netlist import attach_control
+
+        netlist = build_netlist(lenet_coreops, allocate(lenet_coreops, 2, config.pe), config)
+        with pytest.raises(MappingError, match="duplicate block name 'clb0'"):
+            attach_control(netlist, config, 2)
+
+    def test_batch_checks(self):
+        """The builders make their records without the constructors, so
+        each batch makes the constructors' checks once."""
+        from repro.errors import MappingError
+        from repro.mapper.netlist import _add_blocks, _add_nets
+
+        netlist = FunctionBlockNetlist("m")
+        with pytest.raises(MappingError, match="unknown block type 'DSP'"):
+            _add_blocks(netlist, "DSP", {"d": Block("d", BlockType.PE)})
+        assert _add_blocks(netlist, BlockType.PE, {"a": Block("a", BlockType.PE)}) == ("a",)
+        with pytest.raises(MappingError, match="'net0' has no sinks"):
+            _add_nets(netlist, ("a",), ())
+        _add_nets(netlist, (), ())  # no driver, no net
+        assert netlist.nets == [] and netlist.mutation_count == 1
+
     def test_replication_multiplies_pe_blocks(self):
         g = CoreOpGraph("rep")
         g.add_group(WeightGroup("only", "only", "matmul", 64, 64, 2, macs_per_instance=4096))
