@@ -53,6 +53,8 @@ import os
 import re
 from dataclasses import dataclass
 
+from ..wire import WireRecord
+
 __all__ = ["Finding", "RULES", "lint_source", "lint_file", "lint_paths"]
 
 #: rule id -> one-line description (the catalog the CLI validates against).
@@ -111,7 +113,7 @@ _IMPURE_CALLS = {
 
 
 @dataclass(frozen=True)
-class Finding:
+class Finding(WireRecord):
     """One lint violation, pinned to a source location."""
 
     path: str
@@ -122,15 +124,6 @@ class Finding:
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-        }
 
 
 def _suppressed_rules(lines: list[str], lineno: int) -> set[str]:

@@ -49,6 +49,7 @@ from .models.zoo import MODEL_BUILDERS, PAPER_TABLE3, model_names
 from .service import (
     ArtifactStore,
     CompileRequest,
+    CompileTimings,
     FPSAClient,
     JobManager,
 )
@@ -303,6 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         "names", nargs="*", metavar="NAME",
         help=f"experiments to run (default: all). Known: {', '.join(sorted(EXPERIMENTS))}",
     )
+    _add_json_flag(experiments)
 
     lint = subparsers.add_parser(
         "lint",
@@ -676,17 +678,10 @@ def _command_passes(args: argparse.Namespace) -> int:
         CompileRequest(model=args.model, duplication_degree=args.duplication)
     )
     if args.json:
+        timings = CompileTimings.from_pass_timings(result.timings)
         print(json.dumps(
             {
-                "timings": [
-                    {
-                        "name": t.name,
-                        "seconds": t.seconds,
-                        "cached": t.cached,
-                        "provides": list(t.provides),
-                    }
-                    for t in result.timings or ()
-                ],
+                "timings": timings.to_dict()["passes"] if timings else [],
                 "cache_hits": result.cache_hits,
                 "cache_misses": result.cache_misses,
                 "registered_passes": {
@@ -745,8 +740,12 @@ def _command_models(args: argparse.Namespace) -> int:
 
 
 def _command_experiments(args: argparse.Namespace) -> int:
-    names = args.names or None
-    for result in run_all(names).values():
+    results = run_all(args.names or None)
+    if args.json:
+        payload = {name: result.to_dict() for name, result in results.items()}
+        print(json.dumps(payload, indent=2, sort_keys=True))
+        return 0
+    for result in results.values():
         print(result.format())
         print()
     return 0

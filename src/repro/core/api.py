@@ -20,13 +20,13 @@ import os
 import threading
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor
-from dataclasses import asdict, dataclass
-from typing import Any
+from dataclasses import dataclass
 
 from ..arch.params import FPSAConfig
 from ..errors import InvalidRequestError
 from ..graph.graph import ComputationalGraph
 from ..models.zoo import build_model
+from ..wire import WireRecord
 from .cache import StageCache
 from .compiler import FPSACompiler
 from .result import DeploymentResult
@@ -43,7 +43,7 @@ _MAX_AUTO_JOBS = 8
 
 
 @dataclass
-class PoolHealth:
+class PoolHealth(WireRecord):
     """How often a :class:`WorkerPool` broke and how it recovered."""
 
     #: distinct pool breakages (reports of one breakage coalesce).
@@ -54,9 +54,6 @@ class PoolHealth:
     last_recovery_seconds: float = 0.0
     #: wall-clock seconds across all rebuilds.
     total_recovery_seconds: float = 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
 
 
 def _warm_worker() -> None:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..wire import WireRecord
+
 __all__ = ["ExperimentResult", "format_table", "format_si", "ratio"]
 
 
@@ -64,7 +66,7 @@ def format_table(rows: list[dict[str, Any]], columns: list[str] | None = None) -
 
 
 @dataclass
-class ExperimentResult:
+class ExperimentResult(WireRecord):
     """The outcome of one table/figure reproduction."""
 
     name: str
@@ -92,11 +94,6 @@ class ExperimentResult:
         return [row.get(name) for row in self.rows]
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-ready form (the ``--json`` output of the runner/CLI)."""
-        return {
-            "name": self.name,
-            "description": self.description,
-            "columns": self.columns or (list(self.rows[0]) if self.rows else []),
-            "rows": self.rows,
-            "notes": list(self.notes),
-        }
+        """JSON-ready form (the ``repro experiments --json`` output)."""
+        columns = self.columns or (list(self.rows[0]) if self.rows else [])
+        return {**super().to_dict(), "columns": columns}

@@ -1,14 +1,12 @@
 """Run every experiment and collect the results (the EXPERIMENTS.md source).
 
 The runner is a front-end of the service layer: experiment compiles flow
-through :class:`repro.service.FPSAClient`, failures surface as typed
-:class:`~repro.errors.FPSAError`\\ s, and ``main`` can emit the collected
-results as JSON for downstream tooling.
+through :class:`repro.service.FPSAClient`, and failures surface as typed
+:class:`~repro.errors.FPSAError`\\ s; ``repro experiments [--json]`` is its
+command line.
 """
 
 from __future__ import annotations
-
-import json
 
 from ..errors import InvalidRequestError
 from . import ablations, fig2, fig6, fig7, fig8, fig9, motivation, table1, table2, table3
@@ -48,25 +46,3 @@ def run_all(names: list[str] | None = None) -> dict[str, ExperimentResult]:
             details={"unknown": unknown, "known": sorted(EXPERIMENTS)},
         )
     return {name: EXPERIMENTS[name]() for name in selected}
-
-
-def main() -> None:  # pragma: no cover - CLI convenience
-    import sys
-
-    argv = sys.argv[1:]
-    as_json = "--json" in argv
-    names = [a for a in argv if a != "--json"] or None
-    results = run_all(names)
-    if as_json:
-        print(json.dumps(
-            {name: result.to_dict() for name, result in results.items()},
-            indent=2, sort_keys=True,
-        ))
-        return
-    for result in results.values():
-        print(result.format())
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -39,7 +39,6 @@ and ``shared-cache-get`` / ``shared-cache-put`` (fired with the cache ``key``).
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -47,6 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from .errors import InvalidRequestError, TransientIOError
+from .wire import WireRecord
 
 __all__ = [
     "FAULT_PLAN_ENV",
@@ -86,7 +86,7 @@ SITE_SHARED_CACHE_PUT = "shared-cache-put"
 
 
 @dataclass(frozen=True)
-class FaultSpec:
+class FaultSpec(WireRecord):
     """One injectable fault: where it fires, what it does, and how often.
 
     Parameters
@@ -153,39 +153,9 @@ class FaultSpec:
         """Whether the fire-site context satisfies every ``match`` item."""
         return all(context.get(k) == v for k, v in self.match.items())
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "site": self.site,
-            "kind": self.kind,
-            "match": dict(self.match),
-            "at": self.at,
-            "times": self.times,
-            "seconds": self.seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
-        if not isinstance(data, Mapping):
-            raise InvalidRequestError(
-                f"fault spec must be a mapping, got {type(data).__name__}"
-            )
-        unknown = set(data) - {"site", "kind", "match", "at", "times", "seconds"}
-        if unknown:
-            raise InvalidRequestError(
-                f"fault spec has unknown fields: {sorted(unknown)}"
-            )
-        return cls(
-            site=data.get("site", ""),
-            kind=data.get("kind", ""),
-            match=dict(data.get("match") or {}),
-            at=data.get("at", 0),
-            times=data.get("times", 1),
-            seconds=data.get("seconds", 0.1),
-        )
-
 
 @dataclass(frozen=True)
-class FaultPlan:
+class FaultPlan(WireRecord):
     """A seeded, serializable collection of :class:`FaultSpec` entries."""
 
     faults: tuple[FaultSpec, ...] = ()
@@ -202,44 +172,6 @@ class FaultPlan:
             raise InvalidRequestError(
                 f"fault plan seed must be an int, got {self.seed!r}"
             )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "faults": [spec.to_dict() for spec in self.faults],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "FaultPlan":
-        if not isinstance(data, Mapping):
-            raise InvalidRequestError(
-                f"fault plan must be a mapping, got {type(data).__name__}"
-            )
-        unknown = set(data) - {"seed", "faults"}
-        if unknown:
-            raise InvalidRequestError(
-                f"fault plan has unknown fields: {sorted(unknown)}"
-            )
-        faults = data.get("faults", [])
-        if not isinstance(faults, (list, tuple)):
-            raise InvalidRequestError("fault plan faults must be a list")
-        return cls(
-            faults=tuple(FaultSpec.from_dict(spec) for spec in faults),
-            seed=data.get("seed", 0),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "FaultPlan":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InvalidRequestError(
-                f"fault plan is not valid JSON: {exc}"
-            ) from exc
-        return cls.from_dict(data)
 
     @classmethod
     def from_env_value(cls, value: str) -> "FaultPlan":

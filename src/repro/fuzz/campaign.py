@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
+from ..wire import WireRecord
 from .generate import ModelSpec, generate_spec
 from .oracle import CONFIG_GROUPS, SpecCheck, check_spec
 from .shrink import ShrinkResult, shrink
@@ -43,7 +44,7 @@ def default_campaign_seed() -> int:
 
 
 @dataclass
-class CampaignFinding:
+class CampaignFinding(WireRecord):
     """One failing spec, with every lattice disagreement it produced and
     (when shrinking ran) its minimal reproducer."""
 
@@ -53,17 +54,11 @@ class CampaignFinding:
     shrunk: ShrinkResult | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "index": self.index,
-            "spec": self.spec.to_dict(),
-            "spec_id": self.spec.spec_id(),
-            "findings": list(self.findings),
-            "shrunk": self.shrunk.to_dict() if self.shrunk is not None else None,
-        }
+        return {**super().to_dict(), "spec_id": self.spec.spec_id()}
 
 
 @dataclass
-class CampaignReport:
+class CampaignReport(WireRecord):
     """Everything one campaign did, JSON-serializable for ``--json``."""
 
     seed: int
@@ -72,25 +67,15 @@ class CampaignReport:
     specs: list[str] = field(default_factory=list)
     compiles: int = 0
     configs_diffed: int = 0
-    failures: list[CampaignFinding] = field(default_factory=list)
+    findings: list[CampaignFinding] = field(default_factory=list)
     wall_seconds: float = 0.0
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.findings
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "models": self.models,
-            "size_class": self.size_class,
-            "specs": list(self.specs),
-            "compiles": self.compiles,
-            "configs_diffed": self.configs_diffed,
-            "findings": [f.to_dict() for f in self.failures],
-            "wall_seconds": self.wall_seconds,
-            "ok": self.ok,
-        }
+        return {**super().to_dict(), "ok": self.ok}
 
 
 def _groups_of(check: SpecCheck) -> tuple[str, ...]:
@@ -170,7 +155,7 @@ def run_campaign(
             say(f"    shrunk {len(spec.layers)} -> "
                 f"{len(shrunk.spec.layers)} layer(s) "
                 f"in {shrunk.evaluations} evaluation(s)")
-        report.failures.append(
+        report.findings.append(
             CampaignFinding(
                 spec=spec,
                 index=index,
@@ -180,5 +165,5 @@ def run_campaign(
         )
     report.wall_seconds = time.perf_counter() - started
     say(f"fuzz campaign done: {models} model(s), {report.compiles} compile(s), "
-        f"{len(report.failures)} failing spec(s), {report.wall_seconds:.1f}s")
+        f"{len(report.findings)} failing spec(s), {report.wall_seconds:.1f}s")
     return report

@@ -25,18 +25,18 @@ shard-it path).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
 from ..errors import InvalidRequestError
 from ..graph.builder import GraphBuilder
 from ..graph.graph import ComputationalGraph
 from ..seeding import derive_seed
+from ..wire import WireRecord
 
 __all__ = [
     "LAYER_KINDS",
@@ -73,7 +73,7 @@ _CHIP_PES = 2048
 
 
 @dataclass(frozen=True)
-class LayerSpec:
+class LayerSpec(WireRecord):
     """One requested layer of a random model.
 
     ``width`` is the conv ``out_channels`` / dense ``out_features`` /
@@ -105,28 +105,9 @@ class LayerSpec:
                 details={"kind": self.kind, "width": self.width},
             )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "width": self.width, "kernel": self.kernel}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "LayerSpec":
-        unknown = sorted(set(data) - {"kind", "width", "kernel"})
-        if unknown:
-            raise InvalidRequestError(
-                f"unknown field(s) {unknown} in LayerSpec payload",
-                details={"unknown_fields": unknown},
-            )
-        if "kind" not in data:
-            raise InvalidRequestError("LayerSpec payload is missing 'kind'")
-        return cls(
-            kind=str(data["kind"]),
-            width=int(data.get("width", 0)),
-            kernel=int(data.get("kernel", 0)),
-        )
-
 
 @dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(WireRecord):
     """A compact, serializable description of one random model."""
 
     name: str
@@ -155,13 +136,9 @@ class ModelSpec:
                 details={"input_shape": repr(self.input_shape)},
             )
         object.__setattr__(self, "input_shape", shape)
-        layers = tuple(
-            layer if isinstance(layer, LayerSpec) else LayerSpec.from_dict(layer)
-            for layer in self.layers
-        )
-        if not layers:
+        if not self.layers:
             raise InvalidRequestError("a ModelSpec needs at least one layer")
-        object.__setattr__(self, "layers", layers)
+        object.__setattr__(self, "layers", tuple(self.layers))
         if not isinstance(self.bits, int) or isinstance(self.bits, bool) or self.bits < 1:
             raise InvalidRequestError(f"bits must be an integer >= 1, got {self.bits!r}")
         if self.size_class not in SIZE_CLASSES:
@@ -186,62 +163,13 @@ class ModelSpec:
         """The layer sequence with the ``repeat`` stacking applied."""
         return self.layers * self.repeat
 
-    # ------------------------------------------------------------------ wire
     def to_dict(self) -> dict[str, Any]:
-        data = {
-            "name": self.name,
-            "input_shape": list(self.input_shape),
-            "layers": [layer.to_dict() for layer in self.layers],
-            "bits": self.bits,
-            "size_class": self.size_class,
-            "seed": self.seed,
-        }
+        data = super().to_dict()
         # emitted only when set, so pre-knob payloads (and spec ids)
         # are byte-for-byte unchanged
-        if self.repeat != 1:
-            data["repeat"] = self.repeat
+        if self.repeat == 1:
+            del data["repeat"]
         return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ModelSpec":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise InvalidRequestError(
-                f"unknown field(s) {unknown} in ModelSpec payload",
-                details={"unknown_fields": unknown},
-            )
-        for required in ("name", "input_shape", "layers"):
-            if required not in data:
-                raise InvalidRequestError(
-                    f"ModelSpec payload is missing {required!r}"
-                )
-        return cls(
-            name=str(data["name"]),
-            input_shape=tuple(data["input_shape"]),
-            layers=tuple(LayerSpec.from_dict(e) for e in data["layers"]),
-            bits=int(data.get("bits", 6)),
-            size_class=str(data.get("size_class", "small")),
-            repeat=int(data.get("repeat", 1)),
-            seed=data.get("seed"),
-        )
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, payload: str | bytes) -> "ModelSpec":
-        try:
-            data = json.loads(payload)
-        except (TypeError, ValueError) as exc:
-            raise InvalidRequestError(
-                f"ModelSpec payload is not valid JSON: {exc}"
-            ) from exc
-        if not isinstance(data, dict):
-            raise InvalidRequestError(
-                f"ModelSpec payload must be a JSON object, got {type(data).__name__}"
-            )
-        return cls.from_dict(data)
 
     def spec_id(self) -> str:
         """Content-addressed short id of this spec (name excluded, so a

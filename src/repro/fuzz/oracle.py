@@ -39,6 +39,7 @@ from ..core.compiler import FPSACompiler
 from ..core.shared_cache import SharedStageCache
 from ..errors import FPSAError, VerificationError
 from ..service.schemas import ErrorPayload, ResultSummary
+from ..wire import WireRecord
 from .generate import PNR_PE_LIMIT, ModelSpec, build_graph, estimate_pes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -118,7 +119,7 @@ def _freeze(value: Any) -> Any:
 
 
 @dataclass(frozen=True)
-class Finding:
+class Finding(WireRecord):
     """One surviving disagreement between two lattice points."""
 
     spec: ModelSpec
@@ -127,13 +128,7 @@ class Finding:
     detail: str
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "spec": self.spec.to_dict(),
-            "spec_id": self.spec.spec_id(),
-            "config": self.config,
-            "kind": self.kind,
-            "detail": self.detail,
-        }
+        return {**super().to_dict(), "spec_id": self.spec.spec_id()}
 
 
 @dataclass

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
 from ..errors import FPSAError
+from ..wire import WireRecord
 from .generate import LayerSpec, ModelSpec
 
 __all__ = ["ShrinkResult", "spec_size", "shrink"]
@@ -38,7 +39,7 @@ def spec_size(spec: ModelSpec) -> tuple[int, int, int, int]:
 
 
 @dataclass
-class ShrinkResult:
+class ShrinkResult(WireRecord):
     """Outcome of one shrink run."""
 
     original: ModelSpec
@@ -50,11 +51,9 @@ class ShrinkResult:
 
     def to_dict(self) -> dict[str, Any]:
         return {
+            **super().to_dict(),
             "original_id": self.original.spec_id(),
-            "spec": self.spec.to_dict(),
             "spec_id": self.spec.spec_id(),
-            "steps": list(self.steps),
-            "evaluations": self.evaluations,
         }
 
 

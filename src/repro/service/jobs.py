@@ -78,6 +78,7 @@ from ..errors import (
     WorkerCrashError,
 )
 from ..seeding import derive_seed
+from ..wire import WireRecord
 from .client import serve_request
 from .schemas import CompileRequest, CompileResponse, ErrorPayload
 
@@ -115,7 +116,7 @@ class JobState(str, Enum):
 
 
 @dataclass(frozen=True)
-class JobInfo:
+class JobInfo(WireRecord):
     """Point-in-time snapshot of one job's state.
 
     ``seconds`` is the submit-to-finish latency (``None`` while the job is
@@ -129,16 +130,6 @@ class JobInfo:
     error: ErrorPayload | None = None
     seconds: float | None = None
     coalesced: bool = False
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "job_id": self.job_id,
-            "model": self.model,
-            "state": self.state.value,
-            "error": self.error.to_dict() if self.error else None,
-            "seconds": self.seconds,
-            "coalesced": self.coalesced,
-        }
 
 
 @dataclass

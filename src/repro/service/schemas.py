@@ -4,7 +4,7 @@ These dataclasses are the wire surface of the compilation service: every
 field is a plain JSON type (or a nested schema of plain JSON types), so a
 :class:`CompileRequest` / :class:`CompileResponse` survives
 ``to_json``/``from_json`` losslessly and can cross process, queue or HTTP
-boundaries unchanged.
+boundaries unchanged; the codec is :class:`repro.wire.WireRecord`'s.
 
 Every schema carries a ``schema_version``; deserialization rejects versions
 it does not understand with :class:`~repro.errors.InvalidRequestError`, so
@@ -17,9 +17,8 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import sys
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any
 
 from ..core.pipeline import (
     BOOLEAN,
@@ -37,6 +36,7 @@ from ..errors import (
     InvalidRequestError,
     error_from_payload,
 )
+from ..wire import WireRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..arch.params import FPSAConfig
@@ -57,58 +57,13 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 
-def _check_schema_version(version: Any, schema: str) -> int:
+def _check_schema_version(version: Any, schema: str) -> None:
     if version != SCHEMA_VERSION:
         raise InvalidRequestError(
             f"unsupported {schema} schema_version {version!r}; "
             f"this build understands version {SCHEMA_VERSION}",
             details={"schema": schema, "got": version, "supported": SCHEMA_VERSION},
         )
-    return SCHEMA_VERSION
-
-
-def _check_known_fields(data: Mapping[str, Any], cls: type, schema: str) -> None:
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise InvalidRequestError(
-            f"unknown field(s) {unknown} in {schema} payload",
-            details={"schema": schema, "unknown_fields": unknown},
-        )
-
-
-def _require(data: Mapping[str, Any], key: str, schema: str) -> Any:
-    try:
-        return data[key]
-    except KeyError:
-        raise InvalidRequestError(
-            f"{schema} payload is missing required field {key!r}",
-            details={"schema": schema, "missing_field": key},
-        ) from None
-
-
-def _interned(section: Mapping[str, Any] | None) -> dict[str, Any] | None:
-    """A flat summary section with its keys interned: a decoded response
-    would otherwise hold its own copy of every key string, about 40 % of
-    what a response kept in memory costs."""
-    if not section:
-        return section
-    return {sys.intern(str(key)): value for key, value in section.items()}
-
-
-def _load_json(payload: str | bytes, schema: str) -> dict[str, Any]:
-    try:
-        data = json.loads(payload)
-    except (TypeError, ValueError) as exc:
-        raise InvalidRequestError(
-            f"{schema} payload is not valid JSON: {exc}", details={"schema": schema}
-        ) from exc
-    if not isinstance(data, dict):
-        raise InvalidRequestError(
-            f"{schema} payload must be a JSON object, got {type(data).__name__}",
-            details={"schema": schema},
-        )
-    return data
 
 
 def _strings(values: Any) -> bool:
@@ -130,7 +85,7 @@ _TAGS = (
 
 
 @dataclass(frozen=True)
-class CompileRequest:
+class CompileRequest(WireRecord):
     """One compilation of one model-zoo entry, as wire data.
 
     The knob fields mirror the public fields of
@@ -191,26 +146,6 @@ class CompileRequest:
         if self.passes is not None:
             object.__setattr__(self, "passes", tuple(self.passes))
 
-    def to_dict(self) -> dict[str, Any]:
-        data = dataclasses.asdict(self)
-        data["passes"] = list(self.passes) if self.passes is not None else None
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CompileRequest":
-        _check_schema_version(data.get("schema_version", SCHEMA_VERSION), "CompileRequest")
-        _check_known_fields(data, cls, "CompileRequest")
-        if "model" not in data:
-            raise InvalidRequestError("CompileRequest payload is missing 'model'")
-        return cls(**data)
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, payload: str | bytes) -> "CompileRequest":
-        return cls.from_dict(_load_json(payload, "CompileRequest"))
-
     def fingerprint(self) -> str:
         """Content-addressed identity of this request.
 
@@ -249,7 +184,7 @@ _COMPILE_KWARGS = tuple(f.name for f in PUBLIC_KNOBS) + ("passes", "use_cache")
 
 
 @dataclass(frozen=True)
-class PassTimingEntry:
+class PassTimingEntry(WireRecord):
     """Wire form of one :class:`~repro.core.pipeline.PassTiming`."""
 
     name: str
@@ -257,27 +192,9 @@ class PassTimingEntry:
     cached: bool
     provides: tuple[str, ...]
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "seconds": self.seconds,
-            "cached": self.cached,
-            "provides": list(self.provides),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PassTimingEntry":
-        _check_known_fields(data, cls, "PassTimingEntry")
-        return cls(
-            name=sys.intern(str(_require(data, "name", "PassTimingEntry"))),
-            seconds=float(_require(data, "seconds", "PassTimingEntry")),
-            cached=bool(_require(data, "cached", "PassTimingEntry")),
-            provides=tuple(sys.intern(str(name)) for name in data.get("provides") or ()),
-        )
-
 
 @dataclass(frozen=True)
-class CompileTimings:
+class CompileTimings(WireRecord):
     """Per-pass wall-clock timings plus the stage-cache counters.
 
     ``cache_hits``/``cache_misses`` count passes served from (or missed
@@ -339,40 +256,9 @@ class CompileTimings:
         """Wall-clock seconds keyed by pass name (wire-safe flat mapping)."""
         return {p.name: p.seconds for p in self.passes}
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "passes": [p.to_dict() for p in self.passes],
-            "total_seconds": self.total_seconds,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "evictions": self.evictions,
-            "shared_cache_hits": self.shared_cache_hits,
-            "shared_cache_misses": self.shared_cache_misses,
-            "dedup_hits": self.dedup_hits,
-            "dedup_misses": self.dedup_misses,
-            "write_errors": self.write_errors,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CompileTimings":
-        _check_known_fields(data, cls, "CompileTimings")
-        return cls(
-            passes=tuple(PassTimingEntry.from_dict(p) for p in data.get("passes", ())),
-            total_seconds=float(_require(data, "total_seconds", "CompileTimings")),
-            cache_hits=int(_require(data, "cache_hits", "CompileTimings")),
-            cache_misses=int(_require(data, "cache_misses", "CompileTimings")),
-            evictions=int(data.get("evictions", 0)),
-            shared_cache_hits=int(data.get("shared_cache_hits", 0)),
-            shared_cache_misses=int(data.get("shared_cache_misses", 0)),
-            dedup_hits=int(data.get("dedup_hits", 0)),
-            dedup_misses=int(data.get("dedup_misses", 0)),
-            # absent before degraded-write accounting existed
-            write_errors=int(data.get("write_errors", 0)),
-        )
-
 
 @dataclass(frozen=True)
-class ResultSummary:
+class ResultSummary(WireRecord):
     """Serializable distillation of a :class:`DeploymentResult`.
 
     Sections whose artifacts a (partial) compile did not produce are
@@ -492,36 +378,14 @@ class ResultSummary:
             partition=partition,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ResultSummary":
-        _check_known_fields(data, cls, "ResultSummary")
-        if "model" not in data:
-            raise InvalidRequestError("ResultSummary payload is missing 'model'")
-        blocks = data.get("blocks")
-        return cls(
-            model=sys.intern(str(data["model"])),
-            duplication_degree=data.get("duplication_degree"),
-            blocks={sys.intern(str(k)): int(v) for k, v in blocks.items()} if blocks else blocks,
-            performance=_interned(data.get("performance")),
-            bounds=_interned(data.get("bounds")),
-            energy=_interned(data.get("energy")),
-            pnr=_interned(data.get("pnr")),
-            pipeline=_interned(data.get("pipeline")),
-            bitstream=data.get("bitstream"),
-            partition=data.get("partition"),
-        )
-
 
 @dataclass(frozen=True)
-class ErrorPayload:
+class ErrorPayload(WireRecord):
     """Wire form of one :class:`~repro.errors.FPSAError`."""
 
     code: str
-    type: str
-    message: str
+    type: str = "FPSAError"
+    message: str = ""
     details: dict[str, Any] = field(default_factory=dict)
 
     @classmethod
@@ -533,7 +397,6 @@ class ErrorPayload:
             code="internal",
             type=type(exc).__name__,
             message=str(exc) or type(exc).__name__,
-            details={},
         )
 
     @property
@@ -545,22 +408,9 @@ class ErrorPayload:
         """Rehydrate the typed exception this payload describes."""
         return error_from_payload(self.to_dict())
 
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ErrorPayload":
-        _check_known_fields(data, cls, "ErrorPayload")
-        return cls(
-            code=str(_require(data, "code", "ErrorPayload")),
-            type=str(data.get("type", "FPSAError")),
-            message=str(data.get("message", "")),
-            details=dict(data.get("details") or {}),
-        )
-
 
 @dataclass(frozen=True)
-class CompileResponse:
+class CompileResponse(WireRecord):
     """The service's answer to one :class:`CompileRequest`.
 
     ``status`` is ``"ok"`` (with a ``summary``) or ``"error"`` (with a
@@ -596,45 +446,3 @@ class CompileResponse:
         if self.error is not None:
             raise self.error.to_exception()
         return self
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "schema_version": self.schema_version,
-            "status": self.status,
-            "request": self.request.to_dict(),
-            "summary": self.summary.to_dict() if self.summary else None,
-            "timings": self.timings.to_dict() if self.timings else None,
-            "error": self.error.to_dict() if self.error else None,
-        }
-
-    @classmethod
-    def from_dict(
-        cls, data: Mapping[str, Any], *, request: CompileRequest | None = None
-    ) -> "CompileResponse":
-        """Decode a wire dict; a caller holding the request ``data`` answers
-        passes it as ``request``, and ``data["request"]`` is not parsed."""
-        _check_schema_version(data.get("schema_version", SCHEMA_VERSION), "CompileResponse")
-        _check_known_fields(data, cls, "CompileResponse")
-        if "request" not in data or "status" not in data:
-            raise InvalidRequestError(
-                "CompileResponse payload requires 'request' and 'status'"
-            )
-        summary = data.get("summary")
-        timings = data.get("timings")
-        error = data.get("error")
-        return cls(
-            request=(
-                request if request is not None else CompileRequest.from_dict(data["request"])
-            ),
-            status=str(data["status"]),
-            summary=ResultSummary.from_dict(summary) if summary else None,
-            timings=CompileTimings.from_dict(timings) if timings else None,
-            error=ErrorPayload.from_dict(error) if error else None,
-        )
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, payload: str | bytes) -> "CompileResponse":
-        return cls.from_dict(_load_json(payload, "CompileResponse"))

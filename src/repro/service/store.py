@@ -46,6 +46,7 @@ except ImportError:  # pragma: no cover - non-POSIX
 
 from ..analysis.verify import verification_enabled
 from ..errors import InvalidRequestError, VerificationError
+from ..wire import WireRecord
 from .schemas import CompileResponse
 
 __all__ = ["ArtifactStore", "RunRecord"]
@@ -56,7 +57,7 @@ _RUN_ID_MEMO = "_run_id"  # set on a (frozen) response by its first address
 
 
 @dataclass(frozen=True)
-class RunRecord:
+class RunRecord(WireRecord):
     """One index entry: the metadata of a persisted run."""
 
     run_id: str
@@ -65,13 +66,6 @@ class RunRecord:
     duplication_degree: int
     created_at: float
     has_bitstream: bool
-
-    def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RunRecord":
-        return cls(**{field.name: data[field.name] for field in dataclasses.fields(cls)})
 
 
 def _write_atomic(path: Path, text: str) -> None:

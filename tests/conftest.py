@@ -7,6 +7,7 @@ only once.
 
 from __future__ import annotations
 
+import gc
 import os
 
 import pytest
@@ -31,6 +32,12 @@ from repro.mapper.allocation import allocate
 from repro.mapper.mapper import SpatialTemporalMapper
 from repro.models import build_lenet, build_mlp_500_100, build_vgg16
 from repro.synthesizer.synthesizer import synthesize
+
+# What the session has imported by now lives as long as it does; frozen, a
+# full collection no longer re-scans it.  Unfrozen, that scan (50-85 ms) can
+# land inside a speed sample of the stack benchmark's clock, whose nested
+# SIGALRM sample is then counted twice (``stackbench/calibrate.py``).
+gc.freeze()
 
 
 @pytest.fixture(scope="session")

@@ -92,6 +92,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Table 2" in out
 
+    def test_experiments_json_output(self, capsys):
+        assert main(["experiments", "table1", "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert list(data) == ["table1"]
+        table = data["table1"]
+        assert table["name"] == "Table 1"
+        assert table["rows"] and set(table["columns"]) == set(table["rows"][0])
+
     def test_deploy_with_explain_prints_timings(self, capsys):
         assert main(["deploy", "LeNet", "--explain", "--no-cache"]) == 0
         out = capsys.readouterr().out

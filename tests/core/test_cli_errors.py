@@ -102,6 +102,32 @@ class TestBadDirectories:
         assert "fuzz campaign" not in captured.out
 
 
+class TestMalformedWireData:
+    def test_runs_show_on_a_mistyped_stored_response(self, capsys, tmp_path):
+        store_dir = tmp_path / "runs"
+        assert main(["deploy", "MLP-500-100", "--store", str(store_dir)]) == 0
+        (run_dir,) = (store_dir / "runs").iterdir()
+        stored = json.loads((run_dir / "response.json").read_text(encoding="utf-8"))
+        stored["timings"]["passes"] = 5
+        (run_dir / "response.json").write_text(json.dumps(stored), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["runs", "--store", str(store_dir), "--show", run_dir.name]) == 2
+        err = capsys.readouterr().err
+        assert "[invalid_request]" in err
+        assert "CompileTimings field 'passes'" in err
+
+    def test_serve_batch_with_a_malformed_fault_plan(self, capsys, tmp_path):
+        plan = {"faults": [{"site": "worker-compile", "kind": "crash", "match": [1]}]}
+        requests_file = tmp_path / "requests.json"
+        requests_file.write_text(json.dumps(
+            {"model": "MLP-500-100", "fault_plan": json.dumps(plan)}
+        ))
+        assert main(["serve-batch", str(requests_file), "--jobs", "1", "--json"]) == 1
+        (response,) = json.loads(capsys.readouterr().out)
+        assert response["error"]["code"] == "invalid_request"
+        assert response["error"]["details"] == {"match": "[1]"}
+
+
 class TestBadEnvironment:
     def _repro(self, tmp_path, *args):
         src = os.path.dirname(os.path.dirname(repro.__file__))

@@ -37,7 +37,7 @@ class TestCampaign:
         assert report.seed == 0
         assert len(report.specs) == 3
         assert report.compiles > 0
-        assert report.failures == []
+        assert report.findings == []
         assert any("seed=0" in m for m in messages)
         # the report is plain JSON data
         assert json.loads(json.dumps(report.to_dict()))["ok"] is True
@@ -73,8 +73,8 @@ class TestCampaign:
         # stay clean, proving the oracle does not cry wolf
         report = run_campaign(models=9, seed=0, shrink_failures=True)
         assert not report.ok
-        assert len(report.failures) == 1
-        failure = report.failures[0]
+        assert len(report.findings) == 1
+        failure = report.findings[0]
         assert failure.index == 8
         assert any(f["kind"] == "determinism" for f in failure.findings)
         assert failure.shrunk is not None
