@@ -39,6 +39,7 @@ __all__ = [
     "InterChipParams",
     "PrimePEParams",
     "FPSAConfig",
+    "chip_area_mm2",
     "UM2_PER_MM2",
     "DEFAULT_PE",
     "DEFAULT_SMB",
@@ -421,24 +422,7 @@ class FPSAConfig:
 
     def chip_area_mm2(self, n_pe: int, n_smb: int, n_clb: int) -> float:
         """Total chip area for a given block mix, including routing overhead."""
-        if min(n_pe, n_smb, n_clb) < 0:
-            raise InvalidRequestError("block counts must be non-negative")
-        blocks = (
-            n_pe * self.pe.area_mm2
-            + n_smb * self.smb.area_mm2
-            + n_clb * self.clb.area_mm2
-        )
-        return blocks * (1.0 + self.routing.area_overhead_fraction)
-
-    def pe_count_for_area(self, area_mm2: float) -> int:
-        """Largest PE count that fits in ``area_mm2`` (with default CLB/SMB mix)."""
-        if area_mm2 <= 0:
-            return 0
-        per_pe = (
-            self.pe.area_mm2
-            + self.clbs_per_pe * self.clb.area_mm2
-        ) * (1.0 + self.routing.area_overhead_fraction)
-        return int(area_mm2 / per_pe)
+        return chip_area_mm2(self.pe, self, n_pe, n_smb, n_clb)
 
     def spike_train_comm_ns(self, n_segments: int | None = None) -> float:
         """Communication latency of transmitting one sampling window of
@@ -466,6 +450,22 @@ class FPSAConfig:
         hop = self.routing.hop_delay_ns(n_segments)
         # io_bits bits transferred serially over the dedicated channel.
         return hop * self.pe.io_bits + hop
+
+
+
+def chip_area_mm2(
+    pe: PEParams | PrimePEParams, fabric: FPSAConfig | None, n_pe: int, n_smb: int, n_clb: int
+) -> float:
+    """Chip area of ``n_pe`` PEs of ``pe`` with ``n_smb`` SMBs and ``n_clb``
+    CLBs: on an FPSA ``fabric`` the SMBs, the CLBs and the stacked routing
+    are paid for; without one (PRIME's PEs sit in memory banks) buffering
+    and control reuse the memory chip, so only the PEs are."""
+    if min(n_pe, n_smb, n_clb) < 0:
+        raise InvalidRequestError("block counts must be non-negative")
+    if fabric is None:
+        return n_pe * pe.area_mm2
+    blocks = n_pe * pe.area_mm2 + n_smb * fabric.smb.area_mm2 + n_clb * fabric.clb.area_mm2
+    return blocks * (1.0 + fabric.routing.area_overhead_fraction)
 
 
 DEFAULT_PE = PEParams()

@@ -1,4 +1,10 @@
-"""Baseline accelerator models: PRIME, FP-PRIME, ISAAC, PipeLayer."""
+"""Baseline accelerator models: PRIME, FP-PRIME, ISAAC, PipeLayer.
+
+PRIME and FP-PRIME are :class:`~repro.perf.analytic.Architecture` records
+(``pe × comm × fabric``) built by :func:`PrimeArchitecture` and
+:func:`FPPrimeArchitecture`; ISAAC, PipeLayer and Eyeriss are published
+reference numbers only.
+"""
 
 from .fp_prime import FPPrimeArchitecture
 from .prime import PRIME_PUBLISHED, PrimeArchitecture

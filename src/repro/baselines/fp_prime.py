@@ -1,10 +1,12 @@
 """FP-PRIME: the intermediate design point of Figure 6.
 
 FP-PRIME combines FPSA's reconfigurable routing architecture with PRIME's
-processing element.  Its peak and ideal performance equal PRIME's (same
-PE), but the dedicated routed channels remove the shared-bus communication
-bottleneck, which is how the paper isolates the contribution of the routing
-architecture from the contribution of the simplified PE.
+processing element: as an :class:`~repro.perf.analytic.Architecture` it is
+``pe × comm × fabric`` = PRIME's PE × FPSA's routing × FPSA's fabric.  Its
+peak and ideal performance equal PRIME's (same PE), but the dedicated
+routed channels remove the shared-bus communication bottleneck, which is
+how the paper isolates the contribution of the routing architecture from
+the contribution of the simplified PE.
 
 FP-PRIME transmits *spike counts* (n-bit values), not spike trains, because
 PRIME's PE interfaces are digital values.
@@ -12,59 +14,18 @@ PRIME's PE interfaces are digital values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..arch.params import FPSAConfig, PrimePEParams
-from ..perf.comm import CommunicationModel, ReconfigurableRoutingComm
+from ..arch.params import DEFAULT_PRIME_PE, FPSAConfig, PrimePEParams
+from ..perf.analytic import Architecture
+from ..perf.comm import ReconfigurableRoutingComm
 
 __all__ = ["FPPrimeArchitecture"]
 
 
-@dataclass(frozen=True)
-class FPPrimeArchitecture:
+def FPPrimeArchitecture(
+    pe: PrimePEParams = DEFAULT_PRIME_PE, config: FPSAConfig | None = None
+) -> Architecture:
     """PRIME's PE on FPSA's routing fabric."""
-
-    pe: PrimePEParams = field(default_factory=PrimePEParams)
-    config: FPSAConfig = field(default_factory=FPSAConfig)
-    name: str = "FP-PRIME"
-
-    @property
-    def pe_vmm_latency_ns(self) -> float:
-        return self.pe.vmm_latency_ns
-
-    @property
-    def pe_ops_per_vmm(self) -> int:
-        return self.pe.ops_per_vmm
-
-    @property
-    def pe_area_mm2(self) -> float:
-        return self.pe.area_mm2
-
-    @property
-    def effective_area_per_pe_mm2(self) -> float:
-        cfg = self.config
-        return (self.pe.area_mm2 + cfg.clbs_per_pe * cfg.clb.area_mm2) * (
-            1.0 + cfg.routing.area_overhead_fraction
-        )
-
-    @property
-    def io_bits(self) -> int:
-        return self.pe.io_bits
-
-    @property
-    def values_per_vmm(self) -> int:
-        return self.pe.rows + self.pe.logical_cols
-
-    def comm_model(self) -> CommunicationModel:
-        return ReconfigurableRoutingComm(self.config, spike_train=False)
-
-    def chip_area_mm2(self, n_pe: int, n_smb: int, n_clb: int) -> float:
-        blocks = (
-            n_pe * self.pe.area_mm2
-            + n_smb * self.config.smb.area_mm2
-            + n_clb * self.config.clb.area_mm2
-        )
-        return blocks * (1.0 + self.config.routing.area_overhead_fraction)
-
-    def crossbar_shape(self) -> tuple[int, int]:
-        return (self.pe.rows, self.pe.logical_cols)
+    config = config if config is not None else FPSAConfig()
+    return Architecture(
+        "FP-PRIME", pe, ReconfigurableRoutingComm(config, spike_train=False), config
+    )

@@ -7,17 +7,18 @@ over the chip's internal hierarchical memory bus.  The paper compares FPSA
 against PRIME throughout the evaluation because PRIME's implementation
 details are published.
 
-This module provides PRIME as an :class:`~repro.perf.analytic.ArchitectureModel`
-so the same analytic evaluator produces its peak / ideal / real curves
-(Figure 2), plus the published reference numbers used in Table 2.
+As an :class:`~repro.perf.analytic.Architecture` PRIME is ``pe × comm ×
+fabric`` = PRIME's PE × a shared bus × no fabric (its PEs sit inside the
+memory banks), so the same analytic evaluator produces its peak / ideal /
+real curves (Figure 2).  The published reference numbers are used in
+Table 2.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..arch.params import PrimePEParams
-from ..perf.comm import CommunicationModel, SharedBusComm
+from ..arch.params import DEFAULT_PRIME_PE, PrimePEParams
+from ..perf.analytic import Architecture
+from ..perf.comm import SharedBusComm
 
 __all__ = ["PrimeArchitecture", "PRIME_PUBLISHED"]
 
@@ -30,54 +31,15 @@ PRIME_PUBLISHED = {
 }
 
 
-@dataclass(frozen=True)
-class PrimeArchitecture:
-    """PRIME as seen by the analytic performance evaluator."""
+def PrimeArchitecture(
+    pe: PrimePEParams = DEFAULT_PRIME_PE,
+    bus_bandwidth_bits_per_ns: float = 128.0,
+) -> Architecture:
+    """PRIME: its PE on the memory chip's shared bus, charged for no fabric.
 
-    pe: PrimePEParams = field(default_factory=PrimePEParams)
-    #: shared internal memory-bus bandwidth in bits per nanosecond
-    #: (128 bits/ns = 16 GB/s, a DDR-class channel; calibration constant).
-    bus_bandwidth_bits_per_ns: float = 128.0
-    name: str = "PRIME"
-
-    @property
-    def pe_vmm_latency_ns(self) -> float:
-        return self.pe.vmm_latency_ns
-
-    @property
-    def pe_ops_per_vmm(self) -> int:
-        return self.pe.ops_per_vmm
-
-    @property
-    def pe_area_mm2(self) -> float:
-        return self.pe.area_mm2
-
-    @property
-    def effective_area_per_pe_mm2(self) -> float:
-        # PRIME's PEs live inside the memory banks; the bus and buffers are
-        # part of the existing memory structure, so no extra per-PE area is
-        # charged beyond the PE itself.
-        return self.pe.area_mm2
-
-    @property
-    def io_bits(self) -> int:
-        return self.pe.io_bits
-
-    @property
-    def values_per_vmm(self) -> int:
-        return self.pe.rows + self.pe.logical_cols
-
-    def comm_model(self) -> CommunicationModel:
-        return SharedBusComm(bandwidth_bits_per_ns=self.bus_bandwidth_bits_per_ns)
-
-    def chip_area_mm2(self, n_pe: int, n_smb: int, n_clb: int) -> float:
-        # buffering and control reuse the memory-chip structure.
-        del n_smb, n_clb
-        return n_pe * self.pe.area_mm2
-
-    def crossbar_shape(self) -> tuple[int, int]:
-        return (self.pe.rows, self.pe.logical_cols)
-
-    @property
-    def computational_density_ops_per_mm2(self) -> float:
-        return self.pe.computational_density_ops_per_mm2
+    ``bus_bandwidth_bits_per_ns`` is the internal memory-bus bandwidth
+    (128 bits/ns = 16 GB/s, a DDR-class channel; calibration constant).
+    """
+    return Architecture(
+        "PRIME", pe, SharedBusComm(bandwidth_bits_per_ns=bus_bandwidth_bits_per_ns), None
+    )

@@ -49,7 +49,6 @@ __all__ = [
     "run_chaos",
     "gate",
     "format_chaos_section",
-    "main",
 ]
 
 #: models of the chaos workload: the cheap front-end-dominated pair keeps a
@@ -343,14 +342,3 @@ def run_from_args(args: argparse.Namespace) -> int:
         print(f"chaos: {finding}", file=sys.stderr)
     return 1 if findings else 0
 
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro chaos",
-        description="Serve a repeated-model batch workload under a "
-        "deterministic seeded fault plan (worker crashes, a hang, "
-        "transient/corrupt cache IO) and fail unless every request is "
-        "served, bit-identical to a fault-free reference run.",
-    )
-    add_arguments(parser)
-    return run_from_args(parser.parse_args(argv))

@@ -3,7 +3,7 @@ cache (in-memory + cross-process shared tiers), the warm worker pool and
 the (batch) deployment helpers."""
 
 from .api import WorkerPool, deploy, deploy_model
-from .cache import CacheStats, StageCache, clear_default_cache, default_cache
+from .cache import CacheStats, StageCache, default_cache
 from .compiler import FPSACompiler
 from .pipeline import (
     CompileContext,
@@ -33,7 +33,6 @@ __all__ = [
     "SharedStageCache",
     "shared_cache_from_env",
     "default_cache",
-    "clear_default_cache",
     "CompileContext",
     "CompileOptions",
     "CompilePass",

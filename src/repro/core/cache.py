@@ -43,7 +43,6 @@ __all__ = [
     "StageCache",
     "CacheStats",
     "default_cache",
-    "clear_default_cache",
     "fingerprint",
     "graph_fingerprint",
     "config_fingerprint",
@@ -151,17 +150,17 @@ def netlist_fingerprint(netlist: "FunctionBlockNetlist") -> str:
 class CacheStats:
     """The stage-cache counters of one compile, the cache's only books.
 
-    ``hits``/``misses`` count lookup outcomes (a hit served from either
-    tier is a hit); ``shared_hits``/``shared_misses`` count the shared-tier
-    lookups that happen on in-memory misses; ``evictions`` counts entries
+    Hits and misses are the compile's pass timings
+    (:attr:`~repro.core.result.DeploymentResult.cache_hits` /
+    ``cache_misses``); this tally keeps what those cannot see.
+    ``shared_hits``/``shared_misses`` count the shared-tier lookups that
+    happen on in-memory misses; ``evictions`` counts entries
     the compile's puts pushed out of the in-memory LRU (installing a
     shared-tier hit is not one).  ``write_errors`` counts shared-tier
     writes that degraded to a miss instead of letting an ``OSError`` (disk
     full, permissions, injected fault) escape into the compile.
     """
 
-    hits: int = 0
-    misses: int = 0
     evictions: int = 0
     shared_hits: int = 0
     shared_misses: int = 0
@@ -174,8 +173,6 @@ class CacheStats:
     def merge(self, other: "CacheStats | None") -> "CacheStats":
         """Accumulate another counter set into this one (returns self)."""
         if other is not None:
-            self.hits += other.hits
-            self.misses += other.misses
             self.evictions += other.evictions
             self.shared_hits += other.shared_hits
             self.shared_misses += other.shared_misses
@@ -230,9 +227,9 @@ class StageCache:
         return self.shared is not None and key in self.shared
 
     def get(self, key: str, stats: CacheStats | None = None) -> dict[str, Any] | None:
-        """The artifacts under ``key`` or ``None``, counted into ``stats``
-        when given; an in-memory miss falls through to the shared tier,
-        whose hit is installed in memory."""
+        """The artifacts under ``key`` or ``None``; an in-memory miss falls
+        through to the shared tier, whose hit is installed in memory and
+        whose lookup is counted into ``stats`` when given."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -248,11 +245,6 @@ class StageCache:
                     stats.shared_misses += 1
                 else:
                     stats.shared_hits += 1
-        if stats is not None:
-            if entry is None:
-                stats.misses += 1
-            else:
-                stats.hits += 1
         return entry
 
     def _install(self, key: str, artifacts: dict[str, Any]) -> int:
@@ -325,11 +317,3 @@ def default_cache() -> StageCache:
 
             _DEFAULT_CACHE = StageCache(shared=shared_cache_from_env())
         return _DEFAULT_CACHE
-
-
-def clear_default_cache() -> None:
-    """Drop every in-memory entry of the process-wide cache; its shared
-    tier is left alone.  The cache keeps no counters: a compile's are on
-    its result."""
-    if _DEFAULT_CACHE is not None:
-        _DEFAULT_CACHE.clear()

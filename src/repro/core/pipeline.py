@@ -394,8 +394,8 @@ class PassManager:
     ) -> list[PassTiming]:
         """Execute the passes over ``ctx``; returns the per-pass timings.
 
-        When a cache is consulted, the run's hit/miss/eviction counters
-        (including the shared-tier split) are tallied into
+        When a cache is consulted, the run's eviction, write-error and
+        shared-tier counters are tallied into
         ``ctx.cache_stats``, the compile's own
         :class:`~repro.core.cache.CacheStats` handed to every cache
         ``get``/``put``: concurrent compiles sharing one cache never mix

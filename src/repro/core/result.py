@@ -70,8 +70,8 @@ class DeploymentResult:
     shard_results: "list[ShardCompileResult] | None" = field(default=None, repr=False)
     timings: list[PassTiming] | None = None
     #: stage-cache counter increments attributable to this compile
-    #: (hits/misses/evictions and the shared-tier split); ``None`` when the
-    #: compile ran without a cache.
+    #: (evictions, write errors and the shared-tier split; hits and misses
+    #: are the timings'); ``None`` when the compile ran without a cache.
     cache_stats: CacheStats | None = None
 
     @property

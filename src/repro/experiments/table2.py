@@ -44,7 +44,7 @@ def run(config: FPSAConfig | None = None) -> ExperimentResult:
         architecture="PRIME",
         area_um2=prime.pe.area_um2,
         latency_ns=prime.pe.vmm_latency_ns,
-        density_TOPS_per_mm2=prime.computational_density_ops_per_mm2 / 1e12,
+        density_TOPS_per_mm2=prime.pe.computational_density_ops_per_mm2 / 1e12,
         paper_density_TOPS_per_mm2=PAPER_TABLE2["PRIME"][2] / 1e12,
     )
     result.add_row(
@@ -72,7 +72,7 @@ def run(config: FPSAConfig | None = None) -> ExperimentResult:
     area_change = fpsa_pe.block.area_um2 / prime.pe.area_um2 - 1.0
     latency_change = fpsa_pe.vmm_latency_ns / prime.pe.vmm_latency_ns - 1.0
     density_ratio = (
-        fpsa_pe.computational_density_ops_per_mm2 / prime.computational_density_ops_per_mm2
+        fpsa_pe.computational_density_ops_per_mm2 / prime.pe.computational_density_ops_per_mm2
     )
     result.add_note(
         f"area change {area_change * 100:.2f}% (paper {PAPER_TABLE2['area_improvement'] * 100:.2f}%)"

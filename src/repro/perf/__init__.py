@@ -1,7 +1,7 @@
 """Performance models: bounds and the analytic pipelined model."""
 
 from .analytic import (
-    ArchitectureModel,
+    Architecture,
     AreaSweepPoint,
     BlockCounts,
     FPSAArchitecture,
@@ -14,7 +14,6 @@ from .analytic import (
 from .bounds import UtilizationBounds, compute_bounds, spatial_utilization
 from .comm import (
     CommContext,
-    CommunicationModel,
     ReconfigurableRoutingComm,
     SharedBusComm,
     mean_route_segments,
@@ -27,14 +26,13 @@ __all__ = [
     "LatencyBreakdown",
     "geometric_mean",
     "CommContext",
-    "CommunicationModel",
     "SharedBusComm",
     "ReconfigurableRoutingComm",
     "mean_route_segments",
     "UtilizationBounds",
     "compute_bounds",
     "spatial_utilization",
-    "ArchitectureModel",
+    "Architecture",
     "FPSAArchitecture",
     "BlockCounts",
     "estimate_block_counts",

@@ -4,11 +4,15 @@ This is the model the experiment harnesses use for ImageNet-scale networks
 (the paper's own evaluation similarly drives a performance simulator with
 the mrVPR routing report rather than simulating every spike).  It combines:
 
-* the allocation (bottleneck iterations, temporal utilization),
-* the architecture's per-VMM computation latency and area, and
-* a communication model (shared bus or reconfigurable routing),
+* the allocation (bottleneck iterations, temporal utilization), and
+* an :class:`Architecture` — ``pe × comm × fabric``: the PE's per-VMM
+  latency and area, a communication model (shared bus or reconfigurable
+  routing), and the FPSA fabric the chip pays for (``None`` for PRIME),
 
-into throughput, latency, peak/ideal/real OPS and chip area.
+into throughput, latency, peak/ideal/real OPS and chip area.  FPSA, PRIME
+and FP-PRIME are three such records (:func:`FPSAArchitecture`,
+:func:`~repro.baselines.PrimeArchitecture`,
+:func:`~repro.baselines.FPPrimeArchitecture`).
 
 ``ideal`` performance assumes an infinitely fast communication subsystem
 (only computation and utilization limit it); ``real`` performance adds the
@@ -21,17 +25,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
 
-from ..arch.params import FPSAConfig
+from ..arch.params import FPSAConfig, PEParams, PrimePEParams, chip_area_mm2
 from ..mapper.allocation import AllocationResult, allocate, allocate_for_pe_budget
 from ..mapper.netlist import smbs_per_edge
 from ..synthesizer.coreop import CoreOpGraph
-from .comm import CommContext, CommunicationModel, ReconfigurableRoutingComm
+from .comm import CommContext, ReconfigurableRoutingComm, SharedBusComm
 from .metrics import LatencyBreakdown, PerformanceReport
 
 __all__ = [
-    "ArchitectureModel",
+    "Architecture",
     "FPSAArchitecture",
     "BlockCounts",
     "estimate_block_counts",
@@ -43,80 +46,48 @@ __all__ = [
 ]
 
 
-class ArchitectureModel(Protocol):
-    """What the analytic evaluator needs to know about an architecture."""
+@dataclass(frozen=True)
+class Architecture:
+    """One architecture as the analytic evaluator sees it: ``pe × comm ×
+    fabric``.
+
+    ``pe`` computes the VMMs, ``comm`` moves the values between them, and
+    ``fabric`` is the :class:`FPSAConfig` whose SMBs, CLBs and routing
+    overhead the chip pays for — or ``None`` for PRIME, whose PEs sit
+    inside memory banks that already buffer and control them.
+    """
 
     name: str
+    pe: PEParams | PrimePEParams
+    comm: SharedBusComm | ReconfigurableRoutingComm
+    fabric: FPSAConfig | None
 
     @property
-    def pe_vmm_latency_ns(self) -> float: ...
-
-    @property
-    def pe_ops_per_vmm(self) -> int: ...
-
-    @property
-    def pe_area_mm2(self) -> float: ...
+    def values_per_vmm(self) -> int:
+        """Values one VMM moves: its input vector and its output vector."""
+        return self.pe.rows + self.pe.logical_cols
 
     @property
     def effective_area_per_pe_mm2(self) -> float:
         """Chip area consumed per PE including its share of support blocks."""
-        ...
-
-    @property
-    def io_bits(self) -> int: ...
-
-    @property
-    def values_per_vmm(self) -> int: ...
-
-    def comm_model(self) -> CommunicationModel: ...
-
-    def chip_area_mm2(self, n_pe: int, n_smb: int, n_clb: int) -> float: ...
-
-    def crossbar_shape(self) -> tuple[int, int]: ...
-
-
-@dataclass(frozen=True)
-class FPSAArchitecture:
-    """The FPSA architecture as seen by the analytic evaluator."""
-
-    config: FPSAConfig = FPSAConfig()
-    name: str = "FPSA"
-
-    @property
-    def pe_vmm_latency_ns(self) -> float:
-        return self.config.pe.vmm_latency_ns
-
-    @property
-    def pe_ops_per_vmm(self) -> int:
-        return self.config.pe.ops_per_vmm
-
-    @property
-    def pe_area_mm2(self) -> float:
-        return self.config.pe.area_mm2
-
-    @property
-    def effective_area_per_pe_mm2(self) -> float:
-        cfg = self.config
-        return (cfg.pe.area_mm2 + cfg.clbs_per_pe * cfg.clb.area_mm2) * (
-            1.0 + cfg.routing.area_overhead_fraction
+        fabric = self.fabric
+        if fabric is None:
+            return self.pe.area_mm2
+        return (self.pe.area_mm2 + fabric.clbs_per_pe * fabric.clb.area_mm2) * (
+            1.0 + fabric.routing.area_overhead_fraction
         )
 
-    @property
-    def io_bits(self) -> int:
-        return self.config.pe.io_bits
-
-    @property
-    def values_per_vmm(self) -> int:
-        return self.config.pe.rows + self.config.pe.logical_cols
-
-    def comm_model(self) -> CommunicationModel:
-        return ReconfigurableRoutingComm(self.config, spike_train=True)
-
     def chip_area_mm2(self, n_pe: int, n_smb: int, n_clb: int) -> float:
-        return self.config.chip_area_mm2(n_pe, n_smb, n_clb)
+        """Total chip area of a block mix (see :func:`chip_area_mm2`)."""
+        return chip_area_mm2(self.pe, self.fabric, n_pe, n_smb, n_clb)
 
-    def crossbar_shape(self) -> tuple[int, int]:
-        return (self.config.pe.rows, self.config.pe.logical_cols)
+
+def FPSAArchitecture(config: FPSAConfig | None = None) -> Architecture:
+    """FPSA: the spiking PE streaming spike trains over its own fabric."""
+    config = config if config is not None else FPSAConfig()
+    return Architecture(
+        "FPSA", config.pe, ReconfigurableRoutingComm(config, spike_train=True), config
+    )
 
 
 @dataclass(frozen=True)
@@ -184,7 +155,7 @@ def evaluate_design_point(
     coreops: CoreOpGraph,
     allocation: AllocationResult,
     useful_ops_per_sample: float,
-    arch: ArchitectureModel,
+    arch: Architecture,
     n_pe_total: int | None = None,
     config: FPSAConfig | None = None,
     n_smb: int | None = None,
@@ -208,7 +179,7 @@ def evaluate_design_point(
     blocks = estimate_block_counts(coreops, allocation, config, n_smb)
     n_pe = max(blocks.n_pe, n_pe_total or 0)
 
-    comm = arch.comm_model()
+    comm = arch.comm
     # Communication distances are set by the blocks the mapping actually
     # uses (the placer clusters them); surplus PEs padding the chip do not
     # stretch the routed paths.
@@ -216,10 +187,10 @@ def evaluate_design_point(
         n_blocks=blocks.total,
         active_pes=blocks.n_pe * allocation.temporal_utilization(),
         values_per_vmm=arch.values_per_vmm,
-        value_bits=arch.io_bits,
+        value_bits=arch.pe.io_bits,
         traffic_values_per_sample=traffic_values_per_sample(coreops),
     )
-    t_vmm = arch.pe_vmm_latency_ns
+    t_vmm = arch.pe.vmm_latency_ns
     t_comm = comm.per_vmm_latency_ns(ctx)
 
     max_iter = allocation.max_iterations
@@ -238,7 +209,7 @@ def evaluate_design_point(
     depth = pipeline_depth(coreops)
     latency_ns = max(real_stage_ns, 1e9 / real_throughput) + depth * (t_vmm + t_comm)
 
-    ops_per_vmm_rate = arch.pe_ops_per_vmm / (t_vmm * 1e-9)
+    ops_per_vmm_rate = arch.pe.ops_per_vmm / (t_vmm * 1e-9)
     peak_ops = n_pe * ops_per_vmm_rate
     ideal_ops = useful_ops_per_sample * ideal_throughput
     real_ops = useful_ops_per_sample * real_throughput
@@ -277,7 +248,7 @@ class AreaSweepPoint:
 def sweep_area(
     coreops: CoreOpGraph,
     useful_ops_per_sample: float,
-    arch: ArchitectureModel,
+    arch: Architecture,
     areas_mm2: list[float],
     config: FPSAConfig | None = None,
 ) -> list[AreaSweepPoint]:
@@ -294,7 +265,7 @@ def sweep_area(
             points.append(AreaSweepPoint(area, 0, 0.0, 0.0, 0.0, mapped=False))
             continue
         allocation = allocate_for_pe_budget(coreops, n_pe, config.pe)
-        peak = n_pe * arch.pe_ops_per_vmm / (arch.pe_vmm_latency_ns * 1e-9)
+        peak = n_pe * arch.pe.ops_per_vmm / (arch.pe.vmm_latency_ns * 1e-9)
         if allocation is None:
             points.append(AreaSweepPoint(area, n_pe, peak, 0.0, 0.0, mapped=False))
             continue

@@ -13,6 +13,11 @@ accelerators.  Three communication models are compared:
 * :class:`ReconfigurableRoutingComm` (spike-train mode) — FPSA: the same
   fabric carrying 2**n-cycle spike trains (more traffic per value, but no
   encoder/decoder and 1-cycle streaming hand-off between PEs).
+
+Each answers two questions about a :class:`CommContext`:
+``per_vmm_latency_ns`` (the communication latency added to one PE's VMM)
+and ``sample_rate_limit`` (the samples/second ceiling of the subsystem
+alone, ``inf`` when it imposes none).
 """
 
 from __future__ import annotations
@@ -21,12 +26,11 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from ..arch.params import FPSAConfig, InterChipParams, RoutingParams
+from ..arch.params import FPSAConfig, InterChipParams
 from ..errors import InvalidRequestError
 
 __all__ = [
     "CommContext",
-    "CommunicationModel",
     "SharedBusComm",
     "ReconfigurableRoutingComm",
     "InterChipLinkModel",
@@ -69,23 +73,8 @@ class CommContext:
         return self.traffic_values_per_sample * self.value_bits
 
 
-class CommunicationModel:
-    """Interface of a communication-subsystem model."""
-
-    name = "abstract"
-
-    def per_vmm_latency_ns(self, ctx: CommContext) -> float:
-        """Average communication latency added to one PE's VMM."""
-        raise NotImplementedError
-
-    def sample_rate_limit(self, ctx: CommContext) -> float:
-        """Upper bound on samples/second imposed by the communication
-        subsystem alone (``inf`` when it imposes none)."""
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class SharedBusComm(CommunicationModel):
+class SharedBusComm:
     """A shared hierarchical memory bus (PRIME / PipeLayer).
 
     ``bandwidth_bits_per_ns`` defaults to 128 bits/ns (16 GB/s), a DDR-class
@@ -110,7 +99,7 @@ class SharedBusComm(CommunicationModel):
 
 
 @dataclass(frozen=True)
-class ReconfigurableRoutingComm(CommunicationModel):
+class ReconfigurableRoutingComm:
     """The FPSA island-style reconfigurable routing fabric.
 
     Every group-to-group connection owns a dedicated routed channel
@@ -130,14 +119,6 @@ class ReconfigurableRoutingComm(CommunicationModel):
     @property
     def name(self) -> str:
         return "routing-spike-train" if self.spike_train else "routing-spike-count"
-
-    @property
-    def routing(self) -> RoutingParams:
-        return self.config.routing
-
-    def hop_latency_ns(self, ctx: CommContext) -> float:
-        segments = mean_route_segments(ctx.n_blocks, self.locality)
-        return self.routing.hop_delay_ns(segments)
 
     def per_vmm_latency_ns(self, ctx: CommContext) -> float:
         segments = mean_route_segments(ctx.n_blocks, self.locality)

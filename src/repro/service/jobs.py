@@ -580,15 +580,21 @@ class JobManager:
 
     def _retry(self, job: _Job) -> bool:
         """Resubmit a retriable failure at once (the worker sleeps its
-        backoff); False when out of budget, past the deadline or shutting
-        down."""
+        backoff); False when out of budget, shutting down, or past the
+        deadline of every job still waiting on the compile (the primary
+        and its followers)."""
         budget = job.request.max_retries
         if budget is None:
             budget = DEFAULT_MAX_RETRIES
         with self._lock:
             if self._closing or job.retired or job.attempts >= budget:
                 return False
-            if job.deadline_at is not None and time.monotonic() >= job.deadline_at:
+            now = time.monotonic()
+            if not any(
+                waiting.response is None
+                and (waiting.deadline_at is None or now < waiting.deadline_at)
+                for waiting in (job, *job.followers)
+            ):
                 return False
             job.attempts += 1
             self.stats.retried += 1

@@ -13,6 +13,7 @@ from repro.arch.params import (
     RoutingParams,
     SMBParams,
 )
+from repro.perf.analytic import FPSAArchitecture
 
 
 class TestBlockParams:
@@ -179,12 +180,9 @@ class TestFPSAConfig:
 
     def test_pe_count_for_area_round_trip(self):
         config = FPSAConfig()
-        n = config.pe_count_for_area(10.0)
+        n = int(10.0 / FPSAArchitecture(config).effective_area_per_pe_mm2)
         assert n > 0
         assert config.chip_area_mm2(n, 0, math.ceil(n * config.clbs_per_pe)) <= 10.5
-
-    def test_pe_count_for_zero_area(self):
-        assert FPSAConfig().pe_count_for_area(0.0) == 0
 
     def test_spike_train_comm_slower_than_count(self):
         config = FPSAConfig()

@@ -11,9 +11,9 @@ from repro.chaos import (
     _chaos_plan,
     format_chaos_section,
     gate,
-    main,
     run_chaos,
 )
+from repro.cli import main
 from repro.errors import InvalidRequestError
 from repro.faults import KIND_CRASH, SITE_WORKER_COMPILE
 from repro.service import CompileRequest
@@ -142,7 +142,7 @@ def test_every_invocation_is_gated(tmp_path, monkeypatch, capsys, overrides, arg
     monkeypatch.chdir(tmp_path)  # empty: no file whose absence could skip the gate
     section = _chaos_section(**overrides)
     monkeypatch.setattr(chaos_module, "run_chaos", lambda **kwargs: section)
-    assert main(argv) == code
+    assert main(["chaos", *argv]) == code
     captured = capsys.readouterr()
     assert ("below the 100% floor" in captured.err) == bool(code)
     if "--json" in argv:

@@ -148,8 +148,8 @@ class TestStageCache:
         second_cached = {t.name for t in second.timings if t.cached}
         assert first_cached == set()
         assert second_cached == {"synthesis", "mapping"}
-        assert (first.cache_stats.hits, first.cache_stats.misses) == (0, 2)
-        assert (second.cache_stats.hits, second.cache_stats.misses) == (2, 0)
+        assert (first.cache_hits, first.cache_misses) == (0, 4)
+        assert (second.cache_hits, second.cache_misses) == (2, 2)
         # cached artifacts produce an identical deployment
         assert second.throughput_samples_per_s == first.throughput_samples_per_s
         assert second.mapping.netlist.n_pe == first.mapping.netlist.n_pe

@@ -27,8 +27,8 @@ def _compile_with_stats(model, cache):
     return {
         "pid": os.getpid(),
         "throughput": result.throughput_samples_per_s,
-        "hits": stats.hits,
-        "misses": stats.misses,
+        "hits": result.cache_hits,
+        "misses": result.cache_misses,
         "shared_hits": stats.shared_hits,
         "shared_misses": stats.shared_misses,
     }

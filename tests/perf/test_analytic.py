@@ -187,3 +187,84 @@ class TestSweepArea:
             vgg16_coreops, vgg16_graph.total_ops(), FPSAArchitecture(), [100.0, 200.0]
         )
         assert points[1].peak_ops == pytest.approx(2 * points[0].peak_ops, rel=0.02)
+
+
+#: VGG16 at 64x duplication, per architecture: throughput (samples/s),
+#: latency (us), area (mm^2), peak / ideal / real OPS, communication ns.
+PINNED_VGG16_D64 = {
+    "FPSA": (
+        1842.5571745491266, 577.516682, 76.3320314988, 2540090053213262.0,
+        252571519875090.84, 57045954894200.375, 692.2499999999999,
+    ),
+    "PRIME": (
+        50.19910974890807, 21088.094536734694, 105.45067811999999, 129587940092015.52,
+        12885457720334.848, 1554174920605.0881, 25409.020408163266,
+    ),
+    "FP-PRIME": (
+        416.1941475777834, 2531.43405, 118.8304145688, 129587940092015.52,
+        12885457720334.848, 12885457720334.848, 74.54999999999998,
+    ),
+}
+
+#: per-PE chip area including its share of support blocks, mm^2.
+PINNED_AREA_PER_PE = {
+    "FPSA": 0.025081317800000003,
+    "PRIME": 0.034802203999999996,
+    "FP-PRIME": 0.039107186800000006,
+}
+
+#: PRIME's Figure 2 sweep of VGG16: (area, n_pe, peak, ideal, real, mapped).
+PINNED_PRIME_SWEEP = [
+    (10.0, 287, 12274501256240.414, 0.0, 0.0, False),
+    (17.78279410038923, 510, 21811831500636.277, 0.0, 0.0, False),
+    (31.622776601683793, 908, 38833613730544.586, 0.0, 0.0, False),
+    (56.23413251903491, 1615, 69070799752014.875, 0.0, 0.0, False),
+    (100.0, 2873, 122873317453584.36, 10266462248722.074, 1554056966043.4822, True),
+    (177.82794100389228, 5109, 218503229679903.4, 38558010888330.234, 1550496817897.18, True),
+    (316.2277660168379, 9086, 388592747087806.3, 86343579937970.27, 1550455820119.4927, True),
+    (562.341325190349, 16158, 691050143896629.4, 171223709368517.3, 1550765220537.7634, True),
+    (1000.0, 28733, 1228861479427023.8, 315693714148203.75, 1551307901274.9502, True),
+    (1778.2794100389228, 51096, 2185288906581394.5, 594246991337795.4, 1549297597644.1228, True),
+    (3162.2776601683795, 90864, 3886098544066303.5, 1010219885274252.0, 1551925639202.5803, True),
+    (5623.413251903491, 161582, 6910586975560414.0, 1683699808790420.2, 1553291632751.3545, True),
+    (10000.0, 287338, 1.2288956940646718e16, 3367399617580840.5, 1553308465714.8604, True),
+]
+
+
+class TestArchitecturesPinned:
+    """The three architectures' figures, exactly as first recorded: a change
+    to a PE, a communication model or a fabric formula moves a float."""
+
+    ARCHITECTURES = (FPSAArchitecture, PrimeArchitecture, FPPrimeArchitecture)
+
+    @pytest.mark.parametrize("architecture", ARCHITECTURES)
+    def test_vgg16_design_point(self, vgg16_coreops, vgg16_graph, vgg16_allocation, architecture):
+        arch = architecture()
+        report = evaluate_design_point(
+            vgg16_coreops, vgg16_allocation, vgg16_graph.total_ops(), arch
+        )
+        assert (
+            report.throughput_samples_per_s,
+            report.latency_us,
+            report.area_mm2,
+            report.peak_ops,
+            report.ideal_ops,
+            report.real_ops,
+            report.latency_breakdown.communication_ns,
+        ) == PINNED_VGG16_D64[arch.name]
+
+    @pytest.mark.parametrize("architecture", ARCHITECTURES)
+    def test_area_per_pe(self, architecture):
+        arch = architecture()
+        assert arch.effective_area_per_pe_mm2 == PINNED_AREA_PER_PE[arch.name]
+
+    def test_prime_figure2_sweep(self, vgg16_coreops, vgg16_graph):
+        from repro.experiments.fig2 import default_areas
+
+        points = sweep_area(
+            vgg16_coreops, vgg16_graph.total_ops(), PrimeArchitecture(), default_areas()
+        )
+        assert [
+            (p.area_mm2, p.n_pe, p.peak_ops, p.ideal_ops, p.real_ops, p.mapped)
+            for p in points
+        ] == PINNED_PRIME_SWEEP

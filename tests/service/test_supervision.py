@@ -252,6 +252,28 @@ class TestRetryPolicy:
         assert manager.result(job_id, timeout=0).error.code == "transient_io"
         assert len(manual_executor.submitted) == jobs_module.DEFAULT_MAX_RETRIES + 1
 
+    @pytest.mark.parametrize("follower_deadline_s, retried", [(None, 1), (0.05, 0)])
+    def test_retries_last_while_any_waiting_deadline_is_open(
+        self, manual_executor, monkeypatch, follower_deadline_s, retried
+    ):
+        monkeypatch.setattr(time, "sleep", lambda seconds: None)  # the backoff
+        manager = JobManager(pool=manual_executor)
+        primary = manager.submit(CompileRequest(model="MLP-500-100", deadline_s=0.05))
+        follower = manager.submit(
+            CompileRequest(model="MLP-500-100", deadline_s=follower_deadline_s)
+        )
+        now = time.monotonic()
+        monkeypatch.setattr(time, "monotonic", lambda: now + 0.1)
+        manual_executor.submitted[0][2].set_exception(OSError("flaky"))
+        assert manager.stats.retried == retried
+        manual_executor.complete_all()
+        assert manager.result(primary, timeout=0).error.code == "deadline_exceeded"
+        response = manager.result(follower, timeout=0)
+        if follower_deadline_s is None:
+            assert response.ok  # the retry it was owed served it
+        else:
+            assert response.error.code == "deadline_exceeded"
+
     def test_invalid_queue_settings_rejected(self):
         from repro.errors import InvalidRequestError
 
