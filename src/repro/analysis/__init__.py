@@ -11,10 +11,11 @@ Two cooperating sub-systems guard the toolchain's correctness contracts:
   (``repro lint``) with AST rules for the hazards that break the
   bit-identity contract: unseeded RNG, unsorted set iteration on the
   deterministic path, impure fingerprints, shared-state mutation in pool
-  workers, and untyped raise-sites.
+  workers, and untyped raise-sites.  Import it as
+  ``repro.analysis.lint``: this package does not, so a compile never loads
+  the linter.
 """
 
-from .lint import RULES, Finding, lint_paths, lint_source
 from .verify import (
     ARTIFACT_VERIFIERS,
     VERIFY_ENV,
@@ -29,8 +30,4 @@ __all__ = [
     "verification_enabled",
     "verify_artifact",
     "verify_artifacts",
-    "RULES",
-    "Finding",
-    "lint_paths",
-    "lint_source",
 ]

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from ..errors import InvalidRequestError
 
 __all__ = [
+    "ceil_div",
     "BlockParams",
     "PEComponentParams",
     "PEParams",
@@ -48,6 +49,12 @@ __all__ = [
     "DEFAULT_INTERCHIP",
     "DEFAULT_PRIME_PE",
 ]
+
+
+def ceil_div(numerator: int, denominator: int) -> int:
+    """Exact ``ceil(numerator / denominator)`` (a float quotient is not, above 2**53)."""
+    return -(-numerator // denominator)
+
 
 #: square micrometres per square millimetre.
 UM2_PER_MM2 = 1.0e6
@@ -249,7 +256,7 @@ class SMBParams:
         if n_values == 0:
             return 0
         per_block = self.values_capacity(value_bits)
-        return -(-n_values // per_block)
+        return ceil_div(n_values, per_block)
 
 
 @dataclass(frozen=True)
@@ -274,7 +281,7 @@ class CLBParams:
             raise InvalidRequestError("n_luts must be non-negative")
         if n_luts == 0:
             return 0
-        return -(-n_luts // self.luts_per_clb)
+        return ceil_div(n_luts, self.luts_per_clb)
 
 
 @dataclass(frozen=True)

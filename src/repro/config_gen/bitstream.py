@@ -217,9 +217,10 @@ def _crossbar_configs(mapping: MappingResult, config: FPSAConfig) -> list[Crossb
     pe = config.pe
     cells_per_weight, cell_bits = pe.cells_per_weight, pe.cell_bits
     dims: dict[str, tuple[dict[int, int], dict[int, int]]] = {}
+    plans = mapping.coreops.derived().tiling(pe.rows, pe.logical_cols).plans
     for group, run in groupby(mapping.netlist.blocks_of_type(BlockType.PE), itemgetter(2)):
         if group not in dims:
-            plan = mapping.coreops.group(group).tiling(pe.rows, pe.logical_cols)
+            plan = plans[group]
             row_sizes = [
                 min(plan.max_rows, plan.matrix_rows - r * plan.max_rows)
                 for r in range(plan.n_row_tiles)

@@ -11,7 +11,6 @@ from ..config_gen.bitstream import FPSABitstream
 from ..errors import InvalidRequestError
 from ..graph.graph import ComputationalGraph
 from ..mapper.mapper import MappingResult
-from ..perf.analytic import traffic_values_per_sample
 from ..perf.bounds import UtilizationBounds
 from ..perf.comm import mean_route_segments
 from ..perf.metrics import PerformanceReport
@@ -116,11 +115,10 @@ class DeploymentResult:
         coreops = self._require("coreops")
         mapping = self._require("mapping")
         allocation = mapping.allocation
-        vmm_per_inference = allocation.replication * sum(
-            group.reuse * group.min_pes(config.pe.rows, config.pe.logical_cols)
-            for group in coreops.groups()
-        )
-        traffic = traffic_values_per_sample(coreops)
+        view = coreops.derived()
+        tiling = view.tiling(config.pe.rows, config.pe.logical_cols)
+        vmm_per_inference = allocation.replication * tiling.instances
+        traffic = view.traffic
         counts = mapping.block_counts()
         mix = BlockMix(
             **counts,

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import random
 from dataclasses import dataclass
 from typing import Any
 
+from ..arch.params import ceil_div
 from ..errors import InvalidRequestError
 from ..graph.builder import GraphBuilder
 from ..graph.graph import ComputationalGraph
@@ -297,7 +297,7 @@ def estimate_pes(spec: ModelSpec) -> int:
     total = 0
 
     def tiles(rows: int, cols: int) -> int:
-        return math.ceil(rows / _PE_ROWS) * math.ceil(cols / _PE_COLS)
+        return ceil_div(rows, _PE_ROWS) * ceil_div(cols, _PE_COLS)
 
     for layer in spec.effective_layers:
         if layer.kind == "conv":

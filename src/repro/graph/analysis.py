@@ -105,10 +105,10 @@ def _reuse_degree(node: GraphNode, graph: ComputationalGraph) -> int:
 
 def profile_graph(graph: ComputationalGraph) -> GraphProfile:
     """Extract per-layer statistics for all weighted layers of ``graph``."""
-    graph.validate()
+    order = graph.validate()
     layers: list[LayerStats] = []
     total_activation = 0
-    for node in graph.topological():
+    for node in order:
         specs = graph.input_specs(node)
         total_activation += node.output.size
         if not isinstance(node.op, (Conv2d, Dense)):

@@ -150,9 +150,11 @@ class ComputationalGraph:
             raise GraphValidationError(f"graph {self.name!r} contains a cycle")
         return order
 
-    def validate(self) -> None:
-        """Full structural validation (acyclicity, arity, shape consistency)."""
-        for node in self.topological():
+    def validate(self) -> list[GraphNode]:
+        """Full structural validation (acyclicity, arity, shape consistency);
+        returns the topological order it checked."""
+        order = self.topological()
+        for node in order:
             specs = self.input_specs(node)
             node.op.validate_arity(specs)
             inferred = node.op.infer_shape(specs)
@@ -163,6 +165,7 @@ class ComputationalGraph:
                 )
         if not self.input_nodes():
             raise GraphValidationError(f"graph {self.name!r} has no input nodes")
+        return order
 
     # ------------------------------------------------------------- counting
     def total_params(self) -> int:

@@ -11,15 +11,18 @@ Following Section 5.2, the *duplication degree of the model* is the
 duplication assigned to the group with the maximum reuse degree; all other
 groups receive just enough duplicates to keep their iteration count at or
 below that group's, which balances the pipeline stages.
+
+Tile counts come from the graph's derived view (``coreops.derived()``).
+``pes``, ``iterations`` and the model totals are computed at construction,
+not pickled.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from ..arch.params import PEParams
-from ..errors import InvalidRequestError, MappingError
+from ..arch.params import PEParams, ceil_div
+from ..errors import CapacityError, InvalidRequestError, MappingError
 from ..synthesizer.coreop import CoreOpGraph, WeightGroup
 
 __all__ = [
@@ -27,12 +30,26 @@ __all__ = [
     "AllocationResult",
     "allocate",
     "allocate_for_pe_budget",
+    "allocate_request",
 ]
 
 
+class _Derived:
+    """A frozen dataclass whose ``_derive`` sets attributes that are not
+    fields (``repr`` and ``==`` ignore them) and are derived again on load."""
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._derive()
+
+
 @dataclass(frozen=True)
-class GroupAllocation:
-    """PE assignment of one weight group."""
+class GroupAllocation(_Derived):
+    """PE assignment of one weight group: ``pes`` (tiles x duplicates) and
+    ``iterations`` (sequential iterations over all reuse positions)."""
 
     group: str
     tiles: int
@@ -46,20 +63,17 @@ class GroupAllocation:
             raise MappingError(
                 f"group {self.group!r}: duplication {self.duplication} exceeds reuse {self.reuse}"
             )
+        self._derive()
 
-    @property
-    def pes(self) -> int:
-        """PEs assigned to this group (tiles x duplicates)."""
-        return self.tiles * self.duplication
-
-    @property
-    def iterations(self) -> int:
-        """Sequential iterations needed to process all reuse positions."""
-        return math.ceil(self.reuse / self.duplication)
+    def _derive(self) -> None:
+        vars(self).update(
+            pes=self.tiles * self.duplication,
+            iterations=ceil_div(self.reuse, self.duplication),
+        )
 
 
 @dataclass(frozen=True)
-class AllocationResult:
+class AllocationResult(_Derived):
     """The complete PE allocation of one model.
 
     ``replication`` counts how many full copies of the mapped model are
@@ -78,24 +92,19 @@ class AllocationResult:
     def __post_init__(self) -> None:
         if self.replication <= 0:
             raise MappingError("replication must be positive")
+        self._derive()
 
-    @property
-    def pes_per_replica(self) -> int:
-        return sum(a.pes for a in self.allocations.values())
-
-    @property
-    def total_pes(self) -> int:
-        return self.replication * self.pes_per_replica
-
-    @property
-    def max_iterations(self) -> int:
-        """Iterations of the slowest (bottleneck) pipeline stage."""
-        return max((a.iterations for a in self.allocations.values()), default=1)
-
-    @property
-    def min_pes(self) -> int:
-        """PEs needed for minimum storage (duplication degree 1)."""
-        return sum(a.tiles for a in self.allocations.values())
+    def _derive(self) -> None:
+        allocations = self.allocations.values()
+        pes_per_replica = sum(a.pes for a in allocations)
+        vars(self).update(
+            pes_per_replica=pes_per_replica,
+            total_pes=self.replication * pes_per_replica,
+            # iterations of the slowest (bottleneck) pipeline stage
+            max_iterations=max((a.iterations for a in allocations), default=1),
+            # PEs needed for minimum storage (duplication degree 1)
+            min_pes=sum(a.tiles for a in allocations),
+        )
 
     def allocation(self, group: str) -> GroupAllocation:
         try:
@@ -126,7 +135,7 @@ def _balanced_duplication(group: WeightGroup, target_iterations: int) -> int:
     """Smallest duplication that keeps the group's iterations <= target."""
     if target_iterations <= 0:
         raise MappingError("target_iterations must be positive")
-    duplication = math.ceil(group.reuse / target_iterations)
+    duplication = ceil_div(group.reuse, target_iterations)
     return max(1, min(group.reuse, duplication))
 
 
@@ -167,9 +176,8 @@ def allocate(
         )
 
     max_reuse = coreops.max_reuse_degree
-    bottleneck_dup = min(duplication_degree, max_reuse)
     if target_iterations is None:
-        target_iterations = math.ceil(max_reuse / bottleneck_dup)
+        target_iterations = ceil_div(max_reuse, min(duplication_degree, max_reuse))
     elif target_iterations <= 0:
         raise InvalidRequestError(
             f"target_iterations must be positive, got {target_iterations}",
@@ -183,15 +191,16 @@ def allocate(
             details={"replication": replication},
         )
 
-    allocations: dict[str, GroupAllocation] = {}
-    for group in groups:
-        duplication = _balanced_duplication(group, target_iterations)
-        allocations[group.name] = GroupAllocation(
+    tiles = coreops.derived().tiling(pe.rows, pe.logical_cols).tiles
+    allocations = {
+        group.name: GroupAllocation(
             group=group.name,
-            tiles=group.min_pes(pe.rows, pe.logical_cols),
-            duplication=duplication,
+            tiles=tiles[group.name],
+            duplication=_balanced_duplication(group, target_iterations),
             reuse=group.reuse,
         )
+        for group in groups
+    }
     return AllocationResult(
         model=coreops.name,
         duplication_degree=duplication_degree,
@@ -234,3 +243,33 @@ def allocate_for_pe_budget(
         else:
             high = mid - 1
     return best
+
+
+def allocate_request(
+    coreops: CoreOpGraph,
+    duplication_degree: int,
+    pe: PEParams,
+    pe_budget: int | None = None,
+    **overrides: int | None,
+) -> AllocationResult:
+    """The allocation a compile asks for: the largest duplication degree
+    that fits ``pe_budget`` (``CapacityError`` when none does), else
+    :func:`allocate` at ``duplication_degree`` with the pace overrides.
+    Kept in the graph's derived view: the partition and mapping passes of
+    a one-chip compile allocate once."""
+    overrides = {name: value for name, value in overrides.items() if value is not None}
+    key = (duplication_degree, pe, pe_budget, *sorted(overrides.items()))
+    memo = coreops.derived().allocations
+    if key in memo:
+        return memo[key]
+    if pe_budget is None:
+        allocation = allocate(coreops, duplication_degree, pe, **overrides)
+    else:
+        allocation = allocate_for_pe_budget(coreops, pe_budget, pe)
+        if allocation is None:
+            minimum = allocate(coreops, 1, pe).total_pes
+            raise CapacityError(
+                f"model {coreops.name!r} needs at least {minimum} PEs; budget is {pe_budget}",
+                details={"model": coreops.name, "minimum_pes": minimum, "pe_budget": pe_budget},
+            )
+    return memo.setdefault(key, allocation)

@@ -10,7 +10,6 @@ CLBs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..arch.clb import IterationCounter
@@ -71,7 +70,7 @@ def plan_control(
     buffer_counters = n_smb
     luts += buffer_counters * _counter_luts(capacity, clb)
 
-    clbs_needed = max(1, math.ceil(luts / clb.luts_per_clb)) if luts else 0
+    clbs_needed = clb.blocks_for_luts(luts)
     return ControlPlan(
         model=allocation.model,
         window_counters=window_counters,

@@ -26,7 +26,7 @@ from functools import cached_property
 from ..arch.params import FPSAConfig
 from ..errors import CapacityError
 from ..synthesizer.coreop import CoreOpGraph
-from .allocation import AllocationResult, allocate, allocate_for_pe_budget
+from .allocation import AllocationResult, allocate_request
 from .control import ControlPlan, plan_control
 from .netlist import FunctionBlockNetlist, build_netlist, smbs_per_edge
 
@@ -124,28 +124,14 @@ class SpatialTemporalMapper:
             counts) when the allocation exceeds this many PEs, *before* any
             netlist is built or P&R annealing starts.
         """
-        pe = self.config.pe
-        if pe_budget is not None:
-            allocation = allocate_for_pe_budget(coreops, pe_budget, pe)
-            if allocation is None:
-                minimum = allocate(coreops, 1, pe).total_pes
-                raise CapacityError(
-                    f"model {coreops.name!r} needs at least "
-                    f"{minimum} PEs; budget is {pe_budget}",
-                    details={
-                        "model": coreops.name,
-                        "minimum_pes": minimum,
-                        "pe_budget": pe_budget,
-                    },
-                )
-        else:
-            allocation = allocate(
-                coreops,
-                duplication_degree,
-                pe,
-                target_iterations=target_iterations,
-                replication=replication,
-            )
+        allocation = allocate_request(
+            coreops,
+            duplication_degree,
+            self.config.pe,
+            pe_budget,
+            target_iterations=target_iterations,
+            replication=replication,
+        )
         if max_pes is not None and allocation.total_pes > max_pes:
             raise CapacityError(
                 f"model {coreops.name!r} needs {allocation.total_pes} PEs at "

@@ -19,7 +19,7 @@ from itertools import islice
 from operator import attrgetter
 from typing import NamedTuple
 
-from ..arch.params import FPSAConfig
+from ..arch.params import FPSAConfig, ceil_div
 from ..errors import MappingError
 from ..synthesizer.coreop import CoreOpGraph
 from .allocation import AllocationResult
@@ -182,7 +182,7 @@ def smbs_per_edge(
         if edge.src in coreops and edge.dst in coreops:
             consumer = allocation.allocation(edge.dst).iterations
             if consumer > 1 or consumer != allocation.allocation(edge.src).iterations:
-                n_smbs = max(1, math.ceil(max(1, edge.values_per_instance) / capacity))
+                n_smbs = ceil_div(max(1, edge.values_per_instance), capacity)
         counts.append(n_smbs)
     return counts
 

@@ -24,12 +24,10 @@ pipelined multi-chip deployment is actually cabled.
 
 from __future__ import annotations
 
-import math
-
 from ..arch.params import PEParams
 from ..core.pipeline import AUTO_CHIPS
 from ..errors import CapacityError, InvalidRequestError
-from ..mapper.allocation import AllocationResult, allocate, allocate_for_pe_budget
+from ..mapper.allocation import allocate_request
 from ..synthesizer.coreop import GRAPH_INPUT, GRAPH_OUTPUT, CoreOpGraph
 from .plan import CutEdge, PartitionResult, Shard
 
@@ -43,44 +41,13 @@ _BALANCE_SLACK = 1.2
 _REFINE_ROUNDS = 8
 
 
-def _whole_model_allocation(
-    coreops: CoreOpGraph,
-    duplication_degree: int,
-    pe: PEParams,
-    pe_budget: int | None,
-) -> AllocationResult:
-    if pe_budget is not None:
-        allocation = allocate_for_pe_budget(coreops, pe_budget, pe)
-        if allocation is None:
-            minimum = allocate(coreops, 1, pe).total_pes
-            raise CapacityError(
-                f"model {coreops.name!r} needs at least {minimum} PEs; "
-                f"budget is {pe_budget}",
-                details={
-                    "model": coreops.name,
-                    "minimum_pes": minimum,
-                    "pe_budget": pe_budget,
-                },
-            )
-        return allocation
-    return allocate(coreops, duplication_degree, pe)
-
-
-def _target_iterations(coreops: CoreOpGraph, allocation: AllocationResult) -> int:
-    """The pipeline pace :func:`allocate` balanced the groups against."""
-    max_reuse = coreops.max_reuse_degree
-    bottleneck = min(allocation.duplication_degree, max_reuse)
-    return math.ceil(max_reuse / bottleneck)
-
-
 def _edge_traffic(coreops: CoreOpGraph) -> dict[tuple[str, str], float]:
     """Per-sample value traffic of every group-to-group edge (summed over
     parallel edges between the same pair)."""
     traffic: dict[tuple[str, str], float] = {}
-    for edge in coreops.edges():
+    for edge, values in zip(coreops.edges(), coreops.derived().edge_traffic, strict=True):
         if edge.src in coreops and edge.dst in coreops:
             key = (edge.src, edge.dst)
-            values = edge.values_per_instance * coreops.group(edge.dst).reuse
             traffic[key] = traffic.get(key, 0.0) + values
     return traffic
 
@@ -267,13 +234,13 @@ def partition_coreops(
         model cannot fit, with required-vs-available counts).
     """
     pe = pe if pe is not None else PEParams()
-    allocation = _whole_model_allocation(coreops, duplication_degree, pe, pe_budget)
+    allocation = allocate_request(coreops, duplication_degree, pe, pe_budget)
     replication = allocation.replication
     weights = {
         name: alloc.pes * replication for name, alloc in allocation.allocations.items()
     }
     total_pes = allocation.total_pes
-    order = [g.name for g in coreops.topological_groups()]
+    order = [g.name for g in coreops.derived().order]
     traffic = _edge_traffic(coreops)
 
     if capacity_pes is not None:
@@ -386,6 +353,7 @@ def partition_coreops(
         shards = [Shard(index=0, coreops=coreops, groups=tuple(order), pes=total_pes)]
         cut_edges: list[CutEdge] = []
     else:
+        edge_traffic = coreops.derived().edge_traffic
         shards = []
         for chip in range(k):
             members = {name for name in order if chip_of[name] == chip}
@@ -405,11 +373,9 @@ def partition_coreops(
                 src_chip=chip_of[edge.src],
                 dst_chip=chip_of[edge.dst],
                 values_per_instance=edge.values_per_instance,
-                traffic_values_per_sample=(
-                    edge.values_per_instance * coreops.group(edge.dst).reuse
-                ),
+                traffic_values_per_sample=values,
             )
-            for edge in coreops.edges()
+            for edge, values in zip(coreops.edges(), edge_traffic, strict=True)
             if edge.src in coreops
             and edge.dst in coreops
             and chip_of[edge.src] != chip_of[edge.dst]
@@ -421,7 +387,9 @@ def partition_coreops(
         shards=shards,
         cut_edges=cut_edges,
         duplication_degree=allocation.duplication_degree,
-        target_iterations=_target_iterations(coreops, allocation),
+        # the pace allocate balanced against: the maximum-reuse group runs
+        # at exactly that pace and no group slower
+        target_iterations=allocation.max_iterations,
         replication=replication,
         capacity_pes_per_chip=capacity_pes,
         total_pes=total_pes,

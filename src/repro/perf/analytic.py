@@ -124,13 +124,7 @@ def estimate_block_counts(
 
 def traffic_values_per_sample(coreops: CoreOpGraph) -> float:
     """Total number of values moved between function blocks per inference."""
-    total = 0.0
-    for edge in coreops.edges():
-        if edge.dst in coreops:
-            total += edge.values_per_instance * coreops.group(edge.dst).reuse
-        elif edge.src in coreops:
-            total += edge.values_per_instance
-    return total
+    return coreops.derived().traffic
 
 
 def pipeline_depth(coreops: CoreOpGraph) -> int:
@@ -143,7 +137,7 @@ def pipeline_depth(coreops: CoreOpGraph) -> int:
             preds.setdefault(edge.dst, []).append(edge.src)
     depth: dict[str, int] = {}
     longest = 1
-    for group in coreops.topological_groups():
+    for group in coreops.derived().order:
         depth[group.name] = 1 + max(
             (depth[p] for p in preds.get(group.name, ())), default=0
         )

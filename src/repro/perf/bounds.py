@@ -52,12 +52,12 @@ def spatial_utilization(
 
     ``useful_ops_per_sample`` is the original network's operation count
     (Table 3 "# of ops"); the denominator is the crossbar capacity activated
-    by all core-op instances of one inference.
+    by all core-op instances of one inference, which the graph's derived
+    view (``coreops.derived()``) counts once per graph version.
     """
     pe = pe if pe is not None else PEParams()
-    capacity_ops = 0.0
-    for group in coreops.groups():
-        capacity_ops += group.reuse * group.min_pes(pe.rows, pe.logical_cols) * pe.ops_per_vmm
+    instances = coreops.derived().tiling(pe.rows, pe.logical_cols).instances
+    capacity_ops = float(instances * pe.ops_per_vmm)
     if capacity_ops <= 0:
         return 0.0
     return min(1.0, useful_ops_per_sample / capacity_ops)

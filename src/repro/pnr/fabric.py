@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ..arch.params import ceil_div
 from ..errors import InvalidRequestError
 from ..mapper.netlist import BlockType, FunctionBlockNetlist
 
@@ -62,7 +63,7 @@ class FabricGrid:
         n_blocks = len(netlist.blocks) - netlist.count(BlockType.IO)
         n_sites = max(1, math.ceil(n_blocks * slack))
         width = max(1, math.ceil(math.sqrt(n_sites * aspect_ratio)))
-        height = max(1, math.ceil(n_sites / width))
+        height = max(1, ceil_div(n_sites, width))
         return cls(width, height)
 
     @property

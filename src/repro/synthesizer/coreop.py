@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from ..errors import SynthesisError
 from .splitting import TilePlan, plan_tiling
@@ -26,6 +28,8 @@ __all__ = [
     "WeightGroup",
     "GroupEdge",
     "CoreOpGraph",
+    "DerivedView",
+    "Tiling",
     "GRAPH_INPUT",
     "GRAPH_OUTPUT",
 ]
@@ -120,8 +124,82 @@ GRAPH_INPUT = "__input__"
 GRAPH_OUTPUT = "__output__"
 
 
+class Tiling(NamedTuple):
+    """Each group's plan and tile count on one crossbar shape; sum of reuse x tiles."""
+
+    plans: dict[str, TilePlan]
+    tiles: dict[str, int]
+    instances: int
+
+
+class DerivedView:
+    """What the compile reads of one version of a :class:`CoreOpGraph`,
+    derived once: the group order, the tiling on a crossbar shape, every
+    edge's traffic and the allocations ``allocate_request`` made of it."""
+
+    def __init__(self, graph: "CoreOpGraph"):
+        # the graph's containers, not the graph: no reference cycle
+        self.version, self._name = graph.mutation_count, graph.name
+        self._groups, self._edges = graph._groups, graph._edges
+        self._tilings: dict[tuple[int, int], Tiling] = {}
+        self.allocations: dict[tuple, object] = {}
+
+    @cached_property
+    def order(self) -> tuple[WeightGroup, ...]:
+        """Groups in topological order of the group-level dataflow."""
+        groups = self._groups
+        in_degree = dict.fromkeys(groups, 0)
+        successors: dict[str, list[str]] = {n: [] for n in groups}
+        for edge in self._edges:
+            if edge.src in groups and edge.dst in groups:
+                in_degree[edge.dst] += 1
+                successors[edge.src].append(edge.dst)
+        ready = deque(n for n in groups if in_degree[n] == 0)
+        order: list[WeightGroup] = []
+        while ready:
+            name = ready.popleft()
+            order.append(groups[name])
+            for succ in successors[name]:
+                in_degree[succ] -= 1
+                if in_degree[succ] == 0:
+                    ready.append(succ)
+        if len(order) != len(groups):
+            raise SynthesisError(f"core-op graph {self._name!r} contains a cycle")
+        return tuple(order)
+
+    def tiling(self, max_rows: int = 256, max_cols: int = 256) -> Tiling:
+        key = (max_rows, max_cols)
+        if key not in self._tilings:
+            groups = self._groups
+            plans = {name: g.tiling(max_rows, max_cols) for name, g in groups.items()}
+            tiles = {name: plan.n_tiles for name, plan in plans.items()}
+            instances = sum(g.reuse * tiles[name] for name, g in groups.items())
+            self._tilings[key] = Tiling(plans, tiles, instances)
+        return self._tilings[key]
+
+    @cached_property
+    def edge_traffic(self) -> tuple[int, ...]:
+        """Values per inference on each edge, in edge order: the consumer's
+        reuse x ``values_per_instance`` (into the graph output, the latter)."""
+        groups = self._groups
+        return tuple(
+            e.values_per_instance * groups[e.dst].reuse if e.dst in groups
+            else e.values_per_instance if e.src in groups
+            else 0
+            for e in self._edges
+        )
+
+    @cached_property
+    def traffic(self) -> float:
+        """Values moved between function blocks per inference."""
+        return float(sum(self.edge_traffic))
+
+
 class CoreOpGraph:
-    """The grouped core-op graph produced by the neural synthesizer."""
+    """The grouped core-op graph produced by the neural synthesizer.
+
+    What the compile derives from it is :meth:`derived`: one :class:`DerivedView`
+    per version (``mutation_count``, as the fingerprint), never pickled."""
 
     def __init__(self, name: str):
         self.name = name
@@ -176,25 +254,18 @@ class CoreOpGraph:
 
     def topological_groups(self) -> list[WeightGroup]:
         """Groups in topological order of the group-level dataflow."""
-        names = list(self._groups)
-        in_degree = {n: 0 for n in names}
-        successors: dict[str, list[str]] = {n: [] for n in names}
-        for edge in self._edges:
-            if edge.src in self._groups and edge.dst in self._groups:
-                in_degree[edge.dst] += 1
-                successors[edge.src].append(edge.dst)
-        ready = deque(n for n in names if in_degree[n] == 0)
-        order: list[str] = []
-        while ready:
-            name = ready.popleft()
-            order.append(name)
-            for succ in successors[name]:
-                in_degree[succ] -= 1
-                if in_degree[succ] == 0:
-                    ready.append(succ)
-        if len(order) != len(names):
-            raise SynthesisError(f"core-op graph {self.name!r} contains a cycle")
-        return [self._groups[n] for n in order]
+        return list(self.derived().order)
+
+    def derived(self) -> DerivedView:
+        view = getattr(self, "_derived", None)
+        if view is None or view.version != self.mutation_count:
+            view = self._derived = DerivedView(self)
+        return view
+
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        state.pop("_derived", None)
+        return state
 
     # ------------------------------------------------------------ statistics
     @property
@@ -208,11 +279,11 @@ class CoreOpGraph:
         return sum(g.total_macs for g in self.groups())
 
     def total_instances(self, max_rows: int = 256, max_cols: int = 256) -> int:
-        return sum(g.instances(max_rows, max_cols) for g in self.groups())
+        return self.derived().tiling(max_rows, max_cols).instances
 
     def min_pes(self, max_rows: int = 256, max_cols: int = 256) -> int:
         """PEs needed to hold every group's weights exactly once."""
-        return sum(g.min_pes(max_rows, max_cols) for g in self.groups())
+        return sum(self.derived().tiling(max_rows, max_cols).tiles.values())
 
     def spatial_utilization(self, max_rows: int = 256, max_cols: int = 256) -> float:
         """Useful-MAC fraction of the crossbar capacity activated per VMM.
@@ -221,15 +292,10 @@ class CoreOpGraph:
         heavily executed) groups dominate, which is what determines the
         spatial utilization bound of Figure 8c.
         """
-        capacity = 0
-        useful = 0
-        for group in self.groups():
-            plan = group.tiling(max_rows, max_cols)
-            capacity += plan.crossbar_capacity_used * group.reuse
-            useful += group.macs_per_instance * group.reuse
-        if capacity == 0:
-            return 0.0
-        return min(1.0, useful / capacity)
+        plans = self.derived().tiling(max_rows, max_cols).plans
+        capacity = sum(plans[g.name].crossbar_capacity_used * g.reuse for g in self.groups())
+        useful = sum(g.macs_per_instance * g.reuse for g in self.groups())
+        return min(1.0, useful / capacity) if capacity else 0.0
 
     def summary(self) -> str:
         lines = [f"core-op graph {self.name!r}: {len(self)} groups, {len(self._edges)} edges"]

@@ -16,9 +16,9 @@ pooling-heavy networks such as GoogLeNet.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
+from ..arch.params import ceil_div
 from ..errors import SynthesisError
 from ..graph.graph import GraphNode
 from ..graph.ops import (
@@ -122,7 +122,7 @@ class LoweringContext:
             fan_in = min(partials, self.crossbar_rows)
             packed = self._pack_units(fan_in, 1)
             outputs = cols
-            instances_per_use = math.ceil(outputs / packed)
+            instances_per_use = ceil_div(outputs, packed)
             reduce_group = self._add_group(
                 WeightGroup(
                     name=f"{name}/reduce{stage}",
@@ -138,7 +138,7 @@ class LoweringContext:
             for producer in current:
                 self.graph.add_edge(producer, reduce_group.name, fan_in * packed)
             current = [reduce_group.name]
-            partials = math.ceil(partials / fan_in)
+            partials = ceil_div(partials, fan_in)
             stage += 1
         return current
 
@@ -203,7 +203,7 @@ class LoweringContext:
                 kind="pool_max",
                 rows=2 * packed_a,
                 cols=2 * packed_a,
-                reuse=max(1, math.ceil(pairwise_ops / packed_a)),
+                reuse=max(1, ceil_div(pairwise_ops, packed_a)),
                 density=3.0 / (4.0 * packed_a),
                 macs_per_instance=3 * packed_a,
             )
@@ -216,7 +216,7 @@ class LoweringContext:
                 kind="pool_max",
                 rows=2 * packed_b,
                 cols=packed_b,
-                reuse=max(1, math.ceil(pairwise_ops / packed_b)),
+                reuse=max(1, ceil_div(pairwise_ops, packed_b)),
                 density=1.0 / packed_b,
                 macs_per_instance=2 * packed_b,
             )
@@ -235,7 +235,7 @@ class LoweringContext:
                 kind="pool_avg",
                 rows=window * packed,
                 cols=packed,
-                reuse=max(1, math.ceil(outputs / packed)),
+                reuse=max(1, ceil_div(outputs, packed)),
                 density=1.0 / packed,
                 macs_per_instance=window * packed,
             )
@@ -275,7 +275,7 @@ class LoweringContext:
                 kind="add",
                 rows=2 * packed,
                 cols=packed,
-                reuse=max(1, math.ceil(outputs / packed)),
+                reuse=max(1, ceil_div(outputs, packed)),
                 density=1.0 / packed,
                 macs_per_instance=2 * packed,
             )

@@ -9,9 +9,9 @@ reduction core-ops, which this module also sizes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from ..arch.params import ceil_div
 from ..errors import SynthesisError
 
 __all__ = ["Tile", "TilePlan", "plan_tiling", "reduction_tree_width"]
@@ -46,11 +46,11 @@ class TilePlan:
 
     @property
     def n_row_tiles(self) -> int:
-        return math.ceil(self.matrix_rows / self.max_rows)
+        return ceil_div(self.matrix_rows, self.max_rows)
 
     @property
     def n_col_tiles(self) -> int:
-        return math.ceil(self.matrix_cols / self.max_cols)
+        return ceil_div(self.matrix_cols, self.max_cols)
 
     @property
     def n_tiles(self) -> int:
@@ -142,6 +142,6 @@ def reduction_tree_width(n_partials: int, max_rows: int = 256) -> int:
     stages = 0
     remaining = n_partials
     while remaining > 1:
-        remaining = math.ceil(remaining / max_rows)
+        remaining = ceil_div(remaining, max_rows)
         stages += 1
     return stages

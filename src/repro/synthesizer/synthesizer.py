@@ -73,7 +73,7 @@ class NeuralSynthesizer:
 
     def synthesize(self, graph: ComputationalGraph) -> CoreOpGraph:
         """Lower ``graph`` to a grouped core-op graph."""
-        graph.validate()
+        order = graph.validate()
         coreops = CoreOpGraph(graph.name)
         ctx = LoweringContext(
             graph=coreops,
@@ -81,7 +81,7 @@ class NeuralSynthesizer:
             crossbar_cols=self.options.crossbar_cols,
         )
 
-        for node in graph.topological():
+        for node in order:
             specs = graph.input_specs(node)
             producers = self._lower_node(ctx, node, specs)
             ctx.producers[node.name] = producers

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
+import repro
 from repro.analysis.lint import RULES, Finding, lint_paths, lint_source
 from repro.cli import main
 
@@ -273,3 +277,18 @@ class TestOutputAndCli:
     def test_the_toolchain_lints_clean(self):
         # the acceptance gate: repro's own sources carry no findings
         assert lint_paths(["src/repro"]) == []
+
+
+def test_import_repro_leaves_the_linter_unloaded():
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    probe = "import sys, repro; print('repro.analysis.lint' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
+
+
+def test_repro_lint_of_the_sources_exits_zero(capsys):
+    assert main(["lint", "src/repro"]) == 0
+    assert "clean" in capsys.readouterr().out

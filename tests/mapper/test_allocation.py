@@ -1,14 +1,18 @@
 """Tests of PE resource allocation (duplication degrees, Section 5.2)."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arch.params import PEParams
 from repro.mapper.allocation import (
     AllocationResult,
     GroupAllocation,
     allocate,
     allocate_for_pe_budget,
+    allocate_request,
 )
 from repro.synthesizer.coreop import CoreOpGraph, WeightGroup
 
@@ -36,6 +40,24 @@ class TestGroupAllocation:
             GroupAllocation("g", tiles=0, duplication=1, reuse=1)
         with pytest.raises(ValueError):
             GroupAllocation("g", tiles=1, duplication=5, reuse=2)
+
+    def test_iterations_are_exact_above_2_to_the_53(self):
+        # a float quotient rounds 2**53 + 1 down to 2**53
+        alloc = GroupAllocation(group="g", tiles=1, duplication=2, reuse=2**53 + 1)
+        assert alloc.iterations == 2**52 + 1
+        allocation = allocate(graph_with_reuses([2**53 + 1, 3]), duplication_degree=2)
+        assert allocation.max_iterations == 2**52 + 1
+        assert allocation.allocation("g1").duplication == 1
+
+    def test_totals_survive_a_pickle_and_stay_out_of_it(self, lenet_coreops):
+        allocation = allocate(lenet_coreops, 4)
+        payload = pickle.dumps(allocation)
+        assert b"total_pes" not in payload and b"iterations" not in payload
+        loaded = pickle.loads(payload)
+        assert loaded == allocation and repr(loaded) == repr(allocation)
+        assert (loaded.total_pes, loaded.max_iterations, loaded.min_pes) == (
+            allocation.total_pes, allocation.max_iterations, allocation.min_pes,
+        )
 
 
 class TestAllocate:
@@ -130,3 +152,16 @@ class TestAllocateForBudget:
         generous = allocate_for_pe_budget(mlp_coreops, 50 * mlp_coreops.min_pes())
         assert generous is not None
         assert generous.replication > 1
+
+
+class TestAllocateRequest:
+    def test_one_allocation_per_request_and_graph_version(self):
+        g, pe = graph_with_reuses([8, 2]), PEParams()
+        first = allocate_request(g, 4, pe)
+        assert allocate_request(g, 4, pe, target_iterations=None) is first
+        assert allocate_request(g, 4, pe, target_iterations=1) == allocate(g, 4, target_iterations=1)
+        assert allocate_request(g, 2, pe) == allocate(g, 2)
+        assert allocate_request(g, 1, pe, pe_budget=100) == allocate_for_pe_budget(g, 100)
+        g.add_group(WeightGroup("g9", "g9", "matmul", 512, 256, reuse=16, macs_per_instance=1))
+        assert allocate_request(g, 4, pe) == allocate(g, 4)
+        assert allocate_request(g, 4, pe).total_pes == 2 * 4 + 2 + 1  # g9, g0, g1

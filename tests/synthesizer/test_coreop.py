@@ -1,5 +1,7 @@
 """Tests of the core-op graph data structures."""
 
+import pickle
+
 import pytest
 
 from repro.synthesizer.coreop import (
@@ -120,4 +122,24 @@ class TestCoreOpGraph:
 
     def test_summary_mentions_groups(self):
         assert "a" in self.build().summary()
+
+    def test_derived_values_follow_every_mutation(self):
+        g = self.build()
+        view = g.derived()
+        assert g.derived() is view  # one view per graph version
+        assert (g.min_pes(), g.max_reuse_degree, view.traffic) == (3, 4, 1024 + 512 + 256 + 10)
+        g.add_group(make_group("d", rows=512, reuse=8))
+        assert g.derived() is not view
+        assert (g.min_pes(), g.max_reuse_degree, g.total_instances()) == (5, 8, 7 + 16)
+        assert [grp.name for grp in g.topological_groups()] == ["a", "d", "b", "c"]
+        g.add_edge("c", "d", 100)
+        assert g.derived().traffic == 1024 + 512 + 256 + 10 + 800
+        assert [grp.name for grp in g.topological_groups()] == ["a", "b", "c", "d"]
+
+    def test_pickle_drops_the_derived_view(self):
+        g = self.build()
+        before = pickle.dumps(g)
+        g.derived().tiling()
+        assert pickle.dumps(g) == before
+        assert pickle.loads(before).min_pes() == 3
 

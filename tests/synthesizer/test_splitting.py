@@ -94,6 +94,11 @@ class TestPlanTiling:
         assert len(tiles_built) == 1
 
 
+def test_tile_counts_are_exact_above_2_to_the_53():
+    assert plan_tiling(2**53 + 1, 1, 2, 256).n_row_tiles == 2**52 + 1
+    assert reduction_tree_width(2**53 + 1, 2**53) == 2
+
+
 class TestReductionTree:
     def test_single_partial_needs_no_reduction(self):
         assert reduction_tree_width(1) == 0
