@@ -114,8 +114,12 @@ class WeightComposition:
     """Strategy for composing several physical cells into one logical weight.
 
     Subclasses implement the *splice* and *add* methods of Section 7.2.
-    A composition maps a logical weight value in [0, 1] to per-cell target
-    fractions and back from noisy conductances to an effective weight.
+    A composition maps logical weights in [0, 1] to per-cell target
+    fractions (``cell_fractions``: shape ``weights.shape + (n_cells,)``),
+    combines per-cell values back into weights on the [0, 1] scale
+    (``compose``: last axis = cells), and states the paper's *normalized
+    deviation*: the composed weight's standard deviation over its range
+    (``normalized_deviation``).
     """
 
     def __init__(self, cell: ReRAMCellModel, n_cells: int):
@@ -136,23 +140,6 @@ class WeightComposition:
     @property
     def weight_levels(self) -> int:
         return 1 << self.weight_bits
-
-    def cell_fractions(self, weights: np.ndarray) -> np.ndarray:
-        """Target per-cell fractions for logical weights in [0, 1].
-
-        Returns an array of shape ``weights.shape + (n_cells,)``.
-        """
-        raise NotImplementedError
-
-    def compose(self, cell_values: np.ndarray) -> np.ndarray:
-        """Combine per-cell values (last axis = cells) into logical weights,
-        normalised back to the [0, 1] weight scale."""
-        raise NotImplementedError
-
-    def normalized_deviation(self) -> float:
-        """Standard deviation of the composed weight divided by its range
-        (the paper's *normalized deviation* metric)."""
-        raise NotImplementedError
 
     def realize(
         self, weights: np.ndarray, rng: np.random.Generator | None = None

@@ -588,8 +588,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
         ]
     store = _open_store(args.store) if args.store else None
     with JobManager(max_workers=args.jobs, store=store) as manager:
-        job_ids = manager.submit_batch(requests)
-        responses = [manager.result(job_id) for job_id in job_ids]
+        responses = manager.serve_batch(requests)
     if args.json:
         _print_responses_json(responses)
     else:

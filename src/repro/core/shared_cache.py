@@ -255,7 +255,7 @@ class SharedStageCache:
         with self._lock:
             self._approx_bytes = None
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+    def __repr__(self) -> str:
         return (
             f"<SharedStageCache {self.directory!r} "
             f"max_bytes={self.max_bytes}>"

@@ -25,6 +25,12 @@ Serving-runtime behaviours that live here:
   caller's thread from the same fingerprint map (the last
   :data:`REMEMBERED_JOBS`, LRU).  Disable per manager with
   ``coalesce=False``; a ``use_cache=False`` request is never remembered.
+* **What a repeat costs** — a repeat's job is created already published,
+  in one hold of the manager lock: its response is set before the job is
+  visible, and it shares one already-set event instead of owning one that
+  nobody waits on.  Outside the lock, the store's re-save of a run it
+  indexed is one ``stat``.  The manager holds every in-flight job and the
+  last :data:`REMEMBERED_JOBS` finished ones; an older id reads as unknown.
 * **Self-healing pool and bounded retries** — a dead worker poisons a
   ``ProcessPoolExecutor`` (every in-flight and future job fails with
   ``BrokenProcessPool``); the manager asks its
@@ -55,6 +61,7 @@ import random
 import sys
 import threading
 import time
+from collections import deque
 from concurrent.futures import (
     BrokenExecutor,
     CancelledError,
@@ -97,9 +104,13 @@ RETRY_BACKOFF_S = 0.05
 RETRY_BACKOFF_CAP_S = 2.0
 
 #: concluded jobs a manager keeps answering repeats from, least recently
-#: used first out (references to responses ``_jobs`` holds anyway, about
-#: 2 KB of JSON each).
+#: used first out, and finished jobs it keeps answering ``status`` and
+#: ``result`` for, first finished first out (about 2 KB of JSON each).
 REMEMBERED_JOBS = 1024
+
+#: the wait surface every job answered at ``submit`` shares: set from the start.
+_PUBLISHED = threading.Event()
+_PUBLISHED.set()
 
 
 class JobState(str, Enum):
@@ -213,7 +224,7 @@ def _answer(response: CompileResponse, request: CompileRequest) -> CompileRespon
     """A shared compile's ``response`` as the answer to ``request``: the same
     object when the requests are equal (its content address is memoized on
     it), else a copy under ``request`` — fingerprints exclude ``tags``."""
-    if request == response.request:
+    if request is response.request or request == response.request:
         return response
     return dataclasses.replace(response, request=request)
 
@@ -221,15 +232,15 @@ def _answer(response: CompileResponse, request: CompileRequest) -> CompileRespon
 class _Job:
     """Internal bookkeeping of one submitted request."""
 
-    def __init__(self, job_id: str, request: CompileRequest):
+    def __init__(self, job_id: str, request: CompileRequest, fingerprint: str, published=False):
         self.job_id = job_id
         self.request = request
         self.future: Future | None = None
         self.response: CompileResponse | None = None
-        self.finished = threading.Event()
+        self.finished = _PUBLISHED if published else threading.Event()
         self.cancelled = False
         #: canonical request identity used for coalescing (tags excluded).
-        self.fingerprint = request.fingerprint()
+        self.fingerprint = fingerprint
         #: follower jobs sharing this (primary) job's compile.
         self.followers: list["_Job"] = []
         #: the primary job this (follower) job coalesced onto.
@@ -341,7 +352,10 @@ class JobManager:
         self.coalesce = coalesce
         self.max_queue_depth = max_queue_depth
         self.stats = JobManagerStats()
+        #: every in-flight job and the last REMEMBERED_JOBS finished ones.
         self._jobs: dict[str, _Job] = {}
+        #: ids of the finished jobs ``_jobs`` holds, first finished first.
+        self._finished_ids: deque[str] = deque()
         #: fingerprint -> the job identical requests share: in flight until
         #: ``retired``, then remembered (oldest use first) if ``compiled``.
         self._shared: dict[str, _Job] = {}
@@ -363,32 +377,31 @@ class JobManager:
         that compile does, with the response under its own request (the
         same object if the requests are equal, else a copy).  One
         identical to a remembered concluded job is finished before
-        ``submit`` returns, on the caller's thread, in the same way.
-        Both bypass admission control; a fresh request past
-        ``max_queue_depth`` raises :class:`~repro.errors.OverloadedError`
-        without queueing.
+        ``submit`` returns, on the caller's thread, in the same way: it is
+        published in the lock hold that makes it visible.  Both bypass
+        admission control; a fresh request past ``max_queue_depth`` raises
+        :class:`~repro.errors.OverloadedError` without queueing.
         """
         if isinstance(request, str):
             request = CompileRequest(model=request)
         elif isinstance(request, dict):
             request = CompileRequest.from_dict(request)
+        fingerprint = request.fingerprint()
         with self._lock:
             job_id = f"job-{next(self._counter):04d}"
-            job = _Job(job_id, request)
-            primary = self._shared.get(job.fingerprint)
-            if primary is not None:
-                self._jobs[job_id] = job
-                self.stats.submitted += 1
-                self.stats.coalesced += 1
-                job.primary = primary
-                if not primary.retired:
-                    # attach under the lock: _conclude retires the entry
-                    # under the same lock, so the primary cannot fan out
-                    # between our check and the attach
-                    primary.followers.append(job)
-                    return job_id
-                # concluded: from here on the most recently used entry
-                self._shared[job.fingerprint] = self._shared.pop(job.fingerprint)
+            primary = self._shared.get(fingerprint)
+            if primary is not None and primary.retired:
+                # concluded: what a follower received, set before the job is
+                # visible; from here on the most recently used entry
+                job = _Job(job_id, request, fingerprint, published=True)
+                self._settle(job, _answer(primary.compiled, request), job.submitted_at)
+                self._shared[fingerprint] = self._shared.pop(fingerprint)
+            elif primary is not None:
+                # attach under the lock: _conclude retires the entry under
+                # the same lock, so the primary cannot fan out between our
+                # check and the attach
+                job = _Job(job_id, request, fingerprint)
+                primary.followers.append(job)
             elif (
                 self.max_queue_depth is not None
                 and self._active >= self.max_queue_depth
@@ -403,15 +416,19 @@ class JobManager:
                     },
                 )
             else:
-                self._jobs[job_id] = job
-                self.stats.submitted += 1
+                job = _Job(job_id, request, fingerprint)
                 job.counted = True
                 self._active += 1
                 if self.coalesce:
-                    self._shared[job.fingerprint] = job
+                    self._shared[fingerprint] = job
+            job.primary = primary
+            self._jobs[job_id] = job
+            self.stats.submitted += 1
+            if primary is not None:
+                self.stats.coalesced += 1
         if primary is not None:
-            # what a follower of the compile received, on the caller's thread
-            self._publish(job, _answer(primary.compiled, request), None, time.monotonic())
+            if job.finished is _PUBLISHED:
+                self._persist(job, job.response, None)
             return job_id
         try:
             self._submit_attempt(job)
@@ -445,6 +462,18 @@ class JobManager:
     def submit_batch(self, requests: Iterable[CompileRequest | str | dict]) -> list[str]:
         """Queue a batch of requests; returns their job ids in order."""
         return [self.submit(request) for request in requests]
+
+    def serve_batch(
+        self, requests: Iterable[CompileRequest | str | dict], timeout: float | None = None
+    ) -> list[CompileResponse]:
+        """Serve a batch of requests; responses in order.  Submitted and read
+        :data:`REMEMBERED_JOBS` at a time, so its own jobs push none out unread."""
+        requests = list(requests)
+        responses = []
+        for start in range(0, len(requests), REMEMBERED_JOBS):
+            job_ids = self.submit_batch(requests[start : start + REMEMBERED_JOBS])
+            responses += [self.result(job_id, timeout=timeout) for job_id in job_ids]
+        return responses
 
     def _submit_attempt(self, job: _Job) -> None:
         """Hand the job's current attempt to the pool.
@@ -619,20 +648,35 @@ class JobManager:
         bitstream: str | None,
         finished_at: float,
     ) -> None:
-        """Finalize one job: record, persist, and wake its waiters.
+        """Finalize one job: record (:meth:`_settle`), persist, and wake its
+        waiters.  First publish wins, so an expiry and a late result race benignly."""
+        with self._lock:
+            published = self._settle(job, response, finished_at)
+        if published is None:
+            return
+        try:
+            self._persist(job, published, bitstream if published is response else None)
+        finally:
+            job.finished.set()
+
+    def _settle(
+        self, job: _Job, response: CompileResponse | None, finished_at: float
+    ) -> CompileResponse | None:
+        """Record a job's outcome, under the lock the caller holds; returns
+        the response it publishes, or ``None`` if it had one already.
 
         A response that lands at or after the job's deadline is replaced by
         the typed ``deadline_exceeded`` error, finished at the deadline;
         ``response`` is ``None`` when only the deadline landed (a waiter or
         observer outlived it).  Only that job expires: a coalesced sibling
         with a longer deadline keeps waiting, and the compile keeps running
-        for whoever still wants it.  First publish wins (idempotent), so an
-        expiry and a late compile result race benignly.
+        for whoever still wants it.  Past :data:`REMEMBERED_JOBS` finished
+        jobs, the first finished is forgotten.
         """
-        expired = job.deadline_at is not None and finished_at >= job.deadline_at
-        if expired:
+        if job.response is not None:
+            return None
+        if job.deadline_at is not None and finished_at >= job.deadline_at:
             finished_at = job.deadline_at
-            bitstream = None
             response = CompileResponse(
                 request=job.request,
                 status="error",
@@ -649,18 +693,21 @@ class JobManager:
                     },
                 ),
             )
+            self.stats.deadline_expired += 1
         assert response is not None
-        with self._lock:
-            if job.response is not None:
-                return
-            job.response = response
-            job.finished_at = finished_at
-            if response.ok:
-                self.stats.completed += 1
-            else:
-                self.stats.failed += 1
-            if expired:
-                self.stats.deadline_expired += 1
+        job.response = response
+        job.finished_at = finished_at
+        if response.ok:
+            self.stats.completed += 1
+        else:
+            self.stats.failed += 1
+        self._finished_ids.append(job.job_id)
+        if len(self._finished_ids) > REMEMBERED_JOBS:
+            self._jobs.pop(self._finished_ids.popleft(), None)
+        return response
+
+    def _persist(self, job: _Job, response: CompileResponse, bitstream: str | None) -> None:
+        """Save a published response (and bitstream) to the store, if any."""
         try:
             if self.store is not None:
                 self.store.save(response, bitstream_json=bitstream)
@@ -669,8 +716,6 @@ class JobManager:
                 f"warning: failed to persist job {job.job_id}: {exc}",
                 file=sys.stderr,
             )
-        finally:
-            job.finished.set()
 
     def _wait(self, job: _Job, timeout: float | None = None) -> bool:
         """Block until the job is published, ``timeout`` passes or its
@@ -703,7 +748,10 @@ class JobManager:
 
     def status(self, job_id: str) -> JobInfo:
         """Snapshot of one job's lifecycle state."""
-        job = self._get(job_id)
+        return self._info(self._get(job_id))
+
+    def _info(self, job: _Job) -> JobInfo:
+        job_id = job.job_id
         coalesced = job.primary is not None
         if (
             job.response is None
@@ -739,10 +787,10 @@ class JobManager:
         )
 
     def jobs(self) -> list[JobInfo]:
-        """Snapshots of every submitted job, in submission order."""
+        """Snapshots of every job still held, in submission order."""
         with self._lock:
-            ids = list(self._jobs)
-        return [self.status(job_id) for job_id in ids]
+            jobs = list(self._jobs.values())
+        return [self._info(job) for job in jobs]
 
     def result(self, job_id: str, timeout: float | None = None) -> CompileResponse:
         """Block until the job finishes; returns its response.
@@ -754,12 +802,15 @@ class JobManager:
         :class:`~repro.errors.DeadlineExceededError` (a ``TimeoutError``
         subclass, so pre-existing ``except TimeoutError`` callers keep
         working) carrying the job id and the timeout in ``details``.
+        A forgotten job id is unknown (see :data:`REMEMBERED_JOBS`).
         """
-        job = self._get(job_id)
+        return self._result(self._get(job_id), timeout)
+
+    def _result(self, job: _Job, timeout: float | None) -> CompileResponse:
         if not self._wait(job, timeout):
             raise DeadlineExceededError(
-                f"job {job_id!r} did not finish within {timeout} s",
-                details={"job_id": job_id, "timeout": timeout},
+                f"job {job.job_id!r} did not finish within {timeout} s",
+                details={"job_id": job.job_id, "timeout": timeout},
             )
         assert job.response is not None
         return job.response
@@ -798,10 +849,10 @@ class JobManager:
         return cancelled
 
     def wait_all(self, timeout: float | None = None) -> list[CompileResponse]:
-        """Block until every submitted job finishes; responses in order."""
+        """Block until every job still held finishes; responses in order."""
         with self._lock:
-            ids = list(self._jobs)
-        return [self.result(job_id, timeout=timeout) for job_id in ids]
+            jobs = list(self._jobs.values())
+        return [self._result(job, timeout) for job in jobs]
 
     # ------------------------------------------------------------------
     # lifecycle

@@ -143,8 +143,7 @@ class ServingRuntime:
         Identical requests within (or across) batches coalesce onto one
         compile, and every batch lands on the same warm workers.
         """
-        job_ids = [self.submit(request) for request in requests]
-        return [self.result(job_id, timeout=timeout) for job_id in job_ids]
+        return self.manager.serve_batch(requests, timeout=timeout)
 
     # ------------------------------------------------------------------
     # introspection

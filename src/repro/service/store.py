@@ -86,10 +86,11 @@ class ArtifactStore:
         self.runs_root.mkdir(parents=True, exist_ok=True)
         self._index_path = self.root / _INDEX_NAME
         self._lock = threading.Lock()
-        #: run id -> ``has_bitstream`` as *this instance* last indexed it:
-        #: what lets a repeat save return without touching a file.  Not a
-        #: copy of the index: other savers' entries are only read from disk.
-        self._indexed: dict[str, bool] = {}
+        #: run id -> (its ``response.json`` path, ``has_bitstream``) as
+        #: *this instance* last indexed it: what lets a repeat save return
+        #: after one ``stat``.  Not a copy of the index: other savers'
+        #: entries are only read from disk.
+        self._indexed: dict[str, tuple[str, bool]] = {}
 
     # ------------------------------------------------------------------
     # index handling
@@ -180,16 +181,18 @@ class ArtifactStore:
         """Persist one response (and optional bitstream); returns the run id.
         A run this instance indexed, whose files are there, is not rewritten."""
         run_id, data = self._address(response)
-        run_dir = self.runs_root / run_id
-        indexed = self._indexed.get(run_id)
-        if indexed is not None and (run_dir / "response.json").exists() and (
-            bitstream_json is None or (indexed and (run_dir / "bitstream.json").exists())
+        saved, indexed = self._indexed.get(run_id, (None, None))
+        if indexed is not None and os.path.exists(saved) and (
+            bitstream_json is None
+            or (indexed and os.path.exists(os.path.join(os.path.dirname(saved), "bitstream.json")))
         ):
             return run_id
+        run_dir = self.runs_root / run_id
         text = json.dumps(data if data is not None else response.to_dict(), sort_keys=True)
         with self._index_guard():
             run_dir.mkdir(parents=True, exist_ok=True)
-            _write_atomic(run_dir / "response.json", text)
+            response_path = run_dir / "response.json"
+            _write_atomic(response_path, text)
             if bitstream_json is not None:
                 _write_atomic(run_dir / "bitstream.json", bitstream_json)
             has_bitstream = bitstream_json is not None or bool(indexed)
@@ -199,7 +202,7 @@ class ArtifactStore:
                     run_id, request.model, response.status,
                     request.duplication_degree, time.time(), has_bitstream,
                 ))
-                self._indexed[run_id] = has_bitstream
+                self._indexed[run_id] = (str(response_path), has_bitstream)
         return run_id
 
     # ------------------------------------------------------------------

@@ -77,6 +77,13 @@ class TestPEParams:
         assert component < pe.block.area_um2
         assert component > 0.95 * pe.block.area_um2
 
+    def test_component_energy_close_to_block_energy(self):
+        # Table 1's component energies sum to 29.208 pJ against the
+        # published 29.094 pJ per PE cycle
+        pe = PEParams()
+        assert pe.components.component_energy_pj() == pytest.approx(29.208)
+        assert pe.components.component_energy_pj() == pytest.approx(pe.block.energy_pj, rel=0.005)
+
     def test_component_latency_close_to_cycle(self):
         pe = PEParams()
         assert pe.components.cycle_latency_ns() == pytest.approx(pe.cycle_ns, rel=0.01)

@@ -23,6 +23,10 @@ class TestSharedStageCache:
         assert cache.get("a" * 64) == {"coreops": [1, 2, 3]}
         assert len(cache) == 1
 
+    def test_repr_names_the_directory_and_the_bound(self, tmp_path):
+        cache = SharedStageCache(str(tmp_path), max_bytes=4096)
+        assert repr(cache) == f"<SharedStageCache {str(tmp_path)!r} max_bytes=4096>"
+
     def test_second_handle_sees_entries(self, tmp_path):
         # two handles onto one directory model two processes
         writer = SharedStageCache(str(tmp_path))

@@ -24,6 +24,7 @@ import pytest
 from repro.core import cache as cache_module
 from repro.core.cache import StageCache, graph_fingerprint
 from repro.core.compiler import FPSACompiler
+from repro.errors import DeadlineExceededError, InvalidRequestError
 from repro.graph.ops import Dense
 from repro.models import zoo
 from repro.models.zoo import BENCHMARK_MODELS, build_model, shared_model
@@ -320,6 +321,25 @@ class TestRepeatSave:
         assert writes == []
         assert store.list_runs()[0].has_bitstream
 
+    def test_a_resave_is_one_stat_of_a_string_path(self, tmp_path, response, monkeypatch):
+        store = ArtifactStore(tmp_path)
+        run_id = store.save(response)
+        stats = _count_calls(monkeypatch, os, "stat")
+        in_pathlib = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_globals.get("__name__", "").startswith("pathlib"):
+                in_pathlib.append(frame.f_code.co_name)
+
+        outer = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            assert store.save(response) == run_id
+        finally:
+            sys.setprofile(outer)
+        assert in_pathlib == []
+        assert [type(args[0]) for args in stats] == [str]
+
     def test_removed_run_directory_is_written_again(self, tmp_path, response, writes):
         store = ArtifactStore(tmp_path)
         run_id = store.save(response)
@@ -480,6 +500,97 @@ class TestAnsweredFromTheConcludedJob:
         assert ArtifactStore.run_id_for(tagged) != ArtifactStore.run_id_for(first)
         assert len(pool.submitted) == 1
 
+    def test_a_remembered_answer_allocates_no_event(self, pool, monkeypatch):
+        manager = JobManager(pool=pool)
+        first = self.serve(manager, pool, _point())
+        events = _count_calls(monkeypatch, threading, "Event")
+        conditions = _count_calls(monkeypatch, threading, "Condition")
+        for tags in ({}, {"who": "b"}):
+            job_id = manager.submit(_point(tags=tags))
+            assert manager.status(job_id).state == JobState.DONE
+            assert manager.result(job_id, timeout=0).summary == first.summary
+        assert (events, conditions) == ([], [])
+
+    def test_the_very_request_is_not_compared(self, pool, monkeypatch):
+        manager = JobManager(pool=pool)
+        request = _point()
+        first = self.serve(manager, pool, request)
+        compared = _count_calls(monkeypatch, CompileRequest, "__eq__")
+        assert self.serve(manager, pool, request) is first
+        assert compared == []
+        # an equal request in another object is compared, and is answered
+        # with the very response too
+        assert self.serve(manager, pool, _point()) is first
+        assert len(compared) == 1
+
+    def test_observers_never_see_a_remembered_answer_unfinished(self, pool):
+        manager = JobManager(pool=pool)
+        request = _point()
+        self.serve(manager, pool, request)
+        stop = threading.Event()
+        seen = []
+
+        def observe() -> None:
+            while not stop.is_set():
+                seen.extend(info for info in manager.jobs() if info.state != JobState.DONE)
+                try:
+                    manager.wait_all(timeout=0)
+                except DeadlineExceededError as exc:
+                    seen.append(exc)
+                manager.shutdown()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            observer = threading.Thread(target=observe)
+            observer.start()
+            for _ in range(1000):
+                manager.submit(request)
+            stop.set()
+            observer.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not observer.is_alive()
+        assert seen == []
+        assert len(manager.wait_all(timeout=0)) == 1001
+
+    def test_only_the_last_finished_jobs_are_held(self, pool, monkeypatch):
+        monkeypatch.setattr(jobs_module, "REMEMBERED_JOBS", 2)
+        manager = JobManager(pool=pool)
+        in_flight = manager.submit(_point(0))
+        finished = []
+        for i in (1, 2, 3):
+            finished.append(manager.submit(_point(i)))
+            pool.complete_last()
+        finished.append(manager.submit(_point(3)))  # answered at submit
+        assert len(pool.submitted) == 4
+        # the first two to finish are forgotten; an in-flight job never is
+        assert [info.job_id for info in manager.jobs()] == [in_flight, *finished[2:]]
+        for job_id in finished[:2]:
+            with pytest.raises(InvalidRequestError, match="unknown job id"):
+                manager.status(job_id)
+            with pytest.raises(InvalidRequestError, match="unknown job id"):
+                manager.result(job_id, timeout=0)
+        assert manager.status(in_flight).state == JobState.QUEUED
+        pool.complete_all()
+        assert manager.result(in_flight, timeout=0).ok
+        assert [info.job_id for info in manager.jobs()] == [in_flight, finished[3]]
+        assert len(manager.wait_all(timeout=0)) == 2
+        # the counters count every job, held or forgotten
+        assert (manager.stats.submitted, manager.stats.completed) == (5, 5)
+
+    def test_a_batch_past_the_bound_is_read_whole(self, pool, monkeypatch):
+        monkeypatch.setattr(jobs_module, "REMEMBERED_JOBS", 2)
+        manager = JobManager(pool=pool)
+        for i in range(2):
+            self.serve(manager, pool, _point(i))
+        # each answered at submit: read after the whole batch, five would
+        # be forgotten first
+        batch = [_point(n % 2, tags={"n": str(n)}) for n in range(7)]
+        responses = manager.serve_batch(batch)
+        assert [response.request for response in responses] == batch
+        assert len(pool.submitted) == 2
+
     def test_use_cache_false_compiles_every_time(self, pool):
         manager = JobManager(pool=pool)
         for _ in range(3):
@@ -589,23 +700,37 @@ class TestAnsweredFromTheConcludedJob:
 
     def test_clients_racing_the_bound_lose_no_job(self, monkeypatch):
         # 6 clients on 2 pool threads, 4 points, room for 2: entries are
-        # attached to, answered from, forgotten and re-made concurrently
+        # attached to, answered from, forgotten and re-made concurrently.
+        # Room for 2 finished jobs too, so a client may find its own job
+        # forgotten before it asks: the store checks every answer
         monkeypatch.setattr(jobs_module, "REMEMBERED_JOBS", 2)
         compiles = _count_calls(monkeypatch, jobs_module, "_execute_job")
         expected = [serve_request(_point(i), cache=False).response.summary for i in range(4)]
-        wrong = []
+        wrong, saved = [], []
+
+        class CheckingStore:
+            def save(self, response, bitstream_json=None):
+                saved.append(response)
+                if response.summary != expected[response.request.seed]:
+                    wrong.append(response)
 
         def client(offset: int) -> None:
             for n in range(40):
                 i = (offset + n * n) % 4
-                response = manager.result(manager.submit(_point(i)), timeout=60)
+                job_id = manager.submit(_point(i))
+                try:
+                    response = manager.result(job_id, timeout=60)
+                except InvalidRequestError:  # two later jobs finished first
+                    continue
                 if response.summary != expected[i]:
                     wrong.append(response)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with ThreadPoolExecutor(max_workers=2) as pool, JobManager(pool=pool) as manager:
+            with ThreadPoolExecutor(max_workers=2) as pool, JobManager(
+                pool=pool, store=CheckingStore()
+            ) as manager:
                 threads = [threading.Thread(target=client, args=(k,)) for k in range(6)]
                 for thread in threads:
                     thread.start()
@@ -616,9 +741,10 @@ class TestAnsweredFromTheConcludedJob:
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
         stats = manager.stats
-        assert stats.submitted == stats.completed == 240
+        assert stats.submitted == stats.completed == len(saved) == 240
         assert len(compiles) + stats.coalesced == 240
         assert len(manager._shared) <= 2 and stats.coalesced > 0
+        assert len(manager.jobs()) == 2
 
 
 def test_one_point_one_run_id_through_a_serving_runtime(tmp_path):
