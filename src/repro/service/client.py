@@ -203,5 +203,4 @@ class FPSAClient:
         with JobManager(
             max_workers=jobs, config=self.config, cache=self.cache, store=self.store
         ) as manager:
-            job_ids = manager.submit_batch(resolved)
-            return [manager.result(job_id) for job_id in job_ids]
+            return manager.serve_batch(resolved)

@@ -382,6 +382,9 @@ class JobManager:
         admission control; a fresh request past ``max_queue_depth`` raises
         :class:`~repro.errors.OverloadedError` without queueing.
         """
+        return self._submit(request).job_id
+
+    def _submit(self, request: CompileRequest | str | dict) -> _Job:
         if isinstance(request, str):
             request = CompileRequest(model=request)
         elif isinstance(request, dict):
@@ -429,7 +432,7 @@ class JobManager:
         if primary is not None:
             if job.finished is _PUBLISHED:
                 self._persist(job, job.response, None)
-            return job_id
+            return job
         try:
             self._submit_attempt(job)
         except Exception as exc:
@@ -457,23 +460,24 @@ class JobManager:
                     now,
                 )
             raise
-        return job_id
+        return job
 
     def submit_batch(self, requests: Iterable[CompileRequest | str | dict]) -> list[str]:
         """Queue a batch of requests; returns their job ids in order."""
         return [self.submit(request) for request in requests]
 
+    def serve(
+        self, request: CompileRequest | str | dict, timeout: float | None = None
+    ) -> CompileResponse:
+        """Serve one request; the job is held, so no later one forgets it unread."""
+        return self._result(self._submit(request), timeout)
+
     def serve_batch(
         self, requests: Iterable[CompileRequest | str | dict], timeout: float | None = None
     ) -> list[CompileResponse]:
-        """Serve a batch of requests; responses in order.  Submitted and read
-        :data:`REMEMBERED_JOBS` at a time, so its own jobs push none out unread."""
-        requests = list(requests)
-        responses = []
-        for start in range(0, len(requests), REMEMBERED_JOBS):
-            job_ids = self.submit_batch(requests[start : start + REMEMBERED_JOBS])
-            responses += [self.result(job_id, timeout=timeout) for job_id in job_ids]
-        return responses
+        """Serve a batch of requests as :meth:`serve` does; responses in order."""
+        jobs = [self._submit(request) for request in requests]
+        return [self._result(job, timeout) for job in jobs]
 
     def _submit_attempt(self, job: _Job) -> None:
         """Hand the job's current attempt to the pool.
@@ -751,7 +755,6 @@ class JobManager:
         return self._info(self._get(job_id))
 
     def _info(self, job: _Job) -> JobInfo:
-        job_id = job.job_id
         coalesced = job.primary is not None
         if (
             job.response is None
@@ -763,7 +766,7 @@ class JobManager:
         if job.response is not None:
             state = JobState.DONE if job.response.ok else JobState.FAILED
             return JobInfo(
-                job_id,
+                job.job_id,
                 job.request.model,
                 state,
                 error=job.response.error,
@@ -780,10 +783,10 @@ class JobManager:
             future is not None and (future.running() or future.done())
         ):
             return JobInfo(
-                job_id, job.request.model, JobState.RUNNING, coalesced=coalesced
+                job.job_id, job.request.model, JobState.RUNNING, coalesced=coalesced
             )
         return JobInfo(
-            job_id, job.request.model, JobState.QUEUED, coalesced=coalesced
+            job.job_id, job.request.model, JobState.QUEUED, coalesced=coalesced
         )
 
     def jobs(self) -> list[JobInfo]:

@@ -131,7 +131,7 @@ class ServingRuntime:
     ) -> CompileResponse:
         """Serve one request synchronously (never raises for compile
         failures — the error rides the response payload)."""
-        return self.result(self.submit(request), timeout=timeout)
+        return self.manager.serve(request, timeout=timeout)
 
     def serve_batch(
         self,

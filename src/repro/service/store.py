@@ -191,8 +191,7 @@ class ArtifactStore:
         text = json.dumps(data if data is not None else response.to_dict(), sort_keys=True)
         with self._index_guard():
             run_dir.mkdir(parents=True, exist_ok=True)
-            response_path = run_dir / "response.json"
-            _write_atomic(response_path, text)
+            _write_atomic(run_dir / "response.json", text)
             if bitstream_json is not None:
                 _write_atomic(run_dir / "bitstream.json", bitstream_json)
             has_bitstream = bitstream_json is not None or bool(indexed)
@@ -202,7 +201,7 @@ class ArtifactStore:
                     run_id, request.model, response.status,
                     request.duplication_degree, time.time(), has_bitstream,
                 ))
-                self._indexed[run_id] = (str(response_path), has_bitstream)
+                self._indexed[run_id] = (str(run_dir / "response.json"), has_bitstream)
         return run_id
 
     # ------------------------------------------------------------------

@@ -6,6 +6,7 @@ from repro.arch.params import FPSAConfig
 from repro.core.cache import StageCache, fingerprint
 from repro.errors import CapacityError, UnknownModelError
 from repro.service import CompileRequest, FPSAClient
+from repro.service import jobs as jobs_module
 from repro.service.client import _default_config, serve_request
 
 
@@ -108,6 +109,18 @@ class TestCompileBatch:
             assert a.request == b.request
             assert a.summary.performance == b.summary.performance
             assert a.summary.blocks == b.summary.blocks
+
+    def test_parallel_batch_past_the_job_bound_is_read_whole(self, monkeypatch):
+        # room for 2 finished jobs: repeats fan out from their compile, or
+        # are answered at submit, long before the batch is read back
+        monkeypatch.setattr(jobs_module, "REMEMBERED_JOBS", 2)
+        requests = [
+            CompileRequest(model="MLP-500-100", duplication_degree=d, tags={"n": str(n)})
+            for n, d in enumerate((1, 2) * 4)
+        ]
+        responses = FPSAClient().compile_batch(requests, jobs=2)
+        assert [r.request for r in responses] == requests
+        assert all(r.ok for r in responses)
 
     def test_batch_mixes_ok_and_error(self):
         responses = FPSAClient().compile_batch([

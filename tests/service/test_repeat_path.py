@@ -580,15 +580,29 @@ class TestAnsweredFromTheConcludedJob:
         assert (manager.stats.submitted, manager.stats.completed) == (5, 5)
 
     def test_a_batch_past_the_bound_is_read_whole(self, pool, monkeypatch):
+        # room for 2 finished jobs; both compiles end only once all five
+        # followers are attached, so each fans out past the bound at once
         monkeypatch.setattr(jobs_module, "REMEMBERED_JOBS", 2)
         manager = JobManager(pool=pool)
-        for i in range(2):
-            self.serve(manager, pool, _point(i))
-        # each answered at submit: read after the whole batch, five would
-        # be forgotten first
         batch = [_point(n % 2, tags={"n": str(n)}) for n in range(7)]
-        responses = manager.serve_batch(batch)
+
+        def complete_once_attached() -> None:
+            give_up = time.monotonic() + 10
+            while manager.stats.coalesced < 5 and time.monotonic() < give_up:
+                time.sleep(0.001)
+            pool.complete_all()
+
+        completer = threading.Thread(target=complete_once_attached)
+        completer.start()
+        try:
+            responses = manager.serve_batch(batch, timeout=10)
+        finally:
+            completer.join()
         assert [response.request for response in responses] == batch
+        assert all(response.ok for response in responses)
+        assert len(pool.submitted) == 2 and len(manager.jobs()) == 2
+        # again, each answered at submit
+        assert [r.request for r in manager.serve_batch(batch, timeout=0)] == batch
         assert len(pool.submitted) == 2
 
     def test_use_cache_false_compiles_every_time(self, pool):
@@ -700,37 +714,24 @@ class TestAnsweredFromTheConcludedJob:
 
     def test_clients_racing_the_bound_lose_no_job(self, monkeypatch):
         # 6 clients on 2 pool threads, 4 points, room for 2: entries are
-        # attached to, answered from, forgotten and re-made concurrently.
-        # Room for 2 finished jobs too, so a client may find its own job
-        # forgotten before it asks: the store checks every answer
+        # attached to, answered from, forgotten and re-made concurrently;
+        # room for 2 finished jobs too, yet each client reads the job it holds
         monkeypatch.setattr(jobs_module, "REMEMBERED_JOBS", 2)
         compiles = _count_calls(monkeypatch, jobs_module, "_execute_job")
         expected = [serve_request(_point(i), cache=False).response.summary for i in range(4)]
-        wrong, saved = [], []
-
-        class CheckingStore:
-            def save(self, response, bitstream_json=None):
-                saved.append(response)
-                if response.summary != expected[response.request.seed]:
-                    wrong.append(response)
+        wrong = []
 
         def client(offset: int) -> None:
             for n in range(40):
                 i = (offset + n * n) % 4
-                job_id = manager.submit(_point(i))
-                try:
-                    response = manager.result(job_id, timeout=60)
-                except InvalidRequestError:  # two later jobs finished first
-                    continue
+                response = manager.serve(_point(i), timeout=60)
                 if response.summary != expected[i]:
                     wrong.append(response)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with ThreadPoolExecutor(max_workers=2) as pool, JobManager(
-                pool=pool, store=CheckingStore()
-            ) as manager:
+            with ThreadPoolExecutor(max_workers=2) as pool, JobManager(pool=pool) as manager:
                 threads = [threading.Thread(target=client, args=(k,)) for k in range(6)]
                 for thread in threads:
                     thread.start()
@@ -741,7 +742,7 @@ class TestAnsweredFromTheConcludedJob:
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
         stats = manager.stats
-        assert stats.submitted == stats.completed == len(saved) == 240
+        assert stats.submitted == stats.completed == 240
         assert len(compiles) + stats.coalesced == 240
         assert len(manager._shared) <= 2 and stats.coalesced > 0
         assert len(manager.jobs()) == 2
