@@ -30,15 +30,6 @@ class LayerStats:
     reuse_degree: int
     weight_matrix: tuple[int, int]
 
-    @property
-    def macs(self) -> int:
-        return self.ops // 2
-
-    @property
-    def weight_share(self) -> float:
-        """Placeholder filled by :class:`GraphProfile` accessors."""
-        return 0.0
-
 
 @dataclass
 class GraphProfile:

@@ -100,12 +100,6 @@ def _balanced_split(order: list[str], weights: dict[str, int], k: int) -> list[i
     return chips
 
 
-def _cut_traffic(
-    chip_of: dict[str, int], traffic: dict[tuple[str, str], float]
-) -> float:
-    return sum(t for (s, d), t in traffic.items() if chip_of[s] != chip_of[d])
-
-
 def _refine_boundaries(
     order: list[str],
     chips: list[int],

@@ -1,56 +1,20 @@
 """Async job management over the compilation service.
 
 The :class:`JobManager` is the batch front door: it fans compile requests
-out over a process pool with service semantics.  ``submit`` returns
-immediately with a job id, jobs move through the QUEUED -> RUNNING ->
-DONE/FAILED lifecycle, and ``result`` hands back the wire-level
-:class:`~repro.service.schemas.CompileResponse` (failures included, as
-structured error payloads — a FAILED job never raises unless asked to).
+out over a process pool with service semantics (coalescing, retries,
+deadlines, admission control; ARCHITECTURE.md "The service layer" and
+"Fault tolerance & chaos").  ``submit`` returns a job id at once and
+``result`` hands back the wire-level
+:class:`~repro.service.schemas.CompileResponse`, failures included as
+structured error payloads.  Requests and responses cross the worker
+boundary as plain dicts, so the pool exercises exactly the wire schemas an
+out-of-process front-end would.
 
-Requests and responses cross the worker boundary as plain dicts, so the
-pool exercises exactly the wire schemas an out-of-process front-end would.
-
-Serving-runtime behaviours that live here:
-
-* **Warm-pool reuse** — pass a persistent
-  :class:`~repro.core.api.WorkerPool` via ``pool=`` and the manager runs
-  jobs on it without owning it: consecutive managers (or batches) land on
-  the same warm worker processes instead of paying a pool spawn each time.
-* **Request coalescing** — identical requests (same canonical
-  :meth:`CompileRequest.fingerprint`, which excludes ``tags``) share one
-  compile.  While it is in flight, followers attach to the primary job
-  and the response is fanned out to each under its own request (the
-  very response object where the requests are equal, else a copy);
-  once it has concluded ``ok``, ``submit`` answers a repeat on the
-  caller's thread from the same fingerprint map (the last
-  :data:`REMEMBERED_JOBS`, LRU).  Disable per manager with
-  ``coalesce=False``; a ``use_cache=False`` request is never remembered.
-* **What a repeat costs** — a repeat's job is created already published,
-  in one hold of the manager lock: its response is set before the job is
-  visible, and it shares one already-set event instead of owning one that
-  nobody waits on.  Outside the lock, the store's re-save of a run it
-  indexed is one ``stat``.  The manager holds every in-flight job and the
-  last :data:`REMEMBERED_JOBS` finished ones; an older id reads as unknown.
-* **Self-healing pool and bounded retries** — a dead worker poisons a
-  ``ProcessPoolExecutor`` (every in-flight and future job fails with
-  ``BrokenProcessPool``); the manager asks its
-  :class:`~repro.core.api.WorkerPool` to :meth:`~repro.core.api.WorkerPool.heal`,
-  which rebuilds the executor once per breakage, and resubmits displaced
-  jobs at once.  The worker then sleeps an exponential backoff with full
-  jitter *derived deterministically from the request seed* before it
-  compiles (:func:`backoff_delay`).  Only *retriable* faults (worker
-  death, transient IO, overload — see :data:`repro.errors.RETRIABLE_CODES`)
-  are retried, at most ``CompileRequest.max_retries`` times; typed compile
-  errors never are.  Retried jobs produce responses bit-identical to
-  first-try jobs — determinism makes retries safe.
-* **Deadlines and admission control** — ``CompileRequest.deadline_s``
-  bounds each job's wall clock.  A deadline is a time that gets compared,
-  not a thread: a response that lands at or after it, or a waiter
-  (``result``, ``wait_all``, ``shutdown``) or observer (``status``,
-  ``jobs``) that outlives it, publishes the typed ``deadline_exceeded``
-  error instead.  ``max_queue_depth`` caps the number of uncoalesced
-  in-flight jobs, rejecting the excess with a retriable
-  :class:`~repro.errors.OverloadedError` instead of queueing unboundedly.
+A job's lifecycle is one private ``state`` and the one table
+:data:`_LIFECYCLE` of the moves between states; :meth:`JobManager._move`
+makes every move and nothing else writes a state.  ARCHITECTURE.md "Job
+lifecycle" prints the table with each move's effect.  The manager reads
+time only through its ``_clock`` and starts no thread of its own.
 """
 
 from __future__ import annotations
@@ -62,12 +26,7 @@ import sys
 import threading
 import time
 from collections import deque
-from concurrent.futures import (
-    BrokenExecutor,
-    CancelledError,
-    Executor,
-    Future,
-)
+from concurrent.futures import BrokenExecutor, CancelledError, Executor, Future
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Iterable
@@ -82,6 +41,7 @@ from ..errors import (
     InvalidRequestError,
     OverloadedError,
     TransientIOError,
+    VerificationError,
     WorkerCrashError,
 )
 from ..seeding import derive_seed
@@ -109,12 +69,43 @@ RETRY_BACKOFF_CAP_S = 2.0
 REMEMBERED_JOBS = 1024
 
 #: the wait surface every job answered at ``submit`` shares: set from the start.
-_PUBLISHED = threading.Event()
-_PUBLISHED.set()
+_ALREADY_SET = threading.Event()
+_ALREADY_SET.set()
+
+#: The states of a job.  A follower waits on an identical job's compile; an
+#: in-flight job's own compile is queued, running or retrying; an overdue
+#: job was answered at its deadline while its compile runs on for others; a
+#: published job is answered and held by id; a forgotten one is not.
+_FOLLOWER = "follower"
+_IN_FLIGHT = "in flight"
+_OVERDUE = "overdue"
+_PUBLISHED = "published"
+_FORGOTTEN = "forgotten"
+_WAITING = frozenset({_FOLLOWER, _IN_FLIGHT})  # unanswered
+_COMPILING = frozenset({_IN_FLIGHT, _OVERDUE})  # holds an admission slot
+_ANSWERED = frozenset({_OVERDUE, _PUBLISHED})
+
+#: (state, event) -> next state: every move a job makes (``None``: not yet
+#: made).  Repeats are answered from a concluded job in any state.
+_LIFECYCLE: dict[tuple[str | None, str], str] = {
+    (None, "submit"): _IN_FLIGHT,
+    (None, "attach"): _FOLLOWER,
+    (None, "repeat"): _PUBLISHED,
+    (_IN_FLIGHT, "retry"): _IN_FLIGHT,
+    (_OVERDUE, "retry"): _OVERDUE,
+    (_IN_FLIGHT, "expire"): _OVERDUE,
+    (_FOLLOWER, "expire"): _PUBLISHED,
+    (_IN_FLIGHT, "conclude"): _PUBLISHED,
+    (_OVERDUE, "conclude"): _PUBLISHED,
+    (_FOLLOWER, "conclude"): _PUBLISHED,
+    (_IN_FLIGHT, "refuse"): _FORGOTTEN,
+    (_OVERDUE, "refuse"): _PUBLISHED,
+    (_PUBLISHED, "forget"): _FORGOTTEN,
+}
 
 
 class JobState(str, Enum):
-    """Lifecycle of one submitted compile job."""
+    """Lifecycle of one submitted compile job, as ``status`` reports it."""
 
     QUEUED = "queued"
     RUNNING = "running"
@@ -184,18 +175,11 @@ def _execute_job(
     cache: StageCache | bool | None,
     attempt: int = 0,
 ) -> tuple[dict[str, Any], str | None]:
-    """Worker entry point (module-level so process pools can pickle it).
-
-    Returns the response as a wire dict plus the emitted bitstream JSON (if
-    any) so the parent can persist both to an artifact store.  ``cache`` is
-    the manager's setting, as it arrived in this process.
-
-    ``attempt`` is the retry ordinal (0 = first try).  A retry first sleeps
-    its :func:`backoff_delay`, here in the worker, so the parent keeps no
-    timer.  The ordinal reaches the fault-injection site so a chaos plan
-    can target "the first attempt only", which keeps crash faults
-    self-limiting across retries.
-    """
+    """Worker entry point (module-level so process pools can pickle it):
+    the response as a wire dict and the bitstream JSON, if any, for the
+    parent's store.  Retry ``attempt`` (0 = first try) first sleeps its
+    :func:`backoff_delay` here, so the parent keeps no timer; the ordinal
+    reaches the fault site, so a chaos plan can target the first attempt."""
     from .. import faults
 
     request = CompileRequest.from_dict(request_dict)
@@ -220,6 +204,34 @@ def _execute_job(
     return served.response.to_dict(), bitstream
 
 
+def _error_response(job: "_Job", exc: BaseException) -> CompileResponse:
+    """An exception as the typed error answer to ``job``: cancellation is
+    ``cancelled``, pool breakage a retriable ``worker_crash``, a bare
+    ``OSError`` escaping a worker a retriable ``transient_io``; typed FPSA
+    errors keep their own codes."""
+    details = {"model": job.request.model, "attempt": job.attempts}
+    if isinstance(exc, CancelledError):
+        error = ErrorPayload(
+            code="cancelled", type="CancelledError", message="job was cancelled before it ran"
+        )
+    elif isinstance(exc, BrokenExecutor):
+        error = ErrorPayload.from_exception(WorkerCrashError(
+            f"worker process died while compiling {job.request.model!r} "
+            f"(attempt {job.attempts})",
+            details=details,
+        ))
+    elif isinstance(exc, OSError) and not isinstance(exc, FPSAError):
+        error = ErrorPayload(
+            code=TransientIOError.code,
+            type=type(exc).__name__,
+            message=str(exc) or type(exc).__name__,
+            details=details,
+        )
+    else:
+        error = ErrorPayload.from_exception(exc)
+    return CompileResponse(request=job.request, status="error", error=error)
+
+
 def _answer(response: CompileResponse, request: CompileRequest) -> CompileResponse:
     """A shared compile's ``response`` as the answer to ``request``: the same
     object when the requests are equal (its content address is memoized on
@@ -230,45 +242,29 @@ def _answer(response: CompileResponse, request: CompileRequest) -> CompileRespon
 
 
 class _Job:
-    """Internal bookkeeping of one submitted request."""
+    """One submitted request; :meth:`JobManager._move` writes its ``state``."""
 
-    def __init__(self, job_id: str, request: CompileRequest, fingerprint: str, published=False):
+    state: str | None = None
+    future: Future | None = None
+    response: CompileResponse | None = None
+    finished_at: float | None = None
+    #: follower jobs sharing this (primary) job's compile: a list once it is one.
+    followers: "list[_Job] | tuple" = ()
+    #: the compile's answer repeats share (``response`` may be a deadline error).
+    compiled: CompileResponse | None = None
+    #: retries resubmitted so far, and the pool generation of the current one.
+    attempts = 0
+    generation = 0
+
+    def __init__(self, job_id, request, now, primary=None, finished=None):
         self.job_id = job_id
         self.request = request
-        self.future: Future | None = None
-        self.response: CompileResponse | None = None
-        self.finished = _PUBLISHED if published else threading.Event()
-        self.cancelled = False
-        #: canonical request identity used for coalescing (tags excluded).
-        self.fingerprint = fingerprint
-        #: follower jobs sharing this (primary) job's compile.
-        self.followers: list["_Job"] = []
-        #: the primary job this (follower) job coalesced onto.
-        self.primary: "_Job | None" = None
-        #: set (under the manager lock) once the fan-out follower snapshot
-        #: is taken: no follower may attach past this point.
-        self.retired = False
-        #: the compile's response, set in that same lock hold when repeats
-        #: may be answered with it (``response`` can be a deadline error).
-        self.compiled: CompileResponse | None = None
-        self.submitted_at = time.monotonic()
-        self.finished_at: float | None = None
-        #: retries resubmitted so far (0 while the first try is in flight).
-        self.attempts = 0
-        #: absolute monotonic deadline, or ``None`` for no deadline.
-        self.deadline_at: float | None = None
-        if request.deadline_s is not None:
-            self.deadline_at = self.submitted_at + request.deadline_s
-        #: pool generation the current attempt was submitted against.
-        self.generation = 0
-        #: whether this (primary) job occupies an admission-control slot.
-        self.counted = False
-
-    @property
-    def seconds(self) -> float | None:
-        if self.finished_at is None:
-            return None
-        return self.finished_at - self.submitted_at
+        #: the job whose compile this follower (or repeat) shares.
+        self.primary: _Job | None = primary
+        self.finished = threading.Event() if finished is None else finished
+        self.submitted_at = now
+        #: absolute deadline on the manager's clock, or ``None``.
+        self.deadline_at = None if request.deadline_s is None else now + request.deadline_s
 
 
 class JobManager:
@@ -277,44 +273,35 @@ class JobManager:
     Parameters
     ----------
     max_workers:
-        Pool size; ``None`` picks ``min(cpu_count, 8)``.
+        Size of the pool the manager owns; ``None`` picks ``min(cpu_count, 8)``.
     config:
         Hardware configuration served to every job.
     cache:
-        Stage-cache setting forwarded to every job (see
-        :class:`~repro.core.compiler.FPSACompiler`): ``None`` shares each
+        Stage-cache setting forwarded to every job: ``None`` shares each
         worker's process-wide cache, ``False`` disables caching, and a
-        private :class:`StageCache` arrives in each worker process as that
-        process's own copy (same bound and shared tier, its own memory) —
-        or is shared as is by the threads of an in-process ``pool``.
+        private :class:`StageCache` arrives in each worker process as its
+        own copy (or is shared as is by the threads of an in-process pool).
     store:
-        When given, every finished job's response (and bitstream) is
-        persisted as the results arrive in the parent process.
+        When given, every published answer (and bitstream) is persisted.
     pool:
         A persistent :class:`~repro.core.api.WorkerPool` (or any
-        ``Executor``) to run jobs on.  The manager does *not* own it: it
-        stays alive after ``shutdown``/``__exit__``, so the next manager
-        (or batch) reuses the same warm workers.  Without one, the manager
-        runs jobs on a :class:`WorkerPool` of ``max_workers`` it owns.
+        ``Executor``) the manager runs jobs on but does not own or shut
+        down.  A :class:`WorkerPool` heals itself when a worker dies; a
+        bare ``Executor`` runs unsupervised.
     coalesce:
-        Deduplicate identical requests (default on): a request whose
-        canonical fingerprint matches a submitted-but-unfinished job
-        rides that job's compile and receives its response under its own
-        request, and one that matches a remembered concluded job is
-        answered with that response at once.
+        Deduplicate identical requests (default on): one whose fingerprint
+        matches a compiling job rides that compile, one that matches a
+        remembered concluded job is answered with its response at once.
     max_queue_depth:
-        Admission-control cap on uncoalesced in-flight jobs; submissions
-        past the cap raise a retriable
-        :class:`~repro.errors.OverloadedError` instead of queueing
-        unboundedly.  Coalesced requests are always taken (they occupy
-        no worker).  ``None`` (default) disables the cap.
+        Admission-control cap on uncoalesced in-flight jobs: past it a
+        fresh submission raises a retriable
+        :class:`~repro.errors.OverloadedError`.  ``None`` disables it.
 
-    A :class:`WorkerPool` heals itself when a worker dies; a bare
-    ``Executor`` as ``pool=`` runs unsupervised.
-
-    The manager is a context manager; leaving the ``with`` block shuts the
-    pool down after the submitted jobs finish (owned pools only).
+    Leaving a ``with`` block shuts the manager down (:meth:`shutdown`).
     """
+
+    #: the only time source of a manager (tests replace it per instance).
+    _clock = staticmethod(time.monotonic)
 
     def __init__(
         self,
@@ -337,50 +324,103 @@ class JobManager:
             or max_queue_depth < 1
         ):
             raise InvalidRequestError(
-                f"max_queue_depth must be an integer >= 1, "
-                f"got {max_queue_depth!r}",
+                f"max_queue_depth must be an integer >= 1, got {max_queue_depth!r}",
                 details={"max_queue_depth": repr(max_queue_depth)},
             )
         self._owns_pool = pool is None
-        #: the pool jobs run on.
-        self.pool: WorkerPool | Executor = (
-            pool if pool is not None else WorkerPool(max_workers)
-        )
+        self.pool: WorkerPool | Executor = pool if pool is not None else WorkerPool(max_workers)
         self.config = config
         self.cache = cache
         self.store = store
         self.coalesce = coalesce
         self.max_queue_depth = max_queue_depth
         self.stats = JobManagerStats()
-        #: every in-flight job and the last REMEMBERED_JOBS finished ones.
+        #: every job not forgotten, by id: the unanswered and compiling ones
+        #: and the last REMEMBERED_JOBS published.
         self._jobs: dict[str, _Job] = {}
-        #: ids of the finished jobs ``_jobs`` holds, first finished first.
-        self._finished_ids: deque[str] = deque()
-        #: fingerprint -> the job identical requests share: in flight until
-        #: ``retired``, then remembered (oldest use first) if ``compiled``.
+        #: the published jobs ``_jobs`` holds, first published first.
+        self._published: deque[_Job] = deque()
+        #: fingerprint -> the job identical requests share: compiling (they
+        #: attach), else concluded (answered with ``compiled``; LRU order).
         self._shared: dict[str, _Job] = {}
+        #: admission slots taken: the jobs in a compiling state.
         self._active = 0
         self._closing = False
-        self._lock = threading.Lock()
+        # reentrant: ``cancel`` holds it while the future it cancels runs its callback
+        self._lock = threading.RLock()
         self._counter = itertools.count(1)
 
-    # ------------------------------------------------------------------
-    # submission
-    # ------------------------------------------------------------------
+    def _move(
+        self,
+        job: _Job,
+        event: str,
+        now: float | None = None,
+        answer: CompileResponse | None = None,
+    ) -> bool:
+        """Make one move of :data:`_LIFECYCLE` under the caller's lock;
+        returns whether it answered the job.  Effects follow from the states
+        left and entered: a compiling state holds a slot; entering an
+        answered state answers ``answer`` at ``now`` (the deadline error at
+        the deadline, past it); a published job is held by id until
+        REMEMBERED_JOBS later ones are; a refused one was never submitted."""
+        was = job.state
+        try:
+            state = job.state = _LIFECYCLE[was, event]
+        except KeyError:
+            raise VerificationError(
+                f"the job lifecycle has no {event!r} move from {was!r}",
+                stage="service", invariant="job lifecycle", ids=(job.job_id,),
+            ) from None
+        if was in _COMPILING:
+            self._active -= 1
+        if state in _COMPILING:
+            self._active += 1
+        if was is None:
+            self._jobs[job.job_id] = job
+            self.stats.submitted += 1
+        elif state == _FORGOTTEN:
+            del self._jobs[job.job_id]
+            if was in _WAITING:
+                self.stats.submitted -= 1
+            return False
+        answered = state in _ANSWERED and was not in _ANSWERED
+        if answered:
+            if job.deadline_at is not None and now >= job.deadline_at:
+                now, answer = job.deadline_at, _error_response(job, DeadlineExceededError(
+                    f"job {job.job_id!r} missed its deadline of {job.request.deadline_s} s",
+                    details={"job_id": job.job_id, "deadline_s": job.request.deadline_s},
+                ))
+                self.stats.deadline_expired += 1
+            job.finished_at = now
+            job.response = answer
+            if answer.ok:
+                self.stats.completed += 1
+            else:
+                self.stats.failed += 1
+        if state == _PUBLISHED:
+            self._published.append(job)
+            if len(self._published) > REMEMBERED_JOBS:
+                self._move(self._published.popleft(), "forget")
+        return answered
+
+    def _wake(self, jobs: list[_Job], bitstream: str | None = None) -> None:
+        """Persist the answers just published under the lock, then wake
+        each job's waiters.  The bitstream goes with an ``ok`` answer."""
+        for job in jobs:
+            try:
+                self._persist(job, job.response, bitstream if job.response.ok else None)
+            finally:
+                job.finished.set()
 
     def submit(self, request: CompileRequest | str | dict) -> str:
         """Queue one request; returns its job id immediately.
 
-        With coalescing enabled, a request identical to one already in
-        flight (same canonical fingerprint) does not reach the pool at
-        all: it becomes a follower of the in-flight job and finishes when
-        that compile does, with the response under its own request (the
-        same object if the requests are equal, else a copy).  One
-        identical to a remembered concluded job is finished before
-        ``submit`` returns, on the caller's thread, in the same way: it is
-        published in the lock hold that makes it visible.  Both bypass
-        admission control; a fresh request past ``max_queue_depth`` raises
-        :class:`~repro.errors.OverloadedError` without queueing.
+        A request identical to a compiling one follows that compile; one
+        identical to a remembered concluded job is answered before
+        ``submit`` returns.  Either gets the response under its own request
+        and bypasses admission control; a fresh request past
+        ``max_queue_depth`` raises :class:`~repro.errors.OverloadedError`.
+        A request the pool refuses raises and is not counted as submitted.
         """
         return self._submit(request).job_id
 
@@ -392,23 +432,21 @@ class JobManager:
         fingerprint = request.fingerprint()
         with self._lock:
             job_id = f"job-{next(self._counter):04d}"
+            now = self._clock()
             primary = self._shared.get(fingerprint)
-            if primary is not None and primary.retired:
-                # concluded: what a follower received, set before the job is
-                # visible; from here on the most recently used entry
-                job = _Job(job_id, request, fingerprint, published=True)
-                self._settle(job, _answer(primary.compiled, request), job.submitted_at)
+            if primary is not None and primary.state not in _COMPILING:
+                # answered before the job is visible; from here on the most
+                # recently used entry
+                job = _Job(job_id, request, now, primary, _ALREADY_SET)
+                self._move(job, "repeat", now, _answer(primary.compiled, request))
                 self._shared[fingerprint] = self._shared.pop(fingerprint)
             elif primary is not None:
-                # attach under the lock: _conclude retires the entry under
-                # the same lock, so the primary cannot fan out between our
-                # check and the attach
-                job = _Job(job_id, request, fingerprint)
+                # the primary concludes under this lock, so it cannot fan
+                # out between the lookup and the attach
+                job = _Job(job_id, request, now, primary)
                 primary.followers.append(job)
-            elif (
-                self.max_queue_depth is not None
-                and self._active >= self.max_queue_depth
-            ):
+                self._move(job, "attach")
+            elif self.max_queue_depth is not None and self._active >= self.max_queue_depth:
                 self.stats.rejected += 1
                 raise OverloadedError(
                     f"queue depth {self._active} is at the cap "
@@ -419,46 +457,23 @@ class JobManager:
                     },
                 )
             else:
-                job = _Job(job_id, request, fingerprint)
-                job.counted = True
-                self._active += 1
+                job = _Job(job_id, request, now)
+                job.followers = []
+                self._move(job, "submit")
                 if self.coalesce:
                     self._shared[fingerprint] = job
-            job.primary = primary
-            self._jobs[job_id] = job
-            self.stats.submitted += 1
             if primary is not None:
                 self.stats.coalesced += 1
         if primary is not None:
-            if job.finished is _PUBLISHED:
+            if job.finished is _ALREADY_SET:
                 self._persist(job, job.response, None)
             return job
         try:
             self._submit_attempt(job)
         except Exception as exc:
-            # e.g. submit after shutdown: don't leave an orphan job that
-            # wait_all()/result() would block on forever — and release any
-            # follower that attached between the lock and the failed submit
-            with self._lock:
-                self._jobs.pop(job_id, None)
-                if self._shared.get(job.fingerprint) is job:
-                    del self._shared[job.fingerprint]
-                if job.counted:
-                    job.counted = False
-                    self._active -= 1
-                followers = list(job.followers)
-            now = time.monotonic()
-            for follower in followers:
-                self._publish(
-                    follower,
-                    CompileResponse(
-                        request=follower.request,
-                        status="error",
-                        error=ErrorPayload.from_exception(exc),
-                    ),
-                    None,
-                    now,
-                )
+            # e.g. submit after shutdown: the job was never submitted, and
+            # a follower that attached meanwhile is answered with the error
+            self._conclude(job, _error_response(job, exc), None, "refuse")
             raise
         return job
 
@@ -480,12 +495,8 @@ class JobManager:
         return [self._result(job, timeout) for job in jobs]
 
     def _submit_attempt(self, job: _Job) -> None:
-        """Hand the job's current attempt to the pool.
-
-        A submission that hits an already-broken :class:`WorkerPool` heals
-        it and tries once more on the fresh executor; on a bare executor
-        the breakage propagates to the caller.
-        """
+        """Hand the job's current attempt to the pool; an already-broken
+        :class:`WorkerPool` is healed and tried once more."""
         pool = self.pool
         heals = isinstance(pool, WorkerPool)
         for healed in (False, True):
@@ -508,207 +519,91 @@ class JobManager:
             future.add_done_callback(lambda f, j=job: self._finish(j, f))
             return
 
-    # ------------------------------------------------------------------
-    # completion, retries, deadlines
-    # ------------------------------------------------------------------
-
-    def _error_payload_for(self, exc: BaseException, job: _Job) -> ErrorPayload:
-        """Map a future exception to a typed payload.
-
-        Pool breakage becomes a retriable ``worker_crash``; a bare
-        ``OSError`` escaping a worker becomes a retriable ``transient_io``;
-        typed FPSA errors keep their own codes.
-        """
-        if isinstance(exc, BrokenExecutor):
-            return ErrorPayload(
-                code=WorkerCrashError.code,
-                type=WorkerCrashError.__name__,
-                message=(
-                    f"worker process died while compiling "
-                    f"{job.request.model!r} (attempt {job.attempts})"
-                ),
-                details={"model": job.request.model, "attempt": job.attempts},
-            )
-        if isinstance(exc, FPSAError):
-            return ErrorPayload.from_exception(exc)
-        if isinstance(exc, OSError):
-            return ErrorPayload(
-                code=TransientIOError.code,
-                type=type(exc).__name__,
-                message=str(exc) or type(exc).__name__,
-                details={"model": job.request.model, "attempt": job.attempts},
-            )
-        return ErrorPayload.from_exception(exc)
-
     def _finish(self, job: _Job, future: Future) -> None:
-        broken = False
+        bitstream = None
         try:
             response_dict, bitstream = future.result()
             # the worker echoes the request back: answer with the one we hold
             response = CompileResponse.from_dict(response_dict, request=job.request)
-        except CancelledError:
-            response = CompileResponse(
-                request=job.request,
-                status="error",
-                error=ErrorPayload(
-                    code="cancelled",
-                    type="CancelledError",
-                    message="job was cancelled before it ran",
-                ),
-            )
-            bitstream = None
         except Exception as exc:  # noqa: BLE001 - worker crashed; report, don't hang
-            broken = isinstance(exc, BrokenExecutor)
-            response = CompileResponse(
-                request=job.request,
-                status="error",
-                error=self._error_payload_for(exc, job),
-            )
-            bitstream = None
-        if broken:
-            with self._lock:
-                self.stats.displaced += 1
-            if isinstance(self.pool, WorkerPool):
-                # heal once per breakage (concurrent reports coalesce on
-                # the generation), whether or not this job retries
-                self.pool.heal(job.generation)
-        retriable = (
-            response.error is not None
-            and response.error.code in RETRIABLE_CODES
-            and not job.cancelled
-        )
-        if retriable and self._retry(job):
-            return  # keep the in-flight entry: followers still coalesce
+            response = _error_response(job, exc)
+            if isinstance(exc, BrokenExecutor):
+                with self._lock:
+                    self.stats.displaced += 1
+                if isinstance(self.pool, WorkerPool):
+                    # heal once per breakage (concurrent reports coalesce on
+                    # the generation), whether or not this job retries
+                    self.pool.heal(job.generation)
+        if response.error is not None and response.error.code in RETRIABLE_CODES:
+            if self._retry(job):
+                return
         self._conclude(job, response, bitstream)
 
     def _conclude(
-        self, job: _Job, response: CompileResponse, bitstream: str | None
+        self,
+        job: _Job,
+        response: CompileResponse,
+        bitstream: str | None,
+        event: str = "conclude",
     ) -> None:
-        """Retire a primary job and fan its response out to followers."""
-        # stop accepting followers before publishing, and in the same lock
-        # hold either remember the compile or forget the fingerprint: no
-        # identical request can fall between the two and compile again
+        """End a primary's compile: move it by ``event``, answer every follower
+        still waiting and remember an answer repeats may share, in one lock
+        hold, so no identical request falls in between and compiles again."""
         with self._lock:
-            job.retired = True
-            if self._shared.get(job.fingerprint) is job:
-                del self._shared[job.fingerprint]
+            now = self._clock()
+            woken = [job] if self._move(job, event, now, response) else []
+            for follower in job.followers:
+                if follower.state in _WAITING:  # else answered at its deadline
+                    self._move(follower, "conclude", now, _answer(response, follower.request))
+                    woken.append(follower)
+            fingerprint = job.request.fingerprint()
+            if self._shared.get(fingerprint) is job:
+                del self._shared[fingerprint]
                 # an error may not repeat; use_cache=False asks for a fresh
                 # compile; a bitstream is not on the response to hand out
                 if response.ok and job.request.use_cache and bitstream is None:
                     job.compiled = response
-                    self._shared[job.fingerprint] = job
+                    self._shared[fingerprint] = job
                     if len(self._shared) > REMEMBERED_JOBS:
-                        # never an in-flight entry: their followers wait
+                        # never a compiling entry: its followers wait
                         del self._shared[
-                            next(k for k, j in self._shared.items() if j.retired)
+                            next(k for k, j in self._shared.items() if j.state not in _COMPILING)
                         ]
-            followers = list(job.followers)
-            if job.counted:
-                job.counted = False
-                self._active -= 1
-        now = time.monotonic()
-        self._publish(job, response, bitstream, now)
-        for follower in followers:
-            self._publish(follower, _answer(response, follower.request), bitstream, now)
+        self._wake(woken, bitstream)
 
     def _retry(self, job: _Job) -> bool:
         """Resubmit a retriable failure at once (the worker sleeps its
         backoff); False when out of budget, shutting down, or past the
-        deadline of every job still waiting on the compile (the primary
-        and its followers)."""
+        deadline of every job still waiting on the compile."""
         budget = job.request.max_retries
         if budget is None:
             budget = DEFAULT_MAX_RETRIES
         with self._lock:
-            if self._closing or job.retired or job.attempts >= budget:
-                return False
-            now = time.monotonic()
-            if not any(
-                waiting.response is None
+            now = self._clock()
+            if self._closing or job.attempts >= budget or not any(
+                waiting.state in _WAITING
                 and (waiting.deadline_at is None or now < waiting.deadline_at)
                 for waiting in (job, *job.followers)
             ):
                 return False
+            self._move(job, "retry")
             job.attempts += 1
             self.stats.retried += 1
         try:
             self._submit_attempt(job)
         except Exception as exc:  # noqa: BLE001 - conclude, never hang waiters
-            self._conclude(
-                job,
-                CompileResponse(
-                    request=job.request,
-                    status="error",
-                    error=self._error_payload_for(exc, job),
-                ),
-                None,
-            )
+            self._conclude(job, _error_response(job, exc), None)
         return True
 
-    def _publish(
-        self,
-        job: _Job,
-        response: CompileResponse | None,
-        bitstream: str | None,
-        finished_at: float,
-    ) -> None:
-        """Finalize one job: record (:meth:`_settle`), persist, and wake its
-        waiters.  First publish wins, so an expiry and a late result race benignly."""
+    def _expire(self, job: _Job) -> None:
+        """Answer a job past its deadline with ``deadline_exceeded`` unless it
+        has an answer (the first wins).  Only that job expires: its compile
+        runs on for a coalesced sibling with a later deadline."""
         with self._lock:
-            published = self._settle(job, response, finished_at)
-        if published is None:
-            return
-        try:
-            self._persist(job, published, bitstream if published is response else None)
-        finally:
-            job.finished.set()
-
-    def _settle(
-        self, job: _Job, response: CompileResponse | None, finished_at: float
-    ) -> CompileResponse | None:
-        """Record a job's outcome, under the lock the caller holds; returns
-        the response it publishes, or ``None`` if it had one already.
-
-        A response that lands at or after the job's deadline is replaced by
-        the typed ``deadline_exceeded`` error, finished at the deadline;
-        ``response`` is ``None`` when only the deadline landed (a waiter or
-        observer outlived it).  Only that job expires: a coalesced sibling
-        with a longer deadline keeps waiting, and the compile keeps running
-        for whoever still wants it.  Past :data:`REMEMBERED_JOBS` finished
-        jobs, the first finished is forgotten.
-        """
-        if job.response is not None:
-            return None
-        if job.deadline_at is not None and finished_at >= job.deadline_at:
-            finished_at = job.deadline_at
-            response = CompileResponse(
-                request=job.request,
-                status="error",
-                error=ErrorPayload(
-                    code=DeadlineExceededError.code,
-                    type=DeadlineExceededError.__name__,
-                    message=(
-                        f"job {job.job_id!r} missed its deadline of "
-                        f"{job.request.deadline_s} s"
-                    ),
-                    details={
-                        "job_id": job.job_id,
-                        "deadline_s": job.request.deadline_s,
-                    },
-                ),
-            )
-            self.stats.deadline_expired += 1
-        assert response is not None
-        job.response = response
-        job.finished_at = finished_at
-        if response.ok:
-            self.stats.completed += 1
-        else:
-            self.stats.failed += 1
-        self._finished_ids.append(job.job_id)
-        if len(self._finished_ids) > REMEMBERED_JOBS:
-            self._jobs.pop(self._finished_ids.popleft(), None)
-        return response
+            if job.state not in _WAITING:
+                return
+            self._move(job, "expire", job.deadline_at)
+        self._wake([job])
 
     def _persist(self, job: _Job, response: CompileResponse, bitstream: str | None) -> None:
         """Save a published response (and bitstream) to the store, if any."""
@@ -716,31 +611,24 @@ class JobManager:
             if self.store is not None:
                 self.store.save(response, bitstream_json=bitstream)
         except Exception as exc:  # noqa: BLE001 - persistence must never lose the job
-            print(
-                f"warning: failed to persist job {job.job_id}: {exc}",
-                file=sys.stderr,
-            )
+            print(f"warning: failed to persist job {job.job_id}: {exc}", file=sys.stderr)
 
     def _wait(self, job: _Job, timeout: float | None = None) -> bool:
         """Block until the job is published, ``timeout`` passes or its
         deadline does, whichever is first; a waiter that outlives the
         deadline publishes the expiry.  Returns whether the job finished."""
-        # the job's future can complete a hair before its done callback
-        # fills in the response; ``finished`` is set only once the response
-        # is published, so the event is the single wait surface (it also
-        # spans retries, where the future is replaced per attempt)
+        # ``finished`` is set once the answer is persisted: the one wait
+        # surface, across retries too (each attempt has its own future)
+        if job.finished.is_set():
+            return True
         if job.deadline_at is not None:
-            until_deadline = max(0.0, job.deadline_at - time.monotonic())
+            until_deadline = max(0.0, job.deadline_at - self._clock())
             if timeout is None or until_deadline <= timeout:
                 if not job.finished.wait(until_deadline):
-                    self._publish(job, None, None, job.deadline_at)
+                    self._expire(job)
                     job.finished.wait()  # a racing publish is mid-persist
                 return True
         return job.finished.wait(timeout)
-
-    # ------------------------------------------------------------------
-    # inspection
-    # ------------------------------------------------------------------
 
     def _get(self, job_id: str) -> _Job:
         try:
@@ -755,38 +643,29 @@ class JobManager:
         return self._info(self._get(job_id))
 
     def _info(self, job: _Job) -> JobInfo:
-        coalesced = job.primary is not None
-        if (
-            job.response is None
-            and job.deadline_at is not None
-            and time.monotonic() >= job.deadline_at
-        ):
-            # overdue with no waiter: the observer publishes the expiry
-            self._publish(job, None, None, job.deadline_at)
-        if job.response is not None:
-            state = JobState.DONE if job.response.ok else JobState.FAILED
-            return JobInfo(
-                job.job_id,
-                job.request.model,
-                state,
-                error=job.response.error,
-                seconds=job.seconds,
-                coalesced=coalesced,
+        deadline = job.deadline_at
+        if job.response is None and deadline is not None and self._clock() >= deadline:
+            self._expire(job)  # overdue with no waiter: the observer answers
+        response = job.response
+        if response is not None:
+            state = JobState.DONE if response.ok else JobState.FAILED
+        else:
+            # a follower mirrors the compile it shares; a future that
+            # completed before its callback answered still reads RUNNING,
+            # and so does a retry, whose worker may be sleeping its backoff
+            primary = job.primary or job
+            future = primary.future
+            running = primary.attempts or (
+                future is not None and (future.running() or future.done())
             )
-        # a follower's lifecycle mirrors the primary compile it shares
-        primary = job.primary or job
-        future = primary.future
-        # a completed future whose done callback has not filled in the
-        # response yet must still read RUNNING, never regress to QUEUED;
-        # so must a retry, whose worker may be sleeping out its backoff
-        if primary.attempts or (
-            future is not None and (future.running() or future.done())
-        ):
-            return JobInfo(
-                job.job_id, job.request.model, JobState.RUNNING, coalesced=coalesced
-            )
+            state = JobState.RUNNING if running else JobState.QUEUED
         return JobInfo(
-            job.job_id, job.request.model, JobState.QUEUED, coalesced=coalesced
+            job.job_id,
+            job.request.model,
+            state,
+            error=response and response.error,
+            seconds=None if job.finished_at is None else job.finished_at - job.submitted_at,
+            coalesced=job.primary is not None,
         )
 
     def jobs(self) -> list[JobInfo]:
@@ -798,14 +677,11 @@ class JobManager:
     def result(self, job_id: str, timeout: float | None = None) -> CompileResponse:
         """Block until the job finishes; returns its response.
 
-        A job past its deadline returns its ``deadline_exceeded`` error at
-        the deadline.  FAILED jobs return normally with the structured error payload on
-        the response; call ``response.raise_for_status()`` for the typed
-        exception.  An expired ``timeout`` raises
-        :class:`~repro.errors.DeadlineExceededError` (a ``TimeoutError``
-        subclass, so pre-existing ``except TimeoutError`` callers keep
-        working) carrying the job id and the timeout in ``details``.
-        A forgotten job id is unknown (see :data:`REMEMBERED_JOBS`).
+        A failed job (past its deadline, too) returns its structured error
+        payload; ``response.raise_for_status()`` raises it typed.  An
+        expired ``timeout`` raises :class:`~repro.errors.DeadlineExceededError`
+        (a ``TimeoutError``) with the job id and timeout in ``details``.  A
+        forgotten job id is unknown (see :data:`REMEMBERED_JOBS`).
         """
         return self._result(self._get(job_id), timeout)
 
@@ -819,37 +695,17 @@ class JobManager:
         return job.response
 
     def cancel(self, job_id: str) -> bool:
-        """Cancel a QUEUED job; returns whether cancellation succeeded.
-
-        A cancelled job moves to FAILED with a ``cancelled`` error payload.
-        RUNNING (retries included) and finished jobs cannot be cancelled,
-        and neither can
-        coalesced jobs: a follower shares its compile with other waiters,
-        and cancelling a primary with followers would cancel them all.
-        """
+        """Cancel a QUEUED job, which then FAILED with a ``cancelled``
+        error; returns whether it did.  RUNNING (retries included), finished
+        and coalesced jobs cannot be cancelled: a compile with followers is
+        theirs too."""
         job = self._get(job_id)
-        if job.future is None or job.response is not None:
-            return False
-        # retire the in-flight entry *before* cancelling so no follower can
-        # attach between the check and the cancel (Future.cancel runs the
-        # done callbacks synchronously, so it must happen outside the lock)
+        # Future.cancel runs the done callback, which concludes the job,
+        # inside this hold: no follower can attach in between
         with self._lock:
-            if job.followers or job.retired or job.attempts:
+            if job.state != _IN_FLIGHT or job.followers or job.attempts or job.future is None:
                 return False
-            removed = self._shared.get(job.fingerprint) is job
-            if removed:
-                del self._shared[job.fingerprint]
-        cancelled = job.future.cancel()
-        if cancelled:
-            job.cancelled = True
-        elif removed:
-            # the job is running after all: restore coalescability unless
-            # its fan-out already snapshotted the followers (retired) or a
-            # duplicate already claimed the slot
-            with self._lock:
-                if not job.retired:
-                    self._shared.setdefault(job.fingerprint, job)
-        return cancelled
+            return job.future.cancel()
 
     def wait_all(self, timeout: float | None = None) -> list[CompileResponse]:
         """Block until every job still held finishes; responses in order."""
@@ -857,19 +713,10 @@ class JobManager:
             jobs = list(self._jobs.values())
         return [self._result(job, timeout) for job in jobs]
 
-    # ------------------------------------------------------------------
-    # lifecycle
-    # ------------------------------------------------------------------
-
     def shutdown(self, wait: bool = True) -> None:
-        """Shut the pool down — owned pools only; an external
-        :class:`WorkerPool` stays warm for the next manager.
-
-        New retries stop once shutdown begins (an attempt failing mid-drain
-        concludes with its retriable error instead of resubmitting); with
-        ``wait=True``, every job in flight is drained first, each at most
-        until its deadline.
-        """
+        """Stop retrying (an attempt failing now concludes with its error),
+        drain the jobs in flight with ``wait``, each at most until its
+        deadline, then shut the pool down if the manager owns it."""
         self._closing = True
         if wait:
             with self._lock:

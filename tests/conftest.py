@@ -18,9 +18,14 @@ from repro.arch.params import FPSAConfig
 # Deterministic hypothesis profile, pinned for CI: derandomize makes every
 # run explore the same examples (no flaky shrink sessions on shared
 # runners), deadline=None tolerates slow CI machines.  Select with
-# HYPOTHESIS_PROFILE=dev for randomized local exploration.
+# HYPOTHESIS_PROFILE=dev for randomized local exploration, deep for more.
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.register_profile("dev", deadline=None)
+# ten times the examples, longer state-machine runs: CI runs the job
+# lifecycle model (tests/service/test_lifecycle_model.py) under it
+settings.register_profile(
+    "deep", derandomize=True, deadline=None, max_examples=1000, stateful_step_count=60
+)
 _hypothesis_profile = os.environ.get("HYPOTHESIS_PROFILE", "ci")
 settings.load_profile(_hypothesis_profile)
 # publish the resolved profile so everything downstream of the same knob —

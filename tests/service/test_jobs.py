@@ -1,5 +1,8 @@
 """Tests of the JobManager lifecycle (thread pool: fast, shares the cache)."""
 
+import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -86,6 +89,31 @@ class TestLifecycle:
         # the failed submission must not register a forever-QUEUED job
         assert jm.jobs() == []
 
+    def test_a_refused_submit_is_not_counted(self):
+        jm = JobManager(max_workers=1)
+        jm.shutdown()
+        with pytest.raises(RuntimeError):
+            jm.submit("MLP-500-100")
+        stats = jm.stats
+        assert (stats.submitted, stats.completed, stats.failed) == (0, 0, 0)
+
+    def test_a_follower_of_a_refused_submit_is_answered(self, manual_executor):
+        # the pool refuses only after an identical request attached
+        manager = JobManager(pool=manual_executor)
+        followers = []
+
+        def refuse(fn, *args):
+            followers.append(manager.submit("MLP-500-100"))
+            raise RuntimeError("cannot schedule new futures after shutdown")
+
+        manual_executor.submit = refuse
+        with pytest.raises(RuntimeError):
+            manager.submit("MLP-500-100")
+        assert manager.result(followers[0], timeout=0).error.code == "internal"
+        stats = manager.stats
+        assert (stats.submitted, stats.coalesced, stats.failed) == (1, 1, 1)
+        assert [info.job_id for info in manager.jobs()] == followers
+
 
 class TestCancel:
     def test_cancel_queued_job(self):
@@ -106,6 +134,46 @@ class TestCancel:
                 assert jm.result(job_id).ok
         # cancellation is timing-dependent; at minimum the API must not blow up
         assert cancelled_any or all(jm.status(i).state.finished for i in ids)
+
+    def test_cancels_racing_attaches_cancel_only_their_own_job(self, manual_executor):
+        # cancel and attach take one lock: a follower never shares a cancel
+        manual_executor.pending = True  # queued until the test ends them
+        manager = JobManager(pool=manual_executor)
+        submitted, cancelled = [], []
+        done = threading.Event()
+
+        def submit() -> None:
+            try:
+                for seed in range(50):  # a primary, then its twin
+                    for _ in range(2):
+                        request = CompileRequest(model="MLP-500-100", seed=seed)
+                        submitted.append(manager.submit(request))
+                        time.sleep(0)  # let the canceller in between
+            finally:
+                done.set()
+
+        def cancel() -> None:
+            while not done.is_set():
+                for job_id in submitted[-1:]:
+                    if manager.cancel(job_id):
+                        cancelled.append(job_id)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=submit), threading.Thread(target=cancel)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        manual_executor.complete_all()
+        errors = {job_id: manager.result(job_id, timeout=0).error for job_id in submitted}
+        assert {job_id for job_id, error in errors.items() if error} == set(cancelled)
+        assert all(errors[job_id].code == "cancelled" for job_id in cancelled)
+        assert manager.stats.submitted == manager.stats.completed + manager.stats.failed == 100
 
     def test_cancel_finished_job_returns_false(self, manager):
         job_id = manager.submit("MLP-500-100")

@@ -585,11 +585,19 @@ class TestAnsweredFromTheConcludedJob:
         monkeypatch.setattr(jobs_module, "REMEMBERED_JOBS", 2)
         manager = JobManager(pool=pool)
         batch = [_point(n % 2, tags={"n": str(n)}) for n in range(7)]
+        attached = threading.Event()
+        submit = manager._submit
+
+        def submit_and_count(request):
+            job = submit(request)
+            if manager.stats.coalesced == 5:
+                attached.set()  # the fifth follower is attached
+            return job
+
+        manager._submit = submit_and_count
 
         def complete_once_attached() -> None:
-            give_up = time.monotonic() + 10
-            while manager.stats.coalesced < 5 and time.monotonic() < give_up:
-                time.sleep(0.001)
+            attached.wait(10)
             pool.complete_all()
 
         completer = threading.Thread(target=complete_once_attached)

@@ -263,7 +263,7 @@ class TestRetryPolicy:
             CompileRequest(model="MLP-500-100", deadline_s=follower_deadline_s)
         )
         now = time.monotonic()
-        monkeypatch.setattr(time, "monotonic", lambda: now + 0.1)
+        manager._clock = lambda: now + 0.1
         manual_executor.submitted[0][2].set_exception(OSError("flaky"))
         assert manager.stats.retried == retried
         manual_executor.complete_all()
@@ -326,14 +326,12 @@ class TestDeadlines:
         manual_executor.complete_all()
         assert all(manager.result(job_id, timeout=0).ok for job_id in ids)
 
-    def test_an_overdue_job_with_no_waiter_reads_failed(
-        self, manual_executor, monkeypatch
-    ):
+    def test_an_overdue_job_with_no_waiter_reads_failed(self, manual_executor):
         manager = JobManager(pool=manual_executor)
         job_id = manager.submit(CompileRequest(model="MLP-500-100", deadline_s=60.0))
         assert manager.status(job_id).state == JobState.RUNNING
         now = time.monotonic()
-        monkeypatch.setattr(time, "monotonic", lambda: now + 61.0)
+        manager._clock = lambda: now + 61.0
         info = manager.status(job_id)
         assert info.state == JobState.FAILED
         assert info.error.code == "deadline_exceeded"
@@ -344,11 +342,11 @@ class TestDeadlines:
         assert manager.result(job_id, timeout=0).error.code == "deadline_exceeded"
         assert (manager.stats.deadline_expired, manager.stats.failed) == (1, 1)
 
-    def test_a_result_landing_after_the_deadline_is_the_expiry(self, manual_executor, monkeypatch):
+    def test_a_result_landing_after_the_deadline_is_the_expiry(self, manual_executor):
         manager = JobManager(pool=manual_executor)
         job_id = manager.submit(CompileRequest(model="MLP-500-100", deadline_s=60.0))
         now = time.monotonic()
-        monkeypatch.setattr(time, "monotonic", lambda: now + 61.0)
+        manager._clock = lambda: now + 61.0
         manual_executor.complete_all()
         response = manager.result(job_id, timeout=0)
         assert response.error.code == "deadline_exceeded"
