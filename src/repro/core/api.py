@@ -84,7 +84,8 @@ class WorkerPool:
     in-flight and future job fails with ``BrokenProcessPool``.  Whoever sees
     that calls :meth:`heal` with the :attr:`generation` its job ran
     against; the pool swaps in a fresh executor once per generation and
-    records it in :attr:`health`.
+    records it in :attr:`health`.  A pool that was shut down stays shut:
+    a late report heals nothing, and a later :meth:`submit` raises.
 
     Parameters
     ----------
@@ -112,6 +113,7 @@ class WorkerPool:
         self.generation = 0
         self.health = PoolHealth()
         self._lock = threading.Lock()
+        self._closed = False
         self._executor = self._build_executor()
 
     def _build_executor(self) -> ProcessPoolExecutor:
@@ -135,7 +137,7 @@ class WorkerPool:
         are dead or dying, and the breakage has already failed its futures.
         """
         with self._lock:
-            if observed_generation != self.generation:
+            if self._closed or observed_generation != self.generation:
                 return
             started = time.perf_counter()
             old, self._executor = self._executor, self._build_executor()
@@ -156,7 +158,10 @@ class WorkerPool:
         return sorted(processes)
 
     def shutdown(self, wait: bool = True) -> None:
-        self.executor.shutdown(wait=wait)
+        with self._lock:
+            self._closed = True
+            executor = self._executor
+        executor.shutdown(wait=wait)
 
     def __enter__(self) -> "WorkerPool":
         return self

@@ -13,8 +13,9 @@ __all__ = ["PnRPass"]
 #: changes for the same inputs, or its pickled layout does (v4 = serial
 #: annealer, two proposals per movable block per temperature; v5 = routed
 #: trees and paths held as node-id tuples, every routing unchanged; v6 =
-#: the anneal starts cold from a quadratic start, not a random one).
-_PNR_ARTIFACT_VERSION = "pnr-v6"
+#: the anneal starts cold from a quadratic start, not a random one; v7 =
+#: the search's ties prefer a track rotated by the net's index).
+_PNR_ARTIFACT_VERSION = "pnr-v7"
 
 
 @register_pass

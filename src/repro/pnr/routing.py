@@ -34,8 +34,11 @@ per wire kind and offset from the sink, the exact congestion-free cost
 still to pay — a pure function of the geometry, the fabric being
 translation-invariant with disjoint switch boxes.  Under an exact bound
 every node of an optimal path ties on ``f``; ties break deepest-first, then
-on node id, so the search dives at the sink instead of sweeping the plateau
-of equivalent tracks, and routing is deterministic across processes.
+on the node's rank (:func:`_rank`), so the search dives at the sink instead
+of sweeping the plateau of equivalent tracks, and routing is deterministic
+across processes.  The tracks are identical planes, and the rank rotates
+the track a net prefers by the net's index: nets that cross start on
+different planes, so few meet on a wire to be negotiated apart.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from itertools import chain
 
 import numpy as np
 
@@ -91,22 +95,35 @@ def _lookahead(span: int) -> tuple[list[list[float]], list[list[float]]]:
     )
 
 
-def _key_order(channel: range, node_cost: list[float], h: float):
+def _rank(u: int, tracks: int, rotation: int) -> int:
+    """The tie-break rank of wire ``u`` in a search rotated by
+    ``rotation``: its id with its track ``t`` read as ``(t + rotation) %
+    tracks``.  Each channel's ids map onto themselves, so ranks are unique;
+    ties pop in descending rank, so the track a search prefers is
+    ``tracks - 1 - rotation`` (modulo ``tracks``), then the tracks below it,
+    wrapping round.  A pin's rank is its id."""
+    t = (u >> 1) % tracks
+    return u + 2 * ((t + rotation) % tracks - t)
+
+
+def _key_order(channel: range, node_cost: list[float], h: float, rotation: int = 0):
     """The wires of one channel in the order a search pops them when all
     are entered at ``g = 0`` under the same ``h``: by heap key
-    ``(cost + h, -cost, -id)``.  That is the channel's distinct costs by
-    ``(cost + h, -cost)``, each cost's wires in descending id, yielded as
-    they are asked for.  Congestion-free channels, the common case, cost
-    the same on every track: descending ids."""
+    ``(cost + h, -cost, -rank)`` (:func:`_rank`).  That is the channel's
+    distinct costs by ``(cost + h, -cost)``, each cost's wires in descending
+    rank, yielded as they are asked for.  Congestion-free channels, the
+    common case, cost the same on every track: descending rank, two range
+    slices from the preferred track down."""
+    top = (len(channel) - 1 - rotation) % len(channel)  # the preferred track
     costs = node_cost[channel.start:channel.stop:2]
-    distinct = set(costs)
-    if len(distinct) == 1:
-        return reversed(channel)
-    costs.reverse()
-    ids = channel[::-1]
+    if costs.count(costs[0]) == len(costs):
+        return chain(channel[top::-1], channel[:top:-1])
+    # the wires and their costs in descending rank
+    ids = [*channel[top::-1], *channel[:top:-1]]
+    costs = costs[top::-1] + costs[:top:-1]
     return (
         v
-        for cost in sorted(distinct, key=lambda c: (c + h, -c))
+        for cost in sorted(set(costs), key=lambda c: (c + h, -c))
         for v, c in zip(ids, costs)
         if c == cost
     )
@@ -385,7 +402,7 @@ class PathFinderRouter:
             for i in targets:
                 t0 = time.perf_counter()
                 tree, sink_paths, expanded = self._route_net(
-                    terminals[i], windows[i], compiled, state, node_cost
+                    terminals[i], windows[i], compiled, state, node_cost, i
                 )
                 result.expand_seconds += time.perf_counter() - t0
                 result.nodes_expanded += expanded
@@ -419,8 +436,10 @@ class PathFinderRouter:
         compiled,
         state: _SearchState,
         node_cost: list[float],
+        rotation: int,
     ) -> tuple[list[int], dict[tuple[int, int], tuple[int, ...]], int]:
-        """Route one net as a tree; returns (tree, sink paths, expansions)."""
+        """Route one net as a tree; returns (tree, sink paths, expansions).
+        ``rotation``, the net's index, picks the track its ties prefer."""
         net, source, sinks = terminal
         on_tree = state.on_tree
         prev = state.prev
@@ -436,7 +455,7 @@ class PathFinderRouter:
                 continue
             state.stamp = net_stamp = state.stamp + 1
             found, expanded = self._search(
-                compiled, state, node_cost, tree, net_stamp, sink, window
+                compiled, state, node_cost, tree, net_stamp, sink, window, rotation
             )
             expansions += expanded
             if not found:
@@ -466,13 +485,17 @@ class PathFinderRouter:
         net_stamp: int,
         sink: int,
         window: _Window,
+        rotation: int = 0,
     ) -> tuple[bool, int]:
         """Window-confined admissible A* from the net's tree to one sink.
 
-        Heap keys are ``(f, -g, -id)``: among equal ``f`` the deepest node
-        first, and unique, so the expansion order — and with it every
-        predecessor label — is deterministic.  ``tree[0]`` is the net's
-        source pin; ``dist[sink]`` is the cost of the path found.
+        Heap entries are ``(f, -g, -rank, id)`` (:func:`_rank`, rotated by
+        ``rotation``): among equal ``f`` the deepest node first, then the
+        highest rank, and keys are unique, so the expansion order — and with
+        it every predecessor label — is deterministic.  The wires a wire
+        leads to share its track, so each one's rank is its id plus the
+        popped wire's ``rank - id``.  ``tree[0]`` is the net's source pin;
+        ``dist[sink]`` is the cost of the path found.
 
         The source pin reaches every track of its channels, and the tracks
         of one channel share ``h``: their keys are known in order without
@@ -481,6 +504,7 @@ class PathFinderRouter:
         every expansion is the one pushing them all at once would give.
         """
         neighbors_of = compiled.geometry.neighbors_of
+        tracks = compiled.geometry.tracks
         node_x = compiled.x
         node_y = compiled.y
         n_wires = compiled.n_wires
@@ -505,7 +529,7 @@ class PathFinderRouter:
         py = node_y[source] + oy
         nearest = min(look_h[px][py], look_h[px][py - 1], look_v[px][py], look_v[px - 1][py])
         source_f = WIRE_BASE_COST + nearest
-        heap = [(source_f, 0.0, -source)]
+        heap = [(source_f, 0.0, -source, source)]
         for u in tree:
             on_tree[u] = net_stamp
             seen[u] = net_stamp
@@ -513,15 +537,15 @@ class PathFinderRouter:
             prev[u] = -1
             if u < n_wires:
                 h = (look_v if u & 1 else look_h)[node_x[u] + ox][node_y[u] + oy]
-                heap.append((h, 0.0, -u))
+                heap.append((h, 0.0, -_rank(u, tracks, rotation), u))
         heapify(heap)
 
         #: fan-out wire in the heap -> (the rest of its channel, the channel's h)
         fanout: dict[int, tuple] = {}
         expansions = 0
         while heap:
-            _, d, u = pop(heap)
-            d, u = -d, -u
+            _, d, key, u = pop(heap)
+            d = -d
             if d > dist[u]:
                 continue
             expansions += 1
@@ -530,6 +554,9 @@ class PathFinderRouter:
             if u < n_wires:
                 opened = (fanout.pop(u),) if u in fanout else ()
                 adjacent = neighbors_of(u)
+                # a neighbouring wire v shares u's track: its key,
+                # -rank(v), is -(v + rank(u) - u) = shift - v
+                shift = key + u
             else:
                 # the source: the only other pin that is ever pushed
                 opened = []
@@ -538,7 +565,7 @@ class PathFinderRouter:
                     vx, vy = node_x[v], node_y[v]
                     if lo_x <= vx <= hi_x and lo_y <= vy <= hi_y:
                         h = (look_v if v & 1 else look_h)[vx + ox][vy + oy]
-                        opened.append((_key_order(channel, node_cost, h), h))
+                        opened.append((_key_order(channel, node_cost, h, rotation), h))
                 adjacent = ()
             for rest, h in opened:
                 for v in rest:
@@ -551,14 +578,14 @@ class PathFinderRouter:
                         # no label is below a wire's own cost: a tree wire
                         # (g = 0 too) labelled v and pushed this very key;
                         # the source's label stands unless that wire's own
-                        # key, (h, 0, -id), popped before the source's
+                        # key, (h, 0, -rank), popped before the source's
                         w = prev[v]
                         if source_f <= (look_v if w & 1 else look_h)[node_x[w] + ox][node_y[w] + oy]:
                             prev[v] = source
                         continue
                     dist[v] = nd
                     prev[v] = source
-                    push(heap, (nd + h, -nd, -v))
+                    push(heap, (nd + h, -nd, -_rank(v, tracks, rotation), v))
                     fanout[v] = (rest, h)
                     break
             for v in adjacent:
@@ -567,6 +594,7 @@ class PathFinderRouter:
                     if v != sink:
                         continue
                     h = 0.0
+                    key = -v
                 elif on_tree[v] == net_stamp:
                     continue
                 else:
@@ -577,6 +605,7 @@ class PathFinderRouter:
                     if vy < lo_y or vy > hi_y:
                         continue
                     h = (look_v if v & 1 else look_h)[vx + ox][vy + oy]
+                    key = shift - v
                 nd = d + node_cost[v]
                 if seen[v] != net_stamp:
                     seen[v] = net_stamp
@@ -584,5 +613,5 @@ class PathFinderRouter:
                     continue
                 dist[v] = nd
                 prev[v] = u
-                push(heap, (nd + h, -nd, -v))
+                push(heap, (nd + h, -nd, key, v))
         return False, expansions

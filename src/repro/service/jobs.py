@@ -564,7 +564,9 @@ class JobManager:
                 if response.ok and job.request.use_cache and bitstream is None:
                     job.compiled = response
                     self._shared[fingerprint] = job
-                    if len(self._shared) > REMEMBERED_JOBS:
+                    # the bound counts concluded entries: every compiling
+                    # job is an entry (coalescing is on) and takes a slot
+                    if len(self._shared) - self._active > REMEMBERED_JOBS:
                         # never a compiling entry: its followers wait
                         del self._shared[
                             next(k for k, j in self._shared.items() if j.state not in _COMPILING)

@@ -121,7 +121,7 @@ class TestBitstreamIdentity:
         )
         assert len(result.bitstream.routing) == 34
         assert _sha256(result.bitstream.to_json()) == (
-            "ba29abfc2fbb691ccd0994d18ff1d3dd7d74924c7f21ebf5cfc395b78be6bf65"
+            "39eb97ee8477d17a93136c7f8e8bb82e32573d65c95f4ab85f21f3681b9eaff6"
         )
 
     def test_json_round_trips(self, alexnet_bitstream):

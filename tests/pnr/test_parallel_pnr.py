@@ -120,11 +120,11 @@ class TestJobsInvarianceOfKeys:
             return PnRPass().cache_key(ctx)
 
         assert key(None) == key(1) == key(8)
-        # re-recorded at pnr-v6: the anneal starts from a quadratic start,
-        # so every placement moved and an older stage- or shared-cache
-        # entry must miss
+        # re-recorded at pnr-v7: the search's ties prefer a track rotated
+        # by the net's index, so routings moved and an older stage- or
+        # shared-cache entry must miss
         assert key(None) == (
-            "090bdd94933d43f770d9de30f6d7cc7af09c99cb044d20a7d13f7b1c14af56dc"
+            "0fe6038f6fd7200c7dddad772ffdad0e4c2c12e857c11578c2ce9bc590a89347"
         )
 
     def test_request_fingerprint_jobs_invariant(self):

@@ -21,7 +21,7 @@ from repro.pnr import routing as routing_module
 from repro.pnr.fabric import FabricGrid
 from repro.pnr.placement import Placement
 from repro.pnr.pnr import PlaceAndRoute
-from repro.pnr.routing import PathFinderRouter, RoutingError, _key_order, _SearchState
+from repro.pnr.routing import PathFinderRouter, RoutingError, _key_order, _rank, _SearchState
 from repro.pnr.rrgraph import WIRE_BASE_COST, RoutingResourceGraph, RRNode
 from repro.pnr.timing import analyze_timing
 from repro.synthesizer.synthesizer import synthesize
@@ -111,6 +111,31 @@ class TestPathFinderRouter:
                 grid_netlist_and_placement(2, FabricGrid(2, 2))[0]
             )
 
+    def test_crossing_nets_route_on_distinct_tracks_in_one_iteration(self):
+        # a runs up column 1 and b crosses it westwards.  A sink's branch
+        # leaves its net's tree on the tree's track, so two trees on one
+        # track met on a wire there and were negotiated apart; the nets'
+        # indices rotate their ties onto tracks 3 and 2
+        fabric = FabricGrid(3, 3)
+        netlist = FunctionBlockNetlist("crossing")
+        positions = {
+            "a": (1, 0), "a1": (1, 1), "a2": (1, 2),
+            "b": (2, 0), "b1": (2, 1), "b2": (0, 2),
+        }
+        for name in positions:
+            netlist.add_block(Block(name, BlockType.PE))
+        netlist.add_net(Net("na", driver="a", sinks=("a1", "a2")))
+        netlist.add_net(Net("nb", driver="b", sinks=("b1", "b2")))
+        graph = RoutingResourceGraph(fabric, channel_width=4)
+        result = PathFinderRouter(graph).route(netlist, Placement(fabric, positions=positions))
+        assert result.legal
+        assert (result.iterations, result.rerouted_nets) == (1, 0)
+        node = result.geometry.node
+        assert [
+            {node(u).track for u in result.nets[name].nodes[:result.nets[name].wirelength]}
+            for name in ("na", "nb")
+        ] == [{3}, {2}]
+
     def test_congestion_negotiation_resolves_conflicts(self):
         fabric = FabricGrid(2, 2)
         netlist = FunctionBlockNetlist("negotiate")
@@ -194,10 +219,10 @@ GOLDEN_CASES = sorted((Path(__file__).parent / "golden").glob("*.json"))
 
 @pytest.mark.parametrize("path", GOLDEN_CASES, ids=[p.stem for p in GOLDEN_CASES])
 def test_routing_is_bit_identical_to_the_recorded_digests(path):
-    """``routing_digests.json`` was recorded at ``10e5c39``, whose search
-    pushed every track of the source's channels and read stored adjacency
-    lists.  A digest that moves means routings changed: say which and why
-    before re-recording (and bump ``_PNR_ARTIFACT_VERSION``)."""
+    """``routing_digests.json`` was recorded at ``pnr-v7``, when the
+    search's ties began to prefer a track rotated by the net's index.  A
+    digest that moves means routings changed: say which and why before
+    re-recording (and bump ``_PNR_ARTIFACT_VERSION``)."""
     recorded = json.loads((Path(__file__).parent / "routing_digests.json").read_text())
     golden = json.loads(path.read_text())
     netlist = zoo_netlist(golden["model"], golden["duplication_degree"])
@@ -207,8 +232,9 @@ def test_routing_is_bit_identical_to_the_recorded_digests(path):
 
 
 def test_lenet_d2_pushes_few_heap_entries_per_search(monkeypatch):
-    """Counts repeat exactly: 89 searches, 1 187 pushes.  Pushing the
-    source pin's 4 x 64 wires eagerly took 14 778 (149 a search)."""
+    """Counts repeat exactly: 62 searches, 667 pushes (89 and 1 187 while
+    every net's ties preferred the top track).  Pushing the source pin's
+    4 x 64 wires eagerly took 14 778 (149 a search)."""
     counts = {"pushes": 0, "searches": 0}
     search = PathFinderRouter._search
 
@@ -223,14 +249,24 @@ def test_lenet_d2_pushes_few_heap_entries_per_search(monkeypatch):
     monkeypatch.setattr(PathFinderRouter, "_search", counted_search)
     monkeypatch.setattr(routing_module, "heappush", counted_push)
     assert PlaceAndRoute(seed=0).run(zoo_netlist("LeNet", 2)).routing.legal
-    assert counts["searches"] == 89
+    assert counts["searches"] == 62
     assert counts["pushes"] <= 30 * counts["searches"], counts
 
 
-def eager_search(compiled, state, node_cost, tree, net_stamp, sink, window):
+def rank(compiled, u, rotation):
+    """The tie-break order, from the decoded node: a wire's id with its
+    track rotated by ``rotation``, a pin's id."""
+    if u >= compiled.n_wires:
+        return u
+    track = compiled.geometry.node(u).track
+    return u + 2 * ((track + rotation) % compiled.geometry.tracks - track)
+
+
+def eager_search(compiled, state, node_cost, tree, net_stamp, sink, window, rotation):
     """The search as it was at ``10e5c39`` — every neighbour of every
-    expanded node pushed at once, read from adjacency lists — and the
-    oracle for the lazy fan-out: same labels, same expansions."""
+    expanded node pushed at once, read from adjacency lists — with ties
+    broken on :func:`rank`, and the oracle for the lazy fan-out: same
+    labels, same expansions."""
     neighbors_of = compiled.geometry.neighbors_of
     node_x, node_y, n_wires = compiled.x, compiled.y, compiled.n_wires
     dist, prev, seen, on_tree = state.dist, state.prev, state.seen, state.on_tree
@@ -245,18 +281,18 @@ def eager_search(compiled, state, node_cost, tree, net_stamp, sink, window):
     source = tree[0]
     px, py = node_x[source] + ox, node_y[source] + oy
     nearest = min(look_h[px][py], look_h[px][py - 1], look_v[px][py], look_v[px - 1][py])
-    heap = [(WIRE_BASE_COST + nearest, 0.0, -source)]
+    heap = [(WIRE_BASE_COST + nearest, 0.0, -source, source)]
     for u in tree:
         on_tree[u] = seen[u] = net_stamp
         dist[u] = 0.0
         prev[u] = -1
         if u < n_wires:
-            heap.append((lookahead(u), 0.0, -u))
+            heap.append((lookahead(u), 0.0, -rank(compiled, u, rotation), u))
     heapify(heap)
     expansions = 0
     while heap:
-        _, d, u = heappop(heap)
-        d, u = -d, -u
+        _, d, _, u = heappop(heap)
+        d = -d
         if d > dist[u]:
             continue
         expansions += 1
@@ -280,7 +316,7 @@ def eager_search(compiled, state, node_cost, tree, net_stamp, sink, window):
                 continue
             dist[v] = nd
             prev[v] = u
-            heappush(heap, (nd + h, -nd, -v))
+            heappush(heap, (nd + h, -nd, -rank(compiled, v, rotation), v))
     return False, expansions
 
 
@@ -294,7 +330,6 @@ class TestLazyFanOutEqualsEagerSearch:
         compiled = graph.compiled()
         router = PathFinderRouter(graph)
         span = max(width, height) + 2
-        lazy, eager = _SearchState(len(compiled), span), _SearchState(len(compiled), span)
         # few distinct costs, so whole channels tie and equal-cost labels
         # from tree wires and from the source pin meet on the same wire
         levels = rng.choice([(1.0,), (1.0, 1.5), (1.0, 1.5, 2.0, 3.75)])
@@ -313,31 +348,37 @@ class TestLazyFanOutEqualsEagerSearch:
         popped = []
 
         def recording_pop(heap):
-            popped.append(-heap[0][2])
+            popped.append(heap[0][3])
             return heappop(heap)
 
         monkeypatch.setattr(routing_module, "heappop", recording_pop)
-        tree = [compiled.geometry.pin_id("OPIN", *blocks[0])]
-        for block in blocks[1:]:
-            sink = compiled.geometry.pin_id("IPIN", *block)
-            lazy.stamp = eager.stamp = lazy.stamp + 1
-            del popped[:]
-            outcome = router._search(compiled, lazy, node_cost, tree, lazy.stamp, sink, window)
-            assert outcome == eager_search(
-                compiled, eager, node_cost, tree, eager.stamp, sink, window
-            )
-            # a wire the lazy search popped has had its turn in the fan-out:
-            # from then on its label is the eager one
-            for u in popped:
-                assert (lazy.dist[u], lazy.prev[u]) == (eager.dist[u], eager.prev[u]), (
-                    seed, compiled.geometry.node(u)
+        # the net's index rotates its ties: no rotation, each track's turn
+        # at the top, and an index past the channel width
+        for rotation in sorted({0, 1, tracks - 1, rng.randrange(tracks, 4 * tracks + 9)}):
+            lazy, eager = _SearchState(len(compiled), span), _SearchState(len(compiled), span)
+            tree = [compiled.geometry.pin_id("OPIN", *blocks[0])]
+            for block in blocks[1:]:
+                sink = compiled.geometry.pin_id("IPIN", *block)
+                lazy.stamp = eager.stamp = lazy.stamp + 1
+                del popped[:]
+                outcome = router._search(
+                    compiled, lazy, node_cost, tree, lazy.stamp, sink, window, rotation
                 )
-            if not outcome[0]:
-                continue
-            path = [sink]
-            while lazy.prev[path[-1]] != -1:
-                path.append(lazy.prev[path[-1]])
-            tree.extend(u for u in path if lazy.on_tree[u] != lazy.stamp)
+                assert outcome == eager_search(
+                    compiled, eager, node_cost, tree, eager.stamp, sink, window, rotation
+                ), rotation
+                # a wire the lazy search popped has had its turn in the
+                # fan-out: from then on its label is the eager one
+                for u in popped:
+                    assert (lazy.dist[u], lazy.prev[u]) == (eager.dist[u], eager.prev[u]), (
+                        seed, rotation, compiled.geometry.node(u)
+                    )
+                if not outcome[0]:
+                    continue
+                path = [sink]
+                while lazy.prev[path[-1]] != -1:
+                    path.append(lazy.prev[path[-1]])
+                tree.extend(u for u in path if lazy.on_tree[u] != lazy.stamp)
 
 
 def quadratic_domains(windows):
@@ -426,12 +467,35 @@ def test_row_sweep_equals_the_pairwise_union_find(shape):
         assert PathFinderRouter._domains(windows) == quadratic_domains(windows), windows
 
 
-def keyed_order(channel: range, node_cost: list[float], h: float) -> list[int]:
-    """``_key_order`` as it was: the whole channel in one keyed sort."""
+def keyed_order(
+    channel: range, node_cost: list[float], h: float, rotation: int = 0
+) -> list[int]:
+    """``_key_order`` as it was: the whole channel in one keyed sort, its
+    wires ranked by their track rotated by ``rotation``."""
+    tracks = len(channel)
+
+    def rank(v):
+        return channel.start + 2 * (((v - channel.start) // 2 + rotation) % tracks)
+
     costs = node_cost[channel.start:channel.stop:2]
     if min(costs) == max(costs):
-        return list(reversed(channel))
-    return sorted(channel, key=lambda v: (node_cost[v] + h, -node_cost[v], -v))
+        return sorted(channel, key=rank, reverse=True)
+    return sorted(channel, key=lambda v: (node_cost[v] + h, -node_cost[v], -rank(v)))
+
+
+def channel_costs(rng: random.Random, case: str, tracks: int) -> list[float]:
+    """One channel's wire costs: tied levels, all equal, one wire
+    congested, or all distinct."""
+    if case == "ties":
+        levels = [1.0 * (1 + 0.5 * k) * (1 + 0.4 * j) for k in range(3) for j in range(2)]
+        return [rng.choice(levels[:rng.randint(2, 6)]) for _ in range(tracks)]
+    if case == "all-equal":
+        return [rng.choice((1.0, 2.25))] * tracks
+    if case == "one-congested":
+        costs = [1.0] * tracks
+        costs[rng.randrange(tracks)] = rng.choice((1.5, 2.0, 3.75))
+        return costs
+    return [rng.uniform(1.0, 4.0) for _ in range(tracks)]
 
 
 @pytest.mark.parametrize("case", ["ties", "all-equal", "one-congested", "distinct"])
@@ -442,20 +506,31 @@ def test_grouped_channel_order_equals_the_keyed_sort(case):
         start = rng.randint(0, 40)
         channel = range(start, start + 2 * tracks, 2)
         node_cost = [rng.uniform(0.5, 9.0) for _ in range(channel.stop)]
-        if case == "ties":
-            levels = [1.0 * (1 + 0.5 * k) * (1 + 0.4 * j) for k in range(3) for j in range(2)]
-            costs = [rng.choice(levels[:rng.randint(2, 6)]) for _ in channel]
-        elif case == "all-equal":
-            costs = [rng.choice((1.0, 2.25))] * tracks
-        elif case == "one-congested":
-            costs = [1.0] * tracks
-            costs[rng.randrange(tracks)] = rng.choice((1.5, 2.0, 3.75))
-        else:
-            costs = [rng.uniform(1.0, 4.0) for _ in channel]
-        node_cost[channel.start:channel.stop:2] = costs
+        node_cost[channel.start:channel.stop:2] = channel_costs(rng, case, tracks)
         # a large h rounds distinct costs to one ``cost + h``: -cost decides
         h = rng.choice((0.0, 1.5, rng.uniform(0.5, 30.0), 2.0**53))
         assert list(_key_order(channel, node_cost, h)) == keyed_order(channel, node_cost, h)
+
+
+@pytest.mark.parametrize("case", ["ties", "all-equal", "one-congested", "distinct"])
+def test_rotated_channel_order_equals_the_keyed_sort_and_the_heap_rank(case):
+    rng = random.Random(f"rotated-{case}")
+    for _ in range(200):
+        tracks = rng.randint(1, 64)
+        # a channel of a fabric: its first id is a multiple of 2 * tracks,
+        # plus 1 for a vertical one
+        start = 2 * tracks * rng.randint(0, 5) + rng.randint(0, 1)
+        channel = range(start, start + 2 * tracks, 2)
+        node_cost = [rng.uniform(0.5, 9.0) for _ in range(channel.stop)]
+        node_cost[channel.start:channel.stop:2] = channel_costs(rng, case, tracks)
+        h = rng.choice((0.0, 1.5, rng.uniform(0.5, 30.0), 2.0**53))
+        rotation = rng.randrange(3 * tracks)
+        expected = keyed_order(channel, node_cost, h, rotation)
+        assert list(_key_order(channel, node_cost, h, rotation)) == expected
+        # the search's heap ranks a channel's wires the same way
+        assert sorted(
+            channel, key=lambda v: (node_cost[v] + h, -node_cost[v], -_rank(v, tracks, rotation))
+        ) == expected
 
 
 def test_place_and_route_builds_no_rrnode(monkeypatch):

@@ -189,7 +189,7 @@ class LifecycleModel(RuleBasedStateMachine):
                 self.published.append(sub)  # answered at its deadline
         if code == "ok" and compile_.primary.request.use_cache:
             self.remembered[compile_.fingerprint] = None
-            if len(self.remembered) + len(self.compiling) > REMEMBERED:
+            if len(self.remembered) > REMEMBERED:
                 self.remembered.popitem(last=False)
 
     def _predict_submit(self, request: CompileRequest) -> str:
@@ -202,7 +202,7 @@ class LifecycleModel(RuleBasedStateMachine):
             return "attach"
         if len(self.compiling) >= MAX_QUEUE_DEPTH:
             return "OverloadedError"
-        if self.pool.executor.closed:
+        if self.closing:  # a pool shut down stays shut
             return "RuntimeError"
         refusals = self.pool.refusals
         if refusals and isinstance(refusals[0], BrokenExecutor):

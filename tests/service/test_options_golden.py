@@ -109,5 +109,5 @@ def test_stage_cache_keys_of_lenet_seed_0():
         "synthesis": "d8694d17ae545539886bcc05db55e5ace9fe13c0882d764cf85d3d3afeb4ac8b",
         "partition": "5ac9e594c24b9b35854ee75c2c0c468bb2a8ae527eb007811c997c429c44cb7b",
         "mapping": "2bec2e7673acef32a7441a098335e393448afff6e177ac8d4485e7e250f0e8a6",  # mapping-v3
-        "pnr": "b4fed1a3977e3048861534df636b1335507e0b9c3f9d2de4b90dfc50046179df",  # pnr-v6
+        "pnr": "6f38bc14db10ae5dbd47e0b047e91548e2b70ac678898fdce6b1b3c2bb5f6adc",  # pnr-v7
     }

@@ -687,6 +687,20 @@ class TestAnsweredFromTheConcludedJob:
             self.serve(manager, pool, _point(i))
             assert len(pool.submitted) == compiles, i
 
+    def test_the_bound_counts_only_the_concluded_compiles(self, pool, monkeypatch):
+        # room for 2 concluded compiles while 2 others are in flight: the
+        # third to conclude is remembered, not evicted at once
+        monkeypatch.setattr(jobs_module, "REMEMBERED_JOBS", 2)
+        manager = JobManager(pool=pool)
+        in_flight = [manager.submit(_point(i)) for i in (0, 1)]
+        finished = manager.submit(_point(2))
+        pool.complete_last()
+        assert manager.result(finished, timeout=0).ok
+        repeat = manager.submit(_point(2))  # answered at submit
+        assert manager.result(repeat, timeout=0).ok
+        assert len(pool.submitted) == 3
+        assert [manager.status(job_id).state for job_id in in_flight] == [JobState.QUEUED] * 2
+
     def test_a_compile_that_outlived_its_deadline_is_remembered(self, pool):
         manager = JobManager(pool=pool)
         late = manager.submit(_point(deadline_s=0.01))

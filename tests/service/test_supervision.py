@@ -74,6 +74,16 @@ class TestPoolHealing:
         finally:
             pool.shutdown()
 
+    def test_a_pool_shut_down_stays_shut(self):
+        # a breakage reported after shutdown (a worker crash landing late)
+        # rebuilds nothing, so a later submit is refused
+        pool = WorkerPool(1)
+        pool.shutdown()
+        pool.heal(pool.generation)
+        assert pool.generation == 0 and pool.health.respawns == 0
+        with pytest.raises(RuntimeError, match="shutdown"):
+            pool.submit(abs, -1)
+
 
 class TestCrashRecovery:
     def test_crashed_worker_is_respawned_and_the_job_retried(self):
