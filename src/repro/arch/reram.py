@@ -119,7 +119,8 @@ class WeightComposition:
     combines per-cell values back into weights on the [0, 1] scale
     (``compose``: last axis = cells), and states the paper's *normalized
     deviation*: the composed weight's standard deviation over its range
-    (``normalized_deviation``).
+    (``normalized_deviation``) and the composed weight's effective number
+    of representable bits (``weight_bits``).
     """
 
     def __init__(self, cell: ReRAMCellModel, n_cells: int):
@@ -127,15 +128,6 @@ class WeightComposition:
             raise InvalidRequestError("n_cells must be positive")
         self.cell = cell
         self.n_cells = n_cells
-
-    @property
-    def name(self) -> str:
-        raise NotImplementedError
-
-    @property
-    def weight_bits(self) -> int:
-        """Effective number of representable bits of the composed weight."""
-        raise NotImplementedError
 
     @property
     def weight_levels(self) -> int:
@@ -159,10 +151,6 @@ class SpliceComposition(WeightComposition):
     the number of cells but the normalized deviation barely improves because
     the most-significant cell dominates.
     """
-
-    @property
-    def name(self) -> str:
-        return "splice"
 
     @property
     def weight_bits(self) -> int:
@@ -214,10 +202,6 @@ class AddComposition(WeightComposition):
     The representable precision stays at the per-cell precision (the paper
     raises effective precision by using 16-level cells and large windows).
     """
-
-    @property
-    def name(self) -> str:
-        return "add"
 
     @property
     def weight_bits(self) -> int:

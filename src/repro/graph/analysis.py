@@ -96,11 +96,11 @@ def _reuse_degree(node: GraphNode, graph: ComputationalGraph) -> int:
 
 def profile_graph(graph: ComputationalGraph) -> GraphProfile:
     """Extract per-layer statistics for all weighted layers of ``graph``."""
-    order = graph.validate()
+    view = graph.derived()
     layers: list[LayerStats] = []
     total_activation = 0
-    for node in order:
-        specs = graph.input_specs(node)
+    for node in view.order:
+        specs = view.specs[node.name]
         total_activation += node.output.size
         if not isinstance(node.op, (Conv2d, Dense)):
             continue
@@ -124,6 +124,6 @@ def profile_graph(graph: ComputationalGraph) -> GraphProfile:
         name=graph.name,
         layers=layers,
         total_params=graph.total_params(),
-        total_ops=graph.total_ops(),
+        total_ops=view.total_ops,
         total_activation_values=total_activation,
     )

@@ -9,7 +9,9 @@ core-op graph, the function-block netlist and finally the chip configuration.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 from .ops import InputOp, Operation
@@ -22,13 +24,14 @@ class GraphValidationError(ValueError):
     """Raised when a graph is structurally invalid."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphNode:
-    """One node of the computational graph."""
+    """One node of the computational graph; immutable, so only
+    :meth:`ComputationalGraph.add` changes a graph."""
 
     name: str
     op: Operation
-    inputs: list[str]
+    inputs: tuple[str, ...]
     output: TensorSpec
 
     @property
@@ -40,8 +43,59 @@ class GraphNode:
         return isinstance(self.op, InputOp)
 
 
+class _View:
+    """What a compile reads of one version of a graph, validated once: the
+    order checked, each node's input specs, the output nodes and, on first
+    read, the operation count.  Building it is the validation: Kahn's order
+    (ready nodes first in, first out, seeded in insertion order), then
+    each node's arity and shape re-checked along it.  The outputs are the
+    nodes no node consumes, in insertion order (as ``output_nodes()``)."""
+
+    def __init__(self, graph: "ComputationalGraph"):
+        self.version = graph.mutation_count
+        nodes = graph._nodes
+        in_degree = {name: len(node.inputs) for name, node in nodes.items()}
+        ready = deque(name for name in graph._order if not in_degree[name])
+        consumers: dict[str, list[str]] = {name: [] for name in nodes}
+        for name, node in nodes.items():
+            for producer in node.inputs:
+                consumers[producer].append(name)
+        order: list[GraphNode] = []
+        while ready:
+            name = ready.popleft()
+            order.append(nodes[name])
+            for consumer in consumers[name]:
+                in_degree[consumer] -= 1
+                if in_degree[consumer] == 0:
+                    ready.append(consumer)
+        if len(order) != len(nodes):
+            raise GraphValidationError(f"graph {graph.name!r} contains a cycle")
+        self.specs: dict[str, list[TensorSpec]] = {}
+        for node in order:
+            self.specs[node.name] = specs = [nodes[i].output for i in node.inputs]
+            node.op.validate_arity(specs)
+            inferred = node.op.infer_shape(specs)
+            if inferred.shape != node.output.shape:
+                raise GraphValidationError(
+                    f"node {node.name!r} output shape {node.output.shape} does not "
+                    f"match inferred shape {inferred.shape}"
+                )
+        if not any(node.is_input for node in order):
+            raise GraphValidationError(f"graph {graph.name!r} has no input nodes")
+        # the graph's nodes, not the graph: no reference cycle
+        self.order = tuple(order)
+        self.outputs = tuple(nodes[name] for name in graph._order if not consumers[name])
+
+    @cached_property
+    def total_ops(self) -> int:
+        return sum(node.op.op_count(self.specs[node.name]) for node in self.order)
+
+
 class ComputationalGraph:
-    """A DAG of tensor operations with shape inference at construction time."""
+    """A DAG of tensor operations with shape inference at construction time.
+
+    What a compile reads of it is :meth:`derived`: one validated view per
+    version (``mutation_count``, as the fingerprint), never pickled."""
 
     def __init__(self, name: str = "model"):
         self.name = name
@@ -51,9 +105,6 @@ class ComputationalGraph:
         #: (:func:`repro.core.cache.graph_fingerprint`) key on it so a
         #: mutated graph can never serve a stale digest.
         self.mutation_count = 0
-        #: ``(mutation_count, total_ops)`` of the last count; see
-        #: :meth:`total_ops`.
-        self._total_ops_memo: tuple[int, int] | None = None
 
     # ------------------------------------------------------------- building
     def add(self, name: str, op: Operation, inputs: list[str] | None = None) -> GraphNode:
@@ -70,7 +121,7 @@ class ComputationalGraph:
         """
         if name in self._nodes:
             raise GraphValidationError(f"duplicate node name {name!r}")
-        inputs = list(inputs or [])
+        inputs = tuple(inputs or ())
         missing = [i for i in inputs if i not in self._nodes]
         if missing:
             raise GraphValidationError(
@@ -93,7 +144,7 @@ class ComputationalGraph:
         return name in self._nodes
 
     def __iter__(self) -> Iterator[GraphNode]:
-        return iter(self.topological())
+        return iter(self.derived().order)
 
     def node(self, name: str) -> GraphNode:
         try:
@@ -123,49 +174,30 @@ class ComputationalGraph:
         return [self._nodes[i].output for i in node.inputs]
 
     # ----------------------------------------------------------- validation
-    def topological(self) -> list[GraphNode]:
-        """Nodes in topological order (raises on cycles).
+    def derived(self) -> _View:
+        """The validated view of this version, derived on first use after
+        each :meth:`add`; a graph that fails validation raises and keeps
+        no view."""
+        view = self.__dict__.get("_view")
+        if view is None or view.version != self.mutation_count:
+            view = self._view = _View(self)
+        return view
 
-        Insertion order already guarantees producers precede consumers when
-        nodes were added through :meth:`add`, but the method re-derives the
-        order defensively so externally mutated graphs are caught.
-        """
-        in_degree = {name: len(node.inputs) for name, node in self._nodes.items()}
-        ready = [name for name, deg in in_degree.items() if deg == 0]
-        # preserve insertion order among ready nodes for determinism
-        ready.sort(key=self._order.index)
-        order: list[GraphNode] = []
-        consumers: dict[str, list[str]] = {name: [] for name in self._nodes}
-        for name, node in self._nodes.items():
-            for producer in node.inputs:
-                consumers[producer].append(name)
-        while ready:
-            name = ready.pop(0)
-            order.append(self._nodes[name])
-            for consumer in consumers[name]:
-                in_degree[consumer] -= 1
-                if in_degree[consumer] == 0:
-                    ready.append(consumer)
-        if len(order) != len(self._nodes):
-            raise GraphValidationError(f"graph {self.name!r} contains a cycle")
-        return order
+    def __getstate__(self) -> dict:
+        state = dict(vars(self))
+        state.pop("_view", None)
+        return state
+
+    def topological(self) -> list[GraphNode]:
+        """The nodes in the validated order of :meth:`derived`: raises
+        :class:`GraphValidationError` where :meth:`validate` does."""
+        return list(self.derived().order)
 
     def validate(self) -> list[GraphNode]:
-        """Full structural validation (acyclicity, arity, shape consistency);
-        returns the topological order it checked."""
-        order = self.topological()
-        for node in order:
-            specs = self.input_specs(node)
-            node.op.validate_arity(specs)
-            inferred = node.op.infer_shape(specs)
-            if inferred.shape != node.output.shape:
-                raise GraphValidationError(
-                    f"node {node.name!r} output shape {node.output.shape} does not "
-                    f"match inferred shape {inferred.shape}"
-                )
-        if not self.input_nodes():
-            raise GraphValidationError(f"graph {self.name!r} has no input nodes")
-        return order
+        """Full structural validation (acyclicity, arity, shape consistency,
+        an input node), once per version; returns the topological order it
+        checked."""
+        return list(self.derived().order)
 
     # ------------------------------------------------------------- counting
     def total_params(self) -> int:
@@ -175,19 +207,9 @@ class ComputationalGraph:
         )
 
     def total_ops(self) -> int:
-        """Total number of arithmetic operations per inference (MAC = 2 ops).
-
-        Counted once per graph version: the ``perf`` and ``bounds`` passes
-        of every compile of this graph share the result, and any
-        :meth:`add` (which bumps ``mutation_count``) invalidates it.
-        """
-        memo = self._total_ops_memo
-        if memo is None or memo[0] != self.mutation_count:
-            total = sum(
-                node.op.op_count(self.input_specs(node)) for node in self.nodes()
-            )
-            memo = self._total_ops_memo = (self.mutation_count, total)
-        return memo[1]
+        """Total number of arithmetic operations per inference (MAC = 2 ops),
+        counted once per version (:meth:`derived`)."""
+        return self.derived().total_ops
 
     def summary(self) -> str:
         """Human-readable per-layer summary table."""
@@ -195,8 +217,9 @@ class ComputationalGraph:
         header = f"{'name':<28} {'op':<14} {'output':<20} {'params':>12} {'ops':>14}"
         lines.append(header)
         lines.append("-" * len(header))
-        for node in self.topological():
-            specs = self.input_specs(node)
+        view = self.derived()
+        for node in view.order:
+            specs = view.specs[node.name]
             shape = "x".join(str(d) for d in node.output.shape)
             lines.append(
                 f"{node.name:<28} {node.kind:<14} {shape:<20} "

@@ -118,15 +118,30 @@ def _key_order(channel: range, node_cost: list[float], h: float, rotation: int =
     costs = node_cost[channel.start:channel.stop:2]
     if costs.count(costs[0]) == len(costs):
         return chain(channel[top::-1], channel[:top:-1])
-    # the wires and their costs in descending rank
-    ids = [*channel[top::-1], *channel[:top:-1]]
-    costs = costs[top::-1] + costs[:top:-1]
-    return (
-        v
-        for cost in sorted(set(costs), key=lambda c: (c + h, -c))
-        for v, c in zip(ids, costs)
-        if c == cost
-    )
+    return _by_cost(channel, costs, top, h)
+
+
+def _by_cost(channel: range, costs: list[float], top: int, h: float):
+    """A congested ``channel`` (``costs`` its wires') by ``(cost + h,
+    -cost)``, each cost in descending rank: the cheapest cost's wires
+    straight off the channel, which is usually all a search takes; the
+    others are set aside and ordered only if they are asked for."""
+
+    def key(cost: float) -> tuple[float, float]:
+        return (cost + h, -cost)
+
+    classes = set(costs)
+    first = min(classes, key=key)
+    rest = []
+    # the tracks in descending rank: the preferred one, down, wrapping round
+    for i in chain(range(top, -1, -1), range(len(costs) - 1, top, -1)):
+        if costs[i] == first:
+            yield channel[i]
+        else:
+            rest.append(i)
+    classes.discard(first)
+    for cost in sorted(classes, key=key):
+        yield from (channel[i] for i in rest if costs[i] == cost)
 
 
 class RoutingError(PnRError):

@@ -73,7 +73,7 @@ class NeuralSynthesizer:
 
     def synthesize(self, graph: ComputationalGraph) -> CoreOpGraph:
         """Lower ``graph`` to a grouped core-op graph."""
-        order = graph.validate()
+        view = graph.derived()
         coreops = CoreOpGraph(graph.name)
         ctx = LoweringContext(
             graph=coreops,
@@ -81,13 +81,12 @@ class NeuralSynthesizer:
             crossbar_cols=self.options.crossbar_cols,
         )
 
-        for node in order:
-            specs = graph.input_specs(node)
-            producers = self._lower_node(ctx, node, specs)
+        for node in view.order:
+            producers = self._lower_node(ctx, node, view.specs[node.name])
             ctx.producers[node.name] = producers
 
         # mark graph outputs so downstream tools know which groups feed the host
-        for node in graph.output_nodes():
+        for node in view.outputs:
             for producer in ctx.producers.get(node.name, []):
                 if producer != GRAPH_INPUT:
                     coreops.add_edge(producer, GRAPH_OUTPUT, node.output.size)

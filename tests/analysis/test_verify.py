@@ -60,6 +60,13 @@ def build_mlp(in_size: int, widths: list[int], relu: bool = True) -> Computation
     return graph
 
 
+def append_input(graph: ComputationalGraph, name: str, producer: str) -> None:
+    """Rewire node ``name`` to also read ``producer``, behind ``add``'s
+    back: nodes are immutable, so a replaced copy goes into the registry."""
+    node = graph.node(name)
+    graph._nodes[name] = dataclasses.replace(node, inputs=(*node.inputs, producer))
+
+
 # ---------------------------------------------------------------------------
 # graph verifier
 # ---------------------------------------------------------------------------
@@ -77,7 +84,7 @@ class TestVerifyGraph:
     def test_rejects_mutations(self, in_size, widths, mutation):
         graph = build_mlp(in_size, widths)
         if mutation == "dangling":
-            graph.node("dense0").inputs.append("no_such_node")
+            append_input(graph, "dense0", "no_such_node")
             invariant = "dangling-input"
         elif mutation == "rename":
             graph._nodes["ghost"] = graph._nodes.pop("dense0")
@@ -86,7 +93,7 @@ class TestVerifyGraph:
         else:
             # an edge from the last layer back into the first closes a cycle
             last = f"dense{len(widths) - 1}"
-            graph.node("dense0").inputs.append(last)
+            append_input(graph, "dense0", last)
             invariant = "cycle"
         with pytest.raises(VerificationError) as excinfo:
             verify_graph(graph)
@@ -96,7 +103,7 @@ class TestVerifyGraph:
 
     def test_verification_error_names_the_offender(self):
         graph = build_mlp(4, [3])
-        graph.node("dense0").inputs.append("phantom")
+        append_input(graph, "dense0", "phantom")
         with pytest.raises(VerificationError, match="dense0<-phantom"):
             verify_graph(graph)
 

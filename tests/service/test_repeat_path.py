@@ -682,7 +682,9 @@ class TestAnsweredFromTheConcludedJob:
         pool.complete_all()
         assert manager.result(oldest, timeout=0).ok
         assert manager.result(follower, timeout=0).ok
-        # the bound counts 0 while it is in flight: 1, then 2, made room
+        # the bound counts concluded compiles only, and 0 was in flight at
+        # each eviction: 1 was evicted at the third conclude (3's), and 2
+        # when 0 concluded, so 3 and 0 are answered and 2 compiles again
         for i, compiles in ((3, 4), (0, 4), (2, 5)):
             self.serve(manager, pool, _point(i))
             assert len(pool.submitted) == compiles, i
