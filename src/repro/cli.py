@@ -1,51 +1,43 @@
 """Command-line interface for the FPSA toolchain.
 
-Usage (after ``pip install -e .``)::
+Usage (after ``pip install -e .``; README.md has more)::
 
-    python -m repro deploy VGG16 --duplication 64
-    python -m repro deploy VGG16 --chips auto
     python -m repro deploy LeNet --duplication 4 --pnr --bitstream out.json
-    python -m repro deploy LeNet --passes synthesis,mapping --explain
-    python -m repro deploy AlexNet --json --store runs/
-    python -m repro sweep AlexNet --duplication 1 4 16 64 --jobs 4
-    python -m repro sweep CIFAR-VGG17 --duplication 64 --chips 1 2 4
-    python -m repro serve-batch requests.json --jobs 4 --store runs/
-    python -m repro serve-batch --model LeNet --duplication 1 4 --json
+    python -m repro sweep CIFAR-VGG17 --duplication 16 64 --chips 1 2 auto
+    python -m repro serve-batch requests.json --deadline 30 --store runs/
     python -m repro jobs --model LeNet --duplication 1 4 16 --jobs 2
-    python -m repro runs --store runs/
     python -m repro runs --store runs/ --show RUN_ID
-    python -m repro passes --model LeNet
-    python -m repro models
-    python -m repro chaos --seed 0
-    python -m repro experiments fig6 table3
-    python -m repro deploy LeNet --verify
-    python -m repro lint src/repro --json
-    python -m repro fuzz --models 50 --seed 0
-    python -m repro fuzz --models 25 --shrink --json fuzz_report.json
+    python -m repro experiments fig6 table3 --json
 
-Every compile-facing subcommand accepts ``--json`` to emit the wire-level
-:class:`~repro.service.schemas.CompileResponse` payloads instead of the
-human-readable tables, so the CLI output can be piped straight into other
-tools (or back into ``serve-batch``).
+The compile flags of ``deploy``, ``sweep``, ``serve-batch``, ``jobs`` and
+``passes`` are generated from the knob table: each is declared once, by
+its knob's ``flag`` and ``help`` (:func:`repro.core.pipeline.knob`), and
+``_KNOB_FLAGS`` says which subcommand takes which.  argparse only parses
+a value; the knob's own check judges it when the request is built, so
+an illegal one is the same ``[invalid_request]`` error (exit 2) the wire
+gives.  A flag that takes several values makes one request per
+combination.  ``--json`` prints the wire-level payloads (for a compile,
+:class:`~repro.service.schemas.CompileResponse`) instead of the tables.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
+import pathlib
 import sys
 import time
 
-from .chaos import add_arguments as _add_chaos_arguments
 from .chaos import run_from_args as _command_chaos
 from .core.cache import StageCache
-from .core.pipeline import PassError, available_passes
+from .core.pipeline import BOOLEAN, PassError, available_passes
 from .core.shared_cache import SharedStageCache
 from .errors import FPSAError, InvalidRequestError
 from .experiments.runner import EXPERIMENTS, run_all
-from .models.zoo import MODEL_BUILDERS, PAPER_TABLE3, model_names
+from .models.zoo import PAPER_TABLE3, model_names
 from .service import (
     ArtifactStore,
     CompileRequest,
@@ -53,15 +45,40 @@ from .service import (
     FPSAClient,
     JobManager,
 )
+from .service.schemas import REQUEST_KNOBS
 
 __all__ = ["main", "build_parser"]
 
+#: the compile flags of each compiling subcommand, by knob name; each is
+#: generated from its knob's ``flag`` and ``help`` (see
+#: :func:`repro.core.pipeline.knob`).  ``None``: the flag takes one value
+#: and defaults to the knob's.  A list: it takes several values and
+#: defaults to the list (an empty one: to the knob's default), and the
+#: subcommand compiles every combination of them, in table order.
+_KNOB_FLAGS: dict[str, dict[str, list | None]] = {
+    "deploy": dict.fromkeys(("duplication_degree", "pe_budget", "run_pnr", "passes",
+                             "verify", "num_chips", "shard_jobs")),
+    "sweep": {"duplication_degree": [1, 4, 16, 64], "num_chips": [], "verify": None},
+    "serve-batch": {"duplication_degree": [1], "deadline_s": None, "max_retries": None},
+    "jobs": {"duplication_degree": [1, 4]},
+    "passes": {"duplication_degree": None},
+}
+_KNOBS = {f.name: f for f in REQUEST_KNOBS}
 
-def _parse_pass_list(spec: str) -> list[str]:
-    names = [name.strip() for name in spec.split(",") if name.strip()]
-    if not names:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of passes")
-    return names
+
+def _knob_value(spec: str) -> int | float | str:
+    """A knob flag's value: an int, else a float, else the string.  It is
+    not judged here: the knob's check does that when the request is built."""
+    for convert in (int, float):
+        try:
+            return convert(spec)
+        except ValueError:
+            pass
+    return spec
+
+
+def _pass_list(spec: str) -> list[str]:
+    return [name.strip() for name in spec.split(",") if name.strip()]
 
 
 def _positive_int(spec: str) -> int:
@@ -71,55 +88,21 @@ def _positive_int(spec: str) -> int:
     return value
 
 
-def _chips(spec: str) -> int | str:
-    """A ``--chips`` value: a positive chip count or the string 'auto'."""
-    if spec.lower() == "auto":
-        return "auto"
-    try:
-        return _positive_int(spec)
-    except (argparse.ArgumentTypeError, ValueError):
-        raise argparse.ArgumentTypeError(
-            f"expected a positive chip count or 'auto', got {spec!r}"
-        ) from None
-
-
-def _add_chips_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--chips", type=_chips, default=None, metavar="N|auto",
-        help="compile across N chips (or 'auto' for the smallest count that "
-        "fits the per-chip PE capacity); models too big for one chip shard "
-        "instead of failing with a capacity error",
-    )
-    parser.add_argument(
-        "--chip-jobs", type=_positive_int, default=None, metavar="J",
-        help="worker processes for the per-shard backend compiles "
-        "(default: sequential, sharing one stage cache)",
-    )
-
-
-def _add_json_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--json", action="store_true",
-        help="emit wire-level JSON instead of the human-readable output",
-    )
-
-
-def _add_store_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--store", metavar="DIR", default=None,
-        help="persist every response (and bitstream) to this artifact-store "
-        "directory",
-    )
-
-
-def _add_shared_cache_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--shared-cache", metavar="DIR", default=None,
-        help="attach a cross-process shared stage-cache tier in this "
-        "directory (defaults to the REPRO_SHARED_CACHE environment "
-        "variable): repeated compiles — across runs, processes and "
-        "workers — reuse each other's synthesis/mapping artifacts",
-    )
+def _add_knob_flags(parser: argparse.ArgumentParser, knobs: dict) -> None:
+    for name, several in knobs.items():
+        meta = _KNOBS[name].metadata
+        if meta["check"] is BOOLEAN:
+            kwargs: dict = {"action": "store_true"}
+        else:
+            kwargs = {
+                "type": _pass_list if name == "passes" else _knob_value,
+                "nargs": None if several is None else "+",
+                "default": several or _KNOBS[name].default,
+            }
+        help = meta["help"] if several is None else (
+            f"{meta['help']}; several values: one request per combination"
+        )
+        parser.add_argument(meta["flag"], dest=name, help=help, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,135 +112,84 @@ def build_parser() -> argparse.ArgumentParser:
         "reconfigurable ReRAM accelerator and regenerate the paper's evaluation.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, handler, help in (
+        ("deploy", _command_deploy, "compile a model onto FPSA"),
+        ("sweep", _command_sweep, "batch-deploy one model across several "
+         "duplication degrees (--jobs 1, the default, shares one stage cache)"),
+        ("serve-batch", _command_serve_batch, "serve a batch of CompileRequests "
+         "through the job manager; --deadline / --max-retries override each"),
+        ("jobs", _command_jobs, "submit a batch and watch the job lifecycle "
+         "(QUEUED/RUNNING/DONE/FAILED)"),
+        ("runs", _command_runs, "list or reload past runs from an artifact store"),
+        ("passes", _command_passes, "show the compilation pass pipeline and its timings"),
+        ("models", _command_models, "list the benchmark models and their Table 3 data"),
+        ("chaos", _command_chaos, "serve a batch workload under a seeded fault "
+         "plan; fails unless every request is served, identical to a fault-free run"),
+        ("experiments", _command_experiments, "regenerate the paper's tables and figures"),
+        ("lint", _command_lint, "run the determinism & concurrency linter over Python "
+         "sources"),
+        ("fuzz", _command_fuzz, "differential fuzzing: random models compiled across "
+         "the configuration lattice, diffed for bit-identity"),
+    ):
+        commands[name] = subparsers.add_parser(name, help=help)
+        commands[name].set_defaults(handler=handler)
+    # no argparse choices= for a model: an unknown one flows through the
+    # service layer and comes back as a typed unknown_model error (the
+    # same shape scripted callers see), not an argparse usage error
+    for name in ("deploy", "sweep"):
+        commands[name].add_argument("model", help="model zoo entry (see 'repro models')")
+    for name, default in (("serve-batch", None), ("jobs", "LeNet"), ("passes", "LeNet")):
+        commands[name].add_argument(
+            "--model", default=default,
+            help="model zoo entry (see 'repro models'; default: %(default)s)",
+        )
+    for name, knobs in _KNOB_FLAGS.items():
+        _add_knob_flags(commands[name], knobs)
+    for name, default in (("sweep", 1), ("serve-batch", None), ("jobs", 2)):
+        commands[name].add_argument(
+            "--jobs", type=_positive_int, default=default,
+            help="worker processes (default: %(default)s; None: automatic)",
+        )
+    for name in ("deploy", "sweep", "passes"):
+        commands[name].add_argument(
+            "--no-cache", action="store_true", help="bypass the stage cache"
+        )
+    for name in ("deploy", "sweep", "serve-batch"):
+        commands[name].add_argument(
+            "--store", metavar="DIR", help="persist every response to this artifact store"
+        )
+    for name in ("deploy", "sweep"):
+        commands[name].add_argument(
+            "--shared-cache", metavar="DIR",
+            help="attach a shared stage-cache tier in DIR, reused across runs, "
+            "processes and workers (default: $REPRO_SHARED_CACHE)",
+        )
+    for name in ("deploy", "sweep", "serve-batch", "jobs", "runs", "passes",
+                 "models", "chaos", "experiments", "lint"):
+        commands[name].add_argument(
+            "--json", action="store_true",
+            help="print JSON (for a compile, the wire-level responses) instead of "
+            "the human-readable output",
+        )
 
-    deploy = subparsers.add_parser("deploy", help="compile a model onto FPSA")
-    # no argparse choices= here: an unknown model must flow through the
-    # service layer and come back as a typed unknown_model ErrorPayload
-    # (same shape scripted callers see), not an argparse usage error
-    deploy.add_argument("model", help="model zoo entry (see 'repro models')")
-    deploy.add_argument(
-        "--duplication", type=_positive_int, default=1, help="duplication degree"
-    )
-    deploy.add_argument(
-        "--pe-budget", type=int, default=None,
-        help="choose the largest duplication degree that fits this many PEs",
-    )
-    deploy.add_argument(
-        "--pnr", action="store_true",
-        help="run placement & routing on the function-block netlist (small models)",
-    )
+    deploy = commands["deploy"]
     deploy.add_argument(
         "--bitstream", metavar="FILE", default=None,
         help="write the chip configuration as JSON to FILE ('-' for stdout)",
-    )
-    deploy.add_argument(
-        "--passes", type=_parse_pass_list, default=None, metavar="LIST",
-        help="comma-separated pass list to run instead of the default pipeline "
-        "(e.g. 'synthesis,mapping')",
-    )
-    deploy.add_argument(
-        "--no-cache", action="store_true", help="bypass the stage cache",
-    )
-    deploy.add_argument(
-        "--verify", action="store_true",
-        help="run the IR verifiers between passes (structural invariant "
-        "checks on every artifact; REPRO_VERIFY=1 does the same globally)",
     )
     deploy.add_argument(
         "--explain", action="store_true",
         help="print the resolved pass list with per-pass wall-clock timings "
         "and the stage-cache hit/miss counters",
     )
-    _add_chips_flags(deploy)
-    _add_json_flag(deploy)
-    _add_store_flag(deploy)
-    _add_shared_cache_flag(deploy)
-
-    sweep = subparsers.add_parser(
-        "sweep", help="batch-deploy one model across several duplication degrees"
-    )
-    sweep.add_argument("model", help="model zoo entry (see 'repro models')")
-    sweep.add_argument(
-        "--duplication", type=_positive_int, nargs="+", default=[1, 4, 16, 64],
-        metavar="D", help="duplication degrees to sweep",
-    )
-    sweep.add_argument(
-        "--jobs", type=_positive_int, default=1,
-        help="worker processes for the batch (default: 1 — sequential shares "
-        "one stage cache across the sweep, which beats a process pool for "
-        "cheap compiles; raise it for heavy models)",
-    )
-    sweep.add_argument(
-        "--chips", type=_chips, nargs="+", default=None, metavar="N|auto",
-        help="also sweep chip counts: one request per (duplication, chips) "
-        "combination, e.g. --chips 1 2 4",
-    )
-    sweep.add_argument(
-        "--no-cache", action="store_true", help="bypass the stage cache",
-    )
-    sweep.add_argument(
-        "--verify", action="store_true",
-        help="run the IR verifiers between passes of every sweep point",
-    )
-    _add_json_flag(sweep)
-    _add_store_flag(sweep)
-    _add_shared_cache_flag(sweep)
-
-    serve_batch = subparsers.add_parser(
-        "serve-batch",
-        help="serve a batch of CompileRequests through the job manager",
-    )
-    serve_batch.add_argument(
+    commands["serve-batch"].add_argument(
         "requests", nargs="?", metavar="FILE", default=None,
         help="JSON file holding a list of CompileRequest objects ('-' for "
-        "stdin); omit it to build requests from --model/--duplication",
+        "stdin); omit it to build requests from --model",
     )
-    serve_batch.add_argument(
-        "--model", choices=sorted(MODEL_BUILDERS), default=None,
-        help="model for generated requests (when no FILE is given)",
-    )
-    serve_batch.add_argument(
-        "--duplication", type=_positive_int, nargs="+", default=[1],
-        metavar="D", help="duplication degrees for generated requests",
-    )
-    serve_batch.add_argument(
-        "--jobs", type=_positive_int, default=None,
-        help="worker processes (default: auto)",
-    )
-    serve_batch.add_argument(
-        "--deadline", type=float, default=None, metavar="S",
-        help="per-request deadline in seconds (overrides every request; "
-        "an expired job fails with a typed deadline_exceeded error)",
-    )
-    serve_batch.add_argument(
-        "--max-retries", type=int, default=None, metavar="N",
-        help="per-request retry budget for retriable faults — worker "
-        "death, transient IO (overrides every request; default: the job "
-        "manager's)",
-    )
-    _add_json_flag(serve_batch)
-    _add_store_flag(serve_batch)
 
-    jobs = subparsers.add_parser(
-        "jobs", help="submit a batch and watch the job lifecycle "
-        "(QUEUED/RUNNING/DONE/FAILED)"
-    )
-    jobs.add_argument(
-        "--model", choices=sorted(MODEL_BUILDERS), default="LeNet",
-        help="model to submit (default: LeNet)",
-    )
-    jobs.add_argument(
-        "--duplication", type=_positive_int, nargs="+", default=[1, 4],
-        metavar="D", help="one job per duplication degree",
-    )
-    jobs.add_argument(
-        "--jobs", type=_positive_int, default=2, help="worker processes",
-    )
-    _add_json_flag(jobs)
-
-    runs = subparsers.add_parser(
-        "runs", help="list or reload past runs from an artifact store"
-    )
+    runs = commands["runs"]
     runs.add_argument(
         "--store", metavar="DIR", required=True, help="artifact-store directory"
     )
@@ -268,48 +200,17 @@ def build_parser() -> argparse.ArgumentParser:
     runs.add_argument(
         "--model", default=None, help="only list runs of this model",
     )
-    _add_json_flag(runs)
 
-    passes = subparsers.add_parser(
-        "passes", help="show the compilation pass pipeline and its timings"
+    commands["chaos"].add_argument(
+        "--seed", type=int, default=0,
+        help="master seed of the compiles and the fault plan (default: 0)",
     )
-    passes.add_argument(
-        "--model", choices=sorted(MODEL_BUILDERS), default="LeNet",
-        help="model compiled to collect the timings (default: LeNet)",
-    )
-    passes.add_argument(
-        "--duplication", type=_positive_int, default=1, help="duplication degree"
-    )
-    passes.add_argument(
-        "--no-cache", action="store_true", help="bypass the stage cache",
-    )
-    _add_json_flag(passes)
-
-    models = subparsers.add_parser(
-        "models", help="list the benchmark models and their Table 3 data"
-    )
-    _add_json_flag(models)
-
-    chaos = subparsers.add_parser(
-        "chaos",
-        help="serve a batch workload under a seeded fault plan; fails unless "
-        "every request is served, identical to a fault-free run",
-    )
-    _add_chaos_arguments(chaos)
-
-    experiments = subparsers.add_parser(
-        "experiments", help="regenerate the paper's tables and figures"
-    )
-    experiments.add_argument(
+    commands["experiments"].add_argument(
         "names", nargs="*", metavar="NAME",
         help=f"experiments to run (default: all). Known: {', '.join(sorted(EXPERIMENTS))}",
     )
-    _add_json_flag(experiments)
 
-    lint = subparsers.add_parser(
-        "lint",
-        help="run the determinism & concurrency linter over Python sources",
-    )
+    lint = commands["lint"]
     lint.add_argument(
         "paths", nargs="+", metavar="PATH",
         help="files or directories to lint (directories are walked for .py)",
@@ -318,13 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--select", metavar="RULES", default=None,
         help="comma-separated rule ids to run (default: all rules)",
     )
-    _add_json_flag(lint)
 
-    fuzz = subparsers.add_parser(
-        "fuzz",
-        help="differential fuzzing: random models compiled across the "
-        "configuration lattice, diffed for bit-identity",
-    )
+    fuzz = commands["fuzz"]
     fuzz.add_argument(
         "--models", type=_positive_int, default=50, metavar="N",
         help="number of random models to generate and check (default: 50)",
@@ -359,31 +255,20 @@ def _open(what: str, directory: str, opener):
         raise InvalidRequestError(f"cannot open {what} at {directory!r}: {exc}") from exc
 
 
-def _open_store(directory: str) -> ArtifactStore:
-    return _open("artifact store", directory, ArtifactStore)
+def _store(args: argparse.Namespace) -> ArtifactStore | None:
+    store = getattr(args, "store", None)
+    return _open("artifact store", store, ArtifactStore) if store else None
 
 
 def _client(args: argparse.Namespace) -> FPSAClient:
-    store = _open_store(args.store) if getattr(args, "store", None) else None
-    cache: StageCache | bool | None
-    if getattr(args, "no_cache", False):
+    # None: the process default cache, which REPRO_SHARED_CACHE already rides
+    cache: StageCache | bool | None = None
+    if args.no_cache:
         cache = False
     elif getattr(args, "shared_cache", None):
         # a multi-process sweep's workers each get a copy with this tier
-        tier = _open("shared cache", args.shared_cache, SharedStageCache)
-        cache = StageCache(shared=tier)
-    else:
-        # REPRO_SHARED_CACHE already rides the process default cache; an
-        # explicit None keeps that behaviour
-        cache = None
-    return FPSAClient(cache=cache, store=store)
-
-
-def _print_error(response_error) -> None:
-    print(
-        f"error [{response_error.code}] {response_error.message}",
-        file=sys.stderr,
-    )
+        cache = StageCache(shared=_open("shared cache", args.shared_cache, SharedStageCache))
+    return FPSAClient(cache=cache, store=_store(args))
 
 
 def _check_writable(path: str | None, what: str) -> None:
@@ -402,9 +287,36 @@ def _check_writable(path: str | None, what: str) -> None:
         raise InvalidRequestError(f"cannot write {what} to {path!r}: {exc}") from exc
 
 
+def _requests(args: argparse.Namespace) -> list[CompileRequest]:
+    """The requests of a compiling subcommand: one per combination of its
+    several-valued knob flags, each carrying its one-valued ones.  Every
+    value is judged by its knob's check here, so an illegal one is an
+    ``InvalidRequestError`` naming the knob.  ``serve-batch FILE`` serves
+    the file's requests instead, each given flag replacing their value."""
+    knobs = _KNOB_FLAGS[args.command]
+    given = {name: getattr(args, name) for name, several in knobs.items() if several is None}
+    if getattr(args, "requests", None) is not None:
+        given = {name: value for name, value in given.items() if value is not None}
+        return [dataclasses.replace(r, **given) for r in _load_requests_file(args.requests)]
+    if args.model is None:
+        raise InvalidRequestError("serve-batch needs a requests FILE or --model")
+    if getattr(args, "bitstream", None) is not None:
+        given["emit_bitstream"] = True
+    axes = {
+        name: getattr(args, name) or [_KNOBS[name].default]
+        for name, several in knobs.items()
+        if several is not None
+    }
+    return [
+        CompileRequest(model=args.model, **given, **dict(zip(axes, point, strict=True)))
+        for point in itertools.product(*axes.values())
+    ]
+
+
 def _command_deploy(args: argparse.Namespace) -> int:
     _check_writable(args.bitstream, "bitstream")
-    if args.passes is not None and args.pnr and "pnr" not in args.passes:
+    (request,) = _requests(args)
+    if request.passes is not None and request.run_pnr and "pnr" not in request.passes:
         # an explicit pass list overrides the flag-derived pipeline; tell the
         # user when a flag asked for a stage the list leaves out
         print(
@@ -412,28 +324,13 @@ def _command_deploy(args: argparse.Namespace) -> int:
             "it will not run",
             file=sys.stderr,
         )
-    request = CompileRequest(
-        model=args.model,
-        duplication_degree=args.duplication,
-        pe_budget=args.pe_budget,
-        run_pnr=args.pnr,
-        emit_bitstream=args.bitstream is not None,
-        num_chips=args.chips,
-        shard_jobs=args.chip_jobs,
-        passes=tuple(args.passes) if args.passes is not None else None,
-        verify=args.verify,
-    )
     served = _client(args).serve(request)
     response = served.response
-    if not response.ok:
-        # --json must emit the same CompileResponse shape as the ok path
-        if args.json:
-            print(response.to_json(indent=2))
-        else:
-            _print_error(response.error)
-        return 1
     if args.json:
+        # the same CompileResponse shape on failure as on success
         print(response.to_json(indent=2))
+    elif not response.ok:
+        print(f"error [{response.error.code}] {response.error.message}", file=sys.stderr)
     else:
         result = served.result
         print(result.summary())
@@ -443,6 +340,8 @@ def _command_deploy(args: argparse.Namespace) -> int:
             if result.pnr is not None:
                 print()
                 print(result.pnr.explain())
+    if not response.ok:
+        return 1
     if args.bitstream is not None:
         result = served.result
         payload = None
@@ -486,64 +385,41 @@ def _print_response_table(responses) -> None:
     for response in responses:
         request = response.request
         chips = request.num_chips if request.num_chips is not None else 1
-        if response.ok:
-            summary = response.summary
-            blocks = summary.blocks or {}
-            perf = summary.performance or {}
-            partition = summary.partition or {}
-            chips = partition.get("num_chips", chips)
-            print(
-                f"{request.model:<14} {request.duplication_degree:>5} "
-                f"{chips!s:>6} "
-                f"{response.status:<8} {blocks.get('n_pe', 0):>8} "
-                f"{perf.get('area_mm2', 0.0):>10.2f} "
-                f"{perf.get('throughput_samples_per_s', 0.0):>14,.1f} "
-                f"{perf.get('latency_us', 0.0):>11.2f} "
-                f"{partition.get('cut_size', 0):>6}"
-            )
-        else:
-            print(
-                f"{request.model:<14} {request.duplication_degree:>5} "
-                f"{chips!s:>6} "
-                f"{response.status:<8} [{response.error.code}] "
-                f"{response.error.message}"
-            )
+        head = f"{request.model:<14} {request.duplication_degree:>5} "
+        if not response.ok:
+            print(f"{head}{chips!s:>6} {response.status:<8} "
+                  f"[{response.error.code}] {response.error.message}")
+            continue
+        blocks = response.summary.blocks or {}
+        perf = response.summary.performance or {}
+        partition = response.summary.partition or {}
+        print(
+            f"{head}{partition.get('num_chips', chips)!s:>6} {response.status:<8} "
+            f"{blocks.get('n_pe', 0):>8} {perf.get('area_mm2', 0.0):>10.2f} "
+            f"{perf.get('throughput_samples_per_s', 0.0):>14,.1f} "
+            f"{perf.get('latency_us', 0.0):>11.2f} {partition.get('cut_size', 0):>6}"
+        )
 
 
-def _print_responses_json(responses) -> None:
-    print(json.dumps([r.to_dict() for r in responses], indent=2, sort_keys=True))
+def _print_json(data) -> None:
+    print(json.dumps(data, indent=2, sort_keys=True))
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    chip_points = args.chips if args.chips is not None else [None]
-    requests = [
-        CompileRequest(
-            model=args.model,
-            duplication_degree=degree,
-            num_chips=chips,
-            verify=args.verify,
-        )
-        for degree in args.duplication
-        for chips in chip_points
-    ]
-    responses = _client(args).compile_batch(requests, jobs=args.jobs)
+    responses = _client(args).compile_batch(_requests(args), jobs=args.jobs)
     if args.json:
-        _print_responses_json(responses)
+        _print_json([r.to_dict() for r in responses])
     else:
-        scope = f"duplication degrees {args.duplication}"
-        if args.chips is not None:
-            scope += f" x chips {args.chips}"
+        scope = f"duplication degrees {args.duplication_degree}"
+        if args.num_chips is not None:
+            scope += f" x chips {args.num_chips}"
         print(f"sweep of {args.model} over {scope}")
         _print_response_table(responses)
     return 0 if all(r.ok for r in responses) else 1
 
 
 def _load_requests_file(path: str) -> list[CompileRequest]:
-    if path == "-":
-        payload = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = handle.read()
+    payload = sys.stdin.read() if path == "-" else pathlib.Path(path).read_text("utf-8")
     try:
         data = json.loads(payload)
     except ValueError as exc:
@@ -558,39 +434,12 @@ def _load_requests_file(path: str) -> list[CompileRequest]:
 
 
 def _command_serve_batch(args: argparse.Namespace) -> int:
-    if args.requests is not None:
-        requests = _load_requests_file(args.requests)
-    elif args.model is not None:
-        requests = [
-            CompileRequest(model=args.model, duplication_degree=degree)
-            for degree in args.duplication
-        ]
-    else:
-        raise InvalidRequestError(
-            "serve-batch needs a requests FILE or --model/--duplication"
-        )
-    if args.deadline is not None or args.max_retries is not None:
-        requests = [
-            dataclasses.replace(
-                request,
-                deadline_s=(
-                    args.deadline
-                    if args.deadline is not None
-                    else request.deadline_s
-                ),
-                max_retries=(
-                    args.max_retries
-                    if args.max_retries is not None
-                    else request.max_retries
-                ),
-            )
-            for request in requests
-        ]
-    store = _open_store(args.store) if args.store else None
+    requests = _requests(args)
+    store = _store(args)
     with JobManager(max_workers=args.jobs, store=store) as manager:
         responses = manager.serve_batch(requests)
     if args.json:
-        _print_responses_json(responses)
+        _print_json([r.to_dict() for r in responses])
     else:
         print(f"served {len(responses)} request(s)")
         _print_response_table(responses)
@@ -600,10 +449,7 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
 
 
 def _command_jobs(args: argparse.Namespace) -> int:
-    requests = [
-        CompileRequest(model=args.model, duplication_degree=degree)
-        for degree in args.duplication
-    ]
+    requests = _requests(args)
     observed: dict[str, list[str]] = {}
     with JobManager(max_workers=args.jobs) as manager:
         job_ids = manager.submit_batch(requests)
@@ -620,13 +466,9 @@ def _command_jobs(args: argparse.Namespace) -> int:
                 time.sleep(0.05)
         infos = [manager.status(job_id) for job_id in job_ids]
     if args.json:
-        print(json.dumps(
-            [
-                dict(info.to_dict(), observed_states=observed[info.job_id])
-                for info in infos
-            ],
-            indent=2, sort_keys=True,
-        ))
+        _print_json([
+            dict(info.to_dict(), observed_states=observed[info.job_id]) for info in infos
+        ])
         return 0
     header = f"{'job':<10} {'model':<14} {'dup':>5} {'state':<8} lifecycle"
     print(header)
@@ -640,7 +482,7 @@ def _command_jobs(args: argparse.Namespace) -> int:
 
 
 def _command_runs(args: argparse.Namespace) -> int:
-    store = _open_store(args.store)
+    store = _store(args)
     if args.show is not None:
         response = store.load(args.show)
         if args.json:
@@ -650,7 +492,7 @@ def _command_runs(args: argparse.Namespace) -> int:
         return 0
     records = store.list_runs(model=args.model)
     if args.json:
-        print(json.dumps([r.to_dict() for r in records], indent=2, sort_keys=True))
+        _print_json([r.to_dict() for r in records])
         return 0
     if not records:
         print(f"no runs in store {args.store}")
@@ -672,35 +514,27 @@ def _command_runs(args: argparse.Namespace) -> int:
 
 
 def _command_passes(args: argparse.Namespace) -> int:
-    client = _client(args)
-    result = client.deploy(
-        CompileRequest(model=args.model, duplication_degree=args.duplication)
-    )
+    (request,) = _requests(args)
+    result = _client(args).deploy(request)
+    registry = {name: cls() for name, cls in sorted(available_passes().items())}
     if args.json:
         timings = CompileTimings.from_pass_timings(result.timings)
-        print(json.dumps(
-            {
-                "timings": timings.to_dict()["passes"] if timings else [],
-                "cache_hits": result.cache_hits,
-                "cache_misses": result.cache_misses,
-                "registered_passes": {
-                    name: {
-                        "requires": list(cls().requires),
-                        "provides": list(cls().provides),
-                    }
-                    for name, cls in sorted(available_passes().items())
-                },
+        _print_json({
+            "timings": timings.to_dict()["passes"] if timings else [],
+            "cache_hits": result.cache_hits,
+            "cache_misses": result.cache_misses,
+            "registered_passes": {
+                name: {"requires": list(p.requires), "provides": list(p.provides)}
+                for name, p in registry.items()
             },
-            indent=2, sort_keys=True,
-        ))
+        })
         return 0
     print(f"pass pipeline (timed compiling {args.model}, "
-          f"duplication degree {args.duplication}):")
+          f"duplication degree {args.duplication_degree}):")
     print(result.timings_table())
     print()
     print("registered passes:")
-    for name, cls in sorted(available_passes().items()):
-        instance = cls()
+    for name, instance in registry.items():
         requires = ", ".join(instance.requires) or "-"
         provides = ", ".join(instance.provides) or "-"
         print(f"  {name:<14} requires: {requires:<18} provides: {provides}")
@@ -709,20 +543,17 @@ def _command_passes(args: argparse.Namespace) -> int:
 
 def _command_models(args: argparse.Namespace) -> int:
     if args.json:
-        print(json.dumps(
-            {
-                name: {
-                    "dataset": ref.dataset,
-                    "weights": ref.weights,
-                    "ops": ref.ops,
-                    "paper_throughput_samples_per_s": ref.throughput_samples_per_s,
-                    "paper_latency_us": ref.latency_us,
-                    "paper_area_mm2": ref.area_mm2,
-                }
-                for name, ref in ((n, PAPER_TABLE3[n]) for n in model_names())
-            },
-            indent=2, sort_keys=True,
-        ))
+        _print_json({
+            name: {
+                "dataset": ref.dataset,
+                "weights": ref.weights,
+                "ops": ref.ops,
+                "paper_throughput_samples_per_s": ref.throughput_samples_per_s,
+                "paper_latency_us": ref.latency_us,
+                "paper_area_mm2": ref.area_mm2,
+            }
+            for name, ref in ((n, PAPER_TABLE3[n]) for n in model_names())
+        })
         return 0
     header = (f"{'model':<14} {'dataset':<10} {'weights':>12} {'ops':>14} "
               f"{'paper samples/s':>16} {'paper area mm^2':>16}")
@@ -741,8 +572,7 @@ def _command_models(args: argparse.Namespace) -> int:
 def _command_experiments(args: argparse.Namespace) -> int:
     results = run_all(args.names or None)
     if args.json:
-        payload = {name: result.to_dict() for name, result in results.items()}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json({name: result.to_dict() for name, result in results.items()})
         return 0
     for result in results.values():
         print(result.format())
@@ -800,21 +630,8 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "deploy": _command_deploy,
-        "sweep": _command_sweep,
-        "serve-batch": _command_serve_batch,
-        "jobs": _command_jobs,
-        "runs": _command_runs,
-        "passes": _command_passes,
-        "models": _command_models,
-        "chaos": _command_chaos,
-        "experiments": _command_experiments,
-        "lint": _command_lint,
-        "fuzz": _command_fuzz,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except (PassError, FPSAError) as error:
         # same identity the wire carries: ErrorPayload code + message
         from .service.schemas import ErrorPayload

@@ -117,17 +117,24 @@ BOOLEAN: Check = ("a boolean", lambda v: isinstance(v, bool))
 COUNT = or_none(integer(1))
 
 
-def knob(check: Check, role: str, fingerprinted: bool | None = None, **default: Any):
+def knob(
+    check: Check, role: str, fingerprinted: bool | None = None,
+    flag: str | None = None, help: str | None = None, **default: Any,
+):
     """Declare one knob: a dataclass field (``default=`` or
     ``default_factory=``) carrying its ``check``, its ``role`` —
     ``semantic`` changes the artifact; ``execution`` must not;
     ``internal`` is set by the partition backend, never by a caller;
     ``serving`` shapes whether and when a result is served — and whether
-    the request fingerprint includes it (default: semantic knobs only)."""
+    the request fingerprint includes it (default: semantic knobs only).
+
+    A knob the command line exposes names its ``flag`` (``--chips``)
+    and its ``help`` here; :mod:`repro.cli` generates the option from
+    them and leaves the value to ``check``."""
     if fingerprinted is None:
         fingerprinted = role == "semantic"
     return field(
-        metadata={"role": role, "fingerprinted": fingerprinted, "check": check},
+        metadata=dict(role=role, fingerprinted=fingerprinted, check=check, flag=flag, help=help),
         **default,
     )
 
@@ -161,12 +168,21 @@ class CompileOptions:
 
     #: extra copies of the bottleneck weight groups (Section 5.2): trades
     #: area for throughput.
-    duplication_degree: int = knob(integer(1), "semantic", default=1)
+    duplication_degree: int = knob(
+        integer(1), "semantic", flag="--duplication", default=1,
+        help="duplication degree (extra copies of the bottleneck weight groups)",
+    )
     #: when given, the largest duplication degree that fits this many PEs
     #: is chosen instead of ``duplication_degree``.
-    pe_budget: int | None = knob(COUNT, "semantic", default=None)
+    pe_budget: int | None = knob(
+        COUNT, "semantic", flag="--pe-budget", default=None,
+        help="choose the largest duplication degree that fits this many PEs",
+    )
     #: run placement and PathFinder routing (small/medium netlists only).
-    run_pnr: bool = knob(BOOLEAN, "semantic", default=False)
+    run_pnr: bool = knob(
+        BOOLEAN, "semantic", flag="--pnr", default=False,
+        help="run placement & routing on the function-block netlist (small models)",
+    )
     #: assemble the chip configuration from the mapping and, when
     #: available, the P&R result.
     emit_bitstream: bool = knob(BOOLEAN, "semantic", default=False)
@@ -192,13 +208,20 @@ class CompileOptions:
             lambda v: v is None or v == AUTO_CHIPS or (is_number(v, int) and v >= 1),
         ),
         "semantic",
+        flag="--chips",
+        help="compile across N chips, or 'auto' for the smallest count that fits "
+        "the per-chip PE capacity",
         default=None,
     )
     #: worker processes for the per-shard backend compiles (``None``/``1``
     #: = sequential, sharing one stage cache across the shards).  Changes
     #: no artifact, but stays fingerprinted: stored run ids predate the
     #: role split.
-    shard_jobs: int | None = knob(COUNT, "execution", fingerprinted=True, default=None)
+    shard_jobs: int | None = knob(
+        COUNT, "execution", fingerprinted=True, flag="--chip-jobs", default=None,
+        help="worker processes for the per-shard backend compiles (default: "
+        "sequential, sharing one stage cache)",
+    )
     #: allocate this shard against the whole model's pipeline pace instead
     #: of its local bottleneck (see :func:`repro.mapper.allocation.allocate`).
     target_iterations: int | None = knob(COUNT, "internal", default=None)
@@ -215,7 +238,11 @@ class CompileOptions:
     #: run the IR verifiers (:mod:`repro.analysis.verify`) between passes,
     #: failing fast with a :class:`~repro.errors.VerificationError`;
     #: ``REPRO_VERIFY=1`` turns it on globally.
-    verify: bool = knob(BOOLEAN, "execution", default=False)
+    verify: bool = knob(
+        BOOLEAN, "execution", flag="--verify", default=False,
+        help="run the IR verifiers between passes (REPRO_VERIFY=1 does the same "
+        "globally)",
+    )
     #: no-op kept for callers that still send it; goes with the next wire schema.
     dedup: bool = knob(BOOLEAN, "execution", default=False)
     #: deterministic fault-injection plan (inline JSON or a file path, see

@@ -71,9 +71,10 @@ def _strings(values: Any) -> bool:
 
 
 # checks of the request-only fields (see ``repro.core.pipeline.knob``)
-_PASS_NAMES = or_none(
-    ("a list of pass names", lambda v: isinstance(v, (list, tuple)) and _strings(v))
-)
+_PASS_NAMES = or_none((
+    "a non-empty list of pass names",
+    lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and _strings(v),
+))
 _SECONDS = or_none(("a number > 0", lambda v: is_number(v) and v > 0))
 _OVERRIDES = or_none(
     ("an object with string keys", lambda v: isinstance(v, dict) and _strings(v))
@@ -112,7 +113,11 @@ class CompileRequest(WireRecord):
     num_chips: int | str | None = None
     shard_jobs: int | None = None
     #: explicit pass-name list (see :meth:`FPSACompiler.compile`).
-    passes: tuple[str, ...] | None = knob(_PASS_NAMES, "semantic", default=None)
+    passes: tuple[str, ...] | None = knob(
+        _PASS_NAMES, "semantic", flag="--passes", default=None,
+        help="comma-separated pass list to run instead of the default pipeline "
+        "(e.g. 'synthesis,mapping')",
+    )
     #: ``False`` bypasses the stage cache.  Changes no artifact, but stays
     #: fingerprinted: stored run ids predate the role split.
     use_cache: bool = knob(BOOLEAN, "execution", fingerprinted=True, default=True)
@@ -120,11 +125,17 @@ class CompileRequest(WireRecord):
     dedup: bool = False
     #: serving deadline in seconds: the job layer publishes a typed
     #: ``deadline_exceeded`` error if no result lands in time.
-    deadline_s: float | None = knob(_SECONDS, "serving", default=None)
+    deadline_s: float | None = knob(
+        _SECONDS, "serving", flag="--deadline", default=None,
+        help="deadline in seconds; an expired job fails with deadline_exceeded",
+    )
     #: maximum transparent retries on *retriable* faults (worker death,
     #: transient IO); ``None`` uses the job manager's default.  Retried
     #: jobs are bit-identical to first-try jobs.
-    max_retries: int | None = knob(or_none(integer(0)), "serving", default=None)
+    max_retries: int | None = knob(
+        or_none(integer(0)), "serving", flag="--max-retries", default=None,
+        help="retry budget for retriable faults (default: the job manager's)",
+    )
     fault_plan: str | None = None
     #: keyword overrides for
     #: :meth:`repro.synthesizer.synthesizer.SynthesisOptions.from_pe`
@@ -142,7 +153,7 @@ class CompileRequest(WireRecord):
                 f"model must be a non-empty model-zoo name, got {self.model!r}",
                 details={"model": repr(self.model)},
             )
-        check_knobs(self, _REQUEST_KNOBS)
+        check_knobs(self, REQUEST_KNOBS)
         if self.passes is not None:
             object.__setattr__(self, "passes", tuple(self.passes))
 
@@ -173,11 +184,11 @@ class CompileRequest(WireRecord):
 
 #: every checked request field: the knob table plus the request-only
 #: fields declared on :class:`CompileRequest` itself.
-_REQUEST_KNOBS = PUBLIC_KNOBS + tuple(
+REQUEST_KNOBS = PUBLIC_KNOBS + tuple(
     f for f in dataclasses.fields(CompileRequest) if "check" in f.metadata
 )
 _UNFINGERPRINTED = tuple(
-    f.name for f in _REQUEST_KNOBS if not f.metadata["fingerprinted"]
+    f.name for f in REQUEST_KNOBS if not f.metadata["fingerprinted"]
 )
 #: what ``compile()`` takes: every public knob plus its own two keywords.
 _COMPILE_KWARGS = tuple(f.name for f in PUBLIC_KNOBS) + ("passes", "use_cache")

@@ -19,8 +19,8 @@ class TestParser:
             ["deploy", "LeNet", "--duplication", "8", "--pnr"]
         )
         assert args.model == "LeNet"
-        assert args.duplication == 8
-        assert args.pnr is True
+        assert args.duplication_degree == 8
+        assert args.run_pnr is True
 
     def test_detailed_flag_is_gone(self, capsys):
         with pytest.raises(SystemExit):
@@ -56,7 +56,7 @@ class TestParser:
         args = build_parser().parse_args(
             ["sweep", "LeNet", "--duplication", "1", "4", "--jobs", "2"]
         )
-        assert args.duplication == [1, 4]
+        assert args.duplication_degree == [1, 4]
         assert args.jobs == 2
 
 

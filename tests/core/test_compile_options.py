@@ -1,6 +1,7 @@
 """The compile-knob table (``CompileOptions``) and everything derived from
 it: enumerated, not remembered."""
 
+import argparse
 import dataclasses
 import inspect
 import pathlib
@@ -8,7 +9,9 @@ import re
 
 import pytest
 
+import repro
 from repro import deploy_model
+from repro.cli import _KNOB_FLAGS, build_parser
 from repro.core.compiler import FPSACompiler
 from repro.core.pipeline import KNOBS, PUBLIC_KNOBS, CompileContext, CompileOptions
 from repro.errors import InvalidRequestError
@@ -50,6 +53,8 @@ NON_DEFAULT = {
 }
 
 WIRE_KNOBS = PUBLIC_KNOBS + REQUEST_ONLY
+#: the knobs the command line spells as flags
+FLAGGED = tuple(f for f in WIRE_KNOBS if f.metadata["flag"])
 
 
 class TestTheTable:
@@ -158,15 +163,54 @@ class TestUnknownKnobIsATypedError:
         self._check(excinfo, "bogus")
 
 
+class TestTheParserFollowsTheTable:
+    """Every knob with a ``flag`` is an option of exactly the subcommands
+    that select it, generated from the knob; none is spelled by hand."""
+
+    @pytest.fixture(scope="class")
+    def options(self):
+        (commands,) = (
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        return {
+            command: {flag: a for a in sub._actions for flag in a.option_strings}
+            for command, sub in commands.choices.items()
+        }
+
+    @pytest.mark.parametrize("knob", FLAGGED, ids=lambda f: f.name)
+    def test_on_exactly_the_selecting_subcommands(self, options, knob):
+        flag = knob.metadata["flag"]
+        selecting = {c for c, knobs in _KNOB_FLAGS.items() if knob.name in knobs}
+        assert selecting
+        assert {c for c, opts in options.items() if flag in opts} == selecting
+        assert {options[c][flag].dest for c in selecting} == {knob.name}
+
+    def test_no_option_stands_in_for_a_knob(self, options):
+        flags = {f.name: f.metadata["flag"] for f in FLAGGED}
+        for opts in options.values():
+            for flag, action in opts.items():
+                if action.dest in flags or flag in flags.values():
+                    assert flags.get(action.dest) == flag
+
+    @pytest.mark.parametrize("knob", FLAGGED, ids=lambda f: f.name)
+    def test_the_flag_is_spelled_once_in_the_source(self, knob):
+        quoted = f'"{knob.metadata["flag"]}"'
+        source = pathlib.Path(repro.__file__).parent
+        assert sum(p.read_text().count(quoted) for p in source.rglob("*.py")) == 1
+
+
 def test_architecture_md_prints_the_table():
     text = (pathlib.Path(__file__).parents[2] / "ARCHITECTURE.md").read_text()
-    rows = re.findall(r"^\| `(\w+)` \| (\w+) \| (yes|no) \| `([^`]+)` \|", text, re.M)
+    rows = re.findall(
+        r"^\| `(\w+)` \| (\w+) \| (yes|no) \| `([^`]+)` \| (?:`(--[\w-]+)`|-) \|", text, re.M
+    )
     assert rows == [
         (
             f.name,
             f.metadata["role"],
             "yes" if f.metadata["fingerprinted"] else "no",
             repr(f.default),
+            f.metadata["flag"] or "",
         )
         for f in KNOBS
     ]
