@@ -317,6 +317,18 @@ def gate(chaos: Mapping[str, Any]) -> list[str]:
     return findings
 
 
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The flags of ``repro chaos``."""
+    parser.add_argument(
+        "--seed", type=int, default=0,
+        help="master seed of the compiles and the fault plan (default: 0)",
+    )
+    parser.add_argument(
+        "--json", action="store_true",
+        help="emit the section (fault plan included) as JSON on stdout",
+    )
+
+
 def run_from_args(args: argparse.Namespace) -> int:
     """Run the workload, print the section, gate it; the exit code."""
     progress = None if args.json else lambda msg: print(msg, file=sys.stderr)

@@ -1,23 +1,41 @@
 """Command-line interface for the FPSA toolchain.
 
-Usage (after ``pip install -e .``; README.md has more)::
+Usage (after ``pip install -e .``)::
 
+    python -m repro deploy VGG16 --duplication 64
+    python -m repro deploy VGG16 --chips auto
     python -m repro deploy LeNet --duplication 4 --pnr --bitstream out.json
-    python -m repro sweep CIFAR-VGG17 --duplication 16 64 --chips 1 2 auto
-    python -m repro serve-batch requests.json --deadline 30 --store runs/
+    python -m repro deploy LeNet --passes synthesis,mapping --explain
+    python -m repro deploy AlexNet --json --store runs/
+    python -m repro sweep AlexNet --duplication 1 4 16 64 --jobs 4
+    python -m repro sweep CIFAR-VGG17 --duplication 64 --chips 1 2 4
+    python -m repro serve-batch requests.json --jobs 4 --store runs/
+    python -m repro serve-batch --model LeNet --duplication 1 4 --json
     python -m repro jobs --model LeNet --duplication 1 4 16 --jobs 2
+    python -m repro runs --store runs/
     python -m repro runs --store runs/ --show RUN_ID
-    python -m repro experiments fig6 table3 --json
+    python -m repro passes --model LeNet
+    python -m repro models
+    python -m repro chaos --seed 0
+    python -m repro experiments fig6 table3
+    python -m repro deploy LeNet --verify
+    python -m repro lint src/repro --json
+    python -m repro fuzz --models 50 --seed 0
+    python -m repro fuzz --models 25 --shrink --json fuzz_report.json
 
 The compile flags of ``deploy``, ``sweep``, ``serve-batch``, ``jobs`` and
 ``passes`` are generated from the knob table: each is declared once, by
 its knob's ``flag`` and ``help`` (:func:`repro.core.pipeline.knob`), and
 ``_KNOB_FLAGS`` says which subcommand takes which.  argparse only parses
-a value; the knob's own check judges it when the request is built, so
-an illegal one is the same ``[invalid_request]`` error (exit 2) the wire
-gives.  A flag that takes several values makes one request per
-combination.  ``--json`` prints the wire-level payloads (for a compile,
-:class:`~repro.service.schemas.CompileResponse`) instead of the tables.
+a value, as the knob's declared type; the knob's own check judges it
+when the request is built, so an illegal one is the same
+``[invalid_request]`` error (exit 2) the wire gives.  A flag that takes
+several values makes one request per combination.
+
+Every compile-facing subcommand accepts ``--json`` to emit the wire-level
+:class:`~repro.service.schemas.CompileResponse` payloads instead of the
+human-readable tables, so the CLI output can be piped straight into other
+tools (or back into ``serve-batch``).
 """
 
 from __future__ import annotations
@@ -27,13 +45,13 @@ import dataclasses
 import itertools
 import json
 import os
-import pathlib
 import sys
 import time
 
+from .chaos import add_arguments as _add_chaos_arguments
 from .chaos import run_from_args as _command_chaos
 from .core.cache import StageCache
-from .core.pipeline import BOOLEAN, PassError, available_passes
+from .core.pipeline import BOOLEAN, PassError, available_passes, check_knobs
 from .core.shared_cache import SharedStageCache
 from .errors import FPSAError, InvalidRequestError
 from .experiments.runner import EXPERIMENTS, run_all
@@ -52,13 +70,13 @@ __all__ = ["main", "build_parser"]
 #: the compile flags of each compiling subcommand, by knob name; each is
 #: generated from its knob's ``flag`` and ``help`` (see
 #: :func:`repro.core.pipeline.knob`).  ``None``: the flag takes one value
-#: and defaults to the knob's.  A list: it takes several values and
-#: defaults to the list (an empty one: to the knob's default), and the
-#: subcommand compiles every combination of them, in table order.
+#: and defaults to the knob's.  A list: the flag takes several values and
+#: defaults to the list, and the subcommand compiles every combination of
+#: them, in table order.
 _KNOB_FLAGS: dict[str, dict[str, list | None]] = {
     "deploy": dict.fromkeys(("duplication_degree", "pe_budget", "run_pnr", "passes",
                              "verify", "num_chips", "shard_jobs")),
-    "sweep": {"duplication_degree": [1, 4, 16, 64], "num_chips": [], "verify": None},
+    "sweep": {"duplication_degree": [1, 4, 16, 64], "num_chips": [None], "verify": None},
     "serve-batch": {"duplication_degree": [1], "deadline_s": None, "max_retries": None},
     "jobs": {"duplication_degree": [1, 4]},
     "passes": {"duplication_degree": None},
@@ -66,19 +84,27 @@ _KNOB_FLAGS: dict[str, dict[str, list | None]] = {
 _KNOBS = {f.name: f for f in REQUEST_KNOBS}
 
 
-def _knob_value(spec: str) -> int | float | str:
-    """A knob flag's value: an int, else a float, else the string.  It is
-    not judged here: the knob's check does that when the request is built."""
-    for convert in (int, float):
-        try:
-            return convert(spec)
-        except ValueError:
-            pass
-    return spec
+def _int_or_str(spec: str) -> int | str:
+    try:
+        return int(spec)
+    except ValueError:
+        return spec
 
 
-def _pass_list(spec: str) -> list[str]:
-    return [name.strip() for name in spec.split(",") if name.strip()]
+def _float_or_str(spec: str) -> float | str:
+    try:
+        return float(spec)
+    except ValueError:
+        return spec
+
+
+def _pass_list(spec: str) -> list[str] | str:
+    return [name.strip() for name in spec.split(",") if name.strip()] or spec
+
+
+#: a knob flag's converter, by the knob's declared type.  A value that
+#: does not convert stays the string, for the knob's check to reject.
+_CONVERTERS = {"int": _int_or_str, "float": _float_or_str, "tuple[str, ...]": _pass_list}
 
 
 def _positive_int(spec: str) -> int:
@@ -90,14 +116,15 @@ def _positive_int(spec: str) -> int:
 
 def _add_knob_flags(parser: argparse.ArgumentParser, knobs: dict) -> None:
     for name, several in knobs.items():
-        meta = _KNOBS[name].metadata
+        knob = _KNOBS[name]
+        meta = knob.metadata
         if meta["check"] is BOOLEAN:
             kwargs: dict = {"action": "store_true"}
         else:
             kwargs = {
-                "type": _pass_list if name == "passes" else _knob_value,
+                "type": _CONVERTERS[knob.type.split(" | ")[0]],
                 "nargs": None if several is None else "+",
-                "default": several or _KNOBS[name].default,
+                "default": knob.default if several is None else several,
             }
         help = meta["help"] if several is None else (
             f"{meta['help']}; several values: one request per combination"
@@ -112,28 +139,27 @@ def build_parser() -> argparse.ArgumentParser:
         "reconfigurable ReRAM accelerator and regenerate the paper's evaluation.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    commands = {}
-    for name, handler, help in (
-        ("deploy", _command_deploy, "compile a model onto FPSA"),
-        ("sweep", _command_sweep, "batch-deploy one model across several "
-         "duplication degrees (--jobs 1, the default, shares one stage cache)"),
-        ("serve-batch", _command_serve_batch, "serve a batch of CompileRequests "
-         "through the job manager; --deadline / --max-retries override each"),
-        ("jobs", _command_jobs, "submit a batch and watch the job lifecycle "
-         "(QUEUED/RUNNING/DONE/FAILED)"),
-        ("runs", _command_runs, "list or reload past runs from an artifact store"),
-        ("passes", _command_passes, "show the compilation pass pipeline and its timings"),
-        ("models", _command_models, "list the benchmark models and their Table 3 data"),
-        ("chaos", _command_chaos, "serve a batch workload under a seeded fault "
-         "plan; fails unless every request is served, identical to a fault-free run"),
-        ("experiments", _command_experiments, "regenerate the paper's tables and figures"),
-        ("lint", _command_lint, "run the determinism & concurrency linter over Python "
-         "sources"),
-        ("fuzz", _command_fuzz, "differential fuzzing: random models compiled across "
-         "the configuration lattice, diffed for bit-identity"),
-    ):
-        commands[name] = subparsers.add_parser(name, help=help)
-        commands[name].set_defaults(handler=handler)
+    commands = {
+        name: subparsers.add_parser(name, help=help)
+        for name, help in (
+            ("deploy", "compile a model onto FPSA"),
+            ("sweep", "batch-deploy one model across several duplication degrees "
+             "(--jobs 1, the default, shares one stage cache across the sweep)"),
+            ("serve-batch", "serve a batch of CompileRequests through the job "
+             "manager; --deadline / --max-retries override every request"),
+            ("jobs", "submit a batch and watch the job lifecycle "
+             "(QUEUED/RUNNING/DONE/FAILED)"),
+            ("runs", "list or reload past runs from an artifact store"),
+            ("passes", "show the compilation pass pipeline and its timings"),
+            ("models", "list the benchmark models and their Table 3 data"),
+            ("chaos", "serve a batch workload under a seeded fault plan; fails "
+             "unless every request is served, identical to a fault-free run"),
+            ("experiments", "regenerate the paper's tables and figures"),
+            ("lint", "run the determinism & concurrency linter over Python sources"),
+            ("fuzz", "differential fuzzing: random models compiled across the "
+             "configuration lattice, diffed for bit-identity"),
+        )
+    }
     # no argparse choices= for a model: an unknown one flows through the
     # service layer and comes back as a typed unknown_model error (the
     # same shape scripted callers see), not an argparse usage error
@@ -157,20 +183,23 @@ def build_parser() -> argparse.ArgumentParser:
         )
     for name in ("deploy", "sweep", "serve-batch"):
         commands[name].add_argument(
-            "--store", metavar="DIR", help="persist every response to this artifact store"
+            "--store", metavar="DIR", default=None,
+            help="persist every response (and bitstream) to this artifact-store "
+            "directory",
         )
     for name in ("deploy", "sweep"):
         commands[name].add_argument(
-            "--shared-cache", metavar="DIR",
-            help="attach a shared stage-cache tier in DIR, reused across runs, "
-            "processes and workers (default: $REPRO_SHARED_CACHE)",
+            "--shared-cache", metavar="DIR", default=None,
+            help="attach a cross-process shared stage-cache tier in this "
+            "directory (defaults to the REPRO_SHARED_CACHE environment "
+            "variable): repeated compiles — across runs, processes and "
+            "workers — reuse each other's synthesis/mapping artifacts",
         )
     for name in ("deploy", "sweep", "serve-batch", "jobs", "runs", "passes",
-                 "models", "chaos", "experiments", "lint"):
+                 "models", "experiments", "lint"):
         commands[name].add_argument(
             "--json", action="store_true",
-            help="print JSON (for a compile, the wire-level responses) instead of "
-            "the human-readable output",
+            help="emit wire-level JSON instead of the human-readable output",
         )
 
     deploy = commands["deploy"]
@@ -186,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands["serve-batch"].add_argument(
         "requests", nargs="?", metavar="FILE", default=None,
         help="JSON file holding a list of CompileRequest objects ('-' for "
-        "stdin); omit it to build requests from --model",
+        "stdin); omit it to build requests from --model/--duplication",
     )
 
     runs = commands["runs"]
@@ -201,10 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--model", default=None, help="only list runs of this model",
     )
 
-    commands["chaos"].add_argument(
-        "--seed", type=int, default=0,
-        help="master seed of the compiles and the fault plan (default: 0)",
-    )
+    _add_chaos_arguments(commands["chaos"])
+
     commands["experiments"].add_argument(
         "names", nargs="*", metavar="NAME",
         help=f"experiments to run (default: all). Known: {', '.join(sorted(EXPERIMENTS))}",
@@ -255,20 +282,31 @@ def _open(what: str, directory: str, opener):
         raise InvalidRequestError(f"cannot open {what} at {directory!r}: {exc}") from exc
 
 
-def _store(args: argparse.Namespace) -> ArtifactStore | None:
-    store = getattr(args, "store", None)
-    return _open("artifact store", store, ArtifactStore) if store else None
+def _open_store(directory: str) -> ArtifactStore:
+    return _open("artifact store", directory, ArtifactStore)
 
 
 def _client(args: argparse.Namespace) -> FPSAClient:
-    # None: the process default cache, which REPRO_SHARED_CACHE already rides
-    cache: StageCache | bool | None = None
-    if args.no_cache:
+    store = _open_store(args.store) if getattr(args, "store", None) else None
+    cache: StageCache | bool | None
+    if getattr(args, "no_cache", False):
         cache = False
     elif getattr(args, "shared_cache", None):
         # a multi-process sweep's workers each get a copy with this tier
-        cache = StageCache(shared=_open("shared cache", args.shared_cache, SharedStageCache))
-    return FPSAClient(cache=cache, store=_store(args))
+        tier = _open("shared cache", args.shared_cache, SharedStageCache)
+        cache = StageCache(shared=tier)
+    else:
+        # REPRO_SHARED_CACHE already rides the process default cache; an
+        # explicit None keeps that behaviour
+        cache = None
+    return FPSAClient(cache=cache, store=store)
+
+
+def _print_error(response_error) -> None:
+    print(
+        f"error [{response_error.code}] {response_error.message}",
+        file=sys.stderr,
+    )
 
 
 def _check_writable(path: str | None, what: str) -> None:
@@ -295,18 +333,22 @@ def _requests(args: argparse.Namespace) -> list[CompileRequest]:
     the file's requests instead, each given flag replacing their value."""
     knobs = _KNOB_FLAGS[args.command]
     given = {name: getattr(args, name) for name, several in knobs.items() if several is None}
+    axes = {name: getattr(args, name) for name, several in knobs.items() if several is not None}
     if getattr(args, "requests", None) is not None:
+        if args.model is not None:
+            raise InvalidRequestError("serve-batch takes a requests FILE or --model, not both")
+        # --duplication shapes generated requests only, but is judged all the same
+        for name, values in axes.items():
+            for value in values:
+                check_knobs(argparse.Namespace(**{name: value}), [_KNOBS[name]])
         given = {name: value for name, value in given.items() if value is not None}
         return [dataclasses.replace(r, **given) for r in _load_requests_file(args.requests)]
     if args.model is None:
-        raise InvalidRequestError("serve-batch needs a requests FILE or --model")
+        raise InvalidRequestError(
+            "serve-batch needs a requests FILE or --model/--duplication"
+        )
     if getattr(args, "bitstream", None) is not None:
         given["emit_bitstream"] = True
-    axes = {
-        name: getattr(args, name) or [_KNOBS[name].default]
-        for name, several in knobs.items()
-        if several is not None
-    }
     return [
         CompileRequest(model=args.model, **given, **dict(zip(axes, point, strict=True)))
         for point in itertools.product(*axes.values())
@@ -326,11 +368,15 @@ def _command_deploy(args: argparse.Namespace) -> int:
         )
     served = _client(args).serve(request)
     response = served.response
+    if not response.ok:
+        # --json must emit the same CompileResponse shape as the ok path
+        if args.json:
+            print(response.to_json(indent=2))
+        else:
+            _print_error(response.error)
+        return 1
     if args.json:
-        # the same CompileResponse shape on failure as on success
         print(response.to_json(indent=2))
-    elif not response.ok:
-        print(f"error [{response.error.code}] {response.error.message}", file=sys.stderr)
     else:
         result = served.result
         print(result.summary())
@@ -340,8 +386,6 @@ def _command_deploy(args: argparse.Namespace) -> int:
             if result.pnr is not None:
                 print()
                 print(result.pnr.explain())
-    if not response.ok:
-        return 1
     if args.bitstream is not None:
         result = served.result
         payload = None
@@ -385,33 +429,41 @@ def _print_response_table(responses) -> None:
     for response in responses:
         request = response.request
         chips = request.num_chips if request.num_chips is not None else 1
-        head = f"{request.model:<14} {request.duplication_degree:>5} "
-        if not response.ok:
-            print(f"{head}{chips!s:>6} {response.status:<8} "
-                  f"[{response.error.code}] {response.error.message}")
-            continue
-        blocks = response.summary.blocks or {}
-        perf = response.summary.performance or {}
-        partition = response.summary.partition or {}
-        print(
-            f"{head}{partition.get('num_chips', chips)!s:>6} {response.status:<8} "
-            f"{blocks.get('n_pe', 0):>8} {perf.get('area_mm2', 0.0):>10.2f} "
-            f"{perf.get('throughput_samples_per_s', 0.0):>14,.1f} "
-            f"{perf.get('latency_us', 0.0):>11.2f} {partition.get('cut_size', 0):>6}"
-        )
+        if response.ok:
+            summary = response.summary
+            blocks = summary.blocks or {}
+            perf = summary.performance or {}
+            partition = summary.partition or {}
+            chips = partition.get("num_chips", chips)
+            print(
+                f"{request.model:<14} {request.duplication_degree:>5} "
+                f"{chips!s:>6} "
+                f"{response.status:<8} {blocks.get('n_pe', 0):>8} "
+                f"{perf.get('area_mm2', 0.0):>10.2f} "
+                f"{perf.get('throughput_samples_per_s', 0.0):>14,.1f} "
+                f"{perf.get('latency_us', 0.0):>11.2f} "
+                f"{partition.get('cut_size', 0):>6}"
+            )
+        else:
+            print(
+                f"{request.model:<14} {request.duplication_degree:>5} "
+                f"{chips!s:>6} "
+                f"{response.status:<8} [{response.error.code}] "
+                f"{response.error.message}"
+            )
 
 
-def _print_json(data) -> None:
-    print(json.dumps(data, indent=2, sort_keys=True))
+def _print_responses_json(responses) -> None:
+    print(json.dumps([r.to_dict() for r in responses], indent=2, sort_keys=True))
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
     responses = _client(args).compile_batch(_requests(args), jobs=args.jobs)
     if args.json:
-        _print_json([r.to_dict() for r in responses])
+        _print_responses_json(responses)
     else:
         scope = f"duplication degrees {args.duplication_degree}"
-        if args.num_chips is not None:
+        if args.num_chips != [None]:
             scope += f" x chips {args.num_chips}"
         print(f"sweep of {args.model} over {scope}")
         _print_response_table(responses)
@@ -419,7 +471,11 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _load_requests_file(path: str) -> list[CompileRequest]:
-    payload = sys.stdin.read() if path == "-" else pathlib.Path(path).read_text("utf-8")
+    if path == "-":
+        payload = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = handle.read()
     try:
         data = json.loads(payload)
     except ValueError as exc:
@@ -435,11 +491,11 @@ def _load_requests_file(path: str) -> list[CompileRequest]:
 
 def _command_serve_batch(args: argparse.Namespace) -> int:
     requests = _requests(args)
-    store = _store(args)
+    store = _open_store(args.store) if args.store else None
     with JobManager(max_workers=args.jobs, store=store) as manager:
         responses = manager.serve_batch(requests)
     if args.json:
-        _print_json([r.to_dict() for r in responses])
+        _print_responses_json(responses)
     else:
         print(f"served {len(responses)} request(s)")
         _print_response_table(responses)
@@ -466,9 +522,13 @@ def _command_jobs(args: argparse.Namespace) -> int:
                 time.sleep(0.05)
         infos = [manager.status(job_id) for job_id in job_ids]
     if args.json:
-        _print_json([
-            dict(info.to_dict(), observed_states=observed[info.job_id]) for info in infos
-        ])
+        print(json.dumps(
+            [
+                dict(info.to_dict(), observed_states=observed[info.job_id])
+                for info in infos
+            ],
+            indent=2, sort_keys=True,
+        ))
         return 0
     header = f"{'job':<10} {'model':<14} {'dup':>5} {'state':<8} lifecycle"
     print(header)
@@ -482,7 +542,7 @@ def _command_jobs(args: argparse.Namespace) -> int:
 
 
 def _command_runs(args: argparse.Namespace) -> int:
-    store = _store(args)
+    store = _open_store(args.store)
     if args.show is not None:
         response = store.load(args.show)
         if args.json:
@@ -492,7 +552,7 @@ def _command_runs(args: argparse.Namespace) -> int:
         return 0
     records = store.list_runs(model=args.model)
     if args.json:
-        _print_json([r.to_dict() for r in records])
+        print(json.dumps([r.to_dict() for r in records], indent=2, sort_keys=True))
         return 0
     if not records:
         print(f"no runs in store {args.store}")
@@ -516,25 +576,31 @@ def _command_runs(args: argparse.Namespace) -> int:
 def _command_passes(args: argparse.Namespace) -> int:
     (request,) = _requests(args)
     result = _client(args).deploy(request)
-    registry = {name: cls() for name, cls in sorted(available_passes().items())}
     if args.json:
         timings = CompileTimings.from_pass_timings(result.timings)
-        _print_json({
-            "timings": timings.to_dict()["passes"] if timings else [],
-            "cache_hits": result.cache_hits,
-            "cache_misses": result.cache_misses,
-            "registered_passes": {
-                name: {"requires": list(p.requires), "provides": list(p.provides)}
-                for name, p in registry.items()
+        print(json.dumps(
+            {
+                "timings": timings.to_dict()["passes"] if timings else [],
+                "cache_hits": result.cache_hits,
+                "cache_misses": result.cache_misses,
+                "registered_passes": {
+                    name: {
+                        "requires": list(cls().requires),
+                        "provides": list(cls().provides),
+                    }
+                    for name, cls in sorted(available_passes().items())
+                },
             },
-        })
+            indent=2, sort_keys=True,
+        ))
         return 0
     print(f"pass pipeline (timed compiling {args.model}, "
           f"duplication degree {args.duplication_degree}):")
     print(result.timings_table())
     print()
     print("registered passes:")
-    for name, instance in registry.items():
+    for name, cls in sorted(available_passes().items()):
+        instance = cls()
         requires = ", ".join(instance.requires) or "-"
         provides = ", ".join(instance.provides) or "-"
         print(f"  {name:<14} requires: {requires:<18} provides: {provides}")
@@ -543,17 +609,20 @@ def _command_passes(args: argparse.Namespace) -> int:
 
 def _command_models(args: argparse.Namespace) -> int:
     if args.json:
-        _print_json({
-            name: {
-                "dataset": ref.dataset,
-                "weights": ref.weights,
-                "ops": ref.ops,
-                "paper_throughput_samples_per_s": ref.throughput_samples_per_s,
-                "paper_latency_us": ref.latency_us,
-                "paper_area_mm2": ref.area_mm2,
-            }
-            for name, ref in ((n, PAPER_TABLE3[n]) for n in model_names())
-        })
+        print(json.dumps(
+            {
+                name: {
+                    "dataset": ref.dataset,
+                    "weights": ref.weights,
+                    "ops": ref.ops,
+                    "paper_throughput_samples_per_s": ref.throughput_samples_per_s,
+                    "paper_latency_us": ref.latency_us,
+                    "paper_area_mm2": ref.area_mm2,
+                }
+                for name, ref in ((n, PAPER_TABLE3[n]) for n in model_names())
+            },
+            indent=2, sort_keys=True,
+        ))
         return 0
     header = (f"{'model':<14} {'dataset':<10} {'weights':>12} {'ops':>14} "
               f"{'paper samples/s':>16} {'paper area mm^2':>16}")
@@ -572,7 +641,8 @@ def _command_models(args: argparse.Namespace) -> int:
 def _command_experiments(args: argparse.Namespace) -> int:
     results = run_all(args.names or None)
     if args.json:
-        _print_json({name: result.to_dict() for name, result in results.items()})
+        payload = {name: result.to_dict() for name, result in results.items()}
+        print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     for result in results.values():
         print(result.format())
@@ -630,8 +700,21 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    handlers = {
+        "deploy": _command_deploy,
+        "sweep": _command_sweep,
+        "serve-batch": _command_serve_batch,
+        "jobs": _command_jobs,
+        "runs": _command_runs,
+        "passes": _command_passes,
+        "models": _command_models,
+        "chaos": _command_chaos,
+        "experiments": _command_experiments,
+        "lint": _command_lint,
+        "fuzz": _command_fuzz,
+    }
     try:
-        return args.handler(args)
+        return handlers[args.command](args)
     except (PassError, FPSAError) as error:
         # same identity the wire carries: ErrorPayload code + message
         from .service.schemas import ErrorPayload

@@ -130,7 +130,8 @@ def knob(
 
     A knob the command line exposes names its ``flag`` (``--chips``)
     and its ``help`` here; :mod:`repro.cli` generates the option from
-    them and leaves the value to ``check``."""
+    them, converts a value by the field's declared type and leaves
+    judging it to ``check``."""
     if fingerprinted is None:
         fingerprinted = role == "semantic"
     return field(

@@ -71,10 +71,9 @@ def _strings(values: Any) -> bool:
 
 
 # checks of the request-only fields (see ``repro.core.pipeline.knob``)
-_PASS_NAMES = or_none((
-    "a non-empty list of pass names",
-    lambda v: isinstance(v, (list, tuple)) and len(v) > 0 and _strings(v),
-))
+_PASS_NAMES = or_none(
+    ("a list of pass names", lambda v: isinstance(v, (list, tuple)) and _strings(v))
+)
 _SECONDS = or_none(("a number > 0", lambda v: is_number(v) and v > 0))
 _OVERRIDES = or_none(
     ("an object with string keys", lambda v: isinstance(v, dict) and _strings(v))

@@ -9,12 +9,13 @@ import pytest
 
 from repro.cli import _KNOB_FLAGS, _requests, build_parser, main
 from repro.core.pipeline import BOOLEAN
-from repro.errors import InvalidRequestError
+from repro.service import ArtifactStore, FPSAClient
 from repro.service.schemas import REQUEST_KNOBS, CompileRequest
 
 KNOBS = {f.name: f for f in REQUEST_KNOBS}
 
-#: one illegal value per valued knob flag (the boolean flags take none)
+#: one illegal value per valued knob flag (the boolean flags take none);
+#: a pass list naming no pass stays the string ",", which the wire rejects
 ILLEGAL = {
     "duplication_degree": "0",
     "pe_budget": "0",
@@ -68,11 +69,25 @@ def test_an_illegal_value_is_a_typed_error(command, name, capsys):
     assert name in err
 
 
-def test_the_wire_rejects_an_empty_pass_list_too():
-    # the CLI accepts what the wire accepts: an empty pipeline is neither
-    with pytest.raises(InvalidRequestError) as excinfo:
-        CompileRequest.from_dict({"model": "LeNet", "passes": []})
-    assert excinfo.value.details == {"passes": "[]"}
+class TestServeBatchFile:
+    """With a requests FILE, the generating flags are judged all the same."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        path = tmp_path / "requests.json"
+        path.write_text(json.dumps([{"model": "LeNet"}]))
+        return str(path)
+
+    def test_an_illegal_duplication(self, path, capsys):
+        assert main(["serve-batch", path, "--duplication", "1", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "error [invalid_request]" in err
+        assert "duplication_degree" in err
+
+    @pytest.mark.parametrize("model", ["Nope", "LeNet"])
+    def test_a_model_beside_the_file(self, path, model, capsys):
+        assert main(["serve-batch", path, "--model", model]) == 2
+        assert "error [invalid_request]" in capsys.readouterr().err
 
 
 class TestLegalValues:
@@ -86,6 +101,22 @@ class TestLegalValues:
     def test_a_fractional_deadline(self):
         request = self._request("serve-batch", "--model", "LeNet", "--deadline", "0.5")
         assert request.deadline_s == 0.5
+
+    def test_a_whole_deadline_keeps_the_run_id(self):
+        # the deadline is parsed as its knob's float: the request, and so
+        # the stored run id, are the ones a deadline_s=30.0 request gives
+        request = self._request("serve-batch", "--model", "LeNet", "--deadline", "30")
+        assert request.to_json() == CompileRequest(model="LeNet", deadline_s=30.0).to_json()
+        client = FPSAClient(cache=False)
+        run_ids = {
+            ArtifactStore.run_id_for(client.serve(r).response)
+            for r in (request, CompileRequest(model="LeNet", deadline_s=30.0))
+        }
+        assert len(run_ids) == 1
+
+    def test_an_empty_pass_list_is_still_wire_legal(self):
+        # the CLI narrows nothing: a stored request with passes [] loads
+        assert CompileRequest.from_dict({"model": "LeNet", "passes": []}).passes == ()
 
     def test_pass_list(self):
         request = self._request("deploy", "LeNet", "--passes", "synthesis, mapping")
