@@ -121,10 +121,6 @@ class FPSACompiler:
                 details={"unknown": unknown, "known": known},
             )
         options = CompileOptions(**knobs)
-        if options.fault_plan:
-            from ..faults import install_plan
-
-            install_plan(options.fault_plan)
         if options.partitioned:
             if passes is not None:
                 raise InvalidRequestError(

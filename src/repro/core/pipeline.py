@@ -246,12 +246,6 @@ class CompileOptions:
     )
     #: no-op kept for callers that still send it; goes with the next wire schema.
     dedup: bool = knob(BOOLEAN, "execution", default=False)
-    #: deterministic fault-injection plan (inline JSON or a file path, see
-    #: :mod:`repro.faults`), installed process-wide before the pipeline
-    #: runs; faults never change a successful artifact.
-    fault_plan: str | None = knob(
-        or_none(("a string", lambda v: isinstance(v, str))), "execution", default=None
-    )
 
     def __post_init__(self) -> None:
         check_knobs(self, KNOBS)

@@ -3,13 +3,10 @@
 A :class:`FaultPlan` is a JSON-round-trippable list of :class:`FaultSpec`
 entries, each naming an injection *site* (a string the instrumented code
 passes to :func:`fire`), a fault *kind*, and matching/firing constraints.
-The plan activates in two equivalent ways:
-
-- the ``REPRO_FAULT_PLAN`` environment variable — either inline JSON
-  (starts with ``{``) or a path to a JSON file — which worker processes
-  inherit, or
-- :func:`install_plan`, which the compiler calls when a request threads a
-  plan through ``CompileOptions.fault_plan`` / ``CompileRequest.fault_plan``.
+A plan has one switch, the ``REPRO_FAULT_PLAN`` environment variable —
+either inline JSON (starts with ``{``) or a path to a JSON file.  Every
+worker process, including one a pool respawns, inherits it; no request,
+compile option or wire field carries a plan.
 
 Because firing decisions depend only on the plan and per-process occurrence
 counters (never on wall clock or unseeded randomness), every injected fault
@@ -62,8 +59,6 @@ __all__ = [
     "FaultSpec",
     "FaultPlan",
     "FaultInjector",
-    "install_plan",
-    "clear_installed_plan",
     "active_injector",
     "fire",
 ]
@@ -243,49 +238,12 @@ class FaultInjector:
 
 
 _STATE_LOCK = threading.Lock()
-#: explicitly installed injector (takes precedence over the environment).
-_INSTALLED: FaultInjector | None = None
-#: plan JSON the installed injector was built from, for memoization —
-#: re-installing an identical plan must keep the per-process counters.
-_INSTALLED_KEY: str | None = None
 #: (env value, injector) pair lazily built from REPRO_FAULT_PLAN.
 _FROM_ENV: tuple[str, FaultInjector] | None = None
 
 
-def install_plan(plan: "FaultPlan | str | None") -> FaultInjector | None:
-    """Install ``plan`` (a :class:`FaultPlan` or its JSON) process-wide.
-
-    Installing the same plan again is a no-op that preserves the existing
-    injector's occurrence counters; installing ``None`` clears it.  Returns
-    the active injector.
-    """
-    global _INSTALLED, _INSTALLED_KEY
-    if plan is None:
-        clear_installed_plan()
-        return None
-    if isinstance(plan, str):
-        parsed = FaultPlan.from_env_value(plan)
-    else:
-        parsed = plan
-    key = parsed.to_json()
-    with _STATE_LOCK:
-        if _INSTALLED is not None and _INSTALLED_KEY == key:
-            return _INSTALLED
-        _INSTALLED = FaultInjector(parsed)
-        _INSTALLED_KEY = key
-        return _INSTALLED
-
-
-def clear_installed_plan() -> None:
-    """Remove an explicitly installed plan (the environment still applies)."""
-    global _INSTALLED, _INSTALLED_KEY
-    with _STATE_LOCK:
-        _INSTALLED = None
-        _INSTALLED_KEY = None
-
-
 def active_injector() -> FaultInjector | None:
-    """The injector in effect: installed plan first, else ``REPRO_FAULT_PLAN``.
+    """The injector of ``REPRO_FAULT_PLAN``, or ``None`` when it is unset.
 
     The environment is re-read on every call so tests (and workers forked
     before the variable changed) track the current value; the injector is
@@ -293,8 +251,6 @@ def active_injector() -> FaultInjector | None:
     """
     global _FROM_ENV
     with _STATE_LOCK:
-        if _INSTALLED is not None:
-            return _INSTALLED
         value = os.environ.get(FAULT_PLAN_ENV)
         if not value:
             _FROM_ENV = None

@@ -63,7 +63,6 @@ CONFIG_GROUPS = ("repeat", "warm", "shared", "pnr", "chips")
 #: somewhere in the lattice, so a new one cannot be forgotten.
 _UNFUZZED = {
     "shard_jobs": "spawns a process pool per spec",
-    "fault_plan": "covered by tests/core/test_faults.py",
     "dedup": "accepted no-op; nothing reads it",
     "pnr_jobs": "accepted no-op; nothing reads it",
 }

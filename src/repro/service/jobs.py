@@ -185,8 +185,6 @@ def _execute_job(
     request = CompileRequest.from_dict(request_dict)
     if attempt:
         time.sleep(backoff_delay(request, attempt))
-    if request.fault_plan:
-        faults.install_plan(request.fault_plan)
     # crash/hang/io_error faults fire *before* the compile so an injected
     # OSError propagates raw through the future (the retriable path);
     # serve_request would otherwise wrap it into an error response

@@ -135,7 +135,6 @@ class CompileRequest(WireRecord):
         or_none(integer(0)), "serving", flag="--max-retries", default=None,
         help="retry budget for retriable faults (default: the job manager's)",
     )
-    fault_plan: str | None = None
     #: keyword overrides for
     #: :meth:`repro.synthesizer.synthesizer.SynthesisOptions.from_pe`
     #: (e.g. ``{"lower_pooling": false}``).
@@ -144,6 +143,11 @@ class CompileRequest(WireRecord):
     #: artifact store untouched.
     tags: dict[str, str] = knob(_TAGS, "serving", default_factory=dict)
     schema_version: int = SCHEMA_VERSION
+
+    #: a fault plan is the environment's (``REPRO_FAULT_PLAN``), never a
+    #: request's; stored requests still carry the key, and run ids hash it.
+    #: No retired key enters :meth:`fingerprint`.
+    retired = {"fault_plan": None}
 
     def __post_init__(self):
         _check_schema_version(self.schema_version, "CompileRequest")
@@ -188,7 +192,7 @@ REQUEST_KNOBS = PUBLIC_KNOBS + tuple(
 )
 _UNFINGERPRINTED = tuple(
     f.name for f in REQUEST_KNOBS if not f.metadata["fingerprinted"]
-)
+) + tuple(CompileRequest.retired)
 #: what ``compile()`` takes: every public knob plus its own two keywords.
 _COMPILE_KWARGS = tuple(f.name for f in PUBLIC_KNOBS) + ("passes", "use_cache")
 

@@ -10,6 +10,11 @@ per class; strings and dict keys are interned, so decoded responses share
 them.  Else an :class:`~repro.errors.InvalidRequestError` names the record
 and the field, ``details={field: repr(value)}``.  ``from_dict(data,
 name=value)`` takes field ``name`` as already decoded.
+
+A deleted field becomes a *retired* key of its record (``retired``, the
+key and the JSON constant it is written as): decoding accepts it with any
+value and drops it, and ``to_dict`` still writes the constant, so stored
+payloads that carry the key keep loading and keep their content address.
 """
 
 from __future__ import annotations
@@ -41,8 +46,14 @@ class _Mismatch(Exception):
 class WireRecord:
     """Base of the wire dataclasses: the codec derived from their fields."""
 
+    #: retired keys: each one's JSON constant (see the module docstring)
+    retired: Mapping[str, Any] = {}
+
     def to_dict(self) -> dict[str, Any]:
-        return {name: _plain(getattr(self, name)) for name in _names(type(self))}
+        data = {name: _plain(getattr(self, name)) for name in _names(type(self))}
+        if self.retired:
+            data.update(self.retired)
+        return data
 
     @classmethod
     def from_dict(cls, data: Any, **decoded: Any):
@@ -127,11 +138,13 @@ def _decode(cls: type, data: Any, decoded: Mapping[str, Any] | None = None) -> A
     plan = _PLANS.get(cls) or _Plan(cls)
     converters = plan.converters
     if not data.keys() <= converters.keys():
-        unknown = sorted(map(str, data.keys() - converters.keys()))
-        raise InvalidRequestError(
-            f"unknown field(s) {unknown} in {cls.__name__} payload",
-            details={"schema": cls.__name__, "unknown_fields": unknown},
-        )
+        unknown = sorted(map(str, data.keys() - converters.keys() - cls.retired.keys()))
+        if unknown:
+            raise InvalidRequestError(
+                f"unknown field(s) {unknown} in {cls.__name__} payload",
+                details={"schema": cls.__name__, "unknown_fields": unknown},
+            )
+        data = {name: value for name, value in data.items() if name in converters}
     if decoded:
         data = {name: value for name, value in data.items() if name not in decoded}
     try:

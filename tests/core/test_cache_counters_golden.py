@@ -20,7 +20,7 @@ from repro.faults import (
     SITE_SHARED_CACHE_PUT,
     FaultPlan,
     FaultSpec,
-    clear_installed_plan,
+    active_injector,
 )
 from repro.service import ArtifactStore, CompileRequest, serve_request
 
@@ -34,7 +34,8 @@ EXPECTED = {
     # tier, but that is not an eviction of the compile
     "shared hit at max_entries=1": (2, 2, 0, 2, 0, 0, "1c6c38adb90f8f29"),
     "eviction at max_entries=1": (0, 4, 1, 0, 0, 0, "f4fe7183a8fc5d57"),
-    "failed writes under io_error": (0, 4, 0, 0, 2, 2, "252c9997676985f7"),
+    # the plan is the environment's, so the run id is the plan-free request's
+    "failed writes under io_error": (0, 4, 0, 0, 2, 2, "5949e26314005e9d"),
     "2-chip cold": (0, 8, 0, 0, 4, 0, "c5f7a0c702e70307"),
     "2-chip shared hit": (4, 4, 0, 4, 0, 0, "704f1f7f30d9e5c4"),
 }
@@ -43,9 +44,7 @@ EXPECTED = {
 @pytest.fixture(autouse=True)
 def _no_fault_plan(monkeypatch):
     monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-    clear_installed_plan()
-    yield
-    clear_installed_plan()
+    assert active_injector() is None  # read unset, it drops a memoized plan
 
 
 def _row(request, cache):
@@ -63,7 +62,7 @@ def _row(request, cache):
     )
 
 
-def test_counters_and_run_ids_match_the_recorded_sequence(tmp_path):
+def test_counters_and_run_ids_match_the_recorded_sequence(tmp_path, monkeypatch):
     def tier(name):
         return SharedStageCache(str(tmp_path / name))
 
@@ -83,14 +82,10 @@ def test_counters_and_run_ids_match_the_recorded_sequence(tmp_path):
             request, StageCache(max_entries=1, shared=tier("shared"))
         ),
         "eviction at max_entries=1": _row(request, StageCache(max_entries=1)),
-        "failed writes under io_error": _row(
-            CompileRequest(
-                model="MLP-500-100", duplication_degree=2, seed=0, fault_plan=plan
-            ),
-            StageCache(shared=tier("faulty")),
-        ),
     }
-    clear_installed_plan()
+    monkeypatch.setenv(FAULT_PLAN_ENV, plan)
+    observed["failed writes under io_error"] = _row(request, StageCache(shared=tier("faulty")))
+    monkeypatch.delenv(FAULT_PLAN_ENV)
     observed["2-chip cold"] = _row(chips, chips_cache)
     observed["2-chip shared hit"] = _row(chips, pickle.loads(pickle.dumps(chips_cache)))
     assert observed == EXPECTED

@@ -9,6 +9,7 @@ import sys
 
 import repro
 from repro.cli import main
+from repro.faults import FAULT_PLAN_ENV
 
 
 class TestUnknownModel:
@@ -116,12 +117,11 @@ class TestMalformedWireData:
         assert "[invalid_request]" in err
         assert "CompileTimings field 'passes'" in err
 
-    def test_serve_batch_with_a_malformed_fault_plan(self, capsys, tmp_path):
+    def test_serve_batch_with_a_malformed_fault_plan(self, capsys, tmp_path, monkeypatch):
         plan = {"faults": [{"site": "worker-compile", "kind": "crash", "match": [1]}]}
+        monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps(plan))
         requests_file = tmp_path / "requests.json"
-        requests_file.write_text(json.dumps(
-            {"model": "MLP-500-100", "fault_plan": json.dumps(plan)}
-        ))
+        requests_file.write_text(json.dumps({"model": "MLP-500-100"}))
         assert main(["serve-batch", str(requests_file), "--jobs", "1", "--json"]) == 1
         (response,) = json.loads(capsys.readouterr().out)
         assert response["error"]["code"] == "invalid_request"

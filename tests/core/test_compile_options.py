@@ -43,7 +43,6 @@ NON_DEFAULT = {
     "shard_jobs": 2,
     "verify": True,
     "dedup": True,
-    "fault_plan": '{"faults": []}',
     "passes": ("synthesis", "mapping"),
     "use_cache": False,
     "deadline_s": 2.5,
@@ -79,7 +78,7 @@ class TestTheTable:
             if "check" not in f.metadata and name not in ("model", "schema_version")
         }
         assert mirrored == {f.name: f.default for f in PUBLIC_KNOBS}
-        assert len(REQUEST_FIELDS) == 23
+        assert len(REQUEST_FIELDS) == 22
 
     def test_compile_takes_the_knobs_as_one_catch_all(self):
         parameters = inspect.signature(FPSACompiler.compile).parameters

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
@@ -18,18 +17,18 @@ from repro.faults import (
     FaultPlan,
     FaultSpec,
     active_injector,
-    clear_installed_plan,
     fire,
-    install_plan,
 )
 
 
 @pytest.fixture(autouse=True)
 def _clean_fault_state(monkeypatch):
     monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-    clear_installed_plan()
-    yield
-    clear_installed_plan()
+    assert active_injector() is None  # read unset, it drops a memoized plan
+
+
+def use_plan(monkeypatch, *specs: FaultSpec) -> None:
+    monkeypatch.setenv(FAULT_PLAN_ENV, FaultPlan(faults=specs).to_json())
 
 
 def io_spec(**overrides) -> FaultSpec:
@@ -141,25 +140,6 @@ class TestActivation:
         assert active_injector() is None
         assert fire(SITE_WORKER_COMPILE, model="LeNet") is None
 
-    def test_install_plan_from_json_string(self):
-        plan = FaultPlan(faults=(io_spec(),))
-        injector = install_plan(plan.to_json())
-        assert active_injector() is injector
-        with pytest.raises(TransientIOError):
-            fire(SITE_WORKER_COMPILE)
-
-    def test_reinstalling_the_same_plan_keeps_counters(self):
-        plan = FaultPlan(faults=(io_spec(times=1),))
-        injector = install_plan(plan)
-        with pytest.raises(TransientIOError):
-            injector.fire(SITE_WORKER_COMPILE)
-        # same plan again: same injector, spec stays exhausted
-        assert install_plan(FaultPlan.from_json(plan.to_json())) is injector
-        assert fire(SITE_WORKER_COMPILE) is None
-        # a different plan replaces it
-        other = install_plan(FaultPlan(faults=(io_spec(times=2),)))
-        assert other is not injector
-
     def test_env_inline_json(self, monkeypatch):
         plan = FaultPlan(faults=(io_spec(),))
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
@@ -173,6 +153,12 @@ class TestActivation:
         )
         assert active_injector() is not injector
 
+    def test_an_unchanged_env_value_keeps_counters(self, monkeypatch):
+        use_plan(monkeypatch, io_spec(times=1))
+        with pytest.raises(TransientIOError):
+            fire(SITE_WORKER_COMPILE)
+        assert fire(SITE_WORKER_COMPILE) is None  # the spec stays exhausted
+
     def test_env_file_path(self, tmp_path, monkeypatch):
         plan = FaultPlan(faults=(io_spec(),), seed=3)
         path = tmp_path / "plan.json"
@@ -180,15 +166,6 @@ class TestActivation:
         monkeypatch.setenv(FAULT_PLAN_ENV, str(path))
         injector = active_injector()
         assert injector is not None and injector.plan == plan
-
-    def test_installed_plan_takes_precedence_over_env(self, monkeypatch):
-        monkeypatch.setenv(
-            FAULT_PLAN_ENV, FaultPlan(faults=(io_spec(),)).to_json()
-        )
-        installed = install_plan(FaultPlan(faults=()))
-        assert active_injector() is installed
-        clear_installed_plan()
-        assert active_injector() is not installed
 
     def test_unreadable_plan_file_is_a_typed_error(self):
         with pytest.raises(InvalidRequestError):
@@ -199,69 +176,43 @@ class TestCacheDegradation:
     """Injected (and real) IO faults on the cache write/read paths must
     degrade to counted misses, never fail the compile."""
 
-    def test_shared_cache_put_io_error_degrades(self, tmp_path):
+    def test_shared_cache_put_io_error_degrades(self, tmp_path, monkeypatch):
         from repro.core.shared_cache import SharedStageCache
 
-        install_plan(
-            FaultPlan(
-                faults=(
-                    FaultSpec(site=SITE_SHARED_CACHE_PUT, kind="io_error"),
-                )
-            )
-        )
+        use_plan(monkeypatch, FaultSpec(site=SITE_SHARED_CACHE_PUT, kind="io_error"))
         cache = SharedStageCache(str(tmp_path / "shared"))
         assert cache.put("a" * 16, {"x": 1}) is False  # injected failure
         assert "a" * 16 not in cache
         assert cache.put("a" * 16, {"x": 1}) is True  # spec exhausted
         assert cache.get("a" * 16) == {"x": 1}
 
-    def test_shared_cache_get_io_error_is_a_counted_miss(self, tmp_path):
+    def test_shared_cache_get_io_error_is_a_counted_miss(self, tmp_path, monkeypatch):
         from repro.core.shared_cache import SharedStageCache
 
         cache = SharedStageCache(str(tmp_path / "shared"))
         assert cache.put("b" * 16, {"x": 2}) is True
-        install_plan(
-            FaultPlan(
-                faults=(
-                    FaultSpec(site=SITE_SHARED_CACHE_GET, kind="io_error"),
-                )
-            )
-        )
+        use_plan(monkeypatch, FaultSpec(site=SITE_SHARED_CACHE_GET, kind="io_error"))
         assert cache.get("b" * 16) is None
         # the faulted entry was dropped; the next lookup is a clean miss
         assert "b" * 16 not in cache
-        clear_installed_plan()
+        monkeypatch.delenv(FAULT_PLAN_ENV)
         assert cache.get("b" * 16) is None
 
-    def test_corrupt_put_is_tolerated_by_the_read_side(self, tmp_path):
+    def test_corrupt_put_is_tolerated_by_the_read_side(self, tmp_path, monkeypatch):
         from repro.core.shared_cache import SharedStageCache
 
-        install_plan(
-            FaultPlan(
-                faults=(
-                    FaultSpec(site=SITE_SHARED_CACHE_PUT, kind=KIND_CORRUPT),
-                )
-            )
-        )
+        use_plan(monkeypatch, FaultSpec(site=SITE_SHARED_CACHE_PUT, kind=KIND_CORRUPT))
         cache = SharedStageCache(str(tmp_path / "shared"))
         assert cache.put("c" * 16, {"x": 3}) is True  # garbage published
-        clear_installed_plan()
+        monkeypatch.delenv(FAULT_PLAN_ENV)
         assert cache.get("c" * 16) is None  # unreadable -> dropped
         assert "c" * 16 not in cache
 
-    def test_stage_cache_counts_failed_shared_writes(self, tmp_path):
+    def test_stage_cache_counts_failed_shared_writes(self, tmp_path, monkeypatch):
         from repro.core.cache import CacheStats, StageCache
         from repro.core.shared_cache import SharedStageCache
 
-        install_plan(
-            FaultPlan(
-                faults=(
-                    FaultSpec(
-                        site=SITE_SHARED_CACHE_PUT, kind="io_error", times=5
-                    ),
-                )
-            )
-        )
+        use_plan(monkeypatch, FaultSpec(site=SITE_SHARED_CACHE_PUT, kind="io_error", times=5))
         cache = StageCache(shared=SharedStageCache(str(tmp_path / "shared")))
         stats = CacheStats()
         cache.put("d" * 16, {"x": 4}, stats)
@@ -283,18 +234,3 @@ class TestCacheDegradation:
         finally:
             os.chmod(directory, 0o700)
 
-
-class TestCompileThreading:
-    def test_fault_plan_reaches_compile_options(self):
-        plan_json = FaultPlan(faults=()).to_json()
-        from repro.core.compiler import FPSACompiler
-        from repro.models.zoo import build_model
-
-        compiler = FPSACompiler()
-        result = compiler.compile(
-            build_model("MLP-500-100"), seed=0, fault_plan=plan_json
-        )
-        assert result is not None
-        assert json.loads(active_injector().plan.to_json()) == json.loads(
-            plan_json
-        )

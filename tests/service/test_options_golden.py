@@ -66,7 +66,6 @@ class TestRequestFingerprints:
             pnr_jobs=4,
             verify=True,
             dedup=True,
-            fault_plan='{"faults": []}',
             deadline_s=2.5,
             max_retries=3,
             tags={"a": "b"},

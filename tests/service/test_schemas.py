@@ -1,5 +1,6 @@
 """Tests of the versioned request/response wire schemas."""
 
+import dataclasses
 import json
 
 import pytest
@@ -138,6 +139,21 @@ class TestCompileRequest:
         with pytest.raises(InvalidRequestError) as excinfo:
             CompileRequest.from_dict(payload)
         assert "frobnicate" in str(excinfo.value)
+
+    @pytest.mark.parametrize("plan", [None, '{"faults": []}', {"faults": []}, 5])
+    def test_the_retired_fault_plan_is_read_with_any_value_and_dropped(self, plan):
+        payload = {"model": "LeNet", "duplication_degree": 2}
+        request = CompileRequest.from_dict({**payload, "fault_plan": plan})
+        assert request == CompileRequest.from_dict(payload)
+        # written as its constant, so a stored run id still hashes the key
+        assert request.to_dict()["fault_plan"] is None
+        assert "fault_plan" not in {f.name for f in dataclasses.fields(CompileRequest)}
+
+    def test_a_retired_key_hides_no_unknown_one(self):
+        payload = {"model": "LeNet", "fault_plan": None, "frobnicate": True}
+        with pytest.raises(InvalidRequestError) as excinfo:
+            CompileRequest.from_dict(payload)
+        assert excinfo.value.details["unknown_fields"] == ["frobnicate"]
 
     def test_invalid_values_rejected(self):
         with pytest.raises(InvalidRequestError):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.errors import InvalidRequestError
 from repro.service import (
     ArtifactStore,
@@ -181,6 +182,23 @@ class TestLegacyStore:
             assert response.request == CompileRequest.from_json(request_json)
         (with_bitstream,) = [r.run_id for r in store.list_runs() if r.has_bitstream]
         assert json.loads(store.load_bitstream(with_bitstream))["model"] == "MLP-500-100"
+
+    def test_a_stored_fault_plan_is_dropped_on_show(self, legacy, recorded, capsys):
+        run_id = min(recorded)
+        for name in ("request.json", "response.json"):
+            path = legacy / "runs" / run_id / name
+            data = json.loads(path.read_text(encoding="utf-8"))
+            request = data.get("request", data)
+            request["fault_plan"] = '{"faults": [], "seed": 0}'
+            path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["runs", "--store", str(legacy), "--show", run_id, "--json"]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        assert shown["request"]["fault_plan"] is None
+        unedited = ArtifactStore(LEGACY_STORE).load(run_id, verify=True)
+        assert shown == json.loads(unedited.to_json())
+        assert main(["runs", "--store", str(legacy), "--json"]) == 0
+        listed = {r["run_id"] for r in json.loads(capsys.readouterr().out)}
+        assert listed == set(recorded)
 
     def test_accepts_saves_and_keeps_its_records(self, legacy, recorded):
         store = ArtifactStore(legacy)

@@ -21,7 +21,7 @@ from repro.faults import (
     SITE_WORKER_COMPILE,
     FaultPlan,
     FaultSpec,
-    clear_installed_plan,
+    active_injector,
 )
 from repro.fuzz.oracle import strip_seconds
 from repro.service import CompileRequest, JobManager, JobState
@@ -31,9 +31,7 @@ from repro.service import jobs as jobs_module
 @pytest.fixture(autouse=True)
 def _clean_fault_state(monkeypatch):
     monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
-    clear_installed_plan()
-    yield
-    clear_installed_plan()
+    assert active_injector() is None  # read unset, it drops a memoized plan
 
 
 def crash_plan(**match) -> str:
@@ -86,17 +84,14 @@ class TestPoolHealing:
 
 
 class TestCrashRecovery:
-    def test_crashed_worker_is_respawned_and_the_job_retried(self):
-        request = CompileRequest(
-            model="MLP-500-100",
-            seed=0,
-            max_retries=2,
-            fault_plan=crash_plan(model="MLP-500-100", attempt=0),
-        )
+    def test_crashed_worker_is_respawned_and_the_job_retried(self, monkeypatch):
+        request = CompileRequest(model="MLP-500-100", seed=0, max_retries=2)
         with JobManager(max_workers=2) as reference_manager:
             reference = reference_manager.result(
                 reference_manager.submit(CompileRequest(model="MLP-500-100", seed=0))
             )
+        # set before the pool forks: every worker and respawn inherits it
+        monkeypatch.setenv(FAULT_PLAN_ENV, crash_plan(model="MLP-500-100", attempt=0))
         with JobManager(max_workers=2) as manager:
             response = manager.result(manager.submit(request))
             assert response.ok
@@ -111,13 +106,9 @@ class TestCrashRecovery:
             reference.summary.to_dict()
         )
 
-    def test_coalesced_followers_survive_a_primary_crash(self):
-        request = CompileRequest(
-            model="MLP-500-100",
-            seed=0,
-            max_retries=2,
-            fault_plan=crash_plan(model="MLP-500-100", attempt=0),
-        )
+    def test_coalesced_followers_survive_a_primary_crash(self, monkeypatch):
+        request = CompileRequest(model="MLP-500-100", seed=0, max_retries=2)
+        monkeypatch.setenv(FAULT_PLAN_ENV, crash_plan(model="MLP-500-100", attempt=0))
         with JobManager(max_workers=2, coalesce=True) as manager:
             job_ids = manager.submit_batch([request] * 3)
             responses = [manager.result(job_id) for job_id in job_ids]
@@ -126,13 +117,10 @@ class TestCrashRecovery:
         assert manager.stats.coalesced == 2
         assert manager.stats.retried >= 1
 
-    def test_exhausted_retries_fan_out_a_typed_worker_crash_error(self):
+    def test_exhausted_retries_fan_out_a_typed_worker_crash_error(self, monkeypatch):
         # the crash matches every attempt, so the retry budget runs dry
-        request = CompileRequest(
-            model="MLP-500-100",
-            max_retries=1,
-            fault_plan=crash_plan(model="MLP-500-100"),
-        )
+        request = CompileRequest(model="MLP-500-100", max_retries=1)
+        monkeypatch.setenv(FAULT_PLAN_ENV, crash_plan(model="MLP-500-100"))
         with JobManager(max_workers=1, coalesce=True) as manager:
             job_ids = manager.submit_batch([request] * 2)
             responses = [manager.result(job_id, timeout=120) for job_id in job_ids]
@@ -142,7 +130,7 @@ class TestCrashRecovery:
             assert response.error.retriable
         assert manager.stats.retried == 1
 
-    def test_partitioned_compile_recovers_from_crash_and_hang(self):
+    def test_partitioned_compile_recovers_from_crash_and_hang(self, monkeypatch):
         plan = FaultPlan(
             faults=(
                 FaultSpec(
@@ -164,16 +152,11 @@ class TestCrashRecovery:
         with JobManager(max_workers=2) as manager:
             reference = manager.result(manager.submit(reference_request))
         assert reference.ok
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan)
         with JobManager(max_workers=2) as manager:
             response = manager.result(
                 manager.submit(
-                    CompileRequest(
-                        model="MLP-500-100",
-                        seed=0,
-                        num_chips=2,
-                        max_retries=3,
-                        fault_plan=plan,
-                    )
+                    CompileRequest(model="MLP-500-100", seed=0, num_chips=2, max_retries=3)
                 )
             )
             assert manager.stats.retried >= 1
@@ -184,7 +167,7 @@ class TestCrashRecovery:
 
 
 class TestRetryPolicy:
-    def test_transient_io_fault_is_retried(self):
+    def test_transient_io_fault_is_retried(self, monkeypatch):
         plan = FaultPlan(
             faults=(
                 FaultSpec(
@@ -194,13 +177,10 @@ class TestRetryPolicy:
                 ),
             )
         ).to_json()
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan)
         with ThreadPoolExecutor(max_workers=1) as pool, JobManager(pool=pool) as manager:
             response = manager.result(
-                manager.submit(
-                    CompileRequest(
-                        model="MLP-500-100", max_retries=2, fault_plan=plan
-                    )
-                )
+                manager.submit(CompileRequest(model="MLP-500-100", max_retries=2))
             )
         assert response.ok
         assert manager.stats.retried == 1
