@@ -249,15 +249,15 @@ def verify_mapping(mapping: "MappingResult", stage: str = "mapping") -> None:
         _fail(stage, "block-counts",
               f"netlist instantiates {built} but the mapping counts {closed_form}",
               [mapping.model])
-    unallocated = sorted(
-        {
-            block.group
-            for block in mapping.netlist.blocks.values()
-            if block.type == "PE" and block.group not in allocation.allocations
-        }
-    )
+    pes = mapping.netlist.blocks_of_type("PE")
+    unallocated = sorted({block.group for block in pes} - allocation.allocations.keys())
     if unallocated:
         _fail(stage, "pe-groups", "PE blocks belong to unallocated groups", unallocated)
+    pe = mapping.config.pe
+    tiles = mapping.coreops.derived().tiling(pe.rows, pe.logical_cols).tiles
+    strays = sorted(block.name for block in pes if not 0 <= block.tile < tiles.get(block.group, 0))
+    if strays:
+        _fail(stage, "pe-tiles", "PE blocks program a tile outside their group", strays)
 
 
 # --------------------------------------------------------------------------

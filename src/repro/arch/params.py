@@ -42,11 +42,6 @@ __all__ = [
     "FPSAConfig",
     "chip_area_mm2",
     "UM2_PER_MM2",
-    "DEFAULT_PE",
-    "DEFAULT_SMB",
-    "DEFAULT_CLB",
-    "DEFAULT_ROUTING",
-    "DEFAULT_INTERCHIP",
     "DEFAULT_PRIME_PE",
 ]
 
@@ -475,9 +470,4 @@ def chip_area_mm2(
     return blocks * (1.0 + fabric.routing.area_overhead_fraction)
 
 
-DEFAULT_PE = PEParams()
-DEFAULT_SMB = SMBParams()
-DEFAULT_CLB = CLBParams()
-DEFAULT_ROUTING = RoutingParams()
-DEFAULT_INTERCHIP = InterChipParams()
 DEFAULT_PRIME_PE = PrimePEParams()

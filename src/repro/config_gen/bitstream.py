@@ -23,16 +23,16 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import groupby
-from operator import itemgetter
 from typing import Any, NamedTuple
 
 from ..arch.params import FPSAConfig
 from ..errors import InvalidRequestError, MappingError
+from ..mapper.allocation import GroupAllocation
 from ..mapper.control import ControlPlan
 from ..mapper.mapper import MappingResult
-from ..mapper.netlist import BlockType
+from ..mapper.netlist import BlockType, datapath_batches
 from ..pnr.pnr import PnRResult
+from ..synthesizer.splitting import TilePlan
 
 __all__ = [
     "CrossbarConfig",
@@ -209,77 +209,82 @@ def _records(record: type, kind: str, data: Mapping[str, Any]) -> list:
 _new = tuple.__new__
 
 
-def _crossbar_configs(mapping: MappingResult, config: FPSAConfig) -> list[CrossbarConfig]:
-    """One record per PE block, one batch per run of a group's blocks.  A
-    group's tile rows and cols are :meth:`TilePlan.tile`'s arithmetic, done
-    once per row and column of its tiles; no ``Tile`` is built."""
-    configs: list[CrossbarConfig] = []
+def _pe_shapes(plan: TilePlan, alloc: GroupAllocation) -> list[tuple[int, int]]:
+    """Tile rows and cols of each PE of one replica of ``alloc``'s group, in
+    :func:`datapath_batches` order: :meth:`TilePlan.tile`'s arithmetic,
+    done once per row and column of its tiles; no ``Tile`` is built.  An
+    allocation whose tiles are not the group's tiling is refused."""
+    group, tiles = alloc.group, alloc.tiles
+    if tiles != plan.n_tiles:
+        message = f"the allocation gives group {group!r} {tiles} tiles, but its tiling has"
+        details = {"group": group, "tiles": tiles, "n_tiles": plan.n_tiles}
+        raise MappingError(f"{message} {plan.n_tiles}", details=details)
+    row_sizes = [
+        min(plan.max_rows, plan.matrix_rows - r * plan.max_rows) for r in range(plan.n_row_tiles)
+    ]
+    col_sizes = [
+        min(plan.max_cols, plan.matrix_cols - c * plan.max_cols) for c in range(plan.n_col_tiles)
+    ]
+    duplicates = range(alloc.duplication)
+    return [(rows, cols) for rows in row_sizes for cols in col_sizes for _ in duplicates]
+
+
+def _census(
+    mapping: MappingResult, config: FPSAConfig, routed: bool
+) -> tuple[list[CrossbarConfig], list[RoutingSwitchConfig], list[BufferConfig]]:
+    """The crossbar and buffer records and, unless ``routed``, the routing
+    records, one batch per batch of :func:`datapath_batches`.  Unrouted, a
+    net's wire segments are estimated per sink as the square root of the
+    netlist's block count: the mapping's PEs, SMBs and CLBs, and two IO."""
     pe = config.pe
     cells_per_weight, cell_bits = pe.cells_per_weight, pe.cell_bits
-    dims: dict[str, tuple[dict[int, int], dict[int, int]]] = {}
+    value_bits = pe.io_bits
+    capacity = config.smb.values_capacity(value_bits)
+    estimated = max(1, int(math.sqrt(sum(mapping.block_counts().values()) + 2)))
     plans = mapping.coreops.derived().tiling(pe.rows, pe.logical_cols).plans
-    for group, run in groupby(mapping.netlist.blocks_of_type(BlockType.PE), itemgetter(2)):
-        if group not in dims:
-            plan = plans[group]
-            row_sizes = [
-                min(plan.max_rows, plan.matrix_rows - r * plan.max_rows)
-                for r in range(plan.n_row_tiles)
+    allocations = mapping.allocation.allocations
+    shapes: dict[str, list[tuple[int, int]]] = {}
+    crossbars: list[CrossbarConfig] = []
+    routing: list[RoutingSwitchConfig] = []
+    buffers: list[BufferConfig] = []
+    batches = datapath_batches(
+        mapping.coreops, mapping.allocation, config, 0 if routed else mapping.control.clbs_needed
+    )
+    for kind, group, names, nets in batches:
+        if kind == BlockType.PE:
+            if group not in shapes:
+                shapes[group] = _pe_shapes(plans[group], allocations[group])
+            crossbars += [
+                _new(CrossbarConfig, (name, group, rows, cols, cells_per_weight, cell_bits))
+                for name, (rows, cols) in zip(names, shapes[group])
             ]
-            col_sizes = [
-                min(plan.max_cols, plan.matrix_cols - c * plan.max_cols)
-                for c in range(plan.n_col_tiles)
+        elif kind == BlockType.SMB:
+            buffers += [_new(BufferConfig, (name, group, capacity, value_bits)) for name in names]
+        if routed:
+            continue
+        for net_names, drivers, sinks in nets:
+            n_sinks = len(sinks)
+            segments, switches = estimated * n_sinks, (estimated + 1) * n_sinks + 1
+            routing += [
+                _new(RoutingSwitchConfig, (name, driver, n_sinks, segments, switches))
+                for name, driver in zip(net_names, drivers)
             ]
-            # tile index -> rows and cols, row-major; a tile outside the
-            # group misses them, so the range check costs nothing until it fails
-            dims[group] = (
-                dict(enumerate([size for size in row_sizes for _ in col_sizes])),
-                dict(enumerate(col_sizes * len(row_sizes))),
+    return crossbars, routing, buffers
+
+
+def _routing_configs(pnr: PnRResult, mapping: MappingResult) -> list[RoutingSwitchConfig]:
+    """One record per routed net."""
+    drivers = {net.name: net.driver for net in mapping.netlist.nets}
+    configs: list[RoutingSwitchConfig] = []
+    for name, routed in pnr.routing.nets.items():
+        segments = routed.wirelength
+        n_sinks = len(routed.sink_paths)
+        # one CB switch per pin plus one SB switch per wire-to-wire hop
+        configs.append(
+            RoutingSwitchConfig(
+                name, drivers.get(name, ""), n_sinks, segments, segments + 1 + n_sinks
             )
-        rows, cols = dims[group]
-        blocks = list(run)
-        try:
-            configs += [
-                _new(CrossbarConfig, (name, group, rows[i], cols[i], cells_per_weight, cell_bits))
-                for name, _, _, i, _ in blocks
-            ]
-        except KeyError:
-            name, _, _, index, _ = next(b for b in blocks if b[3] not in rows)
-            raise MappingError(
-                f"PE block {name!r} programs tile {index} of group "
-                f"{group!r}, which has {len(rows)} tiles",
-                details={"block": name, "group": group, "tile": index, "n_tiles": len(rows)},
-            ) from None
-    return configs
-
-
-def _routing_configs(pnr: PnRResult | None, mapping: MappingResult) -> list[RoutingSwitchConfig]:
-    if pnr is not None:
-        drivers = {net.name: net.driver for net in mapping.netlist.nets}
-        configs: list[RoutingSwitchConfig] = []
-        for name, routed in pnr.routing.nets.items():
-            segments = routed.wirelength
-            n_sinks = len(routed.sink_paths)
-            # one CB switch per pin plus one SB switch per wire-to-wire hop
-            configs.append(
-                RoutingSwitchConfig(
-                    name, drivers.get(name, ""), n_sinks, segments, segments + 1 + n_sinks
-                )
-            )
-        return configs
-
-    # no detailed routing available: estimate from the netlist topology with
-    # the analytic mean route length, once per edge (the nets of an edge
-    # share one sinks tuple)
-    estimated_segments = max(1, int(math.sqrt(len(mapping.netlist.blocks))))
-    configs = []
-    for sinks, run in groupby(mapping.netlist.nets, itemgetter(2)):
-        n_sinks = len(sinks)
-        segments = estimated_segments * n_sinks
-        switches = (estimated_segments + 1) * n_sinks + 1
-        configs += [
-            _new(RoutingSwitchConfig, (name, driver, n_sinks, segments, switches))
-            for name, driver, _, _ in run
-        ]
+        )
     return configs
 
 
@@ -293,15 +298,6 @@ def _control_config(control: ControlPlan) -> ControlConfig:
     )
 
 
-def _buffer_configs(mapping: MappingResult, config: FPSAConfig) -> list[BufferConfig]:
-    value_bits = config.pe.io_bits
-    capacity = config.smb.values_capacity(value_bits)
-    return [
-        _new(BufferConfig, (name, group, capacity, value_bits))
-        for name, _, group, _, _ in mapping.netlist.blocks_of_type(BlockType.SMB)
-    ]
-
-
 def generate_bitstream(
     mapping: MappingResult,
     pnr: PnRResult | None = None,
@@ -309,11 +305,12 @@ def generate_bitstream(
 ) -> FPSABitstream:
     """Assemble the chip configuration for a mapped (and optionally routed) model."""
     config = config if config is not None else FPSAConfig()
+    crossbars, routing, buffers = _census(mapping, config, routed=pnr is not None)
     return FPSABitstream(
         model=mapping.model,
         duplication_degree=mapping.duplication_degree,
-        crossbars=_crossbar_configs(mapping, config),
-        routing=_routing_configs(pnr, mapping),
+        crossbars=crossbars,
+        routing=_routing_configs(pnr, mapping) if pnr is not None else routing,
         control=_control_config(mapping.control),
-        buffers=_buffer_configs(mapping, config),
+        buffers=buffers,
     )

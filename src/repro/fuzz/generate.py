@@ -41,7 +41,6 @@ from ..wire import WireRecord
 __all__ = [
     "LAYER_KINDS",
     "SIZE_CLASSES",
-    "MIXED",
     "LayerSpec",
     "ModelSpec",
     "build_graph",
@@ -56,9 +55,6 @@ LAYER_KINDS = ("conv", "pool", "dense", "branch_add", "concat")
 
 #: generator size classes, relative to the per-chip PE capacity.
 SIZE_CLASSES = ("small", "near", "over")
-
-#: pseudo size class: the default per-index rotation of SIZE_CLASSES.
-MIXED = "mixed"
 
 #: specs at or under this estimated PE count also run the P&R lattice.
 PNR_PE_LIMIT = 48

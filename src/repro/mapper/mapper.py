@@ -37,9 +37,10 @@ __all__ = ["MappingResult", "SpatialTemporalMapper"]
 class MappingResult:
     """Everything the mapper produces for one model.
 
-    ``netlist`` is derived from the fields below on first read (by P&R, the
-    bitstream generator, the verifier) and is not pickled: summaries, sweeps
-    and the stage stores need only :meth:`block_counts`.
+    ``netlist`` is derived from the fields below on first read (by P&R and
+    the verifier) and is not pickled: summaries, sweeps, the stage stores
+    and an unrouted bitstream need only :meth:`block_counts` and the name
+    batches of :func:`~repro.mapper.netlist.datapath_batches`.
     """
 
     coreops: CoreOpGraph

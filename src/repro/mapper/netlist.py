@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, product, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -30,6 +30,7 @@ __all__ = [
     "Net",
     "FunctionBlockNetlist",
     "smbs_per_edge",
+    "datapath_batches",
     "build_datapath",
     "attach_control",
     "build_netlist",
@@ -192,12 +193,85 @@ def smbs_per_edge(
 _new = tuple.__new__
 
 
-def _add_blocks(
-    netlist: FunctionBlockNetlist, block_type: str, batch: dict[str, Block]
-) -> tuple[str, ...]:
-    """Add one batch of ``block_type`` blocks, whose names differ by index,
-    and return their names: the checks of :class:`Block` and
-    :meth:`FunctionBlockNetlist.add_block`, once for the batch."""
+def _names(prefix: str, start: int, count: int) -> tuple[str, ...]:
+    return tuple([f"{prefix}{i}" for i in range(start, start + count)])
+
+
+def _control_batch(pes: tuple[str, ...], clb_blocks: int, first_net: int) -> tuple:
+    """``clb_blocks`` CLBs and their control nets, numbered on from
+    ``first_net``: each CLB drives the control pins of a share of the PEs
+    (the first ``len(pes)`` have one)."""
+    clbs = _names("clb", 0, clb_blocks)
+    drivers = clbs[: len(pes)]
+    nets = [
+        ((net,), (driver,), pes[i::clb_blocks])
+        for i, (net, driver) in enumerate(zip(_names("net", first_net, len(drivers)), drivers))
+    ]
+    return BlockType.CLB, "", clbs, nets
+
+
+def datapath_batches(
+    coreops: CoreOpGraph,
+    allocation: AllocationResult,
+    config: FPSAConfig,
+    clb_blocks: int = 0,
+) -> Iterator[tuple]:
+    """The netlist of an allocated core-op graph as batches of names, in
+    build order: the one statement of how its blocks and nets are named.
+
+    A batch is ``(block type, group, block names, nets)``, ``nets`` a
+    sequence of ``(net names, drivers, sinks)``: one net per driver, all on
+    the one ``sinks`` tuple.  First the two IO blocks; then, per replica,
+    each allocated group's PEs (tile-major, duplicate-minor) and, per edge
+    of :func:`smbs_per_edge`, its SMBs (for the consumer group, none if it
+    streams) with its nets; last, ``clb_blocks`` CLBs with their control
+    nets.  A group's one PE names tuple is every net's view of that group.
+    """
+    for group in coreops.groups():
+        if group.name not in allocation.allocations:
+            message = f"the allocation of {coreops.name!r} has no PEs for group {group.name!r}"
+            raise MappingError(message, details={"group": group.name})
+    io_in, io_out = ("__input__",), ("__output__",)
+    yield BlockType.IO, "", io_in, ()
+    yield BlockType.IO, "", io_out, ()
+    edges = list(zip(coreops.edges(), smbs_per_edge(coreops, allocation, config)))
+    pes: list[str] = []
+    n_smbs = n_nets = 0
+
+    for replica in range(allocation.replication):
+        prefix = f"rep{replica}::" if allocation.replication > 1 else ""
+        pe_names: dict[str, tuple[str, ...]] = {}
+        for group, alloc in allocation.allocations.items():
+            base = f"{prefix}{group}::pe"
+            names = tuple([
+                f"{base}{tile}.{dup}"
+                for tile in range(alloc.tiles)
+                for dup in range(alloc.duplication)
+            ])
+            pe_names[group] = names
+            pes += names
+            yield BlockType.PE, group, names, ()
+
+        for edge, count in edges:
+            drivers = pe_names[edge.src] if edge.src in coreops else io_in
+            sinks = pe_names[edge.dst] if edge.dst in coreops else io_out
+            smbs = _names("smb", n_smbs, count)
+            n_smbs += count
+            hops = ((drivers, smbs), (smbs, sinks)) if count else ((drivers, sinks),)
+            nets = []
+            for hop_drivers, hop_sinks in hops:
+                nets.append((_names("net", n_nets, len(hop_drivers)), hop_drivers, hop_sinks))
+                n_nets += len(hop_drivers)
+            yield BlockType.SMB, edge.dst, smbs, nets
+
+    if clb_blocks:
+        yield _control_batch(tuple(pes), clb_blocks, n_nets)
+
+
+def _add_blocks(netlist: FunctionBlockNetlist, block_type: str, batch: dict[str, Block]) -> None:
+    """Add one batch of ``block_type`` blocks, whose names differ by index:
+    the checks of :class:`Block` and :meth:`FunctionBlockNetlist.add_block`,
+    once for the batch."""
     if block_type not in BlockType.ALL:
         raise MappingError(f"unknown block type {block_type!r}")
     blocks = netlist.blocks
@@ -209,21 +283,43 @@ def _add_blocks(
         name = next(name for name in batch if name not in added)
         raise MappingError(f"duplicate block name {name!r}")
     netlist.mutation_count += len(batch)
-    return tuple(batch)
 
 
 def _add_nets(
-    netlist: FunctionBlockNetlist, drivers: Sequence[str], sinks: tuple[str, ...]
+    netlist: FunctionBlockNetlist,
+    names: Sequence[str],
+    drivers: Sequence[str],
+    sinks: tuple[str, ...],
 ) -> None:
-    """One net per driver, numbered on from the netlist's last, all on the
-    one ``sinks`` tuple; both ends are blocks of this build."""
-    nets = netlist.nets
+    """One net per driver, named by ``names``, all on the one ``sinks``
+    tuple; both ends are blocks of this build."""
     if drivers and not sinks:
-        raise MappingError(f"net 'net{len(nets)}' has no sinks")
-    nets += [
-        _new(Net, (f"net{i}", driver, sinks, 1)) for i, driver in enumerate(drivers, len(nets))
-    ]
+        raise MappingError(f"net {names[0]!r} has no sinks")
+    netlist.nets += [_new(Net, (name, driver, sinks, 1)) for name, driver in zip(names, drivers)]
     netlist.mutation_count += len(drivers)
+
+
+def _build(
+    netlist: FunctionBlockNetlist, batches: Iterable[tuple], allocation: AllocationResult | None
+) -> FunctionBlockNetlist:
+    """Add the blocks and nets of :func:`datapath_batches`' ``batches``."""
+    for kind, group, names, nets in batches:
+        if kind == BlockType.PE:
+            alloc = allocation.allocations[group]
+            places = product(range(alloc.tiles), range(alloc.duplication))
+        else:
+            places = repeat((0, 0))
+        _add_blocks(
+            netlist,
+            kind,
+            {
+                name: _new(Block, (name, kind, group, tile, dup))
+                for name, (tile, dup) in zip(names, places)
+            },
+        )
+        for net_names, drivers, sinks in nets:
+            _add_nets(netlist, net_names, drivers, sinks)
+    return netlist
 
 
 def build_datapath(
@@ -232,56 +328,11 @@ def build_datapath(
     config: FPSAConfig | None = None,
 ) -> FunctionBlockNetlist:
     """Build the IO, PE and SMB blocks of an allocated core-op graph and the
-    data nets between them; :func:`attach_control` completes the netlist.
-
-    Buffered connections (:func:`smbs_per_edge`) go through their SMBs;
-    streaming ones carry nets straight between the PEs.  Blocks are added
-    one group and nets one edge at a time.
-    """
+    data nets between them, one batch of :func:`datapath_batches` at a
+    time; :func:`attach_control` completes the netlist."""
     config = config if config is not None else FPSAConfig()
-    for group in coreops.groups():
-        if group.name not in allocation.allocations:
-            message = f"the allocation of {coreops.name!r} has no PEs for group {group.name!r}"
-            raise MappingError(message, details={"group": group.name})
     netlist = FunctionBlockNetlist(model=coreops.name)
-    io_in = _add_blocks(netlist, BlockType.IO, {"__input__": Block("__input__", BlockType.IO)})
-    io_out = _add_blocks(netlist, BlockType.IO, {"__output__": Block("__output__", BlockType.IO)})
-    edges = list(zip(coreops.edges(), smbs_per_edge(coreops, allocation, config)))
-    pe, smb = BlockType.PE, BlockType.SMB
-    smb_index = 0
-
-    for replica in range(allocation.replication):
-        prefix = f"rep{replica}::" if allocation.replication > 1 else ""
-
-        # PE blocks of this replica; the one names tuple of a group is
-        # every net's view of that group
-        pe_names: dict[str, tuple[str, ...]] = {}
-        for group, alloc in allocation.allocations.items():
-            base = f"{prefix}{group}::pe"
-            batch = {
-                (name := f"{base}{tile}.{dup}"): _new(Block, (name, pe, group, tile, dup))
-                for tile in range(alloc.tiles)
-                for dup in range(alloc.duplication)
-            }
-            pe_names[group] = _add_blocks(netlist, pe, batch)
-
-        # SMB blocks for buffered connections + nets
-        for edge, n_smbs in edges:
-            drivers = pe_names[edge.src] if edge.src in coreops else io_in
-            sinks = pe_names[edge.dst] if edge.dst in coreops else io_out
-            if n_smbs:
-                batch = {
-                    (name := f"smb{index}"): _new(Block, (name, smb, edge.dst, 0, 0))
-                    for index in range(smb_index, smb_index + n_smbs)
-                }
-                smbs = _add_blocks(netlist, smb, batch)
-                smb_index += n_smbs
-                _add_nets(netlist, drivers, smbs)
-                _add_nets(netlist, smbs, sinks)
-            else:
-                _add_nets(netlist, drivers, sinks)
-
-    return netlist
+    return _build(netlist, datapath_batches(coreops, allocation, config), allocation)
 
 
 def attach_control(
@@ -289,7 +340,8 @@ def attach_control(
     config: FPSAConfig | None = None,
     clb_blocks: int | None = None,
 ) -> FunctionBlockNetlist:
-    """Append the CLB blocks and their control nets to a datapath netlist.
+    """Append the CLB blocks and their control nets to a datapath netlist;
+    net names continue the data nets' numbering.
 
     Parameters
     ----------
@@ -302,18 +354,7 @@ def attach_control(
     pes = tuple([block.name for block in netlist.blocks_of_type(BlockType.PE)])
     if clb_blocks is None:
         clb_blocks = max(1, math.ceil(len(pes) * config.clbs_per_pe))
-    clb = BlockType.CLB
-    batch = {(name := f"clb{i}"): _new(Block, (name, clb, "", 0, 0)) for i in range(clb_blocks)}
-    # each CLB drives the control pins of a share of the PEs (the first
-    # ``len(pes)`` have one); net names continue the data nets' numbering
-    drivers = _add_blocks(netlist, clb, batch)[: len(pes)]
-    start = len(netlist.nets)
-    netlist.nets += [
-        _new(Net, (f"net{start + i}", driver, pes[i::clb_blocks], 1))
-        for i, driver in enumerate(drivers)
-    ]
-    netlist.mutation_count += len(drivers)
-    return netlist
+    return _build(netlist, [_control_batch(pes, clb_blocks, len(netlist.nets))], None)
 
 
 def build_netlist(

@@ -123,15 +123,16 @@ def _key_order(channel: range, node_cost: list[float], h: float, rotation: int =
 
 def _by_cost(channel: range, costs: list[float], top: int, h: float):
     """A congested ``channel`` (``costs`` its wires') by ``(cost + h,
-    -cost)``, each cost in descending rank: the cheapest cost's wires
-    straight off the channel, which is usually all a search takes; the
-    others are set aside and ordered only if they are asked for."""
-
-    def key(cost: float) -> tuple[float, float]:
-        return (cost + h, -cost)
-
-    classes = set(costs)
-    first = min(classes, key=key)
+    -cost)``, each cost in descending rank: the cheapest cost, found in one
+    pass, and its wires straight off the channel, which is usually all a
+    search takes; the others are set aside and ordered only if they are
+    asked for."""
+    first = costs[0]
+    cut = first + h
+    for cost in costs:
+        # of two costs that round to one ``cost + h``, the dearer pops first
+        if cost != first and ((k := cost + h) < cut or (k == cut and cost > first)):
+            first, cut = cost, k
     rest = []
     # the tracks in descending rank: the preferred one, down, wrapping round
     for i in chain(range(top, -1, -1), range(len(costs) - 1, top, -1)):
@@ -139,8 +140,11 @@ def _by_cost(channel: range, costs: list[float], top: int, h: float):
             yield channel[i]
         else:
             rest.append(i)
-    classes.discard(first)
-    for cost in sorted(classes, key=key):
+
+    def key(cost: float) -> tuple[float, float]:
+        return (cost + h, -cost)
+
+    for cost in sorted({costs[i] for i in rest}, key=key):
         yield from (channel[i] for i in rest if costs[i] == cost)
 
 

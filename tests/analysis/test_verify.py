@@ -247,6 +247,21 @@ class TestVerifyMapping:
             verify_mapping(mapping)
         assert excinfo.value.invariant == "block-counts"
 
+    @pytest.mark.parametrize("tile", [-1, 2])
+    def test_rejects_a_pe_block_outside_its_group(self, mlp_coreops, config, tile):
+        """A PE block moved past its group's tiles keeps the PE count, so
+        only the ``pe-tiles`` invariant sees it."""
+        mapping = SpatialTemporalMapper(config).map(mlp_coreops)
+        blocks = mapping.netlist.blocks
+        name = next(b.name for b in blocks.values() if b.type == "PE" and b.group == "fc2")
+        assert mapping.coreops.group("fc2").min_pes(config.pe.rows, config.pe.logical_cols) == 2
+        verify_mapping(mapping)
+        blocks[name] = blocks[name]._replace(tile=tile)
+        with pytest.raises(VerificationError) as excinfo:
+            verify_mapping(mapping)
+        assert excinfo.value.invariant == "pe-tiles"
+        assert excinfo.value.ids == (name,)
+
     def test_netlist_verifier_standalone(self, lenet_mapping):
         netlist = copy.deepcopy(lenet_mapping.netlist)
         verify_netlist(netlist)

@@ -97,25 +97,28 @@ class TestGenerateBitstream:
             tile = plans[crossbar.group].tile(block.tile)
             assert (crossbar.tile_rows, crossbar.tile_cols) == (tile.rows, tile.cols)
 
-    @pytest.mark.parametrize("tile", [-1, 2])
-    def test_tile_index_outside_the_group_is_rejected(self, mlp_coreops, config, tile):
-        """``tiles[-1]`` used to program the last tile's geometry silently."""
+    @pytest.mark.parametrize("tiles", [1, 3])
+    def test_tile_index_outside_the_group_is_rejected(self, mlp_coreops, config, tiles):
+        """An allocation whose tiles differ from its group's tiling would
+        program PEs past the group's last tile, or leave tiles out; the
+        census refuses it, naming the group, its tiles and the tile count."""
+        import dataclasses
+
         from repro.errors import MappingError
         from repro.mapper.mapper import SpatialTemporalMapper
-        from repro.mapper.netlist import Block, BlockType
 
         mapping = SpatialTemporalMapper(config).map(mlp_coreops)
         group = mlp_coreops.group("fc2")
         assert group.min_pes(config.pe.rows, config.pe.logical_cols) == 2
-        mapping.netlist.add_block(
-            Block(name="stray", type=BlockType.PE, group=group.name, tile=tile)
+        allocation = mapping.allocation
+        stray = dataclasses.replace(allocation.allocations[group.name], tiles=tiles)
+        mapping.allocation = dataclasses.replace(
+            allocation, allocations={**allocation.allocations, group.name: stray}
         )
         with pytest.raises(MappingError) as caught:
             generate_bitstream(mapping, config=config)
-        assert caught.value.details == {
-            "block": "stray", "group": group.name, "tile": tile, "n_tiles": 2,
-        }
-        assert "'stray'" in str(caught.value) and "2 tiles" in str(caught.value)
+        assert caught.value.details == {"group": group.name, "tiles": tiles, "n_tiles": 2}
+        assert f"{group.name!r}" in str(caught.value) and f"{tiles} tiles" in str(caught.value)
 
     def test_json_roundtrip(self, lenet_bitstream_deployment):
         bitstream = lenet_bitstream_deployment.bitstream

@@ -72,16 +72,31 @@ class TestNothingBuildsWhatNothingReads:
         assert datapath_builds == []
         assert "netlist" not in vars(served.result.mapping)
 
+    @pytest.mark.parametrize("num_chips", [None, "auto", 2])
+    def test_bitstream_compile(self, datapath_builds, num_chips):
+        """Without P&R the chip configuration is written from the mapping's
+        name batches; no netlist is built for it."""
+        result = _compile(
+            "LeNet", duplication_degree=2, emit_bitstream=True, num_chips=num_chips
+        )
+        mappings = _mappings(result)
+        if result.mapping is not None:
+            bitstreams = [result.bitstream]
+        else:
+            bitstreams = [shard.bitstream for shard in result.shard_results]
+        assert len(bitstreams) == len(mappings) and all(b.crossbars for b in bitstreams)
+        assert datapath_builds == []
+        assert all("netlist" not in vars(m) for m in mappings)
+
     @pytest.mark.parametrize(
         "knobs",
         [
             {"run_pnr": True, "seed": 0},
-            {"emit_bitstream": True},
             {"verify": True},
             {"run_pnr": True, "seed": 0, "emit_bitstream": True, "verify": True},
             {"run_pnr": True, "seed": 0, "verify": True, "num_chips": 2},
         ],
-        ids=["pnr", "bitstream", "verify", "all-three", "two-shards"],
+        ids=["pnr", "verify", "all-three", "two-shards"],
     )
     def test_readers_build_each_netlist_once(self, datapath_builds, knobs):
         result = _compile("LeNet", duplication_degree=2, **knobs)

@@ -131,10 +131,11 @@ class TestBuildNetlist:
         netlist = FunctionBlockNetlist("m")
         with pytest.raises(MappingError, match="unknown block type 'DSP'"):
             _add_blocks(netlist, "DSP", {"d": Block("d", BlockType.PE)})
-        assert _add_blocks(netlist, BlockType.PE, {"a": Block("a", BlockType.PE)}) == ("a",)
+        _add_blocks(netlist, BlockType.PE, {"a": Block("a", BlockType.PE)})
+        assert list(netlist.blocks) == ["a"]
         with pytest.raises(MappingError, match="'net0' has no sinks"):
-            _add_nets(netlist, ("a",), ())
-        _add_nets(netlist, (), ())  # no driver, no net
+            _add_nets(netlist, ("net0",), ("a",), ())
+        _add_nets(netlist, (), (), ())  # no driver, no net
         assert netlist.nets == [] and netlist.mutation_count == 1
 
     def test_replication_multiplies_pe_blocks(self):
