@@ -30,32 +30,68 @@ The package is organised the same way as the paper's system stack:
 
 from __future__ import annotations
 
+import importlib
+from typing import Any, Callable
+
 __version__ = "1.3.0"
 
-from .core import (
-    DeploymentResult,
-    FPSACompiler,
-    StageCache,
-    deploy,
-    deploy_model,
-)
-from .errors import (
-    CapacityError,
-    FPSAError,
-    InvalidRequestError,
-    MappingError,
-    PnRError,
-    SynthesisError,
-    UnknownModelError,
-)
-from .partition import PartitionResult, partition_coreops
-from .service import (
-    ArtifactStore,
-    CompileRequest,
-    CompileResponse,
-    FPSAClient,
-    JobManager,
-)
+
+def lazy_exports(
+    package: str, exports: dict[str, tuple[str, ...]]
+) -> tuple[Callable[[str], Any], Callable[[], list[str]]]:
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of a package that
+    re-exports lazily.
+
+    ``exports`` maps each submodule (``".core.compiler"``) to the public
+    names it defines, and ``"."`` to the submodules exported as themselves
+    (``experiments.table1``).  A name is imported on its first use and then
+    kept in the package's namespace, so ``import repro.graph`` costs one
+    module and ``from repro.graph import TensorSpec`` two.  No public name
+    may share its defining module's name: importing the module would bind
+    it over the package attribute, and the lookup here would never run.
+    """
+    owner = {name: module for module, names in exports.items() for name in names}
+    namespace = importlib.import_module(package).__dict__
+
+    def __getattr__(name: str) -> Any:
+        try:
+            module = owner[name]
+        except KeyError:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}") from None
+        if module == ".":
+            value = importlib.import_module("." + name, package)
+        else:
+            value = getattr(importlib.import_module(module, package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | owner.keys())
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".core.api": ("deploy", "deploy_model"),
+    ".core.cache": ("StageCache",),
+    ".core.compiler": ("FPSACompiler",),
+    ".core.result": ("DeploymentResult",),
+    ".errors": (
+        "CapacityError",
+        "FPSAError",
+        "InvalidRequestError",
+        "MappingError",
+        "PnRError",
+        "SynthesisError",
+        "UnknownModelError",
+    ),
+    ".partition.partitioner": ("partition_coreops",),
+    ".partition.plan": ("PartitionResult",),
+    ".service.client": ("FPSAClient",),
+    ".service.jobs": ("JobManager",),
+    ".service.schemas": ("CompileRequest", "CompileResponse"),
+    ".service.store": ("ArtifactStore",),
+})
 
 __all__ = [
     "FPSACompiler",

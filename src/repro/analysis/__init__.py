@@ -16,13 +16,17 @@ Two cooperating sub-systems guard the toolchain's correctness contracts:
   the linter.
 """
 
-from .verify import (
-    ARTIFACT_VERIFIERS,
-    VERIFY_ENV,
-    verification_enabled,
-    verify_artifact,
-    verify_artifacts,
-)
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".verify": (
+        "ARTIFACT_VERIFIERS",
+        "VERIFY_ENV",
+        "verification_enabled",
+        "verify_artifact",
+        "verify_artifacts",
+    ),
+})
 
 __all__ = [
     "VERIFY_ENV",

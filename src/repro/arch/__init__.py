@@ -15,34 +15,38 @@ system stack is built on:
 * :mod:`repro.arch.energy` — chip-level energy aggregation.
 """
 
-from .clb import ConfigurableLogicBlock, IterationCounter, LookUpTable
-from .energy import BlockMix, EnergyReport, estimate_energy
-from .params import (
-    BlockParams,
-    CLBParams,
-    FPSAConfig,
-    PEParams,
-    PrimePEParams,
-    RoutingParams,
-    SMBParams,
-)
-from .pe import PECost, ProcessingElement
-from .reram import (
-    AddComposition,
-    ReRAMCellModel,
-    ReRAMCrossbar,
-    SpliceComposition,
-    make_composition,
-)
-from .smb import BufferRequirement, SMBFullError, SpikingMemoryBlock
-from .spiking import (
-    IFNeuron,
-    SpikeSubtracter,
-    SpikeTrain,
-    SpikingCrossbarPE,
-    decode_from_counts,
-    encode_to_counts,
-)
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".clb": ("ConfigurableLogicBlock", "IterationCounter", "LookUpTable"),
+    ".energy": ("BlockMix", "EnergyReport", "estimate_energy"),
+    ".params": (
+        "BlockParams",
+        "CLBParams",
+        "FPSAConfig",
+        "PEParams",
+        "PrimePEParams",
+        "RoutingParams",
+        "SMBParams",
+    ),
+    ".pe": ("PECost", "ProcessingElement"),
+    ".reram": (
+        "AddComposition",
+        "ReRAMCellModel",
+        "ReRAMCrossbar",
+        "SpliceComposition",
+        "make_composition",
+    ),
+    ".smb": ("BufferRequirement", "SMBFullError", "SpikingMemoryBlock"),
+    ".spiking": (
+        "IFNeuron",
+        "SpikeSubtracter",
+        "SpikeTrain",
+        "SpikingCrossbarPE",
+        "decode_from_counts",
+        "encode_to_counts",
+    ),
+})
 
 __all__ = [
     "BlockParams",

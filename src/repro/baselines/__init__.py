@@ -6,14 +6,18 @@ PRIME and FP-PRIME are :class:`~repro.perf.analytic.Architecture` records
 reference numbers only.
 """
 
-from .fp_prime import FPPrimeArchitecture
-from .prime import PRIME_PUBLISHED, PrimeArchitecture
-from .reference import (
-    EYERISS_REFERENCE,
-    ISAAC_REFERENCE,
-    PIPELAYER_REFERENCE,
-    AcceleratorReference,
-)
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".fp_prime": ("FPPrimeArchitecture",),
+    ".prime": ("PRIME_PUBLISHED", "PrimeArchitecture"),
+    ".reference": (
+        "EYERISS_REFERENCE",
+        "ISAAC_REFERENCE",
+        "PIPELAYER_REFERENCE",
+        "AcceleratorReference",
+    ),
+})
 
 __all__ = [
     "PrimeArchitecture",

@@ -24,7 +24,7 @@ import os
 import random
 import sys
 import time
-from typing import Any, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .core.shared_cache import SHARED_CACHE_ENV
 from .errors import InvalidRequestError
@@ -40,9 +40,10 @@ from .faults import (
     FaultPlan,
     FaultSpec,
 )
-from .fuzz.oracle import strip_seconds
 from .seeding import derive_seed
-from .service import CompileRequest, ServingRuntime
+
+if TYPE_CHECKING:  # pragma: no cover - typing only: the CLI parser imports this module
+    from .service.schemas import CompileRequest
 
 __all__ = [
     "DEFAULT_CHAOS_MODELS",
@@ -167,6 +168,9 @@ def _run_chaos(
     seed: int,
     progress,
 ) -> dict[str, Any]:
+    from .fuzz.oracle import strip_seconds
+    from .service import CompileRequest, ServingRuntime
+
     unique_requests = [
         CompileRequest(
             model=model,

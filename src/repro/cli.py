@@ -47,23 +47,18 @@ import json
 import os
 import sys
 import time
+from typing import TYPE_CHECKING
 
 from .chaos import add_arguments as _add_chaos_arguments
 from .chaos import run_from_args as _command_chaos
-from .core.cache import StageCache
 from .core.pipeline import BOOLEAN, PassError, available_passes, check_knobs
-from .core.shared_cache import SharedStageCache
 from .errors import FPSAError, InvalidRequestError
-from .experiments.runner import EXPERIMENTS, run_all
-from .models.zoo import PAPER_TABLE3, model_names
-from .service import (
-    ArtifactStore,
-    CompileRequest,
-    CompileTimings,
-    FPSAClient,
-    JobManager,
-)
-from .service.schemas import REQUEST_KNOBS
+from .experiments.runner import EXPERIMENTS
+from .service.schemas import REQUEST_KNOBS, CompileRequest, CompileTimings
+
+if TYPE_CHECKING:  # pragma: no cover - typing only: each handler imports its own layer
+    from .service.client import FPSAClient
+    from .service.store import ArtifactStore
 
 __all__ = ["main", "build_parser"]
 
@@ -283,10 +278,16 @@ def _open(what: str, directory: str, opener):
 
 
 def _open_store(directory: str) -> ArtifactStore:
+    from .service.store import ArtifactStore
+
     return _open("artifact store", directory, ArtifactStore)
 
 
 def _client(args: argparse.Namespace) -> FPSAClient:
+    from .core.cache import StageCache
+    from .core.shared_cache import SharedStageCache
+    from .service.client import FPSAClient
+
     store = _open_store(args.store) if getattr(args, "store", None) else None
     cache: StageCache | bool | None
     if getattr(args, "no_cache", False):
@@ -490,6 +491,8 @@ def _load_requests_file(path: str) -> list[CompileRequest]:
 
 
 def _command_serve_batch(args: argparse.Namespace) -> int:
+    from .service.jobs import JobManager
+
     requests = _requests(args)
     store = _open_store(args.store) if args.store else None
     with JobManager(max_workers=args.jobs, store=store) as manager:
@@ -505,6 +508,8 @@ def _command_serve_batch(args: argparse.Namespace) -> int:
 
 
 def _command_jobs(args: argparse.Namespace) -> int:
+    from .service.jobs import JobManager
+
     requests = _requests(args)
     observed: dict[str, list[str]] = {}
     with JobManager(max_workers=args.jobs) as manager:
@@ -608,6 +613,8 @@ def _command_passes(args: argparse.Namespace) -> int:
 
 
 def _command_models(args: argparse.Namespace) -> int:
+    from .models.zoo import PAPER_TABLE3, model_names
+
     if args.json:
         print(json.dumps(
             {
@@ -639,6 +646,8 @@ def _command_models(args: argparse.Namespace) -> int:
 
 
 def _command_experiments(args: argparse.Namespace) -> int:
+    from .experiments.runner import run_all
+
     results = run_all(args.names or None)
     if args.json:
         payload = {name: result.to_dict() for name, result in results.items()}

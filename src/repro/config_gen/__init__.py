@@ -1,14 +1,18 @@
 """Chip-configuration (bitstream) generation — the final output of the flow."""
 
-from .bitstream import (
-    BufferConfig,
-    ControlConfig,
-    CrossbarConfig,
-    FPSABitstream,
-    RoutingSwitchConfig,
-    generate_bitstream,
-)
-from .passes import BitstreamPass
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".bitstream": (
+        "BufferConfig",
+        "ControlConfig",
+        "CrossbarConfig",
+        "FPSABitstream",
+        "RoutingSwitchConfig",
+        "generate_bitstream",
+    ),
+    ".passes": ("BitstreamPass",),
+})
 
 __all__ = [
     "BitstreamPass",

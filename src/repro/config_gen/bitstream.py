@@ -23,7 +23,7 @@ import json
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from ..arch.params import FPSAConfig
 from ..errors import InvalidRequestError, MappingError
@@ -31,8 +31,10 @@ from ..mapper.allocation import GroupAllocation
 from ..mapper.control import ControlPlan
 from ..mapper.mapper import MappingResult
 from ..mapper.netlist import BlockType, datapath_batches
-from ..pnr.pnr import PnRResult
 from ..synthesizer.splitting import TilePlan
+
+if TYPE_CHECKING:  # pragma: no cover - typing only: P&R loads numpy
+    from ..pnr.pnr import PnRResult
 
 __all__ = [
     "CrossbarConfig",
@@ -248,7 +250,11 @@ def _census(
     routing: list[RoutingSwitchConfig] = []
     buffers: list[BufferConfig] = []
     batches = datapath_batches(
-        mapping.coreops, mapping.allocation, config, 0 if routed else mapping.control.clbs_needed
+        mapping.coreops,
+        mapping.allocation,
+        config,
+        0 if routed else mapping.control.clbs_needed,
+        smbs=mapping.smbs_per_edge,
     )
     for kind, group, names, nets in batches:
         if kind == BlockType.PE:

@@ -2,25 +2,29 @@
 cache (in-memory + cross-process shared tiers), the warm worker pool and
 the (batch) deployment helpers."""
 
-from .api import WorkerPool, deploy, deploy_model
-from .cache import CacheStats, StageCache, default_cache
-from .compiler import FPSACompiler
-from .pipeline import (
-    CompileContext,
-    CompileOptions,
-    CompilePass,
-    PassDependencyError,
-    PassError,
-    PassManager,
-    PassTiming,
-    UnknownPassError,
-    available_passes,
-    default_pass_names,
-    register_pass,
-    resolve_passes,
-)
-from .result import DeploymentResult
-from .shared_cache import SharedStageCache, shared_cache_from_env
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".api": ("WorkerPool", "deploy", "deploy_model"),
+    ".cache": ("CacheStats", "StageCache", "default_cache"),
+    ".compiler": ("FPSACompiler",),
+    ".pipeline": (
+        "CompileContext",
+        "CompileOptions",
+        "CompilePass",
+        "PassDependencyError",
+        "PassError",
+        "PassManager",
+        "PassTiming",
+        "UnknownPassError",
+        "available_passes",
+        "default_pass_names",
+        "register_pass",
+        "resolve_passes",
+    ),
+    ".result": ("DeploymentResult",),
+    ".shared_cache": ("SharedStageCache", "shared_cache_from_env"),
+})
 
 __all__ = [
     "FPSACompiler",

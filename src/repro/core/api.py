@@ -5,7 +5,7 @@ this process.  Batches of requests go through
 :meth:`repro.service.client.FPSAClient.compile_batch` /
 :class:`~repro.service.jobs.JobManager`, which fan out over a
 :class:`WorkerPool`: one *persistent, warm* process pool whose workers are
-spawned once and pre-import the model zoo and the pass pipeline.  The
+spawned once and inherit the model zoo and the pass pipeline.  The
 shards of one compile (:mod:`repro.partition.backend`) fan out over a
 ``WorkerPool`` too.  A worker compiles against the stage cache it is
 handed, and a disk tier reaches it only with that cache
@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass
 
 from ..arch.params import FPSAConfig
@@ -57,14 +57,17 @@ class PoolHealth(WireRecord):
 
 
 def _warm_worker() -> None:
-    """Worker-process initializer: pay the cold-start cost exactly once.
+    """Pay a worker's cold-start imports exactly once.
 
-    Pre-imports the model zoo and every built-in pass module (which pulls
-    in numpy and the whole layer stack), so the first real payload a warm
-    worker receives compiles immediately instead of importing for hundreds
-    of milliseconds.
+    Imports the model zoo, every built-in pass module and the P&R engine
+    (numpy), so the first real payload a warm worker receives compiles
+    immediately instead of importing for hundreds of milliseconds.  A pool
+    runs it in the parent before it forks, so forked and respawned workers
+    inherit the modules; as the worker initializer it covers a start
+    method that does not fork.
     """
     from ..models import zoo as _zoo  # noqa: F401 - import is the warmup
+    from ..pnr import pnr as _pnr  # noqa: F401 - pass modules import it on first run
     from .pipeline import available_passes
 
     available_passes()  # imports every layer's pass module
@@ -75,10 +78,10 @@ class WorkerPool:
 
     A ``WorkerPool`` is created once and reused: pass it to
     :class:`~repro.service.jobs.JobManager` (``pool=``) or ``submit`` to
-    it directly.  Workers pre-import the zoo and the pass pipeline at
-    spawn time.  A job compiles against the stage cache it is handed (its
-    copy in the worker keeps its memory across jobs); the pool itself
-    configures no cache.
+    it directly.  Workers inherit the zoo, the pass pipeline and the P&R
+    engine, imported in the parent before it forks.  A job compiles
+    against the stage cache it is handed (its copy in the worker keeps its
+    memory across jobs); the pool itself configures no cache.
 
     A ``ProcessPoolExecutor`` is poisoned the moment any worker dies: every
     in-flight and future job fails with ``BrokenProcessPool``.  Whoever sees
@@ -116,7 +119,10 @@ class WorkerPool:
         self._closed = False
         self._executor = self._build_executor()
 
-    def _build_executor(self) -> ProcessPoolExecutor:
+    def _build_executor(self) -> Executor:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
+        _warm_worker()
         return ProcessPoolExecutor(
             max_workers=self.max_workers, initializer=_warm_worker
         )

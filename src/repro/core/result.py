@@ -14,7 +14,6 @@ from ..mapper.mapper import MappingResult
 from ..perf.bounds import UtilizationBounds
 from ..perf.comm import mean_route_segments
 from ..perf.metrics import PerformanceReport
-from ..pnr.pnr import PnRResult
 from ..synthesizer.coreop import CoreOpGraph
 from .cache import CacheStats
 from .pipeline import PassTiming
@@ -22,6 +21,7 @@ from .pipeline import PassTiming
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..partition.backend import ShardCompileResult
     from ..partition.plan import PartitionResult
+    from ..pnr.pnr import PnRResult
 
 __all__ = ["DeploymentResult"]
 

@@ -1,8 +1,23 @@
 """Experiment harnesses: one module per table/figure of the paper."""
 
-from . import ablations, fig2, fig6, fig7, fig8, fig9, motivation, table1, table2, table3
-from .common import ExperimentResult, format_si, format_table, ratio
-from .runner import EXPERIMENTS, run_all
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".": (
+        "ablations",
+        "fig2",
+        "fig6",
+        "fig7",
+        "fig8",
+        "fig9",
+        "motivation",
+        "table1",
+        "table2",
+        "table3",
+    ),
+    ".common": ("ExperimentResult", "format_si", "format_table", "ratio"),
+    ".runner": ("EXPERIMENTS", "run_all"),
+})
 
 __all__ = [
     "ExperimentResult",

@@ -8,28 +8,36 @@ command line.
 
 from __future__ import annotations
 
+import importlib
+
 from ..errors import InvalidRequestError
-from . import ablations, fig2, fig6, fig7, fig8, fig9, motivation, table1, table2, table3
 from .common import ExperimentResult
 
 __all__ = ["run_all", "EXPERIMENTS"]
 
-#: experiment id -> zero-argument callable producing an ExperimentResult.
+#: experiment id -> (module of this package, its zero-argument function
+#: producing an ExperimentResult).  A module is imported only when one of
+#: its experiments runs.
 EXPERIMENTS = {
-    "motivation": motivation.run,
-    "table1": table1.run,
-    "table2": table2.run,
-    "fig2": fig2.run,
-    "fig6": fig6.run,
-    "fig7": fig7.run,
-    "fig8": fig8.run,
-    "fig9": fig9.run,
-    "table3": table3.run,
-    "ablation_spike_transmission": ablations.run_spike_transmission,
-    "ablation_pooling_synthesis": ablations.run_pooling_synthesis,
-    "ablation_speedup_decomposition": ablations.run_speedup_decomposition,
-    "ablation_chip_partition_sweep": ablations.run_chip_partition_sweep,
+    "motivation": ("motivation", "run"),
+    "table1": ("table1", "run"),
+    "table2": ("table2", "run"),
+    "fig2": ("fig2", "run"),
+    "fig6": ("fig6", "run"),
+    "fig7": ("fig7", "run"),
+    "fig8": ("fig8", "run"),
+    "fig9": ("fig9", "run"),
+    "table3": ("table3", "run"),
+    "ablation_spike_transmission": ("ablations", "run_spike_transmission"),
+    "ablation_pooling_synthesis": ("ablations", "run_pooling_synthesis"),
+    "ablation_speedup_decomposition": ("ablations", "run_speedup_decomposition"),
+    "ablation_chip_partition_sweep": ("ablations", "run_chip_partition_sweep"),
 }
+
+
+def _run(name: str) -> ExperimentResult:
+    module, function = EXPERIMENTS[name]
+    return getattr(importlib.import_module(f".{module}", __package__), function)()
 
 
 def run_all(names: list[str] | None = None) -> dict[str, ExperimentResult]:
@@ -45,4 +53,4 @@ def run_all(names: list[str] | None = None) -> dict[str, ExperimentResult]:
             f"unknown experiment(s) {unknown}; known: {sorted(EXPERIMENTS)}",
             details={"unknown": unknown, "known": sorted(EXPERIMENTS)},
         )
-    return {name: EXPERIMENTS[name]() for name in selected}
+    return {name: _run(name) for name in selected}

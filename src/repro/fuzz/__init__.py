@@ -2,29 +2,28 @@
 
 :mod:`.generate` turns a seed into valid random :class:`ModelSpec`\\ s,
 :mod:`.oracle` compiles each spec across a configuration lattice and
-diffs the outcomes, :mod:`.shrink` delta-debugs failures to minimal
+diffs the outcomes, :mod:`.shrinker` delta-debugs failures to minimal
 reproducers, and :mod:`.campaign` drives whole campaigns (the engine
 behind ``repro fuzz``).
 """
 
-from .campaign import (
-    CampaignFinding,
-    CampaignReport,
-    default_campaign_seed,
-    run_campaign,
-)
-from .generate import (
-    LAYER_KINDS,
-    SIZE_CLASSES,
-    LayerSpec,
-    ModelSpec,
-    build_graph,
-    estimate_pes,
-    generate_spec,
-    generate_specs,
-)
-from .oracle import CONFIG_GROUPS, Finding, Outcome, SpecCheck, check_spec, compile_spec
-from .shrink import ShrinkResult, shrink, spec_size
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".campaign": ("CampaignFinding", "CampaignReport", "default_campaign_seed", "run_campaign"),
+    ".generate": (
+        "LAYER_KINDS",
+        "SIZE_CLASSES",
+        "LayerSpec",
+        "ModelSpec",
+        "build_graph",
+        "estimate_pes",
+        "generate_spec",
+        "generate_specs",
+    ),
+    ".oracle": ("CONFIG_GROUPS", "Finding", "Outcome", "SpecCheck", "check_spec", "compile_spec"),
+    ".shrinker": ("ShrinkResult", "shrink", "spec_size"),
+})
 
 __all__ = [
     "LAYER_KINDS",

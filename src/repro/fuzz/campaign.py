@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, Any, Callable
 from ..wire import WireRecord
 from .generate import ModelSpec, generate_spec
 from .oracle import CONFIG_GROUPS, SpecCheck, check_spec
-from .shrink import ShrinkResult, shrink
+from .shrinker import ShrinkResult, shrink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..arch.params import FPSAConfig

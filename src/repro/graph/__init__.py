@@ -1,26 +1,30 @@
 """Computational-graph frontend (the programming model of the system stack)."""
 
-from .analysis import GraphProfile, LayerStats, profile_graph
-from .builder import GraphBuilder
-from .graph import ComputationalGraph, GraphNode, GraphValidationError
-from .ops import (
-    LRN,
-    Add,
-    AvgPool2d,
-    BatchNorm,
-    Concat,
-    Conv2d,
-    Dense,
-    Dropout,
-    Flatten,
-    GlobalAvgPool,
-    InputOp,
-    MaxPool2d,
-    Operation,
-    ReLU,
-    Softmax,
-)
-from .tensor import TensorSpec
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".analysis": ("GraphProfile", "LayerStats", "profile_graph"),
+    ".builder": ("GraphBuilder",),
+    ".graph": ("ComputationalGraph", "GraphNode", "GraphValidationError"),
+    ".ops": (
+        "LRN",
+        "Add",
+        "AvgPool2d",
+        "BatchNorm",
+        "Concat",
+        "Conv2d",
+        "Dense",
+        "Dropout",
+        "Flatten",
+        "GlobalAvgPool",
+        "InputOp",
+        "MaxPool2d",
+        "Operation",
+        "ReLU",
+        "Softmax",
+    ),
+    ".tensor": ("TensorSpec",),
+})
 
 __all__ = [
     "TensorSpec",

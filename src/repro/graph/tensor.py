@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..errors import InvalidRequestError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only: a shape needs no numpy
+    import numpy as np
 
 __all__ = ["TensorSpec"]
 
@@ -87,6 +89,8 @@ class TensorSpec:
 
     def zeros(self) -> np.ndarray:
         """A concrete zero array with this shape (for functional runs)."""
+        import numpy as np
+
         return np.zeros(self.shape, dtype=float)
 
     def random(self, rng: np.random.Generator) -> np.ndarray:

@@ -1,15 +1,14 @@
 """The spatial-to-temporal mapper (core-op graph -> function-block netlist)."""
 
-from .allocation import (
-    AllocationResult,
-    GroupAllocation,
-    allocate,
-    allocate_for_pe_budget,
-)
-from .control import ControlPlan, plan_control
-from .mapper import MappingResult, SpatialTemporalMapper
-from .netlist import Block, BlockType, FunctionBlockNetlist, Net, build_netlist
-from .passes import MappingPass
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".allocation": ("AllocationResult", "GroupAllocation", "allocate", "allocate_for_pe_budget"),
+    ".control": ("ControlPlan", "plan_control"),
+    ".mapper": ("MappingResult", "SpatialTemporalMapper"),
+    ".netlist": ("Block", "BlockType", "FunctionBlockNetlist", "Net", "build_netlist"),
+    ".passes": ("MappingPass",),
+})
 
 __all__ = [
     "GroupAllocation",

@@ -49,14 +49,27 @@ class MappingResult:
     config: FPSAConfig
 
     @cached_property
+    def smbs_per_edge(self) -> tuple[int, ...]:
+        """SMBs each of ``coreops.edges()`` needs in one replica, in edge
+        order (:func:`~repro.mapper.netlist.smbs_per_edge`): the mapper's
+        count for the control plan, read by every netlist enumeration.  Not
+        pickled: a mapping loaded from a cache counts again on first read."""
+        return tuple(smbs_per_edge(self.coreops, self.allocation, self.config))
+
+    @cached_property
     def netlist(self) -> FunctionBlockNetlist:
         return build_netlist(
-            self.coreops, self.allocation, self.config, self.control.clbs_needed
+            self.coreops,
+            self.allocation,
+            self.config,
+            self.control.clbs_needed,
+            smbs=self.smbs_per_edge,
         )
 
     def __getstate__(self) -> dict:
         state = dict(vars(self))
         state.pop("netlist", None)
+        state.pop("smbs_per_edge", None)
         return state
 
     def block_counts(self) -> dict[str, int]:
@@ -148,10 +161,11 @@ class SpatialTemporalMapper:
             )
 
         # the control plan reads only the datapath's PE and SMB counts
-        n_smb = allocation.replication * sum(
-            smbs_per_edge(coreops, allocation, self.config)
-        )
+        smbs = tuple(smbs_per_edge(coreops, allocation, self.config))
+        n_smb = allocation.replication * sum(smbs)
         control = plan_control(allocation, allocation.total_pes, n_smb, self.config)
-        return MappingResult(
+        mapping = MappingResult(
             coreops=coreops, allocation=allocation, control=control, config=self.config
         )
+        vars(mapping)["smbs_per_edge"] = smbs  # the count the control plan was made from
+        return mapping

@@ -215,6 +215,7 @@ def datapath_batches(
     allocation: AllocationResult,
     config: FPSAConfig,
     clb_blocks: int = 0,
+    smbs: Sequence[int] | None = None,
 ) -> Iterator[tuple]:
     """The netlist of an allocated core-op graph as batches of names, in
     build order: the one statement of how its blocks and nets are named.
@@ -226,6 +227,8 @@ def datapath_batches(
     of :func:`smbs_per_edge`, its SMBs (for the consumer group, none if it
     streams) with its nets; last, ``clb_blocks`` CLBs with their control
     nets.  A group's one PE names tuple is every net's view of that group.
+    ``smbs`` are a mapping's per-edge counts (``MappingResult.smbs_per_edge``);
+    without them the rule counts them again.
     """
     for group in coreops.groups():
         if group.name not in allocation.allocations:
@@ -234,7 +237,9 @@ def datapath_batches(
     io_in, io_out = ("__input__",), ("__output__",)
     yield BlockType.IO, "", io_in, ()
     yield BlockType.IO, "", io_out, ()
-    edges = list(zip(coreops.edges(), smbs_per_edge(coreops, allocation, config)))
+    if smbs is None:
+        smbs = smbs_per_edge(coreops, allocation, config)
+    edges = list(zip(coreops.edges(), smbs, strict=True))
     pes: list[str] = []
     n_smbs = n_nets = 0
 
@@ -326,13 +331,15 @@ def build_datapath(
     coreops: CoreOpGraph,
     allocation: AllocationResult,
     config: FPSAConfig | None = None,
+    smbs: Sequence[int] | None = None,
 ) -> FunctionBlockNetlist:
     """Build the IO, PE and SMB blocks of an allocated core-op graph and the
     data nets between them, one batch of :func:`datapath_batches` at a
     time; :func:`attach_control` completes the netlist."""
     config = config if config is not None else FPSAConfig()
     netlist = FunctionBlockNetlist(model=coreops.name)
-    return _build(netlist, datapath_batches(coreops, allocation, config), allocation)
+    batches = datapath_batches(coreops, allocation, config, smbs=smbs)
+    return _build(netlist, batches, allocation)
 
 
 def attach_control(
@@ -362,7 +369,9 @@ def build_netlist(
     allocation: AllocationResult,
     config: FPSAConfig | None = None,
     clb_blocks: int | None = None,
+    smbs: Sequence[int] | None = None,
 ) -> FunctionBlockNetlist:
     """Build the complete function-block netlist for an allocated core-op
     graph: :func:`build_datapath` followed by :func:`attach_control`."""
-    return attach_control(build_datapath(coreops, allocation, config), config, clb_blocks)
+    datapath = build_datapath(coreops, allocation, config, smbs=smbs)
+    return attach_control(datapath, config, clb_blocks)

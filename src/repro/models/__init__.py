@@ -1,20 +1,24 @@
 """The benchmark NN model zoo (Table 3 of the paper)."""
 
-from .alexnet import build_alexnet
-from .cifar_vgg import build_cifar_vgg17
-from .googlenet import build_googlenet
-from .lenet import build_lenet
-from .mlp import build_mlp_500_100
-from .resnet import build_resnet, build_resnet152, build_resnet50
-from .vgg import build_vgg11, build_vgg16
-from .zoo import (
-    BENCHMARK_MODELS,
-    MODEL_BUILDERS,
-    PAPER_TABLE3,
-    ModelReference,
-    build_model,
-    model_names,
-)
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".alexnet": ("build_alexnet",),
+    ".cifar_vgg": ("build_cifar_vgg17",),
+    ".googlenet": ("build_googlenet",),
+    ".lenet": ("build_lenet",),
+    ".mlp": ("build_mlp_500_100",),
+    ".resnet": ("build_resnet", "build_resnet152", "build_resnet50"),
+    ".vgg": ("build_vgg11", "build_vgg16"),
+    ".zoo": (
+        "BENCHMARK_MODELS",
+        "MODEL_BUILDERS",
+        "PAPER_TABLE3",
+        "ModelReference",
+        "build_model",
+        "model_names",
+    ),
+})
 
 __all__ = [
     "build_mlp_500_100",

@@ -16,9 +16,13 @@ exceed it are sharded across several chips:
   (:class:`repro.perf.comm.InterChipLinkModel`).
 """
 
-from .backend import ShardCompileResult, compile_shards
-from .partitioner import partition_coreops
-from .plan import CutEdge, PartitionResult, Shard
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".backend": ("ShardCompileResult", "compile_shards"),
+    ".partitioner": ("partition_coreops",),
+    ".plan": ("CutEdge", "PartitionResult", "Shard"),
+})
 
 __all__ = [
     "CutEdge",

@@ -1,25 +1,24 @@
 """Performance models: bounds and the analytic pipelined model."""
 
-from .analytic import (
-    Architecture,
-    AreaSweepPoint,
-    BlockCounts,
-    FPSAArchitecture,
-    estimate_block_counts,
-    evaluate_design_point,
-    pipeline_depth,
-    sweep_area,
-    traffic_values_per_sample,
-)
-from .bounds import UtilizationBounds, compute_bounds, spatial_utilization
-from .comm import (
-    CommContext,
-    ReconfigurableRoutingComm,
-    SharedBusComm,
-    mean_route_segments,
-)
-from .metrics import LatencyBreakdown, PerformanceReport, geometric_mean
-from .passes import BoundsPass, PerfPass
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".analytic": (
+        "Architecture",
+        "AreaSweepPoint",
+        "BlockCounts",
+        "FPSAArchitecture",
+        "estimate_block_counts",
+        "evaluate_design_point",
+        "pipeline_depth",
+        "sweep_area",
+        "traffic_values_per_sample",
+    ),
+    ".bounds": ("UtilizationBounds", "compute_bounds", "spatial_utilization"),
+    ".comm": ("CommContext", "ReconfigurableRoutingComm", "SharedBusComm", "mean_route_segments"),
+    ".metrics": ("LatencyBreakdown", "PerformanceReport", "geometric_mean"),
+    ".passes": ("BoundsPass", "PerfPass"),
+})
 
 __all__ = [
     "PerformanceReport",

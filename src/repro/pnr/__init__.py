@@ -1,12 +1,16 @@
 """Placement & routing on the island-style reconfigurable fabric."""
 
-from .fabric import FabricGrid, Site
-from .passes import PnRPass
-from .placement import Placement
-from .pnr import PlaceAndRoute, PnRResult
-from .routing import PathFinderRouter, RoutedNet, RoutingError, RoutingResult
-from .rrgraph import RoutingResourceGraph, RRNode
-from .timing import NetTiming, TimingReport, analyze_timing
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".fabric": ("FabricGrid", "Site"),
+    ".passes": ("PnRPass",),
+    ".placement": ("Placement",),
+    ".pnr": ("PlaceAndRoute", "PnRResult"),
+    ".routing": ("PathFinderRouter", "RoutedNet", "RoutingError", "RoutingResult"),
+    ".rrgraph": ("RoutingResourceGraph", "RRNode"),
+    ".timing": ("NetTiming", "TimingReport", "analyze_timing"),
+})
 
 __all__ = [
     "Site",

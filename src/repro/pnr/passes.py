@@ -5,7 +5,6 @@ from __future__ import annotations
 from ..core.cache import config_fingerprint, fingerprint, netlist_fingerprint
 from ..core.pipeline import CompileContext, CompilePass, register_pass
 from .options import PnROptions
-from .pnr import PlaceAndRoute
 
 __all__ = ["PnRPass"]
 
@@ -27,6 +26,8 @@ class PnRPass(CompilePass):
     provides = ("pnr",)
 
     def run(self, ctx: CompileContext) -> None:
+        from .pnr import PlaceAndRoute  # numpy: only a compile that places loads it
+
         options = ctx.options
         ctx.pnr = PlaceAndRoute(
             ctx.config,

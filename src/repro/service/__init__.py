@@ -24,35 +24,39 @@ The typed error hierarchy the service maps to structured payloads lives in
 :mod:`repro.errors` (re-exported here for convenience).
 """
 
-from ..core.api import PoolHealth
-from ..errors import (
-    RETRIABLE_CODES,
-    CapacityError,
-    DeadlineExceededError,
-    FPSAError,
-    InvalidRequestError,
-    MappingError,
-    OverloadedError,
-    PnRError,
-    SynthesisError,
-    TransientIOError,
-    UnknownModelError,
-    WorkerCrashError,
-    error_from_payload,
-)
-from .client import FPSAClient, ServedCompile, serve_request
-from .jobs import JobInfo, JobManager, JobManagerStats, JobState
-from .runtime import ServingRuntime
-from .schemas import (
-    SCHEMA_VERSION,
-    CompileRequest,
-    CompileResponse,
-    CompileTimings,
-    ErrorPayload,
-    PassTimingEntry,
-    ResultSummary,
-)
-from .store import ArtifactStore, RunRecord
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "..core.api": ("PoolHealth",),
+    "..errors": (
+        "RETRIABLE_CODES",
+        "CapacityError",
+        "DeadlineExceededError",
+        "FPSAError",
+        "InvalidRequestError",
+        "MappingError",
+        "OverloadedError",
+        "PnRError",
+        "SynthesisError",
+        "TransientIOError",
+        "UnknownModelError",
+        "WorkerCrashError",
+        "error_from_payload",
+    ),
+    ".client": ("FPSAClient", "ServedCompile", "serve_request"),
+    ".jobs": ("JobInfo", "JobManager", "JobManagerStats", "JobState"),
+    ".runtime": ("ServingRuntime",),
+    ".schemas": (
+        "SCHEMA_VERSION",
+        "CompileRequest",
+        "CompileResponse",
+        "CompileTimings",
+        "ErrorPayload",
+        "PassTimingEntry",
+        "ResultSummary",
+    ),
+    ".store": ("ArtifactStore", "RunRecord"),
+})
 
 __all__ = [
     "SCHEMA_VERSION",

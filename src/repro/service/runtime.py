@@ -6,9 +6,10 @@ owns — none of which speed up a single compile, all of which speed up a
 *stream* of them:
 
 * a **persistent warm worker pool** (:class:`~repro.core.api.WorkerPool`):
-  worker processes are spawned once, pre-import the model zoo and the pass
-  pipeline, and stay alive across every batch the runtime serves (a pool
-  a dead worker broke heals itself, :meth:`health` says how often);
+  worker processes are spawned once, inherit the model zoo, the pass
+  pipeline and the P&R engine from the parent, and stay alive across every
+  batch the runtime serves (a pool a dead worker broke heals itself,
+  :meth:`health` says how often);
 * a **cross-process shared stage cache**
   (:class:`~repro.core.shared_cache.SharedStageCache`): the runtime hands
   every job one :class:`~repro.core.cache.StageCache` over one disk-backed

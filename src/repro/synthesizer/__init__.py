@@ -1,16 +1,14 @@
 """The neural synthesizer: computational graph -> core-op graph."""
 
-from .coreop import (
-    GRAPH_INPUT,
-    GRAPH_OUTPUT,
-    CoreOpGraph,
-    GroupEdge,
-    WeightGroup,
-)
-from .lowering import LoweringContext, LoweringError
-from .passes import SynthesisPass
-from .splitting import Tile, TilePlan, plan_tiling, reduction_tree_width
-from .synthesizer import NeuralSynthesizer, SynthesisOptions, synthesize
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".coreop": ("GRAPH_INPUT", "GRAPH_OUTPUT", "CoreOpGraph", "GroupEdge", "WeightGroup"),
+    ".lowering": ("LoweringContext", "LoweringError"),
+    ".passes": ("SynthesisPass",),
+    ".splitting": ("Tile", "TilePlan", "plan_tiling", "reduction_tree_width"),
+    ".synthesizer": ("NeuralSynthesizer", "SynthesisOptions", "synthesize"),
+})
 
 __all__ = [
     "WeightGroup",

@@ -1,15 +1,19 @@
 """Device variation and the splice/add weight-representation study."""
 
-from .accuracy import AccuracyModel, AccuracyPoint, accuracy_sweep
-from .devices import YAO2017_DEVICE, MeasuredDevice, measured_cell
-from .montecarlo import MonteCarloResult, SyntheticTask, run_montecarlo
-from .representation import (
-    RepresentationPoint,
-    effective_weight_bits,
-    effective_weight_levels,
-    normalized_deviation,
-    representation_sweep,
-)
+from .. import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".accuracy": ("AccuracyModel", "AccuracyPoint", "accuracy_sweep"),
+    ".devices": ("YAO2017_DEVICE", "MeasuredDevice", "measured_cell"),
+    ".montecarlo": ("MonteCarloResult", "SyntheticTask", "run_montecarlo"),
+    ".representation": (
+        "RepresentationPoint",
+        "effective_weight_bits",
+        "effective_weight_levels",
+        "normalized_deviation",
+        "representation_sweep",
+    ),
+})
 
 __all__ = [
     "MeasuredDevice",

@@ -36,9 +36,9 @@ def datapath_builds(monkeypatch):
     calls = []
     build = netlist_module.build_datapath
 
-    def spy(coreops, allocation, config=None):
+    def spy(coreops, allocation, config=None, **kwargs):
         calls.append(coreops.name)
-        return build(coreops, allocation, config)
+        return build(coreops, allocation, config, **kwargs)
 
     monkeypatch.setattr(netlist_module, "build_datapath", spy)
     return calls
