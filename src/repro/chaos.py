@@ -62,6 +62,39 @@ DEADLINE_S = 120.0
 MAX_RETRIES = 3
 
 
+def _chaos_workload(
+    models: Sequence[str],
+    duplications: Sequence[int],
+    copies: int,
+    rounds: int,
+    seed: int,
+) -> tuple[list[CompileRequest], list[list[CompileRequest]]]:
+    """The unique requests of a chaos run and its batches, one per round:
+    every unique request ``copies`` times, round ``r`` at seed ``seed + r``."""
+    from .service import CompileRequest
+
+    unique_requests = [
+        CompileRequest(
+            model=model,
+            duplication_degree=degree,
+            seed=seed,
+            deadline_s=DEADLINE_S,
+            max_retries=MAX_RETRIES,
+        )
+        for model in models
+        for degree in duplications
+    ]
+    batches = [
+        [
+            dataclasses.replace(request, seed=seed + r)
+            for request in unique_requests
+            for _ in range(copies)
+        ]
+        for r in range(rounds)
+    ]
+    return unique_requests, batches
+
+
 def _chaos_plan(seed: int, requests: Sequence[CompileRequest]) -> FaultPlan:
     """The deterministic fault plan of one chaos run.
 
@@ -73,6 +106,13 @@ def _chaos_plan(seed: int, requests: Sequence[CompileRequest]) -> FaultPlan:
     shared stage cache.  Every worker-compile fault matches ``attempt 0``
     only, so it is self-limiting: the supervised retry of the same
     request runs clean.
+
+    The cache faults are aimed at operations a worker makes: its first
+    shared put fails, its second is corrupted (a spec that fires takes
+    the occurrence, so the corrupt spec counts from the second put on),
+    and its second shared get fails.  A worker of the chaos workload puts
+    one entry per model it synthesizes first, so a later put may never
+    come.
     """
     rng = random.Random(derive_seed(seed, "chaos-plan"))
     victims = list(requests)
@@ -98,7 +138,7 @@ def _chaos_plan(seed: int, requests: Sequence[CompileRequest]) -> FaultPlan:
             compile_fault(2, KIND_IO_ERROR),
             compile_fault(3, KIND_HANG, seconds=0.25),
             FaultSpec(site=SITE_SHARED_CACHE_PUT, kind=KIND_IO_ERROR, at=0),
-            FaultSpec(site=SITE_SHARED_CACHE_PUT, kind=KIND_CORRUPT, at=2),
+            FaultSpec(site=SITE_SHARED_CACHE_PUT, kind=KIND_CORRUPT, at=0),
             FaultSpec(site=SITE_SHARED_CACHE_GET, kind=KIND_IO_ERROR, at=1),
         ),
         seed=seed,
@@ -169,27 +209,11 @@ def _run_chaos(
     progress,
 ) -> dict[str, Any]:
     from .fuzz.oracle import strip_seconds
-    from .service import CompileRequest, ServingRuntime
+    from .service import ServingRuntime
 
-    unique_requests = [
-        CompileRequest(
-            model=model,
-            duplication_degree=degree,
-            seed=seed,
-            deadline_s=DEADLINE_S,
-            max_retries=MAX_RETRIES,
-        )
-        for model in models
-        for degree in duplications
-    ]
-    batches = [
-        [
-            dataclasses.replace(request, seed=seed + r)
-            for request in unique_requests
-            for _ in range(copies)
-        ]
-        for r in range(rounds)
-    ]
+    unique_requests, batches = _chaos_workload(
+        models, duplications, copies, rounds, seed
+    )
     total_requests = len(batches[0]) * rounds
 
     if progress is not None:

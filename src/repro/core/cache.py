@@ -191,6 +191,9 @@ class StageCache:
     ``shared=`` (or assigned to :attr:`shared`) acts as a second,
     cross-process tier: in-memory misses fall through to the shared
     directory, and puts are written through so other processes can hit.
+    An entry ``get``/``put`` are told is not ``shareable`` (a pass whose
+    :attr:`~repro.core.pipeline.CompilePass.shareable` is ``False``) stays
+    in memory and never touches that tier.
     """
 
     def __init__(
@@ -226,17 +229,20 @@ class StageCache:
                 return True
         return self.shared is not None and key in self.shared
 
-    def get(self, key: str, stats: CacheStats | None = None) -> dict[str, Any] | None:
-        """The artifacts under ``key`` or ``None``; an in-memory miss falls
-        through to the shared tier, whose hit is installed in memory and
-        whose lookup is counted into ``stats`` when given."""
+    def get(
+        self, key: str, stats: CacheStats | None = None, shareable: bool = True
+    ) -> dict[str, Any] | None:
+        """The artifacts under ``key`` or ``None``; an in-memory miss of a
+        ``shareable`` entry falls through to the shared tier, whose hit is
+        installed in memory and whose lookup is counted into ``stats`` when
+        given."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
                 self._entries.move_to_end(key)
         # fall through to the cross-process tier outside the lock: disk
         # reads must not serialize unrelated in-memory lookups
-        if entry is None and self.shared is not None:
+        if entry is None and shareable and self.shared is not None:
             entry = self.shared.get(key)
             if entry is not None:
                 self._install(key, entry)
@@ -259,13 +265,19 @@ class StageCache:
         return evicted
 
     def put(
-        self, key: str, artifacts: dict[str, Any], stats: CacheStats | None = None
+        self,
+        key: str,
+        artifacts: dict[str, Any],
+        stats: CacheStats | None = None,
+        shareable: bool = True,
     ) -> None:
-        """Store an entry, written through to the shared tier; its
-        evictions and a failed shared write (never raised) are counted into
-        ``stats`` when given."""
+        """Store an entry, written through to the shared tier when
+        ``shareable``; its evictions and a failed shared write (never
+        raised) are counted into ``stats`` when given."""
         evicted = self._install(key, artifacts)
-        written = self.shared is None or self.shared.put(key, artifacts)
+        written = (
+            not shareable or self.shared is None or self.shared.put(key, artifacts)
+        )
         if stats is not None:
             stats.evictions += evicted
             stats.write_errors += 0 if written else 1

@@ -337,9 +337,11 @@ class CompileContext:
 class CompilePass:
     """One stage of the compilation pipeline.
 
-    Subclasses set the three class attributes and implement :meth:`run`.
-    A pass that can be cached returns a stable content-addressed key from
-    :meth:`cache_key`; returning ``None`` (the default) opts out.
+    Subclasses set ``name``, ``requires`` and ``provides`` and implement
+    :meth:`run`.  A pass that can be cached returns a stable
+    content-addressed key from :meth:`cache_key`; returning ``None`` (the
+    default) opts out, and ``shareable = False`` keeps its entries in
+    memory only.
     """
 
     #: unique pass name (also the registry key and the CLI spelling).
@@ -348,6 +350,10 @@ class CompilePass:
     requires: tuple[str, ...] = ()
     #: artifact names this pass fills in.
     provides: tuple[str, ...] = ()
+    #: whether a cached result also goes to the cross-process shared tier;
+    #: ``False`` for a pass whose entries cost more to store there than
+    #: their readers would save (the in-memory tier still holds them).
+    shareable: bool = True
 
     def run(self, ctx: CompileContext) -> None:
         raise NotImplementedError
@@ -465,7 +471,7 @@ class PassManager:
             cached = False
             key = p.cache_key(ctx) if cache is not None else None
             if key is not None:
-                hit = cache.get(key, stats)
+                hit = cache.get(key, stats, shareable=p.shareable)
                 if hit is not None:
                     for artifact, value in hit.items():
                         ctx.set(artifact, value)
@@ -473,7 +479,8 @@ class PassManager:
             if not cached:
                 p.run(ctx)
                 if key is not None:
-                    cache.put(key, {a: ctx.get(a) for a in p.provides}, stats)
+                    artifacts = {a: ctx.get(a) for a in p.provides}
+                    cache.put(key, artifacts, stats, shareable=p.shareable)
             timings.append(
                 PassTiming(
                     name=p.name,

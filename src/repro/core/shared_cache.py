@@ -8,6 +8,17 @@ directory, serves worker M's lookup even though the two never share an
 address space.  That is what turns a 16-worker sweep of one model from 16
 syntheses into 1.
 
+The tier holds an entry only when its readers save more than its writer
+pays.  Synthesis, partition and P&R results are read back by other
+duplications, chip counts and processes.  A mapping's key holds the
+duplication and every mapper knob, so no two points of a sweep share one:
+its entry would be read by nothing but a repeat (which the service layer
+answers before it reaches a worker), while storing it takes about as long
+as mapping again.  :class:`~repro.core.pipeline.CompilePass`
+subclasses say which side they are on with ``shareable``; ``MappingPass``
+keeps its entries in memory (:meth:`~repro.core.cache.StageCache.get` /
+``put`` never reach this tier for them).
+
 Design constraints (all enforced here, not by callers):
 
 * **Atomic writes.**  An artifact is pickled to a temporary file in the

@@ -10,7 +10,9 @@ configuration axis  contract
 repeated runs       same seed => bit-identical ``ResultSummary``
 warm cache          cache-hit artifacts == freshly computed ones
 shared cache        pickle round-trip through the cross-process tier is
-                    lossless (cold fill and warm reload both match)
+                    lossless (cold fill and warm reload both match) for
+                    what it holds: synthesis, partition and P&R results;
+                    a mapping never enters it
 ``num_chips=1``     the 1-chip partition is the identity (modulo the
                     ``partition`` summary section it adds)
 ``num_chips=auto``  deterministic; succeeds whenever the classic flow

@@ -14,7 +14,10 @@ owns — none of which speed up a single compile, all of which speed up a
   (:class:`~repro.core.shared_cache.SharedStageCache`): the runtime hands
   every job one :class:`~repro.core.cache.StageCache` over one disk-backed
   content-addressed tier, so worker N's synthesis serves worker M's
-  lookup.  The tier reaches a worker only with that cache;
+  lookup.  The tier holds what other requests read back (synthesis,
+  partition and P&R results); a mapping, which only a repeat could read
+  and the manager answers repeats itself, stays in the worker's memory.
+  The tier reaches a worker only with that cache;
 * **request coalescing** (:class:`~repro.service.jobs.JobManager`):
   identical requests share one compile; the response fans out to every
   waiter, and answers a later repeat without reaching a worker.

@@ -4,7 +4,10 @@ A compile's ``CompileTimings`` counters (and so its run id, which hashes
 every counter but ``cache_hits``/``cache_misses``) come from the tally
 ``PassManager.run`` keeps.  The expected rows below were recorded from
 the implementation that still kept a second set of books on the cache
-objects; they must not move when the cache's own counting changes.
+objects; they must not move when the cache's own counting changes.  The
+rows that touch a shared tier were re-recorded when the mapping left that
+tier: a mapping is neither looked up in it nor written to it, so each of
+those compiles makes one shared lookup (two for a 2-chip one) fewer.
 """
 
 from __future__ import annotations
@@ -27,17 +30,18 @@ from repro.service import ArtifactStore, CompileRequest, serve_request
 #: step -> (cache_hits, cache_misses, evictions, shared_cache_hits,
 #: shared_cache_misses, write_errors, run id)
 EXPECTED = {
-    "cold": (0, 4, 0, 0, 2, 0, "2ca2df7d30a33cd2"),
+    "cold": (0, 4, 0, 0, 1, 0, "051fb7e03183fad7"),
     "memory hit": (2, 2, 0, 0, 0, 0, "8d2ffa0a9d1fde0b"),
-    "shared hit in a process copy": (2, 2, 0, 2, 0, 0, "1c6c38adb90f8f29"),
+    "shared hit in a process copy": (1, 3, 0, 1, 0, 0, "3e6e8cfd1df6d2f6"),
     # installing a shared-tier hit pushes entries out of a 1-entry memory
-    # tier, but that is not an eviction of the compile
-    "shared hit at max_entries=1": (2, 2, 0, 2, 0, 0, "1c6c38adb90f8f29"),
+    # tier, but that is not an eviction of the compile; the mapping's own
+    # put, pushing the installed synthesis entry out, is
+    "shared hit at max_entries=1": (1, 3, 1, 1, 0, 0, "6f2cb8c09a4e273c"),
     "eviction at max_entries=1": (0, 4, 1, 0, 0, 0, "f4fe7183a8fc5d57"),
     # the plan is the environment's, so the run id is the plan-free request's
-    "failed writes under io_error": (0, 4, 0, 0, 2, 2, "5949e26314005e9d"),
-    "2-chip cold": (0, 8, 0, 0, 4, 0, "c5f7a0c702e70307"),
-    "2-chip shared hit": (4, 4, 0, 4, 0, 0, "704f1f7f30d9e5c4"),
+    "failed writes under io_error": (0, 4, 0, 0, 1, 1, "303a3884567543c6"),
+    "2-chip cold": (0, 8, 0, 0, 2, 0, "329688cfbb61e622"),
+    "2-chip shared hit": (2, 6, 0, 2, 0, 0, "1b4e72dff989f680"),
 }
 
 

@@ -7,16 +7,26 @@ import json
 import pytest
 
 import repro.chaos as chaos_module
+import repro.core.shared_cache as shared_cache_module
 from repro.chaos import (
+    DEFAULT_CHAOS_MODELS,
     _chaos_plan,
+    _chaos_workload,
     format_chaos_section,
     gate,
     run_chaos,
 )
 from repro.cli import main
-from repro.errors import InvalidRequestError
-from repro.faults import KIND_CRASH, SITE_WORKER_COMPILE
-from repro.service import CompileRequest
+from repro.core.cache import StageCache
+from repro.errors import InvalidRequestError, TransientIOError
+from repro.faults import (
+    FAULT_PLAN_ENV,
+    KIND_CRASH,
+    KIND_IO_ERROR,
+    SITE_WORKER_COMPILE,
+    FaultPlan,
+)
+from repro.service import CompileRequest, serve_request
 
 
 def _chaos_section(**overrides) -> dict:
@@ -101,6 +111,41 @@ class TestChaosPlan:
         for spec in plan.faults:
             if spec.site == SITE_WORKER_COMPILE:
                 assert spec.match["attempt"] == 0
+
+    def test_every_shared_tier_fault_fires(self, tmp_path, monkeypatch):
+        """The plan's shared-tier specs, run over the chaos workload's
+        compile sequence in one worker, each fire: a spec aimed past the
+        puts or gets a worker makes would leave the gate passing without
+        the fault it names."""
+        copies = 2
+        unique, batches = _chaos_workload(DEFAULT_CHAOS_MODELS, (1, 2), copies, 2, 0)
+        specs = tuple(
+            spec
+            for spec in _chaos_plan(0, unique).faults
+            if spec.site != SITE_WORKER_COMPILE
+        )
+        assert len(specs) == 3
+        fired: list[tuple[str, str]] = []
+        real_fire = shared_cache_module.fire
+
+        def recording_fire(site, **context):
+            try:
+                spec = real_fire(site, **context)
+            except TransientIOError:
+                fired.append((site, KIND_IO_ERROR))
+                raise
+            if spec is not None:
+                fired.append((site, spec.kind))
+            return spec
+
+        monkeypatch.setattr(shared_cache_module, "fire", recording_fire)
+        monkeypatch.setenv(FAULT_PLAN_ENV, FaultPlan(faults=specs).to_json())
+        cache = StageCache(shared=shared_cache_module.SharedStageCache(str(tmp_path)))
+        for batch in batches:
+            # copies of one request coalesce into one compile
+            for request in batch[::copies]:
+                assert serve_request(request, cache=cache).response.ok
+        assert sorted(fired) == sorted((spec.site, spec.kind) for spec in specs)
 
 
 class TestChaosBenchRun:

@@ -13,6 +13,7 @@ from repro.core.shared_cache import (
     shared_cache_from_env,
 )
 from repro.errors import InvalidRequestError
+from repro.service import CompileRequest, serve_request
 
 
 class TestSharedStageCache:
@@ -247,3 +248,58 @@ class TestTwoTierStageCache:
         fresh = StageCache(shared=SharedStageCache(str(tmp_path)))
         assert "k" in fresh
         assert "absent" not in fresh
+
+    def test_unshareable_entry_stays_in_memory(self, tmp_path):
+        cache = StageCache(shared=SharedStageCache(str(tmp_path)))
+        tally = CacheStats()
+        cache.put("k", {"mapping": 1}, tally, shareable=False)
+        assert cache.get("k", tally, shareable=False) == {"mapping": 1}
+        assert len(cache.shared) == 0
+        fresh = StageCache(shared=SharedStageCache(str(tmp_path)))
+        assert fresh.get("k", tally, shareable=False) is None
+        # neither tier-less lookup nor put reached the shared tier's books
+        assert tally == CacheStats()
+
+
+def _tier_artifacts(tier: SharedStageCache) -> list[tuple[str, ...]]:
+    """The artifact names of every entry in ``tier``, one tuple each."""
+    names = []
+    for root, _, files in os.walk(tier.directory):
+        for name in files:
+            if name.endswith(".pkl"):
+                with open(os.path.join(root, name), "rb") as handle:
+                    names.append(tuple(sorted(pickle.load(handle))))
+    return sorted(names)
+
+
+class TestWhatTheTierHolds:
+    """A cold compile shares only what is cheaper to load than to redo:
+    synthesis, partition and P&R results, never a mapping."""
+
+    #: the ``serve_mixed`` catalogue: every zoo model at seven duplications.
+    CATALOGUE_MODELS = (
+        "MLP-500-100", "LeNet", "CIFAR-VGG17", "AlexNet", "VGG16",
+        "GoogLeNet", "ResNet152",
+    )
+    CATALOGUE_DUPLICATIONS = (1, 2, 4, 8, 16, 32, 64)
+
+    def test_serve_catalogue_leaves_one_coreops_entry_per_model(self, tmp_path):
+        cache = StageCache(shared=SharedStageCache(str(tmp_path)))
+        for model in self.CATALOGUE_MODELS:
+            for duplication in self.CATALOGUE_DUPLICATIONS:
+                request = CompileRequest(
+                    model=model, duplication_degree=duplication, dedup=True
+                )
+                assert serve_request(request, cache=cache).response.ok
+        assert _tier_artifacts(cache.shared) == [("coreops",)] * 7
+
+    def test_pnr_and_partition_results_are_shared(self, tmp_path):
+        cache = StageCache(shared=SharedStageCache(str(tmp_path)))
+        for request in (
+            CompileRequest(model="MLP-500-100", run_pnr=True),
+            CompileRequest(model="LeNet", num_chips=2),
+        ):
+            assert serve_request(request, cache=cache).response.ok
+        assert _tier_artifacts(cache.shared) == [
+            ("coreops",), ("coreops",), ("partition",), ("pnr",),
+        ]
