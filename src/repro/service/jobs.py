@@ -8,7 +8,8 @@ deadlines, admission control; ARCHITECTURE.md "The service layer" and
 :class:`~repro.service.schemas.CompileResponse`, failures included as
 structured error payloads.  Requests and responses cross the worker
 boundary as plain dicts, so the pool exercises exactly the wire schemas an
-out-of-process front-end would.
+out-of-process front-end would.  A worker stores the answer it compiled
+(:func:`_execute_job`), so only the run id crosses back for the store.
 
 A job's lifecycle is one private ``state`` and the one table
 :data:`_LIFECYCLE` of the moves between states; :meth:`JobManager._move`
@@ -173,11 +174,21 @@ def _execute_job(
     request_dict: dict[str, Any],
     config: FPSAConfig | None,
     cache: StageCache | bool | None,
+    store: "ArtifactStore | None" = None,
     attempt: int = 0,
-) -> tuple[dict[str, Any], str | None]:
+) -> tuple[dict[str, Any], str | None, bool]:
     """Worker entry point (module-level so process pools can pickle it):
-    the response as a wire dict and the bitstream JSON, if any, for the
-    parent's store.  Retry ``attempt`` (0 = first try) first sleeps its
+    the response as a wire dict, the run id it is stored under and whether
+    the compile emitted a bitstream.
+
+    With a ``store`` (a process pool hands the worker its own instance of
+    the manager's, :meth:`ArtifactStore.__reduce__`) the worker saves the
+    response and the bitstream itself, so neither is re-encoded nor
+    written on the parent's result thread; without one the bitstream is
+    not serialised at all.  The run id is ``None`` when there is no store
+    or the save failed: a failed save is only a warning on stderr, never an
+    ``OSError`` out of the job, which would read as a retriable fault and
+    compile again.  Retry ``attempt`` (0 = first try) first sleeps its
     :func:`backoff_delay` here, so the parent keeps no timer; the ordinal
     reaches the fault site, so a chaos plan can target the first attempt."""
     from .. import faults
@@ -196,10 +207,15 @@ def _execute_job(
         attempt=attempt,
     )
     served = serve_request(request, config=config, cache=cache)
-    bitstream = None
-    if served.result is not None and served.result.bitstream is not None:
-        bitstream = served.result.bitstream.to_json()
-    return served.response.to_dict(), bitstream
+    response = served.response
+    bitstream = served.result.bitstream if served.result is not None else None
+    run_id = None
+    if store is not None:
+        try:
+            run_id = store.save(response, None if bitstream is None else bitstream.to_json())
+        except Exception as exc:  # noqa: BLE001 - persistence must never lose the answer
+            print(f"warning: failed to persist a {request.model} run: {exc}", file=sys.stderr)
+    return response.to_dict(), run_id, bitstream is not None
 
 
 def _error_response(job: "_Job", exc: BaseException) -> CompileResponse:
@@ -281,6 +297,13 @@ class JobManager:
         own copy (or is shared as is by the threads of an in-process pool).
     store:
         When given, every published answer (and bitstream) is persisted.
+        A worker saves the answer it compiled (and its bitstream) into its
+        own instance of the store; the manager saves only the answers it
+        makes itself: a follower's copy under other ``tags``, a repeat's,
+        and crash, cancel and deadline errors.  A worker's instance starts
+        with nothing indexed, so a ``use_cache=False`` repeat writes its
+        run again: its ``response.json`` then holds the last save's
+        volatile timings, and the index one more line for the id.
     pool:
         A persistent :class:`~repro.core.api.WorkerPool` (or any
         ``Executor``) the manager runs jobs on but does not own or shut
@@ -401,12 +424,20 @@ class JobManager:
                 self._move(self._published.popleft(), "forget")
         return answered
 
-    def _wake(self, jobs: list[_Job], bitstream: str | None = None) -> None:
-        """Persist the answers just published under the lock, then wake
-        each job's waiters.  The bitstream goes with an ``ok`` answer."""
+    def _wake(
+        self,
+        jobs: list[_Job],
+        stored: CompileResponse | None = None,
+        bitstream_of: str | None = None,
+    ) -> None:
+        """Persist the answers just published under the lock, then wake each
+        job's waiters.  The worker's own answer ``stored`` is skipped: the
+        worker saved it.  A copy of it under another request takes along
+        the bitstream stored under run ``bitstream_of``."""
         for job in jobs:
             try:
-                self._persist(job, job.response, bitstream if job.response.ok else None)
+                if job.response is not stored:
+                    self._persist(job, bitstream_of if job.response.ok else None)
             finally:
                 job.finished.set()
 
@@ -464,14 +495,14 @@ class JobManager:
                 self.stats.coalesced += 1
         if primary is not None:
             if job.finished is _ALREADY_SET:
-                self._persist(job, job.response, None)
+                self._persist(job)
             return job
         try:
             self._submit_attempt(job)
         except Exception as exc:
             # e.g. submit after shutdown: the job was never submitted, and
             # a follower that attached meanwhile is answered with the error
-            self._conclude(job, _error_response(job, exc), None, "refuse")
+            self._conclude(job, _error_response(job, exc), event="refuse")
             raise
         return job
 
@@ -505,6 +536,7 @@ class JobManager:
                     job.request.to_dict(),
                     self.config,
                     self.cache,
+                    self.store,
                     job.attempts,
                 )
             except BrokenExecutor:
@@ -518,11 +550,12 @@ class JobManager:
             return
 
     def _finish(self, job: _Job, future: Future) -> None:
-        bitstream = None
+        stored = run_id = None
+        emitted = False
         try:
-            response_dict, bitstream = future.result()
+            response_dict, run_id, emitted = future.result()
             # the worker echoes the request back: answer with the one we hold
-            response = CompileResponse.from_dict(response_dict, request=job.request)
+            response = stored = CompileResponse.from_dict(response_dict, request=job.request)
         except Exception as exc:  # noqa: BLE001 - worker crashed; report, don't hang
             response = _error_response(job, exc)
             if isinstance(exc, BrokenExecutor):
@@ -532,21 +565,28 @@ class JobManager:
                     # heal once per breakage (concurrent reports coalesce on
                     # the generation), whether or not this job retries
                     self.pool.heal(job.generation)
+        if run_id is not None:
+            self.store.note_saved(response, run_id, emitted)
         if response.error is not None and response.error.code in RETRIABLE_CODES:
             if self._retry(job):
                 return
-        self._conclude(job, response, bitstream)
+        self._conclude(job, response, stored, emitted, run_id if emitted else None)
 
     def _conclude(
         self,
         job: _Job,
         response: CompileResponse,
-        bitstream: str | None,
+        stored: CompileResponse | None = None,
+        emitted: bool = False,
+        bitstream_of: str | None = None,
         event: str = "conclude",
     ) -> None:
         """End a primary's compile: move it by ``event``, answer every follower
         still waiting and remember an answer repeats may share, in one lock
-        hold, so no identical request falls in between and compiles again."""
+        hold, so no identical request falls in between and compiles again.
+        ``stored`` is the worker's answer, which the worker saved; an answer
+        that ``emitted`` a bitstream is not remembered, and ``bitstream_of``
+        is the run the store keeps that bitstream under."""
         with self._lock:
             now = self._clock()
             woken = [job] if self._move(job, event, now, response) else []
@@ -559,7 +599,7 @@ class JobManager:
                 del self._shared[fingerprint]
                 # an error may not repeat; use_cache=False asks for a fresh
                 # compile; a bitstream is not on the response to hand out
-                if response.ok and job.request.use_cache and bitstream is None:
+                if response.ok and job.request.use_cache and not emitted:
                     job.compiled = response
                     self._shared[fingerprint] = job
                     # the bound counts concluded entries: every compiling
@@ -569,7 +609,7 @@ class JobManager:
                         del self._shared[
                             next(k for k, j in self._shared.items() if j.state not in _COMPILING)
                         ]
-        self._wake(woken, bitstream)
+        self._wake(woken, stored, bitstream_of)
 
     def _retry(self, job: _Job) -> bool:
         """Resubmit a retriable failure at once (the worker sleeps its
@@ -592,7 +632,7 @@ class JobManager:
         try:
             self._submit_attempt(job)
         except Exception as exc:  # noqa: BLE001 - conclude, never hang waiters
-            self._conclude(job, _error_response(job, exc), None)
+            self._conclude(job, _error_response(job, exc))
         return True
 
     def _expire(self, job: _Job) -> None:
@@ -605,11 +645,13 @@ class JobManager:
             self._move(job, "expire", job.deadline_at)
         self._wake([job])
 
-    def _persist(self, job: _Job, response: CompileResponse, bitstream: str | None) -> None:
-        """Save a published response (and bitstream) to the store, if any."""
+    def _persist(self, job: _Job, bitstream_of: str | None = None) -> None:
+        """Save an answer the manager made itself (and the bitstream the
+        store keeps under run ``bitstream_of``), if there is a store."""
         try:
             if self.store is not None:
-                self.store.save(response, bitstream_json=bitstream)
+                bitstream = bitstream_of and self.store.load_bitstream(bitstream_of)
+                self.store.save(job.response, bitstream_json=bitstream)
         except Exception as exc:  # noqa: BLE001 - persistence must never lose the job
             print(f"warning: failed to persist job {job.job_id}: {exc}", file=sys.stderr)
 

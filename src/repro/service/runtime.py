@@ -73,7 +73,8 @@ class ServingRuntime:
         Deduplicate identical requests, in flight or concluded (default on).
     store:
         Optional :class:`~repro.service.store.ArtifactStore` every
-        response is persisted to.
+        response is persisted to; a compiled answer by the worker that
+        compiled it (:class:`~repro.service.jobs.JobManager`).
     dedup_store_dir:
         Ignored: kept for callers that still pass it, until the next wire schema.
     max_queue_depth:

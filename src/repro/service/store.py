@@ -24,6 +24,16 @@ indexed the id or a bitstream arrived.  Readers fold the lines: an id's
 first line gives its ``created_at``, any line may add the bitstream, and a
 line that does not decode (torn by a crash, or still being appended) is
 skipped.  Run files are replaced atomically (temp file + ``os.replace``).
+
+Who writes a run: under a :class:`~repro.service.jobs.JobManager` (and so a
+``ServingRuntime``), the worker that compiled an answer saves it, into its
+own instance of the store (a store crosses a process boundary as its root,
+:meth:`ArtifactStore.__reduce__`); the manager records the returned id with
+:meth:`ArtifactStore.note_saved` and saves only the answers it makes
+itself.  A worker's instance has indexed nothing, so a ``use_cache=False``
+repeat, which compiles again, writes its id a second time: its
+``response.json`` then holds that save's volatile fields, and the index one
+more line for the id.
 """
 
 from __future__ import annotations
@@ -91,6 +101,12 @@ class ArtifactStore:
         #: after one ``stat``.  Not a copy of the index: other savers'
         #: entries are only read from disk.
         self._indexed: dict[str, tuple[str, bool]] = {}
+
+    def __reduce__(self):
+        """A store crosses a process boundary as its root: the receiving
+        process gets its own instance, with its own lock and nothing
+        indexed yet."""
+        return ArtifactStore, (str(self.root),)
 
     # ------------------------------------------------------------------
     # index handling
@@ -176,6 +192,13 @@ class ArtifactStore:
         run_id = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
         object.__setattr__(response, _RUN_ID_MEMO, run_id)
         return run_id, data
+
+    def note_saved(self, response: CompileResponse, run_id: str, has_bitstream: bool) -> None:
+        """Take ``run_id`` as ``response``'s address, and as indexed here:
+        another instance of this store (a worker's) has just saved it, so
+        this instance's next save of the run returns after one ``stat``."""
+        object.__setattr__(response, _RUN_ID_MEMO, run_id)
+        self._indexed[run_id] = (str(self.runs_root / run_id / "response.json"), has_bitstream)
 
     def save(self, response: CompileResponse, bitstream_json: str | None = None) -> str:
         """Persist one response (and optional bitstream); returns the run id.

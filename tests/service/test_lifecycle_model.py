@@ -3,7 +3,8 @@
 hypothesis drives a ``JobManager`` through submissions (by id and through
 ``serve_batch``), worker outcomes, a fake clock, pool refusals and heals,
 reads, cancels and shutdown.  The pool is a ``WorkerPool`` whose executors
-hand out futures the model completes with canned wire dicts, so nothing
+hand out futures the model completes with a worker's return (a canned
+wire dict, no run id, whether a bitstream was emitted), so nothing
 compiles.  A reference model predicts every answer; after each step the
 manager must agree with it and keep the lifecycle's invariants:
 
@@ -180,14 +181,14 @@ class LifecycleModel(RuleBasedStateMachine):
         if not self._compiles(sub):
             self.published.append(sub)  # else held until its compile ends
 
-    def _conclude(self, compile_: Compile, code: str) -> None:
+    def _conclude(self, compile_: Compile, code: str, remember: bool = True) -> None:
         del self.compiling[compile_.fingerprint]
         for sub in compile_.members:
             if sub.expect is None:
                 self._answer(sub, code)
             elif sub is compile_.primary:
                 self.published.append(sub)  # answered at its deadline
-        if code == "ok" and compile_.primary.request.use_cache:
+        if code == "ok" and remember and compile_.primary.request.use_cache:
             self.remembered[compile_.fingerprint] = None
             if len(self.remembered) > REMEMBERED:
                 self.remembered.popitem(last=False)
@@ -291,9 +292,12 @@ class LifecycleModel(RuleBasedStateMachine):
 
     def _worker_ends(self, compile_: Compile, outcome: str) -> None:
         future = compile_.future
-        if outcome in ("ok", "capacity_error"):
-            future.set_result((_canned()[outcome], None))
-            self._conclude(compile_, outcome)
+        if outcome in ("ok", "ok, bitstream", "capacity_error"):
+            # a worker's return: the wire dict, no run id (no store), and
+            # whether it emitted a bitstream, which no repeat may share
+            code = outcome.split(",")[0]
+            future.set_result((_canned()[code], None, code != outcome))
+            self._conclude(compile_, code, remember=code == outcome)
             return
         attempts = len(self.pool.attempts)
         if outcome == "worker_crash":
@@ -353,7 +357,11 @@ class LifecycleModel(RuleBasedStateMachine):
         self._submit(request)
 
     @precondition(lambda self: self.compiling)
-    @rule(data=st.data(), outcome=st.sampled_from(["ok", "ok", "capacity_error"]), after=seconds)
+    @rule(
+        data=st.data(),
+        outcome=st.sampled_from(["ok", "ok", "ok, bitstream", "capacity_error"]),
+        after=seconds,
+    )
     def worker_finishes(self, data, outcome, after):
         self.now += after
         self._worker_ends(data.draw(st.sampled_from(list(self.compiling.values()))), outcome)

@@ -723,16 +723,20 @@ class TestAnsweredFromTheConcludedJob:
 
     def test_no_window_between_concluding_and_remembering(self, pool):
         # the earliest a repeat can arrive after its twin concluded: from
-        # the store, which the primary's publish calls before anyone wakes
+        # the store, which the publish of a follower's copy calls before
+        # anyone wakes (the worker saved the primary's own answer)
         repeats = []
 
         class ResubmittingStore:
             def save(self, response, bitstream_json=None):
-                if not repeats:
-                    repeats.append(manager.submit(response.request))
+                if response.request.tags and not repeats:
+                    repeats.append(manager.submit(_point()))
 
         manager = JobManager(pool=pool, store=ResubmittingStore())
-        assert self.serve(manager, pool, _point()).ok
+        jobs = [manager.submit(_point()), manager.submit(_point(tags={"who": "b"}))]
+        pool.complete_all()
+        assert all(manager.result(job_id, timeout=0).ok for job_id in jobs)
+        assert manager.status(repeats[0]).coalesced
         assert manager.result(repeats[0], timeout=0).ok
         assert len(pool.submitted) == 1
 

@@ -56,13 +56,20 @@ def _no_fault_plan(monkeypatch):
     monkeypatch.delenv(FAULT_PLAN_ENV, raising=False)
 
 
-def _answer(future) -> tuple:
-    """What a worker's answer must keep: stripped summary, run id, error code."""
+def _answer(future, store=None) -> tuple:
+    """What a worker's answer must keep: stripped summary, run id, error
+    code.  With a ``store`` the worker saved the answer under its run id."""
     try:
-        data, _ = future.result(timeout=120)
+        data, run_id, emitted = future.result(timeout=120)
     except Exception as exc:  # noqa: BLE001 - an exception is an answer here
         return None, None, getattr(exc, "code", type(exc).__name__)
     response = CompileResponse.from_dict(data)
+    assert not emitted
+    if store is None:
+        assert run_id is None
+    else:
+        assert run_id == ArtifactStore.run_id_for(response)
+        assert store.load(run_id, verify=True) == response
     return (
         strip_seconds(data["summary"]),
         ArtifactStore.run_id_for(response),
@@ -74,16 +81,17 @@ def test_a_plan_in_a_request_outlives_nothing():
     """A stored request's ``fault_plan`` is dropped, never installed: the
     LeNet request after it compiles, and no injector is left behind."""
     carrier = {"model": "MLP-500-100", "fault_plan": LENET_IO_PLAN}
-    first, _ = _execute_job(carrier, None, False)
+    first, _, _ = _execute_job(carrier, None, False)
     assert first["status"] == "ok"
-    after, _ = _execute_job({"model": "LeNet"}, None, False)
+    after, _, _ = _execute_job({"model": "LeNet"}, None, False)
     assert after["status"] == "ok", after["error"]
     assert faults.active_injector() is None
 
 
 @pytest.fixture(scope="module")
-def pools():
-    """The warm pool, and the answer of a fresh pool to each candidate."""
+def pools(tmp_path_factory):
+    """The warm pool, its store, and the answer of a fresh pool to each
+    candidate."""
     with pytest.MonkeyPatch.context() as patch:
         patch.delenv(FAULT_PLAN_ENV, raising=False)  # no worker inherits a plan
 
@@ -93,7 +101,7 @@ def pools():
                 return _answer(pool.submit(_execute_job, CANDIDATES[index], None, StageCache()))
 
         with WorkerPool(1) as warm:
-            yield warm, StageCache(), fresh
+            yield warm, ArtifactStore(tmp_path_factory.mktemp("store")), StageCache(), fresh
 
 
 @settings(max_examples=200)
@@ -103,8 +111,8 @@ def pools():
     cached=st.booleans(),
 )
 def test_a_warm_worker_answers_as_a_fresh_one(pools, first, second, cached):
-    warm, cache, fresh = pools
+    warm, store, cache, fresh = pools
     cache = cache if cached else False
     for index in (first, second):
-        answer = _answer(warm.submit(_execute_job, CANDIDATES[index], None, cache))
+        answer = _answer(warm.submit(_execute_job, CANDIDATES[index], None, cache, store), store)
         assert answer == fresh(index), CANDIDATES[index]
