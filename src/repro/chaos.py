@@ -6,13 +6,13 @@ reference), once under a deterministic seeded fault plan (worker crashes,
 a hang, transient IO faults and a corrupted shared-cache entry — see
 :mod:`repro.faults`).  The section it returns records availability,
 whether the responses stayed bit-identical (seconds-stripped) to the
-reference, recovery time after pool breakage, and the retry/displacement
-counters.
+reference, how often a worker died and was replaced, the retry/displacement
+counters, and how often each fault of the plan fired.
 
-``gate`` holds that section to three absolute floors — every request
-served, every response identical to the reference, the pool broken at
-least once — and ``repro chaos`` (see :mod:`repro.cli`) applies it on every
-run: exit 0 clean, 1 on any finding.
+``gate`` holds that section to four absolute floors — every request
+served, every response identical to the reference, a worker killed at
+least once, every fault of the plan fired — and ``repro chaos`` (see
+:mod:`repro.cli`) applies it on every run: exit 0 clean, 1 on any finding.
 """
 
 from __future__ import annotations
@@ -164,19 +164,19 @@ def run_chaos(
     **availability** (served-ok over total — the floor is 1.0: with
     supervision and retries, the plan must not cost a single response),
     whether the chaos responses stayed **bit-identical** (seconds-stripped
-    summaries) to the reference, pool-health counters (breakages,
-    respawns, recovery seconds), retry/displacement counters, and the
-    degraded cache writes.
+    summaries) to the reference, pool-health counters (worker deaths,
+    respawns, recovery seconds), retry/displacement counters, the
+    degraded cache writes, and ``fault_firings``: per spec of the plan,
+    the firings the workers reported with their answers (a crash spec
+    fired when a worker died running a job it matches,
+    :attr:`JobManager.fault_firings`).
 
-    ``rounds >= 2`` matters for coverage: when the first crash breaks the
-    pool, the second crash victim is usually *displaced* (its in-flight
-    attempt fails with the pool) and retried at attempt 1, where the
-    attempt-0 crash spec no longer matches — the next round resubmits it
-    at attempt 0 on fresh workers, so the plan reliably kills at least
-    two workers across the run.  Round ``r`` compiles with seed
-    ``seed + r`` (the plan matches on model, duplication and attempt, not
-    on seed): an identical request would be answered from round 0's
-    concluded job and never meet a worker.
+    A worker's death fails only the job it ran, so every crash victim
+    dies at attempt 0 and is retried at attempt 1, where the crash spec no
+    longer matches.  Round ``r`` compiles with seed ``seed + r`` (the plan
+    matches on model, duplication and attempt, not on seed): an identical
+    request would be answered from round 0's concluded job and never meet
+    a worker, so every round kills its workers again.
     """
     if copies < 1:
         raise InvalidRequestError("copies must be >= 1")
@@ -244,6 +244,7 @@ def _run_chaos(
             for batch in batches:
                 chaos.extend(runtime.serve_batch(batch))
             stats = runtime.stats()
+            fired = list(runtime.manager.fault_firings)
         chaos_seconds = time.perf_counter() - chaos_start
     finally:
         del os.environ[FAULT_PLAN_ENV]
@@ -287,6 +288,7 @@ def _run_chaos(
             health.get("total_recovery_seconds", 0.0)
         ),
         "cache_write_errors": write_errors,
+        "fault_firings": fired + [0] * (len(plan.faults) - len(fired)),
         "chaos_seconds": chaos_seconds,
     }
 
@@ -307,6 +309,7 @@ def format_chaos_section(chaos: Mapping[str, Any]) -> str:
         f"  retries: {chaos['retried']} retried, {chaos['displaced']} "
         f"displaced, {chaos['deadline_expired']} deadline-expired, "
         f"{chaos['cache_write_errors']} degraded cache write(s)",
+        f"  faults fired, per spec of the plan: {chaos.get('fault_firings', [])}",
         f"  responses identical to fault-free reference: "
         f"{'yes' if chaos['summaries_identical'] else 'NO'}",
     ]
@@ -320,9 +323,11 @@ def gate(chaos: Mapping[str, Any]) -> list[str]:
     must be 1.0: with supervision, retries and deadlines in place, the plan
     must not cost a single response.  The chaos responses must equal the
     fault-free reference's seconds-stripped summaries (a retry may change
-    *when* work happens, never *what* it computes).  And the plan must
-    have broken the pool: ``broken_pool_events`` of 0 means the run proved
-    nothing — the harness, not the runtime, regressed.
+    *when* work happens, never *what* it computes).  The plan must have
+    killed a worker: ``broken_pool_events`` of 0 means the run proved
+    nothing — the harness, not the runtime, regressed.  And every spec of
+    the plan must have fired: one aimed where the workload never goes
+    leaves the other floors passing without the fault it names.
     """
     findings: list[str] = []
     availability = float(chaos.get("availability", 0.0))
@@ -342,6 +347,14 @@ def gate(chaos: Mapping[str, Any]) -> list[str]:
             "the fault plan never broke the worker pool "
             "(0 broken-pool events) — the run exercised nothing"
         )
+    fired = list(chaos.get("fault_firings") or [])
+    specs = (chaos.get("fault_plan") or {}).get("faults", ())
+    for index, spec in enumerate(specs):
+        if index >= len(fired) or fired[index] < 1:
+            findings.append(
+                f"fault {index} of the plan ({spec.get('kind')} at {spec.get('site')}, "
+                f"at={spec.get('at', 0)}) never fired — the run did not exercise it"
+            )
     return findings
 
 

@@ -201,6 +201,11 @@ class FaultInjector:
         with self._lock:
             return sum(self._fired_counts)
 
+    def counts(self) -> list[int]:
+        """Firings so far in this process, per spec of the plan."""
+        with self._lock:
+            return list(self._fired_counts)
+
     def fire(self, site: str, **context: Any) -> FaultSpec | None:
         """Fire the first armed spec matching ``site``/``context``, if any.
 

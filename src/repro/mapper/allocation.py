@@ -192,15 +192,21 @@ def allocate(
         )
 
     tiles = coreops.derived().tiling(pe.rows, pe.logical_cols).tiles
-    allocations = {
-        group.name: GroupAllocation(
-            group=group.name,
-            tiles=tiles[group.name],
-            duplication=_balanced_duplication(group, target_iterations),
-            reuse=group.reuse,
+    allocations = {}
+    for group in groups:
+        # built in one step, as the constructor would from these values:
+        # tiles >= 1 and 1 <= duplication <= reuse hold by construction
+        name, reuse = group.name, group.reuse
+        duplication = _balanced_duplication(group, target_iterations)
+        record = allocations[name] = object.__new__(GroupAllocation)
+        vars(record).update(
+            group=name,
+            tiles=tiles[name],
+            duplication=duplication,
+            reuse=reuse,
+            pes=tiles[name] * duplication,
+            iterations=ceil_div(reuse, duplication),
         )
-        for group in groups
-    }
     return AllocationResult(
         model=coreops.name,
         duplication_degree=duplication_degree,

@@ -11,6 +11,7 @@ CLBs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..arch.clb import IterationCounter
 from ..arch.params import CLBParams, FPSAConfig
@@ -36,7 +37,14 @@ class ControlPlan:
 
 
 def _counter_luts(period: int, clb: CLBParams) -> int:
-    return IterationCounter(max(2, period)).lut_cost(clb.lut_inputs)
+    return _lut_cost(max(2, period), clb.lut_inputs)
+
+
+@lru_cache(maxsize=4096)
+def _lut_cost(period: int, lut_inputs: int) -> int:
+    """LUTs of one counter: every group of a model iterating ``period``
+    times, at every duplication, costs the same."""
+    return IterationCounter(period).lut_cost(lut_inputs)
 
 
 def plan_control(

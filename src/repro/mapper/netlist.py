@@ -19,7 +19,7 @@ from itertools import islice, product, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
-from ..arch.params import FPSAConfig, ceil_div
+from ..arch.params import FPSAConfig
 from ..errors import MappingError
 from ..synthesizer.coreop import CoreOpGraph
 from .allocation import AllocationResult
@@ -176,15 +176,15 @@ def smbs_per_edge(
     boundary edges.  The one statement of the rule: the builder
     instantiates these SMBs and every block count sums them.
     """
-    capacity = config.smb.values_capacity(config.pe.io_bits)
-    counts = []
-    for edge in coreops.edges():
-        n_smbs = 0
-        if edge.src in coreops and edge.dst in coreops:
-            consumer = allocation.allocation(edge.dst).iterations
-            if consumer > 1 or consumer != allocation.allocation(edge.src).iterations:
-                n_smbs = ceil_div(max(1, edge.values_per_instance), capacity)
-        counts.append(n_smbs)
+    view = coreops.derived()
+    allocations = allocation.allocations
+    counts = [0] * view.n_edges
+    for index, src, dst, n_smbs in view.buffer_sizes(
+        config.smb.values_capacity(config.pe.io_bits)
+    ):
+        consumer = allocations[dst].iterations
+        if consumer > 1 or consumer != allocations[src].iterations:
+            counts[index] = n_smbs
     return counts
 
 

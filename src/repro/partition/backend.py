@@ -186,7 +186,8 @@ def compile_shards(
     if jobs == 1 or len(payloads) < 2:
         return [_compile_shard(payload) for payload in payloads]
     with WorkerPool(min(jobs, len(payloads))) as pool:
-        return list(pool.executor.map(_compile_shard, payloads))
+        futures = [pool.submit(_compile_shard, payload) for payload in payloads]
+        return [future.result() for future in futures]
 
 
 # --------------------------------------------------------------------------

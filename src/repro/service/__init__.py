@@ -15,8 +15,9 @@ the experiment harnesses, and any future HTTP/queue service:
 * :mod:`~repro.service.runtime` — the :class:`ServingRuntime`: persistent
   warm worker pool + cross-process shared stage cache + coalescing, the
   high-throughput front door for serving traffic.  Its
-  :class:`~repro.core.api.WorkerPool` heals itself when a worker dies and
-  counts that in :class:`PoolHealth` (re-exported here).
+  :class:`~repro.core.api.WorkerPool` replaces a worker that dies, failing
+  only the job it ran, and counts that in :class:`PoolHealth` (re-exported
+  here).
 * :mod:`~repro.service.store` — the content-addressed :class:`ArtifactStore`
   for durable, comparable run results.
 

@@ -11,6 +11,11 @@ boundary as plain dicts, so the pool exercises exactly the wire schemas an
 out-of-process front-end would.  A worker stores the answer it compiled
 (:func:`_execute_job`), so only the run id crosses back for the store.
 
+A worker that dies fails only the job it ran
+(:class:`~repro.core.api.WorkerPool`), which is retried like any retriable
+fault; the fault-plan firings the workers report are summed in
+:attr:`JobManager.fault_firings`.
+
 A job's lifecycle is one private ``state`` and the one table
 :data:`_LIFECYCLE` of the moves between states; :meth:`JobManager._move`
 makes every move and nothing else writes a state.  ARCHITECTURE.md "Job
@@ -27,7 +32,7 @@ import sys
 import threading
 import time
 from collections import deque
-from concurrent.futures import BrokenExecutor, CancelledError, Executor, Future
+from concurrent.futures import CancelledError, Executor, Future
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Iterable
@@ -147,7 +152,9 @@ class JobManagerStats:
     failed: int = 0
     #: attempts transparently resubmitted after a retriable fault.
     retried: int = 0
-    #: attempts that failed because the worker pool broke under them.
+    #: attempts failed by the death of a worker that was not running them:
+    #: none, since a :class:`WorkerPool` worker's death fails only its own
+    #: job; kept for the readers of the counter.
     displaced: int = 0
     #: submissions rejected by admission control (``max_queue_depth``).
     rejected: int = 0
@@ -170,6 +177,16 @@ def backoff_delay(request: CompileRequest, attempt: int) -> float:
     return rng.uniform(0.0, window)
 
 
+def _fault_context(request: CompileRequest, attempt: int) -> dict[str, Any]:
+    """What the worker-compile fault site of ``request``'s attempt fires with."""
+    return {
+        "model": request.model,
+        "duplication_degree": request.duplication_degree,
+        "num_chips": request.num_chips,
+        "attempt": attempt,
+    }
+
+
 def _execute_job(
     request_dict: dict[str, Any],
     config: FPSAConfig | None,
@@ -182,10 +199,11 @@ def _execute_job(
     the compile emitted a bitstream.
 
     With a ``store`` (a process pool hands the worker its own instance of
-    the manager's, :meth:`ArtifactStore.__reduce__`) the worker saves the
-    response and the bitstream itself, so neither is re-encoded nor
-    written on the parent's result thread; without one the bitstream is
-    not serialised at all.  The run id is ``None`` when there is no store
+    the manager's, which it keeps for its life,
+    :meth:`ArtifactStore.__reduce__`) the worker saves the response and
+    the bitstream itself, so neither is re-encoded nor written on the
+    pool's collector thread; without one the bitstream is not serialised
+    at all.  The run id is ``None`` when there is no store
     or the save failed: a failed save is only a warning on stderr, never an
     ``OSError`` out of the job, which would read as a retriable fault and
     compile again.  Retry ``attempt`` (0 = first try) first sleeps its
@@ -199,13 +217,7 @@ def _execute_job(
     # crash/hang/io_error faults fire *before* the compile so an injected
     # OSError propagates raw through the future (the retriable path);
     # serve_request would otherwise wrap it into an error response
-    faults.fire(
-        faults.SITE_WORKER_COMPILE,
-        model=request.model,
-        duplication_degree=request.duplication_degree,
-        num_chips=request.num_chips,
-        attempt=attempt,
-    )
+    faults.fire(faults.SITE_WORKER_COMPILE, **_fault_context(request, attempt))
     served = serve_request(request, config=config, cache=cache)
     response = served.response
     bitstream = served.result.bitstream if served.result is not None else None
@@ -220,7 +232,7 @@ def _execute_job(
 
 def _error_response(job: "_Job", exc: BaseException) -> CompileResponse:
     """An exception as the typed error answer to ``job``: cancellation is
-    ``cancelled``, pool breakage a retriable ``worker_crash``, a bare
+    ``cancelled``, a worker's death a retriable ``worker_crash``, a bare
     ``OSError`` escaping a worker a retriable ``transient_io``; typed FPSA
     errors keep their own codes."""
     details = {"model": job.request.model, "attempt": job.attempts}
@@ -228,11 +240,10 @@ def _error_response(job: "_Job", exc: BaseException) -> CompileResponse:
         error = ErrorPayload(
             code="cancelled", type="CancelledError", message="job was cancelled before it ran"
         )
-    elif isinstance(exc, BrokenExecutor):
+    elif isinstance(exc, WorkerCrashError):
         error = ErrorPayload.from_exception(WorkerCrashError(
-            f"worker process died while compiling {job.request.model!r} "
-            f"(attempt {job.attempts})",
-            details=details,
+            f"{exc} while compiling {job.request.model!r} (attempt {job.attempts})",
+            details={**exc.details, **details},
         ))
     elif isinstance(exc, OSError) and not isinstance(exc, FPSAError):
         error = ErrorPayload(
@@ -266,9 +277,8 @@ class _Job:
     followers: "list[_Job] | tuple" = ()
     #: the compile's answer repeats share (``response`` may be a deadline error).
     compiled: CompileResponse | None = None
-    #: retries resubmitted so far, and the pool generation of the current one.
+    #: retries resubmitted so far.
     attempts = 0
-    generation = 0
 
     def __init__(self, job_id, request, now, primary=None, finished=None):
         self.job_id = job_id
@@ -300,15 +310,17 @@ class JobManager:
         A worker saves the answer it compiled (and its bitstream) into its
         own instance of the store; the manager saves only the answers it
         makes itself: a follower's copy under other ``tags``, a repeat's,
-        and crash, cancel and deadline errors.  A worker's instance starts
-        with nothing indexed, so a ``use_cache=False`` repeat writes its
-        run again: its ``response.json`` then holds the last save's
-        volatile timings, and the index one more line for the id.
+        and crash, cancel and deadline errors.  A worker keeps its
+        instance for its life, so a ``use_cache=False`` repeat that lands
+        on the worker that saved the run writes nothing; on another worker
+        it writes the run again: its ``response.json`` then holds that
+        save's volatile timings, and the index one more line for the id.
     pool:
         A persistent :class:`~repro.core.api.WorkerPool` (or any
         ``Executor``) the manager runs jobs on but does not own or shut
-        down.  A :class:`WorkerPool` heals itself when a worker dies; a
-        bare ``Executor`` runs unsupervised.
+        down.  A :class:`WorkerPool` replaces a worker that dies and fails
+        only the job it ran, which is retried; a bare ``Executor`` runs
+        unsupervised.
     coalesce:
         Deduplicate identical requests (default on): one whose fingerprint
         matches a compiling job rides that compile, one that matches a
@@ -319,6 +331,9 @@ class JobManager:
         :class:`~repro.errors.OverloadedError`.  ``None`` disables it.
 
     Leaving a ``with`` block shuts the manager down (:meth:`shutdown`).
+    :attr:`fault_firings` sums, per spec of the ``REPRO_FAULT_PLAN`` plan,
+    the firings the workers report with their answers; a worker that dies
+    running a job fired the first crash spec its compile site matches.
     """
 
     #: the only time source of a manager (tests replace it per instance).
@@ -356,6 +371,8 @@ class JobManager:
         self.coalesce = coalesce
         self.max_queue_depth = max_queue_depth
         self.stats = JobManagerStats()
+        #: fault-plan firings reported by the workers, per spec.
+        self.fault_firings: list[int] = []
         #: every job not forgotten, by id: the unanswered and compiling ones
         #: and the last REMEMBERED_JOBS published.
         self._jobs: dict[str, _Job] = {}
@@ -524,30 +541,17 @@ class JobManager:
         return [self._result(job, timeout) for job in jobs]
 
     def _submit_attempt(self, job: _Job) -> None:
-        """Hand the job's current attempt to the pool; an already-broken
-        :class:`WorkerPool` is healed and tried once more."""
-        pool = self.pool
-        heals = isinstance(pool, WorkerPool)
-        for healed in (False, True):
-            generation = pool.generation if heals else 0
-            try:
-                future = pool.submit(
-                    _execute_job,
-                    job.request.to_dict(),
-                    self.config,
-                    self.cache,
-                    self.store,
-                    job.attempts,
-                )
-            except BrokenExecutor:
-                if not heals or healed:
-                    raise
-                pool.heal(generation)
-                continue
-            job.generation = generation
-            job.future = future
-            future.add_done_callback(lambda f, j=job: self._finish(j, f))
-            return
+        """Hand the job's current attempt to the pool."""
+        future = self.pool.submit(
+            _execute_job,
+            job.request.to_dict(),
+            self.config,
+            self.cache,
+            self.store,
+            job.attempts,
+        )
+        job.future = future
+        future.add_done_callback(lambda f, j=job: self._finish(j, f))
 
     def _finish(self, job: _Job, future: Future) -> None:
         stored = run_id = None
@@ -558,13 +562,11 @@ class JobManager:
             response = stored = CompileResponse.from_dict(response_dict, request=job.request)
         except Exception as exc:  # noqa: BLE001 - worker crashed; report, don't hang
             response = _error_response(job, exc)
-            if isinstance(exc, BrokenExecutor):
-                with self._lock:
-                    self.stats.displaced += 1
-                if isinstance(self.pool, WorkerPool):
-                    # heal once per breakage (concurrent reports coalesce on
-                    # the generation), whether or not this job retries
-                    self.pool.heal(job.generation)
+            if isinstance(exc, WorkerCrashError):
+                self._count_crash(job)
+        fired = getattr(future, "fault_firings", None)
+        if fired:
+            self._count_faults(fired)
         if run_id is not None:
             self.store.note_saved(response, run_id, emitted)
         if response.error is not None and response.error.code in RETRIABLE_CODES:
@@ -610,6 +612,31 @@ class JobManager:
                             next(k for k, j in self._shared.items() if j.state not in _COMPILING)
                         ]
         self._wake(woken, stored, bitstream_of)
+
+    def _count_faults(self, fired: list[int]) -> None:
+        with self._lock:
+            sums = self.fault_firings
+            sums += [0] * (len(fired) - len(sums))
+            for index, count in enumerate(fired):
+                sums[index] += count
+
+    def _count_crash(self, job: _Job) -> None:
+        """Credit the death of ``job``'s worker to the first crash spec of
+        the fault plan that the job's compile site matches, if any."""
+        from .. import faults
+
+        try:
+            injector = faults.active_injector()
+        except InvalidRequestError:  # a plan that does not parse fired nothing
+            return
+        specs = injector.plan.faults if injector is not None else ()
+        context = _fault_context(job.request, job.attempts)
+        for index, spec in enumerate(specs):
+            if (spec.kind, spec.site) == (faults.KIND_CRASH, faults.SITE_WORKER_COMPILE) and (
+                spec.matches(context)
+            ):
+                self._count_faults([int(i == index) for i in range(len(specs))])
+                return
 
     def _retry(self, job: _Job) -> bool:
         """Resubmit a retriable failure at once (the worker sleeps its

@@ -8,8 +8,8 @@ owns — none of which speed up a single compile, all of which speed up a
 * a **persistent warm worker pool** (:class:`~repro.core.api.WorkerPool`):
   worker processes are spawned once, inherit the model zoo, the pass
   pipeline and the P&R engine from the parent, and stay alive across every
-  batch the runtime serves (a pool a dead worker broke heals itself,
-  :meth:`health` says how often);
+  batch the runtime serves (a worker that dies fails only the job it ran
+  and is replaced, :meth:`health` says how often);
 * a **cross-process shared stage cache**
   (:class:`~repro.core.shared_cache.SharedStageCache`): the runtime hands
   every job one :class:`~repro.core.cache.StageCache` over one disk-backed
@@ -165,8 +165,8 @@ class ServingRuntime:
         }
 
     def health(self) -> dict[str, Any]:
-        """How the worker pool broke and healed (breakages, respawns,
-        recovery time)."""
+        """How often the pool's workers died and were replaced (deaths,
+        respawns, recovery time)."""
         return self.pool.health.to_dict()
 
     # ------------------------------------------------------------------

@@ -27,13 +27,14 @@ skipped.  Run files are replaced atomically (temp file + ``os.replace``).
 
 Who writes a run: under a :class:`~repro.service.jobs.JobManager` (and so a
 ``ServingRuntime``), the worker that compiled an answer saves it, into its
-own instance of the store (a store crosses a process boundary as its root,
-:meth:`ArtifactStore.__reduce__`); the manager records the returned id with
-:meth:`ArtifactStore.note_saved` and saves only the answers it makes
-itself.  A worker's instance has indexed nothing, so a ``use_cache=False``
-repeat, which compiles again, writes its id a second time: its
-``response.json`` then holds that save's volatile fields, and the index one
-more line for the id.
+own instance of the store, which it keeps for its life (a store crosses a
+process boundary as its root and arrives as that process's one instance
+of it, :meth:`ArtifactStore.__reduce__`); the manager records the returned
+id with :meth:`ArtifactStore.note_saved` and saves only the answers it
+makes itself.  A ``use_cache=False`` repeat compiles again: on the worker
+that saved the run it writes nothing, on another worker it writes its id a
+second time: its ``response.json`` then holds that save's volatile
+fields, and the index one more line for the id.
 """
 
 from __future__ import annotations
@@ -103,10 +104,10 @@ class ArtifactStore:
         self._indexed: dict[str, tuple[str, bool]] = {}
 
     def __reduce__(self):
-        """A store crosses a process boundary as its root: the receiving
-        process gets its own instance, with its own lock and nothing
-        indexed yet."""
-        return ArtifactStore, (str(self.root),)
+        """A store crosses a process boundary as its root: it arrives as
+        the receiving process's one instance for that root, with its own
+        lock, indexing what that process saved (:func:`_process_store`)."""
+        return _process_store, (str(self.root),)
 
     # ------------------------------------------------------------------
     # index handling
@@ -294,3 +295,17 @@ class ArtifactStore:
         """The most recent run (of ``model``, when given), if any."""
         runs = self.list_runs(model=model)
         return runs[0] if runs else None
+
+
+#: root -> this process's instance of the store there, built on arrival.
+_STORES: dict[str, ArtifactStore] = {}
+
+
+def _process_store(root: str) -> ArtifactStore:
+    """This process's instance of the store at ``root``: built on first
+    arrival, then reused, so a worker creates the run directory once and
+    a run it saved is a single ``stat`` when it saves the run again."""
+    store = _STORES.get(root)
+    if store is None:
+        store = _STORES.setdefault(root, ArtifactStore(root))
+    return store

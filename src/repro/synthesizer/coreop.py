@@ -134,14 +134,18 @@ class Tiling(NamedTuple):
 
 class DerivedView:
     """What the compile reads of one version of a :class:`CoreOpGraph`,
-    derived once: the group order, the tiling on a crossbar shape, every
-    edge's traffic and the allocations ``allocate_request`` made of it."""
+    derived once: the group order and pipeline depth, the tiling on a
+    crossbar shape, every edge's traffic and SMB size, and the allocations
+    ``allocate_request`` made of it.  None of it depends on the duplication
+    degree, so every duplication of one model reads the same facts."""
 
     def __init__(self, graph: "CoreOpGraph"):
         # the graph's containers, not the graph: no reference cycle
         self.version, self._name = graph.mutation_count, graph.name
         self._groups, self._edges = graph._groups, graph._edges
+        self.n_edges = len(graph._edges)
         self._tilings: dict[tuple[int, int], Tiling] = {}
+        self._buffer_sizes: dict[int, tuple[tuple[int, str, str, int], ...]] = {}
         self.allocations: dict[tuple, object] = {}
 
     @cached_property
@@ -166,6 +170,32 @@ class DerivedView:
         if len(order) != len(groups):
             raise SynthesisError(f"core-op graph {self._name!r} contains a cycle")
         return tuple(order)
+
+    @cached_property
+    def depth(self) -> int:
+        """Length (in groups) of the longest dataflow path: the pipeline depth."""
+        preds: dict[str, list[str]] = {}
+        for edge in self._edges:
+            if edge.src in self._groups:
+                preds.setdefault(edge.dst, []).append(edge.src)
+        depth: dict[str, int] = {}
+        for group in self.order:
+            depth[group.name] = 1 + max((depth[p] for p in preds.get(group.name, ())), default=0)
+        return max(depth.values(), default=1)
+
+    def buffer_sizes(self, capacity: int) -> tuple[tuple[int, str, str, int], ...]:
+        """``(index, src, dst, SMBs)`` of every group-to-group edge, in edge
+        order: the SMBs of ``capacity`` values the edge needs if it is
+        buffered (whether it is depends on the allocation)."""
+        sizes = self._buffer_sizes.get(capacity)
+        if sizes is None:
+            groups = self._groups
+            sizes = self._buffer_sizes[capacity] = tuple(
+                (index, e.src, e.dst, -(-max(1, e.values_per_instance) // capacity))
+                for index, e in enumerate(self._edges)
+                if e.src in groups and e.dst in groups
+            )
+        return sizes
 
     def tiling(self, max_rows: int = 256, max_cols: int = 256) -> Tiling:
         key = (max_rows, max_cols)

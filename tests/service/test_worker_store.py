@@ -80,6 +80,8 @@ def test_a_store_crosses_the_pool_as_its_root(store):
     copy = pickle.loads(pickle.dumps(store))
     assert copy is not store and copy.root == store.root
     assert copy._indexed == {} and copy._lock is not store._lock
+    # a process has one instance a root: a worker keeps what it indexed
+    assert pickle.loads(pickle.dumps(store)) is copy
     assert [r.run_id for r in copy.list_runs()] == [r.run_id for r in store.list_runs()]
 
 

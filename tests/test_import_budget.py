@@ -112,3 +112,16 @@ with WorkerPool(1) as pool:
     assert pool.submit(held, WANTED).result() == WANTED
 """)
     assert set(wanted) <= modules
+
+
+def test_a_served_request_loads_no_process_executor():
+    """The runtime's workers are owned processes on pipes, so serving a
+    request never loads ``concurrent.futures.process``."""
+    modules = _loaded("""
+from repro.service import ServingRuntime
+
+with ServingRuntime(max_workers=1) as runtime:
+    assert runtime.serve("LeNet").ok
+""")
+    assert "multiprocessing.connection" in modules
+    assert "concurrent.futures.process" not in modules
