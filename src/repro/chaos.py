@@ -3,11 +3,11 @@
 ``run_chaos`` serves a repeated-model batch workload twice through a
 :class:`~repro.service.runtime.ServingRuntime`: once fault-free (the
 reference), once under a deterministic seeded fault plan (worker crashes,
-a hang, transient IO faults and a corrupted shared-cache entry — see
-:mod:`repro.faults`).  The section it returns records availability,
-whether the responses stayed bit-identical (seconds-stripped) to the
-reference, how often a worker died and was replaced, the retry/displacement
-counters, and how often each fault of the plan fired.
+a hang and a transient IO fault — see :mod:`repro.faults`).  The section
+it returns records availability, whether the responses stayed
+bit-identical (seconds-stripped) to the reference, how often a worker
+died and was replaced, the retry/displacement counters, and how often
+each fault of the plan fired.
 
 ``gate`` holds that section to four absolute floors — every request
 served, every response identical to the reference, a worker killed at
@@ -26,16 +26,12 @@ import sys
 import time
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from .core.shared_cache import SHARED_CACHE_ENV
 from .errors import InvalidRequestError
 from .faults import (
     FAULT_PLAN_ENV,
-    KIND_CORRUPT,
     KIND_CRASH,
     KIND_HANG,
     KIND_IO_ERROR,
-    SITE_SHARED_CACHE_GET,
-    SITE_SHARED_CACHE_PUT,
     SITE_WORKER_COMPILE,
     FaultPlan,
     FaultSpec,
@@ -95,24 +91,22 @@ def _chaos_workload(
     return unique_requests, batches
 
 
-def _chaos_plan(seed: int, requests: Sequence[CompileRequest]) -> FaultPlan:
+def _chaos_plan(
+    seed: int, requests: Sequence[CompileRequest], rounds: int
+) -> FaultPlan:
     """The deterministic fault plan of one chaos run.
 
     Victims are drawn from the unique requests by a generator seeded off
     the master seed (same seed -> same plan -> same failures, replayable
     byte for byte): two worker crashes and one transient worker IO fault
-    on distinct requests, one short worker hang on a fourth, plus
-    transient-write, corrupt-write and transient-read faults on the
-    shared stage cache.  Every worker-compile fault matches ``attempt 0``
-    only, so it is self-limiting: the supervised retry of the same
-    request runs clean.
+    on distinct requests, and one short worker hang on a fourth.  Every
+    fault matches ``attempt 0`` only, so it is self-limiting: the
+    supervised retry of the same request runs clean.
 
-    The cache faults are aimed at operations a worker makes: its first
-    shared put fails, its second is corrupted (a spec that fires takes
-    the occurrence, so the corrupt spec counts from the second put on),
-    and its second shared get fails.  A worker of the chaos workload puts
-    one entry per model it synthesizes first, so a later put may never
-    come.
+    A round compiles each victim once at attempt 0 (its copies coalesce),
+    and a spec may fire ``rounds`` times in one process, so each spec
+    fires exactly ``rounds`` times whichever worker the victim lands on:
+    the firings replay, not only the plan.
     """
     rng = random.Random(derive_seed(seed, "chaos-plan"))
     victims = list(requests)
@@ -124,6 +118,7 @@ def _chaos_plan(seed: int, requests: Sequence[CompileRequest]) -> FaultPlan:
             site=SITE_WORKER_COMPILE,
             kind=kind,
             seconds=seconds,
+            times=rounds,
             match={
                 "model": victim.model,
                 "duplication_degree": victim.duplication_degree,
@@ -137,9 +132,6 @@ def _chaos_plan(seed: int, requests: Sequence[CompileRequest]) -> FaultPlan:
             compile_fault(1, KIND_CRASH),
             compile_fault(2, KIND_IO_ERROR),
             compile_fault(3, KIND_HANG, seconds=0.25),
-            FaultSpec(site=SITE_SHARED_CACHE_PUT, kind=KIND_IO_ERROR, at=0),
-            FaultSpec(site=SITE_SHARED_CACHE_PUT, kind=KIND_CORRUPT, at=0),
-            FaultSpec(site=SITE_SHARED_CACHE_GET, kind=KIND_IO_ERROR, at=1),
         ),
         seed=seed,
     )
@@ -165,8 +157,8 @@ def run_chaos(
     supervision and retries, the plan must not cost a single response),
     whether the chaos responses stayed **bit-identical** (seconds-stripped
     summaries) to the reference, pool-health counters (worker deaths,
-    respawns, recovery seconds), retry/displacement counters, the
-    degraded cache writes, and ``fault_firings``: per spec of the plan,
+    respawns, recovery seconds), retry/displacement counters, and
+    ``fault_firings``: per spec of the plan,
     the firings the workers reported with their answers (a crash spec
     fired when a worker died running a job it matches,
     :attr:`JobManager.fault_firings`).
@@ -183,20 +175,15 @@ def run_chaos(
     if rounds < 1:
         raise InvalidRequestError("rounds must be >= 1")
     # insulate from the user environment: an inherited fault plan would
-    # poison the reference run, and a pre-warmed shared cache would
-    # change which injected cache faults ever fire
-    env_saved = {
-        var: os.environ.pop(var, None)
-        for var in (SHARED_CACHE_ENV, FAULT_PLAN_ENV)
-    }
+    # poison the reference run
+    inherited = os.environ.pop(FAULT_PLAN_ENV, None)
     try:
         return _run_chaos(
             models, duplications, copies, rounds, workers, seed, progress
         )
     finally:
-        for var, value in env_saved.items():
-            if value is not None:
-                os.environ[var] = value
+        if inherited is not None:
+            os.environ[FAULT_PLAN_ENV] = inherited
 
 
 def _run_chaos(
@@ -228,7 +215,7 @@ def _run_chaos(
     for response in reference:
         response.raise_for_status()
 
-    plan = _chaos_plan(seed, unique_requests)
+    plan = _chaos_plan(seed, unique_requests, rounds)
     if progress is not None:
         progress(
             f"chaos bench: same workload under {len(plan.faults)} seeded "
@@ -259,9 +246,6 @@ def _run_chaos(
     summaries_identical = all(
         quality(a) == quality(b) for a, b in zip(reference, chaos, strict=True)
     )
-    write_errors = sum(
-        response.timings.write_errors for response in chaos if response.timings
-    )
     health = stats.get("pool_health") or {}
     return {
         "models": list(models),
@@ -287,7 +271,6 @@ def _run_chaos(
         "total_recovery_seconds": float(
             health.get("total_recovery_seconds", 0.0)
         ),
-        "cache_write_errors": write_errors,
         "fault_firings": fired + [0] * (len(plan.faults) - len(fired)),
         "chaos_seconds": chaos_seconds,
     }
@@ -307,8 +290,7 @@ def format_chaos_section(chaos: Mapping[str, Any]) -> str:
         f"{chaos['respawns']} respawn(s), last recovery "
         f"{chaos['last_recovery_seconds'] * 1e3:.1f} ms",
         f"  retries: {chaos['retried']} retried, {chaos['displaced']} "
-        f"displaced, {chaos['deadline_expired']} deadline-expired, "
-        f"{chaos['cache_write_errors']} degraded cache write(s)",
+        f"displaced, {chaos['deadline_expired']} deadline-expired",
         f"  faults fired, per spec of the plan: {chaos.get('fault_firings', [])}",
         f"  responses identical to fault-free reference: "
         f"{'yes' if chaos['summaries_identical'] else 'NO'}",

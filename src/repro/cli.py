@@ -182,14 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
             help="persist every response (and bitstream) to this artifact-store "
             "directory",
         )
-    for name in ("deploy", "sweep"):
-        commands[name].add_argument(
-            "--shared-cache", metavar="DIR", default=None,
-            help="attach a cross-process shared stage-cache tier in this "
-            "directory (defaults to the REPRO_SHARED_CACHE environment "
-            "variable): repeated compiles — across runs, processes and "
-            "workers — reuse each other's synthesis/mapping artifacts",
-        )
+    commands["deploy"].add_argument(
+        "--shared-cache", metavar="DIR", default=None,
+        help="attach a cross-process shared tier of P&R results in this "
+        "directory (defaults to the REPRO_SHARED_CACHE environment "
+        "variable): a --pnr compile of a netlist placed and routed before "
+        "— in another run or process — loads that result instead",
+    )
     for name in ("deploy", "sweep", "serve-batch", "jobs", "runs", "passes",
                  "models", "experiments", "lint"):
         commands[name].add_argument(
@@ -293,7 +292,6 @@ def _client(args: argparse.Namespace) -> FPSAClient:
     if getattr(args, "no_cache", False):
         cache = False
     elif getattr(args, "shared_cache", None):
-        # a multi-process sweep's workers each get a copy with this tier
         tier = _open("shared cache", args.shared_cache, SharedStageCache)
         cache = StageCache(shared=tier)
     else:

@@ -191,9 +191,10 @@ class StageCache:
     ``shared=`` (or assigned to :attr:`shared`) acts as a second,
     cross-process tier: in-memory misses fall through to the shared
     directory, and puts are written through so other processes can hit.
-    An entry ``get``/``put`` are told is not ``shareable`` (a pass whose
-    :attr:`~repro.core.pipeline.CompilePass.shareable` is ``False``) stays
-    in memory and never touches that tier.
+    An entry ``get``/``put`` are told is not ``shareable`` stays in memory
+    and never touches that tier.  A compile passes each pass's
+    :attr:`~repro.core.pipeline.CompilePass.shareable`, which only P&R
+    sets, so the tier holds P&R results only.
     """
 
     def __init__(

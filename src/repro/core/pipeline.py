@@ -340,8 +340,8 @@ class CompilePass:
     Subclasses set ``name``, ``requires`` and ``provides`` and implement
     :meth:`run`.  A pass that can be cached returns a stable
     content-addressed key from :meth:`cache_key`; returning ``None`` (the
-    default) opts out, and ``shareable = False`` keeps its entries in
-    memory only.
+    default) opts out.  Its entries stay in the in-memory tier unless it
+    sets ``shareable = True``.
     """
 
     #: unique pass name (also the registry key and the CLI spelling).
@@ -350,10 +350,12 @@ class CompilePass:
     requires: tuple[str, ...] = ()
     #: artifact names this pass fills in.
     provides: tuple[str, ...] = ()
-    #: whether a cached result also goes to the cross-process shared tier;
-    #: ``False`` for a pass whose entries cost more to store there than
-    #: their readers would save (the in-memory tier still holds them).
-    shareable: bool = True
+    #: whether a cached result also goes to the cross-process shared tier.
+    #: Only a pass whose readers save more than its writer pays opts in:
+    #: P&R (tens of ms to compute, a fraction of a ms to load).  Synthesis,
+    #: partition and mapping compute in about the time a disk round trip
+    #: takes, and their repeats are answered before they reach a worker.
+    shareable: bool = False
 
     def run(self, ctx: CompileContext) -> None:
         raise NotImplementedError

@@ -1,23 +1,24 @@
-"""Cross-process shared stage-cache tier.
+"""Cross-process shared stage-cache tier: a disk tier of P&R results.
 
 A :class:`SharedStageCache` is a disk-backed, content-addressed store of
 pickled pass artifacts, keyed by the exact same cache keys the in-memory
 :class:`~repro.core.cache.StageCache` uses.  It is the second tier of the
-stage cache: worker N's synthesis result, written through to the shared
-directory, serves worker M's lookup even though the two never share an
-address space.  That is what turns a 16-worker sweep of one model from 16
-syntheses into 1.
+stage cache: worker N's placement and routing, written through to the
+shared directory, serves worker M's lookup even though the two never
+share an address space.  The service layer does not remember an answer
+that emitted a bitstream, so a repeated ``run_pnr`` bitstream request
+that lands on another worker, or one in another process, loads its
+routing instead of placing and routing again.
 
 The tier holds an entry only when its readers save more than its writer
-pays.  Synthesis, partition and P&R results are read back by other
-duplications, chip counts and processes.  A mapping's key holds the
-duplication and every mapper knob, so no two points of a sweep share one:
-its entry would be read by nothing but a repeat (which the service layer
-answers before it reaches a worker), while storing it takes about as long
-as mapping again.  :class:`~repro.core.pipeline.CompilePass`
-subclasses say which side they are on with ``shareable``; ``MappingPass``
-keeps its entries in memory (:meth:`~repro.core.cache.StageCache.get` /
-``put`` never reach this tier for them).
+pays, and only P&R does: a routing takes tens of milliseconds to compute
+and a fraction of one to load.  Synthesis, partition and mapping results
+compute in about the time a disk round trip takes, and their repeats are
+answered before they reach a worker, so they stay in each process's
+memory tier.  :class:`~repro.core.pipeline.CompilePass` subclasses opt in
+with ``shareable = True``; only ``PnRPass`` does
+(:meth:`~repro.core.cache.StageCache.get` / ``put`` never reach this tier
+for the others).
 
 Design constraints (all enforced here, not by callers):
 
@@ -42,7 +43,7 @@ asked counts the outcome in its own tally
 
 The tier is opt-in: give one to a :class:`StageCache` as its ``shared=``
 argument, point the ``REPRO_SHARED_CACHE`` environment variable at a
-directory, or pass ``--shared-cache`` on the CLI.  A tier reaches a worker
+directory, or pass ``repro deploy --shared-cache``.  A tier reaches a worker
 process only with the ``StageCache`` it is handed, which carries the tier,
 size bound included (see :meth:`StageCache.__reduce__`).
 """

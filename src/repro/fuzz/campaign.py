@@ -86,8 +86,6 @@ def _groups_of(check: SpecCheck) -> tuple[str, ...]:
         name = finding.config
         if name.startswith("pnr"):
             groups.add("pnr")
-        elif name.startswith("shared"):
-            groups.add("shared")
         elif name.startswith(("chips", "auto")):
             groups.add("chips")
         elif name in ("warm", "repeat"):

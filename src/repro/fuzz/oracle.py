@@ -9,10 +9,9 @@ configuration axis  contract
 ==================  ====================================================
 repeated runs       same seed => bit-identical ``ResultSummary``
 warm cache          cache-hit artifacts == freshly computed ones
-shared cache        pickle round-trip through the cross-process tier is
-                    lossless (cold fill and warm reload both match) for
-                    what it holds: synthesis, partition and P&R results;
-                    a mapping never enters it
+P&R                 same seed => the same routing, and its pickle
+                    round-trip through the cross-process shared tier (the
+                    one stage that tier holds) is lossless
 ``num_chips=1``     the 1-chip partition is the identity (modulo the
                     ``partition`` summary section it adds)
 ``num_chips=auto``  deterministic; succeeds whenever the classic flow
@@ -58,7 +57,7 @@ __all__ = [
 ]
 
 #: configuration-lattice groups ``check_spec`` can run (``subset=``).
-CONFIG_GROUPS = ("repeat", "warm", "shared", "pnr", "chips")
+CONFIG_GROUPS = ("repeat", "warm", "pnr", "chips")
 
 #: execution knobs no lattice point sets, each with its reason; a test
 #: holds every other execution knob of the table to a non-default value
@@ -222,14 +221,12 @@ def check_spec(
     seed: int = 0,
     config: "FPSAConfig | None" = None,
     subset: Sequence[str] | None = None,
-    shared_dir: str | None = None,
 ) -> SpecCheck:
     """Run the full differential lattice over one spec.
 
     ``subset`` restricts the lattice to the named :data:`CONFIG_GROUPS`
     (the shrinker re-checks candidates against only the groups that
-    failed); ``shared_dir`` overrides the temporary directory of the
-    shared-cache tier.
+    failed).
     """
     groups = tuple(subset) if subset is not None else CONFIG_GROUPS
     unknown = sorted(set(groups) - set(CONFIG_GROUPS))
@@ -288,15 +285,18 @@ def check_spec(
         expect_same(base, run("repeat"))
     if "warm" in groups:
         expect_same(base, run("warm", cache=base_cache))
-    if "shared" in groups:
-        if shared_dir is not None:
-            _check_shared(spec, base, run, expect_same, shared_dir)
-        else:
-            with tempfile.TemporaryDirectory(prefix="repro-fuzz-shared-") as tmp:
-                _check_shared(spec, base, run, expect_same, tmp)
     if "pnr" in groups and spec.size_class == "small" and estimate_pes(spec) <= PNR_PE_LIMIT:
-        pnr_base = run("pnr-base", run_pnr=True)
-        expect_same(pnr_base, run("pnr-repeat", run_pnr=True))
+        with tempfile.TemporaryDirectory(prefix="repro-fuzz-shared-") as tmp:
+            pnr_base = run(
+                "pnr-base", run_pnr=True, cache=StageCache(shared=SharedStageCache(tmp))
+            )
+            expect_same(pnr_base, run("pnr-repeat", run_pnr=True))
+            # a fresh memory tier over the same directory: the routing now
+            # comes back through the pickle round-trip of the shared tier
+            expect_same(
+                pnr_base,
+                run("pnr-shared", run_pnr=True, cache=StageCache(shared=SharedStageCache(tmp))),
+            )
     if "chips" in groups:
         chips_a = run("chips1-a", num_chips=1)
         chips_b = run("chips1-b", num_chips=1)
@@ -334,16 +334,6 @@ def check_spec(
             # under capacity, auto resolves to 1 chip: exact identity
             expect_same(chips_a, auto_a, kind="chips")
     return check
-
-
-def _check_shared(spec, base, run, expect_same, directory: str) -> None:
-    shared = SharedStageCache(directory)
-    expect_same(base, run("shared-cold", cache=StageCache(shared=shared)))
-    # a different in-memory tier over the same directory: artifacts now
-    # come back through the pickle round-trip of the shared tier
-    expect_same(
-        base, run("shared-warm", cache=StageCache(shared=SharedStageCache(directory)))
-    )
 
 
 def _diff_sections(

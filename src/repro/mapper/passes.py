@@ -42,10 +42,6 @@ class MappingPass(CompilePass):
     name = "mapping"
     requires = ("coreops",)
     provides = ("mapping",)
-    # only a repeat of the same point could read a mapping back, and the
-    # service layer answers repeats itself: a shared-tier copy would cost
-    # about as long as mapping again (0.5-0.9 ms) and have no reader
-    shareable = False
 
     def run(self, ctx: CompileContext) -> None:
         options = ctx.options

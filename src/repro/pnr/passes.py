@@ -24,6 +24,9 @@ class PnRPass(CompilePass):
     name = "pnr"
     requires = ("mapping",)
     provides = ("pnr",)
+    # the one stage worth sharing across processes: a routing takes tens
+    # of ms, loading it back a fraction of one
+    shareable = True
 
     def run(self, ctx: CompileContext) -> None:
         from .pnr import PlaceAndRoute  # numpy: only a compile that places loads it

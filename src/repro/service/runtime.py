@@ -10,14 +10,16 @@ owns — none of which speed up a single compile, all of which speed up a
   pipeline and the P&R engine from the parent, and stay alive across every
   batch the runtime serves (a worker that dies fails only the job it ran
   and is replaced, :meth:`health` says how often);
-* a **cross-process shared stage cache**
+* a **cross-process shared tier of P&R results**
   (:class:`~repro.core.shared_cache.SharedStageCache`): the runtime hands
   every job one :class:`~repro.core.cache.StageCache` over one disk-backed
-  content-addressed tier, so worker N's synthesis serves worker M's
-  lookup.  The tier holds what other requests read back (synthesis,
-  partition and P&R results); a mapping, which only a repeat could read
-  and the manager answers repeats itself, stays in the worker's memory.
-  The tier reaches a worker only with that cache;
+  content-addressed tier, so worker N's placement and routing serves
+  worker M's lookup.  The tier holds P&R results only: the manager does
+  not remember an answer that emitted a bitstream, so a repeat of a
+  ``run_pnr`` bitstream request compiles again, and loads its routing
+  from the tier.  Every other stage is cheaper to redo than to share and
+  stays in the worker's memory.  The tier reaches a worker only with that
+  cache;
 * **request coalescing** (:class:`~repro.service.jobs.JobManager`):
   identical requests share one compile; the response fans out to every
   waiter, and answers a later repeat without reaching a worker.

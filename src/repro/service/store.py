@@ -167,10 +167,12 @@ class ArtifactStore:
     @staticmethod
     def run_id_for(response: CompileResponse) -> str:
         """Content-addressed run id: hash of the canonical response JSON
-        minus everything run-environment-dependent (wall-clock timings and
-        the stage-cache hit/miss state), so re-serving an identical request
-        with an identical outcome maps to the same run id.  Computed once
-        per response object."""
+        minus the pass timings' seconds and the stage-cache hit/miss
+        counts.  The other cache counters (evictions, shared-tier hits and
+        misses, failed writes) and a P&R summary's stage seconds are still
+        hashed, so the same outcome can be stored under more than one id:
+        after an eviction, a shared-tier lookup or a failed write, and on
+        every P&R compile.  Computed once per response object."""
         return ArtifactStore._address(response)[0]
 
     @staticmethod

@@ -5,9 +5,11 @@ every counter but ``cache_hits``/``cache_misses``) come from the tally
 ``PassManager.run`` keeps.  The expected rows below were recorded from
 the implementation that still kept a second set of books on the cache
 objects; they must not move when the cache's own counting changes.  The
-rows that touch a shared tier were re-recorded when the mapping left that
-tier: a mapping is neither looked up in it nor written to it, so each of
-those compiles makes one shared lookup (two for a 2-chip one) fewer.
+rows over a shared tier were re-recorded twice as stages left that tier:
+first the mapping, then synthesis and partition.  Now only a P&R result
+is looked up in it or written to it, so a compile without P&R makes no
+shared lookup at all, and the ``pnr`` rows pin a shared miss, a shared
+hit and a failed write.
 """
 
 from __future__ import annotations
@@ -30,18 +32,24 @@ from repro.service import ArtifactStore, CompileRequest, serve_request
 #: step -> (cache_hits, cache_misses, evictions, shared_cache_hits,
 #: shared_cache_misses, write_errors, run id)
 EXPECTED = {
-    "cold": (0, 4, 0, 0, 1, 0, "051fb7e03183fad7"),
+    "cold": (0, 4, 0, 0, 0, 0, "8d2ffa0a9d1fde0b"),
     "memory hit": (2, 2, 0, 0, 0, 0, "8d2ffa0a9d1fde0b"),
-    "shared hit in a process copy": (1, 3, 0, 1, 0, 0, "3e6e8cfd1df6d2f6"),
-    # installing a shared-tier hit pushes entries out of a 1-entry memory
-    # tier, but that is not an eviction of the compile; the mapping's own
-    # put, pushing the installed synthesis entry out, is
-    "shared hit at max_entries=1": (1, 3, 1, 1, 0, 0, "6f2cb8c09a4e273c"),
+    # a process copy arrives with empty memory, and without P&R the
+    # tier it carries is never asked: a cold compile again
+    "process copy": (0, 4, 0, 0, 0, 0, "8d2ffa0a9d1fde0b"),
     "eviction at max_entries=1": (0, 4, 1, 0, 0, 0, "f4fe7183a8fc5d57"),
+    "2-chip cold": (0, 8, 0, 0, 0, 0, "5166a4adbceaaa50"),
+    "2-chip process copy": (0, 8, 0, 0, 0, 0, "5166a4adbceaaa50"),
+    # a P&R summary carries the wall-clock seconds of each P&R stage, and
+    # the run id hashes them: a ``pnr`` row pins its counters only
+    "pnr cold": (0, 5, 0, 0, 1, 0, None),
+    "pnr shared hit in a process copy": (1, 4, 0, 1, 0, 0, None),
+    # installing the shared-tier hit pushes the mapping out of a 1-entry
+    # memory tier, but that is not an eviction of the compile; the
+    # mapping's own put, pushing the synthesis entry out, is
+    "pnr shared hit at max_entries=1": (1, 4, 1, 1, 0, 0, None),
     # the plan is the environment's, so the run id is the plan-free request's
-    "failed writes under io_error": (0, 4, 0, 0, 1, 1, "303a3884567543c6"),
-    "2-chip cold": (0, 8, 0, 0, 2, 0, "329688cfbb61e622"),
-    "2-chip shared hit": (2, 6, 0, 2, 0, 0, "1b4e72dff989f680"),
+    "pnr failed write under io_error": (0, 5, 0, 0, 1, 1, None),
 }
 
 
@@ -62,7 +70,7 @@ def _row(request, cache):
         t.shared_cache_hits,
         t.shared_cache_misses,
         t.write_errors,
-        ArtifactStore.run_id_for(response),
+        None if request.run_pnr else ArtifactStore.run_id_for(response),
     )
 
 
@@ -78,18 +86,25 @@ def test_counters_and_run_ids_match_the_recorded_sequence(tmp_path, monkeypatch)
     chips = CompileRequest(model="LeNet", num_chips=2, seed=0)
     chips_cache = StageCache(shared=tier("chips"))
 
+    pnr = CompileRequest(model="MLP-500-100", seed=0, run_pnr=True)
+    pnr_cache = StageCache(shared=tier("pnr"))
+
     observed = {
         "cold": _row(request, cache),
         "memory hit": _row(request, cache),
-        "shared hit in a process copy": _row(request, pickle.loads(pickle.dumps(cache))),
-        "shared hit at max_entries=1": _row(
-            request, StageCache(max_entries=1, shared=tier("shared"))
-        ),
+        "process copy": _row(request, pickle.loads(pickle.dumps(cache))),
         "eviction at max_entries=1": _row(request, StageCache(max_entries=1)),
+        "2-chip cold": _row(chips, chips_cache),
+        "2-chip process copy": _row(chips, pickle.loads(pickle.dumps(chips_cache))),
+        "pnr cold": _row(pnr, pnr_cache),
+        "pnr shared hit in a process copy": _row(
+            pnr, pickle.loads(pickle.dumps(pnr_cache))
+        ),
+        "pnr shared hit at max_entries=1": _row(
+            pnr, StageCache(max_entries=1, shared=tier("pnr"))
+        ),
     }
     monkeypatch.setenv(FAULT_PLAN_ENV, plan)
-    observed["failed writes under io_error"] = _row(request, StageCache(shared=tier("faulty")))
+    observed["pnr failed write under io_error"] = _row(pnr, StageCache(shared=tier("faulty")))
     monkeypatch.delenv(FAULT_PLAN_ENV)
-    observed["2-chip cold"] = _row(chips, chips_cache)
-    observed["2-chip shared hit"] = _row(chips, pickle.loads(pickle.dumps(chips_cache)))
     assert observed == EXPECTED

@@ -27,6 +27,16 @@ class TestParser:
             build_parser().parse_args(["deploy", "LeNet", "--detailed"])
         assert "--detailed" in capsys.readouterr().err
 
+    def test_sweep_has_no_shared_cache_flag(self, tmp_path, capsys):
+        # a sweep runs no P&R, and P&R results are all the tier holds
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "sweep", "MLP-500-100", "--duplication", "1", "2",
+                "--shared-cache", str(tmp_path),
+            ])
+        assert exit_info.value.code == 2
+        assert "--shared-cache" in capsys.readouterr().err
+
     def test_unknown_model_parses(self):
         # unknown models are not an argparse error: they flow through the
         # service layer and come back as a typed unknown_model ErrorPayload
@@ -125,20 +135,20 @@ class TestCommands:
         assert "duplication" in out
         assert "samples/s" in out
 
-    def test_shared_cache_sweep_leaves_the_environment_alone(
+    def test_shared_cache_deploy_leaves_the_environment_alone(
         self, tmp_path, monkeypatch, capsys
     ):
-        # the workers get the tier with the cache itself: the flag must not
+        # the compile gets the tier with the cache itself: the flag must not
         # leak REPRO_SHARED_CACHE into every later compile of this process
         monkeypatch.delenv("REPRO_SHARED_CACHE", raising=False)
         directory = str(tmp_path / "shared")
         assert main([
-            "sweep", "MLP-500-100", "--duplication", "1", "2", "--jobs", "2",
-            "--shared-cache", directory,
+            "deploy", "MLP-500-100", "--pnr", "--shared-cache", directory,
         ]) == 0
         capsys.readouterr()
         assert "REPRO_SHARED_CACHE" not in os.environ
-        assert list(pathlib.Path(directory).rglob("*.pkl"))
+        # the P&R result, and nothing else
+        assert len(list(pathlib.Path(directory).rglob("*.pkl"))) == 1
 
 
 class TestServiceCommands:

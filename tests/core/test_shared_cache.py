@@ -143,10 +143,11 @@ class TestProcessBoundary:
         from repro.service import CompileRequest, JobManager
 
         cache = StageCache(shared=SharedStageCache(str(tmp_path)))
+        request = CompileRequest(model="MLP-500-100", run_pnr=True)
         with JobManager(max_workers=1, cache=cache) as jm:
-            response = jm.result(jm.submit(CompileRequest(model="MLP-500-100")))
+            response = jm.result(jm.submit(request))
         assert response.ok
-        assert len(SharedStageCache(str(tmp_path))) > 0
+        assert _tier_artifacts(SharedStageCache(str(tmp_path))) == [("pnr",)]
         assert len(cache) == 0  # the worker compiled against its copy
 
 
@@ -273,8 +274,9 @@ def _tier_artifacts(tier: SharedStageCache) -> list[tuple[str, ...]]:
 
 
 class TestWhatTheTierHolds:
-    """A cold compile shares only what is cheaper to load than to redo:
-    synthesis, partition and P&R results, never a mapping."""
+    """A cold compile shares only what is much cheaper to load than to
+    redo: its P&R result.  Synthesis, partition and mapping results stay
+    in the memory tier."""
 
     #: the ``serve_mixed`` catalogue: every zoo model at seven duplications.
     CATALOGUE_MODELS = (
@@ -283,23 +285,25 @@ class TestWhatTheTierHolds:
     )
     CATALOGUE_DUPLICATIONS = (1, 2, 4, 8, 16, 32, 64)
 
-    def test_serve_catalogue_leaves_one_coreops_entry_per_model(self, tmp_path):
+    def test_serve_catalogue_leaves_the_tier_empty(self, tmp_path):
         cache = StageCache(shared=SharedStageCache(str(tmp_path)))
         for model in self.CATALOGUE_MODELS:
             for duplication in self.CATALOGUE_DUPLICATIONS:
                 request = CompileRequest(
                     model=model, duplication_degree=duplication, dedup=True
                 )
-                assert serve_request(request, cache=cache).response.ok
-        assert _tier_artifacts(cache.shared) == [("coreops",)] * 7
+                response = serve_request(request, cache=cache).response
+                assert response.ok
+                # no stage of a compile without P&R even asks the tier
+                assert response.timings.shared_cache_misses == 0
+        assert _tier_artifacts(cache.shared) == []
 
-    def test_pnr_and_partition_results_are_shared(self, tmp_path):
+    def test_only_pnr_results_are_shared(self, tmp_path):
         cache = StageCache(shared=SharedStageCache(str(tmp_path)))
         for request in (
             CompileRequest(model="MLP-500-100", run_pnr=True),
-            CompileRequest(model="LeNet", num_chips=2),
+            CompileRequest(model="LeNet", num_chips=2, run_pnr=True),
         ):
             assert serve_request(request, cache=cache).response.ok
-        assert _tier_artifacts(cache.shared) == [
-            ("coreops",), ("coreops",), ("partition",), ("pnr",),
-        ]
+        # one routing for the 1-chip compile, one per shard of the 2-chip one
+        assert _tier_artifacts(cache.shared) == [("pnr",)] * 3

@@ -20,11 +20,11 @@ from repro.core.shared_cache import (
 from repro.service import CompileRequest, FPSAClient, ServingRuntime
 
 
-def _compile_with_stats(model, cache):
+def _compile_with_stats(model, cache, run_pnr=False):
     """Worker: compile through ``cache`` as it arrived in this process (a
     cache new to the process arrives with empty memory), return the
     per-compile cache stats (picklable summary only)."""
-    result = deploy_model(model, cache=cache)
+    result = deploy_model(model, cache=cache, run_pnr=run_pnr)
     stats = result.cache_stats
     return {
         "pid": os.getpid(),
@@ -104,19 +104,20 @@ class TestWorkerPool:
 
 class TestSharedCacheAcrossProcesses:
     def test_hit_from_a_different_process(self, tmp_path):
-        """Worker N's synthesis serves worker M's lookup: two *fresh*
+        """Worker N's P&R result serves worker M's lookup: two *fresh*
         single-worker pools over one shared directory — the second pool's
         worker is a different process and must hit the shared tier."""
         cache = StageCache(shared=SharedStageCache(str(tmp_path)))
         with WorkerPool(max_workers=1) as pool:
-            first = pool.submit(_compile_with_stats, "MLP-500-100", cache).result()
+            first = pool.submit(_compile_with_stats, "MLP-500-100", cache, True).result()
             first_pid = pool.worker_pids()[0]
         with WorkerPool(max_workers=1) as pool:
-            second = pool.submit(_compile_with_stats, "MLP-500-100", cache).result()
+            second = pool.submit(_compile_with_stats, "MLP-500-100", cache, True).result()
             second_pid = pool.worker_pids()[0]
         assert first_pid != second_pid
-        assert first["shared_hits"] == 0  # nothing published yet: cold
-        assert second["shared_hits"] > 0  # served by the first worker's work
+        assert (first["shared_hits"], first["shared_misses"]) == (0, 1)  # cold
+        # the routing is served by the first worker's work
+        assert (second["shared_hits"], second["shared_misses"]) == (1, 0)
         assert second["hits"] >= second["shared_hits"]
         # the shared tier must not change what gets computed
         assert second["throughput"] == first["throughput"]
@@ -149,7 +150,7 @@ class TestSharedCacheAcrossProcesses:
                 CompileRequest(model="CIFAR-VGG17", seed=7, run_pnr=True)
             )
             parted = client.compile(
-                CompileRequest(model="CIFAR-VGG17", seed=7, num_chips=2)
+                CompileRequest(model="CIFAR-VGG17", seed=7, num_chips=2, run_pnr=True)
             )
             return plain, parted
 
@@ -165,12 +166,12 @@ class TestSharedCacheAcrossProcesses:
 
         cold_plain, cold_parted = serve(StageCache())
         # a fresh in-memory cache over the now-populated shared directory:
-        # every cacheable pass is served from disk pickles
+        # every P&R result is served from disk pickles
         shared_dir = str(tmp_path)
         warm_cache = StageCache(shared=SharedStageCache(shared_dir))
         serve(StageCache(shared=SharedStageCache(shared_dir)))  # populate
         warm_plain, warm_parted = serve(warm_cache)
-        assert warm_plain.timings.shared_cache_hits > 0
-        assert warm_parted.timings.shared_cache_hits > 0
+        assert warm_plain.timings.shared_cache_hits == 1
+        assert warm_parted.timings.shared_cache_hits == 2  # one per shard
         assert quality(warm_plain) == quality(cold_plain)
         assert quality(warm_parted) == quality(cold_parted)

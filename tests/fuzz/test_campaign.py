@@ -93,7 +93,7 @@ class TestCampaign:
         for config, expected in (
             ("repeat", ("repeat",)),
             ("pnr-repeat", ("pnr",)),
-            ("shared-warm", ("shared",)),
+            ("pnr-shared", ("pnr",)),
             ("chips1-a", ("chips",)),
             ("auto-b", ("chips",)),
         ):

@@ -3,6 +3,7 @@ honest compiler and everything on a rigged one."""
 
 import pytest
 
+from repro.core.shared_cache import SharedStageCache
 from repro.errors import FPSAError
 from repro.fuzz import check_spec, compile_spec, generate_spec
 from repro.fuzz import oracle as oracle_module
@@ -54,11 +55,27 @@ class TestCheckSpec:
         check = check_spec(generate_spec(0, 0, size_class="small"))
         assert check.ok
         assert check.compiles == len(check.configs)
-        # every group ran: repeat/warm/shared/pnr/chips all present
-        assert {"base", "repeat", "warm", "shared-cold", "shared-warm",
-                "pnr-base", "chips1-a", "auto-a"} <= set(check.configs)
-        assert len(check.configs) == 11
+        # every group ran: repeat/warm/pnr/chips all present
+        assert {"base", "repeat", "warm", "pnr-base", "pnr-shared",
+                "chips1-a", "auto-a"} <= set(check.configs)
+        assert len(check.configs) == 10
         assert not any(c.startswith("dedup") for c in check.configs)
+
+    def test_pnr_shared_row_reads_the_routing_back_from_the_tier(self, monkeypatch):
+        loaded = []
+        real_get = SharedStageCache.get
+
+        def get(tier, key):
+            entry = real_get(tier, key)
+            if entry is not None:
+                loaded.append(sorted(entry))
+            return entry
+
+        monkeypatch.setattr(SharedStageCache, "get", get)
+        check = check_spec(generate_spec(0, 0, size_class="small"), subset=("pnr",))
+        assert check.ok
+        assert check.configs == ["base", "pnr-base", "pnr-repeat", "pnr-shared"]
+        assert loaded == [["pnr"]]
 
     def test_over_capacity_spec_skips_pnr_but_checks_chips(self):
         check = check_spec(generate_spec(0, 0, size_class="over"))
@@ -80,9 +97,7 @@ class TestCheckSpec:
             check_spec(generate_spec(0, 0), subset=("dedup",))
 
     def test_groups_cover_every_config_name(self):
-        assert set(CONFIG_GROUPS) == {
-            "repeat", "warm", "shared", "pnr", "chips",
-        }
+        assert set(CONFIG_GROUPS) == {"repeat", "warm", "pnr", "chips"}
 
 
 class TestInjectedBug:
