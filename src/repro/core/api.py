@@ -64,14 +64,13 @@ class PoolHealth(WireRecord):
 def _warm_worker() -> None:
     """Pay a worker's cold-start imports exactly once.
 
-    Imports the model zoo, every built-in pass module and the P&R engine
-    (numpy), so the first real payload a warm worker receives compiles
-    immediately instead of importing for hundreds of milliseconds.  A pool
+    Imports the model zoo and every built-in pass module, so the first
+    payload a warm worker receives compiles without importing them.  A pool
     runs it in the parent before it forks, so every worker and every
-    replacement inherits the modules.
+    replacement inherits the modules.  The P&R engine (numpy) is not among
+    them: a worker imports it on its first job that places.
     """
     from ..models import zoo as _zoo  # noqa: F401 - import is the warmup
-    from ..pnr import pnr as _pnr  # noqa: F401 - pass modules import it on first run
     from .pipeline import available_passes
 
     available_passes()  # imports every layer's pass module
@@ -155,10 +154,11 @@ class WorkerPool:
     A ``WorkerPool`` is created once and reused: pass it to
     :class:`~repro.service.jobs.JobManager` (``pool=``) or ``submit`` to
     it directly.  Its ``max_workers`` processes are forked when it is
-    built, after the parent imported the zoo, the pass pipeline and the
-    P&R engine, so every worker starts warm.  A job compiles against the
-    stage cache it is handed (its copy in the worker keeps its memory
-    across jobs); the pool itself configures no cache.
+    built, after the parent imported the zoo and the pass pipeline, so
+    every worker starts warm; a worker imports the P&R engine on its first
+    job that places.  A job compiles against the stage cache it is handed
+    (its copy in the worker keeps its memory across jobs); the pool itself
+    configures no cache.
 
     Each worker has one duplex pipe.  :meth:`submit` writes a job straight
     to an idle worker's pipe, or queues it until a worker is free, and

@@ -185,6 +185,8 @@ def compile_shards(
         jobs = min(os.cpu_count() or 1, _MAX_AUTO_JOBS)
     if jobs == 1 or len(payloads) < 2:
         return [_compile_shard(payload) for payload in payloads]
+    if "pnr" in pass_names:  # every shard places: import P&R once, before the fork
+        from ..pnr import pnr as _pnr  # noqa: F401
     with WorkerPool(min(jobs, len(payloads))) as pool:
         futures = [pool.submit(_compile_shard, payload) for payload in payloads]
         return [future.result() for future in futures]

@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 
 from ..arch.params import FPSAConfig, PEParams, PrimePEParams, chip_area_mm2
-from ..mapper.allocation import AllocationResult, allocate, allocate_for_pe_budget
+from ..mapper.allocation import AllocationResult, allocate_for_pe_budget
 from ..mapper.netlist import smbs_per_edge
 from ..synthesizer.coreop import CoreOpGraph
 from .comm import CommContext, ReconfigurableRoutingComm, SharedBusComm

@@ -6,10 +6,11 @@ owns — none of which speed up a single compile, all of which speed up a
 *stream* of them:
 
 * a **persistent warm worker pool** (:class:`~repro.core.api.WorkerPool`):
-  worker processes are spawned once, inherit the model zoo, the pass
-  pipeline and the P&R engine from the parent, and stay alive across every
-  batch the runtime serves (a worker that dies fails only the job it ran
-  and is replaced, :meth:`health` says how often);
+  worker processes are spawned once, inherit the model zoo and the pass
+  pipeline from the parent (P&R loads on a worker's first job that
+  places), and stay alive across every batch the runtime serves (a worker
+  that dies fails only the job it ran and is replaced, :meth:`health` says
+  how often);
 * a **cross-process shared tier of P&R results**
   (:class:`~repro.core.shared_cache.SharedStageCache`): the runtime hands
   every job one :class:`~repro.core.cache.StageCache` over one disk-backed

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.arch.params import PEParams
 from repro.mapper.allocation import (
-    AllocationResult,
     GroupAllocation,
     allocate,
     allocate_for_pe_budget,

@@ -3,7 +3,10 @@
 Every probe runs in a fresh interpreter, since this one has imported
 everything by now.  numpy belongs to P&R (and the device models,
 ``variation/`` and ``experiments/``), ``multiprocessing`` to a worker pool,
-and neither to a compile that stops before placement.
+and neither to a compile that stops before placement.  A worker pool forks
+with the zoo and the pass modules only: a worker imports P&R (and numpy) on
+its first job that places, and a shard pool whose every job places imports
+it before it forks.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import repro
 
@@ -84,39 +89,75 @@ assert result.pnr is not None and result.pnr.routing.legal
 
 
 def test_a_fresh_worker_pool_inherits_the_warm_imports():
-    """The parent imports the pass modules and the P&R engine before it
-    forks, so a worker (or a respawn) starts with them."""
-    wanted = [
-        "repro.pnr.pnr",
-        "repro.pnr.passes",
-        "repro.mapper.passes",
-        "repro.config_gen.passes",
-        "repro.models.zoo",
-        "numpy",
-    ]
-    modules = _loaded(f"""
-import sys
+    """The parent imports the zoo and the pass modules before it forks, so
+    a worker (or a respawn) starts with them; P&R and numpy load in the
+    worker whose job places, which answers as an in-process compile."""
+    modules = _loaded("""
+import hashlib, json, sys
 from repro.core.api import WorkerPool
 
-WANTED = {wanted!r}
+WARM = ["repro.pnr.passes", "repro.mapper.passes", "repro.config_gen.passes", "repro.models.zoo"]
+PNR = ["numpy", "repro.pnr.pnr"]
 
 
 def held(names):
-    import sys
-
     return [name for name in names if name in sys.modules]
 
 
+def answer(model, run_pnr):
+    from repro.fuzz.oracle import strip_seconds
+    from repro.service import CompileRequest, FPSAClient
+
+    request = CompileRequest(model=model, run_pnr=run_pnr)
+    summary = strip_seconds(FPSAClient(cache=False).compile(request).summary.to_dict())
+    digest = hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
+    return digest, held(PNR)
+
+
 with WorkerPool(1) as pool:
-    assert held(WANTED) == WANTED, "the parent warms up before it forks"
-    assert pool.submit(held, WANTED).result() == WANTED
+    assert held(WARM) == WARM and held(PNR) == [], "the parent warms the passes only"
+    assert pool.submit(answer, "LeNet", False).result()[1] == []
+    digest, placed = pool.submit(answer, "MLP-500-100", True).result()
+    assert placed == PNR
+assert held(PNR) == [], "a worker's answer loads no numpy in the parent"
+assert answer("MLP-500-100", True)[0] == digest
 """)
-    assert set(wanted) <= modules
+    assert {"numpy", "repro.pnr.pnr"} <= modules
+
+
+@pytest.mark.parametrize("run_pnr, forked", [(True, ["numpy", "repro.pnr.pnr"]), (False, [])])
+def test_a_shard_pool_forks_with_pnr_only_when_its_shards_place(run_pnr, forked):
+    """Every shard of a P&R compile places, so ``compile_shards`` imports
+    P&R once before it forks rather than in each worker and again when the
+    parent unpickles the shards; a compile that stops before P&R never
+    loads numpy."""
+    modules = _loaded(SET_UP + f"""
+import sys
+from repro.partition import backend
+
+FORKED = []
+spawn = backend.WorkerPool._spawn
+
+
+def spy(pool):
+    FORKED.append(sorted({{"numpy", "repro.pnr.pnr"}} & set(sys.modules)))
+    return spawn(pool)
+
+
+backend.WorkerPool._spawn = spy
+result = FPSACompiler(cache=False).compile(
+    build_model("LeNet"), num_chips=2, shard_jobs=2, run_pnr={run_pnr}
+)
+assert len(result.shard_results) == 2
+assert FORKED == [{forked!r}] * 2, FORKED
+""")
+    assert ("numpy" in modules) == run_pnr
 
 
 def test_a_served_request_loads_no_process_executor():
     """The runtime's workers are owned processes on pipes, so serving a
-    request never loads ``concurrent.futures.process``."""
+    request never loads ``concurrent.futures.process``; nor, since no
+    request placed, numpy."""
     modules = _loaded("""
 from repro.service import ServingRuntime
 
@@ -125,3 +166,4 @@ with ServingRuntime(max_workers=1) as runtime:
 """)
     assert "multiprocessing.connection" in modules
     assert "concurrent.futures.process" not in modules
+    assert "numpy" not in modules
