@@ -195,7 +195,6 @@ def _run_chaos(
     seed: int,
     progress,
 ) -> dict[str, Any]:
-    from .fuzz.oracle import strip_seconds
     from .service import ServingRuntime
 
     unique_requests, batches = _chaos_workload(
@@ -239,8 +238,7 @@ def _run_chaos(
     def quality(response) -> dict[str, Any] | None:
         # a request the plan cost carries no summary; the availability
         # floor reports it, the comparison must not crash on it
-        summary = response.summary
-        return strip_seconds(summary.to_dict() if summary is not None else None)
+        return None if response.summary is None else response.summary.stable_dict()
 
     ok = sum(1 for response in chaos if response.ok)
     summaries_identical = all(

@@ -367,16 +367,13 @@ def _command_deploy(args: argparse.Namespace) -> int:
         )
     served = _client(args).serve(request)
     response = served.response
-    if not response.ok:
-        # --json must emit the same CompileResponse shape as the ok path
-        if args.json:
-            print(response.to_json(indent=2))
-        else:
-            _print_error(response.error)
-        return 1
-    if args.json:
+    if args.json:  # the same CompileResponse shape, ok or not
         print(response.to_json(indent=2))
-    else:
+    elif not response.ok:
+        _print_error(response.error)
+    if not response.ok:
+        return 1
+    if not args.json:
         result = served.result
         print(result.summary())
         if args.explain:

@@ -378,6 +378,11 @@ class PassTiming:
     cached: bool
     provides: tuple[str, ...]
 
+    @property
+    def missed(self) -> bool:
+        """Ran for want of a cache entry (a ``verify:*`` row is no pass)."""
+        return not self.cached and not self.name.startswith("verify:")
+
 
 class PassManager:
     """Run an ordered, dependency-checked list of passes.

@@ -147,16 +147,8 @@ class DeploymentResult:
 
     @property
     def cache_misses(self) -> int:
-        """Passes of this compile that had to run (not served from cache).
-
-        ``verify:*`` rows (interposed IR verifiers, see ``--verify``) are
-        not passes and never consult the cache, so they are excluded.
-        """
-        return sum(
-            1
-            for t in self.timings or ()
-            if not t.cached and not t.name.startswith("verify:")
-        )
+        """Passes of this compile that had to run (``PassTiming.missed``)."""
+        return sum(1 for t in self.timings or () if t.missed)
 
     def timings_table(self) -> str:
         """Fixed-width table of the per-pass wall-clock timings."""

@@ -39,7 +39,7 @@ from ..core.cache import StageCache
 from ..core.compiler import FPSACompiler
 from ..core.shared_cache import SharedStageCache
 from ..errors import FPSAError, VerificationError
-from ..service.schemas import ErrorPayload, ResultSummary
+from ..service.schemas import ErrorPayload, ResultSummary, strip_seconds
 from ..wire import WireRecord
 from .generate import PNR_PE_LIMIT, ModelSpec, build_graph, estimate_pes
 
@@ -67,19 +67,6 @@ _UNFUZZED = {
     "dedup": "accepted no-op; nothing reads it",
     "pnr_jobs": "accepted no-op; nothing reads it",
 }
-
-
-def strip_seconds(summary: Mapping[str, Any] | None) -> dict[str, Any] | None:
-    """A copy of a ``ResultSummary`` dict without wall-clock fields (the
-    P&R section embeds its ``*_seconds`` stage timings)."""
-    if summary is None:
-        return None
-    stripped: dict[str, Any] = {}
-    for section, value in summary.items():
-        if isinstance(value, dict):
-            value = {k: v for k, v in value.items() if not k.endswith("_seconds")}
-        stripped[section] = value
-    return stripped
 
 
 @dataclass(frozen=True)

@@ -85,26 +85,14 @@ def serve_request(
         compiler = _compiler_for(request, config, cache)
         graph = shared_model(request.model)
         result = compiler.compile(graph, **request.compile_kwargs())
-    except PassError as exc:
-        # a bad pass list on the request is the caller's mistake, not a
-        # server fault: surface it as invalid_request, not internal
-        return ServedCompile(
-            response=CompileResponse(
-                request=request,
-                status="error",
-                error=ErrorPayload.from_exception(InvalidRequestError(str(exc))),
-            )
-        )
     except Exception as exc:  # noqa: BLE001 - service boundary: report, don't crash
-        # ErrorPayload.from_exception keeps the typed FPSAError taxonomy and
-        # maps anything unexpected to the ``internal`` code
-        return ServedCompile(
-            response=CompileResponse(
-                request=request,
-                status="error",
-                error=ErrorPayload.from_exception(exc),
-            )
-        )
+        # a bad pass list on the request is the caller's mistake, not a
+        # server fault: invalid_request.  ErrorPayload.from_exception keeps
+        # the typed FPSAError taxonomy and maps anything else to ``internal``
+        if isinstance(exc, PassError):
+            exc = InvalidRequestError(str(exc))
+        error = ErrorPayload.from_exception(exc)
+        return ServedCompile(CompileResponse(request=request, status="error", error=error))
     response = CompileResponse(
         request=request,
         status="ok",
@@ -159,10 +147,8 @@ class FPSAClient:
         """Serve one request; returns the response plus live artifacts."""
         served = serve_request(self._coerce(request, **kwargs), self.config, self.cache)
         if self.store is not None:
-            bitstream = None
-            if served.result is not None and served.result.bitstream is not None:
-                bitstream = served.result.bitstream.to_json()
-            self.store.save(served.response, bitstream_json=bitstream)
+            bitstream = served.result.bitstream if served.result is not None else None
+            self.store.save(served.response, None if bitstream is None else bitstream.to_json())
         return served
 
     def compile(self, request: CompileRequest | str | dict, **kwargs: Any) -> CompileResponse:

@@ -201,14 +201,14 @@ def _execute_job(
     With a ``store`` (a process pool hands the worker its own instance of
     the manager's, which it keeps for its life,
     :meth:`ArtifactStore.__reduce__`) the worker saves the response and
-    the bitstream itself, so neither is re-encoded nor written on the
-    pool's collector thread; without one the bitstream is not serialised
-    at all.  The run id is ``None`` when there is no store
-    or the save failed: a failed save is only a warning on stderr, never an
-    ``OSError`` out of the job, which would read as a retriable fault and
-    compile again.  Retry ``attempt`` (0 = first try) first sleeps its
-    :func:`backoff_delay` here, so the parent keeps no timer; the ordinal
-    reaches the fault site, so a chaos plan can target the first attempt."""
+    the bitstream itself, off the pool's collector thread, and returns the
+    dict the save encoded; without one the bitstream is not serialised at
+    all.  The run id is ``None`` when there is no store or the save failed:
+    a failed save is only a warning on stderr, never an ``OSError`` out of
+    the job, which would read as a retriable fault and compile again.
+    Retry ``attempt`` (0 = first try) first sleeps its :func:`backoff_delay`
+    here, so the parent keeps no timer; the ordinal reaches the fault site,
+    so a chaos plan can target the first attempt."""
     from .. import faults
 
     request = CompileRequest.from_dict(request_dict)
@@ -221,13 +221,14 @@ def _execute_job(
     served = serve_request(request, config=config, cache=cache)
     response = served.response
     bitstream = served.result.bitstream if served.result is not None else None
-    run_id = None
+    data, run_id = response.to_dict(), None
     if store is not None:
         try:
-            run_id = store.save(response, None if bitstream is None else bitstream.to_json())
+            bitstream_json = None if bitstream is None else bitstream.to_json()
+            run_id = store.save(response, bitstream_json, data=data)
         except Exception as exc:  # noqa: BLE001 - persistence must never lose the answer
             print(f"warning: failed to persist a {request.model} run: {exc}", file=sys.stderr)
-    return response.to_dict(), run_id, bitstream is not None
+    return data, run_id, bitstream is not None
 
 
 def _error_response(job: "_Job", exc: BaseException) -> CompileResponse:

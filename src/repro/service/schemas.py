@@ -18,7 +18,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping
 
 from ..core.pipeline import (
     BOOLEAN,
@@ -206,6 +206,8 @@ class PassTimingEntry(WireRecord):
     cached: bool
     provides: tuple[str, ...]
 
+    volatile = ("seconds", "cached")
+
 
 @dataclass(frozen=True)
 class CompileTimings(WireRecord):
@@ -232,6 +234,11 @@ class CompileTimings(WireRecord):
     dedup_misses: int = 0
     write_errors: int = 0
 
+    #: how the compile ran: its seconds and every cache counter
+    volatile = ("total_seconds",
+                "cache_hits", "cache_misses", "evictions",
+                "shared_cache_hits", "shared_cache_misses", "write_errors")
+
     @classmethod
     def from_pass_timings(
         cls,
@@ -249,17 +256,11 @@ class CompileTimings(WireRecord):
             )
             for t in timings
         )
-        # the interposed IR-verifier rows are not passes: they never
-        # consult the cache, so they stay out of the miss counter
         return cls(
             passes=entries,
             total_seconds=sum(t.seconds for t in timings),
             cache_hits=sum(1 for t in timings if t.cached),
-            cache_misses=sum(
-                1
-                for t in timings
-                if not t.cached and not t.name.startswith("verify:")
-            ),
+            cache_misses=sum(1 for t in timings if t.missed),
             evictions=getattr(cache_stats, "evictions", 0),
             shared_cache_hits=getattr(cache_stats, "shared_hits", 0),
             shared_cache_misses=getattr(cache_stats, "shared_misses", 0),
@@ -269,6 +270,17 @@ class CompileTimings(WireRecord):
     def seconds_by_stage(self) -> dict[str, float]:
         """Wall-clock seconds keyed by pass name (wire-safe flat mapping)."""
         return {p.name: p.seconds for p in self.passes}
+
+
+def strip_seconds(summary: Mapping[str, Any] | None) -> dict[str, Any] | None:
+    """A ``ResultSummary`` dict less its wall-clock ``*_seconds`` keys (P&R's)."""
+    if summary is None:
+        return None
+    return {
+        section: {k: v for k, v in value.items() if not k.endswith("_seconds")}
+        if isinstance(value, dict) else value
+        for section, value in summary.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -294,6 +306,10 @@ class ResultSummary(WireRecord):
     #: multi-chip compiles: shard roster, cut size/traffic and per-chip
     #: utilization (see ``PartitionResult.summary_dict``).
     partition: dict[str, Any] | None = None
+
+    def stable_dict(self, data: dict[str, Any] | None = None) -> dict[str, Any]:
+        """A summary's volatile part is its sections' seconds: :func:`strip_seconds`."""
+        return strip_seconds(self.to_dict() if data is None else data)
 
     @classmethod
     def from_result(

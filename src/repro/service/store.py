@@ -11,30 +11,26 @@ hash of the response, with an append-only index for listing past runs::
       runs/<run_id>/response.json  the full wire response
       runs/<run_id>/bitstream.json the chip configuration (when emitted)
 
-Content addressing makes saves idempotent — re-serving an identical request
-with an identical outcome lands on the same run directory — and idempotent
-means *first write wins*.  A run id leaves out a response's
-run-environment-dependent fields (see :meth:`ArtifactStore.run_id_for`), so
-an instance that has written and indexed a run writes nothing when an equal
-response is saved again: ``response.json`` keeps the volatile fields of the
-first save.  Any other save — a new id, another instance or process, a
-bitstream arriving later, a removed run directory — rewrites the run files
-under the guard, and appends an index line if this instance had not
+A run id is the request and its outcome: the content hash of the response
+less its volatile part (``WireRecord.volatile``: pass seconds, cache
+counters, a summary's stage seconds), so one request has one id whatever
+the cache held.  Saves are idempotent, and *the first write wins*: an
+instance that has written and indexed a run writes nothing when an equal
+response is saved again, and ``response.json`` keeps the first save's
+volatile fields.  Any other save — a new id, another instance or process,
+a bitstream arriving later, a removed run directory — rewrites the run
+files under the guard, and appends an index line if this instance had not
 indexed the id or a bitstream arrived.  Readers fold the lines: an id's
 first line gives its ``created_at``, any line may add the bitstream, and a
 line that does not decode (torn by a crash, or still being appended) is
 skipped.  Run files are replaced atomically (temp file + ``os.replace``).
 
-Who writes a run: under a :class:`~repro.service.jobs.JobManager` (and so a
-``ServingRuntime``), the worker that compiled an answer saves it, into its
-own instance of the store, which it keeps for its life (a store crosses a
-process boundary as its root and arrives as that process's one instance
-of it, :meth:`ArtifactStore.__reduce__`); the manager records the returned
-id with :meth:`ArtifactStore.note_saved` and saves only the answers it
-makes itself.  A ``use_cache=False`` repeat compiles again: on the worker
-that saved the run it writes nothing, on another worker it writes its id a
-second time: its ``response.json`` then holds that save's volatile
-fields, and the index one more line for the id.
+Under a :class:`~repro.service.jobs.JobManager` (and so a
+``ServingRuntime``) the worker that compiled an answer saves it, into its
+own instance of the store, kept for its life (a store crosses a process
+boundary as its root, :meth:`ArtifactStore.__reduce__`); the manager
+records the returned id with :meth:`ArtifactStore.note_saved` and saves
+only the answers it makes itself.
 """
 
 from __future__ import annotations
@@ -167,33 +163,19 @@ class ArtifactStore:
     @staticmethod
     def run_id_for(response: CompileResponse) -> str:
         """Content-addressed run id: hash of the canonical response JSON
-        minus the pass timings' seconds and the stage-cache hit/miss
-        counts.  The other cache counters (evictions, shared-tier hits and
-        misses, failed writes) and a P&R summary's stage seconds are still
-        hashed, so the same outcome can be stored under more than one id:
-        after an eviction, a shared-tier lookup or a failed write, and on
-        every P&R compile.  Computed once per response object."""
+        less its volatile part (:meth:`WireRecord.stable_dict`).  Computed
+        once per response object."""
         return ArtifactStore._address(response)[0]
 
     @staticmethod
-    def _address(response: CompileResponse) -> tuple[str, dict[str, Any] | None]:
-        """:meth:`run_id_for`, plus the wire dict if this call built one."""
+    def _address(response: CompileResponse, data: dict | None = None) -> tuple[str, dict | None]:
+        """:meth:`run_id_for`, plus the wire dict (``data``, or the one this
+        call built; ``None`` when the id was memoized and none was given)."""
         run_id = getattr(response, _RUN_ID_MEMO, None)
-        if run_id is not None:
-            return run_id, None
-        data = canonical = response.to_dict()
-        timings = data.get("timings")
-        if timings:
-            volatile = ("total_seconds", "cache_hits", "cache_misses")
-            stripped = {k: v for k, v in timings.items() if k not in volatile}
-            stripped["passes"] = [
-                {k: v for k, v in entry.items() if k not in ("seconds", "cached")}
-                for entry in timings["passes"]
-            ]
-            canonical = {**data, "timings": stripped}
-        text = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
-        run_id = hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
-        object.__setattr__(response, _RUN_ID_MEMO, run_id)
+        if run_id is None:
+            data = response.to_dict() if data is None else data
+            run_id = _digest(response.stable_dict(data))
+            object.__setattr__(response, _RUN_ID_MEMO, run_id)
         return run_id, data
 
     def note_saved(self, response: CompileResponse, run_id: str, has_bitstream: bool) -> None:
@@ -203,10 +185,13 @@ class ArtifactStore:
         object.__setattr__(response, _RUN_ID_MEMO, run_id)
         self._indexed[run_id] = (str(self.runs_root / run_id / "response.json"), has_bitstream)
 
-    def save(self, response: CompileResponse, bitstream_json: str | None = None) -> str:
+    def save(
+        self, response: CompileResponse, bitstream_json: str | None = None, *, data: Any = None
+    ) -> str:
         """Persist one response (and optional bitstream); returns the run id.
-        A run this instance indexed, whose files are there, is not rewritten."""
-        run_id, data = self._address(response)
+        A run this instance indexed, whose files are there, is not rewritten.
+        ``data`` is ``response.to_dict()``, when the caller has it."""
+        run_id, data = self._address(response, data)
         saved, indexed = self._indexed.get(run_id, (None, None))
         if indexed is not None and os.path.exists(saved) and (
             bitstream_json is None
@@ -276,7 +261,7 @@ class ArtifactStore:
         response = CompileResponse.from_json(payload)
         if verification_enabled(verify):
             expected = self.run_id_for(response)
-            if expected != run_id:
+            if expected != run_id and _counted_run_id(response) != run_id:
                 raise VerificationError(
                     f"store: content-address: run {run_id!r} re-hashes to "
                     f"{expected!r}; the stored response was modified after "
@@ -297,6 +282,24 @@ class ArtifactStore:
         """The most recent run (of ``model``, when given), if any."""
         runs = self.list_runs(model=model)
         return runs[0] if runs else None
+
+
+def _digest(data: dict[str, Any]) -> str:
+    text = json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def _counted_run_id(response: CompileResponse) -> str:
+    """The id a run saved before ``WireRecord.volatile`` has: its address
+    hashed the counters that have a default, and a P&R summary's stage
+    seconds, as given.  Verify-only; it goes with the wire-schema bump to
+    version 2 (``SCHEMA_VERSION``), which re-addresses every stored run."""
+    data = response.to_dict()
+    stable = {**response.stable_dict(data), "summary": data["summary"]}
+    timings = stable["timings"]
+    if timings:
+        timings.update({k: data["timings"][k] for k in timings if k != "passes"})
+    return _digest(stable)
 
 
 #: root -> this process's instance of the store there, built on arrival.

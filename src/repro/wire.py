@@ -15,6 +15,12 @@ A deleted field becomes a *retired* key of its record (``retired``, the
 key and the JSON constant it is written as): decoding accepts it with any
 value and drops it, and ``to_dict`` still writes the constant, so stored
 payloads that carry the key keep loading and keep their content address.
+
+A *volatile* field (``volatile``) records how a run went, not what it
+computed: wall-clock seconds, cache counters.  ``stable_dict`` is
+``to_dict`` with each one as the record would hold it had the field not
+been given (its declared default, or left out when it has none), in
+nested records too; an artifact store hashes it for a run's address.
 """
 
 from __future__ import annotations
@@ -48,12 +54,23 @@ class WireRecord:
 
     #: retired keys: each one's JSON constant (see the module docstring)
     retired: Mapping[str, Any] = {}
+    #: volatile fields (see the module docstring)
+    volatile: tuple[str, ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
         data = {name: _plain(getattr(self, name)) for name in _names(type(self))}
         if self.retired:
             data.update(self.retired)
         return data
+
+    def stable_dict(self, data: dict[str, Any] | None = None) -> dict[str, Any]:
+        """``to_dict`` (or ``data``, its result) without its volatile part."""
+        data = self.to_dict() if data is None else data
+        stable = {k: _stable(getattr(self, k, None), v) for k, v in data.items()
+                  if k not in self.volatile}
+        # a dataclass keeps a field's plain default as the class attribute
+        stable.update((k, getattr(type(self), k)) for k in self.volatile if hasattr(type(self), k))
+        return stable
 
     @classmethod
     def from_dict(cls, data: Any, **decoded: Any):
@@ -83,6 +100,15 @@ class WireRecord:
 @functools.lru_cache(maxsize=None)
 def _names(cls: type) -> tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _stable(value: Any, data: Any) -> Any:
+    """``data`` (``value``'s plain form) less the volatile part of its records."""
+    if isinstance(value, WireRecord):
+        return value.stable_dict(data)
+    if isinstance(value, (list, tuple)):
+        return [_stable(item, plain) for item, plain in zip(value, data)]
+    return data
 
 
 def _plain(value: Any) -> Any:

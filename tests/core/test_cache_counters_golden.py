@@ -1,7 +1,6 @@
-"""The per-compile cache counters, pinned over one fixed sequence.
+"""The per-compile cache counters and run ids, pinned over one fixed sequence.
 
-A compile's ``CompileTimings`` counters (and so its run id, which hashes
-every counter but ``cache_hits``/``cache_misses``) come from the tally
+A compile's ``CompileTimings`` counters come from the tally
 ``PassManager.run`` keeps.  The expected rows below were recorded from
 the implementation that still kept a second set of books on the cache
 objects; they must not move when the cache's own counting changes.  The
@@ -10,6 +9,10 @@ first the mapping, then synthesis and partition.  Now only a P&R result
 is looked up in it or written to it, so a compile without P&R makes no
 shared lookup at all, and the ``pnr`` rows pin a shared miss, a shared
 hit and a failed write.
+
+The counters and a P&R summary's stage seconds are volatile
+(``WireRecord.volatile``), so every row of one request has one run id,
+whatever the cache held.
 """
 
 from __future__ import annotations
@@ -37,19 +40,17 @@ EXPECTED = {
     # a process copy arrives with empty memory, and without P&R the
     # tier it carries is never asked: a cold compile again
     "process copy": (0, 4, 0, 0, 0, 0, "8d2ffa0a9d1fde0b"),
-    "eviction at max_entries=1": (0, 4, 1, 0, 0, 0, "f4fe7183a8fc5d57"),
+    "eviction at max_entries=1": (0, 4, 1, 0, 0, 0, "8d2ffa0a9d1fde0b"),
     "2-chip cold": (0, 8, 0, 0, 0, 0, "5166a4adbceaaa50"),
     "2-chip process copy": (0, 8, 0, 0, 0, 0, "5166a4adbceaaa50"),
-    # a P&R summary carries the wall-clock seconds of each P&R stage, and
-    # the run id hashes them: a ``pnr`` row pins its counters only
-    "pnr cold": (0, 5, 0, 0, 1, 0, None),
-    "pnr shared hit in a process copy": (1, 4, 0, 1, 0, 0, None),
+    "pnr cold": (0, 5, 0, 0, 1, 0, "61a5c4f34a2c6f47"),
+    "pnr shared hit in a process copy": (1, 4, 0, 1, 0, 0, "61a5c4f34a2c6f47"),
     # installing the shared-tier hit pushes the mapping out of a 1-entry
     # memory tier, but that is not an eviction of the compile; the
     # mapping's own put, pushing the synthesis entry out, is
-    "pnr shared hit at max_entries=1": (1, 4, 1, 1, 0, 0, None),
+    "pnr shared hit at max_entries=1": (1, 4, 1, 1, 0, 0, "61a5c4f34a2c6f47"),
     # the plan is the environment's, so the run id is the plan-free request's
-    "pnr failed write under io_error": (0, 5, 0, 0, 1, 1, None),
+    "pnr failed write under io_error": (0, 5, 0, 0, 1, 1, "61a5c4f34a2c6f47"),
 }
 
 
@@ -70,7 +71,7 @@ def _row(request, cache):
         t.shared_cache_hits,
         t.shared_cache_misses,
         t.write_errors,
-        None if request.run_pnr else ArtifactStore.run_id_for(response),
+        ArtifactStore.run_id_for(response),
     )
 
 

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.errors import InvalidRequestError
+from repro.core.cache import StageCache
+from repro.errors import InvalidRequestError, VerificationError
 from repro.service import (
     ArtifactStore,
     CompileRequest,
@@ -22,6 +23,13 @@ from repro.service import (
 #: a store written before the index was a log, at commit 18c041f: a
 #: whole-file ``index.json`` and a ``request.json`` beside every response
 LEGACY_STORE = Path(__file__).parent / "legacy_store"
+
+#: runs saved at commit a601d69, when an id still hashed the cache counters
+#: that have a default and a P&R summary's stage seconds: MLP-500-100 with
+#: ``run_pnr`` (cold), and MLP-500-100 d2 seed 0 after an eviction
+#: (``StageCache(max_entries=1)``)
+COUNTED_STORE = Path(__file__).parent / "pre_volatile_store"
+COUNTED_PNR, COUNTED_EVICTION = "0493ae54d0d691f2", "f4fe7183a8fc5d57"
 
 
 @pytest.fixture
@@ -213,6 +221,41 @@ class TestLegacyStore:
         records = {record.run_id: record.to_dict() for record in reopened}
         assert {k: records[k] for k in recorded} == recorded  # first write wins
         assert reopened.load(new, verify=True).request.model == "LeNet"
+
+
+class TestCountedStore:
+    @pytest.fixture
+    def counted(self, tmp_path):
+        root = tmp_path / "store"
+        shutil.copytree(COUNTED_STORE, root)
+        return root
+
+    def test_loads_verified_under_the_address_it_was_saved_at(self, counted):
+        store = ArtifactStore(counted)
+        assert sorted(r.run_id for r in store.list_runs()) == [COUNTED_PNR, COUNTED_EVICTION]
+        for run_id in (COUNTED_PNR, COUNTED_EVICTION):
+            response = store.load(run_id, verify=True)
+            assert ArtifactStore.run_id_for(response) != run_id  # re-addressed today
+        assert store.load(COUNTED_PNR).request.run_pnr
+
+    def test_an_edited_stage_second_still_fails_verification(self, counted):
+        path = counted / "runs" / COUNTED_PNR / "response.json"
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data["summary"]["pnr"]["place_seconds"] += 1.0
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(VerificationError):
+            ArtifactStore(counted).load(COUNTED_PNR, verify=True)
+
+    def test_a_new_save_of_the_eviction_point_lands_on_the_cold_id(self, counted):
+        store = ArtifactStore(counted)
+        point = CompileRequest(model="MLP-500-100", duplication_degree=2, seed=0)
+        evicted = serve_request(point, cache=StageCache(max_entries=1)).response
+        assert evicted.timings.evictions == 1
+        run_id = store.save(evicted)
+        cold = serve_request(point, cache=StageCache()).response
+        assert run_id == ArtifactStore.run_id_for(cold) != COUNTED_EVICTION
+        assert len(ArtifactStore(counted)) == 3
+        assert store.load(run_id, verify=True).request == point
 
 
 class TestClientIntegration:

@@ -4,12 +4,8 @@ A worker process lives across many jobs, so anything a job leaves behind
 in a process global (an installed plan, a cache copy, a memo) could reach
 the next job.  The property below serves pairs of requests in one warm
 one-worker pool and compares each answer with the answer of a fresh pool
-that serves it first.
-
-"Cache on" is a memory-only ``StageCache`` below its bound.  A run id also
-hashes a compile's evictions and shared-tier counters, so with a shared
-tier, or past the bound, the same request is stored under an id that
-depends on what the cache held: that is not a property of the worker.
+that serves it first, with the cache off, a memory-only ``StageCache``,
+one with a shared tier, and one whose bound is below the candidate set.
 """
 
 from __future__ import annotations
@@ -23,6 +19,7 @@ from hypothesis import strategies as st
 from repro import faults
 from repro.core.api import WorkerPool
 from repro.core.cache import StageCache
+from repro.core.shared_cache import SharedStageCache
 from repro.faults import FAULT_PLAN_ENV, SITE_WORKER_COMPILE, FaultPlan, FaultSpec
 from repro.fuzz.oracle import strip_seconds
 from repro.service import ArtifactStore, CompileResponse
@@ -44,6 +41,7 @@ CANDIDATES = (
     {"model": "MLP-500-100", "duplication_degree": 16, "use_cache": False},
     {"model": "LeNet", "num_chips": 2},
     {"model": "LeNet", "passes": ["synthesis", "mapping"]},
+    {"model": "MLP-500-100", "run_pnr": True},  # the one stage the shared tier holds
     {"model": "MLP-500-100", "pe_budget": 1},  # a compile that fails: capacity_error
     {"model": "LeNet", "duplication_degree": 0},  # rejected when decoded
     # a stored request of the time a plan travelled on the wire
@@ -102,19 +100,25 @@ def pools(tmp_path_factory):
             with WorkerPool(1) as pool:
                 return _answer(pool.submit(_execute_job, CANDIDATES[index], None, StageCache()))
 
+        caches = {
+            "off": False,
+            "memory": StageCache(),
+            "shared": StageCache(shared=SharedStageCache(str(tmp_path_factory.mktemp("tier")))),
+            "bounded": StageCache(max_entries=4),  # evicts within a few candidates
+        }
         with WorkerPool(1) as warm:
-            yield warm, ArtifactStore(tmp_path_factory.mktemp("store")), StageCache(), fresh
+            yield warm, ArtifactStore(tmp_path_factory.mktemp("store")), caches, fresh
 
 
 @settings(max_examples=200)
 @given(
     first=st.integers(0, len(CANDIDATES) - 1),
     second=st.integers(0, len(CANDIDATES) - 1),
-    cached=st.booleans(),
+    cache=st.sampled_from(("off", "memory", "shared", "bounded")),
 )
-def test_a_warm_worker_answers_as_a_fresh_one(pools, first, second, cached):
-    warm, store, cache, fresh = pools
-    cache = cache if cached else False
+def test_a_warm_worker_answers_as_a_fresh_one(pools, first, second, cache):
+    warm, store, caches, fresh = pools
+    cache = caches[cache]
     for index in (first, second):
         answer = _answer(warm.submit(_execute_job, CANDIDATES[index], None, cache, store), store)
         assert answer == fresh(index), CANDIDATES[index]

@@ -20,7 +20,14 @@ import pytest
 
 from repro.config_gen.bitstream import FPSABitstream
 from repro.core.cache import StageCache
-from repro.service import ArtifactStore, CompileRequest, JobManager, ServingRuntime, serve_request
+from repro.service import (
+    ArtifactStore,
+    CompileRequest,
+    CompileResponse,
+    JobManager,
+    ServingRuntime,
+    serve_request,
+)
 from repro.service import jobs as jobs_module
 from repro.service import store as store_module
 
@@ -49,26 +56,17 @@ def thread_pool():
         yield pool
 
 
-def _stripped(response_json: dict) -> dict:
-    """A stored response less the fields that differ from run to run."""
-    timings = response_json.get("timings")
-    if not timings:
-        return response_json
-    volatile = ("total_seconds", "cache_hits", "cache_misses")
-    kept = {k: v for k, v in timings.items() if k not in volatile}
-    kept["passes"] = [
-        {k: v for k, v in entry.items() if k not in ("seconds", "cached")}
-        for entry in timings["passes"]
-    ]
-    return {**response_json, "timings": kept}
+def _stable(response_json: dict) -> dict:
+    """A stored response less its volatile part (``WireRecord.volatile``)."""
+    return CompileResponse.from_dict(response_json).stable_dict(response_json)
 
 
 def _runs(store: ArtifactStore) -> dict[str, tuple]:
-    """run id -> (has_bitstream, stripped response.json, bitstream.json)."""
+    """run id -> (has_bitstream, stable response.json, bitstream.json)."""
     return {
         record.run_id: (
             record.has_bitstream,
-            _stripped(json.loads((store.runs_root / record.run_id / "response.json").read_text())),
+            _stable(json.loads((store.runs_root / record.run_id / "response.json").read_text())),
             store.load_bitstream(record.run_id),
         )
         for record in store.list_runs()
@@ -141,6 +139,19 @@ class TestTheBitstreamNeverCrossesThePool:
         assert store.load(ids[1], verify=True).request == follower
 
 
+def test_a_worker_save_encodes_the_response_once(store, monkeypatch):
+    """The dict the save hashed and wrote is the one the worker returns."""
+    encoded = []
+    to_dict = CompileResponse.to_dict
+    monkeypatch.setattr(
+        CompileResponse, "to_dict", lambda self: encoded.append(1) or to_dict(self)
+    )
+    data, run_id, _ = jobs_module._execute_job({"model": "LeNet"}, None, StageCache(), store)
+    assert len(encoded) == 1
+    assert json.loads((store.runs_root / run_id / "response.json").read_text()) == data
+    assert store.load(run_id, verify=True).to_dict() == data
+
+
 def test_a_failed_worker_save_is_only_a_warning(store, thread_pool, monkeypatch, capsys):
     def failing_write(path, text):
         raise OSError("no space left on device")
@@ -180,7 +191,7 @@ def test_the_parent_saves_only_the_answers_it_makes(store, monkeypatch):
 
 
 def test_worker_written_runs_are_the_in_process_saves(tmp_path):
-    """Byte for byte, less the volatile timings: the catalogue, a bitstream
+    """Byte for byte, less their volatile part: the catalogue, a bitstream
     answer and a capacity error, served through worker processes, leave the
     runs that saving the in-process answers leaves."""
     requests = [
