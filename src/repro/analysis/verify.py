@@ -3,9 +3,9 @@
 Every pipeline artifact has a verifier that re-establishes its structural
 invariants from scratch — independently of the constructors that normally
 enforce them, because the artifacts the pipeline consumes do not always
-come from constructors: the shared stage cache and the artifact store
-rehydrate pickled/JSON state, which restores attributes without ever
-running ``__post_init__`` validation.  A corrupt or stale entry therefore
+come from constructors: the artifact store (and any pickle) rehydrates
+state, which restores attributes without ever running ``__post_init__``
+validation.  A corrupt or stale entry therefore
 surfaces here as a pinpointed :class:`~repro.errors.VerificationError`
 (naming the stage, the invariant and the offending ids) instead of as an
 arbitrary crash three passes downstream.

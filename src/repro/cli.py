@@ -182,13 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="persist every response (and bitstream) to this artifact-store "
             "directory",
         )
-    commands["deploy"].add_argument(
-        "--shared-cache", metavar="DIR", default=None,
-        help="attach a cross-process shared tier of P&R results in this "
-        "directory (defaults to the REPRO_SHARED_CACHE environment "
-        "variable): a --pnr compile of a netlist placed and routed before "
-        "— in another run or process — loads that result instead",
-    )
     for name in ("deploy", "sweep", "serve-batch", "jobs", "runs", "passes",
                  "models", "experiments", "lint"):
         commands[name].add_argument(
@@ -267,37 +260,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open(what: str, directory: str, opener):
-    """``opener(directory)``, with an unusable directory surfaced as a
-    typed error (exit code 2 + ErrorPayload) instead of a raw OSError."""
-    try:
-        return opener(directory)
-    except OSError as exc:
-        raise InvalidRequestError(f"cannot open {what} at {directory!r}: {exc}") from exc
-
-
 def _open_store(directory: str) -> ArtifactStore:
+    """The store at ``directory``, with an unusable directory surfaced as a
+    typed error (exit code 2 + ErrorPayload) instead of a raw OSError."""
     from .service.store import ArtifactStore
 
-    return _open("artifact store", directory, ArtifactStore)
+    try:
+        return ArtifactStore(directory)
+    except OSError as exc:
+        raise InvalidRequestError(
+            f"cannot open artifact store at {directory!r}: {exc}"
+        ) from exc
 
 
 def _client(args: argparse.Namespace) -> FPSAClient:
-    from .core.cache import StageCache
-    from .core.shared_cache import SharedStageCache
     from .service.client import FPSAClient
 
     store = _open_store(args.store) if getattr(args, "store", None) else None
-    cache: StageCache | bool | None
-    if getattr(args, "no_cache", False):
-        cache = False
-    elif getattr(args, "shared_cache", None):
-        tier = _open("shared cache", args.shared_cache, SharedStageCache)
-        cache = StageCache(shared=tier)
-    else:
-        # REPRO_SHARED_CACHE already rides the process default cache; an
-        # explicit None keeps that behaviour
-        cache = None
+    # None: the process default cache
+    cache = False if getattr(args, "no_cache", False) else None
     return FPSAClient(cache=cache, store=store)
 
 

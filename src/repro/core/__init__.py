@@ -1,6 +1,7 @@
-"""Public end-to-end API: the FPSA compiler, its pass pipeline, the stage
-cache (in-memory + cross-process shared tiers), the warm worker pool and
-the (batch) deployment helpers."""
+"""Public end-to-end API: the FPSA compiler, its pass pipeline, the
+per-process stage cache, the warm worker pool and the (batch) deployment
+helpers.  The one memory shared across processes is the artifact store
+(:mod:`repro.service.store`)."""
 
 from .. import lazy_exports
 
@@ -23,7 +24,6 @@ __getattr__, __dir__ = lazy_exports(__name__, {
         "resolve_passes",
     ),
     ".result": ("DeploymentResult",),
-    ".shared_cache": ("SharedStageCache", "shared_cache_from_env"),
 })
 
 __all__ = [
@@ -34,8 +34,6 @@ __all__ = [
     "WorkerPool",
     "StageCache",
     "CacheStats",
-    "SharedStageCache",
-    "shared_cache_from_env",
     "default_cache",
     "CompileContext",
     "CompileOptions",

@@ -8,9 +8,8 @@ this process.  Batches of requests go through
 after the parent imported the model zoo and the pass pipeline, each
 owned by the pool through one pipe.  The shards of one compile
 (:mod:`repro.partition.backend`) fan out over a ``WorkerPool`` too.  A
-worker compiles against the stage cache it is handed, and a disk tier
-reaches it only with that cache (:meth:`StageCache.__reduce__`); the pool
-configures no cache.  A worker that dies fails only the job it was
+worker compiles against its copy of the stage cache it is handed
+(:meth:`StageCache.__reduce__`); the pool configures no cache.  A worker that dies fails only the job it was
 running; the pool forks a replacement and counts both in
 :class:`PoolHealth`.
 """
@@ -180,8 +179,7 @@ class WorkerPool:
     max_workers:
         Worker processes; ``None`` picks ``min(cpu_count, 8)``.
     shared_cache_dir:
-        Ignored: kept for callers that still pass it.  A disk tier reaches
-        a worker only with the cache it is handed.
+        Ignored: kept for callers that still pass it.
     """
 
     def __init__(

@@ -340,8 +340,7 @@ class CompilePass:
     Subclasses set ``name``, ``requires`` and ``provides`` and implement
     :meth:`run`.  A pass that can be cached returns a stable
     content-addressed key from :meth:`cache_key`; returning ``None`` (the
-    default) opts out.  Its entries stay in the in-memory tier unless it
-    sets ``shareable = True``.
+    default) opts out.
     """
 
     #: unique pass name (also the registry key and the CLI spelling).
@@ -350,12 +349,6 @@ class CompilePass:
     requires: tuple[str, ...] = ()
     #: artifact names this pass fills in.
     provides: tuple[str, ...] = ()
-    #: whether a cached result also goes to the cross-process shared tier.
-    #: Only a pass whose readers save more than its writer pays opts in:
-    #: P&R (tens of ms to compute, a fraction of a ms to load).  Synthesis,
-    #: partition and mapping compute in about the time a disk round trip
-    #: takes, and their repeats are answered before they reach a worker.
-    shareable: bool = False
 
     def run(self, ctx: CompileContext) -> None:
         raise NotImplementedError
@@ -429,11 +422,10 @@ class PassManager:
     ) -> list[PassTiming]:
         """Execute the passes over ``ctx``; returns the per-pass timings.
 
-        When a cache is consulted, the run's eviction, write-error and
-        shared-tier counters are tallied into
+        When a cache is consulted, the run's evictions are tallied into
         ``ctx.cache_stats``, the compile's own
         :class:`~repro.core.cache.CacheStats` handed to every cache
-        ``get``/``put``: concurrent compiles sharing one cache never mix
+        ``put``: concurrent compiles sharing one cache never mix
         their numbers.
 
         When verification is on (``ctx.options.verify`` or
@@ -478,7 +470,7 @@ class PassManager:
             cached = False
             key = p.cache_key(ctx) if cache is not None else None
             if key is not None:
-                hit = cache.get(key, stats, shareable=p.shareable)
+                hit = cache.get(key)
                 if hit is not None:
                     for artifact, value in hit.items():
                         ctx.set(artifact, value)
@@ -487,7 +479,7 @@ class PassManager:
                 p.run(ctx)
                 if key is not None:
                     artifacts = {a: ctx.get(a) for a in p.provides}
-                    cache.put(key, artifacts, stats, shareable=p.shareable)
+                    cache.put(key, artifacts, stats)
             timings.append(
                 PassTiming(
                     name=p.name,

@@ -69,8 +69,8 @@ class DeploymentResult:
     shard_results: "list[ShardCompileResult] | None" = field(default=None, repr=False)
     timings: list[PassTiming] | None = None
     #: stage-cache counter increments attributable to this compile
-    #: (evictions, write errors and the shared-tier split; hits and misses
-    #: are the timings'); ``None`` when the compile ran without a cache.
+    #: (evictions; hits and misses are the timings'); ``None`` when the
+    #: compile ran without a cache.
     cache_stats: CacheStats | None = None
 
     @property
@@ -169,11 +169,6 @@ class DeploymentResult:
         )
         if self.cache_stats is not None:
             cache_line += f", {self.cache_stats.evictions} eviction(s)"
-            if self.cache_stats.shared_lookups:
-                cache_line += (
-                    f"; shared tier: {self.cache_stats.shared_hits} hit(s), "
-                    f"{self.cache_stats.shared_misses} miss(es)"
-                )
         lines.append(cache_line)
         return "\n".join(lines)
 

@@ -1,51 +1,21 @@
-"""Cross-process shared stage-cache tier: a disk tier of P&R results.
+"""A disk-backed, content-addressed store of pickled pass artifacts.
 
-A :class:`SharedStageCache` is a disk-backed, content-addressed store of
-pickled pass artifacts, keyed by the exact same cache keys the in-memory
-:class:`~repro.core.cache.StageCache` uses.  It is the second tier of the
-stage cache: worker N's placement and routing, written through to the
-shared directory, serves worker M's lookup even though the two never
-share an address space.  The service layer does not remember an answer
-that emitted a bitstream, so a repeated ``run_pnr`` bitstream request
-that lands on another worker, or one in another process, loads its
-routing instead of placing and routing again.
+No compile reads or writes it: the one memory shared across processes is
+the artifact store (:class:`~repro.service.store.ArtifactStore`), from
+which a repeated bitstream request is answered.  :class:`SharedStageCache`
+stays only because the ``serve_mixed`` benchmark's core probe still times
+its ``get``/``put``; it goes with that probe.  No ``src/`` module imports
+it.
 
-The tier holds an entry only when its readers save more than its writer
-pays, and only P&R does: a routing takes tens of milliseconds to compute
-and a fraction of one to load.  Synthesis, partition and mapping results
-compute in about the time a disk round trip takes, and their repeats are
-answered before they reach a worker, so they stay in each process's
-memory tier.  :class:`~repro.core.pipeline.CompilePass` subclasses opt in
-with ``shareable = True``; only ``PnRPass`` does
-(:meth:`~repro.core.cache.StageCache.get` / ``put`` never reach this tier
-for the others).
-
-Design constraints (all enforced here, not by callers):
-
-* **Atomic writes.**  An artifact is pickled to a temporary file in the
-  cache directory and published with ``os.replace``, so concurrent readers
-  either see a complete entry or none at all — never a torn pickle.
-* **Bounded size, LRU eviction.**  ``max_bytes`` caps the directory; when a
-  put pushes past it, the least-recently-used entries (by file mtime, which
-  ``get`` refreshes) are removed until the cache fits again.
-* **Crash/ corruption tolerance.**  An unreadable entry (evicted mid-read,
-  version skew, truncated by a dying process) is treated as a miss and
-  deleted; the compile then simply re-runs the pass.
-* **Verified loads.**  With ``REPRO_VERIFY`` on, every loaded entry runs
-  through the IR verifiers; a failure deletes the entry and raises, so a
-  poisoned pickle surfaces at the boundary, not three passes downstream.
-  The environment variable is the only switch (there is no ``verify=``).
-
-The tier keeps no counters: ``get`` answers with the artifacts or
-``None`` and ``put`` with whether the entry stuck, and the compile that
-asked counts the outcome in its own tally
-(:class:`~repro.core.cache.CacheStats`).
-
-The tier is opt-in: give one to a :class:`StageCache` as its ``shared=``
-argument, point the ``REPRO_SHARED_CACHE`` environment variable at a
-directory, or pass ``repro deploy --shared-cache``.  A tier reaches a worker
-process only with the ``StageCache`` it is handed, which carries the tier,
-size bound included (see :meth:`StageCache.__reduce__`).
+* **Atomic writes.**  An entry is pickled to a temporary file in the
+  directory and published with ``os.replace``, so a reader sees a complete
+  entry or none.
+* **Bounded size, LRU eviction.**  ``max_bytes`` caps the directory; a put
+  that pushes past it removes the least-recently-used entries (by mtime,
+  which ``get`` refreshes).
+* **Damage tolerance.**  An unreadable entry is a miss and is deleted.
+* **Verified loads.**  With ``REPRO_VERIFY`` on, a loaded entry runs
+  through the IR verifiers; a failure deletes it and raises.
 """
 
 from __future__ import annotations
@@ -58,26 +28,8 @@ from typing import Any
 
 from ..analysis.verify import verification_enabled, verify_artifacts
 from ..errors import InvalidRequestError, VerificationError
-from ..faults import (
-    KIND_CORRUPT,
-    SITE_SHARED_CACHE_GET,
-    SITE_SHARED_CACHE_PUT,
-    fire,
-)
 
-__all__ = [
-    "SHARED_CACHE_ENV",
-    "SHARED_CACHE_MAX_BYTES_ENV",
-    "DEFAULT_MAX_BYTES",
-    "SharedStageCache",
-    "shared_cache_from_env",
-]
-
-#: environment variable naming the shared-cache directory (empty = disabled).
-SHARED_CACHE_ENV = "REPRO_SHARED_CACHE"
-
-#: environment variable overriding the size bound in bytes.
-SHARED_CACHE_MAX_BYTES_ENV = "REPRO_SHARED_CACHE_MAX_BYTES"
+__all__ = ["DEFAULT_MAX_BYTES", "SharedStageCache"]
 
 #: default size bound: generous for artifact pickles, small for a disk.
 DEFAULT_MAX_BYTES = 512 * 1024 * 1024
@@ -86,13 +38,8 @@ _SUFFIX = ".pkl"
 
 
 class SharedStageCache:
-    """Disk-backed, content-addressed artifact store shared across processes.
-
-    Values are ``{artifact name: object}`` dicts exactly as the in-memory
-    :class:`~repro.core.cache.StageCache` holds them; keys are the passes'
-    content-addressed cache keys.  Safe for concurrent use by any number of
-    processes on one filesystem.
-    """
+    """Disk-backed, content-addressed ``{artifact name: object}`` entries,
+    safe for concurrent use by any number of processes on one filesystem."""
 
     def __init__(self, directory: str, max_bytes: int = DEFAULT_MAX_BYTES):
         if max_bytes <= 0:
@@ -152,9 +99,6 @@ class SharedStageCache:
         (an unreadable entry is deleted and misses too)."""
         path = self._path(key)
         try:
-            # injected transient read faults degrade exactly like a real
-            # unreadable entry: a miss, entry dropped, pass re-runs
-            fire(SITE_SHARED_CACHE_GET, key=key)
             with open(path, "rb") as handle:
                 artifacts = pickle.load(handle)
         except FileNotFoundError:
@@ -190,8 +134,7 @@ class SharedStageCache:
         """Publish ``artifacts`` under ``key``; returns whether it stuck.
 
         Unpicklable artifacts and failed writes return ``False`` rather
-        than raise: the shared tier is an accelerator, never a correctness
-        dependency.
+        than raise.
         """
         try:
             payload = pickle.dumps(artifacts, protocol=pickle.HIGHEST_PROTOCOL)
@@ -200,12 +143,6 @@ class SharedStageCache:
         path = self._path(key)
         shard_dir = os.path.dirname(path)
         try:
-            # injected write faults: io_error degrades to a failed
-            # put below; a corrupt spec swaps the payload for garbage bytes
-            # so the read side's damage tolerance gets exercised
-            spec = fire(SITE_SHARED_CACHE_PUT, key=key)
-            if spec is not None and spec.kind == KIND_CORRUPT:
-                payload = b"\x00repro-injected-corrupt-entry"
             os.makedirs(shard_dir, exist_ok=True)
             fd, tmp_path = tempfile.mkstemp(
                 dir=shard_dir, prefix=".tmp-", suffix=_SUFFIX
@@ -273,22 +210,3 @@ class SharedStageCache:
             f"max_bytes={self.max_bytes}>"
         )
 
-
-def shared_cache_from_env() -> SharedStageCache | None:
-    """The shared cache named by ``REPRO_SHARED_CACHE``, or ``None``.
-
-    A ``REPRO_SHARED_CACHE_MAX_BYTES`` that is not a positive integer
-    raises an :class:`InvalidRequestError` naming the variable and value.
-    """
-    directory = os.environ.get(SHARED_CACHE_ENV, "").strip()
-    if not directory:
-        return None
-    raw = os.environ.get(SHARED_CACHE_MAX_BYTES_ENV, "").strip()
-    if not raw:
-        return SharedStageCache(directory)
-    if not raw.isdecimal() or int(raw) == 0:
-        raise InvalidRequestError(
-            f"{SHARED_CACHE_MAX_BYTES_ENV}={raw!r} is not a positive integer",
-            details={SHARED_CACHE_MAX_BYTES_ENV: raw},
-        )
-    return SharedStageCache(directory, max_bytes=int(raw))

@@ -176,11 +176,10 @@ class WorkerCrashError(FPSAError):
 
 
 class TransientIOError(FPSAError, OSError):
-    """A transient IO fault (disk full, EPERM, torn read) on a cache tier.
+    """A transient IO fault (disk full, EPERM, torn read).
 
-    Cache and store tiers degrade these to counted misses where they can;
-    when one does escape into a job result it is retriable — the request
-    is well-formed and a later attempt may find the IO healthy again.
+    When one escapes into a job result it is retriable — the request is
+    well-formed and a later attempt may find the IO healthy again.
     """
 
     code = "transient_io"

@@ -23,15 +23,13 @@ Fault kinds
     ``time.sleep(spec.seconds)`` — a stalled worker, for deadline tests.
 ``io_error``
     raises :class:`~repro.errors.TransientIOError` (an ``OSError``), which
-    cache tiers degrade to counted misses and the job layer retries.
+    the job layer retries.
 ``corrupt``
-    :func:`fire` *returns* the spec instead of acting, so the instrumented
-    write path can corrupt its payload (e.g. write garbage bytes instead of
-    a pickle) and exercise the read-side damage tolerance.
+    :func:`fire` *returns* the spec instead of acting, so an instrumented
+    write path can corrupt its own payload.
 
-Sites currently instrumented: ``worker-compile`` (fired with the request's
-``model``/``duplication_degree``/``num_chips`` and the retry ``attempt``)
-and ``shared-cache-get`` / ``shared-cache-put`` (fired with the cache ``key``).
+The one site instrumented is ``worker-compile`` (fired with the request's
+``model``/``duplication_degree``/``num_chips`` and the retry ``attempt``).
 """
 
 from __future__ import annotations
@@ -54,8 +52,6 @@ __all__ = [
     "KIND_IO_ERROR",
     "KIND_CORRUPT",
     "SITE_WORKER_COMPILE",
-    "SITE_SHARED_CACHE_GET",
-    "SITE_SHARED_CACHE_PUT",
     "FaultSpec",
     "FaultPlan",
     "FaultInjector",
@@ -76,8 +72,6 @@ KIND_CORRUPT = "corrupt"
 FAULT_KINDS = (KIND_CRASH, KIND_HANG, KIND_IO_ERROR, KIND_CORRUPT)
 
 SITE_WORKER_COMPILE = "worker-compile"
-SITE_SHARED_CACHE_GET = "shared-cache-get"
-SITE_SHARED_CACHE_PUT = "shared-cache-put"
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,7 @@ configuration axis  contract
 ==================  ====================================================
 repeated runs       same seed => bit-identical ``ResultSummary``
 warm cache          cache-hit artifacts == freshly computed ones
-P&R                 same seed => the same routing, and its pickle
-                    round-trip through the cross-process shared tier (the
-                    one stage that tier holds) is lossless
+P&R                 same seed => the same routing
 ``num_chips=1``     the 1-chip partition is the identity (modulo the
                     ``partition`` summary section it adds)
 ``num_chips=auto``  deterministic; succeeds whenever the classic flow
@@ -30,14 +28,12 @@ its twin is as much a finding as a diverging summary.
 
 from __future__ import annotations
 
-import tempfile
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 from ..analysis.verify import verify_artifacts
 from ..core.cache import StageCache
 from ..core.compiler import FPSACompiler
-from ..core.shared_cache import SharedStageCache
 from ..errors import FPSAError, VerificationError
 from ..service.schemas import ErrorPayload, ResultSummary, strip_seconds
 from ..wire import WireRecord
@@ -273,17 +269,7 @@ def check_spec(
     if "warm" in groups:
         expect_same(base, run("warm", cache=base_cache))
     if "pnr" in groups and spec.size_class == "small" and estimate_pes(spec) <= PNR_PE_LIMIT:
-        with tempfile.TemporaryDirectory(prefix="repro-fuzz-shared-") as tmp:
-            pnr_base = run(
-                "pnr-base", run_pnr=True, cache=StageCache(shared=SharedStageCache(tmp))
-            )
-            expect_same(pnr_base, run("pnr-repeat", run_pnr=True))
-            # a fresh memory tier over the same directory: the routing now
-            # comes back through the pickle round-trip of the shared tier
-            expect_same(
-                pnr_base,
-                run("pnr-shared", run_pnr=True, cache=StageCache(shared=SharedStageCache(tmp))),
-            )
+        expect_same(run("pnr-base", run_pnr=True), run("pnr-repeat", run_pnr=True))
     if "chips" in groups:
         chips_a = run("chips1-a", num_chips=1)
         chips_b = run("chips1-b", num_chips=1)

@@ -6,8 +6,8 @@ optionally ``pnr`` / ``bitstream``) as an independent
 compile: each shard gets its own :class:`~repro.core.pipeline.PassManager`
 with the ``coreops`` artifact preloaded, hits the stage cache with its own
 content-addressed keys, and — for ``shard_jobs > 1`` — compiles in a worker
-process of a :class:`~repro.core.api.WorkerPool` opened for the one compile.
-A disk tier reaches those workers only with the stage cache they are handed.
+process of a :class:`~repro.core.api.WorkerPool` opened for the one compile,
+against its own copy of the stage cache it is handed.
 
 Every shard is allocated against the *whole model's* pipeline pace
 (``target_iterations`` / ``replication`` recorded on the plan), so the

@@ -13,13 +13,14 @@ the experiment harnesses, and any future HTTP/queue service:
   deterministic-backoff retries, per-job deadlines that are compared
   rather than timed, and admission control.
 * :mod:`~repro.service.runtime` — the :class:`ServingRuntime`: persistent
-  warm worker pool + cross-process shared stage cache + coalescing, the
-  high-throughput front door for serving traffic.  Its
+  warm worker pool + coalescing, the high-throughput front door for
+  serving traffic.  Its
   :class:`~repro.core.api.WorkerPool` replaces a worker that dies, failing
   only the job it ran, and counts that in :class:`PoolHealth` (re-exported
   here).
 * :mod:`~repro.service.store` — the content-addressed :class:`ArtifactStore`
-  for durable, comparable run results.
+  for durable, comparable run results: the one memory shared across
+  processes, from which a repeated bitstream request is answered.
 
 The typed error hierarchy the service maps to structured payloads lives in
 :mod:`repro.errors` (re-exported here for convenience).

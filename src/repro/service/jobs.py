@@ -278,6 +278,8 @@ class _Job:
     followers: "list[_Job] | tuple" = ()
     #: the compile's answer repeats share (``response`` may be a deadline error).
     compiled: CompileResponse | None = None
+    #: the run the store keeps ``compiled``'s bitstream under, if it emitted one.
+    bitstream_of: str | None = None
     #: retries resubmitted so far.
     attempts = 0
 
@@ -311,11 +313,14 @@ class JobManager:
         A worker saves the answer it compiled (and its bitstream) into its
         own instance of the store; the manager saves only the answers it
         makes itself: a follower's copy under other ``tags``, a repeat's,
-        and crash, cancel and deadline errors.  A worker keeps its
-        instance for its life, so a ``use_cache=False`` repeat that lands
-        on the worker that saved the run writes nothing; on another worker
-        it writes the run again: its ``response.json`` then holds that
-        save's volatile timings, and the index one more line for the id.
+        and crash, cancel and deadline errors.  Such a copy of an answer
+        that emitted a bitstream takes the bitstream from the worker's run,
+        so a repeated bitstream request is a lookup, not a compile.  A
+        worker keeps its instance for its life, so a ``use_cache=False``
+        repeat that lands on the worker that saved the run writes nothing;
+        on another worker it writes the run again: its ``response.json``
+        then holds that save's volatile timings, and the index one more
+        line for the id.
     pool:
         A persistent :class:`~repro.core.api.WorkerPool` (or any
         ``Executor``) the manager runs jobs on but does not own or shut
@@ -455,7 +460,7 @@ class JobManager:
         for job in jobs:
             try:
                 if job.response is not stored:
-                    self._persist(job, bitstream_of if job.response.ok else None)
+                    self._persist(job, bitstream_of)
             finally:
                 job.finished.set()
 
@@ -513,7 +518,9 @@ class JobManager:
                 self.stats.coalesced += 1
         if primary is not None:
             if job.finished is _ALREADY_SET:
-                self._persist(job)
+                # the same answer is the run its worker saved, bitstream and all
+                same = job.response is primary.compiled
+                self._persist(job, None if same else primary.bitstream_of)
             return job
         try:
             self._submit_attempt(job)
@@ -587,9 +594,11 @@ class JobManager:
         """End a primary's compile: move it by ``event``, answer every follower
         still waiting and remember an answer repeats may share, in one lock
         hold, so no identical request falls in between and compiles again.
-        ``stored`` is the worker's answer, which the worker saved; an answer
-        that ``emitted`` a bitstream is not remembered, and ``bitstream_of``
-        is the run the store keeps that bitstream under."""
+        ``stored`` is the worker's answer, which the worker saved;
+        ``bitstream_of`` is the run the store keeps the bitstream of an
+        answer that ``emitted`` one under, and a repeat copies it from
+        there.  With a store, an emitted answer whose save failed is not
+        remembered: its repeat would save a run without its bitstream."""
         with self._lock:
             now = self._clock()
             woken = [job] if self._move(job, event, now, response) else []
@@ -601,9 +610,10 @@ class JobManager:
             if self._shared.get(fingerprint) is job:
                 del self._shared[fingerprint]
                 # an error may not repeat; use_cache=False asks for a fresh
-                # compile; a bitstream is not on the response to hand out
-                if response.ok and job.request.use_cache and not emitted:
-                    job.compiled = response
+                # compile; an emitted bitstream is only in the store
+                lost = emitted and bitstream_of is None and self.store is not None
+                if response.ok and job.request.use_cache and not lost:
+                    job.compiled, job.bitstream_of = response, bitstream_of
                     self._shared[fingerprint] = job
                     # the bound counts concluded entries: every compiling
                     # job is an entry (coalescing is on) and takes a slot
@@ -674,11 +684,13 @@ class JobManager:
         self._wake([job])
 
     def _persist(self, job: _Job, bitstream_of: str | None = None) -> None:
-        """Save an answer the manager made itself (and the bitstream the
-        store keeps under run ``bitstream_of``), if there is a store."""
+        """Save an answer the manager made itself (and, when it is ``ok``,
+        the bitstream the store keeps under run ``bitstream_of``), if there
+        is a store."""
         try:
             if self.store is not None:
-                bitstream = bitstream_of and self.store.load_bitstream(bitstream_of)
+                copied = bitstream_of is not None and job.response.ok
+                bitstream = self.store.load_bitstream(bitstream_of) if copied else None
                 self.store.save(job.response, bitstream_json=bitstream)
         except Exception as exc:  # noqa: BLE001 - persistence must never lose the job
             print(f"warning: failed to persist job {job.job_id}: {exc}", file=sys.stderr)

@@ -11,19 +11,18 @@ owns — none of which speed up a single compile, all of which speed up a
   places), and stay alive across every batch the runtime serves (a worker
   that dies fails only the job it ran and is replaced, :meth:`health` says
   how often);
-* a **cross-process shared tier of P&R results**
-  (:class:`~repro.core.shared_cache.SharedStageCache`): the runtime hands
-  every job one :class:`~repro.core.cache.StageCache` over one disk-backed
-  content-addressed tier, so worker N's placement and routing serves
-  worker M's lookup.  The tier holds P&R results only: the manager does
-  not remember an answer that emitted a bitstream, so a repeat of a
-  ``run_pnr`` bitstream request compiles again, and loads its routing
-  from the tier.  Every other stage is cheaper to redo than to share and
-  stays in the worker's memory.  The tier reaches a worker only with that
-  cache;
+* a **per-runtime stage cache**: every job gets one private
+  :class:`~repro.core.cache.StageCache`, which each worker holds as its
+  own in-memory copy;
 * **request coalescing** (:class:`~repro.service.jobs.JobManager`):
   identical requests share one compile; the response fans out to every
   waiter, and answers a later repeat without reaching a worker.
+
+The one memory shared across processes is the artifact store: with a
+``store``, the worker that compiled an answer saves it (and its
+bitstream), and a repeat of a bitstream request is answered from that run
+without a second compile (ARCHITECTURE.md "Cross-process memory is the
+store").
 
 Typical use::
 
@@ -32,22 +31,18 @@ Typical use::
         responses = runtime.serve_batch(requests)      # batch 2: warm
         print(runtime.stats())
 
-The runtime owns its pool and its shared-cache directory (a temporary
-directory unless one is given), and tears both down on ``close()`` /
-context exit, or when its construction fails.  The ``serve_mixed``
-workload of ``benchmarks/stack/`` measures exactly this runtime.
+The runtime owns its pool and shuts it down on ``close()`` / context
+exit.  The ``serve_mixed`` workload of ``benchmarks/stack/`` measures
+exactly this runtime.
 """
 
 from __future__ import annotations
 
-import shutil
-import tempfile
 from dataclasses import asdict
 from typing import TYPE_CHECKING, Any, Iterable
 
 from ..arch.params import FPSAConfig
 from ..core.cache import StageCache
-from ..core.shared_cache import SharedStageCache, shared_cache_from_env
 from .jobs import JobManager
 from .schemas import CompileRequest, CompileResponse
 
@@ -58,7 +53,7 @@ __all__ = ["ServingRuntime"]
 
 
 class ServingRuntime:
-    """Warm-pool, shared-cache, coalescing front door for compile traffic.
+    """Warm-pool, coalescing front door for compile traffic.
 
     Parameters
     ----------
@@ -68,10 +63,8 @@ class ServingRuntime:
     config:
         Hardware configuration served to every request.
     shared_cache_dir:
-        Directory of the cross-process shared stage cache.  ``None`` uses
-        the tier ``REPRO_SHARED_CACHE`` (and its size bound) names when
-        set, else a private temporary directory (removed on ``close``);
-        ``False`` disables the shared tier.
+        Ignored: kept for callers that still pass it.  The artifact store
+        is the one cross-process memory.
     coalesce:
         Deduplicate identical requests, in flight or concluded (default on).
     store:
@@ -97,27 +90,14 @@ class ServingRuntime:
         max_queue_depth: int | None = None,
     ):
         self.config = config
-        self._owned_dir: str | None = None
-        if shared_cache_dir is None:
-            tier = shared_cache_from_env()
-            if tier is None:
-                self._owned_dir = tempfile.mkdtemp(prefix="repro-shared-cache-")
-                tier = SharedStageCache(self._owned_dir)
-        else:
-            tier = SharedStageCache(shared_cache_dir) if shared_cache_dir else None
-        self.shared_cache_dir = tier.directory if tier is not None else None
-        try:
-            self.manager = JobManager(
-                max_workers=max_workers,
-                config=config,
-                cache=StageCache(shared=tier),
-                store=store,
-                coalesce=coalesce,
-                max_queue_depth=max_queue_depth,
-            )
-        except BaseException:
-            self._remove_owned_dir()
-            raise
+        self.manager = JobManager(
+            max_workers=max_workers,
+            config=config,
+            cache=StageCache(),
+            store=store,
+            coalesce=coalesce,
+            max_queue_depth=max_queue_depth,
+        )
         #: the warm worker pool the manager owns.
         self.pool = self.manager.pool
         self._closed = False
@@ -158,13 +138,11 @@ class ServingRuntime:
     # ------------------------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        """Serving counters: jobs, coalescing, fault handling, pool and
-        shared-cache state."""
+        """Serving counters: jobs, coalescing, fault handling and pool state."""
         return {
             **asdict(self.manager.stats),
             "pool_health": self.health(),
             "worker_pids": self.pool.worker_pids(),
-            "shared_cache_dir": self.shared_cache_dir,
         }
 
     def health(self) -> dict[str, Any]:
@@ -177,16 +155,11 @@ class ServingRuntime:
     # ------------------------------------------------------------------
 
     def close(self, wait: bool = True) -> None:
-        """Shut the pool down and remove an owned shared-cache directory."""
+        """Shut the pool down."""
         if self._closed:
             return
         self._closed = True
         self.manager.shutdown(wait=wait)
-        self._remove_owned_dir()
-
-    def _remove_owned_dir(self) -> None:
-        if self._owned_dir is not None:
-            shutil.rmtree(self._owned_dir, ignore_errors=True)
 
     def __enter__(self) -> "ServingRuntime":
         return self

@@ -214,12 +214,8 @@ class CompileTimings(WireRecord):
     """Per-pass wall-clock timings plus the stage-cache counters.
 
     ``cache_hits``/``cache_misses`` count passes served from (or missed
-    by) the stage cache; ``evictions`` counts in-memory LRU entries this
-    compile pushed out, and ``shared_cache_hits``/``shared_cache_misses``
-    count the cross-process shared-tier lookups (zero when no shared tier
-    is attached).  ``write_errors`` counts cache writes that degraded to
-    a counted miss instead of propagating an ``OSError`` into the compile
-    (disk full, permissions, injected faults).
+    by) the stage cache; ``evictions`` counts LRU entries this compile
+    pushed out.
     """
 
     passes: tuple[PassTimingEntry, ...]
@@ -227,9 +223,11 @@ class CompileTimings(WireRecord):
     cache_hits: int
     cache_misses: int
     evictions: int = 0
+    #: always 0 from a new compile, as are ``dedup_*`` and ``write_errors``:
+    #: older runs carry them and benchmark readers still read them, so they
+    #: stay until the next wire-schema version.
     shared_cache_hits: int = 0
     shared_cache_misses: int = 0
-    #: always 0 from a new compile; kept until the next wire-schema version.
     dedup_hits: int = 0
     dedup_misses: int = 0
     write_errors: int = 0
@@ -262,9 +260,6 @@ class CompileTimings(WireRecord):
             cache_hits=sum(1 for t in timings if t.cached),
             cache_misses=sum(1 for t in timings if t.missed),
             evictions=getattr(cache_stats, "evictions", 0),
-            shared_cache_hits=getattr(cache_stats, "shared_hits", 0),
-            shared_cache_misses=getattr(cache_stats, "shared_misses", 0),
-            write_errors=getattr(cache_stats, "write_errors", 0),
         )
 
     def seconds_by_stage(self) -> dict[str, float]:

@@ -4,11 +4,10 @@ A compile's ``CompileTimings`` counters come from the tally
 ``PassManager.run`` keeps.  The expected rows below were recorded from
 the implementation that still kept a second set of books on the cache
 objects; they must not move when the cache's own counting changes.  The
-rows over a shared tier were re-recorded twice as stages left that tier:
-first the mapping, then synthesis and partition.  Now only a P&R result
-is looked up in it or written to it, so a compile without P&R makes no
-shared lookup at all, and the ``pnr`` rows pin a shared miss, a shared
-hit and a failed write.
+stage cache is per-process memory now, so the ``shared_cache_*`` and
+``write_errors`` columns are 0 on every row: they are wire fields older
+runs still carry.  The ``pnr`` rows were re-recorded when the disk tier
+left the compile path: a process copy of a cache is a cold compile again.
 
 The counters and a P&R summary's stage seconds are volatile
 (``WireRecord.volatile``), so every row of one request has one run id,
@@ -22,14 +21,7 @@ import pickle
 import pytest
 
 from repro.core.cache import StageCache
-from repro.core.shared_cache import SharedStageCache
-from repro.faults import (
-    FAULT_PLAN_ENV,
-    SITE_SHARED_CACHE_PUT,
-    FaultPlan,
-    FaultSpec,
-    active_injector,
-)
+from repro.faults import FAULT_PLAN_ENV, active_injector
 from repro.service import ArtifactStore, CompileRequest, serve_request
 
 #: step -> (cache_hits, cache_misses, evictions, shared_cache_hits,
@@ -37,20 +29,15 @@ from repro.service import ArtifactStore, CompileRequest, serve_request
 EXPECTED = {
     "cold": (0, 4, 0, 0, 0, 0, "8d2ffa0a9d1fde0b"),
     "memory hit": (2, 2, 0, 0, 0, 0, "8d2ffa0a9d1fde0b"),
-    # a process copy arrives with empty memory, and without P&R the
-    # tier it carries is never asked: a cold compile again
+    # a process copy arrives with empty memory: a cold compile again
     "process copy": (0, 4, 0, 0, 0, 0, "8d2ffa0a9d1fde0b"),
     "eviction at max_entries=1": (0, 4, 1, 0, 0, 0, "8d2ffa0a9d1fde0b"),
     "2-chip cold": (0, 8, 0, 0, 0, 0, "5166a4adbceaaa50"),
     "2-chip process copy": (0, 8, 0, 0, 0, 0, "5166a4adbceaaa50"),
-    "pnr cold": (0, 5, 0, 0, 1, 0, "61a5c4f34a2c6f47"),
-    "pnr shared hit in a process copy": (1, 4, 0, 1, 0, 0, "61a5c4f34a2c6f47"),
-    # installing the shared-tier hit pushes the mapping out of a 1-entry
-    # memory tier, but that is not an eviction of the compile; the
-    # mapping's own put, pushing the synthesis entry out, is
-    "pnr shared hit at max_entries=1": (1, 4, 1, 1, 0, 0, "61a5c4f34a2c6f47"),
-    # the plan is the environment's, so the run id is the plan-free request's
-    "pnr failed write under io_error": (0, 5, 0, 0, 1, 1, "61a5c4f34a2c6f47"),
+    "pnr cold": (0, 5, 0, 0, 0, 0, "61a5c4f34a2c6f47"),
+    "pnr memory hit": (3, 2, 0, 0, 0, 0, "61a5c4f34a2c6f47"),
+    "pnr process copy": (0, 5, 0, 0, 0, 0, "61a5c4f34a2c6f47"),
+    "pnr at max_entries=1": (0, 5, 2, 0, 0, 0, "61a5c4f34a2c6f47"),
 }
 
 
@@ -75,20 +62,13 @@ def _row(request, cache):
     )
 
 
-def test_counters_and_run_ids_match_the_recorded_sequence(tmp_path, monkeypatch):
-    def tier(name):
-        return SharedStageCache(str(tmp_path / name))
-
+def test_counters_and_run_ids_match_the_recorded_sequence():
     request = CompileRequest(model="MLP-500-100", duplication_degree=2, seed=0)
-    cache = StageCache(shared=tier("shared"))
-    plan = FaultPlan(
-        faults=(FaultSpec(site=SITE_SHARED_CACHE_PUT, kind="io_error", times=5),)
-    ).to_json()
+    cache = StageCache()
     chips = CompileRequest(model="LeNet", num_chips=2, seed=0)
-    chips_cache = StageCache(shared=tier("chips"))
-
+    chips_cache = StageCache()
     pnr = CompileRequest(model="MLP-500-100", seed=0, run_pnr=True)
-    pnr_cache = StageCache(shared=tier("pnr"))
+    pnr_cache = StageCache()
 
     observed = {
         "cold": _row(request, cache),
@@ -98,14 +78,8 @@ def test_counters_and_run_ids_match_the_recorded_sequence(tmp_path, monkeypatch)
         "2-chip cold": _row(chips, chips_cache),
         "2-chip process copy": _row(chips, pickle.loads(pickle.dumps(chips_cache))),
         "pnr cold": _row(pnr, pnr_cache),
-        "pnr shared hit in a process copy": _row(
-            pnr, pickle.loads(pickle.dumps(pnr_cache))
-        ),
-        "pnr shared hit at max_entries=1": _row(
-            pnr, StageCache(max_entries=1, shared=tier("pnr"))
-        ),
+        "pnr memory hit": _row(pnr, pnr_cache),
+        "pnr process copy": _row(pnr, pickle.loads(pickle.dumps(pnr_cache))),
+        "pnr at max_entries=1": _row(pnr, StageCache(max_entries=1)),
     }
-    monkeypatch.setenv(FAULT_PLAN_ENV, plan)
-    observed["pnr failed write under io_error"] = _row(pnr, StageCache(shared=tier("faulty")))
-    monkeypatch.delenv(FAULT_PLAN_ENV)
     assert observed == EXPECTED

@@ -11,13 +11,7 @@ import repro.chaos as chaos_module
 from repro.chaos import _chaos_plan, format_chaos_section, gate, run_chaos
 from repro.cli import main
 from repro.errors import InvalidRequestError
-from repro.faults import (
-    KIND_CORRUPT,
-    KIND_CRASH,
-    KIND_HANG,
-    SITE_SHARED_CACHE_PUT,
-    SITE_WORKER_COMPILE,
-)
+from repro.faults import KIND_CRASH, KIND_HANG, SITE_WORKER_COMPILE
 from repro.service import CompileRequest
 
 
@@ -79,12 +73,12 @@ class TestChaosRegressions:
     def test_a_fault_that_never_fired_is_flagged(self):
         plan = {"seed": 0, "faults": [
             {"site": SITE_WORKER_COMPILE, "kind": KIND_CRASH},
-            {"site": SITE_SHARED_CACHE_PUT, "kind": KIND_CORRUPT, "at": 2},
+            {"site": SITE_WORKER_COMPILE, "kind": KIND_HANG, "at": 2},
         ]}
         assert gate(_chaos_section(fault_plan=plan, fault_firings=[2, 1])) == []
         findings = gate(_chaos_section(fault_plan=plan, fault_firings=[2, 0]))
         assert findings == [
-            "fault 1 of the plan (corrupt at shared-cache-put, at=2) never fired "
+            "fault 1 of the plan (hang at worker-compile, at=2) never fired "
             "— the run did not exercise it"
         ]
         # a section that reports no firings proves none

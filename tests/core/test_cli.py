@@ -1,8 +1,6 @@
 """Tests of the command-line interface."""
 
 import json
-import os
-import pathlib
 
 import pytest
 
@@ -27,13 +25,11 @@ class TestParser:
             build_parser().parse_args(["deploy", "LeNet", "--detailed"])
         assert "--detailed" in capsys.readouterr().err
 
-    def test_sweep_has_no_shared_cache_flag(self, tmp_path, capsys):
-        # a sweep runs no P&R, and P&R results are all the tier holds
+    @pytest.mark.parametrize("command", ["deploy", "sweep"])
+    def test_no_command_has_a_shared_cache_flag(self, tmp_path, capsys, command):
+        # the artifact store is the one cross-process memory
         with pytest.raises(SystemExit) as exit_info:
-            main([
-                "sweep", "MLP-500-100", "--duplication", "1", "2",
-                "--shared-cache", str(tmp_path),
-            ])
+            main([command, "MLP-500-100", "--shared-cache", str(tmp_path)])
         assert exit_info.value.code == 2
         assert "--shared-cache" in capsys.readouterr().err
 
@@ -134,22 +130,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "duplication" in out
         assert "samples/s" in out
-
-    def test_shared_cache_deploy_leaves_the_environment_alone(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        # the compile gets the tier with the cache itself: the flag must not
-        # leak REPRO_SHARED_CACHE into every later compile of this process
-        monkeypatch.delenv("REPRO_SHARED_CACHE", raising=False)
-        directory = str(tmp_path / "shared")
-        assert main([
-            "deploy", "MLP-500-100", "--pnr", "--shared-cache", directory,
-        ]) == 0
-        capsys.readouterr()
-        assert "REPRO_SHARED_CACHE" not in os.environ
-        # the P&R result, and nothing else
-        assert len(list(pathlib.Path(directory).rglob("*.pkl"))) == 1
-
 
 class TestServiceCommands:
     def test_deploy_json_output(self, capsys):

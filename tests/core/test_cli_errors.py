@@ -51,15 +51,6 @@ class TestBadDirectories:
         assert code == 2
         assert "[invalid_request]" in capsys.readouterr().err
 
-    def test_deploy_bad_shared_cache_dir(self, capsys, tmp_path):
-        blocker = tmp_path / "file"
-        blocker.write_text("not a directory")
-        code = main(["deploy", "LeNet", "--shared-cache", str(blocker / "sub")])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "[invalid_request]" in err
-        assert "cannot open shared cache" in err
-
     def test_runs_bad_store_dir(self, capsys, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
@@ -128,7 +119,10 @@ class TestMalformedWireData:
         assert response["error"]["details"] == {"match": "[1]"}
 
 
-class TestBadEnvironment:
+class TestRetiredEnvironment:
+    """``REPRO_SHARED_CACHE`` and its size bound named a disk tier no
+    compile has any more: a leftover setting changes nothing."""
+
     def _repro(self, tmp_path, *args):
         src = os.path.dirname(os.path.dirname(repro.__file__))
         env = dict(
@@ -142,17 +136,15 @@ class TestBadEnvironment:
             env=env, capture_output=True, text=True, timeout=120,
         )
 
-    def test_malformed_max_bytes_does_not_break_import(self, tmp_path):
+    def test_a_leftover_setting_does_not_break_import(self, tmp_path):
         done = self._repro(tmp_path, "models")
         assert done.returncode == 0, done.stderr
         assert "LeNet" in done.stdout
 
-    def test_malformed_max_bytes_is_a_typed_compile_error(self, tmp_path):
-        done = self._repro(tmp_path, "deploy", "LeNet")
-        assert done.returncode == 1
-        assert "Traceback" not in done.stderr
-        assert "[invalid_request]" in done.stderr
-        assert "REPRO_SHARED_CACHE_MAX_BYTES='abc'" in done.stderr
+    def test_a_leftover_setting_is_ignored_by_a_compile(self, tmp_path):
+        done = self._repro(tmp_path, "deploy", "MLP-500-100", "--pnr")
+        assert done.returncode == 0, done.stderr
+        assert not (tmp_path / "shared").exists()
 
 
 class TestFuzzCommand:

@@ -10,8 +10,6 @@ from repro.errors import InvalidRequestError, TransientIOError
 from repro.faults import (
     FAULT_PLAN_ENV,
     KIND_CORRUPT,
-    SITE_SHARED_CACHE_GET,
-    SITE_SHARED_CACHE_PUT,
     SITE_WORKER_COMPILE,
     FaultInjector,
     FaultPlan,
@@ -115,9 +113,9 @@ class TestInjector:
         assert injector.fired() == 1
 
     def test_corrupt_spec_is_returned_to_the_caller(self):
-        spec = FaultSpec(site=SITE_SHARED_CACHE_PUT, kind=KIND_CORRUPT)
+        spec = FaultSpec(site="s", kind=KIND_CORRUPT)
         injector = FaultInjector(FaultPlan(faults=(spec,)))
-        assert injector.fire(SITE_SHARED_CACHE_PUT, key="k") is spec
+        assert injector.fire("s", key="k") is spec
 
     def test_hang_sleeps_and_returns_none(self):
         spec = FaultSpec(site="s", kind="hang", seconds=0.0)
@@ -170,67 +168,3 @@ class TestActivation:
     def test_unreadable_plan_file_is_a_typed_error(self):
         with pytest.raises(InvalidRequestError):
             FaultPlan.from_env_value(os.path.join("no", "such", "plan.json"))
-
-
-class TestCacheDegradation:
-    """Injected (and real) IO faults on the cache write/read paths must
-    degrade to counted misses, never fail the compile."""
-
-    def test_shared_cache_put_io_error_degrades(self, tmp_path, monkeypatch):
-        from repro.core.shared_cache import SharedStageCache
-
-        use_plan(monkeypatch, FaultSpec(site=SITE_SHARED_CACHE_PUT, kind="io_error"))
-        cache = SharedStageCache(str(tmp_path / "shared"))
-        assert cache.put("a" * 16, {"x": 1}) is False  # injected failure
-        assert "a" * 16 not in cache
-        assert cache.put("a" * 16, {"x": 1}) is True  # spec exhausted
-        assert cache.get("a" * 16) == {"x": 1}
-
-    def test_shared_cache_get_io_error_is_a_counted_miss(self, tmp_path, monkeypatch):
-        from repro.core.shared_cache import SharedStageCache
-
-        cache = SharedStageCache(str(tmp_path / "shared"))
-        assert cache.put("b" * 16, {"x": 2}) is True
-        use_plan(monkeypatch, FaultSpec(site=SITE_SHARED_CACHE_GET, kind="io_error"))
-        assert cache.get("b" * 16) is None
-        # the faulted entry was dropped; the next lookup is a clean miss
-        assert "b" * 16 not in cache
-        monkeypatch.delenv(FAULT_PLAN_ENV)
-        assert cache.get("b" * 16) is None
-
-    def test_corrupt_put_is_tolerated_by_the_read_side(self, tmp_path, monkeypatch):
-        from repro.core.shared_cache import SharedStageCache
-
-        use_plan(monkeypatch, FaultSpec(site=SITE_SHARED_CACHE_PUT, kind=KIND_CORRUPT))
-        cache = SharedStageCache(str(tmp_path / "shared"))
-        assert cache.put("c" * 16, {"x": 3}) is True  # garbage published
-        monkeypatch.delenv(FAULT_PLAN_ENV)
-        assert cache.get("c" * 16) is None  # unreadable -> dropped
-        assert "c" * 16 not in cache
-
-    def test_stage_cache_counts_failed_shared_writes(self, tmp_path, monkeypatch):
-        from repro.core.cache import CacheStats, StageCache
-        from repro.core.shared_cache import SharedStageCache
-
-        use_plan(monkeypatch, FaultSpec(site=SITE_SHARED_CACHE_PUT, kind="io_error", times=5))
-        cache = StageCache(shared=SharedStageCache(str(tmp_path / "shared")))
-        stats = CacheStats()
-        cache.put("d" * 16, {"x": 4}, stats)
-        assert stats == CacheStats(write_errors=1)
-        # the in-memory tier still holds the artifacts
-        assert cache.get("d" * 16) == {"x": 4}
-
-    def test_readonly_directory_degrades_like_an_injected_fault(self, tmp_path):
-        from repro.core.shared_cache import SharedStageCache
-
-        directory = tmp_path / "shared"
-        cache = SharedStageCache(str(directory))
-        os.chmod(directory, 0o500)
-        try:
-            if os.access(str(directory), os.W_OK):
-                pytest.skip("running as a user the mode bits cannot stop")
-            assert cache.put("e" * 16, {"x": 5}) is False
-            assert len(cache) == 0
-        finally:
-            os.chmod(directory, 0o700)
-

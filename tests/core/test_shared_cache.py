@@ -1,4 +1,5 @@
-"""Tests of the cross-process shared stage-cache tier."""
+"""Tests of the per-process stage cache, and of the disk cache that only
+the benchmark's core probe still times (no compile reaches it)."""
 
 import os
 import pickle
@@ -6,14 +7,7 @@ import pickle
 import pytest
 
 from repro.core.cache import CacheStats, StageCache, default_cache
-from repro.core.shared_cache import (
-    SHARED_CACHE_ENV,
-    SHARED_CACHE_MAX_BYTES_ENV,
-    SharedStageCache,
-    shared_cache_from_env,
-)
-from repro.errors import InvalidRequestError
-from repro.service import CompileRequest, serve_request
+from repro.core.shared_cache import SharedStageCache
 
 
 class TestSharedStageCache:
@@ -87,27 +81,28 @@ class TestSharedStageCache:
         assert len(cache) == 0
         assert cache.get("d" * 64) is None
 
+    def test_a_failed_put_returns_false(self, tmp_path):
+        cache = SharedStageCache(str(tmp_path / "shared"))
+        key = "a" * 16
+        (tmp_path / "shared" / key[:2]).write_text("a file where the shard directory goes")
+        assert cache.put(key, {"x": 1}) is False
+        assert key not in cache
+
+    def test_readonly_directory_degrades_to_a_failed_put(self, tmp_path):
+        directory = tmp_path / "shared"
+        cache = SharedStageCache(str(directory))
+        os.chmod(directory, 0o500)
+        try:
+            if os.access(str(directory), os.W_OK):
+                pytest.skip("running as a user the mode bits cannot stop")
+            assert cache.put("e" * 16, {"x": 5}) is False
+            assert len(cache) == 0
+        finally:
+            os.chmod(directory, 0o700)
+
     def test_max_bytes_validated(self, tmp_path):
         with pytest.raises(ValueError):
             SharedStageCache(str(tmp_path), max_bytes=0)
-
-    def test_from_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(SHARED_CACHE_ENV, raising=False)
-        assert shared_cache_from_env() is None
-        monkeypatch.setenv(SHARED_CACHE_ENV, str(tmp_path))
-        monkeypatch.setenv(SHARED_CACHE_MAX_BYTES_ENV, "12345")
-        cache = shared_cache_from_env()
-        assert cache is not None
-        assert cache.directory == str(tmp_path)
-        assert cache.max_bytes == 12345
-
-    @pytest.mark.parametrize("raw", ["0", "lots"])
-    def test_bad_max_bytes_from_env_is_named(self, tmp_path, monkeypatch, raw):
-        monkeypatch.setenv(SHARED_CACHE_ENV, str(tmp_path))
-        monkeypatch.setenv(SHARED_CACHE_MAX_BYTES_ENV, raw)
-        with pytest.raises(InvalidRequestError) as err:
-            shared_cache_from_env()
-        assert f"{SHARED_CACHE_MAX_BYTES_ENV}={raw!r}" in str(err.value)
 
 
 class TestProcessBoundary:
@@ -116,56 +111,58 @@ class TestProcessBoundary:
     def test_default_cache_arrives_as_the_default_cache(self):
         assert pickle.loads(pickle.dumps(default_cache())) is default_cache()
 
-    def test_private_cache_arrives_as_an_empty_copy_over_its_tier(self, tmp_path):
-        cache = StageCache(
-            max_entries=7, shared=SharedStageCache(str(tmp_path), max_bytes=12345)
-        )
+    def test_private_cache_arrives_as_an_empty_copy(self):
+        cache = StageCache(max_entries=7)
         cache.put("k", {"a": 1})
         copy = pickle.loads(pickle.dumps(cache))
         assert copy is not cache
         assert copy.max_entries == 7
         assert len(copy) == 0
-        assert copy.shared.directory == cache.shared.directory
-        assert copy.shared.max_bytes == 12345
-        # the memory stayed behind; the disk tier came along
-        tally = CacheStats()
-        assert copy.get("k", tally) == {"a": 1}
-        assert tally == CacheStats(shared_hits=1)
+        assert copy.get("k") is None  # the memory stayed behind
 
     def test_repeat_unpickles_return_one_copy(self):
         cache = StageCache()
         first = pickle.loads(pickle.dumps(cache))
         assert pickle.loads(pickle.dumps(cache)) is first
         assert pickle.loads(pickle.dumps(first)) is first
-        assert first.shared is None
 
-    def test_process_job_manager_writes_the_private_caches_tier(self, tmp_path):
+    def test_a_forked_child_starts_with_no_copies(self):
+        from repro.core import cache as cache_module
+
+        copy = pickle.loads(pickle.dumps(StageCache()))
+        assert copy._token in cache_module._COPIES
+        pid = os.fork()
+        if pid == 0:  # the child: exit 0 only if it inherited no copies
+            os._exit(0 if not cache_module._COPIES else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert copy._token in cache_module._COPIES  # the parent keeps its own
+
+    def test_process_job_manager_leaves_the_private_cache_empty(self):
         from repro.service import CompileRequest, JobManager
 
-        cache = StageCache(shared=SharedStageCache(str(tmp_path)))
+        cache = StageCache()
         request = CompileRequest(model="MLP-500-100", run_pnr=True)
         with JobManager(max_workers=1, cache=cache) as jm:
             response = jm.result(jm.submit(request))
         assert response.ok
-        assert _tier_artifacts(SharedStageCache(str(tmp_path))) == [("pnr",)]
         assert len(cache) == 0  # the worker compiled against its copy
 
 
-class TestTwoTierStageCache:
-    def test_memory_miss_falls_through_to_shared(self, tmp_path):
-        shared = SharedStageCache(str(tmp_path))
-        first = StageCache(shared=shared)
-        first.put("k1", {"coreops": "artifact"})
-        # a different in-memory cache over the same shared directory: the
-        # in-memory miss is served by the shared tier
-        second = StageCache(shared=SharedStageCache(str(tmp_path)))
-        assert second.get("k1") == {"coreops": "artifact"}
-        # and the entry was promoted into the in-memory tier
-        assert len(second) == 1
-        second.shared = None
-        assert second.get("k1") == {"coreops": "artifact"}
+class TestCacheStats:
+    def test_merge_accumulates_evictions(self):
+        total = CacheStats(evictions=1)
+        assert total.merge(CacheStats(evictions=2)) is total
+        assert total == CacheStats(evictions=3)
 
-    def test_no_shared_tier_behaves_as_before(self):
+    def test_merge_of_none_is_a_no_op(self):
+        total = CacheStats(evictions=4)
+        assert total.merge(None) is total
+        assert total == CacheStats(evictions=4)
+
+
+class TestStageCache:
+    def test_get_and_put(self):
         cache = StageCache()
         assert cache.get("absent") is None
         cache.put("k", {"a": 1})
@@ -181,36 +178,6 @@ class TestTwoTierStageCache:
         assert len(cache) == 2
         assert cache.get("k0") is None and cache.get("k4") == {"v": 4}
 
-    def test_installing_a_shared_hit_is_not_an_eviction(self, tmp_path):
-        writer = StageCache(shared=SharedStageCache(str(tmp_path)))
-        writer.put("k1", {"a": 1})
-        writer.put("k2", {"b": 2})
-        reader = StageCache(max_entries=1, shared=SharedStageCache(str(tmp_path)))
-        tally = CacheStats()
-        assert reader.get("k1", tally) == {"a": 1}
-        assert reader.get("k2", tally) == {"b": 2}  # pushes k1 out of memory
-        assert len(reader) == 1
-        assert tally == CacheStats(shared_hits=2)
-
-    @pytest.mark.parametrize(
-        "tiered, key, artifacts, expected",
-        [
-            (False, "k", {"a": 1}, CacheStats()),
-            (False, "absent", None, CacheStats()),
-            (True, "k2", {"b": 2}, CacheStats(shared_hits=1)),
-            (True, "absent", None, CacheStats(shared_misses=1)),
-        ],
-        ids=["memory-hit", "miss", "shared-hit", "shared-miss"],
-    )
-    def test_lookup_reports_tier(self, tmp_path, tiered, key, artifacts, expected):
-        """The four outcomes of ``get(key, tally)``, as the tally counts them."""
-        StageCache(shared=SharedStageCache(str(tmp_path))).put("k2", {"b": 2})
-        cache = StageCache(shared=SharedStageCache(str(tmp_path)) if tiered else None)
-        cache.put("k", {"a": 1})
-        tally = CacheStats()
-        assert cache.get(key, tally) == artifacts
-        assert tally == expected
-
     def test_per_compile_stats_do_not_leak_across_concurrent_compiles(self):
         """The per-compile counters are tallied by the run itself, so a
         concurrent compile hammering the same cache can't inflate them."""
@@ -222,12 +189,11 @@ class TestTwoTierStageCache:
         cache = StageCache()
         compiler = FPSACompiler(cache=cache)
         stop = threading.Event()
-        hammered = CacheStats()
         lookups = []
 
         def hammer():
             while not stop.is_set():
-                cache.get("unrelated-key", hammered)  # another compile's misses
+                cache.get("unrelated-key")  # another compile's misses
                 lookups.append(1)
 
         thread = threading.Thread(target=hammer)
@@ -243,67 +209,75 @@ class TestTwoTierStageCache:
         assert result.cache_stats == CacheStats()
         assert lookups
 
-    def test_contains_checks_both_tiers(self, tmp_path):
-        shared = SharedStageCache(str(tmp_path))
-        StageCache(shared=shared).put("k", {"a": 1})
-        fresh = StageCache(shared=SharedStageCache(str(tmp_path)))
-        assert "k" in fresh
-        assert "absent" not in fresh
+    def test_get_refreshes_lru_position(self):
+        cache = StageCache(max_entries=2)
+        cache.put("a", {"v": 1})
+        cache.put("b", {"v": 2})
+        assert cache.get("a") == {"v": 1}  # `a` is now the most recent
+        cache.put("c", {"v": 3})
+        assert "b" not in cache
+        assert cache.get("a") == {"v": 1} and cache.get("c") == {"v": 3}
 
-    def test_unshareable_entry_stays_in_memory(self, tmp_path):
-        cache = StageCache(shared=SharedStageCache(str(tmp_path)))
-        tally = CacheStats()
-        cache.put("k", {"mapping": 1}, tally, shareable=False)
-        assert cache.get("k", tally, shareable=False) == {"mapping": 1}
-        assert len(cache.shared) == 0
-        fresh = StageCache(shared=SharedStageCache(str(tmp_path)))
-        assert fresh.get("k", tally, shareable=False) is None
-        # neither tier-less lookup nor put reached the shared tier's books
-        assert tally == CacheStats()
+    def test_timings_table_reports_the_memory_cache_only(self):
+        from repro.core.compiler import FPSACompiler
+        from repro.models.zoo import build_model
+
+        compiler = FPSACompiler(cache=StageCache())
+        compiler.compile(build_model("MLP-500-100"))
+        warm = compiler.compile(build_model("MLP-500-100"))
+        assert warm.timings_table().splitlines()[-1] == (
+            "stage cache: 2 hit(s), 2 miss(es), 0 eviction(s)"
+        )
+
+    def test_max_entries_validated(self):
+        with pytest.raises(ValueError):
+            StageCache(max_entries=0)
+
+    def test_contains(self):
+        cache = StageCache()
+        cache.put("k", {"a": 1})
+        assert "k" in cache
+        assert "absent" not in cache
 
 
-def _tier_artifacts(tier: SharedStageCache) -> list[tuple[str, ...]]:
-    """The artifact names of every entry in ``tier``, one tuple each."""
-    names = []
-    for root, _, files in os.walk(tier.directory):
-        for name in files:
-            if name.endswith(".pkl"):
-                with open(os.path.join(root, name), "rb") as handle:
-                    names.append(tuple(sorted(pickle.load(handle))))
-    return sorted(names)
+def test_no_src_module_imports_the_disk_cache():
+    """The artifact store is the one cross-process memory: no module of the
+    package reaches for the disk cache only the benchmark still times."""
+    import ast
+    import pathlib
+
+    import repro
+
+    root = pathlib.Path(repro.__file__).parent
+    importers = []
+    for path in root.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""]
+                names += [alias.name for alias in node.names]
+                if any(name.split(".")[-1] == "shared_cache" for name in names):
+                    importers.append(str(path.relative_to(root)))
+    assert importers == []
 
 
-class TestWhatTheTierHolds:
-    """A cold compile shares only what is much cheaper to load than to
-    redo: its P&R result.  Synthesis, partition and mapping results stay
-    in the memory tier."""
+def test_no_src_module_names_the_retired_tier():
+    """The tier's wiring left every compile path: no module of the package
+    names its option, environment variables, counters or fault sites."""
+    import pathlib
+    import re
 
-    #: the ``serve_mixed`` catalogue: every zoo model at seven duplications.
-    CATALOGUE_MODELS = (
-        "MLP-500-100", "LeNet", "CIFAR-VGG17", "AlexNet", "VGG16",
-        "GoogLeNet", "ResNet152",
+    import repro
+
+    retired = re.compile(
+        r"\b(shareable|shared_cache_from_env|REPRO_SHARED_CACHE|"
+        r"REPRO_SHARED_CACHE_MAX_BYTES|shared_hits|shared_misses|"
+        r"SITE_SHARED_CACHE_GET|SITE_SHARED_CACHE_PUT)\b"
     )
-    CATALOGUE_DUPLICATIONS = (1, 2, 4, 8, 16, 32, 64)
-
-    def test_serve_catalogue_leaves_the_tier_empty(self, tmp_path):
-        cache = StageCache(shared=SharedStageCache(str(tmp_path)))
-        for model in self.CATALOGUE_MODELS:
-            for duplication in self.CATALOGUE_DUPLICATIONS:
-                request = CompileRequest(
-                    model=model, duplication_degree=duplication, dedup=True
-                )
-                response = serve_request(request, cache=cache).response
-                assert response.ok
-                # no stage of a compile without P&R even asks the tier
-                assert response.timings.shared_cache_misses == 0
-        assert _tier_artifacts(cache.shared) == []
-
-    def test_only_pnr_results_are_shared(self, tmp_path):
-        cache = StageCache(shared=SharedStageCache(str(tmp_path)))
-        for request in (
-            CompileRequest(model="MLP-500-100", run_pnr=True),
-            CompileRequest(model="LeNet", num_chips=2, run_pnr=True),
-        ):
-            assert serve_request(request, cache=cache).response.ok
-        # one routing for the 1-chip compile, one per shard of the 2-chip one
-        assert _tier_artifacts(cache.shared) == [("pnr",)] * 3
+    root = pathlib.Path(repro.__file__).parent
+    hits = [
+        f"{path.relative_to(root)}:{number}"
+        for path in root.rglob("*.py")
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if retired.search(line)
+    ]
+    assert hits == []

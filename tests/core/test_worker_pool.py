@@ -1,4 +1,4 @@
-"""Tests of the persistent warm worker pool and the cross-process cache.
+"""Tests of the persistent warm worker pool and the cache it hands workers.
 
 These tests spawn real worker processes; the models are the cheapest zoo
 entries so the whole module stays in the seconds range.
@@ -9,30 +9,20 @@ import sys
 import threading
 
 from repro.core.api import WorkerPool, deploy_model
-from repro.core.cache import StageCache, default_cache
-from repro.core.compiler import FPSACompiler
-from repro.core.shared_cache import (
-    SHARED_CACHE_ENV,
-    SHARED_CACHE_MAX_BYTES_ENV,
-    SharedStageCache,
-    shared_cache_from_env,
-)
+from repro.core.cache import StageCache
 from repro.service import CompileRequest, FPSAClient, ServingRuntime
 
 
 def _compile_with_stats(model, cache, run_pnr=False):
     """Worker: compile through ``cache`` as it arrived in this process (a
     cache new to the process arrives with empty memory), return the
-    per-compile cache stats (picklable summary only)."""
+    per-compile cache counters (picklable summary only)."""
     result = deploy_model(model, cache=cache, run_pnr=run_pnr)
-    stats = result.cache_stats
     return {
         "pid": os.getpid(),
         "throughput": result.throughput_samples_per_s,
         "hits": result.cache_hits,
         "misses": result.cache_misses,
-        "shared_hits": stats.shared_hits,
-        "shared_misses": stats.shared_misses,
     }
 
 
@@ -42,12 +32,6 @@ POINTS = [("MLP-500-100", 1), ("LeNet", 2)]
 def _submit_all(pool, worker, argument_lists):
     futures = [pool.submit(worker, *args) for args in argument_lists]
     return [f.result() for f in futures]
-
-
-def _tier_bound(cache):
-    """Worker: the size bound of the disk tier a compile handed ``cache``
-    runs against in this process."""
-    return FPSACompiler(cache=cache).cache.shared.max_bytes
 
 
 class TestWorkerPool:
@@ -102,47 +86,36 @@ class TestWorkerPool:
             assert a.mapping.netlist.n_pe == b.mapping.netlist.n_pe
 
 
-class TestSharedCacheAcrossProcesses:
-    def test_hit_from_a_different_process(self, tmp_path):
-        """Worker N's P&R result serves worker M's lookup: two *fresh*
-        single-worker pools over one shared directory — the second pool's
-        worker is a different process and must hit the shared tier."""
-        cache = StageCache(shared=SharedStageCache(str(tmp_path)))
+class TestCacheAcrossProcesses:
+    def test_a_fresh_worker_compiles_cold(self):
+        """A private cache arrives in each worker process as an empty copy:
+        no stage result crosses between processes, so the second pool's
+        worker compiles again, and computes the same answer."""
+        cache = StageCache()
         with WorkerPool(max_workers=1) as pool:
             first = pool.submit(_compile_with_stats, "MLP-500-100", cache, True).result()
             first_pid = pool.worker_pids()[0]
+            again = pool.submit(_compile_with_stats, "MLP-500-100", cache, True).result()
         with WorkerPool(max_workers=1) as pool:
             second = pool.submit(_compile_with_stats, "MLP-500-100", cache, True).result()
             second_pid = pool.worker_pids()[0]
         assert first_pid != second_pid
-        assert (first["shared_hits"], first["shared_misses"]) == (0, 1)  # cold
-        # the routing is served by the first worker's work
-        assert (second["shared_hits"], second["shared_misses"]) == (1, 0)
-        assert second["hits"] >= second["shared_hits"]
-        # the shared tier must not change what gets computed
+        assert first["hits"] == second["hits"] == 0
+        assert again["hits"] == again["misses"] + 1  # the same worker's memory
         assert second["throughput"] == first["throughput"]
 
-    def test_environment_bound_reaches_every_worker(self, tmp_path, monkeypatch):
-        """The tier ``REPRO_SHARED_CACHE`` names keeps its
-        ``REPRO_SHARED_CACHE_MAX_BYTES`` bound in every worker: the pool's
-        workers keep this process's default cache, the runtime's compile
-        against the cache it hands them."""
-        monkeypatch.setenv(SHARED_CACHE_ENV, str(tmp_path))
-        monkeypatch.setenv(SHARED_CACHE_MAX_BYTES_ENV, "12345")
-        # this process as if it had started under that environment
-        monkeypatch.setattr(default_cache(), "shared", shared_cache_from_env())
-        with WorkerPool(max_workers=1) as pool:
-            assert pool.submit(_tier_bound, None).result() == 12345
-        with ServingRuntime(max_workers=1) as runtime:
-            handed = runtime.manager.cache
-            assert runtime.pool.submit(_tier_bound, handed).result() == 12345
-            assert runtime.stats()["shared_cache_dir"] == str(tmp_path)
+    def test_a_runtime_ignores_a_shared_cache_dir(self, tmp_path):
+        """``shared_cache_dir`` is accepted and unused: no directory is
+        made, and the stats name none."""
+        directory = tmp_path / "tier"
+        with ServingRuntime(max_workers=1, shared_cache_dir=str(directory)) as runtime:
+            assert runtime.serve(CompileRequest(model="MLP-500-100")).ok
+            assert "shared_cache_dir" not in runtime.stats()
+        assert not directory.exists()
 
-    def test_partitioned_artifacts_identical_under_shared_cache(self, tmp_path):
+    def test_partitioned_artifacts_identical_from_the_cache(self):
         """1-chip and partitioned compiles must stay bit-identical whether
-        artifacts come from a live pass run or the shared disk tier."""
-        from repro.core.cache import StageCache
-        from repro.core.shared_cache import SharedStageCache
+        artifacts come from a live pass run or the stage cache."""
 
         def serve(cache):
             client = FPSAClient(cache=cache)
@@ -165,13 +138,12 @@ class TestSharedCacheAcrossProcesses:
             return data
 
         cold_plain, cold_parted = serve(StageCache())
-        # a fresh in-memory cache over the now-populated shared directory:
-        # every P&R result is served from disk pickles
-        shared_dir = str(tmp_path)
-        warm_cache = StageCache(shared=SharedStageCache(shared_dir))
-        serve(StageCache(shared=SharedStageCache(shared_dir)))  # populate
+        warm_cache = StageCache()
+        serve(warm_cache)  # populate
         warm_plain, warm_parted = serve(warm_cache)
-        assert warm_plain.timings.shared_cache_hits == 1
-        assert warm_parted.timings.shared_cache_hits == 2  # one per shard
+        # every P&R result, one per shard too, comes from the cache
+        for warm, shards in ((warm_plain, 1), (warm_parted, 2)):
+            pnr = [p for p in warm.timings.passes if p.name.split("@")[0] == "pnr"]
+            assert len(pnr) == shards and all(p.cached for p in pnr)
         assert quality(warm_plain) == quality(cold_plain)
         assert quality(warm_parted) == quality(cold_parted)

@@ -3,7 +3,6 @@ honest compiler and everything on a rigged one."""
 
 import pytest
 
-from repro.core.shared_cache import SharedStageCache
 from repro.errors import FPSAError
 from repro.fuzz import check_spec, compile_spec, generate_spec
 from repro.fuzz import oracle as oracle_module
@@ -56,26 +55,27 @@ class TestCheckSpec:
         assert check.ok
         assert check.compiles == len(check.configs)
         # every group ran: repeat/warm/pnr/chips all present
-        assert {"base", "repeat", "warm", "pnr-base", "pnr-shared",
+        assert {"base", "repeat", "warm", "pnr-base", "pnr-repeat",
                 "chips1-a", "auto-a"} <= set(check.configs)
-        assert len(check.configs) == 10
+        assert len(check.configs) == 9
         assert not any(c.startswith("dedup") for c in check.configs)
 
-    def test_pnr_shared_row_reads_the_routing_back_from_the_tier(self, monkeypatch):
-        loaded = []
-        real_get = SharedStageCache.get
+    def test_pnr_rows_each_place_and_route(self, monkeypatch):
+        from repro.pnr.passes import PnRPass
 
-        def get(tier, key):
-            entry = real_get(tier, key)
-            if entry is not None:
-                loaded.append(sorted(entry))
-            return entry
+        placed = []
+        real_run = PnRPass.run
 
-        monkeypatch.setattr(SharedStageCache, "get", get)
+        def run(self, ctx):
+            placed.append(ctx.mapping.netlist.model)
+            return real_run(self, ctx)
+
+        monkeypatch.setattr(PnRPass, "run", run)
         check = check_spec(generate_spec(0, 0, size_class="small"), subset=("pnr",))
         assert check.ok
-        assert check.configs == ["base", "pnr-base", "pnr-repeat", "pnr-shared"]
-        assert loaded == [["pnr"]]
+        assert check.configs == ["base", "pnr-base", "pnr-repeat"]
+        # the repeat compiles on a fresh cache: a second, independent P&R
+        assert len(placed) == 2
 
     def test_over_capacity_spec_skips_pnr_but_checks_chips(self):
         check = check_spec(generate_spec(0, 0, size_class="over"))

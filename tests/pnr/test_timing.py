@@ -30,8 +30,8 @@ def segments_from_driver(net, geometry) -> dict[tuple[int, int], int]:
     reason="_route_net records a sink's path from the tree node the search branched "
     "off, and sink_delay_segments counts only that suffix: here 30 of 68 paths do not "
     "start at the driver and the worst sink reports 5 segments where 9 lie between it "
-    "and the output pin (ROADMAP, 'P&R's answer reaches no reported number'); the fix "
-    "moves goldens and CI ceilings",
+    "and the output pin (ROADMAP, 'A block has a pin budget, so the paper's ImageNet "
+    "models reach a legal routing'); the fix moves goldens and CI ceilings",
 )
 def test_sink_delay_counts_from_the_driver():
     netlist = SpatialTemporalMapper().map(

@@ -174,14 +174,14 @@ class LifecycleModel(RuleBasedStateMachine):
         if not self._compiles(sub):
             self.published.append(sub)  # else held until its compile ends
 
-    def _conclude(self, compile_: Compile, code: str, remember: bool = True) -> None:
+    def _conclude(self, compile_: Compile, code: str) -> None:
         del self.compiling[compile_.fingerprint]
         for sub in compile_.members:
             if sub.expect is None:
                 self._answer(sub, code)
             elif sub is compile_.primary:
                 self.published.append(sub)  # answered at its deadline
-        if code == "ok" and remember and compile_.primary.request.use_cache:
+        if code == "ok" and compile_.primary.request.use_cache:
             self.remembered[compile_.fingerprint] = None
             if len(self.remembered) > REMEMBERED:
                 self.remembered.popitem(last=False)
@@ -284,10 +284,11 @@ class LifecycleModel(RuleBasedStateMachine):
         future = compile_.future
         if outcome in ("ok", "ok, bitstream", "capacity_error"):
             # a worker's return: the wire dict, no run id (no store), and
-            # whether it emitted a bitstream, which no repeat may share
+            # whether it emitted a bitstream; without a store none was ever
+            # serialised, so an emitted answer is remembered like any other
             code = outcome.split(",")[0]
             future.set_result((_canned()[code], None, code != outcome))
-            self._conclude(compile_, code, remember=code == outcome)
+            self._conclude(compile_, code)
             return
         attempts = len(self.pool.attempts)
         if outcome == "worker_crash":  # its worker died: no other job notices

@@ -1,12 +1,10 @@
 """Golden pins of what a repeated request answers and where it is stored.
 
-The literals were recorded at commit 1e4fa78.  Without a shared tier the
-first serve of a point and every repeat hash to one run id: no counter
-inside the content address differs between a compile and a stage-cache hit.
-Through a ``ServingRuntime`` an identical repeat is answered with its first
-compile's response, so it too keeps one id (``test_repeat_path.py``); the
-``shared_cache_*`` counters are still part of the address, so a point that
-compiles again (forgotten, ``coalesce=False``) can land under up to three.
+The literals were recorded at commit 1e4fa78.  The first serve of a point
+and every repeat hash to one run id: the cache counters are volatile
+(``WireRecord.volatile``), outside the content address.  Through a
+``ServingRuntime`` an identical repeat is answered with its first
+compile's response, so it too keeps one id (``test_repeat_path.py``).
 """
 
 import hashlib
@@ -35,10 +33,8 @@ def summary_digest(response) -> str:
 
 
 @pytest.mark.parametrize("model, duplication", sorted(CORNERS))
-def test_three_serves_answer_and_store_the_same(tmp_path, monkeypatch, model, duplication):
+def test_three_serves_answer_and_store_the_same(tmp_path, model, duplication):
     digest, run_id = CORNERS[model, duplication]
-    # the shared-tier counters are part of the content address: no shared tier
-    monkeypatch.delenv("REPRO_SHARED_CACHE", raising=False)
     store = ArtifactStore(tmp_path)
     client = FPSAClient(cache=StageCache(), store=store)
     request = CompileRequest(model=model, duplication_degree=duplication, dedup=True)

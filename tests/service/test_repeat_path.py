@@ -645,19 +645,61 @@ class TestAnsweredFromTheConcludedJob:
         assert len(pool.submitted) == 2
         assert manager.stats.coalesced == 0
 
-    def test_a_job_that_returned_a_bitstream_is_not_remembered(self, pool, tmp_path):
-        # the response does not carry the artifact: the store gets it from
-        # the worker, so a removed bitstream.json needs another compile
+    def test_a_job_that_returned_a_bitstream_is_remembered(self, pool, tmp_path):
+        # the store holds the bitstream under the worker's run: a repeat
+        # under other tags copies it from there instead of compiling
         store = ArtifactStore(tmp_path)
         manager = JobManager(pool=pool, store=store)
         request = _point(emit_bitstream=True)
         run_id = store.run_id_for(self.serve(manager, pool, request))
-        bitstream = store.load_bitstream(run_id)
-        assert bitstream is not None
-        (store.runs_root / run_id / "bitstream.json").unlink()
-        assert self.serve(manager, pool, request).ok
-        assert len(pool.submitted) == 2
-        assert store.load_bitstream(run_id) == bitstream
+        copy = manager.result(manager.submit(_point(emit_bitstream=True, tags={"i": "1"})), 0)
+        assert len(pool.submitted) == 1 and manager.stats.coalesced == 1
+        assert store.load_bitstream(store.run_id_for(copy)) == store.load_bitstream(run_id)
+        assert store.load_bitstream(run_id) is not None
+
+    def test_an_emitted_answer_is_remembered_without_a_store(self, pool):
+        # no store: the bitstream was never serialised, so nothing is lost
+        manager = JobManager(pool=pool)
+        first = self.serve(manager, pool, _point(emit_bitstream=True))
+        assert self.serve(manager, pool, _point(emit_bitstream=True)) is first
+        assert len(pool.submitted) == 1 and manager.stats.coalesced == 1
+
+    def test_an_emitted_answer_whose_save_failed_is_not_remembered(
+        self, pool, tmp_path, monkeypatch, capsys
+    ):
+        store = ArtifactStore(tmp_path)
+        manager = JobManager(pool=pool, store=store)
+
+        def full_disk(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(store, "save", full_disk)
+        for compiles in (1, 2):
+            assert self.serve(manager, pool, _point(emit_bitstream=True)).ok
+            assert len(pool.submitted) == compiles
+        assert manager.stats.coalesced == 0
+        assert "warning: failed to persist" in capsys.readouterr().err
+
+    def test_a_same_request_repeat_reads_no_bitstream(self, pool, tmp_path, monkeypatch):
+        # the worker's run is the repeat's run, bitstream included; only a
+        # copy under other tags reads the bitstream back
+        store = ArtifactStore(tmp_path)
+        manager = JobManager(pool=pool, store=store)
+        self.serve(manager, pool, _point(emit_bitstream=True))
+        reads = []
+        load = store.load_bitstream
+        monkeypatch.setattr(store, "load_bitstream", lambda i: reads.append(i) or load(i))
+        self.serve(manager, pool, _point(emit_bitstream=True))
+        assert reads == []
+        self.serve(manager, pool, _point(emit_bitstream=True, tags={"i": "1"}))
+        assert len(reads) == 1 and len(pool.submitted) == 1
+
+    def test_a_fresh_compile_request_with_a_bitstream_compiles_again(self, pool, tmp_path):
+        manager = JobManager(pool=pool, store=ArtifactStore(tmp_path))
+        request = _point(emit_bitstream=True, use_cache=False)
+        for compiles in (1, 2):
+            assert self.serve(manager, pool, request).ok
+            assert len(pool.submitted) == compiles
 
     def test_the_least_recently_used_job_is_forgotten(self, pool, monkeypatch):
         monkeypatch.setattr(jobs_module, "REMEMBERED_JOBS", 3)
@@ -779,9 +821,7 @@ class TestAnsweredFromTheConcludedJob:
 def test_one_point_one_run_id_through_a_serving_runtime(tmp_path):
     store = ArtifactStore(tmp_path / "store")
     points = [CompileRequest(model="LeNet", duplication_degree=d) for d in (1, 2, 4)]
-    with ServingRuntime(
-        max_workers=2, shared_cache_dir=str(tmp_path / "shared"), store=store
-    ) as runtime:
+    with ServingRuntime(max_workers=2, store=store) as runtime:
         for _ in range(5):
             for request in points:
                 direct = serve_request(request, cache=False).response

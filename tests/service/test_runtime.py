@@ -9,7 +9,6 @@ import pytest
 from repro.fuzz.oracle import strip_seconds
 from repro.service import (
     CompileRequest,
-    CompileResponse,
     CompileTimings,
     FPSAClient,
     JobManager,
@@ -150,7 +149,7 @@ class TestServingRuntime:
         assert all(r.ok for r in first + second)
         for a, b in zip(first, second, strict=True):
             assert a.summary.to_dict() == b.summary.to_dict()
-        # pool, shared tier and coalescing may change *when* work happens,
+        # pool, stage cache and coalescing may change *when* work happens,
         # never *what*: each summary equals a cache-free in-process compile
         for model, served in zip(["MLP-500-100", "LeNet"], first, strict=True):
             direct = FPSAClient(cache=False).compile(model)
@@ -158,12 +157,11 @@ class TestServingRuntime:
                 direct.summary.to_dict()
             )
 
-    def test_owned_cache_dir_removed_on_close(self):
-        runtime = ServingRuntime(max_workers=1)
-        cache_dir = runtime.shared_cache_dir
-        assert cache_dir is not None and os.path.isdir(cache_dir)
-        runtime.close()
-        assert not os.path.exists(cache_dir)
+    def test_a_runtime_makes_no_temporary_directory(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with ServingRuntime(max_workers=1) as runtime:
+            assert runtime.serve(CompileRequest(model="MLP-500-100", run_pnr=True)).ok
+        assert os.listdir(tmp_path) == []
 
     def test_serve_single(self):
         with ServingRuntime(max_workers=1) as runtime:
@@ -173,15 +171,11 @@ class TestServingRuntime:
     @pytest.mark.parametrize(
         "settings", [{"max_workers": 0}, {"max_queue_depth": True}, {"max_queue_depth": 0}]
     )
-    def test_rejected_settings_leave_no_cache_dir(self, settings, tmp_path, monkeypatch):
-        from repro.core.shared_cache import SHARED_CACHE_ENV
+    def test_rejected_settings_raise(self, settings):
         from repro.errors import InvalidRequestError
 
-        monkeypatch.delenv(SHARED_CACHE_ENV, raising=False)
-        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         with pytest.raises(InvalidRequestError):
             ServingRuntime(**settings)
-        assert os.listdir(tmp_path) == []
 
     def test_dedup_store_dir_is_ignored(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_DEDUP_STORE", raising=False)
@@ -194,25 +188,20 @@ class TestServingRuntime:
         assert not directory.exists()
 
 
-class TestSharedCacheCounters:
-    def test_timings_carry_shared_counters(self, tmp_path):
+class TestRetiredCounters:
+    def test_a_compile_reports_the_retired_counters_as_zero(self):
         from repro.core.cache import StageCache
-        from repro.core.shared_cache import SharedStageCache
 
         request = CompileRequest(model="MLP-500-100", run_pnr=True)
-        serve_request(
-            request, cache=StageCache(shared=SharedStageCache(str(tmp_path)))
-        )
-        served = serve_request(
-            request, cache=StageCache(shared=SharedStageCache(str(tmp_path)))
-        )
-        timings = served.response.timings
-        assert timings.shared_cache_hits == 1
-        assert timings.shared_cache_misses == 0
-        # wire round-trip keeps the new counters
-        clone = CompileResponse.from_json(served.response.to_json())
-        assert clone.timings.shared_cache_hits == timings.shared_cache_hits
-        assert clone.timings.evictions == timings.evictions
+        cache = StageCache(max_entries=1)
+        serve_request(request, cache=cache)
+        timings = serve_request(request, cache=cache).response.timings
+        assert (timings.cache_hits, timings.evictions) == (0, 3)
+        # wire fields older runs carry; no compile counts them any more
+        assert (timings.shared_cache_hits, timings.shared_cache_misses) == (0, 0)
+        assert timings.write_errors == 0
+        clone = CompileTimings.from_json(timings.to_json())
+        assert clone == timings
 
     def test_old_wire_payload_still_parses(self):
         # payloads from before the shared-cache counters must deserialize

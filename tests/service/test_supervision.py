@@ -464,7 +464,7 @@ class TestRuntimeSurface:
     def test_stats_and_health_exposed(self):
         from repro.service import ServingRuntime
 
-        with ServingRuntime(max_workers=1, shared_cache_dir=False) as runtime:
+        with ServingRuntime(max_workers=1) as runtime:
             assert runtime.serve("MLP-500-100").ok
             stats = runtime.stats()
             assert stats["pool_health"] == runtime.health()
@@ -481,15 +481,13 @@ class TestRuntimeSurface:
             "deadline_expired",
             "pool_health",
             "worker_pids",
-            "shared_cache_dir",
         ]
         assert (stats["submitted"], stats["completed"], stats["failed"]) == (1, 1, 0)
-        assert stats["shared_cache_dir"] is None
 
     def test_process_runtime_reports_pool_health(self):
         from repro.service import ServingRuntime
 
-        with ServingRuntime(max_workers=1, shared_cache_dir=False) as runtime:
+        with ServingRuntime(max_workers=1) as runtime:
             assert runtime.serve("MLP-500-100").ok
             health = runtime.health()
         assert health is not None

@@ -4,8 +4,9 @@ A worker process lives across many jobs, so anything a job leaves behind
 in a process global (an installed plan, a cache copy, a memo) could reach
 the next job.  The property below serves pairs of requests in one warm
 one-worker pool and compares each answer with the answer of a fresh pool
-that serves it first, with the cache off, a memory-only ``StageCache``,
-one with a shared tier, and one whose bound is below the candidate set.
+that serves it first, with the cache off, a private ``StageCache``, the
+worker's process default cache, and one whose bound is below the
+candidate set.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 from repro import faults
 from repro.core.api import WorkerPool
 from repro.core.cache import StageCache
-from repro.core.shared_cache import SharedStageCache
 from repro.faults import FAULT_PLAN_ENV, SITE_WORKER_COMPILE, FaultPlan, FaultSpec
 from repro.fuzz.oracle import strip_seconds
 from repro.service import ArtifactStore, CompileResponse
@@ -41,7 +41,7 @@ CANDIDATES = (
     {"model": "MLP-500-100", "duplication_degree": 16, "use_cache": False},
     {"model": "LeNet", "num_chips": 2},
     {"model": "LeNet", "passes": ["synthesis", "mapping"]},
-    {"model": "MLP-500-100", "run_pnr": True},  # the one stage the shared tier holds
+    {"model": "MLP-500-100", "run_pnr": True},
     {"model": "MLP-500-100", "pe_budget": 1},  # a compile that fails: capacity_error
     {"model": "LeNet", "duplication_degree": 0},  # rejected when decoded
     # a stored request of the time a plan travelled on the wire
@@ -103,7 +103,7 @@ def pools(tmp_path_factory):
         caches = {
             "off": False,
             "memory": StageCache(),
-            "shared": StageCache(shared=SharedStageCache(str(tmp_path_factory.mktemp("tier")))),
+            "default": None,
             "bounded": StageCache(max_entries=4),  # evicts within a few candidates
         }
         with WorkerPool(1) as warm:
@@ -114,7 +114,7 @@ def pools(tmp_path_factory):
 @given(
     first=st.integers(0, len(CANDIDATES) - 1),
     second=st.integers(0, len(CANDIDATES) - 1),
-    cache=st.sampled_from(("off", "memory", "shared", "bounded")),
+    cache=st.sampled_from(("off", "memory", "default", "bounded")),
 )
 def test_a_warm_worker_answers_as_a_fresh_one(pools, first, second, cache):
     warm, store, caches, fresh = pools

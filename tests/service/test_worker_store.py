@@ -10,7 +10,9 @@ worker writes are the ones an in-process save would write.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 import pickle
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -105,15 +107,6 @@ class TestTheBitstreamNeverCrossesThePool:
         assert thread_pool.futures[0].result()[1:] == (None, True)
         assert encoded == []
 
-    def test_an_answer_that_emitted_one_is_not_remembered(self, store, thread_pool):
-        with JobManager(pool=thread_pool, store=store) as manager:
-            for _ in range(2):
-                assert manager.serve(BITSTREAM, timeout=60).ok
-            assert manager.stats.coalesced == 0
-        assert len(thread_pool.futures) == 2
-        # the second compile found its run stored and indexed, bitstream too
-        assert [r.has_bitstream for r in store.list_runs()] == [True]
-
     def test_a_follower_under_other_tags_keeps_its_bitstream(
         self, store, thread_pool, monkeypatch
     ):
@@ -137,6 +130,84 @@ class TestTheBitstreamNeverCrossesThePool:
         assert all(r.has_bitstream for r in store.list_runs()) and len(store) == 2
         assert store.load_bitstream(ids[1]) == store.load_bitstream(ids[0]) is not None
         assert store.load(ids[1], verify=True).request == follower
+
+
+def _counting_submits(manager: JobManager) -> list:
+    """Record every job ``manager`` hands its pool."""
+    submitted = []
+    submit = manager.pool.submit
+    manager.pool.submit = lambda *args: submitted.append(args) or submit(*args)
+    return submitted
+
+
+class TestABitstreamRepeatIsALookup:
+    """With a store and two process workers, a repeated ``run_pnr`` +
+    ``emit_bitstream`` request is answered from the run its worker saved."""
+
+    REQUEST = CompileRequest(model="MLP-500-100", run_pnr=True, emit_bitstream=True)
+
+    @pytest.fixture(params=[True, False], ids=["run_pnr", "front-end"])
+    def request_(self, request):
+        return dataclasses.replace(self.REQUEST, run_pnr=request.param)
+
+    def test_a_repeat_reaches_no_worker(self, store, request_):
+        with JobManager(max_workers=2, store=store) as manager:
+            submitted = _counting_submits(manager)
+            first = manager.serve(request_, timeout=120)
+            assert first.ok
+            assert manager.serve(request_, timeout=120) is first
+            assert (len(submitted), manager.stats.coalesced) == (1, 1)
+        (run,) = store.list_runs()
+        assert run.has_bitstream and run.run_id == ArtifactStore.run_id_for(first)
+
+    def test_a_repeat_under_other_tags_copies_the_bitstream(self, store, request_):
+        tagged = dataclasses.replace(request_, tags={"who": "b"})
+        with JobManager(max_workers=2, store=store) as manager:
+            submitted = _counting_submits(manager)
+            first = manager.serve(request_, timeout=120)
+            copy = manager.serve(tagged, timeout=120)
+            assert (len(submitted), manager.stats.coalesced) == (1, 1)
+        ids = [ArtifactStore.run_id_for(r) for r in (first, copy)]
+        assert ids[0] != ids[1] and len(store) == 2
+        assert all(run.has_bitstream for run in store.list_runs())
+        bitstreams = [(store.runs_root / i / "bitstream.json").read_bytes() for i in ids]
+        assert bitstreams[0] == bitstreams[1]
+        assert store.load(ids[1], verify=True).request == tagged
+
+    def test_repeated_batches_are_answered_from_the_store(self, store):
+        requests = [
+            dataclasses.replace(self.REQUEST, duplication_degree=d) for d in (1, 2, 4, 8)
+        ]
+        with ServingRuntime(max_workers=2, store=store) as runtime:
+            submitted = _counting_submits(runtime.manager)
+            rounds = [runtime.serve_batch(requests, timeout=120) for _ in range(3)]
+            assert runtime.stats()["coalesced"] == 8
+        assert len(submitted) == 4
+        for later in rounds[1:]:
+            assert all(a is b for a, b in zip(rounds[0], later, strict=True))
+        assert len(store) == 4
+        for response in rounds[0]:
+            run_dir = store.runs_root / ArtifactStore.run_id_for(response)
+            assert (run_dir / "bitstream.json").is_file()
+
+    def test_a_failed_worker_save_is_not_remembered(self, store, monkeypatch):
+        parent = os.getpid()
+        write = store_module._write_atomic
+
+        def worker_write_fails(path, text):
+            if os.getpid() != parent:
+                raise OSError("no space left on device")
+            return write(path, text)
+
+        # patched before the pool forks, so both workers inherit it
+        monkeypatch.setattr(store_module, "_write_atomic", worker_write_fails)
+        with JobManager(max_workers=2, store=store) as manager:
+            submitted = _counting_submits(manager)
+            for _ in range(2):
+                assert manager.serve(self.REQUEST, timeout=120).ok
+            # the repeat compiled again: its answer alone had no bitstream
+            assert (len(submitted), manager.stats.coalesced) == (2, 0)
+        assert len(store) == 0
 
 
 def test_a_worker_save_encodes_the_response_once(store, monkeypatch):
@@ -168,7 +239,7 @@ def test_a_failed_worker_save_is_only_a_warning(store, thread_pool, monkeypatch,
 
 def test_the_parent_saves_only_the_answers_it_makes(store, monkeypatch):
     points = [CompileRequest(model="LeNet", duplication_degree=d) for d in (1, 2)]
-    with ServingRuntime(max_workers=1, shared_cache_dir=False, store=store) as runtime:
+    with ServingRuntime(max_workers=1, store=store) as runtime:
         # the spy sees the parent's saves only: a worker's run in its own process
         saves = []
         save = ArtifactStore.save
@@ -200,7 +271,7 @@ def test_worker_written_runs_are_the_in_process_saves(tmp_path):
         for duplication in CATALOGUE_DUPLICATIONS
     ] + [BITSTREAM, CAPACITY_ERROR]
     served = ArtifactStore(tmp_path / "served")
-    with ServingRuntime(max_workers=2, shared_cache_dir=False, store=served) as runtime:
+    with ServingRuntime(max_workers=2, store=served) as runtime:
         responses = runtime.serve_batch(requests, timeout=600)
     assert [r.ok for r in responses[-2:]] == [True, False]
     assert responses[-1].error.code == "capacity_error"
