@@ -7,7 +7,8 @@ built with the public :class:`~repro.graph.GraphBuilder` API:
 2. spatial-to-temporal mapping (allocation, SMB buffers, control plan),
 3. simulated-annealing placement and PathFinder routing on the island-style
    fabric (the step mrVPR performs in the paper),
-4. the analytic performance report and its utilization bounds.
+4. the analytic performance report and its utilization bounds, and the
+   analytic model's mean hop beside the one the router measured.
 
 Run with::
 
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 from repro.core.compiler import FPSACompiler
 from repro.graph import GraphBuilder
+from repro.perf.analytic import estimate_block_counts
+from repro.perf.comm import ReconfigurableRoutingComm, mean_route_segments
 
 
 def build_custom_cnn():
@@ -58,11 +61,24 @@ def main() -> None:
     print(f"fabric: {pnr.fabric.width} x {pnr.fabric.height} sites, "
           f"channel width {pnr.channel_width}")
     print(f"total wirelength: {pnr.total_wirelength} segments")
-    print(f"mean routed path: {pnr.mean_route_segments:.1f} segments")
     print(f"communication critical path: {pnr.critical_path_ns:.3f} ns "
           f"({pnr.timing.critical_net})")
-    print(f"spike-transfer cycle achievable on this fabric: "
-          f"{pnr.timing.spike_cycle_ns(compiler.config.pe.cycle_ns):.3f} ns")
+
+    # the analytic model's hop (from the block total it prices) against
+    # the routed one, both priced by the model's routing-fabric comm
+    mapping = result.mapping
+    blocks = estimate_block_counts(
+        result.coreops, mapping.allocation, compiler.config,
+        n_smb=mapping.block_counts()["n_smb"],
+    ).total
+    estimated = mean_route_segments(blocks)
+    comm = ReconfigurableRoutingComm(compiler.config)
+    print(f"mean hop: {estimated} segments estimated ({blocks} blocks), "
+          f"{pnr.mean_route_segments:.2f} routed")
+    print(f"spike-train latency at the estimated hop: "
+          f"{comm.spike_train_comm_ns(estimated):.1f} ns")
+    print(f"spike-train latency at the routed hop: "
+          f"{comm.spike_train_comm_ns(pnr.mean_route_segments):.1f} ns")
 
 
 if __name__ == "__main__":

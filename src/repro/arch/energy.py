@@ -27,8 +27,9 @@ class BlockMix:
     pe_vmm_per_inference: float
     smb_accesses_per_inference: float
     clb_cycles_per_inference: float
-    routed_bits_per_inference: float = 0.0
-    mean_route_segments: float = 4.0
+    routed_bits_per_inference: float
+    #: segments a routed bit crosses (:func:`repro.perf.comm.mean_route_segments`)
+    mean_route_segments: float
 
     def __post_init__(self) -> None:
         if min(self.n_pe, self.n_smb, self.n_clb) < 0:

@@ -303,8 +303,9 @@ class RoutingParams:
     #: energy per bit per segment, pJ.
     energy_per_bit_segment_pj: float = 0.002
 
-    def hop_delay_ns(self, n_segments: int) -> float:
-        """Delay of a routed connection crossing ``n_segments`` segments."""
+    def hop_delay_ns(self, n_segments: float) -> float:
+        """Delay of a routed connection crossing ``n_segments`` segments
+        (a mean over connections may be fractional)."""
         if n_segments < 0:
             raise InvalidRequestError("n_segments must be non-negative")
         if n_segments == 0:
@@ -417,42 +418,10 @@ class FPSAConfig:
 
     #: number of CLBs provisioned per PE for control-signal generation.
     clbs_per_pe: float = 0.125
-    #: average number of routing segments between directly connected blocks
-    #: used by the analytic performance model (the detailed P&R flow measures
-    #: the real value for small netlists).
-    mean_route_segments: int = 4
 
     def chip_area_mm2(self, n_pe: int, n_smb: int, n_clb: int) -> float:
         """Total chip area for a given block mix, including routing overhead."""
         return chip_area_mm2(self.pe, self, n_pe, n_smb, n_clb)
-
-    def spike_train_comm_ns(self, n_segments: int | None = None) -> float:
-        """Communication latency of transmitting one sampling window of
-        spike trains between PEs over a routed path of ``n_segments``
-        routing segments.
-
-        Spike trains are transmitted cycle by cycle over the routed channel:
-        the train occupies ``sampling_window`` cycles and each cycle is paced
-        by the slower of the routed hop delay and the PE spike cycle.  This
-        is the source of the increased communication latency of FPSA over
-        FP-PRIME in Figure 7 (2**n bits of traffic for an n-bit number).
-        """
-        if n_segments is None:
-            n_segments = self.mean_route_segments
-        hop = self.routing.hop_delay_ns(n_segments)
-        cycle = max(hop, self.pe.cycle_ns)
-        # one full window of spikes plus the initial hop latency
-        return cycle * self.pe.sampling_window + hop
-
-    def spike_count_comm_ns(self, n_segments: int | None = None) -> float:
-        """Communication latency when transmitting *spike counts* (io_bits
-        bits per value) instead of spike trains, as FP-PRIME does."""
-        if n_segments is None:
-            n_segments = self.mean_route_segments
-        hop = self.routing.hop_delay_ns(n_segments)
-        # io_bits bits transferred serially over the dedicated channel.
-        return hop * self.pe.io_bits + hop
-
 
 
 def chip_area_mm2(

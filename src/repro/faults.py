@@ -24,9 +24,6 @@ Fault kinds
 ``io_error``
     raises :class:`~repro.errors.TransientIOError` (an ``OSError``), which
     the job layer retries.
-``corrupt``
-    :func:`fire` *returns* the spec instead of acting, so an instrumented
-    write path can corrupt its own payload.
 
 The one site instrumented is ``worker-compile`` (fired with the request's
 ``model``/``duplication_degree``/``num_chips`` and the retry ``attempt``).
@@ -50,7 +47,6 @@ __all__ = [
     "KIND_CRASH",
     "KIND_HANG",
     "KIND_IO_ERROR",
-    "KIND_CORRUPT",
     "SITE_WORKER_COMPILE",
     "FaultSpec",
     "FaultPlan",
@@ -68,8 +64,7 @@ CRASH_EXIT_CODE = 17
 KIND_CRASH = "crash"
 KIND_HANG = "hang"
 KIND_IO_ERROR = "io_error"
-KIND_CORRUPT = "corrupt"
-FAULT_KINDS = (KIND_CRASH, KIND_HANG, KIND_IO_ERROR, KIND_CORRUPT)
+FAULT_KINDS = (KIND_CRASH, KIND_HANG, KIND_IO_ERROR)
 
 SITE_WORKER_COMPILE = "worker-compile"
 
@@ -200,13 +195,9 @@ class FaultInjector:
         with self._lock:
             return list(self._fired_counts)
 
-    def fire(self, site: str, **context: Any) -> FaultSpec | None:
-        """Fire the first armed spec matching ``site``/``context``, if any.
-
-        ``crash``/``hang``/``io_error`` act directly; a ``corrupt`` spec is
-        returned to the caller, which owns the payload to damage.  Returns
-        ``None`` when nothing fires.
-        """
+    def fire(self, site: str, **context: Any) -> None:
+        """Fire the first armed spec matching ``site``/``context``, if any:
+        a ``crash`` exits, a ``hang`` sleeps, an ``io_error`` raises."""
         spec = None
         with self._lock:
             for index, candidate in enumerate(self.plan.faults):
@@ -222,18 +213,16 @@ class FaultInjector:
                 spec = candidate
                 break
         if spec is None:
-            return None
+            return
         if spec.kind == KIND_CRASH:
             os._exit(CRASH_EXIT_CODE)
         if spec.kind == KIND_HANG:
             time.sleep(spec.seconds)
-            return None
-        if spec.kind == KIND_IO_ERROR:
-            raise TransientIOError(
-                f"injected transient IO fault at {site}",
-                details={"site": site, **{k: v for k, v in context.items()}},
-            )
-        return spec  # KIND_CORRUPT: caller damages its own payload
+            return
+        raise TransientIOError(
+            f"injected transient IO fault at {site}",
+            details={"site": site, **{k: v for k, v in context.items()}},
+        )
 
 
 _STATE_LOCK = threading.Lock()
@@ -261,9 +250,8 @@ def active_injector() -> FaultInjector | None:
         return injector
 
 
-def fire(site: str, **context: Any) -> FaultSpec | None:
+def fire(site: str, **context: Any) -> None:
     """Fire at ``site`` through the active injector; no-op without one."""
     injector = active_injector()
-    if injector is None:
-        return None
-    return injector.fire(site, **context)
+    if injector is not None:
+        injector.fire(site, **context)

@@ -38,20 +38,26 @@ __all__ = [
 ]
 
 
-def mean_route_segments(n_blocks: int, locality: float = 0.9) -> int:
+#: how much shorter than the grid side a placed hop is: the placer keeps
+#: connected blocks close.  The routed mean is still 2.3-4.4x shorter on
+#: the P&R golden points (``tests/pnr/test_golden.py`` bands the ratio).
+PLACER_LOCALITY = 0.9
+
+
+def mean_route_segments(n_blocks: int) -> int:
     """Average routed path length (in routing segments) on an island-style
-    fabric of ``n_blocks`` function blocks.
+    fabric of ``n_blocks`` function blocks: the one hop estimate of the
+    performance and energy models.
 
     The fabric is roughly a sqrt(N) x sqrt(N) grid; the average
     source-to-sink Manhattan distance of a placed netlist scales with the
-    grid side, damped by the placer's locality (``locality`` < 1).  The
-    detailed P&R flow (:mod:`repro.pnr`) measures the real value for small
-    designs; this closed form is used by the analytic model for
-    ImageNet-scale netlists.
+    grid side, damped by :data:`PLACER_LOCALITY`.  The detailed P&R flow
+    (:mod:`repro.pnr`) measures the real value for small designs; this
+    closed form is used by the analytic model for ImageNet-scale netlists.
     """
     if n_blocks <= 1:
         return 1
-    return max(1, int(round(locality * math.sqrt(n_blocks))))
+    return max(1, int(round(PLACER_LOCALITY * math.sqrt(n_blocks))))
 
 
 @dataclass(frozen=True)
@@ -114,17 +120,36 @@ class ReconfigurableRoutingComm:
 
     config: FPSAConfig
     spike_train: bool = True
-    locality: float = 0.9
 
     @property
     def name(self) -> str:
         return "routing-spike-train" if self.spike_train else "routing-spike-count"
 
     def per_vmm_latency_ns(self, ctx: CommContext) -> float:
-        segments = mean_route_segments(ctx.n_blocks, self.locality)
+        segments = mean_route_segments(ctx.n_blocks)
         if self.spike_train:
-            return self.config.spike_train_comm_ns(segments)
-        return self.config.spike_count_comm_ns(segments)
+            return self.spike_train_comm_ns(segments)
+        return self.spike_count_comm_ns(segments)
+
+    def spike_train_comm_ns(self, n_segments: float) -> float:
+        """Latency of one sampling window of spike trains over a routed
+        path of ``n_segments`` segments.
+
+        The train occupies ``sampling_window`` cycles, each paced by the
+        slower of the routed hop delay and the PE spike cycle.  This is the
+        source of the increased communication latency of FPSA over FP-PRIME
+        in Figure 7 (2**n bits of traffic for an n-bit number).
+        """
+        pe = self.config.pe
+        hop = self.config.routing.hop_delay_ns(n_segments)
+        # one full window of spikes plus the initial hop latency
+        return max(hop, pe.cycle_ns) * pe.sampling_window + hop
+
+    def spike_count_comm_ns(self, n_segments: float) -> float:
+        """Latency of one *spike count* (``io_bits`` bits per value, sent
+        serially) over ``n_segments`` segments, as FP-PRIME sends it."""
+        hop = self.config.routing.hop_delay_ns(n_segments)
+        return hop * self.config.pe.io_bits + hop
 
     def sample_rate_limit(self, ctx: CommContext) -> float:
         # dedicated channels: no shared-medium ceiling.

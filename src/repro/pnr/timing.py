@@ -36,11 +36,6 @@ class TimingReport:
     mean_delay_ns: float
     mean_segments: float
 
-    def spike_cycle_ns(self, pe_cycle_ns: float) -> float:
-        """The achievable spike-transfer cycle: the slower of the PE cycle
-        and the critical routed connection."""
-        return max(pe_cycle_ns, self.critical_path_ns)
-
 
 def analyze_timing(
     routing: RoutingResult, params: RoutingParams | None = None

@@ -315,12 +315,14 @@ class JobManager:
         makes itself: a follower's copy under other ``tags``, a repeat's,
         and crash, cancel and deadline errors.  Such a copy of an answer
         that emitted a bitstream takes the bitstream from the worker's run,
-        so a repeated bitstream request is a lookup, not a compile.  A
-        worker keeps its instance for its life, so a ``use_cache=False``
-        repeat that lands on the worker that saved the run writes nothing;
-        on another worker it writes the run again: its ``response.json``
-        then holds that save's volatile timings, and the index one more
-        line for the id.
+        so a repeated bitstream request is a lookup, not a compile, while
+        that run keeps its ``bitstream.json`` (one ``stat`` per such
+        repeat; without it the repeat compiles and the worker writes the
+        file again).  A worker keeps its instance for its life, so a
+        ``use_cache=False`` repeat that lands on the worker that saved the
+        run writes nothing; on another worker it writes the run again: its
+        ``response.json`` then holds that save's volatile timings, and the
+        index one more line for the id.
     pool:
         A persistent :class:`~repro.core.api.WorkerPool` (or any
         ``Executor``) the manager runs jobs on but does not own or shut
@@ -486,6 +488,14 @@ class JobManager:
             job_id = f"job-{next(self._counter):04d}"
             now = self._clock()
             primary = self._shared.get(fingerprint)
+            if (
+                primary is not None
+                and primary.bitstream_of is not None
+                and not self.store.keeps_bitstream(primary.bitstream_of)
+            ):
+                # the run lost its bitstream: compile, and the worker writes it again
+                del self._shared[fingerprint]
+                primary = None
             if primary is not None and primary.state not in _COMPILING:
                 # answered before the job is visible; from here on the most
                 # recently used entry

@@ -194,8 +194,7 @@ class ArtifactStore:
         run_id, data = self._address(response, data)
         saved, indexed = self._indexed.get(run_id, (None, None))
         if indexed is not None and os.path.exists(saved) and (
-            bitstream_json is None
-            or (indexed and os.path.exists(os.path.join(os.path.dirname(saved), "bitstream.json")))
+            bitstream_json is None or (indexed and self.keeps_bitstream(run_id))
         ):
             return run_id
         run_dir = self.runs_root / run_id
@@ -272,6 +271,10 @@ class ArtifactStore:
                     details={"store": str(self.root)},
                 )
         return response
+
+    def keeps_bitstream(self, run_id: str) -> bool:
+        """Whether run ``run_id``'s ``bitstream.json`` is on disk: one ``stat``."""
+        return os.path.exists(os.path.join(self.runs_root, run_id, "bitstream.json"))
 
     def load_bitstream(self, run_id: str) -> str | None:
         """The stored bitstream JSON of a run, or ``None`` if none was emitted."""

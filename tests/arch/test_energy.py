@@ -29,6 +29,7 @@ class TestEstimateEnergy:
             smb_accesses_per_inference=100.0,
             clb_cycles_per_inference=100.0,
             routed_bits_per_inference=1e5,
+            mean_route_segments=4.0,
         )
         report = estimate_energy(mix, config)
         assert report.pe_pj > report.smb_pj
@@ -36,12 +37,12 @@ class TestEstimateEnergy:
         assert report.total_pj > 0
 
     def test_energy_scales_linearly_with_activity(self):
-        mix1 = BlockMix(10, 1, 1, 100.0, 10.0, 10.0, 1e4)
-        mix2 = BlockMix(10, 1, 1, 200.0, 20.0, 20.0, 2e4)
+        mix1 = BlockMix(10, 1, 1, 100.0, 10.0, 10.0, 1e4, 4.0)
+        mix2 = BlockMix(10, 1, 1, 200.0, 20.0, 20.0, 2e4, 4.0)
         r1 = estimate_energy(mix1)
         r2 = estimate_energy(mix2)
         assert r2.total_pj == pytest.approx(2 * r1.total_pj)
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
-            BlockMix(-1, 0, 0, 0.0, 0.0, 0.0)
+            BlockMix(-1, 0, 0, 0.0, 0.0, 0.0, 0.0, 1.0)

@@ -190,13 +190,3 @@ class TestFPSAConfig:
         n = int(10.0 / FPSAArchitecture(config).effective_area_per_pe_mm2)
         assert n > 0
         assert config.chip_area_mm2(n, 0, math.ceil(n * config.clbs_per_pe)) <= 10.5
-
-    def test_spike_train_comm_slower_than_count(self):
-        config = FPSAConfig()
-        assert config.spike_train_comm_ns(10) > config.spike_count_comm_ns(10)
-
-    def test_spike_train_comm_bounded_by_pe_cycle(self):
-        config = FPSAConfig()
-        # for very short routes the train is paced by the PE spike cycle
-        minimum = config.pe.cycle_ns * config.pe.sampling_window
-        assert config.spike_train_comm_ns(1) >= minimum

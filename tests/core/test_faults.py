@@ -9,7 +9,6 @@ import pytest
 from repro.errors import InvalidRequestError, TransientIOError
 from repro.faults import (
     FAULT_PLAN_ENV,
-    KIND_CORRUPT,
     SITE_WORKER_COMPILE,
     FaultInjector,
     FaultPlan,
@@ -112,10 +111,15 @@ class TestInjector:
         assert injector.fire(SITE_WORKER_COMPILE) is None  # exhausted
         assert injector.fired() == 1
 
-    def test_corrupt_spec_is_returned_to_the_caller(self):
-        spec = FaultSpec(site="s", kind=KIND_CORRUPT)
-        injector = FaultInjector(FaultPlan(faults=(spec,)))
-        assert injector.fire("s", key="k") is spec
+    def test_a_plan_naming_corrupt_is_rejected(self, monkeypatch):
+        # no site acts on a corrupt spec: it would count as fired while
+        # injecting nothing
+        plan = '{"faults": [{"site": "worker-compile", "kind": "corrupt"}]}'
+        with pytest.raises(InvalidRequestError, match="fault kind"):
+            FaultPlan.from_json(plan)
+        monkeypatch.setenv(FAULT_PLAN_ENV, plan)
+        with pytest.raises(InvalidRequestError, match="fault kind"):
+            active_injector()
 
     def test_hang_sleeps_and_returns_none(self):
         spec = FaultSpec(site="s", kind="hang", seconds=0.0)
@@ -124,13 +128,14 @@ class TestInjector:
         assert injector.fired() == 1
 
     def test_first_matching_spec_wins(self):
-        corrupt = FaultSpec(site="s", kind=KIND_CORRUPT)
+        first = io_spec(site="s")
         other = FaultSpec(site="s", kind="hang", seconds=0.0)
-        injector = FaultInjector(FaultPlan(faults=(corrupt, other)))
-        assert injector.fire("s") is corrupt
-        # the corrupt spec is exhausted; the hang fires next
+        injector = FaultInjector(FaultPlan(faults=(first, other)))
+        with pytest.raises(TransientIOError):
+            injector.fire("s")
+        # the io_error spec is exhausted; the hang fires next
         assert injector.fire("s") is None
-        assert injector.fired() == 2
+        assert injector.counts() == [1, 1]
 
 
 class TestActivation:

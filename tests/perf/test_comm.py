@@ -92,3 +92,20 @@ class TestReconfigurableRoutingComm:
         config = FPSAConfig()
         assert "train" in ReconfigurableRoutingComm(config, spike_train=True).name
         assert "count" in ReconfigurableRoutingComm(config, spike_train=False).name
+
+    def test_spike_train_comm_slower_than_count(self):
+        comm = ReconfigurableRoutingComm(FPSAConfig())
+        assert comm.spike_train_comm_ns(10) > comm.spike_count_comm_ns(10)
+
+    def test_spike_train_comm_bounded_by_pe_cycle(self):
+        config = FPSAConfig()
+        # for very short routes the train is paced by the PE spike cycle
+        minimum = config.pe.cycle_ns * config.pe.sampling_window
+        assert ReconfigurableRoutingComm(config).spike_train_comm_ns(1) >= minimum
+
+    @pytest.mark.parametrize("spike_train", [True, False])
+    def test_per_vmm_latency_prices_the_estimated_hop(self, spike_train):
+        comm = ReconfigurableRoutingComm(FPSAConfig(), spike_train=spike_train)
+        price = comm.spike_train_comm_ns if spike_train else comm.spike_count_comm_ns
+        ctx = make_ctx(n_blocks=3300)
+        assert comm.per_vmm_latency_ns(ctx) == price(mean_route_segments(3300))

@@ -17,11 +17,17 @@ import pytest
 
 from repro.mapper.mapper import SpatialTemporalMapper
 from repro.models.zoo import build_model
+from repro.perf.analytic import estimate_block_counts
+from repro.perf.comm import mean_route_segments
 from repro.pnr.pnr import PlaceAndRoute
 from repro.synthesizer.synthesizer import synthesize
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_FILES = sorted(GOLDEN_DIR.glob("*.json"))
+
+#: estimated / routed mean hop over the six golden points: measured 2.30
+#: (MLP-500-100 d2) to 4.36 (CIFAR-VGG17 d1), banded with ~10 % either side.
+HOP_RESIDUAL_BAND = (2.0, 5.0)
 
 
 def load_golden(path: Path) -> dict:
@@ -31,7 +37,8 @@ def load_golden(path: Path) -> dict:
 
 @pytest.fixture(scope="module")
 def pnr_results():
-    """P&R results per golden case, computed once for all assertions."""
+    """Mapping and P&R result per golden case, computed once for all
+    assertions."""
     cache: dict[str, tuple] = {}
 
     def run(golden: dict):
@@ -44,7 +51,7 @@ def pnr_results():
             flow = PlaceAndRoute(
                 channel_width=golden["channel_width"], seed=golden["seed"]
             )
-            cache[key] = (mapping.netlist, flow.run(mapping.netlist))
+            cache[key] = (mapping, flow.run(mapping.netlist))
         return cache[key]
 
     return run
@@ -60,7 +67,8 @@ def test_golden_files_exist():
 class TestGoldenQuality:
     def test_netlist_matches_golden(self, path, pnr_results):
         golden = load_golden(path)
-        netlist, _ = pnr_results(golden)
+        mapping, _ = pnr_results(golden)
+        netlist = mapping.netlist
         assert len(netlist.blocks) == golden["blocks"]
         assert len(netlist.nets) == golden["nets"]
 
@@ -71,9 +79,9 @@ class TestGoldenQuality:
 
     def test_placement_quality(self, path, pnr_results):
         golden = load_golden(path)
-        netlist, result = pnr_results(golden)
+        mapping, result = pnr_results(golden)
         tolerance = golden["tolerance"]["relative_quality"]
-        hpwl = result.placement.total_wirelength(netlist.nets)
+        hpwl = result.placement.total_wirelength(mapping.netlist.nets)
         assert hpwl <= golden["placement_hpwl"] * (1.0 + tolerance), (
             f"placement HPWL {hpwl} worse than golden "
             f"{golden['placement_hpwl']} by more than {tolerance:.0%}"
@@ -110,10 +118,34 @@ class TestGoldenQuality:
     def test_reproducible_within_process(self, path, pnr_results):
         """The same netlist and seed must give bit-identical results."""
         golden = load_golden(path)
-        netlist, result = pnr_results(golden)
+        mapping, result = pnr_results(golden)
         again = PlaceAndRoute(
             channel_width=golden["channel_width"], seed=golden["seed"]
-        ).run(netlist)
+        ).run(mapping.netlist)
         assert again.placement.positions == result.placement.positions
         assert again.total_wirelength == result.total_wirelength
         assert again.critical_path_ns == result.critical_path_ns
+
+    def test_estimated_hop_against_the_routed_mean(self, path, pnr_results):
+        """The analytic model's hop (:func:`mean_route_segments` of the block
+        total the perf pass prices) over the mean the router measured.
+
+        The estimate overstates the routed hop, and the band pins by how
+        much.  The routed value is itself a lower bound: a sink's path is
+        counted from the tree node where its search branched off, not from
+        the driver (the strict xfail
+        ``test_timing.py::test_sink_delay_counts_from_the_driver``).  The
+        band moves when that is mended with the pin budget, or when the
+        residual ledger recalibrates the estimate.
+        """
+        golden = load_golden(path)
+        mapping, result = pnr_results(golden)
+        blocks = estimate_block_counts(
+            mapping.coreops, mapping.allocation, n_smb=mapping.block_counts()["n_smb"]
+        )
+        ratio = mean_route_segments(blocks.total) / result.mean_route_segments
+        low, high = HOP_RESIDUAL_BAND
+        assert low <= ratio <= high, (
+            f"estimated hop {mean_route_segments(blocks.total)} over routed "
+            f"{result.mean_route_segments:.3f} is {ratio:.2f}, outside {HOP_RESIDUAL_BAND}"
+        )

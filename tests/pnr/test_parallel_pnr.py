@@ -122,9 +122,10 @@ class TestJobsInvarianceOfKeys:
         assert key(None) == key(1) == key(8)
         # re-recorded at pnr-v7: the search's ties prefer a track rotated
         # by the net's index, so routings moved and an older stage- or
-        # shared-cache entry must miss
+        # shared-cache entry must miss; and again when FPSAConfig lost its
+        # unread mean_route_segments field, which its fingerprint hashed
         assert key(None) == (
-            "0fe6038f6fd7200c7dddad772ffdad0e4c2c12e857c11578c2ce9bc590a89347"
+            "29c8be8673c299b283b2b852adf36d2f9785e1059f18900f3e5f503367ca9e4a"
         )
 
     def test_request_fingerprint_jobs_invariant(self):

@@ -172,14 +172,6 @@ class TestTiming:
         report = analyze_timing(RoutingResult())
         assert report.critical_path_ns == 0.0
 
-    def test_spike_cycle_bounded_by_pe_cycle(self):
-        fabric = FabricGrid(2, 2)
-        netlist, placement = grid_netlist_and_placement(2, fabric)
-        graph = RoutingResourceGraph(fabric, channel_width=8)
-        routing = PathFinderRouter(graph).route(netlist, placement)
-        report = analyze_timing(routing)
-        assert report.spike_cycle_ns(pe_cycle_ns=2.443) >= 2.443
-
 
 # --------------------------------------------------------------------------
 # the lazy source fan-out and the arithmetic neighbour rule change no routing

@@ -101,12 +101,14 @@ def test_stage_cache_keys_of_lenet_seed_0():
     )
     ctx.coreops = front.coreops
     ctx.mapping = front.mapping
+    # partition, mapping and pnr hash the FPSAConfig: re-recorded when it
+    # lost its unread mean_route_segments field
     assert {
         p.name: p().cache_key(ctx)
         for p in (SynthesisPass, PartitionPass, MappingPass, PnRPass)
     } == {
         "synthesis": "d8694d17ae545539886bcc05db55e5ace9fe13c0882d764cf85d3d3afeb4ac8b",
-        "partition": "5ac9e594c24b9b35854ee75c2c0c468bb2a8ae527eb007811c997c429c44cb7b",
-        "mapping": "2bec2e7673acef32a7441a098335e393448afff6e177ac8d4485e7e250f0e8a6",  # mapping-v3
-        "pnr": "6f38bc14db10ae5dbd47e0b047e91548e2b70ac678898fdce6b1b3c2bb5f6adc",  # pnr-v7
+        "partition": "95eeef0ce34238badfe43d4bcf30d8b66990cfee84eb5aaefcb341ff82d9051e",
+        "mapping": "b7e5cb98acbae4f55359917a08e3d50cd6a53104520c21aa968d5acab3a4520c",  # mapping-v3
+        "pnr": "2b3c6ff8e140d10c58809a35a90da1487dcc723d603d152d133dabce8eda24b0",  # pnr-v7
     }

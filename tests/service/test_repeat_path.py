@@ -694,6 +694,32 @@ class TestAnsweredFromTheConcludedJob:
         self.serve(manager, pool, _point(emit_bitstream=True, tags={"i": "1"}))
         assert len(reads) == 1 and len(pool.submitted) == 1
 
+    def test_a_repeat_whose_run_lost_its_bitstream_writes_it_again(self, pool, tmp_path):
+        store = ArtifactStore(tmp_path)
+        manager = JobManager(pool=pool, store=store)
+        run_id = store.run_id_for(self.serve(manager, pool, _point(emit_bitstream=True)))
+        bitstream = store.load_bitstream(run_id)
+        (store.runs_root / run_id / "bitstream.json").unlink()
+        again = self.serve(manager, pool, _point(emit_bitstream=True))
+        assert store.run_id_for(again) == run_id and len(pool.submitted) == 2
+        assert store.load_bitstream(run_id) == bitstream
+        assert [run.has_bitstream for run in store.list_runs()] == [True]
+        # remembered again: the next repeat, and a copy under other tags, are lookups
+        self.serve(manager, pool, _point(emit_bitstream=True))
+        copy = self.serve(manager, pool, _point(emit_bitstream=True, tags={"i": "1"}))
+        assert store.load_bitstream(store.run_id_for(copy)) == bitstream
+        assert len(pool.submitted) == 2
+
+    def test_a_repeat_without_a_bitstream_looks_for_none(self, pool, tmp_path, monkeypatch):
+        manager = JobManager(pool=pool, store=ArtifactStore(tmp_path))
+        self.serve(manager, pool, _point())
+        stats = _count_calls(
+            monkeypatch, os.path, "exists", lambda path: str(path).endswith("bitstream.json")
+        )
+        for tags in ({}, {"i": "1"}):
+            self.serve(manager, pool, _point(tags=tags))
+        assert stats == [] and len(pool.submitted) == 1
+
     def test_a_fresh_compile_request_with_a_bitstream_compiles_again(self, pool, tmp_path):
         manager = JobManager(pool=pool, store=ArtifactStore(tmp_path))
         request = _point(emit_bitstream=True, use_cache=False)

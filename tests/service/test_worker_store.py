@@ -174,6 +174,19 @@ class TestABitstreamRepeatIsALookup:
         assert bitstreams[0] == bitstreams[1]
         assert store.load(ids[1], verify=True).request == tagged
 
+    def test_a_repeat_writes_a_removed_bitstream_again(self, store, request_):
+        with JobManager(max_workers=2, store=store) as manager:
+            submitted = _counting_submits(manager)
+            first = manager.serve(request_, timeout=120)
+            path = store.runs_root / ArtifactStore.run_id_for(first) / "bitstream.json"
+            written = path.read_bytes()
+            path.unlink()
+            assert manager.serve(request_, timeout=120).ok
+            assert len(submitted) == 2
+        assert path.read_bytes() == written
+        (run,) = store.list_runs()
+        assert run.has_bitstream
+
     def test_repeated_batches_are_answered_from_the_store(self, store):
         requests = [
             dataclasses.replace(self.REQUEST, duplication_degree=d) for d in (1, 2, 4, 8)
